@@ -12,15 +12,14 @@ import argparse
 
 import numpy as np
 
-from fwbench.dirac import energy
-from fwbench.zitter import (
-    dirac_hamiltonian_matrix,
-    dominant_frequency,
+from fwbench.dirac import (
+    GAMMA,
+    dirac_hamiltonian,
+    energy,
     fv_hamiltonian_matrix,
     fv_velocity_matrix,
-    record_evolution,
 )
-from fwbench.dirac import GAMMA
+from fwbench.zitter import dominant_frequency, record_evolution
 
 
 def oscillation_amplitude(H, v0, pk, eps):
@@ -45,7 +44,7 @@ def main():
             rec = record_evolution(p, m, times, 2, particle)
             row.append(dominant_frequency(times, [v[elem] for v in rec.velocity]))
             if particle == "dirac":
-                H, v0 = dirac_hamiltonian_matrix(p, m), GAMMA.alpha[2]
+                H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[2]
             else:
                 H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, 2)
             row.append(oscillation_amplitude(H, v0, pz, eps))

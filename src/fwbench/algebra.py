@@ -26,19 +26,18 @@ defect instead; see tests and the README for the residual's exact shape.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
-from typing import Callable, Optional
+from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
-from .dirac import GAMMA, I4, energy
-from .linalg import frob
-from . import phase_ops as po
+from .dirac import GAMMA, dirac_hamiltonian, energy
 from .phase_ops import (
     OperatorFamily,
     PhaseOpValue,
     PhaseSpaceOperator,
     build_operator,
+    coeff_derivative,
     commutator_snapshot,
     constant_operator,
     levi,
@@ -80,6 +79,25 @@ def _verdict(expected: str, max_residual: float, tol: float, floor: float) -> st
     return "pass" if max_residual >= floor else "fail"
 
 
+def _report(identity_id: str, set_name: str, residuals: list, expected: str,
+            note: str, tol: float, floor: float) -> AlgebraReport:
+    """Summarize one identity's per-sample worst residuals."""
+    res = np.asarray(residuals)
+    return AlgebraReport(
+        identity_id=identity_id,
+        set_name=set_name,
+        samples=len(res),
+        max_residual=float(res.max()),
+        min_residual=float(res.min()),
+        frac_above_floor=float(np.mean(res >= floor)),
+        tol=tol,
+        floor=floor,
+        expected=expected,
+        verdict=_verdict(expected, float(res.max()), tol, floor),
+        note=note if expected == "fail" else "",
+    )
+
+
 def reports_to_json(reports: list) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
 
@@ -96,19 +114,18 @@ def _naive_boost(m: float, component: int) -> PhaseSpaceOperator:
     """Boost built blindly from the radius vector and Sigma/2 in the Dirac
     representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}."""
     c = component
-    beta, alpha, Sigma = GAMMA.beta, GAMMA.alpha, GAMMA.Sigma
+    alpha, Sigma = GAMMA.alpha, GAMMA.Sigma
 
     def A(p):
         sxp = sum(levi(c, k, l) * p[l] * Sigma[k] for k in range(3) for l in range(3))
-        dmat = 2 * m * beta + sum(p[k] * alpha[k] for k in range(3))
-        dinv = dmat / (4 * m * m + p @ p)
+        dinv = dirac_hamiltonian(p, 2 * m) / (4 * m * m + p @ p)
         return 0.5j * alpha[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
 
     def make_B(l):
         if l != c:
             return lambda p: np.zeros((4, 4), dtype=complex)
         def Bl(p):
-            return 1j * (m * beta + sum(p[k] * alpha[k] for k in range(3)))
+            return 1j * dirac_hamiltonian(p, m)
         return Bl
 
     def grad_B(p):
@@ -209,8 +226,7 @@ def _scaled(sn, c) -> PhaseOpValue:
 
 def _eps_combo(snaps, i, j, c):
     """c * eps_ijk snaps[k] summed over k."""
-    d = snaps[0].dim
-    out = PhaseOpValue(np.zeros((d, d), complex), np.zeros((3, d, d), complex))
+    out = _zero_like(snaps[0])
     for k in range(3):
         w = levi(i, j, k)
         if w:
@@ -373,24 +389,9 @@ def run_quantum_suite(set_name: str, m: float, n_samples: int,
                 worst = max(worst, (lhs - rhs).norm())
             residuals[iden.identity_id].append(worst)
 
-    reports = []
-    for iden in idents:
-        res = np.asarray(residuals[iden.identity_id])
-        expected = iden.expected(set_name)
-        reports.append(AlgebraReport(
-            identity_id=iden.identity_id,
-            set_name=set_name,
-            samples=n_samples,
-            max_residual=float(res.max()),
-            min_residual=float(res.min()),
-            frac_above_floor=float(np.mean(res >= floor)),
-            tol=tol,
-            floor=floor,
-            expected=expected,
-            verdict=_verdict(expected, float(res.max()), tol, floor),
-            note=iden.note if expected == "fail" else "",
-        ))
-    return reports
+    return [_report(iden.identity_id, set_name, residuals[iden.identity_id],
+                    iden.expected(set_name), iden.note, tol, floor)
+            for iden in idents]
 
 
 def worldline_defect(set_name: str, m: float, p, i: int, j: int) -> np.ndarray:
@@ -437,43 +438,29 @@ class ClassicalState:
         return ClassicalState(**data)
 
 
-def _grad(f: Callable, state: ClassicalState, block: str, k: int,
-          rel_step: float = 1e-6) -> float:
-    vec = getattr(state, block)
-    h = rel_step * max(1.0, float(np.linalg.norm(vec)))
+def _gradient_triple(f: Callable, state: ClassicalState,
+                     rel_step: float = 1e-6) -> tuple:
+    """(dQ, dP, dS) of a scalar observable, by coeff_derivative in each block."""
+    def block_gradient(block):
+        def along(vec):
+            return f(state.replace(**{block: vec}))
+        vec = getattr(state, block)
+        return np.array([coeff_derivative(along, vec, k, rel_step) for k in range(3)])
+    return tuple(block_gradient(block) for block in ("Q", "P", "S"))
 
-    def central(hh):
-        up, dn = vec.copy(), vec.copy()
-        up[k] += hh
-        dn[k] -= hh
-        return (f(state.replace(**{block: up})) - f(state.replace(**{block: dn}))) / (2 * hh)
 
-    d1 = central(h)
-    d2 = central(h / 2)
-    out = (4.0 * d2 - d1) / 3.0
-    if not np.isfinite(out):
-        raise ValueError(f"non-finite gradient of {f} at {state}")
-    return out
+def _bracket_from_grads(gf, gg, S) -> float:
+    val = float(gf[0] @ gg[1] - gf[1] @ gg[0])
+    cross = np.cross(gf[2], gg[2])
+    return val + float(S @ cross)
 
 
 def poisson_bracket(f: Callable, g: Callable, state: ClassicalState,
                     rel_step: float = 1e-6) -> float:
     """{f, g} with canonical (Q, P) pairs plus the su(2) spin bracket
     {S_i, S_j} = e_ijk S_k."""
-    df_q = [_grad(f, state, "Q", k, rel_step) for k in range(3)]
-    df_p = [_grad(f, state, "P", k, rel_step) for k in range(3)]
-    dg_q = [_grad(g, state, "Q", k, rel_step) for k in range(3)]
-    dg_p = [_grad(g, state, "P", k, rel_step) for k in range(3)]
-    out = sum(df_q[k] * dg_p[k] - df_p[k] * dg_q[k] for k in range(3))
-    df_s = [_grad(f, state, "S", k, rel_step) for k in range(3)]
-    dg_s = [_grad(g, state, "S", k, rel_step) for k in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                w = levi(i, j, k)
-                if w:
-                    out += w * state.S[k] * df_s[i] * dg_s[j]
-    return float(out)
+    return _bracket_from_grads(_gradient_triple(f, state, rel_step),
+                               _gradient_triple(g, state, rel_step), state.S)
 
 
 def classical_H(state: ClassicalState) -> float:
@@ -601,18 +588,9 @@ def _state_gradients(state: ClassicalState, rel_step: float = 1e-6) -> dict:
     for name in ("H", "Q", "P", "S", "J", "L", "K"):
         comps = (0,) if name == "H" else (0, 1, 2)
         for i in comps:
-            f = classical_observable(name, i)
-            out[(name, i)] = tuple(
-                np.array([_grad(f, state, block, k, rel_step) for k in range(3)])
-                for block in ("Q", "P", "S")
-            )
+            out[(name, i)] = _gradient_triple(classical_observable(name, i),
+                                              state, rel_step)
     return out
-
-
-def _bracket_from_grads(gf, gg, S) -> float:
-    val = float(gf[0] @ gg[1] - gf[1] @ gg[0])
-    cross = np.cross(gf[2], gg[2])
-    return val + float(S @ cross)
 
 
 def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42,
@@ -633,23 +611,9 @@ def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42,
                 worst = max(worst, abs(val - iden.rhs(st, i, j)))
             residuals[iden.identity_id].append(worst)
 
-    reports = []
-    for iden in idents:
-        res = np.asarray(residuals[iden.identity_id])
-        reports.append(AlgebraReport(
-            identity_id=iden.identity_id,
-            set_name="classical",
-            samples=n_samples,
-            max_residual=float(res.max()),
-            min_residual=float(res.min()),
-            frac_above_floor=float(np.mean(res >= floor)),
-            tol=tol,
-            floor=floor,
-            expected=iden.expected,
-            verdict=_verdict(iden.expected, float(res.max()), tol, floor),
-            note=iden.note if iden.expected == "fail" else "",
-        ))
-    return reports
+    return [_report(iden.identity_id, "classical", residuals[iden.identity_id],
+                    iden.expected, iden.note, tol, floor)
+            for iden in idents]
 
 
 def classical_worldline_defect(state: ClassicalState, i: int, j: int) -> float:

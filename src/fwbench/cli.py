@@ -29,7 +29,7 @@ from . import eriksen as erk
 from . import spin_dynamics as sd
 from . import wavepacket as wp
 from . import zitter as zt
-from .dirac import energy
+from .dirac import energy, fw_hamiltonian
 from .grids import Grid1D
 
 DEFAULT_SEED = 42
@@ -56,6 +56,13 @@ def _vec3(text: str) -> np.ndarray:
 
 def _floats(text: str) -> list:
     return [float(t) for t in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
 
 
 def _reports_csv(reports) -> str:
@@ -118,7 +125,7 @@ def cmd_eriksen(args) -> int:
     h_fw = U @ bh.H @ U.conj().T
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(h_fw, bh.n_upper)
-        - np.sort(np.sqrt(args.mass**2 + grid.p_fft**2).repeat(2)))))
+        - erk.free_spectrum_1d(grid, args.mass)[bh.n_upper:])))
     study = erk.potential_scaling_study(grid, args.mass, args.v0)
     result = {
         "n": args.n,
@@ -148,17 +155,18 @@ def cmd_precess(args) -> int:
                          frame_accel=args.accel, frame_omega=args.omega)
     omega = sd.omega_total(args.p, args.mass, cfg, spin=args.spin)
     omega = omega + sd.omega_noninertial(args.p, args.mass, cfg)
-    s0 = np.asarray(args.s0, dtype=float)
-    s0 /= np.linalg.norm(s0)
-    chi0 = sd.spinor_from_direction(s0)
+    chi0 = sd.spinor_from_direction(args.s0)
+    s0 = args.s0 / np.linalg.norm(args.s0)
     times = np.linspace(0.0, args.t_max, args.steps)
     rows = []
-    worst = 0.0
     for t in times:
         s_cl = sd.propagate_classical(s0, omega, t)
         s_q = sd.sigma_expectation(sd.propagate_quantum(chi0, omega, t))
-        worst = max(worst, float(np.max(np.abs(s_cl - s_q))))
         rows.append([t, *s_cl, *s_q])
+    series = np.array(rows).reshape(-1, 7)   # (0, 7) when --steps is 0
+    if not np.all(np.isfinite(series)):
+        raise ValueError("precession series is not finite; check --t-max, --p and the fields")
+    worst = float(np.max(np.abs(series[:, 1:4] - series[:, 4:]), initial=0.0))
     header = "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum"
     body = "\n".join(",".join(_fmt(v) for v in row) for row in rows)
     _emit(header + "\n" + body + "\n", args.out)
@@ -174,8 +182,8 @@ def cmd_zitter(args) -> int:
     if args.particle == "fw":
         v = zt.fw_velocity(p, args.mass, 2)
         drift = max(float(np.linalg.norm(
-            zt.heisenberg_numeric(eps * np.diag([1, 1, -1, -1]).astype(complex),
-                                  v, t) - v)) for t in times[1:][:50])
+            zt.heisenberg_numeric(fw_hamiltonian(p, args.mass), v, t) - v))
+            for t in times[1:][:50])
         _emit("t,velocity_variation\n" + "\n".join(
             f"{_fmt(t)},{_fmt(0.0)}" for t in times) + "\n", args.out)
         sys.stderr.write(f"velocity constant; max numeric variation {drift:.3e}\n")
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--set", default="conventional",
                     choices=list(algebra.QUANTUM_SET_NAMES) + ["classical", "all"])
     va.add_argument("--mass", type=float, default=1.0)
-    va.add_argument("--samples", type=int, default=100)
+    va.add_argument("--samples", type=_positive_int, default=100)
     va.add_argument("--seed", type=int, default=DEFAULT_SEED)
     va.add_argument("--tol", type=float, default=algebra.QUANTUM_TOL,
                     help="residual tolerance for expected-hold identities")

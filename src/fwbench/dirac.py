@@ -86,15 +86,57 @@ class Kinematics:
             raise ValueError(f"mass-shell violation: {residual:.3e}")
 
 
+# alpha_k and gamma_k as rows of a (3, 16) matrix, so that p @ M sums the
+# three products for a single momentum or a stack of them in one call
+_ALPHA_ROWS = np.stack(GAMMA.alpha).reshape(3, 16)
+_GAMMA_ROWS = np.stack(GAMMA.gamma).reshape(3, 16)
+_RHO2, _RHO3 = PAULI[1], PAULI[2]
+
+
 def dirac_hamiltonian(p, m: float) -> np.ndarray:
-    """H = beta m + alpha . p as a 4x4 matrix at fixed momentum."""
+    """H = beta m + alpha . p at momenta of shape (..., 3), shape (..., 4, 4)."""
     p = np.asarray(p, dtype=float)
-    h = m * GAMMA.beta.copy()
-    for k in range(3):
-        h += p[k] * GAMMA.alpha[k]
-    return h
+    return m * GAMMA.beta + (p @ _ALPHA_ROWS).reshape(p.shape[:-1] + (4, 4))
 
 
 def fw_hamiltonian(p, m: float) -> np.ndarray:
     """Block-diagonal free Hamiltonian beta sqrt(m^2 + p^2)."""
     return energy(p, m) * GAMMA.beta
+
+
+def fv_hamiltonian_matrix(p, m: float) -> np.ndarray:
+    """Two-component scalar-sector Hamiltonian rho_3 m + (rho_3 + i rho_2) p^2/(2m)."""
+    if m <= 0:
+        raise ValueError("two-component scalar-sector form requires m > 0")
+    p = np.asarray(p, dtype=float)
+    return _RHO3 * m + (_RHO3 + 1j * _RHO2) * (p @ p) / (2 * m)
+
+
+def fv_velocity_matrix(p, m: float, component: int) -> np.ndarray:
+    """Scalar-sector velocity (rho_3 + i rho_2) p_k / m."""
+    if m <= 0:
+        raise ValueError("two-component scalar-sector form requires m > 0")
+    p = np.asarray(p, dtype=float)
+    return (_RHO3 + 1j * _RHO2) * p[component] / m
+
+
+def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
+    """Free block-diagonalizing unitary (eps + m + gamma.p)/sqrt(2 eps (eps+m)).
+
+    p has shape (..., 3) and the result shape (..., 4, 4); inverse=True flips
+    the sign of gamma.p, which gives U^-1.
+    """
+    p = np.asarray(p, dtype=float)
+    e = np.sqrt(m * m + p[..., None, :] @ p[..., :, None])   # shape (..., 1, 1)
+    gamma_p = (p @ _GAMMA_ROWS).reshape(p.shape[:-1] + (4, 4))
+    num = (e + m) * I4 + (-1.0 if inverse else 1.0) * gamma_p
+    return num / np.sqrt(2 * e * (e + m))
+
+
+def free_propagator(H: np.ndarray, eps, t: float) -> np.ndarray:
+    """exp(-iHt) = cos(eps t) - i sin(eps t) H / eps for H^2 = eps^2.
+
+    H has shape (..., d, d).  eps broadcasts against H: a scalar for one
+    matrix, shape (..., 1, 1) for a stack.
+    """
+    return np.cos(eps * t) * np.eye(H.shape[-1]) - 1j * np.sin(eps * t) * H / eps

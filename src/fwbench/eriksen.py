@@ -37,6 +37,7 @@ from .dirac import GAMMA
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
+    _hermitian_fn,
     anticommutator,
     as_matrix,
     commutator,
@@ -97,18 +98,20 @@ def offblock_norm(A: np.ndarray, n_upper: int) -> float:
                          + frob(A[n_upper:, :n_upper]) ** 2))
 
 
+def _nonzero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> np.ndarray:
+    """w itself, or LinalgError(message) if an eigenvalue is within rtol of zero."""
+    if np.abs(w).min() <= rtol * max(np.abs(w).max(), 1e-300):
+        raise LinalgError(message)
+    return w
+
+
 def sign_function(H: np.ndarray, rtol: float = ZERO_MODE_RTOL) -> np.ndarray:
     """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition."""
     H = as_matrix(H)
     if not is_hermitian(H):
         raise LinalgError("sign function requires a Hermitian matrix")
-    w, v = np.linalg.eigh(H)
-    scale = max(np.abs(w).max(), 1e-300)
-    if np.abs(w).min() <= rtol * scale:
-        raise LinalgError(
-            f"eigenvalue within {rtol:.0e} of zero: sign function undefined"
-        )
-    return (v * np.sign(w)) @ v.conj().T
+    message = f"eigenvalue within {rtol:.0e} of zero: sign function undefined"
+    return _hermitian_fn(H, lambda w: np.sign(_nonzero_eigenvalues(w, rtol, message)))
 
 
 def eriksen_unitary(bh: BlockedHamiltonian) -> np.ndarray:
@@ -144,24 +147,17 @@ def approx_fw(bh: BlockedHamiltonian,
     if F is None:
         F = E
 
-    w, v = np.linalg.eigh(M)
-    if np.abs(w).min() <= 1e-12 * max(np.abs(w).max(), 1e-300):
-        raise LinalgError("mass operator M is not invertible")
-    m_inv = (v * (1.0 / w)) @ v.conj().T
-
+    m_inv = _hermitian_fn(M, lambda w: 1.0 / _nonzero_eigenvalues(
+        w, 1e-12, "mass operator M is not invertible"))
     X = 0.5 * anticommutator(m_inv, O)
-    wx, vx = np.linalg.eigh(X @ X)
-    S = (vx * np.sqrt(1.0 + np.clip(wx, 0.0, None))) @ vx.conj().T
+    S = _hermitian_fn(X @ X, lambda w: np.sqrt(1.0 + np.clip(w, 0.0, None)))
     U = (eye + S + beta @ X) @ mat_inv_sqrt_psd(2 * S @ (eye + S))
 
     eps_sq = M @ M + O @ O
-    we, ve = np.linalg.eigh(eps_sq)
-    eps = (ve * np.sqrt(np.clip(we, 0.0, None))) @ ve.conj().T
+    eps = _hermitian_fn(eps_sq, lambda w: np.sqrt(np.clip(w, 0.0, None)))
     denom = 2 * eps_sq + anticommutator(eps, M)
-    wd, vd = np.linalg.eigh(denom)
-    if np.abs(wd).min() <= 1e-12 * max(np.abs(wd).max(), 1e-300):
-        raise LinalgError("kinetic denominator is singular")
-    denom_inv = (vd * (1.0 / wd)) @ vd.conj().T
+    denom_inv = _hermitian_fn(denom, lambda w: 1.0 / _nonzero_eigenvalues(
+        w, 1e-12, "kinetic denominator is singular"))
     core = beta @ commutator(O, commutator(O, M)) - commutator(O, commutator(O, F))
     h_approx = beta @ eps + E + 0.25 * anticommutator(denom_inv, core)
     return U, h_approx

@@ -77,6 +77,16 @@ def anticommutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return a @ b + b @ a
 
 
+def _hermitian_fn(a: ComplexMatrix, f: Callable[[np.ndarray], np.ndarray]) -> ComplexMatrix:
+    """V f(w) V^H from the Hermitian eigendecomposition a = V diag(w) V^H.
+
+    f receives the ascending eigenvalues and may raise to reject them.  The
+    input is not checked: callers validate it, or know it to be Hermitian.
+    """
+    w, v = np.linalg.eigh(a)
+    return (v * f(w)) @ v.conj().T
+
+
 def mat_fn(
     m,
     f: Callable[[np.ndarray], np.ndarray],
@@ -94,12 +104,11 @@ def mat_fn(
     """
     a = as_matrix(m)
     if is_hermitian(a):
-        w, v = np.linalg.eigh(a)
-        fw = np.asarray(f(w.astype(complex)))
-        _check_branch(fw, real_branch)
-        if np.allclose(fw.imag, 0.0):
-            return (v * fw.real) @ v.conj().T
-        return (v * fw) @ v.conj().T
+        def f_real_if_possible(w):
+            fw = np.asarray(f(w.astype(complex)))
+            _check_branch(fw, real_branch)
+            return fw.real if np.allclose(fw.imag, 0.0) else fw
+        return _hermitian_fn(a, f_real_if_possible)
     defect = normality_defect(a)
     if defect > NORMALITY_RTOL:
         raise LinalgError(f"matrix is not normal: residual {defect:.3e}")
@@ -127,19 +136,20 @@ def mat_inv_sqrt_psd(m, eps: float = 1e-13) -> ComplexMatrix:
     a = as_matrix(m)
     if not is_hermitian(a):
         raise LinalgError("inverse square root requires a Hermitian matrix")
-    w, v = np.linalg.eigh(a)
-    scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] <= eps * scale:
-        raise LinalgError(f"matrix not positive definite: min eigenvalue {w[0]:.3e}")
-    return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+
+    def inv_sqrt(w):
+        scale = max(abs(w[0]), abs(w[-1]), 1e-300)
+        if w[0] <= eps * scale:
+            raise LinalgError(f"matrix not positive definite: min eigenvalue {w[0]:.3e}")
+        return 1.0 / np.sqrt(w)
+    return _hermitian_fn(a, inv_sqrt)
 
 
 def mat_exp(m, t: float) -> ComplexMatrix:
     """exp(i M t), spectral for Hermitian M, scaling-and-squaring otherwise."""
     a = as_matrix(m)
     if is_hermitian(a):
-        w, v = np.linalg.eigh(a)
-        return (v * np.exp(1j * w * t)) @ v.conj().T
+        return _hermitian_fn(a, lambda w: np.exp(1j * w * t))
     if frob(a) * abs(t) > MAX_NONHERMITIAN_PHASE:
         raise LinalgError(
             f"|t|*||M|| = {frob(a) * abs(t):.3e} exceeds the overflow bound "

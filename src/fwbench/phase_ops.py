@@ -27,7 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import GAMMA, I4, I2, energy
+from .dirac import (GAMMA, I4, dirac_hamiltonian, energy, fv_hamiltonian_matrix,
+                    fv_velocity_matrix, fw_hamiltonian, fw_unitary_matrix)
 from .linalg import frob
 
 FD_REL_STEP = 1e-5
@@ -305,18 +306,14 @@ def build_operator(family: OperatorFamily, m: float,
     beta = _BETA
 
     if family is OperatorFamily.DIRAC_HAMILTONIAN:
-        def A(p):
-            return m * beta + _p_dot(_ALPHA, p)
-        return multiplicative(4, A, label, m, grad_A=lambda p: _ALPHA.copy())
+        return multiplicative(4, lambda p: dirac_hamiltonian(p, m), label, m,
+                              grad_A=lambda p: _ALPHA.copy())
 
     if family is OperatorFamily.FW_HAMILTONIAN:
-        def A(p):
-            return energy(p, m) * beta
-
         def grad_A(p):
             e = energy(p, m)
             return np.stack([p[k] / e * beta for k in range(3)])
-        return multiplicative(4, A, label, m, min_p, grad_A)
+        return multiplicative(4, lambda p: fw_hamiltonian(p, m), label, m, min_p, grad_A)
 
     if family is OperatorFamily.MOMENTUM:
         def A(p):
@@ -504,66 +501,57 @@ def build_operator(family: OperatorFamily, m: float,
         return oam_like(4, c, A, label, m, min_p)
 
     if family is OperatorFamily.FV_HAMILTONIAN:
-        rho2, rho3 = GAMMA.rho[1], GAMMA.rho[2]
-        def A(p):
-            return rho3 * m + (rho3 + 1j * rho2) * (p @ p) / (2 * m)
-        return multiplicative(2, A, label, m)
+        return multiplicative(2, lambda p: fv_hamiltonian_matrix(p, m), label, m)
 
     if family is OperatorFamily.FV_VELOCITY:
-        rho2, rho3 = GAMMA.rho[1], GAMMA.rho[2]
-        def A(p):
-            return (rho3 + 1j * rho2) * p[c] / m
-        return multiplicative(2, A, label, m)
+        return multiplicative(2, lambda p: fv_velocity_matrix(p, m, c), label, m)
 
     raise DomainError(f"unknown operator family: {family}")
 
 
 # --- free-particle representation change ------------------------------------
 
-def _fw_free_coeffs(m: float, sign: float):
-    """(eps + m + sign * gamma.p) / sqrt(2 eps (eps+m)) and its gradient."""
-
-    def A(p):
-        e = energy(p, m)
-        return (((e + m) * I4 + sign * _p_dot(_GAMMAK, p))
-                / np.sqrt(2 * e * (e + m)))
+def _fw_free_operator(m: float, inverse: bool) -> PhaseSpaceOperator:
+    """The free unitary (or its inverse) with its analytic gradient."""
+    if m < 0:
+        raise DomainError(f"mass must be non-negative, got {m}")
+    sign = -1.0 if inverse else 1.0
 
     def grad_A(p):
+        # U = num * s: d_k U = (d_k num) s + U d_k log(s)
         e = energy(p, m)
         s = 1.0 / np.sqrt(2 * e * (e + m))
-        num = (e + m) * I4 + sign * _p_dot(_GAMMAK, p)
+        u = fw_unitary_matrix(p, m, inverse)
         out = np.empty((3, 4, 4), dtype=complex)
         for k in range(3):
-            ds_k = -(p[k] * (2 * e + m) / e) * s / (2 * e * (e + m))
-            out[k] = (p[k] / e * I4 + sign * _GAMMAK[k]) * s + num * ds_k
+            dlog_s = -(p[k] * (2 * e + m) / e) / (2 * e * (e + m))
+            out[k] = (p[k] / e * I4 + sign * _GAMMAK[k]) * s + u * dlog_s
         return out
 
-    return A, grad_A
+    return multiplicative(4, lambda p: fw_unitary_matrix(p, m, inverse),
+                          "U_fw_free_inv" if inverse else "U_fw_free", m,
+                          MASSLESS_MIN_P if m == 0 else 0.0, grad_A)
 
 
 def fw_unitary_free(m: float) -> PhaseSpaceOperator:
     """Free-particle transformation to the block-diagonal representation."""
-    if m < 0:
-        raise DomainError(f"mass must be non-negative, got {m}")
-    A, grad_A = _fw_free_coeffs(m, +1.0)
-    return multiplicative(4, A, "U_fw_free", m,
-                          MASSLESS_MIN_P if m == 0 else 0.0, grad_A)
+    return _fw_free_operator(m, inverse=False)
 
 
 def fw_unitary_free_inv(m: float) -> PhaseSpaceOperator:
     """Inverse of the free transformation (gamma.p sign flipped)."""
-    if m < 0:
-        raise DomainError(f"mass must be non-negative, got {m}")
-    A, grad_A = _fw_free_coeffs(m, -1.0)
-    return multiplicative(4, A, "U_fw_free_inv", m,
-                          MASSLESS_MIN_P if m == 0 else 0.0, grad_A)
+    return _fw_free_operator(m, inverse=True)
 
 
 # --- evaluation and commutation ----------------------------------------------
 
 def coeff_derivative(f: CoeffFn, p: np.ndarray, k: int,
                      rel_step: float = FD_REL_STEP) -> np.ndarray:
-    """d f / d p_k by central differences with one Richardson level."""
+    """d f / d p_k by central differences with one Richardson level.
+
+    f returns an array (an operator coefficient) or a float (a classical
+    observable, with p one block of phase-space coordinates).
+    """
     h = rel_step * max(1.0, float(np.linalg.norm(p)))
 
     def central(hh):
@@ -571,13 +559,12 @@ def coeff_derivative(f: CoeffFn, p: np.ndarray, k: int,
         pm = p.copy()
         pp[k] += hh
         pm[k] -= hh
-        return (np.asarray(f(pp), dtype=complex)
-                - np.asarray(f(pm), dtype=complex)) / (2 * hh)
+        return (f(pp) - f(pm)) / (2 * hh)
 
     d1 = central(h)
     d2 = central(h / 2)
     out = (4.0 * d2 - d1) / 3.0
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError(f"coefficient derivative failed near p = {p}")
     return out
 
@@ -654,42 +641,6 @@ def op_commutator(op1: PhaseSpaceOperator, op2: PhaseSpaceOperator, p) -> PhaseO
     return commutator_snapshot(snapshot(op1, p), snapshot(op2, p))
 
 
-def sym_product_with_multiplicative(pos: PhaseSpaceOperator,
-                                    mult: PhaseSpaceOperator,
-                                    label: str = "") -> PhaseSpaceOperator:
-    """(1/2)(pos . mult + mult . pos) for a multiplicative right factor.
-
-    The result stays first order:
-        A = (A_pos H + H A_pos)/2 + (1/2) sum_k B_k dH/dp_k
-        B_l = (B_l H + H B_l)/2
-    """
-    if pos.dim != mult.dim:
-        raise DomainError("dimension mismatch in symmetrized product")
-
-    def A(p):
-        H = np.asarray(mult.A(p), dtype=complex)
-        Ap = np.asarray(pos.A(p), dtype=complex)
-        if mult.grad_A is not None:
-            dH = mult.grad_A(p)
-        else:
-            dH = [coeff_derivative(mult.A, p, k) for k in range(3)]
-        out = 0.5 * (Ap @ H + H @ Ap)
-        for k in range(3):
-            out = out + 0.5 * np.asarray(pos.B[k](p), dtype=complex) @ dH[k]
-        return out
-
-    def make_B(l):
-        def Bl(p):
-            H = np.asarray(mult.A(p), dtype=complex)
-            Bp = np.asarray(pos.B[l](p), dtype=complex)
-            return 0.5 * (Bp @ H + H @ Bp)
-        return Bl
-
-    return PhaseSpaceOperator(pos.dim, A, tuple(make_B(l) for l in range(3)),
-                              label or f"sym({pos.label},{mult.label})",
-                              pos.mass, max(pos.min_p, mult.min_p))
-
-
 def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
               U_inv: PhaseSpaceOperator, label: str = "") -> PhaseSpaceOperator:
     """U op U^-1 for a multiplicative unitary U.
@@ -737,38 +688,6 @@ def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
     return PhaseSpaceOperator(op.dim, A, tuple(make_B(l) for l in range(3)),
                               label or f"conj({op.label})",
                               op.mass, max(op.min_p, U.min_p, U_inv.min_p))
-
-
-def op_add(a: PhaseSpaceOperator, b: PhaseSpaceOperator,
-           label: str = "") -> PhaseSpaceOperator:
-    if a.dim != b.dim:
-        raise DomainError("dimension mismatch in operator sum")
-
-    def A(p):
-        return np.asarray(a.A(p), dtype=complex) + np.asarray(b.A(p), dtype=complex)
-
-    def make_B(l):
-        def Bl(p):
-            return (np.asarray(a.B[l](p), dtype=complex)
-                    + np.asarray(b.B[l](p), dtype=complex))
-        return Bl
-
-    return PhaseSpaceOperator(a.dim, A, tuple(make_B(l) for l in range(3)),
-                              label or f"({a.label}+{b.label})",
-                              a.mass, max(a.min_p, b.min_p))
-
-
-def op_scale(a: PhaseSpaceOperator, c: complex, label: str = "") -> PhaseSpaceOperator:
-    def A(p):
-        return c * np.asarray(a.A(p), dtype=complex)
-
-    def make_B(l):
-        def Bl(p):
-            return c * np.asarray(a.B[l](p), dtype=complex)
-        return Bl
-
-    return PhaseSpaceOperator(a.dim, A, tuple(make_B(l) for l in range(3)),
-                              label or f"({c}*{a.label})", a.mass, a.min_p)
 
 
 def hermiticity_residual(op: PhaseSpaceOperator, p) -> float:

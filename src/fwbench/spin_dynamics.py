@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import PAULI, energy
+from .dirac import PAULI, energy, free_propagator
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def propagate_quantum(chi0, omega, t: float) -> np.ndarray:
     if w == 0.0:
         return chi0.copy()
     axis_dot_sigma = sum(omega[k] / w * PAULI[k] for k in range(3))
-    half = 0.5 * w * t
-    u = np.cos(half) * np.eye(2) - 1j * np.sin(half) * axis_dot_sigma
-    return u @ chi0
+    return free_propagator(axis_dot_sigma, 1.0, 0.5 * w * t) @ chi0
 
 
 def sigma_expectation(chi) -> np.ndarray:

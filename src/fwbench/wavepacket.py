@@ -16,13 +16,14 @@ averaging is done in, and the difference is the picture change error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erfc
 
-from .dirac import GAMMA, energy
+from .dirac import GAMMA, dirac_hamiltonian, free_propagator, fw_unitary_matrix
 from .grids import Grid1D
+from .spin_dynamics import spinor_from_direction
 
 PICTURES = ("fw", "dirac")
 
@@ -55,16 +56,11 @@ class WavePacket1D:
         return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dp)
 
 
-def _fw_unitaries(grid: Grid1D, m: float) -> tuple:
-    """Nodewise U(p) and U^-1(p) along the z axis, stacked (n, 4, 4)."""
-    p = grid.p_centered
-    eps = np.sqrt(m * m + p * p)
-    denom = np.sqrt(2 * eps * (eps + m))
-    g3 = GAMMA.gamma[2]
-    eye = np.eye(4, dtype=complex)
-    u = ((eps + m)[:, None, None] * eye + p[:, None, None] * g3) / denom[:, None, None]
-    u_inv = ((eps + m)[:, None, None] * eye - p[:, None, None] * g3) / denom[:, None, None]
-    return u, u_inv
+def _z_momenta(grid: Grid1D) -> np.ndarray:
+    """The grid's momentum nodes as 3-vectors (0, 0, p), shape (n, 3)."""
+    p = np.zeros((grid.n, 3))
+    p[:, 2] = grid.p_centered
+    return p
 
 
 def _apply_nodewise(mats: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -113,18 +109,13 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     g = np.exp(-((p - p0) ** 2) / (4 * sigma_p**2)).astype(complex)
     g /= np.sqrt(np.sum(np.abs(g) ** 2) * grid.dp)
 
-    nvec = np.asarray(spin_dir, dtype=float)
-    nvec = nvec / np.linalg.norm(nvec)
-    theta = np.arccos(np.clip(nvec[2], -1.0, 1.0))
-    phi = np.arctan2(nvec[1], nvec[0])
-    chi = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-
+    chi = spinor_from_direction(spin_dir)
     psi = np.zeros((grid.n, 4), dtype=complex)
     psi[:, 0] = g * chi[0]
     psi[:, 1] = g * chi[1]
     packet = WavePacket1D(grid=grid, psi=psi, m=m, picture="fw",
                           positive_energy=True)
-    return packet if picture == "fw" else to_picture(packet, "dirac")
+    return to_picture(packet, picture)
 
 
 def make_dirac_upper_packet(p0: float, sigma_p: float, m: float,
@@ -148,8 +139,8 @@ def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
         raise ValueError(f"picture must be one of {PICTURES}")
     if picture == packet.picture:
         return packet
-    u, u_inv = _fw_unitaries(packet.grid, packet.m)
-    mats = u_inv if picture == "dirac" else u
+    mats = fw_unitary_matrix(_z_momenta(packet.grid), packet.m,
+                             inverse=(picture == "dirac"))
     return replace(packet, psi=_apply_nodewise(mats, packet.psi), picture=picture)
 
 
@@ -162,14 +153,8 @@ def evolve_free(packet: WavePacket1D, t: float) -> WavePacket1D:
         phases[:, :2] = np.exp(-1j * eps * t)[:, None]
         phases[:, 2:] = np.exp(+1j * eps * t)[:, None]
         return replace(packet, psi=packet.psi * phases)
-    # closed-form exponential: H^2 = eps^2
-    g3 = GAMMA.gamma[2]
-    beta = GAMMA.beta
-    h = (packet.m * beta[None, :, :]
-         + p[:, None, None] * (beta @ g3)[None, :, :])
-    eye = np.eye(4, dtype=complex)
-    mats = (np.cos(eps * t)[:, None, None] * eye
-            - 1j * (np.sin(eps * t) / eps)[:, None, None] * h)
+    h = dirac_hamiltonian(_z_momenta(packet.grid), packet.m)
+    mats = free_propagator(h, eps[:, None, None], t)
     return replace(packet, psi=_apply_nodewise(mats, packet.psi))
 
 

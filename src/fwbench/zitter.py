@@ -27,56 +27,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import GAMMA, I4, energy
-from .linalg import frob, mat_exp
-
-_RHO2, _RHO3 = GAMMA.rho[1], GAMMA.rho[2]
-
-
-def dirac_hamiltonian_matrix(p, m: float) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    return m * GAMMA.beta + sum(p[k] * GAMMA.alpha[k] for k in range(3))
-
-
-def fv_hamiltonian_matrix(p, m: float) -> np.ndarray:
-    if m <= 0:
-        raise ValueError("two-component scalar-sector form requires m > 0")
-    p = np.asarray(p, dtype=float)
-    return _RHO3 * m + (_RHO3 + 1j * _RHO2) * (p @ p) / (2 * m)
-
-
-def fv_velocity_matrix(p, m: float, component: int) -> np.ndarray:
-    if m <= 0:
-        raise ValueError("two-component scalar-sector form requires m > 0")
-    p = np.asarray(p, dtype=float)
-    return (_RHO3 + 1j * _RHO2) * p[component] / m
-
-
-def _phase_exp(H: np.ndarray, eps: float, t: float) -> np.ndarray:
-    """exp(-2iHt) for H with H^2 = eps^2 I."""
-    n = H.shape[0]
-    return np.cos(2 * eps * t) * np.eye(n) - 1j * np.sin(2 * eps * t) * H / eps
+from .dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
+                    fv_hamiltonian_matrix, fv_velocity_matrix, fw_hamiltonian)
+from .linalg import mat_exp
 
 
 def _velocity_closed(H: np.ndarray, v0: np.ndarray, pk: float,
                      eps: float, t: float) -> np.ndarray:
     h_inv = H / (eps * eps)
     drift = pk * h_inv
-    return (v0 - drift) @ _phase_exp(H, eps, t) + drift
+    return (v0 - drift) @ free_propagator(H, eps, 2 * t) + drift
 
 
 def _position_closed(H: np.ndarray, v0: np.ndarray, pk: float,
                      eps: float, t: float) -> np.ndarray:
     n = H.shape[0]
     h_inv = H / (eps * eps)
-    osc = 0.5j * (v0 - pk * h_inv) @ h_inv @ (_phase_exp(H, eps, t) - np.eye(n))
+    osc = 0.5j * (v0 - pk * h_inv) @ h_inv @ (free_propagator(H, eps, 2 * t) - np.eye(n))
     return pk * t * h_inv + osc
 
 
 def dirac_velocity_closed(p, m: float, t: float, component: int) -> np.ndarray:
     """Heisenberg velocity matrix of the free Dirac particle."""
     p = np.asarray(p, dtype=float)
-    H = dirac_hamiltonian_matrix(p, m)
+    H = dirac_hamiltonian(p, m)
     return _velocity_closed(H, GAMMA.alpha[component], p[component],
                             energy(p, m), t)
 
@@ -88,7 +62,7 @@ def dirac_position_closed(p, m: float, t: float, component: int) -> np.ndarray:
     out; the caller adds it symbolically if needed.
     """
     p = np.asarray(p, dtype=float)
-    H = dirac_hamiltonian_matrix(p, m)
+    H = dirac_hamiltonian(p, m)
     return _position_closed(H, GAMMA.alpha[component], p[component],
                             energy(p, m), t)
 
@@ -134,7 +108,7 @@ def heisenberg_position_numeric(p, m: float, t: float, component: int,
     """
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
-        ham = dirac_hamiltonian_matrix
+        ham = dirac_hamiltonian
     elif particle == "fv":
         ham = fv_hamiltonian_matrix
     else:
@@ -199,8 +173,7 @@ def record_evolution(p, m: float, times, component: int,
     elif particle == "fw":
         v = fw_velocity(p, m, component)
         vel = [v.copy() for _ in times]
-        pos = [p[component] * t * np.linalg.inv(
-            energy(p, m) * GAMMA.beta) for t in times]
+        pos = [p[component] * t * np.linalg.inv(fw_hamiltonian(p, m)) for t in times]
         rep = "FW"
     else:
         raise ValueError(f"unknown particle kind {particle!r}")

@@ -40,7 +40,13 @@ from fwbench.algebra import (
     sample_momenta,
     worldline_defect,
 )
-from fwbench.dirac import GAMMA, energy
+from fwbench.dirac import (
+    GAMMA,
+    dirac_hamiltonian,
+    energy,
+    fv_hamiltonian_matrix,
+    fv_velocity_matrix,
+)
 from fwbench.grids import Grid1D
 from fwbench import eriksen as erk
 from fwbench import spin_dynamics as sd
@@ -301,8 +307,8 @@ def test_criterion_08_trembling_motion():
     for m in (0.5, 1.0, 4.0):
         for _ in range(4):
             p = rng.uniform(-3, 3, 3)
-            h = zt.dirac_hamiltonian_matrix(p, m)
-            hf = zt.fv_hamiltonian_matrix(p, m)
+            h = dirac_hamiltonian(p, m)
+            hf = fv_hamiltonian_matrix(p, m)
             for t in (0.3, 1.1):
                 for c in range(3):
                     numeric = zt.heisenberg_numeric(h, GAMMA.alpha[c], t)
@@ -313,7 +319,7 @@ def test_criterion_08_trembling_motion():
                         - zt.dirac_position_closed(p, m, t, c))))
                     v_fv, r_fv = zt.fv_closed(p, m, t)
                     worst_closed = max(worst_closed, float(np.linalg.norm(
-                        zt.heisenberg_numeric(hf, zt.fv_velocity_matrix(p, m, c), t)
+                        zt.heisenberg_numeric(hf, fv_velocity_matrix(p, m, c), t)
                         - v_fv[c])))
                     worst_closed = max(worst_closed, float(np.linalg.norm(
                         zt.heisenberg_position_numeric(p, m, t, c, "fv")

@@ -18,6 +18,9 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-algebra", "--samples", "0"])
+    assert exc.value.code == 2
 
 
 def test_help_available_for_each_subcommand(capsys):
@@ -127,6 +130,16 @@ def test_precess_command(tmp_path, capsys):
     classical = rows[:, 1:4]
     quantum = rows[:, 4:7]
     assert np.max(np.abs(classical - quantum)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [["--s0", "0,0,0"], ["--t-max", "inf"],
+                                  ["--t-max", "inf", "--b-field", "0,0,1"]])
+def test_precess_rejects_non_finite_series(argv, capsys):
+    assert run(["precess", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert "nan" not in out.lower()
+    assert "error" in err
 
 
 def test_packet_command(tmp_path, capsys):

@@ -9,8 +9,11 @@ from fwbench.dirac import (
     build_gamma_set,
     dirac_hamiltonian,
     energy,
+    free_propagator,
     fw_hamiltonian,
+    fw_unitary_matrix,
 )
+from fwbench.linalg import mat_exp
 
 I4 = np.eye(4)
 
@@ -77,6 +80,35 @@ def test_mass_shell_identity_100_samples():
             h = dirac_hamiltonian(p, m)
             resid = np.linalg.norm(h @ h - (m * m + p @ p) * I4)
             assert resid <= 1e-12 * max(1.0, m * m + p @ p)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 10.0])
+def test_stacked_matrices_match_per_point_formulas(m):
+    ps = np.random.default_rng(7).uniform(-10, 10, (50, 3))
+    hs = dirac_hamiltonian(ps, m)
+    us, uis = fw_unitary_matrix(ps, m), fw_unitary_matrix(ps, m, inverse=True)
+    assert hs.shape == us.shape == (50, 4, 4)
+    for p, h, u, ui in zip(ps, hs, us, uis):
+        assert np.array_equal(h, m * GAMMA.beta + sum(p[k] * GAMMA.alpha[k] for k in range(3)))
+        e = np.sqrt(m * m + p @ p)
+        gp = sum(p[k] * GAMMA.gamma[k] for k in range(3))
+        scale = np.sqrt(2 * e * (e + m))
+        assert np.linalg.norm(u - ((e + m) * I4 + gp) / scale) <= 1e-15
+        assert np.linalg.norm(ui - ((e + m) * I4 - gp) / scale) <= 1e-15
+        assert np.linalg.norm(u @ ui - I4) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 4.0])
+def test_free_propagator_matches_spectral_exponential(m):
+    # mat_exp diagonalizes H; the propagator uses H^2 = eps^2 instead
+    ps = np.random.default_rng(3).uniform(-3, 3, (20, 3))
+    eps = np.sqrt(m * m + np.sum(ps * ps, axis=1))
+    hs = dirac_hamiltonian(ps, m)
+    for t in (0.0, 0.4, 2.5):
+        stack = free_propagator(hs, eps[:, None, None], t)
+        for h, e, u in zip(hs, eps, stack):
+            assert np.linalg.norm(u - mat_exp(h, -t)) <= 1e-12
+            assert np.linalg.norm(u - free_propagator(h, e, t)) <= 1e-15
 
 
 def test_fw_hamiltonian_is_beta_energy():

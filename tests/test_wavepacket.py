@@ -228,3 +228,7 @@ def test_packet_validation():
     with pytest.raises(ValueError):
         WavePacket1D(grid=grid, psi=np.zeros((32, 4), complex), m=1.0,
                      picture="schroedinger")
+    with pytest.raises(ValueError, match="nonzero"):
+        make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, spin_dir=(0, 0, 0))
+    with pytest.raises(ValueError, match="picture"):
+        make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, picture="Dirac")

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from fwbench.dirac import GAMMA, energy
+from fwbench.dirac import (
+    GAMMA,
+    dirac_hamiltonian,
+    energy,
+    fv_hamiltonian_matrix,
+    fv_velocity_matrix,
+)
 from fwbench.zitter import (
-    dirac_hamiltonian_matrix,
     dirac_position_closed,
     dirac_velocity_closed,
     dominant_frequency,
     fv_closed,
-    fv_hamiltonian_matrix,
-    fv_velocity_matrix,
     fw_velocity,
     heisenberg_numeric,
     heisenberg_position_numeric,
@@ -40,7 +43,7 @@ def test_time_average_leaves_drift():
     p = np.array([1.0, -0.5, 0.3])
     m = 1.0
     eps = energy(p, m)
-    h = dirac_hamiltonian_matrix(p, m)
+    h = dirac_hamiltonian(p, m)
     period = np.pi / eps
     times = np.linspace(0.0, period, 2001)
     avg = sum(dirac_velocity_closed(p, m, t, 0) for t in times[:-1]) / (len(times) - 1)
@@ -51,7 +54,7 @@ def test_time_average_leaves_drift():
 def test_velocity_satisfies_equation_of_motion():
     p = np.array([0.7, 1.1, -0.2])
     m = 0.8
-    h = dirac_hamiltonian_matrix(p, m)
+    h = dirac_hamiltonian(p, m)
     dt = 1e-6
     for t0 in (0.0, 0.9):
         for c in range(3):
@@ -63,7 +66,7 @@ def test_velocity_satisfies_equation_of_motion():
 
 
 def test_heisenberg_numeric_trivial_cases():
-    h = dirac_hamiltonian_matrix(np.array([1.0, 0, 0]), 1.0)
+    h = dirac_hamiltonian(np.array([1.0, 0, 0]), 1.0)
     o = 3.7 * I4
     assert np.linalg.norm(heisenberg_numeric(h, o, 0.0) - o) <= 1e-14
     assert np.linalg.norm(heisenberg_numeric(h, h, 2.5) - h) <= 1e-12
@@ -73,7 +76,7 @@ def test_heisenberg_numeric_trivial_cases():
 def test_closed_velocity_matches_numeric_heisenberg(m, t):
     for _ in range(5):
         p = RNG.uniform(-4, 4, 3)
-        h = dirac_hamiltonian_matrix(p, m)
+        h = dirac_hamiltonian(p, m)
         for c in range(3):
             numeric = heisenberg_numeric(h, GAMMA.alpha[c], t)
             closed = dirac_velocity_closed(p, m, t, c)
@@ -104,7 +107,7 @@ def test_position_drift_matches_velocity_average():
     p = np.array([2.0, 0.0, 1.0])
     m = 1.0
     eps = energy(p, m)
-    h = dirac_hamiltonian_matrix(p, m)
+    h = dirac_hamiltonian(p, m)
     period = np.pi / eps
     t1, t2 = 5 * period, 9 * period
     for c in range(3):
@@ -211,7 +214,7 @@ def test_structural_identity_between_dirac_and_fv_records():
     eps = energy(p, m)
     period = np.pi / eps
     for particle, ham, v0 in (
-        ("dirac", dirac_hamiltonian_matrix(p, m), GAMMA.alpha[2]),
+        ("dirac", dirac_hamiltonian(p, m), GAMMA.alpha[2]),
         ("fv", fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, 2)),
     ):
         times = np.linspace(0.0, period, 33)[:-1]
