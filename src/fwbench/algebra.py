@@ -33,16 +33,18 @@ import numpy as np
 
 from .dirac import GAMMA, dirac_hamiltonian, energy
 from .phase_ops import (
+    Jet,
     OperatorFamily,
     PhaseOpValue,
     PhaseSpaceOperator,
     build_operator,
     coeff_derivative,
     commutator_snapshot,
-    constant_operator,
+    cross_c,
+    energy_jet,
     levi,
-    oam_like,
-    radius_operator,
+    momentum_jets,
+    p_dot,
     snapshot,
 )
 
@@ -114,45 +116,25 @@ def _naive_boost(m: float, component: int) -> PhaseSpaceOperator:
     """Boost built blindly from the radius vector and Sigma/2 in the Dirac
     representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}."""
     c = component
-    alpha, Sigma = GAMMA.alpha, GAMMA.Sigma
+    alpha, Sigma = np.stack(GAMMA.alpha), np.stack(GAMMA.Sigma)
 
-    def A(p):
-        sxp = sum(levi(c, k, l) * p[l] * Sigma[k] for k in range(3) for l in range(3))
-        dinv = dirac_hamiltonian(p, 2 * m) / (4 * m * m + p @ p)
-        return 0.5j * alpha[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
+    def coeffs(p):
+        P = momentum_jets(p)
+        sxp = cross_c(Sigma, P, c)
+        dinv = Jet(dirac_hamiltonian(p, 2 * m), alpha) / (4 * m * m + p_dot(P, P))
+        A = 0.5j * alpha[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
+        B = [0.0, 0.0, 0.0]
+        B[c] = 1j * Jet(dirac_hamiltonian(p, m), alpha)
+        return (A, *B)
 
-    def make_B(l):
-        if l != c:
-            return lambda p: np.zeros((4, 4), dtype=complex)
-        def Bl(p):
-            return 1j * dirac_hamiltonian(p, m)
-        return Bl
-
-    def grad_B(p):
-        out = np.zeros((3, 3, 4, 4), dtype=complex)
-        for k in range(3):
-            out[c, k] = 1j * alpha[k]
-        return out
-
-    return PhaseSpaceOperator(4, A, tuple(make_B(l) for l in range(3)),
-                              f"K_naive_{c + 1}", m, grad_B=grad_B)
+    return PhaseSpaceOperator(4, coeffs, f"K_naive_{c + 1}")
 
 
 def _velocity_closed_form(set_name: str, m: float):
-    """Closed form of [q_i, H] and its gradient for the worldline check."""
-    beta, alpha = GAMMA.beta, GAMMA.alpha
+    """Closed form of [q_i, H] as a Jet at momenta p, for the worldline check."""
     if set_name == "naive_dirac":
-        def C(p, i):
-            return 1j * alpha[i]
-        def dC(p, i, j):
-            return np.zeros((4, 4), dtype=complex)
-        return C, dC
-    def C(p, i):
-        return 1j * beta * p[i] / energy(p, m)
-    def dC(p, i, j):
-        e = energy(p, m)
-        return 1j * beta * ((1.0 if i == j else 0.0) / e - p[i] * p[j] / e**3)
-    return C, dC
+        return lambda p, i: Jet(1j * GAMMA.alpha[i], np.zeros((3, 4, 4)))
+    return lambda p, i: 1j * GAMMA.beta * momentum_jets(p)[i] / energy_jet(p, m)
 
 
 def build_quantum_set(set_name: str, m: float) -> dict:
@@ -171,13 +153,13 @@ def build_quantum_set(set_name: str, m: float) -> dict:
             "H": build_operator(F.FW_HAMILTONIAN, m),
         }
     elif set_name == "naive_dirac":
-        half_sigma = [constant_operator(GAMMA.Sigma[k] / 2, f"s_D_{k + 1}")
-                      for k in range(3)]
+        # i d/dp, i (p x d/dp) and Sigma/2 have the same coefficients in every
+        # representation: the plain radius vector, orbital angular momentum
+        # and spin, here kept together with the Dirac Hamiltonian
         ops = {
-            "q": [radius_operator(4, k) for k in range(3)],
-            "s": half_sigma,
-            "l": [oam_like(4, k, lambda p: np.zeros((4, 4), dtype=complex),
-                           f"l_D_{k + 1}") for k in range(3)],
+            "q": [build_operator(F.FW_POSITION, m, c) for c in comps],
+            "s": [build_operator(F.DIRAC_SPIN, m, c) for c in comps],
+            "l": [build_operator(F.OAM_FW, m, c) for c in comps],
             "K": [_naive_boost(m, k) for k in range(3)],
             "H": build_operator(F.DIRAC_HAMILTONIAN, m),
         }
@@ -201,8 +183,6 @@ def build_quantum_set(set_name: str, m: float) -> dict:
         raise ValueError(f"unknown quantum set: {set_name!r}")
     ops["p"] = momentum
     ops["j"] = total_j
-    ops["set_name"] = set_name
-    ops["mass"] = m
     return ops
 
 
@@ -216,8 +196,7 @@ _SINGLES = [(i, 0) for i in range(3)]
 
 
 def _zero_like(sn) -> PhaseOpValue:
-    d = sn.dim
-    return PhaseOpValue(np.zeros((d, d), complex), np.zeros((3, d, d), complex))
+    return PhaseOpValue(np.zeros_like(sn.A), np.zeros_like(sn.B))
 
 
 def _scaled(sn, c) -> PhaseOpValue:
@@ -225,14 +204,10 @@ def _scaled(sn, c) -> PhaseOpValue:
 
 
 def _eps_combo(snaps, i, j, c):
-    """c * eps_ijk snaps[k] summed over k."""
-    out = _zero_like(snaps[0])
-    for k in range(3):
-        w = levi(i, j, k)
-        if w:
-            out.A = out.A + c * w * snaps[k].A
-            out.B = out.B + c * w * snaps[k].B
-    return out
+    """c * eps_ijk snaps[k] summed over k: one term, k = 3 - i - j, if i != j."""
+    if i == j:
+        return _zero_like(snaps[0])
+    return _scaled(snaps[3 - i - j], c * levi(i, j, 3 - i - j))
 
 
 @dataclass(frozen=True)
@@ -252,16 +227,13 @@ def _rhs_zero(snaps, p, i, j):
     return _zero_like(snaps["H"])
 
 
-def _rhs_worldline(snaps, p, i, j, velocity, velocity_grad):
+def _rhs_worldline(snaps, p, i, j, velocity):
     # (1/2){q_j, C_i} with C_i = [q_i, H]; the -i t delta term vanishes at t=0
     qj = snaps["q"][j]
     C = velocity(p, i)
-    dC = [velocity_grad(p, i, k) for k in range(3)]
-    A = 0.5 * (qj.A @ C + C @ qj.A)
-    for k in range(3):
-        A = A + 0.5 * qj.B[k] @ dC[k]
-    B = np.stack([0.5 * (qj.B[l] @ C + C @ qj.B[l]) for l in range(3)])
-    return PhaseOpValue(A, B)
+    Cl = C.val[..., None, :, :]
+    A = 0.5 * (qj.A @ C.val + C.val @ qj.A) + 0.5 * (qj.B @ C.grad).sum(axis=-3)
+    return PhaseOpValue(A, 0.5 * (qj.B @ Cl + Cl @ qj.B))
 
 
 def quantum_identities() -> list:
@@ -296,12 +268,9 @@ def quantum_identities() -> list:
                         {"conventional": "fail", "naive_dirac": "fail"},
                         note=worldline_note),
         QuantumIdentity("[q_i,p_j] = i d_ij", ("q", "p"), _PAIRS_ALL,
-                        lambda sn, p, i, j:
-                        PhaseOpValue(1j * np.eye(sn["q"][0].dim, dtype=complex)
-                                     if i == j else
-                                     np.zeros((sn["q"][0].dim,) * 2, complex),
-                                     np.zeros((3, sn["q"][0].dim, sn["q"][0].dim),
-                                              complex)),
+                        lambda sn, p, i, j: PhaseOpValue(
+                            1j * float(i == j) * np.eye(sn["q"][0].dim),
+                            np.zeros((3, 1, 1))),
                         {}),
         QuantumIdentity("[q_i,j_j] = i e_ijk q_k", ("q", "j"), _PAIRS_ALL,
                         lambda sn, p, i, j: _eps_combo(sn["q"], i, j, 1j), {}),
@@ -364,34 +333,33 @@ def sample_momenta(n: int, seed: int = 42, box: float = 5.0,
 def run_quantum_suite(set_name: str, m: float, n_samples: int,
                       seed: int = 42, tol: float = QUANTUM_TOL,
                       floor: float = FAILURE_FLOOR) -> list:
-    """Evaluate every identity of a set at seeded random momenta."""
+    """Evaluate every identity of a set at seeded random momenta.
+
+    Each operator is evaluated once on the whole (n_samples, 3) stack, and
+    each identity pair is one commutator over that stack.
+    """
     ops = build_quantum_set(set_name, m)
     idents = identities_for_set(set_name)
     momenta = sample_momenta(n_samples, seed)
-    velocity, velocity_grad = _velocity_closed_form(set_name, m)
+    velocity = _velocity_closed_form(set_name, m)
 
-    residuals = {iden.identity_id: [] for iden in idents}
-    roles = ("q", "s", "l", "K", "p", "j")
-    for p in momenta:
-        snaps = {r: [snapshot(op, p) for op in ops[r]] for r in roles
-                 if any(iden.lhs[0] == r or iden.lhs[1] == r for iden in idents)}
-        snaps["H"] = snapshot(ops["H"], p)
-        for iden in idents:
-            worst = 0.0
-            for (i, j) in iden.pairs:
-                a = snaps[iden.lhs[0]][i] if iden.lhs[0] != "H" else snaps["H"]
-                b = snaps[iden.lhs[1]][j] if iden.lhs[1] != "H" else snaps["H"]
-                lhs = commutator_snapshot(a, b)
-                if iden.rhs is None:
-                    rhs = _rhs_worldline(snaps, p, i, j, velocity, velocity_grad)
-                else:
-                    rhs = iden.rhs(snaps, p, i, j)
-                worst = max(worst, (lhs - rhs).norm())
-            residuals[iden.identity_id].append(worst)
-
-    return [_report(iden.identity_id, set_name, residuals[iden.identity_id],
-                    iden.expected(set_name), iden.note, tol, floor)
-            for iden in idents]
+    roles = {r for iden in idents for r in iden.lhs if r != "H"}
+    snaps = {r: [snapshot(op, momenta) for op in ops[r]] for r in roles}
+    snaps["H"] = snapshot(ops["H"], momenta)
+    reports = []
+    for iden in idents:
+        worst = np.zeros(n_samples)
+        for (i, j) in iden.pairs:
+            a = snaps[iden.lhs[0]][i] if iden.lhs[0] != "H" else snaps["H"]
+            b = snaps[iden.lhs[1]][j] if iden.lhs[1] != "H" else snaps["H"]
+            if iden.rhs is None:
+                rhs = _rhs_worldline(snaps, momenta, i, j, velocity)
+            else:
+                rhs = iden.rhs(snaps, momenta, i, j)
+            worst = np.maximum(worst, (commutator_snapshot(a, b) - rhs).norm())
+        reports.append(_report(iden.identity_id, set_name, worst,
+                               iden.expected(set_name), iden.note, tol, floor))
+    return reports
 
 
 def worldline_defect(set_name: str, m: float, p, i: int, j: int) -> np.ndarray:

@@ -120,8 +120,9 @@ def cmd_verify_algebra(args) -> int:
 def cmd_eriksen(args) -> int:
     grid = Grid1D(n=args.n, length=args.box)
     bh = erk.discretize_dirac_1d(grid, args.mass, lambda x: np.zeros_like(x))
-    U = erk.eriksen_unitary(bh)
-    conds = erk.eriksen_conditions(U, bh)
+    U, lam = erk.eriksen_unitary(bh)
+    conds = erk.eriksen_conditions(U, lam, bh)
+    del lam     # a dense 4n x 4n matrix; the scaling study below sets the memory peak
     h_fw = U @ bh.H @ U.conj().T
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(h_fw, bh.n_upper)

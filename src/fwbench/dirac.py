@@ -99,25 +99,39 @@ def dirac_hamiltonian(p, m: float) -> np.ndarray:
     return m * GAMMA.beta + (p @ _ALPHA_ROWS).reshape(p.shape[:-1] + (4, 4))
 
 
+def _p_squared(p: np.ndarray) -> np.ndarray:
+    """|p|^2 at momenta (..., 3) as shape (..., 1, 1); bit-identical to p @ p."""
+    return p[..., None, :] @ p[..., :, None]
+
+
+def stacked_energy(p, m: float) -> np.ndarray:
+    """sqrt(m^2 + |p|^2) at momenta of shape (..., 3), as shape (..., 1, 1),
+    so that it scales a stack of matrices point by point."""
+    if m < 0:
+        raise ValueError(f"mass must be non-negative, got {m}")
+    return np.sqrt(m * m + _p_squared(np.asarray(p, dtype=float)))
+
+
 def fw_hamiltonian(p, m: float) -> np.ndarray:
-    """Block-diagonal free Hamiltonian beta sqrt(m^2 + p^2)."""
-    return energy(p, m) * GAMMA.beta
+    """Block-diagonal free Hamiltonian beta sqrt(m^2 + p^2) at momenta (..., 3)."""
+    return stacked_energy(p, m) * GAMMA.beta
 
 
 def fv_hamiltonian_matrix(p, m: float) -> np.ndarray:
-    """Two-component scalar-sector Hamiltonian rho_3 m + (rho_3 + i rho_2) p^2/(2m)."""
+    """Two-component scalar-sector Hamiltonian rho_3 m + (rho_3 + i rho_2) p^2/(2m)
+    at momenta (..., 3)."""
     if m <= 0:
         raise ValueError("two-component scalar-sector form requires m > 0")
     p = np.asarray(p, dtype=float)
-    return _RHO3 * m + (_RHO3 + 1j * _RHO2) * (p @ p) / (2 * m)
+    return _RHO3 * m + (_RHO3 + 1j * _RHO2) * _p_squared(p) / (2 * m)
 
 
 def fv_velocity_matrix(p, m: float, component: int) -> np.ndarray:
-    """Scalar-sector velocity (rho_3 + i rho_2) p_k / m."""
+    """Scalar-sector velocity (rho_3 + i rho_2) p_k / m at momenta (..., 3)."""
     if m <= 0:
         raise ValueError("two-component scalar-sector form requires m > 0")
     p = np.asarray(p, dtype=float)
-    return (_RHO3 + 1j * _RHO2) * p[component] / m
+    return (_RHO3 + 1j * _RHO2) * p[..., component, None, None] / m
 
 
 def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
@@ -127,7 +141,7 @@ def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
     the sign of gamma.p, which gives U^-1.
     """
     p = np.asarray(p, dtype=float)
-    e = np.sqrt(m * m + p[..., None, :] @ p[..., :, None])   # shape (..., 1, 1)
+    e = stacked_energy(p, m)
     gamma_p = (p @ _GAMMA_ROWS).reshape(p.shape[:-1] + (4, 4))
     num = (e + m) * I4 + (-1.0 if inverse else 1.0) * gamma_p
     return num / np.sqrt(2 * e * (e + m))

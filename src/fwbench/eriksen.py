@@ -114,17 +114,20 @@ def sign_function(H: np.ndarray, rtol: float = ZERO_MODE_RTOL) -> np.ndarray:
     return _hermitian_fn(H, lambda w: np.sign(_nonzero_eigenvalues(w, rtol, message)))
 
 
-def eriksen_unitary(bh: BlockedHamiltonian) -> np.ndarray:
-    """Exact block-diagonalizing unitary (1+beta lambda)(2+beta lambda+lambda beta)^(-1/2)."""
+def eriksen_unitary(bh: BlockedHamiltonian) -> tuple:
+    """Exact block-diagonalizing unitary (1+beta lambda)(2+beta lambda+lambda beta)^(-1/2).
+
+    Returns (U, lambda), with lambda = sign(H) the sign function it is built from.
+    """
     lam = sign_function(bh.H)
     bl = bh.beta @ lam
     g = 2.0 * np.eye(bh.dim) + bl + bl.conj().T
-    return (np.eye(bh.dim) + bl) @ mat_inv_sqrt_psd(g)
+    return (np.eye(bh.dim) + bl) @ mat_inv_sqrt_psd(g), lam
 
 
-def eriksen_conditions(U: np.ndarray, bh: BlockedHamiltonian) -> dict:
-    """Residuals of the defining properties of the exact transformation."""
-    lam = sign_function(bh.H)
+def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -> dict:
+    """Residuals of the defining properties of the exact transformation U
+    built from the sign function lam of bh.H."""
     bl = bh.beta @ lam
     lb = lam @ bh.beta
     h_fw = U @ bh.H @ U.conj().T
@@ -244,7 +247,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     diffs, approx_off, exact_off = [], [], []
     for v0 in v0_list:
         bh = discretize_dirac_1d(grid, m, lambda x: v0 * profile(x))
-        U = eriksen_unitary(bh)
+        U = eriksen_unitary(bh)[0]
         h_exact = U @ bh.H @ U.conj().T
         U_a, h_approx = approx_fw(bh)
         h_rot = U_a @ bh.H @ U_a.conj().T

@@ -12,11 +12,14 @@ in this module is identically zero (all derivative coefficients are
 multiples of mutually commuting matrices); it is computed anyway and
 asserted small by the verification suites.
 
-Coefficient derivatives come from analytic gradients where a builder
-supplies them, otherwise from central differences with one Richardson
-level (relative step 1e-5, ~1e-11 accuracy on the rational/sqrt
-coefficients appearing here).  Unitaries always carry analytic gradients
-so representation changes do not inherit differencing noise.
+Coefficients are evaluated on a whole stack of momenta, shape (..., 3), in
+one call, and their momentum gradients are exact.  Each catalogue
+coefficient is written once in forward-mode (value, gradient) arithmetic
+(Jet), so its gradient comes from the same expression as its value; the
+Dirac, FW and FV Hamiltonians and the free unitary carry the closed-form
+gradients they imply.  Nothing here differences numerically:
+coeff_derivative, a Richardson central difference, serves the classical
+Poisson brackets and the tests, where it is an independent oracle.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import (GAMMA, I4, dirac_hamiltonian, energy, fv_hamiltonian_matrix,
-                    fv_velocity_matrix, fw_hamiltonian, fw_unitary_matrix)
+from .dirac import (GAMMA, I4, dirac_hamiltonian, fv_hamiltonian_matrix,
+                    fv_velocity_matrix, fw_unitary_matrix, stacked_energy)
 from .linalg import frob
 
 FD_REL_STEP = 1e-5
@@ -123,36 +126,136 @@ _MASSIVE_ONLY = {
     OperatorFamily.FV_VELOCITY,
 }
 
-CoeffFn = Callable[[np.ndarray], np.ndarray]
 
+# --- forward-mode (value, gradient) arithmetic -------------------------------
+
+def _kaxis(x: np.ndarray) -> np.ndarray:
+    """x with a gradient axis inserted: shape (..., 1, r, c)."""
+    return x[..., None, :, :]
+
+
+class Jet:
+    """A coefficient and its exact momentum gradient, carried through one
+    expression.
+
+    val has shape (..., r, c) and grad shape (..., 3, r, c), with
+    grad[..., k, :, :] = d val / d p_k.  A scalar function of p has
+    r = c = 1, so it scales d x d matrices elementwise.  Plain numbers and
+    constant matrices combine with a Jet as momentum-independent values.
+    A Jet whose grad is None carries a value only.
+    """
+
+    __array_ufunc__ = None    # ndarray operands defer to the reflected methods
+
+    def __init__(self, val, grad):
+        self.val = val
+        self.grad = grad
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.grad + other.grad)
+        return Jet(self.val + other, self.grad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.val, -self.grad)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.val * other.val,
+                       self.grad * _kaxis(other.val) + _kaxis(self.val) * other.grad)
+        return Jet(self.val * other, self.grad * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            q = self.val / other.val
+            return Jet(q, (self.grad - _kaxis(q) * other.grad) / _kaxis(other.val))
+        return Jet(self.val / other, self.grad / other)
+
+    def __rtruediv__(self, other):
+        q = other / self.val
+        return Jet(q, -_kaxis(q) * self.grad / _kaxis(self.val))
+
+    def __matmul__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.val @ other.val,
+                       self.grad @ _kaxis(other.val) + _kaxis(self.val) @ other.grad)
+        return Jet(self.val @ other, self.grad @ other)
+
+    def __rmatmul__(self, other):
+        return Jet(other @ self.val, other @ self.grad)
+
+
+_UNIT = np.eye(3)[:, :, None, None]     # _UNIT[k] = d p_k / d p, shape (3, 1, 1)
+
+
+def momentum_jets(p: np.ndarray) -> list:
+    """The components p_1, p_2, p_3 of momenta (..., 3) as scalar Jets."""
+    return [Jet(p[..., k, None, None], _UNIT[k]) for k in range(3)]
+
+
+def energy_jet(p: np.ndarray, m: float) -> Jet:
+    """eps = sqrt(m^2 + |p|^2) as a scalar Jet; d eps / d p = p / eps.
+
+    At m = 0, p = 0 the gradient is NaN; a coefficient that uses it there
+    fails the finiteness check of its evaluation.
+    """
+    e = stacked_energy(p, m)
+    with np.errstate(invalid="ignore"):
+        return Jet(e, p[..., :, None, None] / _kaxis(e))
+
+
+def cross_c(mats, P, c: int):
+    """(M x p)_c for a stacked matrix triple M and momentum components P."""
+    a, b = _CROSS[c]
+    return mats[a] * P[b] - mats[b] * P[a]
+
+
+def p_dot(mats, P):
+    """p . M; p_dot(P, P) is |p|^2."""
+    return P[0] * mats[0] + P[1] * mats[1] + P[2] * mats[2]
+
+
+# --- operators ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PhaseSpaceOperator:
     """A(p) + sum_k B_k(p) d/dp_k with matrix coefficients.
 
-    grad_A(p) -> (3, d, d) and grad_B(p) -> (3, 3, d, d) are optional
-    analytic gradients (grad_B[l, k] = d B_l / d p_k); finite differences
-    are used when absent.
+    coeffs(p) takes momenta of shape (..., 3) and returns (A, B_1, B_2, B_3),
+    each a Jet or a momentum-independent constant (a d x d matrix or a
+    number).  An operator whose coefficients carry values only (Jet grad
+    None) can be evaluated but not commuted.
     """
 
     dim: int
-    A: CoeffFn
-    B: tuple
+    coeffs: Callable
     label: str = ""
-    mass: float = 0.0
     min_p: float = 0.0
-    grad_A: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad_B: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def check_p(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        if p.shape != (3,):
-            raise DomainError(f"momentum must be a 3-vector, got shape {p.shape}")
-        if self.min_p > 0.0 and np.linalg.norm(p) < self.min_p:
+        if p.shape[-1:] != (3,):
+            raise DomainError(f"momenta must have shape (..., 3), got {p.shape}")
+        if self.min_p > 0.0 and (np.linalg.norm(p, axis=-1) < self.min_p).any():
             raise DomainError(
                 f"operator '{self.label}' is singular for |p| < {self.min_p}"
             )
         return p
+
+
+def _sum_sq(x: np.ndarray, axes: int) -> np.ndarray:
+    """Sum of |x|^2 over the last `axes` axes."""
+    return (x.real ** 2 + x.imag ** 2).sum(axis=tuple(range(-axes, 0)))
 
 
 @dataclass
@@ -160,16 +263,16 @@ class PhaseOpValue:
     """Evaluation snapshot: multiplicative part, derivative part, and (for
     commutator results) the symmetrized second-order residual."""
 
-    A: np.ndarray
-    B: np.ndarray                      # shape (3, d, d)
-    second: Optional[np.ndarray] = None  # shape (3, 3, d, d)
+    A: np.ndarray                        # shape (..., d, d)
+    B: np.ndarray                        # shape (..., 3, d, d)
+    second: Optional[np.ndarray] = None  # shape (..., 3, 3, d, d)
 
-    def norm(self) -> float:
-        """Frobenius norm over all coefficient blocks."""
-        total = np.vdot(self.A, self.A).real + np.vdot(self.B, self.B).real
+    def norm(self):
+        """Frobenius norm over all coefficient blocks, one per momentum."""
+        total = _sum_sq(self.A, 2) + _sum_sq(self.B, 3)
         if self.second is not None:
-            total += np.vdot(self.second, self.second).real
-        return float(np.sqrt(total))
+            total = total + _sum_sq(self.second, 4)
+        return np.sqrt(total)
 
     def __sub__(self, other: "PhaseOpValue") -> "PhaseOpValue":
         second = self.second
@@ -178,97 +281,43 @@ class PhaseOpValue:
         return PhaseOpValue(self.A - other.A, self.B - other.B, second)
 
 
-def _zeros(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim), dtype=complex)
-
-
-def _zero_coeff(dim: int) -> CoeffFn:
-    z = _zeros(dim)
-    return lambda p: z
-
-
-def _zero_grad_B(dim: int):
-    z = np.zeros((3, 3, dim, dim), dtype=complex)
-    return lambda p: z
-
-
-def _zero_grad_A(dim: int):
-    z = np.zeros((3, dim, dim), dtype=complex)
-    return lambda p: z
-
-
-def multiplicative(dim: int, A: CoeffFn, label: str = "", mass: float = 0.0,
-                   min_p: float = 0.0, grad_A=None) -> PhaseSpaceOperator:
-    """Operator with no derivative part."""
-    zero = _zero_coeff(dim)
-    return PhaseSpaceOperator(dim, A, (zero, zero, zero), label, mass, min_p,
-                              grad_A, _zero_grad_B(dim))
+def multiplicative(dim: int, A: Callable, label: str = "",
+                   min_p: float = 0.0) -> PhaseSpaceOperator:
+    """Operator with no derivative part; A(p) is a Jet or a constant."""
+    return PhaseSpaceOperator(dim, lambda p: (A(p), 0.0, 0.0, 0.0), label, min_p)
 
 
 def constant_operator(M: np.ndarray, label: str = "") -> PhaseSpaceOperator:
     Mc = np.asarray(M, dtype=complex)
-    d = Mc.shape[0]
-    return PhaseSpaceOperator(d, lambda p: Mc, (_zero_coeff(d),) * 3, label,
-                              0.0, 0.0, _zero_grad_A(d), _zero_grad_B(d))
+    return multiplicative(Mc.shape[0], lambda p: Mc, label)
 
 
-def position_like(dim: int, component: int, A: CoeffFn, label: str = "",
-                  mass: float = 0.0, min_p: float = 0.0,
-                  grad_A=None) -> PhaseSpaceOperator:
-    """A(p) + i d/dp_component (the radius-vector pattern)."""
-    eye = 1j * np.eye(dim, dtype=complex)
-    zero = _zero_coeff(dim)
-    B = tuple(
-        (lambda p, _m=eye: _m) if k == component else zero for k in range(3)
-    )
-    return PhaseSpaceOperator(dim, A, B, label, mass, min_p, grad_A,
-                              _zero_grad_B(dim))
-
-
-def radius_operator(dim: int, component: int, label: str = "r") -> PhaseSpaceOperator:
-    op = position_like(dim, component, _zero_coeff(dim),
-                       f"{label}_{component + 1}")
-    return PhaseSpaceOperator(dim, op.A, op.B, op.label, 0.0, 0.0,
-                              _zero_grad_A(dim), op.grad_B)
-
-
-def oam_like(dim: int, component: int, A: CoeffFn, label: str = "",
-             mass: float = 0.0, min_p: float = 0.0,
-             grad_A=None) -> PhaseSpaceOperator:
-    """A(p) + i eps_{c j k} p_k d/dp_j (angular-momentum derivative pattern)."""
-    eye = np.eye(dim, dtype=complex)
-    c = component
-
-    def make_B(j):
-        def Bj(p):
-            return 1j * sum(_LEVI[c, j, k] * p[k] for k in range(3)) * eye
-        return Bj
-
-    gb = np.zeros((3, 3, dim, dim), dtype=complex)
-    for j in range(3):
-        for k in range(3):
-            gb[j, k] = 1j * _LEVI[c, j, k] * eye
-
-    return PhaseSpaceOperator(dim, A, tuple(make_B(j) for j in range(3)),
-                              label, mass, min_p, grad_A, lambda p: gb)
-
-
-# --- coefficient helpers ----------------------------------------------------
+# --- the operator catalogue ---------------------------------------------------
 
 _SIGMA = np.stack(GAMMA.Sigma)
 _ALPHA = np.stack(GAMMA.alpha)
 _GAMMAK = np.stack(GAMMA.gamma)
 _BETA = GAMMA.beta
+_IEYE = 1j * I4
 
+F = OperatorFamily
 
-def _cross_c(mats: np.ndarray, p: np.ndarray, c: int) -> np.ndarray:
-    """(M x p)_c for a stacked matrix triple."""
-    a, b = _CROSS[c]
-    return mats[a] * p[b] - mats[b] * p[a]
+# Families with a 1/eps or 1/(eps+m) factor: singular at p = 0 when m = 0,
+# so at m = 0 they reject |p| < MASSLESS_MIN_P.
+_SINGULAR_AT_REST = {
+    F.FW_HAMILTONIAN, F.NW_POSITION_DIRAC, F.MEAN_SPIN_DIRAC, F.BOOST_FW,
+    F.PAULI_LUBANSKI_SPACE, F.PROJECTOR_PLUS, F.PROJECTOR_MINUS,
+    F.PROJECTED_POSITION_FW, F.PROJECTED_POSITION_DIRAC, F.PROJECTED_SPIN_FW,
+    F.PROJECTED_SPIN_DIRAC, F.PROJECTED_OAM,
+}
 
-
-def _p_dot(mats: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p[0] * mats[0] + p[1] * mats[1] + p[2] * mats[2]
+# Derivative parts: i d/dp_c (the radius-vector pattern) and
+# i eps_{c j k} p_k d/dp_j (the angular-momentum pattern).
+_POSITION_LIKE = {
+    F.FW_POSITION, F.NW_POSITION_DIRAC, F.COM_POSITION_FW, F.COM_POSITION_DIRAC,
+    F.PROJECTED_POSITION_FW, F.PROJECTED_POSITION_DIRAC,
+}
+_OAM_LIKE = {F.OAM_FW, F.TOTAL_J, F.COM_OAM, F.PROJECTED_OAM}
 
 
 def _require_component(family: OperatorFamily, component) -> int:
@@ -301,212 +350,99 @@ def build_operator(family: OperatorFamily, m: float,
     """
     _require_mass(family, m)
     c = _require_component(family, component)
-    min_p = MASSLESS_MIN_P if m == 0 else 0.0
-    label = family.family_name + (f"_{c + 1}" if family.is_vector else "")
-    beta = _BETA
+    a, b = _CROSS[c]
+    beta, sigma_c, gamma_c = _BETA, _SIGMA[c], _GAMMAK[c]
 
-    if family is OperatorFamily.DIRAC_HAMILTONIAN:
-        return multiplicative(4, lambda p: dirac_hamiltonian(p, m), label, m,
-                              grad_A=lambda p: _ALPHA.copy())
+    def dirac_h(p):
+        return Jet(dirac_hamiltonian(p, m), _ALPHA)
 
-    if family is OperatorFamily.FW_HAMILTONIAN:
-        def grad_A(p):
-            e = energy(p, m)
-            return np.stack([p[k] / e * beta for k in range(3)])
-        return multiplicative(4, lambda p: fw_hamiltonian(p, m), label, m, min_p, grad_A)
-
-    if family is OperatorFamily.MOMENTUM:
-        def A(p):
-            return p[c] * I4
-
-        def grad_A(p):
-            out = np.zeros((3, 4, 4), dtype=complex)
-            out[c] = I4
-            return out
-        return multiplicative(4, A, label, m, grad_A=grad_A)
-
-    if family is OperatorFamily.FW_POSITION:
-        return position_like(4, c, _zero_coeff(4), label, m,
-                             grad_A=_zero_grad_A(4))
-
-    if family is OperatorFamily.NW_POSITION_DIRAC:
-        def A(p):
-            e = energy(p, m)
-            gdotp = _p_dot(_GAMMAK, p)
-            return (-_cross_c(_SIGMA, p, c) / (2 * e * (e + m))
-                    + 1j * _GAMMAK[c] / (2 * e)
-                    - 1j * gdotp * p[c] / (2 * e * e * (e + m)))
-        return position_like(4, c, A, label, m, min_p)
-
-    if family in (OperatorFamily.FW_SPIN, OperatorFamily.DIRAC_SPIN):
-        half_sigma = 0.5 * _SIGMA[c]
-        return multiplicative(4, lambda p: half_sigma, label, m,
-                              grad_A=_zero_grad_A(4))
-
-    if family is OperatorFamily.MEAN_SPIN_DIRAC:
-        def A(p):
-            e = energy(p, m)
-            return (m * _SIGMA[c] / (2 * e) - 1j * _cross_c(_GAMMAK, p, c) / (2 * e)
-                    + p[c] * _p_dot(_SIGMA, p) / (2 * e * (e + m)))
-        return multiplicative(4, A, label, m, min_p)
-
-    if family is OperatorFamily.OAM_FW:
-        return oam_like(4, c, _zero_coeff(4), label, m, grad_A=_zero_grad_A(4))
-
-    if family is OperatorFamily.TOTAL_J:
-        half_sigma = 0.5 * _SIGMA[c]
-        return oam_like(4, c, lambda p: half_sigma, label, m,
-                        grad_A=_zero_grad_A(4))
-
-    if family is OperatorFamily.BOOST_FW:
-        # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
-        def A(p):
-            e = energy(p, m)
-            return (0.5j * p[c] / e) * beta - beta @ _cross_c(_SIGMA, p, c) / (2 * (e + m))
-
-        def grad_A(p):
-            e = energy(p, m)
-            out = np.empty((3, 4, 4), dtype=complex)
-            sxp = _cross_c(_SIGMA, p, c)
-            for k in range(3):
-                d_sxp = sum(_LEVI[c, jj, k] * _SIGMA[jj] for jj in range(3))
-                out[k] = (0.5j * ((1.0 if c == k else 0.0) / e - p[c] * p[k] / e**3) * beta
-                          - beta @ d_sxp / (2 * (e + m))
-                          + beta @ sxp * p[k] / (2 * e * (e + m) ** 2))
-            return out
-
-        def make_B(j):
-            if j != c:
-                return _zero_coeff(4)
-            def Bj(p):
-                return 1j * energy(p, m) * beta
-            return Bj
-
-        def grad_B(p):
-            e = energy(p, m)
-            out = np.zeros((3, 3, 4, 4), dtype=complex)
-            for k in range(3):
-                out[c, k] = 1j * p[k] / e * beta
-            return out
-
-        return PhaseSpaceOperator(4, A, tuple(make_B(j) for j in range(3)),
-                                  label, m, min_p, grad_A, grad_B)
-
-    if family is OperatorFamily.BOOST_DIRAC:
-        fw = build_operator(OperatorFamily.BOOST_FW, m, component)
-        return conjugate(fw, fw_unitary_free_inv(m), fw_unitary_free(m),
-                         label=label)
-
-    if family is OperatorFamily.COM_POSITION_FW:
-        def A(p):
-            e = energy(p, m)
-            return _cross_c(_SIGMA, p, c) / (2 * m * (e + m))
-        return position_like(4, c, A, label, m)
-
-    if family is OperatorFamily.COM_POSITION_DIRAC:
-        def A(p):
-            e = energy(p, m)
-            gdotp = _p_dot(_GAMMAK, p)
-            return 1j * (_GAMMAK[c] / (2 * m) - gdotp * p[c] / (2 * m * e * e))
-        return position_like(4, c, A, label, m)
-
-    if family is OperatorFamily.LAB_SPIN_FW:
+    def lab_spin_fw(p, P, e):
         # s - p x (p x s) / (m(eps+m)) with s = Sigma/2
-        def A(p):
-            e = energy(p, m)
-            pxpxs = p[c] * _p_dot(_SIGMA, p) / 2 - (p @ p) * _SIGMA[c] / 2
-            return _SIGMA[c] / 2 - pxpxs / (m * (e + m))
-        return multiplicative(4, A, label, m)
+        pxpxs = P[c] * p_dot(_SIGMA, P) / 2 - p_dot(P, P) * sigma_c / 2
+        return sigma_c / 2 - pxpxs / (m * (e + m))
 
-    if family is OperatorFamily.LAB_SPIN_DIRAC:
-        def A(p):
-            return _SIGMA[c] / 2 - 1j * _cross_c(_GAMMAK, p, c) / (2 * m)
-        return multiplicative(4, A, label, m)
-
-    if family is OperatorFamily.COM_OAM:
-        # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
-        def A(p):
-            e = energy(p, m)
-            return (p[c] * _p_dot(_SIGMA, p) - (p @ p) * _SIGMA[c]) / (2 * m * (e + m))
-        return oam_like(4, c, A, label, m)
-
-    if family is OperatorFamily.FOUR_SPIN_SPACE:
-        def A(p):
-            e = energy(p, m)
-            return _SIGMA[c] / 2 + p[c] * _p_dot(_SIGMA, p) / (2 * m * (e + m))
-        return multiplicative(4, A, label, m)
-
-    if family is OperatorFamily.FOUR_SPIN_TIME:
-        def A(p):
-            return _p_dot(_SIGMA, p) / (2 * m)
-        return multiplicative(4, A, label, m)
-
-    if family is OperatorFamily.PAULI_LUBANSKI_SPACE:
-        def A(p):
-            e = energy(p, m)
-            return m * _SIGMA[c] / 2 + p[c] * _p_dot(_SIGMA, p) / (2 * (e + m))
-        return multiplicative(4, A, label, m)
-
-    if family is OperatorFamily.PAULI_LUBANSKI_TIME:
-        def A(p):
-            return _p_dot(_SIGMA, p) / 2
-        return multiplicative(4, A, label, m)
-
-    if family is OperatorFamily.SPIN_PRIME:
+    def spin_prime(p, P, e):
         # (W - W0 p/(eps+m)) / m, assembled from the four-vector components
-        def A(p):
-            e = energy(p, m)
-            w_c = m * _SIGMA[c] / 2 + p[c] * _p_dot(_SIGMA, p) / (2 * (e + m))
-            w0 = _p_dot(_SIGMA, p) / 2
-            return (w_c - w0 * p[c] / (e + m)) / m
-        return multiplicative(4, A, label, m)
+        w_c = m * sigma_c / 2 + P[c] * p_dot(_SIGMA, P) / (2 * (e + m))
+        w0 = p_dot(_SIGMA, P) / 2
+        return (w_c - w0 * P[c] / (e + m)) / m
 
-    if family in (OperatorFamily.PROJECTOR_PLUS, OperatorFamily.PROJECTOR_MINUS):
-        sign = 1.0 if family is OperatorFamily.PROJECTOR_PLUS else -1.0
-        def A(p):
-            e = energy(p, m)
-            return 0.5 * (I4 + sign * m / e * beta) + sign * _p_dot(_ALPHA, p) / (2 * e)
-        return multiplicative(4, A, label, m, min_p)
+    # The multiplicative part A, over the momenta p, their components P as
+    # Jets and the energy e as a Jet.
+    A = {
+        F.DIRAC_HAMILTONIAN: lambda p, P, e: dirac_h(p),
+        F.FW_HAMILTONIAN: lambda p, P, e: e * beta,
+        F.MOMENTUM: lambda p, P, e: P[c] * I4,
+        F.FW_POSITION: lambda p, P, e: 0.0,
+        F.NW_POSITION_DIRAC: lambda p, P, e: (
+            -cross_c(_SIGMA, P, c) / (2 * e * (e + m)) + 1j * gamma_c / (2 * e)
+            - 1j * p_dot(_GAMMAK, P) * P[c] / (2 * e * e * (e + m))),
+        F.FW_SPIN: lambda p, P, e: 0.5 * sigma_c,
+        F.DIRAC_SPIN: lambda p, P, e: 0.5 * sigma_c,
+        F.MEAN_SPIN_DIRAC: lambda p, P, e: (
+            m * sigma_c / (2 * e) - 1j * cross_c(_GAMMAK, P, c) / (2 * e)
+            + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
+        F.OAM_FW: lambda p, P, e: 0.0,
+        F.TOTAL_J: lambda p, P, e: 0.5 * sigma_c,
+        # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
+        F.BOOST_FW: lambda p, P, e: (
+            (0.5j * P[c] / e) * beta - beta @ cross_c(_SIGMA, P, c) / (2 * (e + m))),
+        # (1/2){x_c, H_D} = (i/2) alpha_c + i H_D d/dp_c,  t = 0
+        F.BOOST_DIRAC: lambda p, P, e: 0.5j * _ALPHA[c],
+        F.COM_POSITION_FW: lambda p, P, e: cross_c(_SIGMA, P, c) / (2 * m * (e + m)),
+        F.COM_POSITION_DIRAC: lambda p, P, e: 1j * (
+            gamma_c / (2 * m) - p_dot(_GAMMAK, P) * P[c] / (2 * m * e * e)),
+        F.LAB_SPIN_FW: lab_spin_fw,
+        F.LAB_SPIN_DIRAC: lambda p, P, e: sigma_c / 2 - 1j * cross_c(_GAMMAK, P, c) / (2 * m),
+        # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
+        F.COM_OAM: lambda p, P, e: (
+            (P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * sigma_c) / (2 * m * (e + m))),
+        F.FOUR_SPIN_SPACE: lambda p, P, e: (
+            sigma_c / 2 + P[c] * p_dot(_SIGMA, P) / (2 * m * (e + m))),
+        F.FOUR_SPIN_TIME: lambda p, P, e: p_dot(_SIGMA, P) / (2 * m),
+        F.PAULI_LUBANSKI_SPACE: lambda p, P, e: (
+            m * sigma_c / 2 + P[c] * p_dot(_SIGMA, P) / (2 * (e + m))),
+        F.PAULI_LUBANSKI_TIME: lambda p, P, e: p_dot(_SIGMA, P) / 2,
+        F.SPIN_PRIME: spin_prime,
+        F.PROJECTOR_PLUS: lambda p, P, e: (
+            0.5 * (I4 + m / e * beta) + p_dot(_ALPHA, P) / (2 * e)),
+        F.PROJECTOR_MINUS: lambda p, P, e: (
+            0.5 * (I4 - m / e * beta) - p_dot(_ALPHA, P) / (2 * e)),
+        F.PROJECTED_POSITION_FW: lambda p, P, e: -cross_c(_SIGMA, P, c) / (2 * e * (e + m)),
+        F.PROJECTED_POSITION_DIRAC: lambda p, P, e: (
+            -cross_c(_SIGMA, P, c) / (2 * e * e) + 1j * m * gamma_c / (2 * e * e)),
+        F.PROJECTED_SPIN_FW: lambda p, P, e: (
+            m * sigma_c / (2 * e) + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
+        F.PROJECTED_SPIN_DIRAC: lambda p, P, e: (
+            m * m * sigma_c + P[c] * p_dot(_SIGMA, P)
+            - 1j * m * cross_c(_GAMMAK, P, c)) / (2 * e * e),
+        F.PROJECTED_OAM: lambda p, P, e: (
+            -(P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * sigma_c) / (2 * e * (e + m))),
+        # d H / d p_k is the scalar-sector velocity
+        F.FV_HAMILTONIAN: lambda p, P, e: Jet(
+            fv_hamiltonian_matrix(p, m),
+            np.stack([fv_velocity_matrix(p, m, k) for k in range(3)], axis=-3)),
+        # linear in p: the gradient along p_k is the value at the unit momentum e_k
+        F.FV_VELOCITY: lambda p, P, e: Jet(
+            fv_velocity_matrix(p, m, c), fv_velocity_matrix(np.eye(3), m, c)),
+    }[family]
 
-    if family is OperatorFamily.PROJECTED_POSITION_FW:
-        def A(p):
-            e = energy(p, m)
-            return -_cross_c(_SIGMA, p, c) / (2 * e * (e + m))
-        return position_like(4, c, A, label, m, min_p)
+    def coeffs(p):
+        P, e = momentum_jets(p), energy_jet(p, m)
+        B = [0.0, 0.0, 0.0]
+        if family in _POSITION_LIKE:
+            B[c] = _IEYE
+        elif family in _OAM_LIKE:
+            B[a], B[b] = P[b] * _IEYE, -P[a] * _IEYE
+        elif family is F.BOOST_FW:
+            B[c] = 1j * e * beta
+        elif family is F.BOOST_DIRAC:
+            B[c] = 1j * dirac_h(p)
+        return (A(p, P, e), *B)
 
-    if family is OperatorFamily.PROJECTED_POSITION_DIRAC:
-        def A(p):
-            e = energy(p, m)
-            return (-_cross_c(_SIGMA, p, c) / (2 * e * e)
-                    + 1j * m * _GAMMAK[c] / (2 * e * e))
-        return position_like(4, c, A, label, m, min_p)
-
-    if family is OperatorFamily.PROJECTED_SPIN_FW:
-        def A(p):
-            e = energy(p, m)
-            return m * _SIGMA[c] / (2 * e) + p[c] * _p_dot(_SIGMA, p) / (2 * e * (e + m))
-        return multiplicative(4, A, label, m, min_p)
-
-    if family is OperatorFamily.PROJECTED_SPIN_DIRAC:
-        def A(p):
-            e = energy(p, m)
-            return (m * m * _SIGMA[c] + p[c] * _p_dot(_SIGMA, p)
-                    - 1j * m * _cross_c(_GAMMAK, p, c)) / (2 * e * e)
-        return multiplicative(4, A, label, m, min_p)
-
-    if family is OperatorFamily.PROJECTED_OAM:
-        def A(p):
-            e = energy(p, m)
-            return -(p[c] * _p_dot(_SIGMA, p) - (p @ p) * _SIGMA[c]) / (2 * e * (e + m))
-        return oam_like(4, c, A, label, m, min_p)
-
-    if family is OperatorFamily.FV_HAMILTONIAN:
-        return multiplicative(2, lambda p: fv_hamiltonian_matrix(p, m), label, m)
-
-    if family is OperatorFamily.FV_VELOCITY:
-        return multiplicative(2, lambda p: fv_velocity_matrix(p, m, c), label, m)
-
-    raise DomainError(f"unknown operator family: {family}")
+    label = family.family_name + (f"_{c + 1}" if family.is_vector else "")
+    min_p = MASSLESS_MIN_P if m == 0 and family in _SINGULAR_AT_REST else 0.0
+    return PhaseSpaceOperator(2 if family.rep is Rep.FV else 4, coeffs, label, min_p)
 
 
 # --- free-particle representation change ------------------------------------
@@ -517,20 +453,17 @@ def _fw_free_operator(m: float, inverse: bool) -> PhaseSpaceOperator:
         raise DomainError(f"mass must be non-negative, got {m}")
     sign = -1.0 if inverse else 1.0
 
-    def grad_A(p):
-        # U = num * s: d_k U = (d_k num) s + U d_k log(s)
-        e = energy(p, m)
+    def A(p):
+        # U = num * s with s = 1/sqrt(2 eps (eps+m)): d_k U = (d_k num) s + U d_k log(s)
+        e = _kaxis(stacked_energy(p, m))
         s = 1.0 / np.sqrt(2 * e * (e + m))
+        pk = p[..., :, None, None]
+        dlog_s = -(pk * (2 * e + m) / e) / (2 * e * (e + m))
         u = fw_unitary_matrix(p, m, inverse)
-        out = np.empty((3, 4, 4), dtype=complex)
-        for k in range(3):
-            dlog_s = -(p[k] * (2 * e + m) / e) / (2 * e * (e + m))
-            out[k] = (p[k] / e * I4 + sign * _GAMMAK[k]) * s + u * dlog_s
-        return out
+        return Jet(u, (pk / e * I4 + sign * _GAMMAK) * s + _kaxis(u) * dlog_s)
 
-    return multiplicative(4, lambda p: fw_unitary_matrix(p, m, inverse),
-                          "U_fw_free_inv" if inverse else "U_fw_free", m,
-                          MASSLESS_MIN_P if m == 0 else 0.0, grad_A)
+    return multiplicative(4, A, "U_fw_free_inv" if inverse else "U_fw_free",
+                          MASSLESS_MIN_P if m == 0 else 0.0)
 
 
 def fw_unitary_free(m: float) -> PhaseSpaceOperator:
@@ -545,7 +478,7 @@ def fw_unitary_free_inv(m: float) -> PhaseSpaceOperator:
 
 # --- evaluation and commutation ----------------------------------------------
 
-def coeff_derivative(f: CoeffFn, p: np.ndarray, k: int,
+def coeff_derivative(f: Callable, p: np.ndarray, k: int,
                      rel_step: float = FD_REL_STEP) -> np.ndarray:
     """d f / d p_k by central differences with one Richardson level.
 
@@ -571,48 +504,63 @@ def coeff_derivative(f: CoeffFn, p: np.ndarray, k: int,
 
 @dataclass
 class OpSnapshot:
-    """Coefficients and their momentum gradients frozen at one momentum."""
+    """Coefficients and their momentum gradients frozen at momenta (...)."""
 
     dim: int
     A: np.ndarray
-    B: np.ndarray    # (3, d, d)
-    dA: np.ndarray   # (3, d, d), dA[k] = d A / d p_k
-    dB: np.ndarray   # (3, 3, d, d), dB[l, k] = d B_l / d p_k
+    B: np.ndarray    # (..., 3, d, d)
+    dA: np.ndarray   # (..., 3, d, d), dA[k] = d A / d p_k
+    dB: np.ndarray   # (..., 3, 3, d, d), dB[l, k] = d B_l / d p_k
+
+
+def _stacked(blocks: list, axis: int, shape: tuple) -> np.ndarray:
+    """The blocks stacked along axis, as a complex array broadcast to shape.
+
+    Blocks are broadcast against each other, not against the momenta, before
+    stacking: a momentum-independent stack stays a read-only view.
+    """
+    common = np.broadcast_shapes(shape[axis + 1:], *(np.shape(b) for b in blocks))
+    stack = np.stack([np.broadcast_to(b, common) for b in blocks], axis=axis)
+    return np.broadcast_to(stack.astype(complex, copy=False), shape)
+
+
+def _coefficients(op: PhaseSpaceOperator, p) -> tuple:
+    """(A, B, dA, dB) at momenta (..., 3); dA and dB are None when op
+    carries values only."""
+    p = op.check_p(p)
+    coeffs = op.coeffs(p)
+    shape = p.shape[:-1] + (op.dim, op.dim)
+    gshape = shape[:-2] + (3,) + shape[-2:]
+    vals = [x.val if isinstance(x, Jet) else x for x in coeffs]
+    grads = [x.grad if isinstance(x, Jet) else 0.0 for x in coeffs]
+    A = np.broadcast_to(np.asarray(vals[0], dtype=complex), shape)
+    B = _stacked(vals[1:], -3, gshape)
+    dA = dB = None
+    if all(g is not None for g in grads):
+        dA = np.broadcast_to(np.asarray(grads[0], dtype=complex), gshape)
+        dB = _stacked(grads[1:], -4, shape[:-2] + (3, 3) + shape[-2:])
+    if not all(np.isfinite(x).all() for x in (A, B, dA, dB) if x is not None):
+        raise DomainError(f"operator '{op.label}' evaluated to non-finite entries")
+    return A, B, dA, dB
 
 
 def snapshot(op: PhaseSpaceOperator, p) -> OpSnapshot:
-    p = op.check_p(p)
-    d = op.dim
-    A = np.asarray(op.A(p), dtype=complex)
-    B = np.stack([np.asarray(op.B[l](p), dtype=complex) for l in range(3)])
-    if op.grad_A is not None:
-        dA = np.asarray(op.grad_A(p), dtype=complex)
-    else:
-        dA = np.stack([coeff_derivative(op.A, p, k) for k in range(3)])
-    if op.grad_B is not None:
-        dB = np.asarray(op.grad_B(p), dtype=complex)
-    else:
-        dB = np.empty((3, 3, d, d), dtype=complex)
-        for l in range(3):
-            for k in range(3):
-                dB[l, k] = coeff_derivative(op.B[l], p, k)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise DomainError(f"operator '{op.label}' evaluated to non-finite entries")
-    return OpSnapshot(d, A, B, dA, dB)
+    """Coefficients of op and their exact gradients at momenta (..., 3)."""
+    A, B, dA, dB = _coefficients(op, p)
+    if dA is None:
+        raise DomainError(f"operator '{op.label}' carries no coefficient gradients "
+                          "and cannot be commuted")
+    return OpSnapshot(op.dim, A, B, dA, dB)
 
 
 def evaluate(op: PhaseSpaceOperator, p) -> PhaseOpValue:
-    """Coefficients of op at momentum p (no derivative data)."""
-    p = op.check_p(p)
-    A = np.asarray(op.A(p), dtype=complex)
-    B = np.stack([np.asarray(op.B[l](p), dtype=complex) for l in range(3)])
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise DomainError(f"operator '{op.label}' evaluated to non-finite entries")
+    """Coefficients of op at momenta (..., 3) (no derivative data)."""
+    A, B, _, _ = _coefficients(op, p)
     return PhaseOpValue(A, B)
 
 
 def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
-    """Commutator of two first-order operators from frozen snapshots.
+    """Commutator of two first-order operators from snapshots at the same momenta.
 
     zeroth:  [A, C] + sum_k (B_k dC_k - D_k dA_k)
     first l: [A, D_l] + [B_l, C] + sum_k (B_k dD_{l,k} - D_k dB_{l,k})
@@ -623,21 +571,20 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     A, B, dA, dB = s1.A, s1.B, s1.dA, s1.dB
     C, D, dC, dD = s2.A, s2.B, s2.dA, s2.dB
 
-    zero = (A @ C - C @ A
-            + np.einsum("kab,kbc->ac", B, dC)
-            - np.einsum("kab,kbc->ac", D, dA))
-    first = (np.einsum("ab,lbc->lac", A, D) - np.einsum("lab,bc->lac", D, A)
-             + np.einsum("lab,bc->lac", B, C) - np.einsum("ab,lbc->lac", C, B)
-             + np.einsum("kab,lkbc->lac", B, dD)
-             - np.einsum("kab,lkbc->lac", D, dB))
-    bd = np.einsum("kab,lbc->klac", B, D)
-    db = np.einsum("kab,lbc->klac", D, B)
-    second = 0.5 * (bd + bd.transpose(1, 0, 2, 3) - db - db.transpose(1, 0, 2, 3))
+    zero = A @ C - C @ A + (B @ dC).sum(axis=-3) - (D @ dA).sum(axis=-3)
+    first = (_kaxis(A) @ D - D @ _kaxis(A) + B @ _kaxis(C) - _kaxis(C) @ B
+             + (B[..., None, :, :, :] @ dD).sum(axis=-3)
+             - (D[..., None, :, :, :] @ dB).sum(axis=-3))
+    # in place, to keep the (..., 3, 3, d, d) temporaries few
+    second = _kaxis(B) @ D[..., None, :, :, :]      # B_k D_l
+    second -= _kaxis(D) @ B[..., None, :, :, :]     # D_k B_l
+    second += second.swapaxes(-3, -4)
+    second *= 0.5
     return PhaseOpValue(zero, first, second)
 
 
 def op_commutator(op1: PhaseSpaceOperator, op2: PhaseSpaceOperator, p) -> PhaseOpValue:
-    """[op1, op2] evaluated at momentum p."""
+    """[op1, op2] evaluated at momenta p."""
     return commutator_snapshot(snapshot(op1, p), snapshot(op2, p))
 
 
@@ -648,50 +595,38 @@ def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
     The derivative part shifts the multiplicative part:
         A' = U A U^-1 + sum_k U B_k (d U^-1 / d p_k)
         B'_k = U B_k U^-1
-    Unitarity of U at each evaluation point is checked to 1e-10.
+    Each evaluation computes U, U^-1 and the exact gradient of U^-1 once and
+    checks unitarity at every momentum to 1e-10.  The result carries
+    coefficient values only: commuting it would need second derivatives of
+    U^-1.
     """
     if U.dim != op.dim or U_inv.dim != op.dim:
         raise DomainError("dimension mismatch in conjugation")
-    probe = np.array([0.1, 0.2, 0.3])
-    for k in range(3):
-        if frob(np.asarray(U.B[k](probe))) != 0.0:
-            raise DomainError("conjugation requires a transformation with no "
-                              "derivative part")
+    if frob(evaluate(U, np.array([0.1, 0.2, 0.3])).B) != 0.0:
+        raise DomainError("conjugation requires a transformation with no "
+                          "derivative part")
 
-    def _mats(p):
-        Um = np.asarray(U.A(p), dtype=complex)
-        Vi = np.asarray(U_inv.A(p), dtype=complex)
-        defect = frob(Um @ Vi - np.eye(op.dim))
-        if defect > UNITARITY_ATOL * np.sqrt(op.dim):
+    def coeffs(p):
+        Um = evaluate(U, p).A
+        inv = snapshot(U_inv, p)
+        defect = np.linalg.norm(Um @ inv.A - np.eye(op.dim), axis=(-2, -1))
+        if (defect > UNITARITY_ATOL * np.sqrt(op.dim)).any():
+            worst = np.argmax(defect)
             raise NonUnitaryError(
-                f"U U^-1 deviates from identity by {defect:.3e} at p = {p}"
+                f"U U^-1 deviates from identity by {defect.flat[worst]:.3e} "
+                f"at p = {p.reshape(-1, 3)[worst]}"
             )
-        return Um, Vi
+        val = evaluate(op, p)
+        A = Um @ val.A @ inv.A + (_kaxis(Um) @ val.B @ inv.dA).sum(axis=-3)
+        B = _kaxis(Um) @ val.B @ _kaxis(inv.A)
+        return (Jet(A, None), *(Jet(B[..., l, :, :], None) for l in range(3)))
 
-    def A(p):
-        Um, Vi = _mats(p)
-        if U_inv.grad_A is not None:
-            dVi = U_inv.grad_A(p)
-        else:
-            dVi = [coeff_derivative(U_inv.A, p, k) for k in range(3)]
-        out = Um @ np.asarray(op.A(p), dtype=complex) @ Vi
-        for k in range(3):
-            out = out + Um @ np.asarray(op.B[k](p), dtype=complex) @ dVi[k]
-        return out
-
-    def make_B(l):
-        def Bl(p):
-            Um, Vi = _mats(p)
-            return Um @ np.asarray(op.B[l](p), dtype=complex) @ Vi
-        return Bl
-
-    return PhaseSpaceOperator(op.dim, A, tuple(make_B(l) for l in range(3)),
-                              label or f"conj({op.label})",
-                              op.mass, max(op.min_p, U.min_p, U_inv.min_p))
+    return PhaseSpaceOperator(op.dim, coeffs, label or f"conj({op.label})",
+                              max(op.min_p, U.min_p, U_inv.min_p))
 
 
 def hermiticity_residual(op: PhaseSpaceOperator, p) -> float:
-    """How far op is from Hermitian as an operator on L^2(dp).
+    """How far op is from Hermitian as an operator on L^2(dp) at one momentum.
 
     Conditions: every B_k anti-Hermitian, and
     A^dag - A + sum_k dB_k/dp_k = 0.

@@ -32,27 +32,22 @@ from .dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
 from .linalg import mat_exp
 
 
-def _velocity_closed(H: np.ndarray, v0: np.ndarray, pk: float,
-                     eps: float, t: float) -> np.ndarray:
+def _closed(H: np.ndarray, v0: np.ndarray, pk: float, eps: float,
+            t: float) -> tuple:
+    """(v(t), r(t) - r(0)) at fixed momentum, from one propagator exp(-2iHt)."""
     h_inv = H / (eps * eps)
     drift = pk * h_inv
-    return (v0 - drift) @ free_propagator(H, eps, 2 * t) + drift
-
-
-def _position_closed(H: np.ndarray, v0: np.ndarray, pk: float,
-                     eps: float, t: float) -> np.ndarray:
-    n = H.shape[0]
-    h_inv = H / (eps * eps)
-    osc = 0.5j * (v0 - pk * h_inv) @ h_inv @ (free_propagator(H, eps, 2 * t) - np.eye(n))
-    return pk * t * h_inv + osc
+    prop = free_propagator(H, eps, 2 * t)
+    amp = v0 - drift
+    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
+    return amp @ prop + drift, pk * t * h_inv + osc
 
 
 def dirac_velocity_closed(p, m: float, t: float, component: int) -> np.ndarray:
     """Heisenberg velocity matrix of the free Dirac particle."""
     p = np.asarray(p, dtype=float)
-    H = dirac_hamiltonian(p, m)
-    return _velocity_closed(H, GAMMA.alpha[component], p[component],
-                            energy(p, m), t)
+    return _closed(dirac_hamiltonian(p, m), GAMMA.alpha[component], p[component],
+                   energy(p, m), t)[0]
 
 
 def dirac_position_closed(p, m: float, t: float, component: int) -> np.ndarray:
@@ -62,22 +57,17 @@ def dirac_position_closed(p, m: float, t: float, component: int) -> np.ndarray:
     out; the caller adds it symbolically if needed.
     """
     p = np.asarray(p, dtype=float)
-    H = dirac_hamiltonian(p, m)
-    return _position_closed(H, GAMMA.alpha[component], p[component],
-                            energy(p, m), t)
+    return _closed(dirac_hamiltonian(p, m), GAMMA.alpha[component], p[component],
+                   energy(p, m), t)[1]
 
 
 def fv_closed(p, m: float, t: float) -> tuple:
     """(velocity, position) closed forms for the free scalar particle,
     stacked over the three components; position excludes r(0)."""
     p = np.asarray(p, dtype=float)
-    H = fv_hamiltonian_matrix(p, m)
-    eps = energy(p, m)
-    v = np.stack([_velocity_closed(H, fv_velocity_matrix(p, m, c), p[c], eps, t)
-                  for c in range(3)])
-    r = np.stack([_position_closed(H, fv_velocity_matrix(p, m, c), p[c], eps, t)
-                  for c in range(3)])
-    return v, r
+    H, eps = fv_hamiltonian_matrix(p, m), energy(p, m)
+    v, r = zip(*(_closed(H, fv_velocity_matrix(p, m, c), p[c], eps, t) for c in range(3)))
+    return np.stack(v), np.stack(r)
 
 
 def fw_velocity(p, m: float, component: int) -> np.ndarray:
@@ -159,17 +149,15 @@ def record_evolution(p, m: float, times, component: int,
     """Closed-form velocity/position series for one momentum and component."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
-    if particle == "dirac":
-        vel = [dirac_velocity_closed(p, m, t, component) for t in times]
-        pos = [dirac_position_closed(p, m, t, component) for t in times]
-        rep = "Dirac"
-    elif particle == "fv":
-        vel, pos = [], []
-        for t in times:
-            v, r = fv_closed(p, m, t)
-            vel.append(v[component])
-            pos.append(r[component])
-        rep = "FV"
+    if particle in ("dirac", "fv"):
+        # H, v(0) and eps are constants of the record
+        if particle == "dirac":
+            H, v0, rep = dirac_hamiltonian(p, m), GAMMA.alpha[component], "Dirac"
+        else:
+            H, v0, rep = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component), "FV"
+        eps = energy(p, m)
+        series = [_closed(H, v0, p[component], eps, t) for t in times]
+        vel, pos = [v for v, _ in series], [r for _, r in series]
     elif particle == "fw":
         v = fw_velocity(p, m, component)
         vel = [v.copy() for _ in times]

@@ -87,7 +87,7 @@ def _worldline_oracle_gaps(m: float) -> tuple:
     sum_k defect(S = e_k) Sigma_k / 2.
     """
     ops = build_quantum_set("conventional", m)
-    velocity, velocity_grad = _velocity_closed_form("conventional", m)
+    velocity = _velocity_closed_form("conventional", m)
     no_b = np.zeros((3, 4, 4), dtype=complex)
     shifted, quantum_classical = 0.0, 0.0
     for p in sample_momenta(100):
@@ -97,8 +97,7 @@ def _worldline_oracle_gaps(m: float) -> tuple:
             for j in range(3):
                 shift = worldline_defect("conventional", m, p, i, j)
                 residual = (commutator_snapshot(snaps["q"][i], snaps["K"][j])
-                            - _rhs_worldline(snaps, p, i, j,
-                                             velocity, velocity_grad))
+                            - _rhs_worldline(snaps, p, i, j, velocity))
                 shifted = max(shifted,
                               (residual - PhaseOpValue(shift, no_b)).norm())
                 classical = sum(
@@ -234,8 +233,8 @@ def test_criterion_05_exact_transformation_on_grid():
     grid = Grid1D(n=64, length=32.0)
     m = 1.0
     bh = erk.discretize_dirac_1d(grid, m, lambda x: np.zeros_like(x))
-    u = erk.eriksen_unitary(bh)
-    conds = erk.eriksen_conditions(u, bh)
+    u, lam = erk.eriksen_unitary(bh)
+    conds = erk.eriksen_conditions(u, lam, bh)
     h_fw = u @ bh.H @ u.conj().T
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(h_fw, bh.n_upper)

@@ -55,6 +55,9 @@ def test_verify_algebra_all_sets(tmp_path):
     sets = {row["set_name"] for row in data}
     assert sets == {"conventional", "naive_dirac", "center_of_mass",
                     "projected", "classical"}
+    # the 1/m coefficients at low mass: exact gradients keep [q_i,j_j] exact
+    assert run(["verify-algebra", "--set", "center_of_mass", "--mass", "0.001",
+                "--samples", "20", "--out", str(tmp_path / "low_mass.json")]) == 0
 
 
 def test_verify_algebra_strict_floor_fails(tmp_path, capsys):
@@ -178,3 +181,8 @@ def test_numerical_error_exits_1(capsys):
     code = run(["packet", "--p0", "500", "--sigma", "0.1", "--n", "64"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+    # a negative mass is rejected before any row is printed
+    for cmd in ("packet", "pce"):
+        assert run([cmd, "--mass", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "mass must be non-negative" in captured.err and captured.out == ""

@@ -49,7 +49,7 @@ def test_spectral_momentum_is_hermitian_and_diagonalizes_plane_waves():
 
 def test_eriksen_on_diagonal_mass_term_is_identity():
     bh = BlockedHamiltonian(H=2.0 * GAMMA.beta, beta=GAMMA.beta.copy(), M=2.0 * I4)
-    u = eriksen_unitary(bh)
+    u, _ = eriksen_unitary(bh)
     assert np.allclose(u, I4, atol=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_eriksen_matches_free_closed_form_unitary():
     rng = np.random.default_rng(2)
     for _ in range(6):
         p = rng.uniform(-4, 4, 3)
-        u = eriksen_unitary(blocked_4x4(p, m))
+        u, _ = eriksen_unitary(blocked_4x4(p, m))
         closed = evaluate(fw_unitary_free(m), p).A
         assert np.linalg.norm(u - closed) <= 1e-12
 
@@ -109,15 +109,15 @@ def test_odd_part_anticommutes_with_beta(free_grid_system):
 
 def test_eriksen_conditions_on_free_grid(free_grid_system):
     grid, bh = free_grid_system
-    u = eriksen_unitary(bh)
-    conds = eriksen_conditions(u, bh)
+    u, lam = eriksen_unitary(bh)
+    conds = eriksen_conditions(u, lam, bh)
     for name, value in conds.items():
         assert value <= 1e-10, name
 
 
 def test_positive_block_spectrum(free_grid_system):
     grid, bh = free_grid_system
-    u = eriksen_unitary(bh)
+    u, _ = eriksen_unitary(bh)
     h_fw = u @ bh.H @ u.conj().T
     expected = np.sort(np.repeat(np.sqrt(1.0 + grid.p_fft**2), 2))
     assert np.max(np.abs(upper_block_spectrum(h_fw, bh.n_upper) - expected)) <= 1e-10
@@ -127,8 +127,8 @@ def test_eriksen_conditions_with_potential():
     grid = Grid1D(n=32, length=16.0)
     bh = discretize_dirac_1d(grid, 1.0,
                              lambda x: 0.2 * np.exp(-x**2 / 4.0))
-    u = eriksen_unitary(bh)
-    conds = eriksen_conditions(u, bh)
+    u, lam = eriksen_unitary(bh)
+    conds = eriksen_conditions(u, lam, bh)
     assert conds["lambda_squared"] <= 1e-10
     assert conds["odd_exponent"] <= 1e-10
     assert conds["unitarity"] <= 1e-10
@@ -139,7 +139,7 @@ def test_exactness_when_even_odd_commute():
     # constant potential commutes with the odd part: transform stays exact
     grid = Grid1D(n=32, length=16.0)
     bh = discretize_dirac_1d(grid, 1.0, lambda x: 0.25 * np.ones_like(x))
-    u = eriksen_unitary(bh)
+    u, _ = eriksen_unitary(bh)
     h_fw = u @ bh.H @ u.conj().T
     assert offblock_norm(h_fw, bh.n_upper) <= 1e-10
 

@@ -1,4 +1,5 @@
-"""Every public module-level function and class of fwbench has a caller.
+"""Every module-level function and class of fwbench, public or private,
+has a caller.
 
 A name counts as used when it is read, as a name or an attribute, somewhere
 in src/, scripts/ or tests/ outside its own definition.  The re-exports in
@@ -28,11 +29,10 @@ def test_every_public_definition_has_a_caller():
         for stmt in ast.parse(path.read_text()).body:
             names = _names_read(stmt)
             if (path.parent == PACKAGE
-                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
+                    and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))):
                 defined[stmt.name] = path.name
                 names.discard(stmt.name)
             used |= names
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used)
-    assert not unused, f"public definitions nothing calls: {unused}"
+    assert not unused, f"definitions nothing calls: {unused}"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from fwbench.algebra import build_quantum_set
 from fwbench.dirac import GAMMA, energy
 from fwbench.phase_ops import (
     DomainError,
     NonUnitaryError,
     OperatorFamily,
     build_operator,
+    coeff_derivative,
     conjugate,
     constant_operator,
     evaluate,
@@ -24,6 +26,9 @@ RNG = np.random.default_rng(42)
 MOMENTA = [RNG.uniform(-5, 5, 3) for _ in range(12)]
 
 F = OperatorFamily
+MASSIVE_ONLY = {F.COM_POSITION_FW, F.COM_POSITION_DIRAC, F.LAB_SPIN_FW,
+                F.LAB_SPIN_DIRAC, F.COM_OAM, F.FOUR_SPIN_SPACE, F.FOUR_SPIN_TIME,
+                F.SPIN_PRIME, F.FV_HAMILTONIAN, F.FV_VELOCITY}
 
 
 def cross_c(mats, p, c):
@@ -99,6 +104,32 @@ def test_massless_rejection_for_rest_frame_families():
     for fam in (F.COM_POSITION_FW, F.LAB_SPIN_FW, F.FOUR_SPIN_TIME, F.SPIN_PRIME):
         with pytest.raises(DomainError, match="positive mass"):
             build_operator(fam, 0.0, 1 if fam.is_vector else None)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 10.0])
+def test_exact_gradients_and_stacks(m):
+    # every family and component, the free unitaries and the naive boost:
+    # exact dA, dB against the Richardson oracle, and an (N, 3) stack against
+    # N single-momentum snapshots
+    ops = [build_operator(fam, m, c) for fam in OperatorFamily
+           for c in ((1, 2, 3) if fam.is_vector else (None,))
+           if m > 0 or fam not in MASSIVE_ONLY]
+    ops += [fw_unitary_free(m), fw_unitary_free_inv(m)]
+    if m > 0:
+        ops += build_quantum_set("naive_dirac", m)["K"]
+    ps = np.random.default_rng(23).uniform(-5, 5, (4, 3))
+    for op in ops:
+        stack = snapshot(op, ps)
+        for n, p in enumerate(ps):
+            single = snapshot(op, p)
+            for key in ("A", "B", "dA", "dB"):
+                assert np.array_equal(getattr(stack, key)[n], getattr(single, key))
+            for k in range(3):
+                for exact, coeff in ((single.dA[k], lambda q: evaluate(op, q).A),
+                                     (single.dB[:, k], lambda q: evaluate(op, q).B)):
+                    oracle = coeff_derivative(coeff, p, k)
+                    bound = 1e-8 * max(1.0, np.linalg.norm(exact))
+                    assert np.linalg.norm(exact - oracle) <= bound, (op.label, k)
 
 
 def test_massless_singular_momentum_rejected():
@@ -207,6 +238,16 @@ def test_conjugation_reproduces_mean_spin_closed_form(m):
             assert (evaluate(s_dirac, p) - evaluate(oracle, p)).norm() <= 1e-10
 
 
+@pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
+def test_closed_form_dirac_boost_matches_conjugated_fw_boost(m):
+    u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
+    ps = np.random.default_rng(29).uniform(-5, 5, (17, 3))
+    for c in (1, 2, 3):
+        conj = evaluate(conjugate(build_operator(F.BOOST_FW, m, c), ui, u), ps)
+        closed = evaluate(build_operator(F.BOOST_DIRAC, m, c), ps)
+        assert np.all((conj - closed).norm() <= 1e-12)
+
+
 @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
 def test_conjugation_reproduces_nw_position_closed_form(m):
     u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
@@ -261,6 +302,9 @@ def test_identity_conjugation_is_identity():
     conj = conjugate(op, ident, ident)
     for p in MOMENTA[:4]:
         assert (evaluate(conj, p) - evaluate(op, p)).norm() <= 1e-14
+    # a conjugated operator carries values only: it is not commuted
+    with pytest.raises(DomainError, match="cannot be commuted"):
+        snapshot(conj, MOMENTA[0])
 
 
 def test_non_unitary_conjugation_rejected():
