@@ -27,8 +27,9 @@ def main():
         for m in MASSES:
             for r in run_quantum_suite(set_name, m, args.samples):
                 rows.append((set_name, m, r))
-    for r in run_classical_suite(args.samples):
-        rows.append(("classical", 1.0, r))
+    for m in MASSES:
+        for r in run_classical_suite(args.samples, m=m):
+            rows.append(("classical", m, r))
 
     print(f"{'set':14s} {'m':>5s} {'identity':48s} {'expected':8s} "
           f"{'max_resid':>10s} verdict")

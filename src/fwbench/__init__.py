@@ -31,6 +31,7 @@ from .phase_ops import (
 from .algebra import (
     AlgebraReport,
     ClassicalState,
+    classical_observables,
     poisson_bracket,
     run_classical_suite,
     run_quantum_suite,

@@ -15,6 +15,14 @@ particle.  Each identity yields an AlgebraReport whose verdict encodes
 whether the identity held (or failed) as expected, so the suites assert
 negative results as first-class outcomes.
 
+Both kinds of suite evaluate exactly, on a whole stack of samples at once.
+A quantum operator is snapshotted once on the (N, 3) momenta and each
+identity pair is one batched commutator.  A classical observable is one
+forward-mode Jet expression over the 9 phase-space coordinates (Q, P, S),
+evaluated once on the stack of states, and each identity pair is one
+Poisson bracket of the exact gradients.  Identities are checked at t = 0,
+so the -t d_ij terms of the worldline relations vanish.
+
 One known caveat is encoded in the manifests: the worldline relation
 [q_i, K_j] = (q_j [q_i, H] + [q_i, H] q_j)/2 - i t delta_ij cannot hold for
 any spin-1/2 position operator with commuting components (the boost of a
@@ -38,7 +46,6 @@ from .phase_ops import (
     PhaseOpValue,
     PhaseSpaceOperator,
     build_operator,
-    coeff_derivative,
     commutator_snapshot,
     cross_c,
     energy_jet,
@@ -384,13 +391,13 @@ def worldline_defect(set_name: str, m: float, p, i: int, j: int) -> np.ndarray:
 
 @dataclass
 class ClassicalState:
-    """Phase-space point of a free spinning particle."""
+    """Phase-space points of a free spinning particle: Q, P and S of shape
+    (..., 3), one point or a stack."""
 
     Q: np.ndarray
     P: np.ndarray
     S: np.ndarray
     m: float
-    t: float = 0.0
 
     def __post_init__(self):
         self.Q = np.asarray(self.Q, dtype=float)
@@ -399,73 +406,41 @@ class ClassicalState:
         if self.m <= 0:
             raise ValueError("classical suite requires m > 0")
 
-    def replace(self, **kw) -> "ClassicalState":
-        data = {"Q": self.Q.copy(), "P": self.P.copy(), "S": self.S.copy(),
-                "m": self.m, "t": self.t}
-        data.update(kw)
-        return ClassicalState(**data)
+
+def classical_observables(state: ClassicalState) -> dict:
+    """Every catalogued observable at the states, as a scalar Jet over the 9
+    phase-space coordinates (Q, P, S).
+
+    "H" is one Jet, with the closed-form gradient (0, P/H, 0); Q, P, S, L, J
+    and K are 3-lists, with
+        L = Q x P,  J = L + S,  K_i = Q_i H - (S x P)_i / (m + H).
+    """
+    X = momentum_jets(np.concatenate([state.Q, state.P, state.S], axis=-1))
+    Q, P, S = X[0:3], X[3:6], X[6:9]
+    e = energy_jet(state.P, state.m)
+    zero = np.zeros_like(e.grad)
+    H = Jet(e.val, np.concatenate([zero, e.grad, zero], axis=-3))
+    L = [cross_c(Q, P, c) for c in range(3)]
+    return {"H": H, "Q": Q, "P": P, "S": S, "L": L,
+            "J": [L[c] + S[c] for c in range(3)],
+            "K": [Q[c] * H - cross_c(S, P, c) / (state.m + H) for c in range(3)]}
 
 
-def _gradient_triple(f: Callable, state: ClassicalState,
-                     rel_step: float = 1e-6) -> tuple:
-    """(dQ, dP, dS) of a scalar observable, by coeff_derivative in each block."""
-    def block_gradient(block):
-        def along(vec):
-            return f(state.replace(**{block: vec}))
-        vec = getattr(state, block)
-        return np.array([coeff_derivative(along, vec, k, rel_step) for k in range(3)])
-    return tuple(block_gradient(block) for block in ("Q", "P", "S"))
+def poisson_bracket(f: Jet, g: Jet, state: ClassicalState) -> np.ndarray:
+    """{f, g} at the states, exact, for observables given as Jets over
+    (Q, P, S): canonical (Q, P) pairs plus the su(2) spin bracket
+    {S_i, S_j} = e_ijk S_k,
+
+        {f, g} = df/dQ . dg/dP - df/dP . dg/dQ + S . (df/dS x dg/dS).
+    """
+    a, b = f.grad[..., 0, 0], g.grad[..., 0, 0]
+    canonical = (a[..., 0:3] * b[..., 3:6] - a[..., 3:6] * b[..., 0:3]).sum(axis=-1)
+    return canonical + (state.S * np.cross(a[..., 6:9], b[..., 6:9])).sum(axis=-1)
 
 
-def _bracket_from_grads(gf, gg, S) -> float:
-    val = float(gf[0] @ gg[1] - gf[1] @ gg[0])
-    cross = np.cross(gf[2], gg[2])
-    return val + float(S @ cross)
-
-
-def poisson_bracket(f: Callable, g: Callable, state: ClassicalState,
-                    rel_step: float = 1e-6) -> float:
-    """{f, g} with canonical (Q, P) pairs plus the su(2) spin bracket
-    {S_i, S_j} = e_ijk S_k."""
-    return _bracket_from_grads(_gradient_triple(f, state, rel_step),
-                               _gradient_triple(g, state, rel_step), state.S)
-
-
-def classical_H(state: ClassicalState) -> float:
-    return float(np.sqrt(state.m**2 + state.P @ state.P))
-
-
-def classical_K(state: ClassicalState, i: int) -> float:
-    h = classical_H(state)
-    sxp = np.cross(state.S, state.P)
-    return float(state.Q[i] * h - sxp[i] / (state.m + h) - state.t * state.P[i])
-
-
-def classical_J(state: ClassicalState, i: int) -> float:
-    return float(np.cross(state.Q, state.P)[i] + state.S[i])
-
-
-def classical_L(state: ClassicalState, i: int) -> float:
-    return float(np.cross(state.Q, state.P)[i])
-
-
-def classical_observable(name: str, i: int = 0) -> Callable:
-    """Named scalar observable; vector components via index i."""
-    if name == "H":
-        return classical_H
-    if name == "Q":
-        return lambda st: float(st.Q[i])
-    if name == "P":
-        return lambda st: float(st.P[i])
-    if name == "S":
-        return lambda st: float(st.S[i])
-    if name == "J":
-        return lambda st: classical_J(st, i)
-    if name == "L":
-        return lambda st: classical_L(st, i)
-    if name == "K":
-        return lambda st: classical_K(st, i)
-    raise ValueError(f"unknown classical observable {name!r}")
+def _value(obs: Jet) -> np.ndarray:
+    """An observable's values, one per state."""
+    return obs.val[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -473,19 +448,18 @@ class ClassicalIdentity:
     identity_id: str
     lhs: tuple
     pairs: list
-    rhs: Callable                    # (state, i, j) -> float
+    rhs: Callable                    # (observables dict, i, j) -> values
     expected: str = "hold"
     note: str = ""
 
 
 def classical_identities() -> list:
     def eps_term(name):
-        def rhs(st, i, j):
-            return sum(levi(i, j, k) * classical_observable(name, k)(st)
-                       for k in range(3))
+        def rhs(obs, i, j):
+            return sum(levi(i, j, k) * _value(obs[name][k]) for k in range(3))
         return rhs
 
-    def zero(st, i, j):
+    def zero(obs, i, j):
         return 0.0
 
     worldline_note = ("same spin-induced worldline defect as the quantum "
@@ -501,21 +475,19 @@ def classical_identities() -> list:
         ClassicalIdentity("{J_i,K_j} = e_ijk K_k", ("J", "K"), _PAIRS_ALL,
                           eps_term("K")),
         ClassicalIdentity("{K_i,H} = P_i", ("K", "H"), _SINGLES,
-                          lambda st, i, j: float(st.P[i])),
+                          lambda obs, i, j: _value(obs["P"][i])),
         ClassicalIdentity("{K_i,K_j} = -e_ijk J_k", ("K", "K"), _PAIRS_ANTISYM,
-                          lambda st, i, j: -sum(levi(i, j, k) * classical_J(st, k)
-                                                for k in range(3))),
+                          lambda obs, i, j: -eps_term("J")(obs, i, j)),
         ClassicalIdentity("{K_i,P_j} = d_ij H", ("K", "P"), _PAIRS_ALL,
-                          lambda st, i, j: classical_H(st) if i == j else 0.0),
+                          lambda obs, i, j: _value(obs["H"]) if i == j else 0.0),
         ClassicalIdentity("{Q_i,P_j} = d_ij", ("Q", "P"), _PAIRS_ALL,
-                          lambda st, i, j: 1.0 if i == j else 0.0),
+                          lambda obs, i, j: 1.0 if i == j else 0.0),
         ClassicalIdentity("{Q_i,J_j} = e_ijk Q_k", ("Q", "J"), _PAIRS_ALL,
                           eps_term("Q")),
         ClassicalIdentity("{Q_i,K_j} = Q_j{Q_i,H} - t d_ij", ("Q", "K"),
                           _PAIRS_ALL,
-                          lambda st, i, j: float(
-                              st.Q[j] * st.P[i] / classical_H(st)
-                              - st.t * (1.0 if i == j else 0.0)),
+                          lambda obs, i, j: (_value(obs["Q"][j]) * _value(obs["P"][i])
+                                             / _value(obs["H"])),
                           expected="fail", note=worldline_note),
         ClassicalIdentity("{L_i,P_j} = e_ijk P_k", ("L", "P"), _PAIRS_ALL,
                           eps_term("P")),
@@ -531,63 +503,54 @@ def classical_identities() -> list:
                           eps_term("S")),
         ClassicalIdentity("{L_i,S_j} = 0", ("L", "S"), _PAIRS_ALL, zero),
         ClassicalIdentity("{H,Q_i} = -P_i/H", ("H", "Q"), [(0, i) for i in range(3)],
-                          lambda st, i, j: float(-st.P[j] / classical_H(st))),
+                          lambda obs, i, j: -_value(obs["P"][j]) / _value(obs["H"])),
     ]
 
 
-def sample_states(n: int, m: float = 1.0, seed: int = 42) -> list:
+def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
+    """n seeded states, stacked: Q and P uniform in [-5, 5]^3 (|P| >= 1e-3),
+    S along a random direction with length uniform in [0.5, 2]."""
     rng = np.random.default_rng(seed)
-    states = []
-    for _ in range(n):
-        q = rng.uniform(-5, 5, 3)
+    Q, P, S = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
+    for k in range(n):
+        Q[k] = rng.uniform(-5, 5, 3)
         p = rng.uniform(-5, 5, 3)
         while np.linalg.norm(p) < 1e-3:
             p = rng.uniform(-5, 5, 3)
+        P[k] = p
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        s = direction * rng.uniform(0.5, 2.0)
-        states.append(ClassicalState(Q=q, P=p, S=s, m=m))
-    return states
-
-
-def _state_gradients(state: ClassicalState, rel_step: float = 1e-6) -> dict:
-    """Gradient triples (dQ, dP, dS) of every catalogued observable."""
-    out = {}
-    for name in ("H", "Q", "P", "S", "J", "L", "K"):
-        comps = (0,) if name == "H" else (0, 1, 2)
-        for i in comps:
-            out[(name, i)] = _gradient_triple(classical_observable(name, i),
-                                              state, rel_step)
-    return out
+        S[k] = direction * rng.uniform(0.5, 2.0)
+    return ClassicalState(Q=Q, P=P, S=S, m=m)
 
 
 def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42,
                         tol: float = CLASSICAL_TOL,
                         floor: float = FAILURE_FLOOR) -> list:
-    """Evaluate the Poisson table at seeded random states."""
-    idents = classical_identities()
+    """Evaluate the Poisson table at seeded random states.
+
+    The observables are evaluated once on the whole stack of states, and
+    each identity pair is one exact bracket over that stack.
+    """
     states = sample_states(n_samples, m, seed)
-    residuals = {iden.identity_id: [] for iden in idents}
-    for st in states:
-        grads = _state_gradients(st)
-        for iden in idents:
-            worst = 0.0
-            for (i, j) in iden.pairs:
-                gf = grads[(iden.lhs[0], i if iden.lhs[0] != "H" else 0)]
-                gg = grads[(iden.lhs[1], j if iden.lhs[1] != "H" else 0)]
-                val = _bracket_from_grads(gf, gg, st.S)
-                worst = max(worst, abs(val - iden.rhs(st, i, j)))
-            residuals[iden.identity_id].append(worst)
-
-    return [_report(iden.identity_id, "classical", residuals[iden.identity_id],
-                    iden.expected, iden.note, tol, floor)
-            for iden in idents]
+    obs = classical_observables(states)
+    reports = []
+    for iden in classical_identities():
+        worst = np.zeros(n_samples)
+        for (i, j) in iden.pairs:
+            f = obs["H"] if iden.lhs[0] == "H" else obs[iden.lhs[0]][i]
+            g = obs["H"] if iden.lhs[1] == "H" else obs[iden.lhs[1]][j]
+            worst = np.maximum(worst, np.abs(poisson_bracket(f, g, states)
+                                             - iden.rhs(obs, i, j)))
+        reports.append(_report(iden.identity_id, "classical", worst,
+                               iden.expected, iden.note, tol, floor))
+    return reports
 
 
-def classical_worldline_defect(state: ClassicalState, i: int, j: int) -> float:
-    """Closed form of the {Q_i, K_j} residual:
+def classical_worldline_defect(state: ClassicalState, i: int, j: int) -> np.ndarray:
+    """Closed form of the {Q_i, K_j} residual at the states:
     -e_ijk S_k/(m+H) + (S x P)_j P_i / (H (m+H)^2)."""
-    h = classical_H(state)
+    h = np.sqrt(state.m ** 2 + (state.P ** 2).sum(axis=-1))
     sxp = np.cross(state.S, state.P)
-    return float(-sum(levi(i, j, k) * state.S[k] for k in range(3)) / (state.m + h)
-                 + sxp[j] * state.P[i] / (h * (state.m + h) ** 2))
+    return (-sum(levi(i, j, k) * state.S[..., k] for k in range(3)) / (state.m + h)
+            + sxp[..., j] * state.P[..., i] / (h * (state.m + h) ** 2))

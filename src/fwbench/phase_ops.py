@@ -17,9 +17,10 @@ one call, and their momentum gradients are exact.  Each catalogue
 coefficient is written once in forward-mode (value, gradient) arithmetic
 (Jet), so its gradient comes from the same expression as its value; the
 Dirac, FW and FV Hamiltonians and the free unitary carry the closed-form
-gradients they imply.  Nothing here differences numerically:
-coeff_derivative, a Richardson central difference, serves the classical
-Poisson brackets and the tests, where it is an independent oracle.
+gradients they imply.  The same Jets, with 9 gradient entries, carry the
+classical observables over phase space (Q, P, S) in algebra.  Nothing in
+the program differences numerically: the Richardson central difference
+kept here serves only the tests, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -135,14 +136,15 @@ def _kaxis(x: np.ndarray) -> np.ndarray:
 
 
 class Jet:
-    """A coefficient and its exact momentum gradient, carried through one
-    expression.
+    """A coefficient and its exact gradient, carried through one expression.
 
-    val has shape (..., r, c) and grad shape (..., 3, r, c), with
-    grad[..., k, :, :] = d val / d p_k.  A scalar function of p has
-    r = c = 1, so it scales d x d matrices elementwise.  Plain numbers and
-    constant matrices combine with a Jet as momentum-independent values.
-    A Jet whose grad is None carries a value only.
+    val has shape (..., r, c) and grad shape (..., n, r, c), with
+    grad[..., k, :, :] = d val / d x_k over n coordinates x: the 3 momenta
+    of an operator coefficient, or the 9 phase-space coordinates (Q, P, S)
+    of a classical observable.  A scalar function has r = c = 1, so it
+    scales d x d matrices elementwise.  Plain numbers and constant matrices
+    combine with a Jet as coordinate-independent values.  A Jet whose grad
+    is None carries a value only.
     """
 
     __array_ufunc__ = None    # ndarray operands defer to the reflected methods
@@ -195,12 +197,11 @@ class Jet:
         return Jet(other @ self.val, other @ self.grad)
 
 
-_UNIT = np.eye(3)[:, :, None, None]     # _UNIT[k] = d p_k / d p, shape (3, 1, 1)
-
-
 def momentum_jets(p: np.ndarray) -> list:
-    """The components p_1, p_2, p_3 of momenta (..., 3) as scalar Jets."""
-    return [Jet(p[..., k, None, None], _UNIT[k]) for k in range(3)]
+    """The components of coordinates (..., n) as scalar Jets with n gradient
+    entries: momenta p_1, p_2, p_3, or the 9 phase-space coordinates."""
+    unit = np.eye(p.shape[-1])[:, :, None, None]    # unit[k] = d p_k / d p
+    return [Jet(p[..., k, None, None], unit[k]) for k in range(p.shape[-1])]
 
 
 def energy_jet(p: np.ndarray, m: float) -> Jet:
@@ -483,7 +484,8 @@ def coeff_derivative(f: Callable, p: np.ndarray, k: int,
     """d f / d p_k by central differences with one Richardson level.
 
     f returns an array (an operator coefficient) or a float (a classical
-    observable, with p one block of phase-space coordinates).
+    observable, with p the phase-space coordinates).  The tests use it as an
+    oracle for the exact Jet gradients.
     """
     h = rel_step * max(1.0, float(np.linalg.norm(p)))
 

@@ -99,14 +99,6 @@ def omega_noninertial(p, m: float, cfg: FieldConfig) -> np.ndarray:
     return np.cross(cfg.frame_accel, p) / (eps + m) - cfg.frame_omega
 
 
-def omega_noninertial_classical(p, m: float, cfg: FieldConfig) -> np.ndarray:
-    """Classical-Hamiltonian form of the frame precession; identical closed
-    form, evaluated through the classical energy variable."""
-    p = np.asarray(p, dtype=float)
-    eps = float(np.sqrt(m * m + p @ p))
-    return np.cross(cfg.frame_accel, p) / (eps + m) - cfg.frame_omega
-
-
 def propagate_classical(s0, omega, t: float) -> np.ndarray:
     """Rotate s0 about omega by |omega| t (exact Rodrigues formula)."""
     s0 = np.asarray(s0, dtype=float)

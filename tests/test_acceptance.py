@@ -3,7 +3,7 @@
 Each test prints a single "acceptance NN: PASS/FAIL" line (visible with
 pytest -s, and in captured output on failure).
 
-Two checks compare against oracles that do not share the code path they
+Three checks compare against oracles that do not share the code path they
 check, and print the worst oracle gap so that a later failure shows its
 size:
 
@@ -17,6 +17,10 @@ size:
   -i beta d/dp_i [(Sigma x p)_j / (2(eps+m))] to 1e-8, and the shift
   equals i beta times the classical Poisson-bracket defect of {Q_i, K_j}
   at S = Sigma/2 to 1e-10.
+* 07 requires the frame precession rate to equal the classical rate
+  dS/dt = {S, H} of the frame Hamiltonian
+  H = eps(1 + g.r) + S.(g x p)/(eps+m) - omega.(r x p + S), derived by exact
+  Poisson brackets (conftest.classical_frame_precession), to 1e-12.
 * 09 requires the Dirac-picture and block-diagonal-picture densities of
   the packet at p0 = 2m, sigma_p = 0.5m to differ, by the amount a direct
   Fourier quadrature of the closed-form positive-energy spinor gives
@@ -284,7 +288,7 @@ def test_criterion_06_spin_precession_quantum_classical():
                     f"rest-frame rate error {rate_err:.2e}")
 
 
-def test_criterion_07_noninertial_frame():
+def test_criterion_07_noninertial_frame(frame_precession_oracle):
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(25):
@@ -293,7 +297,7 @@ def test_criterion_07_noninertial_frame():
         p = rng.uniform(-5, 5, 3)
         m = rng.uniform(0.2, 5.0)
         q = sd.omega_noninertial(p, m, cfg)
-        c = sd.omega_noninertial_classical(p, m, cfg)
+        c = frame_precession_oracle(p, m, cfg)
         worst = max(worst, float(np.max(np.abs(q - c))))
         expected = np.cross(cfg.frame_accel, p) / (energy(p, m) + m) - cfg.frame_omega
         worst = max(worst, float(np.max(np.abs(q - expected))))

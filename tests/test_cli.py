@@ -58,6 +58,9 @@ def test_verify_algebra_all_sets(tmp_path):
     # the 1/m coefficients at low mass: exact gradients keep [q_i,j_j] exact
     assert run(["verify-algebra", "--set", "center_of_mass", "--mass", "0.001",
                 "--samples", "20", "--out", str(tmp_path / "low_mass.json")]) == 0
+    # at high mass: exact Poisson brackets keep {K_i,K_j} = -e_ijk J_k exact
+    assert run(["verify-algebra", "--set", "classical", "--mass", "100",
+                "--samples", "20", "--out", str(tmp_path / "high_mass.json")]) == 0
 
 
 def test_verify_algebra_strict_floor_fails(tmp_path, capsys):

@@ -9,7 +9,6 @@ from fwbench.spin_dynamics import (
     omega_edm,
     omega_mdm,
     omega_noninertial,
-    omega_noninertial_classical,
     omega_total,
     propagate_classical,
     propagate_quantum,
@@ -88,7 +87,7 @@ def test_noninertial_cases():
                        [0, 0, 2.0 * q / (eps + 1.0)], atol=1e-15)
 
 
-def test_noninertial_quantum_classical_identical():
+def test_noninertial_quantum_classical_identical(frame_precession_oracle):
     rng = np.random.default_rng(8)
     for _ in range(20):
         cfg = FieldConfig(frame_accel=rng.normal(size=3),
@@ -96,7 +95,7 @@ def test_noninertial_quantum_classical_identical():
         p = rng.uniform(-5, 5, 3)
         m = rng.uniform(0.2, 5.0)
         q = omega_noninertial(p, m, cfg)
-        c = omega_noninertial_classical(p, m, cfg)
+        c = frame_precession_oracle(p, m, cfg)
         assert np.max(np.abs(q - c)) <= 1e-12
 
 
