@@ -8,7 +8,6 @@ from .grids import Grid1D
 from .linalg import (
     BranchError,
     LinalgError,
-    anticommutator,
     commutator,
     mat_exp,
     mat_fn,

@@ -54,8 +54,11 @@ def _vec3(text: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _floats(text: str) -> list:
-    return [float(t) for t in text.split(",")]
+def _strengths(text: str) -> list:
+    try:
+        return erk.check_strengths([float(t) for t in text.split(",")]).tolist()
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_int(text: str) -> int:
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     er.add_argument("--n", type=int, default=64)
     er.add_argument("--box", type=float, default=32.0)
     er.add_argument("--mass", type=float, default=1.0)
-    er.add_argument("--v0", type=_floats, default=[1e-3, 1e-2, 1e-1],
+    er.add_argument("--v0", type=_strengths, default=[1e-3, 1e-2, 1e-1],
                     help="comma-separated potential strengths")
     er.add_argument("--out", default=None)
     er.set_defaults(func=cmd_eriksen)

@@ -21,6 +21,18 @@ which coincides with the exact result whenever [E, O] = 0.  The operator F
 defaults to E; it enters only through the double commutator and is exposed
 for callers that need a different even operator there.
 
+Here beta = diag(I, -I) and M = m I, and the code uses both as structure
+rather than as dense matrices.  beta A flips the sign of A's lower rows; the
+odd part O = [[0, B], [C, 0]] is H's off-diagonal quadrants (C = B^dag);
+[O, M] = 0, so X = O/m and the beta [O,[O,M]] term vanishes.  A product of
+two odd matrices is even, so O^2 = diag(B C, C B): S = sqrt(1+X^2), the
+normalization, eps and the kinetic denominator are functions of two
+half-size eigendecompositions, and the double commutator is formed block by
+block.  g = 2 + beta lambda + lambda beta is even for any lambda, because
+its off-diagonal quadrants are lambda_12 - lambda_12 = 0, so g^(-1/2) is two
+half-size inverse square roots.  The one full-size decomposition per
+Hamiltonian is eigh(H), which gives both lambda and the exact spectrum.
+
 discretize_dirac_1d builds the 1D Dirac Hamiltonian with a static
 electrostatic potential on a periodic grid, ordered so beta is literally
 diag(I, -I) and "block-diagonal" means vanishing off-diagonal quadrants.
@@ -37,8 +49,6 @@ from .dirac import GAMMA
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
-    _hermitian_fn,
-    anticommutator,
     as_matrix,
     commutator,
     frob,
@@ -51,30 +61,24 @@ ZERO_MODE_RTOL = 1e-8
 
 @dataclass
 class BlockedHamiltonian:
-    """Hermitian Hamiltonian with a fixed involution beta = diag(I, -I).
+    """Hermitian Hamiltonian split against beta = diag(I, -I) with M = m I:
 
-    M is the even mass-like operator of the splitting
-    H = beta M + E + O,  E = (H + beta H beta)/2 - beta M,
+    H = beta m + E + O,  E = (H + beta H beta)/2 - beta m,
     O = (H - beta H beta)/2.
     """
 
     H: np.ndarray
-    beta: np.ndarray
-    M: np.ndarray
+    m: float
 
     def __post_init__(self):
         self.H = as_matrix(self.H)
-        self.beta = as_matrix(self.beta)
-        self.M = as_matrix(self.M)
-        n = self.H.shape[0]
-        if n % 2:
+        self.m = float(self.m)
+        if not (np.isfinite(self.m) and self.m >= 0.0):
+            raise LinalgError(f"mass must be finite and non-negative, got {self.m}")
+        if self.H.shape[0] % 2:
             raise LinalgError("blocked Hamiltonian needs even dimension")
         if not is_hermitian(self.H):
             raise LinalgError("Hamiltonian must be Hermitian")
-        if frob(self.beta @ self.beta - np.eye(n)) > 1e-12 * n:
-            raise LinalgError("beta must square to the identity")
-        if frob(commutator(self.beta, self.M)) > 1e-12 * max(frob(self.M), 1.0):
-            raise LinalgError("M must be even (commute with beta)")
 
     @property
     def dim(self) -> int:
@@ -85,11 +89,33 @@ class BlockedHamiltonian:
         return self.dim // 2
 
     def odd_part(self) -> np.ndarray:
-        return 0.5 * (self.H - self.beta @ self.H @ self.beta)
+        h = self.n_upper
+        odd = np.zeros_like(self.H)
+        odd[:h, h:] = self.H[:h, h:]
+        odd[h:, :h] = self.H[h:, :h]
+        return odd
 
     def even_part(self) -> np.ndarray:
         """E in the splitting H = beta M + E + O."""
-        return 0.5 * (self.H + self.beta @ self.H @ self.beta) - self.beta @ self.M
+        h = self.n_upper
+        even = np.zeros_like(self.H)
+        even[:h, :h] = self.H[:h, :h] - self.m * np.eye(h)
+        even[h:, h:] = self.H[h:, h:] + self.m * np.eye(h)
+        return even
+
+
+def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
+    """beta A: A with its lower rows negated."""
+    out = A.copy()
+    out[n_upper:] *= -1
+    return out
+
+
+def _times_beta(A: np.ndarray, n_upper: int) -> np.ndarray:
+    """A beta: A with its right columns negated."""
+    out = A.copy()
+    out[:, n_upper:] *= -1
+    return out
 
 
 def offblock_norm(A: np.ndarray, n_upper: int) -> float:
@@ -98,71 +124,123 @@ def offblock_norm(A: np.ndarray, n_upper: int) -> float:
                          + frob(A[n_upper:, :n_upper]) ** 2))
 
 
-def _nonzero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> np.ndarray:
-    """w itself, or LinalgError(message) if an eigenvalue is within rtol of zero."""
+def _conjugated_offblock_norm(U: np.ndarray, H: np.ndarray, n_upper: int) -> float:
+    """offblock_norm(U H U^dag), forming only the two off-diagonal quadrants."""
+    uh = U @ H
+    return float(np.sqrt(frob(uh[:n_upper] @ U[n_upper:].conj().T) ** 2
+                         + frob(uh[n_upper:] @ U[:n_upper].conj().T) ** 2))
+
+
+def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
+    """LinalgError(message) if an eigenvalue in w is within rtol of zero."""
     if np.abs(w).min() <= rtol * max(np.abs(w).max(), 1e-300):
         raise LinalgError(message)
-    return w
 
 
-def sign_function(H: np.ndarray, rtol: float = ZERO_MODE_RTOL) -> np.ndarray:
-    """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition."""
+def sign_function(H: np.ndarray, rtol: float = ZERO_MODE_RTOL) -> tuple:
+    """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition.
+
+    Returns (lambda, w) with w the ascending eigenvalues of H, so a caller
+    that also needs the spectrum does not decompose H a second time.
+    """
     H = as_matrix(H)
     if not is_hermitian(H):
         raise LinalgError("sign function requires a Hermitian matrix")
-    message = f"eigenvalue within {rtol:.0e} of zero: sign function undefined"
-    return _hermitian_fn(H, lambda w: np.sign(_nonzero_eigenvalues(w, rtol, message)))
+    w, v = np.linalg.eigh(H)
+    _reject_zero_eigenvalues(w, rtol, f"eigenvalue within {rtol:.0e} of zero: "
+                                      "sign function undefined")
+    return (v * np.sign(w)) @ v.conj().T, w
 
 
-def eriksen_unitary(bh: BlockedHamiltonian) -> tuple:
+def eriksen_unitary(bh: BlockedHamiltonian, lam: Optional[np.ndarray] = None) -> tuple:
     """Exact block-diagonalizing unitary (1+beta lambda)(2+beta lambda+lambda beta)^(-1/2).
 
-    Returns (U, lambda), with lambda = sign(H) the sign function it is built from.
+    Returns (U, lambda), with lambda = sign(H) the sign function it is built
+    from; a caller that holds sign_function(bh.H) already passes it as lam.
+    g = 2 + beta lambda + lambda beta = diag(2 + l11 + l11^dag, 2 - l22 - l22^dag),
+    so g^(-1/2) scales the left and right column blocks of 1 + beta lambda.
     """
-    lam = sign_function(bh.H)
-    bl = bh.beta @ lam
-    g = 2.0 * np.eye(bh.dim) + bl + bl.conj().T
-    return (np.eye(bh.dim) + bl) @ mat_inv_sqrt_psd(g), lam
+    if lam is None:
+        lam = sign_function(bh.H)[0]
+    h = bh.n_upper
+    eye = np.eye(h)
+    left = _beta_times(lam, h) + np.eye(bh.dim)
+    U = np.empty_like(left)
+    U[:, :h] = left[:, :h] @ mat_inv_sqrt_psd(2.0 * eye + lam[:h, :h] + lam[:h, :h].conj().T)
+    U[:, h:] = left[:, h:] @ mat_inv_sqrt_psd(2.0 * eye - lam[h:, h:] - lam[h:, h:].conj().T)
+    return U, lam
 
 
 def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -> dict:
     """Residuals of the defining properties of the exact transformation U
     built from the sign function lam of bh.H."""
-    bl = bh.beta @ lam
-    lb = lam @ bh.beta
-    h_fw = U @ bh.H @ U.conj().T
+    h = bh.n_upper
+    eye = np.eye(bh.dim)
+    bl = _beta_times(lam, h)
+    lb = _times_beta(lam, h)
+    bu = _beta_times(U, h)
     return {
-        "unitarity": frob(U @ U.conj().T - np.eye(bh.dim)),
-        "odd_exponent": frob(bh.beta @ U - U.conj().T @ bh.beta),
-        "lambda_squared": frob(lam @ lam - np.eye(bh.dim)),
+        "unitarity": frob(U @ U.conj().T - eye),
+        "odd_exponent": frob(bu - bu.conj().T),               # beta U - U^dag beta
+        "lambda_squared": frob(lam @ lam - eye),
         "bl_lb_commute": frob(commutator(bl, lb)),
-        "beta_anticomm_combo": frob(commutator(bh.beta, bl + lb)),
-        "offblock": offblock_norm(h_fw, bh.n_upper),
+        "beta_anticomm_combo": 2.0 * offblock_norm(bl + lb, h),   # ||[beta, bl + lb]||
+        "offblock": _conjugated_offblock_norm(U, bh.H, h),
     }
 
 
 def approx_fw(bh: BlockedHamiltonian,
               F: Optional[np.ndarray] = None) -> tuple:
-    """Approximate relativistic transformation and Hamiltonian (U, H_approx)."""
-    M, O, E = bh.M, bh.odd_part(), bh.even_part()
-    beta = bh.beta
-    eye = np.eye(bh.dim)
+    """Approximate relativistic transformation and Hamiltonian (U, H_approx).
+
+    F, if given, must be even: its off-diagonal quadrants vanish.
+    """
+    m, h, H = bh.m, bh.n_upper, bh.H
+    if m == 0.0:
+        raise LinalgError("mass operator M = m I is not invertible")
+    E = bh.even_part()
     if F is None:
         F = E
+    else:
+        F = as_matrix(F)
+        if F.shape != H.shape:
+            raise LinalgError(f"dimension mismatch: {F.shape} vs {H.shape}")
+        if offblock_norm(F, h) > 1e-12 * max(frob(F), 1.0):
+            raise LinalgError("F must be even (commute with beta)")
+    rows = (slice(0, h), slice(h, bh.dim))
+    B, C = H[rows[0], rows[1]], H[rows[1], rows[0]]          # O = [[0, B], [C, 0]]
+    F1, F2 = F[rows[0], rows[0]], F[rows[1], rows[1]]
+    # [O, F] = [[0, K], [L, 0]], so [O, [O, F]] = diag(B L - K C, C K - L B)
+    K = B @ F2 - F1 @ B
+    L = C @ F1 - F2 @ C
+    double_comm = (B @ L - K @ C, C @ K - L @ B)
 
-    m_inv = _hermitian_fn(M, lambda w: 1.0 / _nonzero_eigenvalues(
-        w, 1e-12, "mass operator M is not invertible"))
-    X = 0.5 * anticommutator(m_inv, O)
-    S = _hermitian_fn(X @ X, lambda w: np.sqrt(1.0 + np.clip(w, 0.0, None)))
-    U = (eye + S + beta @ X) @ mat_inv_sqrt_psd(2 * S @ (eye + S))
+    # O^2 = diag(B C, C B); eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
+    decomps = [np.linalg.eigh(q) for q in (B @ C, C @ B)]
+    w_sq = [np.clip(w, 0.0, None) for w, _ in decomps]
+    eps = [np.sqrt(m * m + w) for w in w_sq]
+    denom = [2.0 * e * e + 2.0 * m * e for e in eps]
+    _reject_zero_eigenvalues(np.concatenate(denom), 1e-12, "kinetic denominator is singular")
 
-    eps_sq = M @ M + O @ O
-    eps = _hermitian_fn(eps_sq, lambda w: np.sqrt(np.clip(w, 0.0, None)))
-    denom = 2 * eps_sq + anticommutator(eps, M)
-    denom_inv = _hermitian_fn(denom, lambda w: 1.0 / _nonzero_eigenvalues(
-        w, 1e-12, "kinetic denominator is singular"))
-    core = beta @ commutator(O, commutator(O, M)) - commutator(O, commutator(O, F))
-    h_approx = beta @ eps + E + 0.25 * anticommutator(denom_inv, core)
+    # Column block k of U = (1 + S + beta X) N, N = (2 S (1 + S))^(-1/2), is
+    # (1 + S_k) N_k on the diagonal and (beta X) N_k = -sign_k O N_k / m off
+    # it; H_approx = beta eps + E - (1/4) {D^-1, [O,[O,F]]} is even.
+    U = np.empty_like(H)
+    h_approx = np.zeros_like(H)
+    for k, sign in ((0, 1.0), (1, -1.0)):
+        v = decomps[k][1]
+        vh = v.conj().T
+
+        def fn(f):
+            return (v * f) @ vh
+        s = np.sqrt(1.0 + w_sq[k] / (m * m))
+        here, other = rows[k], rows[1 - k]
+        U[here, here] = fn(np.sqrt((1.0 + s) / (2.0 * s)))
+        U[other, here] = (-sign / m) * H[other, here] @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s)))
+        d_inv = fn(1.0 / denom[k])
+        dc = double_comm[k]
+        h_approx[here, here] = (sign * fn(eps[k]) + E[here, here]
+                                - 0.25 * (d_inv @ dc + dc @ d_inv))
     return U, h_approx
 
 
@@ -193,8 +271,7 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     H = (m * np.kron(GAMMA.beta, eye_n)
          + np.kron(np.eye(4), np.diag(v_vals))
          + np.kron(GAMMA.alpha[0], P))
-    beta_big = np.kron(GAMMA.beta, eye_n)
-    return BlockedHamiltonian(H=H, beta=beta_big, M=m * np.eye(4 * n))
+    return BlockedHamiltonian(H=H, m=m)
 
 
 def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
@@ -226,8 +303,22 @@ class ScalingStudy:
     exponent: float = field(init=False)
 
     def __post_init__(self):
+        self.v0 = check_strengths(self.v0)
         slope = np.polyfit(np.log(self.v0), np.log(self.even_block_diff), 1)[0]
         self.exponent = float(slope)
+
+
+def check_strengths(v0_list) -> np.ndarray:
+    """The potential strengths as an array, or ValueError unless they are
+    finite, positive and hold at least two distinct values (the scaling
+    exponent is a slope in log v0)."""
+    v0 = np.asarray(v0_list, dtype=float).ravel()
+    if not (np.all(np.isfinite(v0)) and np.all(v0 > 0.0)):
+        raise ValueError(f"potential strengths must be finite and positive, got {v0.tolist()}")
+    if np.unique(v0).size < 2:
+        raise ValueError("a scaling exponent needs at least two distinct potential "
+                         f"strengths, got {v0.tolist()}")
+    return v0
 
 
 def potential_scaling_study(grid: Grid1D, m: float, v0_list,
@@ -238,24 +329,26 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     the approximate transform leaves an O(v0) off-block residual, and the
     upper-block spectra of the two transformed Hamiltonians differ at
     O(v0^2).  The exact reference spectrum comes straight from H itself
-    (its positive eigenvalues), independent of the exact unitary.
+    (the positive eigenvalues of the decomposition that gives lambda),
+    independent of the exact unitary.
     """
+    v0_arr = check_strengths(v0_list)
     if profile is None:
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-x**2 / (2 * width**2))
     diffs, approx_off, exact_off = [], [], []
-    for v0 in v0_list:
+    for v0 in v0_arr:
         bh = discretize_dirac_1d(grid, m, lambda x: v0 * profile(x))
-        U = eriksen_unitary(bh)[0]
-        h_exact = U @ bh.H @ U.conj().T
-        U_a, h_approx = approx_fw(bh)
-        h_rot = U_a @ bh.H @ U_a.conj().T
         nu = bh.n_upper
-        exact_positive = np.sort(np.linalg.eigvalsh(bh.H))[nu:]
+        lam, w = sign_function(bh.H)
+        U = eriksen_unitary(bh, lam)[0]
+        del lam
+        exact_off.append(_conjugated_offblock_norm(U, bh.H, nu))
+        del U
+        U_a, h_approx = approx_fw(bh)
         approx_upper = upper_block_spectrum(h_approx, nu)
-        diffs.append(float(np.max(np.abs(approx_upper - exact_positive))))
-        approx_off.append(offblock_norm(h_rot, nu))
-        exact_off.append(offblock_norm(h_exact, nu))
-    return ScalingStudy(np.asarray(v0_list, dtype=float), np.asarray(diffs),
+        diffs.append(float(np.max(np.abs(approx_upper - w[nu:]))))
+        approx_off.append(_conjugated_offblock_norm(U_a, bh.H, nu))
+    return ScalingStudy(v0_arr, np.asarray(diffs),
                         np.asarray(approx_off), np.asarray(exact_off))

@@ -70,13 +70,6 @@ def commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return a @ b - b @ a
 
 
-def anticommutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """{A, B} = AB + BA."""
-    if a.shape != b.shape:
-        raise LinalgError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a
-
-
 def _hermitian_fn(a: ComplexMatrix, f: Callable[[np.ndarray], np.ndarray]) -> ComplexMatrix:
     """V f(w) V^H from the Hermitian eigendecomposition a = V diag(w) V^H.
 

@@ -62,3 +62,69 @@ def classical_frame_precession(p, m: float, cfg) -> np.ndarray:
 @pytest.fixture(scope="session")
 def frame_precession_oracle():
     return classical_frame_precession
+
+
+def _dense_hermitian_fn(a, f):
+    w, v = np.linalg.eigh(a)
+    return (v * f(w)) @ v.conj().T
+
+
+def _dense_commutator(a, b):
+    return a @ b - b @ a
+
+
+def _dense_offblock(a, nu: int) -> float:
+    return float(np.sqrt(np.linalg.norm(a[:nu, nu:]) ** 2 + np.linalg.norm(a[nu:, :nu]) ** 2))
+
+
+def dense_eriksen_unitary(H, beta):
+    """(1 + beta lam)(2 + beta lam + lam beta)^(-1/2) with a dense involution
+    beta and full-size matrix functions throughout; returns (U, lam)."""
+    eye = np.eye(H.shape[0])
+    lam = _dense_hermitian_fn(H, np.sign)
+    g = 2 * eye + beta @ lam + lam @ beta
+    return (eye + beta @ lam) @ _dense_hermitian_fn(g, lambda w: 1 / np.sqrt(w)), lam
+
+
+def dense_approx_fw(H, beta, M, F=None):
+    """The approximate relativistic (U, H_approx) for a general even mass
+    operator M: five full-size decompositions and dense double commutators."""
+    eye = np.eye(H.shape[0])
+    O = 0.5 * (H - beta @ H @ beta)
+    E = 0.5 * (H + beta @ H @ beta) - beta @ M
+    if F is None:
+        F = E
+    m_inv = _dense_hermitian_fn(M, lambda w: 1 / w)
+    X = 0.5 * (m_inv @ O + O @ m_inv)
+    S = _dense_hermitian_fn(X @ X, lambda w: np.sqrt(1 + np.clip(w, 0, None)))
+    U = (eye + S + beta @ X) @ _dense_hermitian_fn(2 * S @ (eye + S),
+                                                   lambda w: 1 / np.sqrt(w))
+    eps_sq = M @ M + O @ O
+    eps = _dense_hermitian_fn(eps_sq, lambda w: np.sqrt(np.clip(w, 0, None)))
+    denom_inv = _dense_hermitian_fn(2 * eps_sq + eps @ M + M @ eps, lambda w: 1 / w)
+    core = (beta @ _dense_commutator(O, _dense_commutator(O, M))
+            - _dense_commutator(O, _dense_commutator(O, F)))
+    return U, beta @ eps + E + 0.25 * (denom_inv @ core + core @ denom_inv)
+
+
+def dense_scaling_study(hamiltonians, beta, M) -> dict:
+    """even_block_diff, approx_offblock and exact_offblock of a potential
+    ladder from the dense formulas, with full conjugations U H U^dag and the
+    exact positive spectrum from eigvalsh(H)."""
+    nu = beta.shape[0] // 2
+    out = {"even_block_diff": [], "approx_offblock": [], "exact_offblock": []}
+    for H in hamiltonians:
+        U, _ = dense_eriksen_unitary(H, beta)
+        U_a, h_approx = dense_approx_fw(H, beta, M)
+        exact_positive = np.sort(np.linalg.eigvalsh(H))[nu:]
+        approx_upper = np.sort(np.linalg.eigvalsh(h_approx[:nu, :nu]))
+        out["even_block_diff"].append(np.max(np.abs(approx_upper - exact_positive)))
+        out["approx_offblock"].append(_dense_offblock(U_a @ H @ U_a.conj().T, nu))
+        out["exact_offblock"].append(_dense_offblock(U @ H @ U.conj().T, nu))
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+@pytest.fixture(scope="session")
+def dense_eriksen_oracle():
+    return {"unitary": dense_eriksen_unitary, "approx": dense_approx_fw,
+            "study": dense_scaling_study}

@@ -21,6 +21,10 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["verify-algebra", "--samples", "0"])
     assert exc.value.code == 2
+    for v0 in ("0.1,0.1", "0.01", "0,0.01,0.1", "-0.01,0.1", "nan,0.1", "inf,0.1", "a,b"):
+        with pytest.raises(SystemExit) as exc:
+            run(["eriksen", "--n", "16", "--v0", v0])
+        assert exc.value.code == 2, v0
 
 
 def test_help_available_for_each_subcommand(capsys):

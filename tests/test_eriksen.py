@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
 from fwbench.eriksen import (
     BlockedHamiltonian,
+    ScalingStudy,
     approx_fw,
+    check_strengths,
     discretize_dirac_1d,
     eriksen_conditions,
     eriksen_unitary,
@@ -23,8 +27,7 @@ I4 = np.eye(4)
 
 
 def blocked_4x4(p, m):
-    return BlockedHamiltonian(H=dirac_hamiltonian(p, m),
-                              beta=GAMMA.beta.copy(), M=m * I4)
+    return BlockedHamiltonian(H=dirac_hamiltonian(p, m), m=m)
 
 
 def test_grid_validation():
@@ -48,7 +51,7 @@ def test_spectral_momentum_is_hermitian_and_diagonalizes_plane_waves():
 
 
 def test_eriksen_on_diagonal_mass_term_is_identity():
-    bh = BlockedHamiltonian(H=2.0 * GAMMA.beta, beta=GAMMA.beta.copy(), M=2.0 * I4)
+    bh = BlockedHamiltonian(H=2.0 * GAMMA.beta, m=2.0)
     u, _ = eriksen_unitary(bh)
     assert np.allclose(u, I4, atol=1e-12)
 
@@ -64,7 +67,7 @@ def test_eriksen_matches_free_closed_form_unitary():
 
 
 def test_approx_on_mass_term():
-    bh = BlockedHamiltonian(H=1.5 * GAMMA.beta, beta=GAMMA.beta.copy(), M=1.5 * I4)
+    bh = BlockedHamiltonian(H=1.5 * GAMMA.beta, m=1.5)
     u, h = approx_fw(bh)
     assert np.allclose(u, I4, atol=1e-12)
     assert np.allclose(h, 1.5 * GAMMA.beta, atol=1e-12)
@@ -101,9 +104,10 @@ def test_constant_potential_shifts_spectrum_exactly(free_grid_system):
 
 
 def test_odd_part_anticommutes_with_beta(free_grid_system):
-    _, bh = free_grid_system
+    grid, bh = free_grid_system
+    beta = np.kron(GAMMA.beta, np.eye(grid.n))
     odd = bh.odd_part()
-    assert frob(bh.beta @ odd + odd @ bh.beta) <= 1e-10
+    assert frob(beta @ odd + odd @ beta) <= 1e-10
     assert frob(bh.even_part()) <= 1e-12   # free case: E = 0
 
 
@@ -160,18 +164,19 @@ def test_sign_function_rejects_zero_modes():
 
 
 def test_approx_rejects_singular_mass_operator():
-    bh = BlockedHamiltonian(H=dirac_hamiltonian((1.0, 0, 0), 0.0),
-                            beta=GAMMA.beta.copy(), M=np.zeros((4, 4)))
+    bh = BlockedHamiltonian(H=dirac_hamiltonian((1.0, 0, 0), 0.0), m=0.0)
     with pytest.raises(LinalgError, match="not invertible"):
         approx_fw(bh)
 
 
 def test_blocked_hamiltonian_validation():
     with pytest.raises(LinalgError):
-        BlockedHamiltonian(H=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                           beta=np.eye(2), M=np.eye(2))
-    with pytest.raises(LinalgError):
-        BlockedHamiltonian(H=np.eye(4), beta=2 * np.eye(4), M=np.eye(4))
+        BlockedHamiltonian(H=np.array([[0.0, 1.0], [0.0, 0.0]]), m=1.0)
+    with pytest.raises(LinalgError, match="even dimension"):
+        BlockedHamiltonian(H=np.eye(3), m=1.0)
+    for bad_mass in (-1.0, np.nan, np.inf):
+        with pytest.raises(LinalgError, match="mass"):
+            BlockedHamiltonian(H=np.eye(4), m=bad_mass)
 
 
 def test_caller_supplied_even_operator():
@@ -183,3 +188,133 @@ def test_caller_supplied_even_operator():
     assert frob(h_default - h_explicit) == 0.0
     _, h_zero = approx_fw(bh, F=np.zeros_like(bh.H))
     assert frob(h_default - h_zero) > 1e-6
+
+
+def test_approx_rejects_odd_caller_operator():
+    bh = blocked_4x4(np.array([0.3, 0.0, 0.2]), 1.0)
+    with pytest.raises(LinalgError, match="even"):
+        approx_fw(bh, F=GAMMA.alpha[0])
+
+
+@pytest.mark.parametrize("v0", [[0.1, 0.1], [0.01], [0.0, 0.01, 0.1],
+                                [-0.01, 0.1], [np.nan, 0.1], [np.inf, 0.1]])
+def test_scaling_study_rejects_degenerate_strengths(v0):
+    with pytest.raises(ValueError, match="strength"):
+        check_strengths(v0)
+    with pytest.raises(ValueError, match="strength"):
+        ScalingStudy(v0, np.ones(len(v0)), np.ones(len(v0)), np.ones(len(v0)))
+    with pytest.raises(ValueError, match="strength"):
+        potential_scaling_study(Grid1D(n=16, length=8.0), 1.0, v0)
+
+
+# --- structured kernels against the dense general-beta/M oracle -------------
+
+ORACLE_MASSES = (0.5, 1.0, 3.0)
+ORACLE_PROFILES = {
+    "gauss": lambda length: (lambda x: np.exp(-x**2 / (2 * (length / 8) ** 2))),
+    "cos": lambda length: (lambda x: np.cos(2 * np.pi * x / length)),
+}
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(5)
+    cases = [pytest.param(dirac_hamiltonian(p, m), m, GAMMA.beta, id=f"4x4-m{m}-{i}")
+             for m in ORACLE_MASSES for i, p in enumerate(rng.uniform(-3, 3, (3, 3)))]
+    for n in (16, 32):
+        grid = Grid1D(n=n, length=n / 2)
+        beta = np.kron(GAMMA.beta, np.eye(n))
+        for m in ORACLE_MASSES:
+            for name, profile in ORACLE_PROFILES.items():
+                V = profile(grid.length)
+                H = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x)).H
+                cases.append(pytest.param(H, m, beta, id=f"n{n}-m{m}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("H, m, beta", _oracle_cases())
+def test_structured_kernels_match_dense_oracle(H, m, beta, dense_eriksen_oracle):
+    # measured worst case over these cases: 4.2e-15 relative
+    bh = BlockedHamiltonian(H=H, m=m)
+    M = m * np.eye(H.shape[0])
+    U, lam = eriksen_unitary(bh)
+    U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
+    assert _rel(lam, lam_o) <= 1e-12
+    assert _rel(U, U_o) <= 1e-12
+    E_o = 0.5 * (H + beta @ H @ beta) - beta @ M
+    for F in (None, np.zeros_like(H), E_o):
+        U_a, h_a = approx_fw(bh, F=F)
+        U_ao, h_ao = dense_eriksen_oracle["approx"](H, beta, M, F)
+        assert _rel(U_a, U_ao) <= 1e-12
+        assert _rel(h_a, h_ao) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("m", ORACLE_MASSES)
+@pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+def test_scaling_study_matches_dense_oracle(n, m, profile, dense_eriksen_oracle):
+    grid = Grid1D(n=n, length=n / 2)
+    V = ORACLE_PROFILES[profile](grid.length)
+    v0 = [1e-3, 1e-2, 1e-1]
+    study = potential_scaling_study(grid, m, v0, V)
+    hams = [discretize_dirac_1d(grid, m, lambda x: v * V(x)).H for v in v0]
+    oracle = dense_eriksen_oracle["study"](hams, np.kron(GAMMA.beta, np.eye(n)),
+                                           m * np.eye(4 * n))
+    # even_block_diff is a difference of O(1) eigenvalues, so it is compared
+    # absolutely (measured worst 2.8e-14); the off-block norms relatively
+    # (measured worst 3.9e-12), the exact ones are roundoff (below 6.5e-14).
+    assert np.max(np.abs(study.even_block_diff - oracle["even_block_diff"])) <= 1e-12
+    assert np.max(np.abs(study.approx_offblock / oracle["approx_offblock"] - 1)) <= 1e-11
+    assert np.max(study.exact_offblock) <= 1e-12
+    assert np.max(oracle["exact_offblock"]) <= 1e-12
+    exponent = np.polyfit(np.log(v0), np.log(oracle["even_block_diff"]), 1)[0]
+    assert abs(study.exponent - exponent) <= 1e-5
+
+
+@st.composite
+def gapped_hermitian(draw):
+    """Random Hermitian 2k x 2k matrix with k eigenvalues of each sign, all
+    at least 0.1 from zero."""
+    k = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mags = rng.uniform(0.1, 5.0, 2 * k)
+    w = np.concatenate([mags[:k], -mags[k:]])
+    q, _ = np.linalg.qr(rng.normal(size=(2 * k, 2 * k))
+                        + 1j * rng.normal(size=(2 * k, 2 * k)))
+    H = (q * w) @ q.conj().T
+    return 0.5 * (H + H.conj().T)
+
+
+@given(gapped_hermitian())
+@settings(max_examples=60, deadline=None)
+def test_eriksen_evenness_unitarity_and_block_diagonal(H):
+    nu = H.shape[0] // 2
+    beta = np.diag(np.r_[np.ones(nu), -np.ones(nu)])
+    lam, _ = sign_function(H)
+    g = 2 * np.eye(2 * nu) + beta @ lam + lam @ beta
+    # g is even: the half-size route through its diagonal blocks is exact
+    assert offblock_norm(g, nu) <= 1e-13 * frob(g)
+    assume(np.linalg.eigvalsh(g).min() > 1e-3)   # g = |1 + beta lam|^2 > 0
+    u, _ = eriksen_unitary(BlockedHamiltonian(H=H, m=1.0))
+    assert frob(u @ u.conj().T - np.eye(2 * nu)) <= 1e-10
+    assert offblock_norm(u @ H @ u.conj().T, nu) <= 1e-10 * frob(H)
+
+
+def test_scaling_study_decomposes_each_hamiltonian_once(monkeypatch):
+    grid = Grid1D(n=16, length=8.0)
+    full = 4 * grid.n
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, a.shape[-1]))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
+    assert calls.count(("eigh", full)) == 3
+    assert calls.count(("eigvalsh", full)) == 0
+    assert all(dim <= full // 2 for name, dim in calls if (name, dim) != ("eigh", full))

@@ -8,7 +8,6 @@ from fwbench.linalg import (
     BranchError,
     LinalgError,
     commutator,
-    anticommutator,
     frob,
     is_hermitian,
     is_unitary,
