@@ -5,14 +5,7 @@ Natural units (hbar = c = 1) throughout.
 
 from .dirac import GAMMA, Kinematics, build_gamma_set, energy
 from .grids import Grid1D
-from .linalg import (
-    BranchError,
-    LinalgError,
-    commutator,
-    mat_exp,
-    mat_fn,
-    mat_sqrt,
-)
+from .linalg import LinalgError, commutator
 from .phase_ops import (
     DomainError,
     NonUnitaryError,
@@ -49,12 +42,9 @@ from .spin_dynamics import (
     propagate_quantum,
 )
 from .zitter import (
-    dirac_position_closed,
-    dirac_velocity_closed,
     dominant_frequency,
-    fv_closed,
     fw_velocity,
-    heisenberg_numeric,
+    record_evolution,
 )
 from .wavepacket import (
     Observable,

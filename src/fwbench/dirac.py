@@ -61,10 +61,16 @@ def build_gamma_set() -> GammaSet:
 GAMMA = build_gamma_set()
 
 
-def energy(p, m: float) -> float:
-    """Relativistic energy sqrt(m^2 + |p|^2) of a free particle."""
+def check_mass(m: float) -> float:
+    """m, or ValueError if it is negative."""
     if m < 0:
         raise ValueError(f"mass must be non-negative, got {m}")
+    return m
+
+
+def energy(p, m: float) -> float:
+    """Relativistic energy sqrt(m^2 + |p|^2) of a free particle."""
+    check_mass(m)
     p = np.asarray(p, dtype=float)
     return float(np.sqrt(m * m + p @ p))
 
@@ -107,8 +113,7 @@ def _p_squared(p: np.ndarray) -> np.ndarray:
 def stacked_energy(p, m: float) -> np.ndarray:
     """sqrt(m^2 + |p|^2) at momenta of shape (..., 3), as shape (..., 1, 1),
     so that it scales a stack of matrices point by point."""
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
+    check_mass(m)
     return np.sqrt(m * m + _p_squared(np.asarray(p, dtype=float)))
 
 

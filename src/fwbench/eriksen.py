@@ -14,12 +14,10 @@ transformation and Hamiltonian are
     X = {1/(2M), O},
     H_approx = beta eps + E
                + (1/4) { 1/(2 eps^2 + {eps, M}),
-                         beta [O,[O,M]] - [O,[O,F]] },
+                         beta [O,[O,M]] - [O,[O,E]] },
     eps = sqrt(M^2 + O^2),
 
-which coincides with the exact result whenever [E, O] = 0.  The operator F
-defaults to E; it enters only through the double commutator and is exposed
-for callers that need a different even operator there.
+which coincides with the exact result whenever [E, O] = 0.
 
 Here beta = diag(I, -I) and M = m I, and the code uses both as structure
 rather than as dense matrices.  beta A flips the sign of A's lower rows; the
@@ -45,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import GAMMA
+from .dirac import GAMMA, check_mass
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -118,14 +116,9 @@ def _times_beta(A: np.ndarray, n_upper: int) -> np.ndarray:
     return out
 
 
-def offblock_norm(A: np.ndarray, n_upper: int) -> float:
-    """Frobenius norm of the two off-diagonal quadrants."""
-    return float(np.sqrt(frob(A[:n_upper, n_upper:]) ** 2
-                         + frob(A[n_upper:, :n_upper]) ** 2))
-
-
 def _conjugated_offblock_norm(U: np.ndarray, H: np.ndarray, n_upper: int) -> float:
-    """offblock_norm(U H U^dag), forming only the two off-diagonal quadrants."""
+    """Frobenius norm of the two off-diagonal quadrants of U H U^dag,
+    forming only those quadrants."""
     uh = U @ H
     return float(np.sqrt(frob(uh[:n_upper] @ U[n_upper:].conj().T) ** 2
                          + frob(uh[n_upper:] @ U[:n_upper].conj().T) ** 2))
@@ -184,35 +177,22 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
         "odd_exponent": frob(bu - bu.conj().T),               # beta U - U^dag beta
         "lambda_squared": frob(lam @ lam - eye),
         "bl_lb_commute": frob(commutator(bl, lb)),
-        "beta_anticomm_combo": 2.0 * offblock_norm(bl + lb, h),   # ||[beta, bl + lb]||
         "offblock": _conjugated_offblock_norm(U, bh.H, h),
     }
 
 
-def approx_fw(bh: BlockedHamiltonian,
-              F: Optional[np.ndarray] = None) -> tuple:
-    """Approximate relativistic transformation and Hamiltonian (U, H_approx).
-
-    F, if given, must be even: its off-diagonal quadrants vanish.
-    """
+def approx_fw(bh: BlockedHamiltonian) -> tuple:
+    """Approximate relativistic transformation and Hamiltonian (U, H_approx)."""
     m, h, H = bh.m, bh.n_upper, bh.H
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
     E = bh.even_part()
-    if F is None:
-        F = E
-    else:
-        F = as_matrix(F)
-        if F.shape != H.shape:
-            raise LinalgError(f"dimension mismatch: {F.shape} vs {H.shape}")
-        if offblock_norm(F, h) > 1e-12 * max(frob(F), 1.0):
-            raise LinalgError("F must be even (commute with beta)")
     rows = (slice(0, h), slice(h, bh.dim))
     B, C = H[rows[0], rows[1]], H[rows[1], rows[0]]          # O = [[0, B], [C, 0]]
-    F1, F2 = F[rows[0], rows[0]], F[rows[1], rows[1]]
-    # [O, F] = [[0, K], [L, 0]], so [O, [O, F]] = diag(B L - K C, C K - L B)
-    K = B @ F2 - F1 @ B
-    L = C @ F1 - F2 @ C
+    E1, E2 = E[rows[0], rows[0]], E[rows[1], rows[1]]
+    # [O, E] = [[0, K], [L, 0]], so [O, [O, E]] = diag(B L - K C, C K - L B)
+    K = B @ E2 - E1 @ B
+    L = C @ E1 - E2 @ C
     double_comm = (B @ L - K @ C, C @ K - L @ B)
 
     # O^2 = diag(B C, C B); eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
@@ -224,7 +204,7 @@ def approx_fw(bh: BlockedHamiltonian,
 
     # Column block k of U = (1 + S + beta X) N, N = (2 S (1 + S))^(-1/2), is
     # (1 + S_k) N_k on the diagonal and (beta X) N_k = -sign_k O N_k / m off
-    # it; H_approx = beta eps + E - (1/4) {D^-1, [O,[O,F]]} is even.
+    # it; H_approx = beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even.
     U = np.empty_like(H)
     h_approx = np.zeros_like(H)
     for k, sign in ((0, 1.0), (1, -1.0)):
@@ -258,8 +238,7 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     Basis ordering is component-major (both upper-spinor components first),
     so beta = diag(I_{2n}, -I_{2n}).
     """
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
+    check_mass(m)
     n = grid.n
     v_vals = np.asarray(V(grid.x), dtype=float)
     if v_vals.shape != (n,):

@@ -24,10 +24,8 @@ class Grid1D:
     p_fft: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 4, got {self.n}")
-        if not self.length > 0:
-            raise ValueError(f"box length must be positive, got {self.length}")
+        check_size(self.n)
+        check_length(self.length)
         dx = self.length / self.n
         dp = 2 * np.pi / self.length
         idx = np.arange(self.n)
@@ -39,3 +37,17 @@ class Grid1D:
         self.x.setflags(write=False)
         self.p_centered.setflags(write=False)
         self.p_fft.setflags(write=False)
+
+
+def check_size(n: int) -> int:
+    """n, or ValueError unless it is a power of two >= 4."""
+    if n < 4 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid size must be a power of two >= 4, got {n}")
+    return n
+
+
+def check_length(length: float) -> float:
+    """length, or ValueError unless it is positive."""
+    if not length > 0:
+        raise ValueError(f"box length must be positive, got {length}")
+    return length

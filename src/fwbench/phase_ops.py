@@ -573,16 +573,30 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     A, B, dA, dB = s1.A, s1.B, s1.dA, s1.dB
     C, D, dC, dD = s2.A, s2.B, s2.dA, s2.dB
 
-    zero = A @ C - C @ A + (B @ dC).sum(axis=-3) - (D @ dA).sum(axis=-3)
+    # each sum over k is one matmul of block rows by block columns:
+    # sum_k B_k dC_k = [B_1 B_2 B_3] [dC_1; dC_2; dC_3]
+    B_row, D_row = _block_row(B), _block_row(D)
+    zero = A @ C - C @ A + B_row @ _block_column(dC) - D_row @ _block_column(dA)
     first = (_kaxis(A) @ D - D @ _kaxis(A) + B @ _kaxis(C) - _kaxis(C) @ B
-             + (B[..., None, :, :, :] @ dD).sum(axis=-3)
-             - (D[..., None, :, :, :] @ dB).sum(axis=-3))
-    # in place, to keep the (..., 3, 3, d, d) temporaries few
-    second = _kaxis(B) @ D[..., None, :, :, :]      # B_k D_l
-    second -= _kaxis(D) @ B[..., None, :, :, :]     # D_k B_l
-    second += second.swapaxes(-3, -4)
+             + _kaxis(B_row) @ _block_column(dD) - _kaxis(D_row) @ _block_column(dB))
+    # block (k, l) of [B_1; B_2; B_3] [D_1 D_2 D_3] is B_k D_l
+    outer = _block_column(B) @ D_row
+    outer -= _block_column(D) @ B_row
+    d = s1.dim
+    second = outer.reshape(outer.shape[:-2] + (3, d, 3, d)).swapaxes(-3, -2)
+    second = second + second.swapaxes(-3, -4)
     second *= 0.5
     return PhaseOpValue(zero, first, second)
+
+
+def _block_row(X: np.ndarray) -> np.ndarray:
+    """[X_1 X_2 X_3] from X of shape (..., 3, r, c), as shape (..., r, 3c)."""
+    return X.swapaxes(-3, -2).reshape(X.shape[:-3] + (X.shape[-2], 3 * X.shape[-1]))
+
+
+def _block_column(X: np.ndarray) -> np.ndarray:
+    """[X_1; X_2; X_3] from X of shape (..., 3, r, c), as shape (..., 3r, c)."""
+    return X.reshape(X.shape[:-3] + (3 * X.shape[-2], X.shape[-1]))
 
 
 def op_commutator(op1: PhaseSpaceOperator, op2: PhaseSpaceOperator, p) -> PhaseOpValue:

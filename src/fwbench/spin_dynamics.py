@@ -92,8 +92,6 @@ def omega_total(p, m: float, cfg: FieldConfig, spin: float = 0.5) -> np.ndarray:
 
 def omega_noninertial(p, m: float, cfg: FieldConfig) -> np.ndarray:
     """Precession in an accelerated, rotating frame (positive-energy block)."""
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
     p = np.asarray(p, dtype=float)
     eps = energy(p, m)
     return np.cross(cfg.frame_accel, p) / (eps + m) - cfg.frame_omega

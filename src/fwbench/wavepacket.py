@@ -16,12 +16,13 @@ averaging is done in, and the difference is the picture change error.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import erfc
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erfc
 
-from .dirac import GAMMA, dirac_hamiltonian, free_propagator, fw_unitary_matrix
+from .dirac import (GAMMA, dirac_hamiltonian, free_propagator, fw_hamiltonian,
+                    fw_unitary_matrix, stacked_energy)
 from .grids import Grid1D
 from .spin_dynamics import spinor_from_direction
 
@@ -145,16 +146,10 @@ def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
 
 
 def evolve_free(packet: WavePacket1D, t: float) -> WavePacket1D:
-    """Nodewise phase exp(-i H(p) t) in the packet's own picture."""
-    p = packet.grid.p_centered
-    eps = np.sqrt(packet.m**2 + p * p)
-    if packet.picture == "fw":
-        phases = np.empty((packet.grid.n, 4), dtype=complex)
-        phases[:, :2] = np.exp(-1j * eps * t)[:, None]
-        phases[:, 2:] = np.exp(+1j * eps * t)[:, None]
-        return replace(packet, psi=packet.psi * phases)
-    h = dirac_hamiltonian(_z_momenta(packet.grid), packet.m)
-    mats = free_propagator(h, eps[:, None, None], t)
+    """Nodewise propagator exp(-i H(p) t) in the packet's own picture."""
+    p = _z_momenta(packet.grid)
+    ham = fw_hamiltonian if packet.picture == "fw" else dirac_hamiltonian
+    mats = free_propagator(ham(p, packet.m), stacked_energy(p, packet.m), t)
     return replace(packet, psi=_apply_nodewise(mats, packet.psi))
 
 

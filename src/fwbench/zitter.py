@@ -28,46 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
-                    fv_hamiltonian_matrix, fv_velocity_matrix, fw_hamiltonian)
-from .linalg import mat_exp
-
-
-def _closed(H: np.ndarray, v0: np.ndarray, pk: float, eps: float,
-            t: float) -> tuple:
-    """(v(t), r(t) - r(0)) at fixed momentum, from one propagator exp(-2iHt)."""
-    h_inv = H / (eps * eps)
-    drift = pk * h_inv
-    prop = free_propagator(H, eps, 2 * t)
-    amp = v0 - drift
-    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
-    return amp @ prop + drift, pk * t * h_inv + osc
-
-
-def dirac_velocity_closed(p, m: float, t: float, component: int) -> np.ndarray:
-    """Heisenberg velocity matrix of the free Dirac particle."""
-    p = np.asarray(p, dtype=float)
-    return _closed(dirac_hamiltonian(p, m), GAMMA.alpha[component], p[component],
-                   energy(p, m), t)[0]
-
-
-def dirac_position_closed(p, m: float, t: float, component: int) -> np.ndarray:
-    """Drift plus oscillatory part of the Dirac position operator.
-
-    The constant r(0) (a differential operator in momentum space) is left
-    out; the caller adds it symbolically if needed.
-    """
-    p = np.asarray(p, dtype=float)
-    return _closed(dirac_hamiltonian(p, m), GAMMA.alpha[component], p[component],
-                   energy(p, m), t)[1]
-
-
-def fv_closed(p, m: float, t: float) -> tuple:
-    """(velocity, position) closed forms for the free scalar particle,
-    stacked over the three components; position excludes r(0)."""
-    p = np.asarray(p, dtype=float)
-    H, eps = fv_hamiltonian_matrix(p, m), energy(p, m)
-    v, r = zip(*(_closed(H, fv_velocity_matrix(p, m, c), p[c], eps, t) for c in range(3)))
-    return np.stack(v), np.stack(r)
+                    fv_hamiltonian_matrix, fv_velocity_matrix)
 
 
 def fw_velocity(p, m: float, component: int) -> np.ndarray:
@@ -78,94 +39,45 @@ def fw_velocity(p, m: float, component: int) -> np.ndarray:
     return GAMMA.beta * (p[component] / energy(p, m))
 
 
-def heisenberg_numeric(H: np.ndarray, O: np.ndarray, t: float) -> np.ndarray:
-    """exp(iHt) O exp(-iHt) by matrix exponentials.
-
-    The inverse factor is computed as exp(-iHt), which also covers the
-    pseudo-Hermitian two-component scalar-sector Hamiltonian (for Hermitian
-    H it equals the conjugate transpose).
-    """
-    return mat_exp(H, t) @ O @ mat_exp(H, -t)
-
-
-def heisenberg_position_numeric(p, m: float, t: float, component: int,
-                                particle: str = "dirac",
-                                rel_step: float = 1e-5) -> np.ndarray:
-    """Matrix part of the evolved position, exp(iHt) i d/dp_k exp(-iHt) - r(0).
-
-    Independent of the closed form: differentiates the evolution phase in
-    momentum by central differences with one Richardson level.
-    """
-    p = np.asarray(p, dtype=float)
-    if particle == "dirac":
-        ham = dirac_hamiltonian
-    elif particle == "fv":
-        ham = fv_hamiltonian_matrix
-    else:
-        raise ValueError(f"unknown particle kind {particle!r}")
-
-    def evolution(q):
-        # exp(-iHt) in closed form (H^2 = eps^2 for both particle kinds),
-        # keeping differencing noise at the rounding level
-        H = ham(q, m)
-        eps = energy(q, m)
-        return (np.cos(eps * t) * np.eye(H.shape[0])
-                - 1j * np.sin(eps * t) * H / eps)
-
-    h = rel_step * max(1.0, float(np.linalg.norm(p)))
-
-    def central(hh):
-        qp, qm = p.copy(), p.copy()
-        qp[component] += hh
-        qm[component] -= hh
-        return (evolution(qp) - evolution(qm)) / (2 * hh)
-
-    d_evol = (4.0 * central(h / 2) - central(h)) / 3.0
-    return mat_exp(ham(p, m), t) @ (1j * d_evol)
-
-
 @dataclass
 class EvolutionRecord:
-    """Sampled Heisenberg evolution of velocity/position matrices."""
+    """Sampled Heisenberg evolution of velocity/position matrices, each a
+    (T, d, d) stack over the T sample times."""
 
     times: np.ndarray
-    velocity: list
-    position: list
+    velocity: np.ndarray
+    position: np.ndarray
     rep: str
 
     def spectrum_drift(self) -> float:
         """Largest change of the velocity spectrum along the record
         (unitary evolution preserves it)."""
-        ref = np.sort(np.linalg.eigvals(self.velocity[0]).real)
-        worst = 0.0
-        for v in self.velocity[1:]:
-            ev = np.sort(np.linalg.eigvals(v).real)
-            worst = max(worst, float(np.max(np.abs(ev - ref))))
-        return worst
+        ev = np.sort(np.linalg.eigvals(self.velocity).real, axis=-1)
+        return float(np.max(np.abs(ev[1:] - ev[0]), initial=0.0))
 
 
 def record_evolution(p, m: float, times, component: int,
                      particle: str = "dirac") -> EvolutionRecord:
-    """Closed-form velocity/position series for one momentum and component."""
+    """Closed-form velocity/position series for one momentum and component
+    of the free Dirac ("dirac") or two-component scalar ("fv") particle;
+    the position excludes r(0)."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
-    if particle in ("dirac", "fv"):
-        # H, v(0) and eps are constants of the record
-        if particle == "dirac":
-            H, v0, rep = dirac_hamiltonian(p, m), GAMMA.alpha[component], "Dirac"
-        else:
-            H, v0, rep = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component), "FV"
-        eps = energy(p, m)
-        series = [_closed(H, v0, p[component], eps, t) for t in times]
-        vel, pos = [v for v, _ in series], [r for _, r in series]
-    elif particle == "fw":
-        v = fw_velocity(p, m, component)
-        vel = [v.copy() for _ in times]
-        pos = [p[component] * t * np.linalg.inv(fw_hamiltonian(p, m)) for t in times]
-        rep = "FW"
+    if particle == "dirac":
+        H, v0, rep = dirac_hamiltonian(p, m), GAMMA.alpha[component], "Dirac"
+    elif particle == "fv":
+        H, v0, rep = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component), "FV"
     else:
         raise ValueError(f"unknown particle kind {particle!r}")
-    return EvolutionRecord(times=times, velocity=vel, position=pos, rep=rep)
+    # one propagator exp(-2iHt) per sample time, as a (T, d, d) stack
+    eps, pk, t = energy(p, m), p[component], times[:, None, None]
+    h_inv = H / (eps * eps)
+    drift = pk * h_inv
+    prop = free_propagator(H, eps, 2 * t)
+    amp = v0 - drift
+    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
+    return EvolutionRecord(times=times, velocity=amp @ prop + drift,
+                           position=pk * t * h_inv + osc, rep=rep)
 
 
 def dominant_frequency(times, values) -> float:

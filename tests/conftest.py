@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fwbench.algebra import ClassicalState, classical_observables, poisson_bracket
-from fwbench.phase_ops import cross_c, p_dot
+from fwbench.dirac import dirac_hamiltonian, energy, free_propagator, fv_hamiltonian_matrix
+from fwbench.phase_ops import coeff_derivative, cross_c, p_dot
 
 
 def positive_energy_density_gap(p0: float, sigma_p: float, m: float,
@@ -86,14 +88,12 @@ def dense_eriksen_unitary(H, beta):
     return (eye + beta @ lam) @ _dense_hermitian_fn(g, lambda w: 1 / np.sqrt(w)), lam
 
 
-def dense_approx_fw(H, beta, M, F=None):
+def dense_approx_fw(H, beta, M):
     """The approximate relativistic (U, H_approx) for a general even mass
     operator M: five full-size decompositions and dense double commutators."""
     eye = np.eye(H.shape[0])
     O = 0.5 * (H - beta @ H @ beta)
     E = 0.5 * (H + beta @ H @ beta) - beta @ M
-    if F is None:
-        F = E
     m_inv = _dense_hermitian_fn(M, lambda w: 1 / w)
     X = 0.5 * (m_inv @ O + O @ m_inv)
     S = _dense_hermitian_fn(X @ X, lambda w: np.sqrt(1 + np.clip(w, 0, None)))
@@ -103,7 +103,7 @@ def dense_approx_fw(H, beta, M, F=None):
     eps = _dense_hermitian_fn(eps_sq, lambda w: np.sqrt(np.clip(w, 0, None)))
     denom_inv = _dense_hermitian_fn(2 * eps_sq + eps @ M + M @ eps, lambda w: 1 / w)
     core = (beta @ _dense_commutator(O, _dense_commutator(O, M))
-            - _dense_commutator(O, _dense_commutator(O, F)))
+            - _dense_commutator(O, _dense_commutator(O, E)))
     return U, beta @ eps + E + 0.25 * (denom_inv @ core + core @ denom_inv)
 
 
@@ -127,4 +127,43 @@ def dense_scaling_study(hamiltonians, beta, M) -> dict:
 @pytest.fixture(scope="session")
 def dense_eriksen_oracle():
     return {"unitary": dense_eriksen_unitary, "approx": dense_approx_fw,
-            "study": dense_scaling_study}
+            "study": dense_scaling_study, "offblock": _dense_offblock}
+
+
+def heisenberg_numeric(H, O, t: float):
+    """exp(iHt) O exp(-iHt) by scaling-and-squaring matrix exponentials.
+
+    The inverse factor is computed as exp(-iHt), which also covers the
+    pseudo-Hermitian two-component scalar-sector Hamiltonian (for Hermitian
+    H it equals the conjugate transpose).  No closed form of the propagator
+    is used.
+    """
+    return scipy.linalg.expm(1j * t * H) @ O @ scipy.linalg.expm(-1j * t * H)
+
+
+def heisenberg_position_numeric(p, m: float, t: float, component: int,
+                                particle: str = "dirac"):
+    """Matrix part of the evolved position, exp(iHt) i d/dp_k exp(-iHt) - r(0).
+
+    Independent of the closed-form position: differentiates the propagator
+    exp(-iHt) in momentum with the Richardson difference coeff_derivative
+    instead of integrating the velocity.  The differenced propagator is
+    free_propagator (checked against expm in test_dirac): the rounding of a
+    numerical exponential of the non-normal scalar-sector H, about 1e-14,
+    divided by the 1e-5 step would reach 1e-8.
+    """
+    ham = {"dirac": dirac_hamiltonian, "fv": fv_hamiltonian_matrix}[particle]
+    p = np.asarray(p, dtype=float)
+    d_evol = coeff_derivative(lambda q: free_propagator(ham(q, m), energy(q, m), t),
+                              p, component)
+    return scipy.linalg.expm(1j * t * ham(p, m)) @ (1j * d_evol)
+
+
+@pytest.fixture(scope="session")
+def heisenberg_oracle():
+    return heisenberg_numeric
+
+
+@pytest.fixture(scope="session")
+def heisenberg_position_oracle():
+    return heisenberg_position_numeric

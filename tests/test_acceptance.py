@@ -304,29 +304,23 @@ def test_criterion_07_noninertial_frame(frame_precession_oracle):
     _verdict(7, worst <= 1e-12, f"max deviation {worst:.2e}")
 
 
-def test_criterion_08_trembling_motion():
+def test_criterion_08_trembling_motion(heisenberg_oracle, heisenberg_position_oracle):
     rng = np.random.default_rng(42)
     worst_closed = 0.0
     for m in (0.5, 1.0, 4.0):
         for _ in range(4):
             p = rng.uniform(-3, 3, 3)
-            h = dirac_hamiltonian(p, m)
-            hf = fv_hamiltonian_matrix(p, m)
             for t in (0.3, 1.1):
                 for c in range(3):
-                    numeric = zt.heisenberg_numeric(h, GAMMA.alpha[c], t)
-                    worst_closed = max(worst_closed, float(np.linalg.norm(
-                        numeric - zt.dirac_velocity_closed(p, m, t, c))))
-                    worst_closed = max(worst_closed, float(np.linalg.norm(
-                        zt.heisenberg_position_numeric(p, m, t, c)
-                        - zt.dirac_position_closed(p, m, t, c))))
-                    v_fv, r_fv = zt.fv_closed(p, m, t)
-                    worst_closed = max(worst_closed, float(np.linalg.norm(
-                        zt.heisenberg_numeric(hf, fv_velocity_matrix(p, m, c), t)
-                        - v_fv[c])))
-                    worst_closed = max(worst_closed, float(np.linalg.norm(
-                        zt.heisenberg_position_numeric(p, m, t, c, "fv")
-                        - r_fv[c])))
+                    for particle, h, v0 in (
+                            ("dirac", dirac_hamiltonian(p, m), GAMMA.alpha[c]),
+                            ("fv", fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, c))):
+                        rec = zt.record_evolution(p, m, [t], c, particle)
+                        worst_closed = max(worst_closed, float(np.linalg.norm(
+                            heisenberg_oracle(h, v0, t) - rec.velocity[0])))
+                        worst_closed = max(worst_closed, float(np.linalg.norm(
+                            heisenberg_position_oracle(p, m, t, c, particle)
+                            - rec.position[0])))
     freq_err = 0.0
     for pz, m in ((1.0, 1.0), (2.5, 0.5)):
         p = np.array([0.0, 0.0, pz])
@@ -339,7 +333,7 @@ def test_criterion_08_trembling_motion():
     p = np.array([1.0, -2.0, 0.5])
     v_fw = zt.fw_velocity(p, 1.0, 0)
     h_fw = energy(p, 1.0) * GAMMA.beta
-    fw_var = max(float(np.linalg.norm(zt.heisenberg_numeric(h_fw, v_fw, t) - v_fw))
+    fw_var = max(float(np.linalg.norm(heisenberg_oracle(h_fw, v_fw, t) - v_fw))
                  for t in (0.5, 5.0, 50.0))
     ok = worst_closed <= 1e-9 and freq_err <= 1e-6 and fw_var <= 1e-12
     _verdict(8, ok, f"closed-vs-numeric {worst_closed:.2e}, "

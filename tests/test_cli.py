@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,25 @@ def test_usage_error_exits_2():
         with pytest.raises(SystemExit) as exc:
             run(["eriksen", "--n", "16", "--v0", v0])
         assert exc.value.code == 2, v0
+    # grid and mass flags follow Grid1D's and the mass rule at parse time
+    for argv in (["eriksen", "--n", "100"], ["eriksen", "--n", "2"],
+                 ["eriksen", "--mass", "-1"], ["eriksen", "--box", "-1"],
+                 ["packet", "--n", "100"], ["pce", "--n", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_product_imports_numpy_only():
+    # the package and its CLI run on numpy alone; scipy is a test dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, fwbench, fwbench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_help_available_for_each_subcommand(capsys):
@@ -107,6 +130,8 @@ def test_eriksen_command(tmp_path):
     assert data["verdict"] == "pass"
     assert abs(data["scaling_exponent"] - 2.0) <= 0.3
     assert max(data["free_conditions"].values()) <= 1e-9
+    assert sorted(data["free_conditions"]) == ["bl_lb_commute", "lambda_squared",
+                                               "odd_exponent", "offblock", "unitarity"]
 
 
 def test_zitter_command_frequency(tmp_path, capsys):

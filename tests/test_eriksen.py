@@ -14,7 +14,6 @@ from fwbench.eriksen import (
     eriksen_conditions,
     eriksen_unitary,
     free_spectrum_1d,
-    offblock_norm,
     potential_scaling_study,
     sign_function,
     spectral_momentum,
@@ -139,13 +138,13 @@ def test_eriksen_conditions_with_potential():
     assert conds["offblock"] <= 1e-9    # exact transform: machine level
 
 
-def test_exactness_when_even_odd_commute():
+def test_exactness_when_even_odd_commute(dense_eriksen_oracle):
     # constant potential commutes with the odd part: transform stays exact
     grid = Grid1D(n=32, length=16.0)
     bh = discretize_dirac_1d(grid, 1.0, lambda x: 0.25 * np.ones_like(x))
     u, _ = eriksen_unitary(bh)
     h_fw = u @ bh.H @ u.conj().T
-    assert offblock_norm(h_fw, bh.n_upper) <= 1e-10
+    assert dense_eriksen_oracle["offblock"](h_fw, bh.n_upper) <= 1e-10
 
 
 def test_scaling_study_quadratic_spectrum_linear_offblock():
@@ -177,23 +176,6 @@ def test_blocked_hamiltonian_validation():
     for bad_mass in (-1.0, np.nan, np.inf):
         with pytest.raises(LinalgError, match="mass"):
             BlockedHamiltonian(H=np.eye(4), m=bad_mass)
-
-
-def test_caller_supplied_even_operator():
-    # F enters only through the double commutator; F = E reproduces the default
-    grid = Grid1D(n=16, length=8.0)
-    bh = discretize_dirac_1d(grid, 1.0, lambda x: 0.1 * np.cos(2 * np.pi * x / 8.0))
-    _, h_default = approx_fw(bh)
-    _, h_explicit = approx_fw(bh, F=bh.even_part())
-    assert frob(h_default - h_explicit) == 0.0
-    _, h_zero = approx_fw(bh, F=np.zeros_like(bh.H))
-    assert frob(h_default - h_zero) > 1e-6
-
-
-def test_approx_rejects_odd_caller_operator():
-    bh = blocked_4x4(np.array([0.3, 0.0, 0.2]), 1.0)
-    with pytest.raises(LinalgError, match="even"):
-        approx_fw(bh, F=GAMMA.alpha[0])
 
 
 @pytest.mark.parametrize("v0", [[0.1, 0.1], [0.01], [0.0, 0.01, 0.1],
@@ -244,12 +226,10 @@ def test_structured_kernels_match_dense_oracle(H, m, beta, dense_eriksen_oracle)
     U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
     assert _rel(lam, lam_o) <= 1e-12
     assert _rel(U, U_o) <= 1e-12
-    E_o = 0.5 * (H + beta @ H @ beta) - beta @ M
-    for F in (None, np.zeros_like(H), E_o):
-        U_a, h_a = approx_fw(bh, F=F)
-        U_ao, h_ao = dense_eriksen_oracle["approx"](H, beta, M, F)
-        assert _rel(U_a, U_ao) <= 1e-12
-        assert _rel(h_a, h_ao) <= 1e-12
+    U_a, h_a = approx_fw(bh)
+    U_ao, h_ao = dense_eriksen_oracle["approx"](H, beta, M)
+    assert _rel(U_a, U_ao) <= 1e-12
+    assert _rel(h_a, h_ao) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -290,7 +270,8 @@ def gapped_hermitian(draw):
 
 @given(gapped_hermitian())
 @settings(max_examples=60, deadline=None)
-def test_eriksen_evenness_unitarity_and_block_diagonal(H):
+def test_eriksen_evenness_unitarity_and_block_diagonal(dense_eriksen_oracle, H):
+    offblock_norm = dense_eriksen_oracle["offblock"]
     nu = H.shape[0] // 2
     beta = np.diag(np.r_[np.ones(nu), -np.ones(nu)])
     lam, _ = sign_function(H)

@@ -7,8 +7,10 @@ from fwbench.phase_ops import (
     DomainError,
     NonUnitaryError,
     OperatorFamily,
+    OpSnapshot,
     build_operator,
     coeff_derivative,
+    commutator_snapshot,
     conjugate,
     constant_operator,
     evaluate,
@@ -177,6 +179,40 @@ def test_dirac_hamiltonian_position_commutator_is_minus_i_alpha():
         r = build_operator(F.FW_POSITION, 1.0, c)   # plain radius vector
         val = op_commutator(h, r, MOMENTA[2])
         assert np.allclose(val.A, -1j * GAMMA.alpha[c - 1], atol=1e-10)
+
+
+def _loop_commutator(s1, s2):
+    """The commutator formulas of commutator_snapshot with explicit sums over k."""
+    A, B, dA, dB, C, D, dC, dD = s1.A, s1.B, s1.dA, s1.dB, s2.A, s2.B, s2.dA, s2.dB
+    zero = A @ C - C @ A + sum(B[k] @ dC[k] - D[k] @ dA[k] for k in range(3))
+    first = np.stack([A @ D[l] - D[l] @ A + B[l] @ C - C @ B[l]
+                      + sum(B[k] @ dD[l, k] - D[k] @ dB[l, k] for k in range(3))
+                      for l in range(3)])
+    second = np.array([[0.5 * (B[k] @ D[l] + B[l] @ D[k] - D[k] @ B[l] - D[l] @ B[k])
+                        for l in range(3)] for k in range(3)])
+    return zero, first, second
+
+
+def test_commutator_snapshot_matches_loop_reference():
+    # random coefficients, so the second-order part does not vanish; one
+    # snapshot is a read-only broadcast, as momentum-independent ones are
+    rng = np.random.default_rng(8)
+    n, d = 5, 4
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    s1 = OpSnapshot(d, rand(n, d, d), rand(n, 3, d, d), rand(n, 3, d, d), rand(n, 3, 3, d, d))
+    s2 = OpSnapshot(d, rand(n, d, d), np.broadcast_to(rand(3, d, d), (n, 3, d, d)),
+                    rand(n, 3, d, d), np.broadcast_to(rand(3, 3, d, d), (n, 3, 3, d, d)))
+    for a, b in ((s1, s2), (s2, s1)):
+        val = commutator_snapshot(a, b)
+        for i in range(n):
+            at = [OpSnapshot(d, x.A[i], x.B[i], x.dA[i], x.dB[i]) for x in (a, b)]
+            zero, first, second = _loop_commutator(*at)
+            assert np.linalg.norm(second) > 1.0
+            for got, ref in ((val.A[i], zero), (val.B[i], first), (val.second[i], second)):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_second_order_part_vanishes_for_boost_pair():
