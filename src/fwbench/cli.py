@@ -68,13 +68,16 @@ def _checked(convert, check):
 _strengths = _checked(lambda text: [float(t) for t in text.split(",")],
                       lambda v0: erk.check_strengths(v0).tolist())
 _grid_size = _checked(int, check_size)
+_packet_mass = _checked(float, wp.check_packet_mass)
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return n
+def _int_at_least(lowest: int):
+    """An argparse type: an integer of at least lowest."""
+    def check(n: int) -> int:
+        if n < lowest:
+            raise ValueError(f"expected an integer of at least {lowest}, got {n}")
+        return n
+    return _checked(int, check)
 
 
 def _reports_csv(reports) -> str:
@@ -133,8 +136,10 @@ def cmd_eriksen(args) -> int:
     grid = Grid1D(n=args.n, length=args.box)
     bh = erk.discretize_dirac_1d(grid, args.mass, lambda x: np.zeros_like(x))
     U, lam = erk.eriksen_unitary(bh)
-    conds = erk.eriksen_conditions(U, lam, bh)
-    del lam     # a dense 4n x 4n matrix; the scaling study below sets the memory peak
+    # Frobenius norms are reported over the 4n x 4n Dirac operator; the
+    # spectra and the exponent are the same for the spin block.
+    conds = {k: float(erk.four_component_norm(v))
+             for k, v in erk.eriksen_conditions(U, lam, bh).items()}
     h_fw = U @ bh.H @ U.conj().T
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(h_fw, bh.n_upper)
@@ -144,12 +149,12 @@ def cmd_eriksen(args) -> int:
         "n": args.n,
         "box": args.box,
         "mass": args.mass,
-        "free_conditions": {k: float(v) for k, v in conds.items()},
+        "free_conditions": conds,
         "free_positive_spectrum_error": spec_err,
         "v0": [float(v) for v in study.v0],
         "even_block_spectral_diff": [float(v) for v in study.even_block_diff],
-        "approx_offblock": [float(v) for v in study.approx_offblock],
-        "exact_offblock": [float(v) for v in study.exact_offblock],
+        "approx_offblock": [float(v) for v in erk.four_component_norm(study.approx_offblock)],
+        "exact_offblock": [float(v) for v in erk.four_component_norm(study.exact_offblock)],
         "scaling_exponent": study.exponent,
     }
     checks = (
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--set", default="conventional",
                     choices=list(algebra.QUANTUM_SET_NAMES) + ["classical", "all"])
     va.add_argument("--mass", type=float, default=1.0)
-    va.add_argument("--samples", type=_positive_int, default=100)
+    va.add_argument("--samples", type=_int_at_least(1), default=100)
     va.add_argument("--seed", type=int, default=DEFAULT_SEED)
     va.add_argument("--tol", type=float, default=algebra.QUANTUM_TOL,
                     help="residual tolerance for expected-hold identities")
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--s0", type=_vec3, default=np.array([1.0, 0.0, 0.0]),
                     help="initial spin direction")
     pr.add_argument("--t-max", type=float, default=10.0)
-    pr.add_argument("--steps", type=int, default=200)
+    pr.add_argument("--steps", type=_int_at_least(0), default=200)
     pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_precess)
 
@@ -338,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     zi.add_argument("--p", type=float, default=1.0, help="momentum along z")
     zi.add_argument("--m", dest="mass", type=float, default=1.0)
     zi.add_argument("--t-max", type=float, default=10.0)
-    zi.add_argument("--steps", type=int, default=4000)
+    zi.add_argument("--steps", type=_int_at_least(2), default=4000)
     zi.add_argument("--particle", default="dirac", choices=("dirac", "fv", "fw"))
     zi.add_argument("--out", default=None)
     zi.set_defaults(func=cmd_zitter)
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
     pa.add_argument("--p0", type=float, default=2.0)
     pa.add_argument("--sigma", type=float, default=0.5)
-    pa.add_argument("--mass", type=float, default=1.0)
+    pa.add_argument("--mass", type=_packet_mass, default=1.0)
     pa.add_argument("--n", type=_grid_size, default=256)
     pa.add_argument("--t", type=float, default=0.0)
     pa.add_argument("--out", default=None)
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("pce", formatter_class=fmt, help="picture-change-error report")
     pc.add_argument("--p0", type=float, default=2.0)
     pc.add_argument("--sigma", type=float, default=0.5)
-    pc.add_argument("--mass", type=float, default=1.0)
+    pc.add_argument("--mass", type=_packet_mass, default=1.0)
     pc.add_argument("--n", type=_grid_size, default=256)
     pc.add_argument("--format", default="pretty-table", choices=FORMATS)
     pc.add_argument("--out", default=None)

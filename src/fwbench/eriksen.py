@@ -32,8 +32,14 @@ half-size inverse square roots.  The one full-size decomposition per
 Hamiltonian is eigh(H), which gives both lambda and the exact spectrum.
 
 discretize_dirac_1d builds the 1D Dirac Hamiltonian with a static
-electrostatic potential on a periodic grid, ordered so beta is literally
-diag(I, -I) and "block-diagonal" means vanishing off-diagonal quadrants.
+electrostatic potential on a periodic grid.  With the momentum along x only
+beta and alpha_1 appear, and alpha_1 couples spinor components 1 and 4, and
+2 and 3, with the same operator.  In the component order (1, 4 | 2, 3) the
+4n x 4n Hamiltonian is therefore diag(h, h) for one two-component 2n x 2n block
+h = [[m + V, P], [P, V - m]], and the grid Hamiltonian is that block, ordered
+so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
+off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
+block into the norm over the 4n operator.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import GAMMA, check_mass
+from .dirac import PAULI, check_mass
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -233,10 +239,12 @@ def spectral_momentum(grid: Grid1D) -> np.ndarray:
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
                         V: Callable[[np.ndarray], np.ndarray]) -> BlockedHamiltonian:
-    """4n x 4n Dirac Hamiltonian beta m + V(x) + alpha_1 p on a periodic box.
+    """2n x 2n spin block m sigma_z + V(x) + sigma_x p of the 1D Dirac
+    Hamiltonian beta m + V(x) + alpha_1 p on a periodic box.
 
-    Basis ordering is component-major (both upper-spinor components first),
-    so beta = diag(I_{2n}, -I_{2n}).
+    Basis ordering is component-major (upper component first), so
+    beta = diag(I_n, -I_n).  In spinor component order (1, 4 | 2, 3) the
+    4n x 4n Hamiltonian is two copies of this block.
     """
     check_mass(m)
     n = grid.n
@@ -247,16 +255,28 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
         raise ValueError("potential must be bounded on the box")
     P = spectral_momentum(grid)
     eye_n = np.eye(n)
-    H = (m * np.kron(GAMMA.beta, eye_n)
-         + np.kron(np.eye(4), np.diag(v_vals))
-         + np.kron(GAMMA.alpha[0], P))
+    sigma_x, _, sigma_z = PAULI
+    H = (m * np.kron(sigma_z, eye_n)
+         + np.kron(np.eye(2), np.diag(v_vals))
+         + np.kron(sigma_x, P))
     return BlockedHamiltonian(H=H, m=m)
 
 
+def four_component_norm(block_norm):
+    """Frobenius norm over the 4n x 4n Dirac operator of a quantity whose norm
+    over the 2n x 2n spin block is block_norm.
+
+    The permutation to component order (1, 4 | 2, 3) takes the 4n Hamiltonian
+    to diag(h, h), and so every matrix built from it to diag(A, A), and
+    ||diag(A, A)||_F = sqrt(||A||_F^2 + ||A||_F^2) = sqrt(2) ||A||_F.
+    """
+    return np.sqrt(2.0) * block_norm
+
+
 def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
-    """Sorted exact spectrum of the free discretized Hamiltonian."""
+    """Sorted exact spectrum of the free discretized spin block."""
     eps = np.sqrt(m * m + grid.p_fft**2)
-    return np.sort(np.concatenate([eps, eps, -eps, -eps]))
+    return np.sort(np.concatenate([eps, -eps]))
 
 
 def upper_block_spectrum(h_fw: np.ndarray, n_upper: int) -> np.ndarray:
@@ -309,7 +329,8 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     upper-block spectra of the two transformed Hamiltonians differ at
     O(v0^2).  The exact reference spectrum comes straight from H itself
     (the positive eigenvalues of the decomposition that gives lambda),
-    independent of the exact unitary.
+    independent of the exact unitary.  The off-block norms are over the
+    spin block; four_component_norm gives them over the 4n operator.
     """
     v0_arr = check_strengths(v0_list)
     if profile is None:
@@ -322,9 +343,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
         nu = bh.n_upper
         lam, w = sign_function(bh.H)
         U = eriksen_unitary(bh, lam)[0]
-        del lam
         exact_off.append(_conjugated_offblock_norm(U, bh.H, nu))
-        del U
         U_a, h_approx = approx_fw(bh)
         approx_upper = upper_block_spectrum(h_approx, nu)
         diffs.append(float(np.max(np.abs(approx_upper - w[nu:]))))

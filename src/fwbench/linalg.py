@@ -2,7 +2,7 @@
 
 Everything downstream works with plain complex numpy arrays; this module
 supplies the validated square-matrix input, the Hermitian inverse square
-root, the commutator and the tolerance-based structure predicates.
+root, the commutator and the tolerance-based Hermiticity predicate.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
 
 def is_hermitian(m: ComplexMatrix, rtol: float = HERMITIAN_RTOL) -> bool:
     return hermiticity_defect(m) <= rtol
-
-
-def is_unitary(m: ComplexMatrix, atol: float = 1e-10) -> bool:
-    n = m.shape[0]
-    return frob(m @ m.conj().T - np.eye(n)) <= atol * np.sqrt(n)
 
 
 def commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:

@@ -83,6 +83,15 @@ def default_grid(p0: float, sigma_p: float, n: Optional[int] = None) -> Grid1D:
     return Grid1D(n=n, length=2 * np.pi / (sigma_p / 8))
 
 
+def check_packet_mass(m: float) -> float:
+    """m, or ValueError unless it is positive and finite.  The centered grid
+    holds p = 0, where the massless free unitary depends on the direction of
+    p and so has no value."""
+    if not (m > 0 and np.isfinite(m)):
+        raise ValueError(f"packet mass must be positive and finite, got {m}")
+    return m
+
+
 def make_gaussian_packet(p0: float, sigma_p: float, m: float,
                          spin_dir=(0, 0, 1), picture: str = "fw",
                          grid: Optional[Grid1D] = None,
@@ -92,6 +101,7 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     The Dirac-picture amplitude is obtained by applying U^-1 nodewise, so
     the packet stays a superposition of positive-energy plane waves.
     """
+    check_packet_mass(m)
     if grid is None:
         grid = default_grid(p0, sigma_p, n)
     p = grid.p_centered

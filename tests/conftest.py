@@ -5,7 +5,9 @@ import pytest
 import scipy.linalg
 
 from fwbench.algebra import ClassicalState, classical_observables, poisson_bracket
-from fwbench.dirac import dirac_hamiltonian, energy, free_propagator, fv_hamiltonian_matrix
+from fwbench.dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
+                           fv_hamiltonian_matrix)
+from fwbench.eriksen import spectral_momentum
 from fwbench.phase_ops import coeff_derivative, cross_c, p_dot
 
 
@@ -124,10 +126,23 @@ def dense_scaling_study(hamiltonians, beta, M) -> dict:
     return {k: np.asarray(v) for k, v in out.items()}
 
 
+def dirac_grid_hamiltonian_4n(grid, m: float, v_vals):
+    """The full four-component 4n x 4n grid Hamiltonian
+    beta m + V(x) + alpha_1 p, component-major, from the Dirac matrices
+    themselves rather than from the spin-block structure; v_vals holds V
+    at the grid points.  Returns (H, beta)."""
+    eye_n = np.eye(grid.n)
+    H = (m * np.kron(GAMMA.beta, eye_n)
+         + np.kron(np.eye(4), np.diag(v_vals))
+         + np.kron(GAMMA.alpha[0], spectral_momentum(grid)))
+    return H, np.kron(GAMMA.beta, eye_n)
+
+
 @pytest.fixture(scope="session")
 def dense_eriksen_oracle():
     return {"unitary": dense_eriksen_unitary, "approx": dense_approx_fw,
-            "study": dense_scaling_study, "offblock": _dense_offblock}
+            "study": dense_scaling_study, "offblock": _dense_offblock,
+            "hamiltonian_4n": dirac_grid_hamiltonian_4n}
 
 
 def heisenberg_numeric(H, O, t: float):

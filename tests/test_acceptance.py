@@ -242,7 +242,7 @@ def test_criterion_05_exact_transformation_on_grid():
     h_fw = u @ bh.H @ u.conj().T
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(h_fw, bh.n_upper)
-        - np.sort(np.repeat(np.sqrt(m * m + grid.p_fft**2), 2)))))
+        - np.sort(np.sqrt(m * m + grid.p_fft**2)))))
     study = erk.potential_scaling_study(grid, m, [1e-3, 1e-2, 1e-1])
     runtime = time.perf_counter() - t0
     ok = (conds["offblock"] <= 1e-9

@@ -15,7 +15,7 @@ def run(argv):
     return main(argv)
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify-algebra", "--set", "nonsense"])
     assert exc.value.code == 2
@@ -36,6 +36,20 @@ def test_usage_error_exits_2():
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+    # a packet needs a positive mass (the grid holds p = 0), and the time
+    # series need enough steps; no row is printed
+    for argv in (["packet", "--mass", "0"], ["pce", "--mass", "0"],
+                 ["packet", "--mass", "-1"], ["pce", "--mass", "-1"],
+                 ["packet", "--mass", "inf"],
+                 ["zitter", "--steps", "1"], ["zitter", "--steps", "0"],
+                 ["zitter", "--particle", "fw", "--steps", "1"],
+                 ["precess", "--steps", "-1"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {argv[-2]}" in captured.err, argv
 
 
 def test_product_imports_numpy_only():
@@ -165,6 +179,10 @@ def test_precess_command(tmp_path, capsys):
     classical = rows[:, 1:4]
     quantum = rows[:, 4:7]
     assert np.max(np.abs(classical - quantum)) <= 1e-12
+    # zero steps is a valid, empty series
+    empty = tmp_path / "empty.csv"
+    assert run(["precess", "--steps", "0", "--out", str(empty)]) == 0
+    assert empty.read_text().splitlines()[0].startswith("t,")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -213,8 +231,3 @@ def test_numerical_error_exits_1(capsys):
     code = run(["packet", "--p0", "500", "--sigma", "0.1", "--n", "64"])
     assert code == 1
     assert "error" in capsys.readouterr().err
-    # a negative mass is rejected before any row is printed
-    for cmd in ("packet", "pce"):
-        assert run([cmd, "--mass", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "mass must be non-negative" in captured.err and captured.out == ""

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fwbench.cli import main
 from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
 from fwbench.eriksen import (
@@ -23,6 +26,11 @@ from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import evaluate, fw_unitary_free
 
 I4 = np.eye(4)
+
+
+def block_beta(n):
+    """beta = diag(I_n, -I_n) of the 2n x 2n spin block."""
+    return np.kron(np.diag([1.0, -1.0]), np.eye(n))
 
 
 def blocked_4x4(p, m):
@@ -104,7 +112,7 @@ def test_constant_potential_shifts_spectrum_exactly(free_grid_system):
 
 def test_odd_part_anticommutes_with_beta(free_grid_system):
     grid, bh = free_grid_system
-    beta = np.kron(GAMMA.beta, np.eye(grid.n))
+    beta = block_beta(grid.n)
     odd = bh.odd_part()
     assert frob(beta @ odd + odd @ beta) <= 1e-10
     assert frob(bh.even_part()) <= 1e-12   # free case: E = 0
@@ -122,7 +130,7 @@ def test_positive_block_spectrum(free_grid_system):
     grid, bh = free_grid_system
     u, _ = eriksen_unitary(bh)
     h_fw = u @ bh.H @ u.conj().T
-    expected = np.sort(np.repeat(np.sqrt(1.0 + grid.p_fft**2), 2))
+    expected = np.sort(np.sqrt(1.0 + grid.p_fft**2))
     assert np.max(np.abs(upper_block_spectrum(h_fw, bh.n_upper) - expected)) <= 1e-10
 
 
@@ -208,7 +216,7 @@ def _oracle_cases():
              for m in ORACLE_MASSES for i, p in enumerate(rng.uniform(-3, 3, (3, 3)))]
     for n in (16, 32):
         grid = Grid1D(n=n, length=n / 2)
-        beta = np.kron(GAMMA.beta, np.eye(n))
+        beta = block_beta(n)
         for m in ORACLE_MASSES:
             for name, profile in ORACLE_PROFILES.items():
                 V = profile(grid.length)
@@ -241,8 +249,7 @@ def test_scaling_study_matches_dense_oracle(n, m, profile, dense_eriksen_oracle)
     v0 = [1e-3, 1e-2, 1e-1]
     study = potential_scaling_study(grid, m, v0, V)
     hams = [discretize_dirac_1d(grid, m, lambda x: v * V(x)).H for v in v0]
-    oracle = dense_eriksen_oracle["study"](hams, np.kron(GAMMA.beta, np.eye(n)),
-                                           m * np.eye(4 * n))
+    oracle = dense_eriksen_oracle["study"](hams, block_beta(n), m * np.eye(2 * n))
     # even_block_diff is a difference of O(1) eigenvalues, so it is compared
     # absolutely (measured worst 2.8e-14); the off-block norms relatively
     # (measured worst 3.9e-12), the exact ones are roundoff (below 6.5e-14).
@@ -286,7 +293,7 @@ def test_eriksen_evenness_unitarity_and_block_diagonal(dense_eriksen_oracle, H):
 
 def test_scaling_study_decomposes_each_hamiltonian_once(monkeypatch):
     grid = Grid1D(n=16, length=8.0)
-    full = 4 * grid.n
+    full = 2 * grid.n
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -299,3 +306,62 @@ def test_scaling_study_decomposes_each_hamiltonian_once(monkeypatch):
     assert calls.count(("eigh", full)) == 3
     assert calls.count(("eigvalsh", full)) == 0
     assert all(dim <= full // 2 for name, dim in calls if (name, dim) != ("eigh", full))
+
+
+# --- the spin block against the four-component 4n x 4n grid Hamiltonian ------
+
+def _spin_block_order(n):
+    """Indices that reorder the 4n basis to components (1, 4 | 2, 3)."""
+    return np.concatenate([np.arange(c * n, (c + 1) * n) for c in (0, 3, 1, 2)])
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("m", ORACLE_MASSES)
+@pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+def test_four_component_hamiltonian_is_two_spin_blocks(n, m, profile, dense_eriksen_oracle):
+    grid = Grid1D(n=n, length=n / 2)
+    V = ORACLE_PROFILES[profile](grid.length)
+    H4, beta4 = dense_eriksen_oracle["hamiltonian_4n"](grid, m, 0.2 * V(grid.x))
+    h = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x)).H
+    order = _spin_block_order(n)
+    zero = np.zeros_like(h)
+    np.testing.assert_array_equal(H4[np.ix_(order, order)], np.block([[h, zero], [zero, h]]))
+    beta = block_beta(n)
+    np.testing.assert_array_equal(beta4[np.ix_(order, order)],
+                                  np.block([[beta, zero], [zero, beta]]))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_eriksen_command_matches_four_component_oracle(n, tmp_path, dense_eriksen_oracle):
+    out = tmp_path / "eriksen.json"
+    assert main(["eriksen", "--n", str(n), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    grid, m = Grid1D(n=n, length=data["box"]), data["mass"]
+    width = grid.length / 8.0
+    hams, betas = zip(*(dense_eriksen_oracle["hamiltonian_4n"](
+        grid, m, v0 * np.exp(-grid.x**2 / (2 * width**2))) for v0 in data["v0"]))
+    oracle = dense_eriksen_oracle["study"](hams, betas[0], m * np.eye(4 * n))
+    # the reported Frobenius norms are over the 4n operator: no factor here
+    assert np.max(np.abs(np.array(data["approx_offblock"])
+                         / oracle["approx_offblock"] - 1)) <= 1e-11
+    assert np.max(np.abs(np.array(data["even_block_spectral_diff"])
+                         - oracle["even_block_diff"])) <= 1e-12
+    exponent = np.polyfit(np.log(data["v0"]), np.log(oracle["even_block_diff"]), 1)[0]
+    assert abs(data["scaling_exponent"] - exponent) <= 1e-5
+    assert max(data["free_conditions"].values()) <= 1e-12
+    assert max(data["exact_offblock"]) <= 1e-12
+    assert np.max(oracle["exact_offblock"]) <= 1e-12
+
+
+def test_eriksen_command_decomposes_nothing_larger_than_the_spin_block(tmp_path, monkeypatch):
+    n = 16
+    dims = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            dims.append(a.shape[-1])
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
+    assert max(dims) == 2 * n

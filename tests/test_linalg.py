@@ -9,11 +9,15 @@ from fwbench.linalg import (
     commutator,
     frob,
     is_hermitian,
-    is_unitary,
     mat_inv_sqrt_psd,
 )
 
 I4 = np.eye(4, dtype=complex)
+
+
+def is_unitary(m, atol: float = 1e-10) -> bool:
+    n = m.shape[0]
+    return frob(m @ m.conj().T - np.eye(n)) <= atol * np.sqrt(n)
 
 
 def random_hermitian(rng, n):

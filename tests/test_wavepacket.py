@@ -232,3 +232,6 @@ def test_packet_validation():
         make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, spin_dir=(0, 0, 0))
     with pytest.raises(ValueError, match="picture"):
         make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, picture="Dirac")
+    for bad_mass in (0.0, -1.0, np.nan, np.inf):   # the grid holds p = 0
+        with pytest.raises(ValueError, match="mass must be positive"):
+            make_gaussian_packet(p0=1.0, sigma_p=0.5, m=bad_mass)
