@@ -29,7 +29,8 @@ from . import eriksen as erk
 from . import spin_dynamics as sd
 from . import wavepacket as wp
 from . import zitter as zt
-from .dirac import check_mass, energy, free_propagator, fw_hamiltonian
+from .dirac import (check_mass, check_positive_mass, energy, free_propagator,
+                    fw_hamiltonian)
 from .grids import Grid1D, check_length, check_size
 
 DEFAULT_SEED = 42
@@ -68,7 +69,8 @@ def _checked(convert, check):
 _strengths = _checked(lambda text: [float(t) for t in text.split(",")],
                       lambda v0: erk.check_strengths(v0).tolist())
 _grid_size = _checked(int, check_size)
-_packet_mass = _checked(float, wp.check_packet_mass)
+_mass = _checked(float, check_mass)
+_positive_mass = _checked(float, check_positive_mass)
 
 
 def _int_at_least(lowest: int):
@@ -132,9 +134,11 @@ def cmd_verify_algebra(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_eriksen(args) -> int:
-    grid = Grid1D(n=args.n, length=args.box)
-    bh = erk.discretize_dirac_1d(grid, args.mass, lambda x: np.zeros_like(x))
+def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
+    """(conditions, positive-spectrum error) of the exact transform on the
+    free grid.  Its matrices are released on return, before the scaling
+    study builds its own."""
+    bh = erk.discretize_dirac_1d(grid, mass, lambda x: np.zeros_like(x))
     U, lam = erk.eriksen_unitary(bh)
     # Frobenius norms are reported over the 4n x 4n Dirac operator; the
     # spectra and the exponent are the same for the spin block.
@@ -143,7 +147,13 @@ def cmd_eriksen(args) -> int:
     h_fw = U @ bh.H @ U.conj().T
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(h_fw, bh.n_upper)
-        - erk.free_spectrum_1d(grid, args.mass)[bh.n_upper:])))
+        - erk.free_spectrum_1d(grid, mass)[bh.n_upper:])))
+    return conds, spec_err
+
+
+def cmd_eriksen(args) -> int:
+    grid = Grid1D(n=args.n, length=args.box)
+    conds, spec_err = _free_eriksen_checks(grid, args.mass)
     study = erk.potential_scaling_study(grid, args.mass, args.v0)
     result = {
         "n": args.n,
@@ -294,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run commutator / Poisson-bracket suites")
     va.add_argument("--set", default="conventional",
                     choices=list(algebra.QUANTUM_SET_NAMES) + ["classical", "all"])
-    va.add_argument("--mass", type=float, default=1.0)
+    va.add_argument("--mass", type=_mass, default=1.0)
     va.add_argument("--samples", type=_int_at_least(1), default=100)
     va.add_argument("--seed", type=int, default=DEFAULT_SEED)
     va.add_argument("--tol", type=float, default=algebra.QUANTUM_TOL,
@@ -310,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exact/approximate block-diagonalization study")
     er.add_argument("--n", type=_grid_size, default=64)
     er.add_argument("--box", type=_checked(float, check_length), default=32.0)
-    er.add_argument("--mass", type=_checked(float, check_mass), default=1.0)
+    er.add_argument("--mass", type=_positive_mass, default=1.0)
     er.add_argument("--v0", type=_strengths, default=[1e-3, 1e-2, 1e-1],
                     help="comma-separated potential strengths")
     er.add_argument("--out", default=None)
@@ -351,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
     pa.add_argument("--p0", type=float, default=2.0)
     pa.add_argument("--sigma", type=float, default=0.5)
-    pa.add_argument("--mass", type=_packet_mass, default=1.0)
+    pa.add_argument("--mass", type=_positive_mass, default=1.0)
     pa.add_argument("--n", type=_grid_size, default=256)
     pa.add_argument("--t", type=float, default=0.0)
     pa.add_argument("--out", default=None)
@@ -360,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("pce", formatter_class=fmt, help="picture-change-error report")
     pc.add_argument("--p0", type=float, default=2.0)
     pc.add_argument("--sigma", type=float, default=0.5)
-    pc.add_argument("--mass", type=_packet_mass, default=1.0)
+    pc.add_argument("--mass", type=_positive_mass, default=1.0)
     pc.add_argument("--n", type=_grid_size, default=256)
     pc.add_argument("--format", default="pretty-table", choices=FORMATS)
     pc.add_argument("--out", default=None)

@@ -62,9 +62,19 @@ GAMMA = build_gamma_set()
 
 
 def check_mass(m: float) -> float:
-    """m, or ValueError if it is negative."""
-    if m < 0:
-        raise ValueError(f"mass must be non-negative, got {m}")
+    """m, or ValueError unless it is finite and non-negative."""
+    if not 0 <= m < np.inf:
+        raise ValueError(f"mass must be finite and non-negative, got {m}")
+    return m
+
+
+def check_positive_mass(m: float) -> float:
+    """m, or ValueError unless it is positive and finite.  The eriksen and
+    packet grids hold p = 0, where the massless Hamiltonian has a zero mode:
+    the sign function is undefined there, and the free unitary depends on
+    the direction of p and so has no value."""
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {m}")
     return m
 
 

@@ -40,6 +40,17 @@ h = [[m + V, P], [P, V - m]], and the grid Hamiltonian is that block, ordered
 so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
 off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
 block into the norm over the 4n operator.
+
+Working set: each Hamiltonian is built, checked and transformed with a
+handful of full-size matrices alive at once.  discretize_dirac_1d writes H
+quadrant by quadrant, approx_fw reads E from H's diagonal quadrants,
+eriksen_unitary forms 1 + beta lambda one column block at a time,
+eriksen_conditions forms and reduces one condition at a time, subtracting
+the identity in place, and the scaling study releases each Hamiltonian's
+matrices before it builds the next.  A full-size matrix is 1 MiB at
+n = 128 and 4 MiB at n = 256, so peak memory is set by how many are alive
+at once, not by the O(n^3) products.  Every matrix element is the same
+sum of the same products that the full temporaries held.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import PAULI, check_mass
+from .dirac import check_mass
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -124,10 +135,11 @@ def _times_beta(A: np.ndarray, n_upper: int) -> np.ndarray:
 
 def _conjugated_offblock_norm(U: np.ndarray, H: np.ndarray, n_upper: int) -> float:
     """Frobenius norm of the two off-diagonal quadrants of U H U^dag,
-    forming only those quadrants."""
-    uh = U @ H
-    return float(np.sqrt(frob(uh[:n_upper] @ U[n_upper:].conj().T) ** 2
-                         + frob(uh[n_upper:] @ U[:n_upper].conj().T) ** 2))
+    (U[:h] H) U[h:]^dag and (U[h:] H) U[:h]^dag with h = n_upper, forming
+    only those."""
+    upper = frob((U[:n_upper] @ H) @ U[n_upper:].conj().T)
+    lower = frob((U[n_upper:] @ H) @ U[:n_upper].conj().T)
+    return float(np.sqrt(upper ** 2 + lower ** 2))
 
 
 def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
@@ -148,7 +160,9 @@ def sign_function(H: np.ndarray, rtol: float = ZERO_MODE_RTOL) -> tuple:
     w, v = np.linalg.eigh(H)
     _reject_zero_eigenvalues(w, rtol, f"eigenvalue within {rtol:.0e} of zero: "
                                       "sign function undefined")
-    return (v * np.sign(w)) @ v.conj().T, w
+    vh = v.conj().T
+    v *= np.sign(w)
+    return v @ vh, w
 
 
 def eriksen_unitary(bh: BlockedHamiltonian, lam: Optional[np.ndarray] = None) -> tuple:
@@ -163,28 +177,37 @@ def eriksen_unitary(bh: BlockedHamiltonian, lam: Optional[np.ndarray] = None) ->
         lam = sign_function(bh.H)[0]
     h = bh.n_upper
     eye = np.eye(h)
-    left = _beta_times(lam, h) + np.eye(bh.dim)
-    U = np.empty_like(left)
-    U[:, :h] = left[:, :h] @ mat_inv_sqrt_psd(2.0 * eye + lam[:h, :h] + lam[:h, :h].conj().T)
-    U[:, h:] = left[:, h:] @ mat_inv_sqrt_psd(2.0 * eye - lam[h:, h:] - lam[h:, h:].conj().T)
+    g = (2.0 * eye + lam[:h, :h] + lam[:h, :h].conj().T,
+         2.0 * eye - lam[h:, h:] - lam[h:, h:].conj().T)
+    U = np.empty_like(lam)
+    for k in (0, 1):
+        cols = slice(k * h, (k + 1) * h)
+        # column block k of 1 + beta lambda
+        left = _beta_times(lam[:, cols], h) + np.eye(bh.dim, h, -k * h)
+        U[:, cols] = left @ mat_inv_sqrt_psd(g[k])
     return U, lam
+
+
+def _minus_identity(a: np.ndarray) -> np.ndarray:
+    """a - I, in place."""
+    a[np.diag_indices_from(a)] -= 1.0
+    return a
 
 
 def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -> dict:
     """Residuals of the defining properties of the exact transformation U
-    built from the sign function lam of bh.H."""
+    built from the sign function lam of bh.H, each formed and reduced before
+    the next."""
     h = bh.n_upper
-    eye = np.eye(bh.dim)
-    bl = _beta_times(lam, h)
-    lb = _times_beta(lam, h)
-    bu = _beta_times(U, h)
-    return {
-        "unitarity": frob(U @ U.conj().T - eye),
-        "odd_exponent": frob(bu - bu.conj().T),               # beta U - U^dag beta
-        "lambda_squared": frob(lam @ lam - eye),
-        "bl_lb_commute": frob(commutator(bl, lb)),
-        "offblock": _conjugated_offblock_norm(U, bh.H, h),
-    }
+    conds = {"unitarity": frob(_minus_identity(U @ U.conj().T))}
+    odd = _beta_times(U, h)
+    odd -= odd.conj().T                                   # beta U - U^dag beta
+    conds["odd_exponent"] = frob(odd)
+    del odd
+    conds["lambda_squared"] = frob(_minus_identity(lam @ lam))
+    conds["bl_lb_commute"] = frob(commutator(_beta_times(lam, h), _times_beta(lam, h)))
+    conds["offblock"] = _conjugated_offblock_norm(U, bh.H, h)
+    return conds
 
 
 def approx_fw(bh: BlockedHamiltonian) -> tuple:
@@ -192,10 +215,10 @@ def approx_fw(bh: BlockedHamiltonian) -> tuple:
     m, h, H = bh.m, bh.n_upper, bh.H
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
-    E = bh.even_part()
     rows = (slice(0, h), slice(h, bh.dim))
     B, C = H[rows[0], rows[1]], H[rows[1], rows[0]]          # O = [[0, B], [C, 0]]
-    E1, E2 = E[rows[0], rows[0]], E[rows[1], rows[1]]
+    # E = diag(E1, E2), read from H's diagonal quadrants
+    E1, E2 = H[:h, :h] - m * np.eye(h), H[h:, h:] + m * np.eye(h)
     # [O, E] = [[0, K], [L, 0]], so [O, [O, E]] = diag(B L - K C, C K - L B)
     K = B @ E2 - E1 @ B
     L = C @ E1 - E2 @ C
@@ -225,7 +248,7 @@ def approx_fw(bh: BlockedHamiltonian) -> tuple:
         U[other, here] = (-sign / m) * H[other, here] @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s)))
         d_inv = fn(1.0 / denom[k])
         dc = double_comm[k]
-        h_approx[here, here] = (sign * fn(eps[k]) + E[here, here]
+        h_approx[here, here] = (sign * fn(eps[k]) + (E1, E2)[k]
                                 - 0.25 * (d_inv @ dc + dc @ d_inv))
     return U, h_approx
 
@@ -253,12 +276,11 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
         v_vals = np.array([float(V(xj)) for xj in grid.x])
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("potential must be bounded on the box")
-    P = spectral_momentum(grid)
-    eye_n = np.eye(n)
-    sigma_x, _, sigma_z = PAULI
-    H = (m * np.kron(sigma_z, eye_n)
-         + np.kron(np.eye(2), np.diag(v_vals))
-         + np.kron(sigma_x, P))
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    H[:n, n:] = H[n:, :n] = spectral_momentum(grid)
+    diag = np.arange(n)
+    H[diag, diag] = m + v_vals
+    H[n + diag, n + diag] = v_vals - m
     return BlockedHamiltonian(H=H, m=m)
 
 
@@ -337,16 +359,19 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-x**2 / (2 * width**2))
-    diffs, approx_off, exact_off = [], [], []
-    for v0 in v0_arr:
-        bh = discretize_dirac_1d(grid, m, lambda x: v0 * profile(x))
-        nu = bh.n_upper
-        lam, w = sign_function(bh.H)
-        U = eriksen_unitary(bh, lam)[0]
-        exact_off.append(_conjugated_offblock_norm(U, bh.H, nu))
-        U_a, h_approx = approx_fw(bh)
-        approx_upper = upper_block_spectrum(h_approx, nu)
-        diffs.append(float(np.max(np.abs(approx_upper - w[nu:]))))
-        approx_off.append(_conjugated_offblock_norm(U_a, bh.H, nu))
-    return ScalingStudy(v0_arr, np.asarray(diffs),
-                        np.asarray(approx_off), np.asarray(exact_off))
+    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x)) for v0 in v0_arr])
+    return ScalingStudy(v0_arr, *points.T)
+
+
+def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:
+    """(even_block_diff, approx_offblock, exact_offblock) for one potential.
+    lambda is released before the approximate transform is built, and every
+    matrix on return, before the next Hamiltonian is built."""
+    bh = discretize_dirac_1d(grid, m, V)
+    nu = bh.n_upper
+    lam, w = sign_function(bh.H)
+    exact_off = _conjugated_offblock_norm(eriksen_unitary(bh, lam)[0], bh.H, nu)
+    del lam
+    U_a, h_approx = approx_fw(bh)
+    diff = float(np.max(np.abs(upper_block_spectrum(h_approx, nu) - w[nu:])))
+    return diff, _conjugated_offblock_norm(U_a, bh.H, nu), exact_off

@@ -42,10 +42,12 @@ def is_hermitian(m: ComplexMatrix, rtol: float = HERMITIAN_RTOL) -> bool:
 
 
 def commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """[A, B] = AB - BA."""
+    """[A, B] = AB - BA, with BA subtracted in place."""
     if a.shape != b.shape:
         raise LinalgError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+    out = a @ b
+    out -= b @ a
+    return out
 
 
 def mat_inv_sqrt_psd(m, eps: float = 1e-13) -> ComplexMatrix:

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import (GAMMA, dirac_hamiltonian, free_propagator, fw_hamiltonian,
-                    fw_unitary_matrix, stacked_energy)
+from .dirac import (GAMMA, check_positive_mass, dirac_hamiltonian, free_propagator,
+                    fw_hamiltonian, fw_unitary_matrix, stacked_energy)
 from .grids import Grid1D
 from .spin_dynamics import spinor_from_direction
 
@@ -83,15 +83,6 @@ def default_grid(p0: float, sigma_p: float, n: Optional[int] = None) -> Grid1D:
     return Grid1D(n=n, length=2 * np.pi / (sigma_p / 8))
 
 
-def check_packet_mass(m: float) -> float:
-    """m, or ValueError unless it is positive and finite.  The centered grid
-    holds p = 0, where the massless free unitary depends on the direction of
-    p and so has no value."""
-    if not (m > 0 and np.isfinite(m)):
-        raise ValueError(f"packet mass must be positive and finite, got {m}")
-    return m
-
-
 def make_gaussian_packet(p0: float, sigma_p: float, m: float,
                          spin_dir=(0, 0, 1), picture: str = "fw",
                          grid: Optional[Grid1D] = None,
@@ -101,7 +92,7 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     The Dirac-picture amplitude is obtained by applying U^-1 nodewise, so
     the packet stays a superposition of positive-energy plane waves.
     """
-    check_packet_mass(m)
+    check_positive_mass(m)   # the centered grid holds p = 0
     if grid is None:
         grid = default_grid(p0, sigma_p, n)
     p = grid.p_centered

@@ -36,11 +36,16 @@ def test_usage_error_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
-    # a packet needs a positive mass (the grid holds p = 0), and the time
-    # series need enough steps; no row is printed
+    # a packet and the eriksen study need a positive, finite mass (their
+    # grids hold p = 0), verify-algebra a finite, non-negative one, and the
+    # time series need enough steps; no row is printed
     for argv in (["packet", "--mass", "0"], ["pce", "--mass", "0"],
                  ["packet", "--mass", "-1"], ["pce", "--mass", "-1"],
                  ["packet", "--mass", "inf"],
+                 ["eriksen", "--mass", "0"], ["eriksen", "--mass", "nan"],
+                 ["eriksen", "--mass", "inf"],
+                 ["verify-algebra", "--mass", "-1"], ["verify-algebra", "--mass", "nan"],
+                 ["verify-algebra", "--mass", "inf"],
                  ["zitter", "--steps", "1"], ["zitter", "--steps", "0"],
                  ["zitter", "--particle", "fw", "--steps", "1"],
                  ["precess", "--steps", "-1"]):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,3 +366,22 @@ def test_eriksen_command_decomposes_nothing_larger_than_the_spin_block(tmp_path,
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
     assert max(dims) == 2 * n
+
+
+def test_eriksen_working_set(capsys):
+    # each grid Hamiltonian is built, checked and transformed with a handful
+    # of full-size matrices, and released before the next one is built
+    n = 128
+    full_size = (2 * n) ** 2 * 16
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(["eriksen", "--n", str(n)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert peak <= 10 * full_size, f"peak {peak / full_size:.1f} full-size matrices"
