@@ -144,10 +144,10 @@ def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
     # spectra and the exponent are the same for the spin block.
     conds = {k: float(erk.four_component_norm(v))
              for k, v in erk.eriksen_conditions(U, lam, bh).items()}
-    h_fw = U @ bh.H @ U.conj().T
+    nu = bh.n_upper
+    upper = (U[:nu] @ bh.H) @ U[:nu].conj().T           # upper-left quadrant of U H U^dag
     spec_err = float(np.max(np.abs(
-        erk.upper_block_spectrum(h_fw, bh.n_upper)
-        - erk.free_spectrum_1d(grid, mass)[bh.n_upper:])))
+        erk.upper_block_spectrum(upper, nu) - erk.free_spectrum_1d(grid, mass)[nu:])))
     return conds, spec_err
 
 

@@ -41,16 +41,33 @@ so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
 off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
 block into the norm over the 4n operator.
 
+What is factored per grid and what per potential: a potential enters only
+E, so every Hamiltonian on one grid has the same odd part
+O = [[0, P], [P, 0]], with P = spectral_momentum(grid).  The scaling study
+builds P once, and factor_odd_part takes the two half-size
+eigendecompositions of O^2 once per grid and mass.  The study hands that
+FactoredOddPart to approx_fw for every potential, which then forms only
+what depends on E: K, L, the double commutator and the blocks of
+H_approx, plus the products with the shared eigenvectors.  approx_fw(bh)
+on its own factors bh's odd part.  sign_function, eriksen_unitary and
+every check stay per Hamiltonian; Hermiticity is checked once, when the
+BlockedHamiltonian is made.
+
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  discretize_dirac_1d writes H
 quadrant by quadrant, approx_fw reads E from H's diagonal quadrants,
 eriksen_unitary forms 1 + beta lambda one column block at a time,
 eriksen_conditions forms and reduces one condition at a time, subtracting
 the identity in place, and the scaling study releases each Hamiltonian's
-matrices before it builds the next.  A full-size matrix is 1 MiB at
-n = 128 and 4 MiB at n = 256, so peak memory is set by how many are alive
-at once, not by the O(n^3) products.  Every matrix element is the same
-sum of the same products that the full temporaries held.
+matrices before it builds the next.  Across the study's Hamiltonians only
+P (a quarter of a full-size matrix) and the O^2 factorization (two
+half-size eigenvector matrices) stay alive; the approximate unitary,
+which depends only on O and m, is rebuilt per potential rather than kept,
+and a Hamiltonian built on its own builds and releases its own P.
+A full-size matrix is 1 MiB at n = 128 and 4 MiB at n = 256, so peak
+memory is set by how many are alive at once, not by the O(n^3) products.
+Every matrix element is the same sum of the same products that the full
+temporaries held.
 """
 
 from __future__ import annotations
@@ -74,26 +91,30 @@ from .linalg import (
 ZERO_MODE_RTOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockedHamiltonian:
     """Hermitian Hamiltonian split against beta = diag(I, -I) with M = m I:
 
     H = beta m + E + O,  E = (H + beta H beta)/2 - beta m,
     O = (H - beta H beta)/2.
+
+    The constructor checks that H is finite and Hermitian, once; the kernels
+    that take a BlockedHamiltonian rely on that check.
     """
 
     H: np.ndarray
     m: float
 
     def __post_init__(self):
-        self.H = as_matrix(self.H)
-        self.m = float(self.m)
-        if not (np.isfinite(self.m) and self.m >= 0.0):
-            raise LinalgError(f"mass must be finite and non-negative, got {self.m}")
-        if self.H.shape[0] % 2:
+        H, m = as_matrix(self.H), float(self.m)
+        if not (np.isfinite(m) and m >= 0.0):
+            raise LinalgError(f"mass must be finite and non-negative, got {m}")
+        if H.shape[0] % 2:
             raise LinalgError("blocked Hamiltonian needs even dimension")
-        if not is_hermitian(self.H):
+        if not is_hermitian(H):
             raise LinalgError("Hamiltonian must be Hermitian")
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "m", m)
 
     @property
     def dim(self) -> int:
@@ -148,15 +169,20 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
         raise LinalgError(message)
 
 
-def sign_function(H: np.ndarray, rtol: float = ZERO_MODE_RTOL) -> tuple:
+def sign_function(H, rtol: float = ZERO_MODE_RTOL) -> tuple:
     """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition.
 
-    Returns (lambda, w) with w the ascending eigenvalues of H, so a caller
-    that also needs the spectrum does not decompose H a second time.
+    H is a matrix, checked here to be finite and Hermitian, or a
+    BlockedHamiltonian, whose constructor has checked its H.  Returns
+    (lambda, w) with w the ascending eigenvalues of H, so a caller that also
+    needs the spectrum does not decompose H a second time.
     """
-    H = as_matrix(H)
-    if not is_hermitian(H):
-        raise LinalgError("sign function requires a Hermitian matrix")
+    if isinstance(H, BlockedHamiltonian):
+        H = H.H
+    else:
+        H = as_matrix(H)
+        if not is_hermitian(H):
+            raise LinalgError("sign function requires a Hermitian matrix")
     w, v = np.linalg.eigh(H)
     _reject_zero_eigenvalues(w, rtol, f"eigenvalue within {rtol:.0e} of zero: "
                                       "sign function undefined")
@@ -174,7 +200,7 @@ def eriksen_unitary(bh: BlockedHamiltonian, lam: Optional[np.ndarray] = None) ->
     so g^(-1/2) scales the left and right column blocks of 1 + beta lambda.
     """
     if lam is None:
-        lam = sign_function(bh.H)[0]
+        lam = sign_function(bh)[0]
     h = bh.n_upper
     eye = np.eye(h)
     g = (2.0 * eye + lam[:h, :h] + lam[:h, :h].conj().T,
@@ -210,13 +236,58 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     return conds
 
 
-def approx_fw(bh: BlockedHamiltonian) -> tuple:
-    """Approximate relativistic transformation and Hamiltonian (U, H_approx)."""
-    m, h, H = bh.m, bh.n_upper, bh.H
+@dataclass(frozen=True)
+class FactoredOddPart:
+    """The odd part O = [[0, B], [C, 0]] and mass m with the two half-size
+    eigendecompositions of O^2 = diag(B C, C B): everything in the
+    approximate transform that does not depend on the even part E.  All
+    Hamiltonians on one grid with one mass share it, since the potential
+    enters only E.  blocks[k] = (v, s, eps, denom) for diagonal block k:
+    the eigenvectors of its O^2 block, and S = sqrt(1 + X^2), eps and the
+    kinetic denominator 2 eps^2 + 2 m eps on their eigenvalues."""
+
+    B: np.ndarray
+    C: np.ndarray
+    m: float
+    blocks: tuple
+
+    def matches(self, bh: BlockedHamiltonian) -> bool:
+        """Whether bh has exactly this odd part and mass."""
+        h = bh.n_upper
+        return (bh.m == self.m and np.array_equal(bh.H[:h, h:], self.B)
+                and np.array_equal(bh.H[h:, :h], self.C))
+
+
+def factor_odd_part(B: np.ndarray, C: np.ndarray, m: float) -> FactoredOddPart:
+    """Factor O^2 = diag(B C, C B) for the odd part O = [[0, B], [C, 0]]."""
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
+    # eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
+    decomps = [np.linalg.eigh(q) for q in (B @ C, C @ B)]
+    w_sq = [np.clip(w, 0.0, None) for w, _ in decomps]
+    eps = [np.sqrt(m * m + w) for w in w_sq]
+    denom = [2.0 * e * e + 2.0 * m * e for e in eps]
+    _reject_zero_eigenvalues(np.concatenate(denom), 1e-12, "kinetic denominator is singular")
+    blocks = tuple((v, np.sqrt(1.0 + w / (m * m)), e, d)
+                   for (_, v), w, e, d in zip(decomps, w_sq, eps, denom))
+    return FactoredOddPart(B, C, m, blocks)
+
+
+def approx_fw(bh: BlockedHamiltonian, odd: Optional[FactoredOddPart] = None) -> tuple:
+    """Approximate relativistic transformation and Hamiltonian (U, H_approx).
+
+    odd is factor_odd_part of bh's odd part and mass; a caller that
+    transforms several Hamiltonians with the same odd part passes it, and
+    one that does not match bh is rejected.
+    """
+    m, h, H = bh.m, bh.n_upper, bh.H
     rows = (slice(0, h), slice(h, bh.dim))
     B, C = H[rows[0], rows[1]], H[rows[1], rows[0]]          # O = [[0, B], [C, 0]]
+    if odd is None:
+        odd = factor_odd_part(B, C, m)
+    elif not odd.matches(bh):
+        raise LinalgError("odd-part factorization does not match the Hamiltonian's "
+                          "odd part and mass")
     # E = diag(E1, E2), read from H's diagonal quadrants
     E1, E2 = H[:h, :h] - m * np.eye(h), H[h:, h:] + m * np.eye(h)
     # [O, E] = [[0, K], [L, 0]], so [O, [O, E]] = diag(B L - K C, C K - L B)
@@ -224,31 +295,23 @@ def approx_fw(bh: BlockedHamiltonian) -> tuple:
     L = C @ E1 - E2 @ C
     double_comm = (B @ L - K @ C, C @ K - L @ B)
 
-    # O^2 = diag(B C, C B); eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
-    decomps = [np.linalg.eigh(q) for q in (B @ C, C @ B)]
-    w_sq = [np.clip(w, 0.0, None) for w, _ in decomps]
-    eps = [np.sqrt(m * m + w) for w in w_sq]
-    denom = [2.0 * e * e + 2.0 * m * e for e in eps]
-    _reject_zero_eigenvalues(np.concatenate(denom), 1e-12, "kinetic denominator is singular")
-
     # Column block k of U = (1 + S + beta X) N, N = (2 S (1 + S))^(-1/2), is
     # (1 + S_k) N_k on the diagonal and (beta X) N_k = -sign_k O N_k / m off
     # it; H_approx = beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even.
     U = np.empty_like(H)
     h_approx = np.zeros_like(H)
     for k, sign in ((0, 1.0), (1, -1.0)):
-        v = decomps[k][1]
+        v, s, eps, denom = odd.blocks[k]
         vh = v.conj().T
 
         def fn(f):
             return (v * f) @ vh
-        s = np.sqrt(1.0 + w_sq[k] / (m * m))
         here, other = rows[k], rows[1 - k]
         U[here, here] = fn(np.sqrt((1.0 + s) / (2.0 * s)))
         U[other, here] = (-sign / m) * H[other, here] @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s)))
-        d_inv = fn(1.0 / denom[k])
+        d_inv = fn(1.0 / denom)
         dc = double_comm[k]
-        h_approx[here, here] = (sign * fn(eps[k]) + (E1, E2)[k]
+        h_approx[here, here] = (sign * fn(eps) + (E1, E2)[k]
                                 - 0.25 * (d_inv @ dc + dc @ d_inv))
     return U, h_approx
 
@@ -261,13 +324,16 @@ def spectral_momentum(grid: Grid1D) -> np.ndarray:
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
-                        V: Callable[[np.ndarray], np.ndarray]) -> BlockedHamiltonian:
+                        V: Callable[[np.ndarray], np.ndarray],
+                        P: Optional[np.ndarray] = None) -> BlockedHamiltonian:
     """2n x 2n spin block m sigma_z + V(x) + sigma_x p of the 1D Dirac
     Hamiltonian beta m + V(x) + alpha_1 p on a periodic box.
 
     Basis ordering is component-major (upper component first), so
     beta = diag(I_n, -I_n).  In spinor component order (1, 4 | 2, 3) the
-    4n x 4n Hamiltonian is two copies of this block.
+    4n x 4n Hamiltonian is two copies of this block.  P is
+    spectral_momentum(grid), built here unless a caller that builds several
+    Hamiltonians on the grid passes it.
     """
     check_mass(m)
     n = grid.n
@@ -277,7 +343,7 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("potential must be bounded on the box")
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, n:] = H[n:, :n] = spectral_momentum(grid)
+    H[:n, n:] = H[n:, :n] = spectral_momentum(grid) if P is None else P
     diag = np.arange(n)
     H[diag, diag] = m + v_vals
     H[n + diag, n + diag] = v_vals - m
@@ -352,26 +418,33 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     O(v0^2).  The exact reference spectrum comes straight from H itself
     (the positive eigenvalues of the decomposition that gives lambda),
     independent of the exact unitary.  The off-block norms are over the
-    spin block; four_component_norm gives them over the 4n operator.
+    spin block; four_component_norm gives them over the 4n operator.  Every
+    H has the odd part [[0, P], [P, 0]] of the grid's momentum operator P,
+    so O^2 is factored once for the whole ladder.
     """
     v0_arr = check_strengths(v0_list)
+    check_mass(m)
     if profile is None:
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-x**2 / (2 * width**2))
-    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x)) for v0 in v0_arr])
+    P = spectral_momentum(grid)
+    odd = factor_odd_part(P, P, m)
+    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x), odd)
+                       for v0 in v0_arr])
     return ScalingStudy(v0_arr, *points.T)
 
 
-def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:
+def _study_point(grid: Grid1D, m: float, V: Callable, odd: FactoredOddPart) -> tuple:
     """(even_block_diff, approx_offblock, exact_offblock) for one potential.
     lambda is released before the approximate transform is built, and every
-    matrix on return, before the next Hamiltonian is built."""
-    bh = discretize_dirac_1d(grid, m, V)
+    matrix but the shared odd-part factorization on return, before the next
+    Hamiltonian is built."""
+    bh = discretize_dirac_1d(grid, m, V, odd.B)          # odd.B is the grid's P
     nu = bh.n_upper
-    lam, w = sign_function(bh.H)
+    lam, w = sign_function(bh)
     exact_off = _conjugated_offblock_norm(eriksen_unitary(bh, lam)[0], bh.H, nu)
     del lam
-    U_a, h_approx = approx_fw(bh)
+    U_a, h_approx = approx_fw(bh, odd)
     diff = float(np.max(np.abs(upper_block_spectrum(h_approx, nu) - w[nu:])))
     return diff, _conjugated_offblock_norm(U_a, bh.H, nu), exact_off

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fwbench.eriksen
+import fwbench.linalg
 from fwbench.cli import main
 from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
@@ -17,6 +20,7 @@ from fwbench.eriksen import (
     discretize_dirac_1d,
     eriksen_conditions,
     eriksen_unitary,
+    factor_odd_part,
     free_spectrum_1d,
     potential_scaling_study,
     sign_function,
@@ -177,6 +181,33 @@ def test_approx_rejects_singular_mass_operator():
         approx_fw(bh)
 
 
+def test_sign_function_rejects_non_hermitian_matrix():
+    with pytest.raises(LinalgError, match="Hermitian"):
+        sign_function(np.array([[1.0, 1.0], [0.0, -1.0]]))
+
+
+def test_blocked_hamiltonian_is_frozen():
+    # sign_function trusts the constructor's Hermiticity check of bh.H
+    bh = BlockedHamiltonian(H=np.eye(4), m=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bh.H = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_eriksen_command_checks_each_hamiltonian_hermitian_once(tmp_path, monkeypatch):
+    n = 16
+    dims = []
+    for module in (fwbench.eriksen, fwbench.linalg):
+        original = module.is_hermitian
+
+        def counted(a, *args, _original=original, **kwargs):
+            dims.append(a.shape[-1])
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(module, "is_hermitian", counted)
+    assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
+    # the free Hamiltonian and the three of the default --v0 ladder
+    assert dims.count(2 * n) == 4
+
+
 def test_blocked_hamiltonian_validation():
     with pytest.raises(LinalgError):
         BlockedHamiltonian(H=np.array([[0.0, 1.0], [0.0, 0.0]]), m=1.0)
@@ -307,6 +338,48 @@ def test_scaling_study_decomposes_each_hamiltonian_once(monkeypatch):
     assert calls.count(("eigh", full)) == 3
     assert calls.count(("eigvalsh", full)) == 0
     assert all(dim <= full // 2 for name, dim in calls if (name, dim) != ("eigh", full))
+
+
+def test_scaling_study_factors_the_odd_part_once(monkeypatch):
+    # every H of the ladder has the odd part of the grid's P: O^2 is factored
+    # once (2 half-size eigh), and each H takes one full-size eigh and two
+    # half-size ones for g^(-1/2)
+    grid = Grid1D(n=16, length=8.0)
+    full = 2 * grid.n
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
+    assert calls.count(full) == 3
+    assert calls.count(full // 2) == 8
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+def test_approx_fw_with_shared_factorization_is_identical(profile):
+    grid = Grid1D(n=32, length=16.0)
+    V = ORACLE_PROFILES[profile](grid.length)
+    P = spectral_momentum(grid)
+    shared = factor_odd_part(P, P, 1.5)
+    for v0 in (1e-2, 0.3):
+        bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x))
+        for got, want in zip(approx_fw(bh, shared), approx_fw(bh)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("b_length, c_length, m",
+                         [(16.0, 8.0, 1.0), (8.0, 16.0, 1.0), (8.0, 8.0, 2.0)],
+                         ids=["B", "C", "m"])
+def test_approx_fw_rejects_mismatched_factorization(b_length, c_length, m):
+    # bh has the odd part of the length-8 grid and mass 1
+    bh = discretize_dirac_1d(Grid1D(n=16, length=8.0), 1.0, lambda x: 0.1 * np.cos(x))
+    B, C = (spectral_momentum(Grid1D(n=16, length=L)) for L in (b_length, c_length))
+    with pytest.raises(LinalgError, match="does not match"):
+        approx_fw(bh, factor_odd_part(B, C, m))
 
 
 # --- the spin block against the four-component 4n x 4n grid Hamiltonian ------
