@@ -3,22 +3,15 @@
 Natural units (hbar = c = 1) throughout.
 """
 
-from .dirac import GAMMA, Kinematics, build_gamma_set, energy
+from .dirac import GAMMA, build_gamma_set, energy
 from .grids import Grid1D
 from .linalg import LinalgError, commutator
 from .phase_ops import (
     DomainError,
-    NonUnitaryError,
     OperatorFamily,
     PhaseOpValue,
     PhaseSpaceOperator,
-    Rep,
     build_operator,
-    conjugate,
-    evaluate,
-    fw_unitary_free,
-    fw_unitary_free_inv,
-    op_commutator,
 )
 from .algebra import (
     AlgebraReport,

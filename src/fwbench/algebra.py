@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dirac import GAMMA, dirac_hamiltonian, energy
+from .dirac import GAMMA, dirac_hamiltonian
 from .phase_ops import (
     Jet,
     OperatorFamily,
@@ -89,9 +89,10 @@ def _verdict(expected: str, max_residual: float, tol: float, floor: float) -> st
 
 
 def _report(identity_id: str, set_name: str, residuals: list, expected: str,
-            note: str, tol: float, floor: float) -> AlgebraReport:
-    """Summarize one identity's per-sample worst residuals."""
-    res = np.asarray(residuals)
+            note: str, tol: float) -> AlgebraReport:
+    """Summarize one identity's per-sample worst residuals against tol and
+    FAILURE_FLOOR."""
+    res, floor = np.asarray(residuals), FAILURE_FLOOR
     return AlgebraReport(
         identity_id=identity_id,
         set_name=set_name,
@@ -338,8 +339,7 @@ def sample_momenta(n: int, seed: int = 42, box: float = 5.0,
 
 
 def run_quantum_suite(set_name: str, m: float, n_samples: int,
-                      seed: int = 42, tol: float = QUANTUM_TOL,
-                      floor: float = FAILURE_FLOOR) -> list:
+                      seed: int = 42) -> list:
     """Evaluate every identity of a set at seeded random momenta.
 
     Each operator is evaluated once on the whole (n_samples, 3) stack, and
@@ -365,24 +365,8 @@ def run_quantum_suite(set_name: str, m: float, n_samples: int,
                 rhs = iden.rhs(snaps, momenta, i, j)
             worst = np.maximum(worst, (commutator_snapshot(a, b) - rhs).norm())
         reports.append(_report(iden.identity_id, set_name, worst,
-                               iden.expected(set_name), iden.note, tol, floor))
+                               iden.expected(set_name), iden.note, QUANTUM_TOL))
     return reports
-
-
-def worldline_defect(set_name: str, m: float, p, i: int, j: int) -> np.ndarray:
-    """Closed form of the [q_i, K_j] worldline residual for the conventional set.
-
-    residual = -i beta d/dp_i [ (Sigma x p)_j / (2(eps+m)) ]
-    """
-    if set_name != "conventional":
-        raise ValueError("closed-form defect is provided for the conventional set")
-    p = np.asarray(p, dtype=float)
-    e = energy(p, m)
-    Sigma, beta = GAMMA.Sigma, GAMMA.beta
-    sxp_j = sum(levi(j, k, l) * p[l] * Sigma[k] for k in range(3) for l in range(3))
-    term = sum(levi(j, k, i) * Sigma[k] for k in range(3)) / (2 * (e + m)) \
-        - sxp_j * p[i] / (2 * e * (e + m) ** 2)
-    return -1j * beta @ term
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +508,7 @@ def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
     return ClassicalState(Q=Q, P=P, S=S, m=m)
 
 
-def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42,
-                        tol: float = CLASSICAL_TOL,
-                        floor: float = FAILURE_FLOOR) -> list:
+def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42) -> list:
     """Evaluate the Poisson table at seeded random states.
 
     The observables are evaluated once on the whole stack of states, and
@@ -543,14 +525,6 @@ def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42,
             worst = np.maximum(worst, np.abs(poisson_bracket(f, g, states)
                                              - iden.rhs(obs, i, j)))
         reports.append(_report(iden.identity_id, "classical", worst,
-                               iden.expected, iden.note, tol, floor))
+                               iden.expected, iden.note, CLASSICAL_TOL))
     return reports
 
-
-def classical_worldline_defect(state: ClassicalState, i: int, j: int) -> np.ndarray:
-    """Closed form of the {Q_i, K_j} residual at the states:
-    -e_ijk S_k/(m+H) + (S x P)_j P_i / (H (m+H)^2)."""
-    h = np.sqrt(state.m ** 2 + (state.P ** 2).sum(axis=-1))
-    sxp = np.cross(state.S, state.P)
-    return (-sum(levi(i, j, k) * state.S[..., k] for k in range(3)) / (state.m + h)
-            + sxp[..., j] * state.P[..., i] / (h * (state.m + h) ** 2))

@@ -13,7 +13,7 @@ All entries are exact elements of {0, +-1, +-i}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,23 +83,6 @@ def energy(p, m: float) -> float:
     check_mass(m)
     p = np.asarray(p, dtype=float)
     return float(np.sqrt(m * m + p @ p))
-
-
-@dataclass(frozen=True)
-class Kinematics:
-    """Momentum, mass, and the derived on-shell energy."""
-
-    p: np.ndarray
-    m: float
-    eps: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).copy())
-        self.p.setflags(write=False)
-        object.__setattr__(self, "eps", energy(self.p, self.m))
-        residual = abs(self.eps**2 - self.p @ self.p - self.m**2)
-        if residual > 1e-12 * max(1.0, self.eps**2):
-            raise ValueError(f"mass-shell violation: {residual:.3e}")
 
 
 # alpha_k and gamma_k as rows of a (3, 16) matrix, so that p @ M sums the

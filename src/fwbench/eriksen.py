@@ -124,21 +124,6 @@ class BlockedHamiltonian:
     def n_upper(self) -> int:
         return self.dim // 2
 
-    def odd_part(self) -> np.ndarray:
-        h = self.n_upper
-        odd = np.zeros_like(self.H)
-        odd[:h, h:] = self.H[:h, h:]
-        odd[h:, :h] = self.H[h:, :h]
-        return odd
-
-    def even_part(self) -> np.ndarray:
-        """E in the splitting H = beta M + E + O."""
-        h = self.n_upper
-        even = np.zeros_like(self.H)
-        even[:h, :h] = self.H[:h, :h] - self.m * np.eye(h)
-        even[h:, h:] = self.H[h:, h:] + self.m * np.eye(h)
-        return even
-
 
 def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
     """beta A: A with its lower rows negated."""

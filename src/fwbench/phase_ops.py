@@ -15,12 +15,13 @@ asserted small by the verification suites.
 Coefficients are evaluated on a whole stack of momenta, shape (..., 3), in
 one call, and their momentum gradients are exact.  Each catalogue
 coefficient is written once in forward-mode (value, gradient) arithmetic
-(Jet), so its gradient comes from the same expression as its value; the
-Dirac, FW and FV Hamiltonians and the free unitary carry the closed-form
-gradients they imply.  The same Jets, with 9 gradient entries, carry the
-classical observables over phase space (Q, P, S) in algebra.  Nothing in
-the program differences numerically: the Richardson central difference
-kept here serves only the tests, as an independent oracle.
+(Jet), so its gradient comes from the same expression as its value, and
+snapshot is the one evaluation path: it returns every coefficient with its
+gradient.  The same Jets, with 9 gradient entries, carry the classical
+observables over phase space (Q, P, S) in algebra.  Nothing in the program
+differences numerically: the Richardson difference coeff_derivative is the
+tests' oracle for the exact gradients, kept here because the benchmark's
+span table (fwperf/spans.py) traces it by name.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import (GAMMA, I4, dirac_hamiltonian, fv_hamiltonian_matrix,
-                    fv_velocity_matrix, fw_unitary_matrix, stacked_energy)
-from .linalg import frob
+from .dirac import GAMMA, I4, dirac_hamiltonian, stacked_energy
 
 FD_REL_STEP = 1e-5
 MASSLESS_MIN_P = 1e-6
-UNITARITY_ATOL = 1e-10
 
 _LEVI = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -56,60 +54,37 @@ class DomainError(ValueError):
     """Operator construction or evaluation outside its admissible domain."""
 
 
-class NonUnitaryError(ValueError):
-    """Conjugation attempted with a transformation that is not unitary."""
-
-
-class Rep(Enum):
-    DIRAC = "Dirac"
-    FW = "FW"
-    FV = "FV"
-
-
 class OperatorFamily(Enum):
-    DIRAC_HAMILTONIAN = ("dirac_hamiltonian", Rep.DIRAC, False)
-    FW_HAMILTONIAN = ("fw_hamiltonian", Rep.FW, False)
-    MOMENTUM = ("momentum", Rep.FW, True)
-    FW_POSITION = ("fw_position", Rep.FW, True)
-    NW_POSITION_DIRAC = ("nw_position_dirac", Rep.DIRAC, True)
-    FW_SPIN = ("fw_spin", Rep.FW, True)
-    MEAN_SPIN_DIRAC = ("mean_spin_dirac", Rep.DIRAC, True)
-    DIRAC_SPIN = ("dirac_spin", Rep.DIRAC, True)
-    OAM_FW = ("oam_fw", Rep.FW, True)
-    TOTAL_J = ("total_j", Rep.FW, True)
-    BOOST_FW = ("boost_fw", Rep.FW, True)
-    BOOST_DIRAC = ("boost_dirac", Rep.DIRAC, True)
-    COM_POSITION_FW = ("com_position_fw", Rep.FW, True)
-    COM_POSITION_DIRAC = ("com_position_dirac", Rep.DIRAC, True)
-    LAB_SPIN_FW = ("lab_spin_fw", Rep.FW, True)
-    LAB_SPIN_DIRAC = ("lab_spin_dirac", Rep.DIRAC, True)
-    COM_OAM = ("com_oam", Rep.FW, True)
-    FOUR_SPIN_SPACE = ("four_spin_space", Rep.FW, True)
-    FOUR_SPIN_TIME = ("four_spin_time", Rep.FW, False)
-    PAULI_LUBANSKI_SPACE = ("pauli_lubanski_space", Rep.FW, True)
-    PAULI_LUBANSKI_TIME = ("pauli_lubanski_time", Rep.FW, False)
-    SPIN_PRIME = ("spin_prime", Rep.FW, True)
-    PROJECTOR_PLUS = ("projector_plus", Rep.DIRAC, False)
-    PROJECTOR_MINUS = ("projector_minus", Rep.DIRAC, False)
-    PROJECTED_POSITION_FW = ("projected_position_fw", Rep.FW, True)
-    PROJECTED_POSITION_DIRAC = ("projected_position_dirac", Rep.DIRAC, True)
-    PROJECTED_SPIN_FW = ("projected_spin_fw", Rep.FW, True)
-    PROJECTED_SPIN_DIRAC = ("projected_spin_dirac", Rep.DIRAC, True)
-    PROJECTED_OAM = ("projected_oam", Rep.FW, True)
-    FV_HAMILTONIAN = ("fv_hamiltonian", Rep.FV, False)
-    FV_VELOCITY = ("fv_velocity", Rep.FV, True)
+    DIRAC_HAMILTONIAN = ("dirac_hamiltonian", False)
+    FW_HAMILTONIAN = ("fw_hamiltonian", False)
+    MOMENTUM = ("momentum", True)
+    FW_POSITION = ("fw_position", True)
+    NW_POSITION_DIRAC = ("nw_position_dirac", True)
+    FW_SPIN = ("fw_spin", True)
+    MEAN_SPIN_DIRAC = ("mean_spin_dirac", True)
+    DIRAC_SPIN = ("dirac_spin", True)
+    OAM_FW = ("oam_fw", True)
+    TOTAL_J = ("total_j", True)
+    BOOST_FW = ("boost_fw", True)
+    BOOST_DIRAC = ("boost_dirac", True)
+    COM_POSITION_FW = ("com_position_fw", True)
+    COM_POSITION_DIRAC = ("com_position_dirac", True)
+    LAB_SPIN_FW = ("lab_spin_fw", True)
+    LAB_SPIN_DIRAC = ("lab_spin_dirac", True)
+    COM_OAM = ("com_oam", True)
+    PROJECTED_POSITION_FW = ("projected_position_fw", True)
+    PROJECTED_POSITION_DIRAC = ("projected_position_dirac", True)
+    PROJECTED_SPIN_FW = ("projected_spin_fw", True)
+    PROJECTED_SPIN_DIRAC = ("projected_spin_dirac", True)
+    PROJECTED_OAM = ("projected_oam", True)
 
     @property
     def family_name(self) -> str:
         return self.value[0]
 
     @property
-    def rep(self) -> Rep:
-        return self.value[1]
-
-    @property
     def is_vector(self) -> bool:
-        return self.value[2]
+        return self.value[1]
 
 
 # Families whose coefficients contain an explicit 1/m (rest-frame boost
@@ -120,11 +95,6 @@ _MASSIVE_ONLY = {
     OperatorFamily.LAB_SPIN_FW,
     OperatorFamily.LAB_SPIN_DIRAC,
     OperatorFamily.COM_OAM,
-    OperatorFamily.FOUR_SPIN_SPACE,
-    OperatorFamily.FOUR_SPIN_TIME,
-    OperatorFamily.SPIN_PRIME,
-    OperatorFamily.FV_HAMILTONIAN,
-    OperatorFamily.FV_VELOCITY,
 }
 
 
@@ -143,8 +113,7 @@ class Jet:
     of an operator coefficient, or the 9 phase-space coordinates (Q, P, S)
     of a classical observable.  A scalar function has r = c = 1, so it
     scales d x d matrices elementwise.  Plain numbers and constant matrices
-    combine with a Jet as coordinate-independent values.  A Jet whose grad
-    is None carries a value only.
+    combine with a Jet as coordinate-independent values.
     """
 
     __array_ufunc__ = None    # ndarray operands defer to the reflected methods
@@ -234,8 +203,7 @@ class PhaseSpaceOperator:
 
     coeffs(p) takes momenta of shape (..., 3) and returns (A, B_1, B_2, B_3),
     each a Jet or a momentum-independent constant (a d x d matrix or a
-    number).  An operator whose coefficients carry values only (Jet grad
-    None) can be evaluated but not commuted.
+    number).
     """
 
     dim: int
@@ -282,17 +250,6 @@ class PhaseOpValue:
         return PhaseOpValue(self.A - other.A, self.B - other.B, second)
 
 
-def multiplicative(dim: int, A: Callable, label: str = "",
-                   min_p: float = 0.0) -> PhaseSpaceOperator:
-    """Operator with no derivative part; A(p) is a Jet or a constant."""
-    return PhaseSpaceOperator(dim, lambda p: (A(p), 0.0, 0.0, 0.0), label, min_p)
-
-
-def constant_operator(M: np.ndarray, label: str = "") -> PhaseSpaceOperator:
-    Mc = np.asarray(M, dtype=complex)
-    return multiplicative(Mc.shape[0], lambda p: Mc, label)
-
-
 # --- the operator catalogue ---------------------------------------------------
 
 _SIGMA = np.stack(GAMMA.Sigma)
@@ -307,7 +264,6 @@ F = OperatorFamily
 # so at m = 0 they reject |p| < MASSLESS_MIN_P.
 _SINGULAR_AT_REST = {
     F.FW_HAMILTONIAN, F.NW_POSITION_DIRAC, F.MEAN_SPIN_DIRAC, F.BOOST_FW,
-    F.PAULI_LUBANSKI_SPACE, F.PROJECTOR_PLUS, F.PROJECTOR_MINUS,
     F.PROJECTED_POSITION_FW, F.PROJECTED_POSITION_DIRAC, F.PROJECTED_SPIN_FW,
     F.PROJECTED_SPIN_DIRAC, F.PROJECTED_OAM,
 }
@@ -362,12 +318,6 @@ def build_operator(family: OperatorFamily, m: float,
         pxpxs = P[c] * p_dot(_SIGMA, P) / 2 - p_dot(P, P) * sigma_c / 2
         return sigma_c / 2 - pxpxs / (m * (e + m))
 
-    def spin_prime(p, P, e):
-        # (W - W0 p/(eps+m)) / m, assembled from the four-vector components
-        w_c = m * sigma_c / 2 + P[c] * p_dot(_SIGMA, P) / (2 * (e + m))
-        w0 = p_dot(_SIGMA, P) / 2
-        return (w_c - w0 * P[c] / (e + m)) / m
-
     # The multiplicative part A, over the momenta p, their components P as
     # Jets and the energy e as a Jet.
     A = {
@@ -398,17 +348,6 @@ def build_operator(family: OperatorFamily, m: float,
         # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
         F.COM_OAM: lambda p, P, e: (
             (P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * sigma_c) / (2 * m * (e + m))),
-        F.FOUR_SPIN_SPACE: lambda p, P, e: (
-            sigma_c / 2 + P[c] * p_dot(_SIGMA, P) / (2 * m * (e + m))),
-        F.FOUR_SPIN_TIME: lambda p, P, e: p_dot(_SIGMA, P) / (2 * m),
-        F.PAULI_LUBANSKI_SPACE: lambda p, P, e: (
-            m * sigma_c / 2 + P[c] * p_dot(_SIGMA, P) / (2 * (e + m))),
-        F.PAULI_LUBANSKI_TIME: lambda p, P, e: p_dot(_SIGMA, P) / 2,
-        F.SPIN_PRIME: spin_prime,
-        F.PROJECTOR_PLUS: lambda p, P, e: (
-            0.5 * (I4 + m / e * beta) + p_dot(_ALPHA, P) / (2 * e)),
-        F.PROJECTOR_MINUS: lambda p, P, e: (
-            0.5 * (I4 - m / e * beta) - p_dot(_ALPHA, P) / (2 * e)),
         F.PROJECTED_POSITION_FW: lambda p, P, e: -cross_c(_SIGMA, P, c) / (2 * e * (e + m)),
         F.PROJECTED_POSITION_DIRAC: lambda p, P, e: (
             -cross_c(_SIGMA, P, c) / (2 * e * e) + 1j * m * gamma_c / (2 * e * e)),
@@ -419,13 +358,6 @@ def build_operator(family: OperatorFamily, m: float,
             - 1j * m * cross_c(_GAMMAK, P, c)) / (2 * e * e),
         F.PROJECTED_OAM: lambda p, P, e: (
             -(P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * sigma_c) / (2 * e * (e + m))),
-        # d H / d p_k is the scalar-sector velocity
-        F.FV_HAMILTONIAN: lambda p, P, e: Jet(
-            fv_hamiltonian_matrix(p, m),
-            np.stack([fv_velocity_matrix(p, m, k) for k in range(3)], axis=-3)),
-        # linear in p: the gradient along p_k is the value at the unit momentum e_k
-        F.FV_VELOCITY: lambda p, P, e: Jet(
-            fv_velocity_matrix(p, m, c), fv_velocity_matrix(np.eye(3), m, c)),
     }[family]
 
     def coeffs(p):
@@ -443,38 +375,7 @@ def build_operator(family: OperatorFamily, m: float,
 
     label = family.family_name + (f"_{c + 1}" if family.is_vector else "")
     min_p = MASSLESS_MIN_P if m == 0 and family in _SINGULAR_AT_REST else 0.0
-    return PhaseSpaceOperator(2 if family.rep is Rep.FV else 4, coeffs, label, min_p)
-
-
-# --- free-particle representation change ------------------------------------
-
-def _fw_free_operator(m: float, inverse: bool) -> PhaseSpaceOperator:
-    """The free unitary (or its inverse) with its analytic gradient."""
-    if m < 0:
-        raise DomainError(f"mass must be non-negative, got {m}")
-    sign = -1.0 if inverse else 1.0
-
-    def A(p):
-        # U = num * s with s = 1/sqrt(2 eps (eps+m)): d_k U = (d_k num) s + U d_k log(s)
-        e = _kaxis(stacked_energy(p, m))
-        s = 1.0 / np.sqrt(2 * e * (e + m))
-        pk = p[..., :, None, None]
-        dlog_s = -(pk * (2 * e + m) / e) / (2 * e * (e + m))
-        u = fw_unitary_matrix(p, m, inverse)
-        return Jet(u, (pk / e * I4 + sign * _GAMMAK) * s + _kaxis(u) * dlog_s)
-
-    return multiplicative(4, A, "U_fw_free_inv" if inverse else "U_fw_free",
-                          MASSLESS_MIN_P if m == 0 else 0.0)
-
-
-def fw_unitary_free(m: float) -> PhaseSpaceOperator:
-    """Free-particle transformation to the block-diagonal representation."""
-    return _fw_free_operator(m, inverse=False)
-
-
-def fw_unitary_free_inv(m: float) -> PhaseSpaceOperator:
-    """Inverse of the free transformation (gamma.p sign flipped)."""
-    return _fw_free_operator(m, inverse=True)
+    return PhaseSpaceOperator(4, coeffs, label, min_p)
 
 
 # --- evaluation and commutation ----------------------------------------------
@@ -526,39 +427,22 @@ def _stacked(blocks: list, axis: int, shape: tuple) -> np.ndarray:
     return np.broadcast_to(stack.astype(complex, copy=False), shape)
 
 
-def _coefficients(op: PhaseSpaceOperator, p) -> tuple:
-    """(A, B, dA, dB) at momenta (..., 3); dA and dB are None when op
-    carries values only."""
+def snapshot(op: PhaseSpaceOperator, p) -> OpSnapshot:
+    """Coefficients of op and their exact gradients at momenta (..., 3)."""
     p = op.check_p(p)
     coeffs = op.coeffs(p)
     shape = p.shape[:-1] + (op.dim, op.dim)
     gshape = shape[:-2] + (3,) + shape[-2:]
     vals = [x.val if isinstance(x, Jet) else x for x in coeffs]
     grads = [x.grad if isinstance(x, Jet) else 0.0 for x in coeffs]
-    A = np.broadcast_to(np.asarray(vals[0], dtype=complex), shape)
-    B = _stacked(vals[1:], -3, gshape)
-    dA = dB = None
-    if all(g is not None for g in grads):
-        dA = np.broadcast_to(np.asarray(grads[0], dtype=complex), gshape)
-        dB = _stacked(grads[1:], -4, shape[:-2] + (3, 3) + shape[-2:])
-    if not all(np.isfinite(x).all() for x in (A, B, dA, dB) if x is not None):
+    snap = OpSnapshot(op.dim,
+                      np.broadcast_to(np.asarray(vals[0], dtype=complex), shape),
+                      _stacked(vals[1:], -3, gshape),
+                      np.broadcast_to(np.asarray(grads[0], dtype=complex), gshape),
+                      _stacked(grads[1:], -4, shape[:-2] + (3, 3) + shape[-2:]))
+    if not all(np.isfinite(x).all() for x in (snap.A, snap.B, snap.dA, snap.dB)):
         raise DomainError(f"operator '{op.label}' evaluated to non-finite entries")
-    return A, B, dA, dB
-
-
-def snapshot(op: PhaseSpaceOperator, p) -> OpSnapshot:
-    """Coefficients of op and their exact gradients at momenta (..., 3)."""
-    A, B, dA, dB = _coefficients(op, p)
-    if dA is None:
-        raise DomainError(f"operator '{op.label}' carries no coefficient gradients "
-                          "and cannot be commuted")
-    return OpSnapshot(op.dim, A, B, dA, dB)
-
-
-def evaluate(op: PhaseSpaceOperator, p) -> PhaseOpValue:
-    """Coefficients of op at momenta (..., 3) (no derivative data)."""
-    A, B, _, _ = _coefficients(op, p)
-    return PhaseOpValue(A, B)
+    return snap
 
 
 def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
@@ -597,57 +481,3 @@ def _block_row(X: np.ndarray) -> np.ndarray:
 def _block_column(X: np.ndarray) -> np.ndarray:
     """[X_1; X_2; X_3] from X of shape (..., 3, r, c), as shape (..., 3r, c)."""
     return X.reshape(X.shape[:-3] + (3 * X.shape[-2], X.shape[-1]))
-
-
-def op_commutator(op1: PhaseSpaceOperator, op2: PhaseSpaceOperator, p) -> PhaseOpValue:
-    """[op1, op2] evaluated at momenta p."""
-    return commutator_snapshot(snapshot(op1, p), snapshot(op2, p))
-
-
-def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
-              U_inv: PhaseSpaceOperator, label: str = "") -> PhaseSpaceOperator:
-    """U op U^-1 for a multiplicative unitary U.
-
-    The derivative part shifts the multiplicative part:
-        A' = U A U^-1 + sum_k U B_k (d U^-1 / d p_k)
-        B'_k = U B_k U^-1
-    Each evaluation computes U, U^-1 and the exact gradient of U^-1 once and
-    checks unitarity at every momentum to 1e-10.  The result carries
-    coefficient values only: commuting it would need second derivatives of
-    U^-1.
-    """
-    if U.dim != op.dim or U_inv.dim != op.dim:
-        raise DomainError("dimension mismatch in conjugation")
-    if frob(evaluate(U, np.array([0.1, 0.2, 0.3])).B) != 0.0:
-        raise DomainError("conjugation requires a transformation with no "
-                          "derivative part")
-
-    def coeffs(p):
-        Um = evaluate(U, p).A
-        inv = snapshot(U_inv, p)
-        defect = np.linalg.norm(Um @ inv.A - np.eye(op.dim), axis=(-2, -1))
-        if (defect > UNITARITY_ATOL * np.sqrt(op.dim)).any():
-            worst = np.argmax(defect)
-            raise NonUnitaryError(
-                f"U U^-1 deviates from identity by {defect.flat[worst]:.3e} "
-                f"at p = {p.reshape(-1, 3)[worst]}"
-            )
-        val = evaluate(op, p)
-        A = Um @ val.A @ inv.A + (_kaxis(Um) @ val.B @ inv.dA).sum(axis=-3)
-        B = _kaxis(Um) @ val.B @ _kaxis(inv.A)
-        return (Jet(A, None), *(Jet(B[..., l, :, :], None) for l in range(3)))
-
-    return PhaseSpaceOperator(op.dim, coeffs, label or f"conj({op.label})",
-                              max(op.min_p, U.min_p, U_inv.min_p))
-
-
-def hermiticity_residual(op: PhaseSpaceOperator, p) -> float:
-    """How far op is from Hermitian as an operator on L^2(dp) at one momentum.
-
-    Conditions: every B_k anti-Hermitian, and
-    A^dag - A + sum_k dB_k/dp_k = 0.
-    """
-    s = snapshot(op, p)
-    res = frob(s.A.conj().T - s.A + sum(s.dB[k, k] for k in range(3)))
-    res += sum(frob(s.B[k].conj().T + s.B[k]) for k in range(3))
-    return float(res)

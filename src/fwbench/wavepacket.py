@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import erfc
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -120,21 +120,6 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     return to_picture(packet, picture)
 
 
-def make_dirac_upper_packet(p0: float, sigma_p: float, m: float,
-                            spin_dir=(0, 0, 1),
-                            grid: Optional[Grid1D] = None,
-                            n: Optional[int] = None) -> WavePacket1D:
-    """Gaussian upper spinor written directly in the Dirac picture.
-
-    Unlike the positive-energy factory, this state mixes both energy signs,
-    so its velocity expectation trembles at twice the packet energy.  Used
-    to exhibit the oscillation that positive-energy packets provably lack.
-    """
-    fw = make_gaussian_packet(p0, sigma_p, m, spin_dir, "fw", grid, n)
-    return WavePacket1D(grid=fw.grid, psi=fw.psi, m=m, picture="dirac",
-                        positive_energy=False)
-
-
 def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
     """Same physical state, amplitude re-expressed in the other picture."""
     if picture not in PICTURES:
@@ -192,25 +177,15 @@ def apply_position(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observable:
-    """Measurement descriptor; custom kinds supply a Hermitian matrix
-    function of the momentum component along z."""
+    """Measurement descriptor: one of KINDS."""
 
     kind: str
-    matrix_fn: Optional[Callable[[float], np.ndarray]] = None
 
-    KINDS = ("identity", "position", "position_sq", "quadrupole_1d",
-             "spin_z", "momentum", "custom")
+    KINDS = ("identity", "position", "position_sq", "spin_z", "momentum")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown observable kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.matrix_fn is None:
-                raise ValueError("custom observable needs matrix_fn")
-            probe = np.asarray(self.matrix_fn(0.37), dtype=complex)
-            if probe.shape != (4, 4) or np.linalg.norm(
-                    probe - probe.conj().T) > 1e-10 * max(1.0, np.linalg.norm(probe)):
-                raise ValueError("custom observable must be Hermitian 4x4")
 
 
 def expectation(packet: WavePacket1D, obs: Observable,
@@ -228,16 +203,10 @@ def expectation(packet: WavePacket1D, obs: Observable,
     if obs.kind == "spin_z":
         sz = GAMMA.Sigma[2]
         return float(np.real(np.einsum("ni,ij,nj->", psi.conj(), sz, psi)) * dp)
+    xpsi = apply_position(psi, grid)
     if obs.kind == "position":
-        xpsi = apply_position(psi, grid)
         return float(np.real(np.vdot(psi, xpsi)) * dp)
-    if obs.kind in ("position_sq", "quadrupole_1d"):
-        xpsi = apply_position(psi, grid)
-        val = float(np.real(np.vdot(xpsi, xpsi)) * dp)
-        return 2.0 * val if obs.kind == "quadrupole_1d" else val
-    mats = np.stack([np.asarray(obs.matrix_fn(pj), dtype=complex)
-                     for pj in grid.p_centered])
-    return float(np.real(np.einsum("ni,nij,nj->", psi.conj(), mats, psi)) * dp)
+    return float(np.real(np.vdot(xpsi, xpsi)) * dp)    # position_sq
 
 
 def picture_change_error(packet: WavePacket1D, obs: Observable) -> float:
@@ -246,17 +215,3 @@ def picture_change_error(packet: WavePacket1D, obs: Observable) -> float:
     return (expectation(packet, obs, "dirac_picture")
             - expectation(packet, obs, "fw_picture"))
 
-
-def packet_difference(packet: WavePacket1D) -> float:
-    """L2 distance between the two pictures' amplitudes of the same state."""
-    fw = to_picture(packet, "fw")
-    dirac = to_picture(packet, "dirac")
-    return float(np.sqrt(np.sum(np.abs(fw.psi - dirac.psi) ** 2) * packet.grid.dp))
-
-
-def alpha_z_expectation(packet: WavePacket1D) -> float:
-    """<alpha_3> in the Dirac picture (the oscillating velocity signal)."""
-    pk = to_picture(packet, "dirac")
-    a3 = GAMMA.alpha[2]
-    return float(np.real(np.einsum("ni,ij,nj->", pk.psi.conj(), a3, pk.psi))
-                 * pk.grid.dp)

@@ -49,12 +49,6 @@ class EvolutionRecord:
     position: np.ndarray
     rep: str
 
-    def spectrum_drift(self) -> float:
-        """Largest change of the velocity spectrum along the record
-        (unitary evolution preserves it)."""
-        ev = np.sort(np.linalg.eigvals(self.velocity).real, axis=-1)
-        return float(np.max(np.abs(ev[1:] - ev[0]), initial=0.0))
-
 
 def record_evolution(p, m: float, times, component: int,
                      particle: str = "dirac") -> EvolutionRecord:

@@ -1,4 +1,7 @@
-"""Shared test oracles that do not go through the code they check."""
+"""Shared test oracles that do not go through the code they check.
+
+The oracles that the test modules import by name live in oracles.py.
+"""
 
 import numpy as np
 import pytest

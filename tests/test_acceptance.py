@@ -39,10 +39,8 @@ from fwbench.algebra import (
     _rhs_worldline,
     _velocity_closed_form,
     build_quantum_set,
-    classical_worldline_defect,
     run_quantum_suite,
     sample_momenta,
-    worldline_defect,
 )
 from fwbench.dirac import (
     GAMMA,
@@ -61,13 +59,18 @@ from fwbench.phase_ops import (
     PhaseOpValue,
     build_operator,
     commutator_snapshot,
+    levi,
+    snapshot,
+)
+from oracles import (
+    build_family,
+    classical_worldline_defect,
     conjugate,
     evaluate,
     fw_unitary_free,
     fw_unitary_free_inv,
-    levi,
     op_commutator,
-    snapshot,
+    worldline_defect,
 )
 
 F = OperatorFamily
@@ -99,7 +102,7 @@ def _worldline_oracle_gaps(m: float) -> tuple:
                  "K": [snapshot(op, p) for op in ops["K"]]}
         for i in range(3):
             for j in range(3):
-                shift = worldline_defect("conventional", m, p, i, j)
+                shift = worldline_defect(m, p, i, j)
                 residual = (commutator_snapshot(snaps["q"][i], snaps["K"][j])
                             - _rhs_worldline(snaps, p, i, j, velocity))
                 shifted = max(shifted,
@@ -182,13 +185,13 @@ def test_criterion_04_representation_consistency():
     m = 1.0
     u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
     worst = 0.0
-    conj = {}
+    fw = {}
     oracle = {}
     for c in (1, 2, 3):
-        conj[("x", c)] = conjugate(build_operator(F.FW_POSITION, m, c), ui, u)
-        conj[("s", c)] = conjugate(build_operator(F.FW_SPIN, m, c), ui, u)
-        conj[("l", c)] = conjugate(build_operator(F.OAM_FW, m, c), ui, u)
-        conj[("K", c)] = conjugate(build_operator(F.BOOST_FW, m, c), ui, u)
+        fw[("x", c)] = build_operator(F.FW_POSITION, m, c)
+        fw[("s", c)] = build_operator(F.FW_SPIN, m, c)
+        fw[("l", c)] = build_operator(F.OAM_FW, m, c)
+        fw[("K", c)] = build_operator(F.BOOST_FW, m, c)
         oracle[("x", c)] = build_operator(F.NW_POSITION_DIRAC, m, c)
         oracle[("s", c)] = build_operator(F.MEAN_SPIN_DIRAC, m, c)
 
@@ -218,13 +221,13 @@ def test_criterion_04_representation_consistency():
         p = rng.uniform(-5, 5, 3)
         for c in (1, 2, 3):
             for key in ("x", "s"):
-                diff = evaluate(conj[(key, c)], p) - evaluate(oracle[(key, c)], p)
+                diff = conjugate(fw[(key, c)], ui, u, p) - evaluate(oracle[(key, c)], p)
                 worst = max(worst, diff.norm())
-            val = evaluate(conj[("l", c)], p)
+            val = conjugate(fw[("l", c)], ui, u, p)
             a, b = expected_l(p, c - 1)
             worst = max(worst, float(np.linalg.norm(val.A - a)
                                      + np.linalg.norm(val.B - b)))
-            val = evaluate(conj[("K", c)], p)
+            val = conjugate(fw[("K", c)], ui, u, p)
             a, b = expected_k(p, c - 1)
             worst = max(worst, float(np.linalg.norm(val.A - a)
                                      + np.linalg.norm(val.B - b)))
@@ -388,8 +391,8 @@ def test_criterion_10_no_free_particle_spin_orbit_coupling():
         h = build_operator(F.FW_HAMILTONIAN, m)
         spin = [build_operator(F.FW_SPIN, m, c) for c in (1, 2, 3)]
         oam = [build_operator(F.OAM_FW, m, c) for c in (1, 2, 3)]
-        w_vec = [build_operator(F.PAULI_LUBANSKI_SPACE, m, c) for c in (1, 2, 3)]
-        w0 = build_operator(F.PAULI_LUBANSKI_TIME, m)
+        w_vec = [build_family("pauli_lubanski_space", m, c) for c in (1, 2, 3)]
+        w0 = build_family("pauli_lubanski_time", m)
         for _ in range(100):
             p = rng.uniform(-5, 5, 3)
             if np.linalg.norm(p) < 1e-3:

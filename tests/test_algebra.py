@@ -10,17 +10,16 @@ from fwbench.algebra import (
     ClassicalState,
     all_as_expected,
     classical_observables,
-    classical_worldline_defect,
     poisson_bracket,
     reports_to_json,
     run_classical_suite,
     run_quantum_suite,
     sample_momenta,
     sample_states,
-    worldline_defect,
 )
 from fwbench.dirac import energy
 from fwbench.phase_ops import coeff_derivative, levi
+from oracles import classical_worldline_defect, worldline_defect
 
 
 def by_id(reports):
@@ -286,7 +285,7 @@ def test_quantum_worldline_defect_formula_is_what_suite_measures():
     worst = 0.0
     for p in momenta:
         worst = max(worst, max(
-            np.linalg.norm(worldline_defect("conventional", 1.0, p, i, j))
+            np.linalg.norm(worldline_defect(1.0, p, i, j))
             for i in range(3) for j in range(3)))
     assert r.max_residual == pytest.approx(worst, rel=1e-5)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fwbench import algebra
 from fwbench.cli import main
 from fwbench.zitter import dominant_frequency
 
@@ -25,6 +26,13 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify-algebra", "--samples", "0"])
     assert exc.value.code == 2
+    # pce prints json or a pretty table; verdict thresholds are not options
+    for argv in (["pce", "--format", "csv"], ["verify-algebra", "--tol", "1e3"],
+                 ["verify-algebra", "--classical-tol", "1e3"],
+                 ["verify-algebra", "--floor", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
     for v0 in ("0.1,0.1", "0.01", "0,0.01,0.1", "-0.01,0.1", "nan,0.1", "inf,0.1", "a,b"):
         with pytest.raises(SystemExit) as exc:
             run(["eriksen", "--n", "16", "--v0", v0])
@@ -109,10 +117,11 @@ def test_verify_algebra_all_sets(tmp_path):
                 "--samples", "20", "--out", str(tmp_path / "high_mass.json")]) == 0
 
 
-def test_verify_algebra_strict_floor_fails(tmp_path, capsys):
+def test_verify_algebra_strict_floor_fails(tmp_path, capsys, monkeypatch):
     # an absurd failure floor makes expected-fail identities unreachable
+    monkeypatch.setattr(algebra, "FAILURE_FLOOR", 1e6)
     code = run(["verify-algebra", "--set", "naive_dirac", "--samples", "5",
-                "--floor", "1e6", "--out", str(tmp_path / "r.json")])
+                "--out", str(tmp_path / "r.json")])
     assert code == 1
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fwbench.dirac import (
     GAMMA,
-    Kinematics,
     build_gamma_set,
     dirac_hamiltonian,
     energy,
@@ -114,13 +113,6 @@ def test_free_propagator_matches_spectral_exponential(m):
 def test_fw_hamiltonian_is_beta_energy():
     p = np.array([1.0, -2.0, 0.5])
     assert np.allclose(fw_hamiltonian(p, 2.0), energy(p, 2.0) * GAMMA.beta)
-
-
-def test_kinematics_validation():
-    k = Kinematics(p=(3.0, 0.0, 0.0), m=4.0)
-    assert k.eps == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        Kinematics(p=(1.0, 0.0, 0.0), m=-2.0)
 
 
 def test_gamma_set_immutable():

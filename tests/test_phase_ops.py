@@ -2,25 +2,30 @@ import numpy as np
 import pytest
 
 from fwbench.algebra import build_quantum_set
-from fwbench.dirac import GAMMA, energy
+from fwbench.dirac import GAMMA, energy, fv_hamiltonian_matrix, fv_velocity_matrix
 from fwbench.phase_ops import (
     DomainError,
-    NonUnitaryError,
     OperatorFamily,
     OpSnapshot,
     build_operator,
     coeff_derivative,
     commutator_snapshot,
+    levi,
+    snapshot,
+)
+from oracles import (
+    NonUnitaryError,
+    build_family,
     conjugate,
     constant_operator,
     evaluate,
+    family_operators,
     fw_unitary_free,
     fw_unitary_free_inv,
     hermiticity_residual,
-    levi,
     multiplicative,
     op_commutator,
-    snapshot,
+    worldline_defect,
 )
 
 I4 = np.eye(4, dtype=complex)
@@ -29,8 +34,7 @@ MOMENTA = [RNG.uniform(-5, 5, 3) for _ in range(12)]
 
 F = OperatorFamily
 MASSIVE_ONLY = {F.COM_POSITION_FW, F.COM_POSITION_DIRAC, F.LAB_SPIN_FW,
-                F.LAB_SPIN_DIRAC, F.COM_OAM, F.FOUR_SPIN_SPACE, F.FOUR_SPIN_TIME,
-                F.SPIN_PRIME, F.FV_HAMILTONIAN, F.FV_VELOCITY}
+                F.LAB_SPIN_DIRAC, F.COM_OAM}
 
 
 def cross_c(mats, p, c):
@@ -80,8 +84,8 @@ def test_momentum_value():
 
 def test_projector_closed_form_and_idempotence():
     m = 1.0
-    plus = build_operator(F.PROJECTOR_PLUS, m)
-    minus = build_operator(F.PROJECTOR_MINUS, m)
+    plus = build_family("projector_plus", m)
+    minus = build_family("projector_minus", m)
     for p in MOMENTA[:6]:
         e = energy(p, m)
         a = evaluate(plus, p).A
@@ -103,19 +107,23 @@ def test_component_validation():
 
 
 def test_massless_rejection_for_rest_frame_families():
-    for fam in (F.COM_POSITION_FW, F.LAB_SPIN_FW, F.FOUR_SPIN_TIME, F.SPIN_PRIME):
+    for fam in (F.COM_POSITION_FW, F.LAB_SPIN_FW):
         with pytest.raises(DomainError, match="positive mass"):
-            build_operator(fam, 0.0, 1 if fam.is_vector else None)
+            build_operator(fam, 0.0, 1)
+    for name, c in (("four_spin_time", None), ("spin_prime", 1)):
+        with pytest.raises(DomainError, match="positive mass"):
+            build_family(name, 0.0, c)
 
 
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 10.0])
 def test_exact_gradients_and_stacks(m):
-    # every family and component, the free unitaries and the naive boost:
-    # exact dA, dB against the Richardson oracle, and an (N, 3) stack against
-    # N single-momentum snapshots
+    # every family and component, the test-side families, the free unitaries
+    # and the naive boost: exact dA, dB against the Richardson oracle, and an
+    # (N, 3) stack against N single-momentum snapshots
     ops = [build_operator(fam, m, c) for fam in OperatorFamily
            for c in ((1, 2, 3) if fam.is_vector else (None,))
            if m > 0 or fam not in MASSIVE_ONLY]
+    ops += family_operators(m)
     ops += [fw_unitary_free(m), fw_unitary_free_inv(m)]
     if m > 0:
         ops += build_quantum_set("naive_dirac", m)["K"]
@@ -225,7 +233,7 @@ def test_second_order_part_vanishes_for_boost_pair():
 
 def test_dim_mismatch_rejected():
     a = build_operator(F.FW_HAMILTONIAN, 1.0)
-    b = build_operator(F.FV_HAMILTONIAN, 1.0)
+    b = build_family("fv_hamiltonian", 1.0)
     with pytest.raises(DomainError):
         op_commutator(a, b, MOMENTA[0])
 
@@ -256,9 +264,9 @@ def test_fw_unitary_free_massless_needs_nonzero_momentum():
 def test_conjugating_dirac_hamiltonian_gives_block_diagonal():
     m = 1.0
     hd = build_operator(F.DIRAC_HAMILTONIAN, m)
-    hfw = conjugate(hd, fw_unitary_free(m), fw_unitary_free_inv(m))
     for p in MOMENTA[:6]:
-        assert np.linalg.norm(evaluate(hfw, p).A - energy(p, m) * GAMMA.beta) <= 1e-12
+        hfw = conjugate(hd, fw_unitary_free(m), fw_unitary_free_inv(m), p)
+        assert np.linalg.norm(hfw.A - energy(p, m) * GAMMA.beta) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
@@ -267,11 +275,10 @@ def test_conjugation_reproduces_mean_spin_closed_form(m):
     rng = np.random.default_rng(11)
     for c in (1, 2, 3):
         s_fw = build_operator(F.FW_SPIN, m, c)
-        s_dirac = conjugate(s_fw, ui, u)
         oracle = build_operator(F.MEAN_SPIN_DIRAC, m, c)
         for _ in range(17):
             p = rng.uniform(-5, 5, 3)
-            assert (evaluate(s_dirac, p) - evaluate(oracle, p)).norm() <= 1e-10
+            assert (conjugate(s_fw, ui, u, p) - evaluate(oracle, p)).norm() <= 1e-10
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
@@ -279,7 +286,7 @@ def test_closed_form_dirac_boost_matches_conjugated_fw_boost(m):
     u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
     ps = np.random.default_rng(29).uniform(-5, 5, (17, 3))
     for c in (1, 2, 3):
-        conj = evaluate(conjugate(build_operator(F.BOOST_FW, m, c), ui, u), ps)
+        conj = conjugate(build_operator(F.BOOST_FW, m, c), ui, u, ps)
         closed = evaluate(build_operator(F.BOOST_DIRAC, m, c), ps)
         assert np.all((conj - closed).norm() <= 1e-12)
 
@@ -290,11 +297,10 @@ def test_conjugation_reproduces_nw_position_closed_form(m):
     rng = np.random.default_rng(13)
     for c in (1, 2, 3):
         x_fw = build_operator(F.FW_POSITION, m, c)
-        x_dirac = conjugate(x_fw, ui, u)
         oracle = build_operator(F.NW_POSITION_DIRAC, m, c)
         for _ in range(17):
             p = rng.uniform(-5, 5, 3)
-            assert (evaluate(x_dirac, p) - evaluate(oracle, p)).norm() <= 1e-10
+            assert (conjugate(x_fw, ui, u, p) - evaluate(oracle, p)).norm() <= 1e-10
 
 
 def test_dirac_spin_transformed_to_fw_closed_form():
@@ -303,14 +309,13 @@ def test_dirac_spin_transformed_to_fw_closed_form():
     rng = np.random.default_rng(17)
     for c in (1, 2, 3):
         s_d = build_operator(F.DIRAC_SPIN, m, c)
-        transformed = conjugate(s_d, u, ui)
         for _ in range(10):
             p = rng.uniform(-5, 5, 3)
             e = energy(p, m)
             expected = (m * GAMMA.Sigma[c - 1] / (2 * e)
                         + p[c - 1] * p_dot(GAMMA.Sigma, p) / (2 * e * (e + m))
                         + 1j * cross_c(GAMMA.gamma, p, c - 1) / (2 * e))
-            assert np.linalg.norm(evaluate(transformed, p).A - expected) <= 1e-12
+            assert np.linalg.norm(conjugate(s_d, u, ui, p).A - expected) <= 1e-12
 
 
 def test_transformed_dirac_spin_upper_block():
@@ -324,8 +329,7 @@ def test_transformed_dirac_spin_upper_block():
         p = rng.uniform(-5, 5, 3)
         e = energy(p, m)
         for c in (1, 2, 3):
-            transformed = conjugate(build_operator(F.DIRAC_SPIN, m, c), u, ui)
-            block = evaluate(transformed, p).A[:2, :2]
+            block = conjugate(build_operator(F.DIRAC_SPIN, m, c), u, ui, p).A[:2, :2]
             expected = (m / e) * sigma[c - 1] / 2 \
                 + p[c - 1] * sum(p[k] * sigma[k] for k in range(3)) / (2 * e * (e + m))
             assert np.linalg.norm(block - expected) <= 1e-12
@@ -335,21 +339,16 @@ def test_identity_conjugation_is_identity():
     m = 1.0
     ident = multiplicative(4, lambda p: I4, "one")
     op = build_operator(F.MEAN_SPIN_DIRAC, m, 1)
-    conj = conjugate(op, ident, ident)
     for p in MOMENTA[:4]:
-        assert (evaluate(conj, p) - evaluate(op, p)).norm() <= 1e-14
-    # a conjugated operator carries values only: it is not commuted
-    with pytest.raises(DomainError, match="cannot be commuted"):
-        snapshot(conj, MOMENTA[0])
+        assert (conjugate(op, ident, ident, p) - evaluate(op, p)).norm() <= 1e-14
 
 
 def test_non_unitary_conjugation_rejected():
     m = 1.0
     bad = multiplicative(4, lambda p: 2.0 * I4, "two")
     op = build_operator(F.FW_SPIN, m, 1)
-    conj = conjugate(op, bad, bad)
     with pytest.raises(NonUnitaryError):
-        evaluate(conj, MOMENTA[0])
+        conjugate(op, bad, bad, MOMENTA[0])
 
 
 # --- operator identities beyond the suite --------------------------------------
@@ -357,15 +356,15 @@ def test_non_unitary_conjugation_rejected():
 def test_spin_prime_equals_rest_frame_spin():
     m = 1.0
     for c in (1, 2, 3):
-        sp = build_operator(F.SPIN_PRIME, m, c)
+        sp = build_family("spin_prime", m, c)
         for p in MOMENTA[:8]:
             assert np.linalg.norm(evaluate(sp, p).A - GAMMA.Sigma[c - 1] / 2) <= 1e-12
 
 
 def test_casimir_invariant():
     for m in (0.5, 1.0, 10.0):
-        w_space = [build_operator(F.PAULI_LUBANSKI_SPACE, m, c) for c in (1, 2, 3)]
-        w_time = build_operator(F.PAULI_LUBANSKI_TIME, m)
+        w_space = [build_family("pauli_lubanski_space", m, c) for c in (1, 2, 3)]
+        w_time = build_family("pauli_lubanski_time", m)
         for p in MOMENTA[:8]:
             w0 = evaluate(w_time, p).A
             total = w0 @ w0
@@ -378,8 +377,8 @@ def test_casimir_invariant():
 def test_four_spin_orthogonal_to_momentum():
     # eps a0 = p . a  (vanishing four-product with the momentum)
     m = 1.0
-    a0 = build_operator(F.FOUR_SPIN_TIME, m)
-    a_vec = [build_operator(F.FOUR_SPIN_SPACE, m, c) for c in (1, 2, 3)]
+    a0 = build_family("four_spin_time", m)
+    a_vec = [build_family("four_spin_space", m, c) for c in (1, 2, 3)]
     for p in MOMENTA[:8]:
         e = energy(p, m)
         lhs = e * evaluate(a0, p).A
@@ -402,7 +401,7 @@ def test_lab_spin_two_closed_forms_agree():
 def test_four_spin_space_closed_form():
     m = 1.0
     for c in (1, 2, 3):
-        a = build_operator(F.FOUR_SPIN_SPACE, m, c)
+        a = build_family("four_spin_space", m, c)
         for p in MOMENTA[:6]:
             e = energy(p, m)
             expected = GAMMA.Sigma[c - 1] / 2 \
@@ -431,8 +430,8 @@ def test_total_angular_momentum_reassembly():
 
 def test_projector_sandwich_equals_projected_spin():
     m = 1.0
-    plus = build_operator(F.PROJECTOR_PLUS, m)
-    minus = build_operator(F.PROJECTOR_MINUS, m)
+    plus = build_family("projector_plus", m)
+    minus = build_family("projector_minus", m)
     for p in MOMENTA[:8]:
         pp = evaluate(plus, p).A
         pm = evaluate(minus, p).A
@@ -457,37 +456,38 @@ def test_hamiltonian_commutes_with_spin_and_oam():
 def test_all_families_hermitian_as_operators():
     m = 1.0
     p = np.array([1.2, -0.7, 2.1])
-    for fam in OperatorFamily:
-        comps = (1, 2, 3) if fam.is_vector else (None,)
-        for c in comps:
-            op = build_operator(fam, m, c)
-            if fam in (F.FV_HAMILTONIAN, F.FV_VELOCITY):
-                continue  # pseudo-Hermitian two-component sector
-            assert hermiticity_residual(op, p) <= 1e-9, fam
+    ops = [build_operator(fam, m, c) for fam in OperatorFamily
+           for c in ((1, 2, 3) if fam.is_vector else (None,))]
+    # the two-component sector is pseudo-Hermitian
+    ops += [op for op in family_operators(m) if op.dim == 4]
+    for op in ops:
+        assert hermiticity_residual(op, p) <= 1e-9, op.label
 
 
 def test_fv_hamiltonian_squares_to_energy():
     m = 1.0
-    h = build_operator(F.FV_HAMILTONIAN, m)
+    h = build_family("fv_hamiltonian", m)
     for p in MOMENTA[:6]:
         a = evaluate(h, p).A
         assert np.linalg.norm(a @ a - energy(p, m) ** 2 * np.eye(2)) <= 1e-12
+        # the test-side family is the matrix the trembling-motion runs use
+        assert np.linalg.norm(a - fv_hamiltonian_matrix(p, m)) <= 1e-14 * np.linalg.norm(a)
 
 
 def test_fv_velocity_is_momentum_gradient_of_hamiltonian():
     m = 1.0
-    h = build_operator(F.FV_HAMILTONIAN, m)
+    h = build_family("fv_hamiltonian", m)
     p = MOMENTA[4]
     s = snapshot(h, p)
     for c in (1, 2, 3):
-        v = evaluate(build_operator(F.FV_VELOCITY, m, c), p).A
+        v = evaluate(build_family("fv_velocity", m, c), p).A
         assert np.linalg.norm(v - s.dA[c - 1]) <= 1e-9
+        assert np.linalg.norm(v - fv_velocity_matrix(p, m, c - 1)) <= 1e-14 * np.linalg.norm(v)
 
 
 def test_worldline_commutator_defect_closed_form():
     # [x_i, K_j] misses the symmetrized-product relation by exactly
     # -i beta d/dp_i [(Sigma x p)_j / (2(eps+m))]
-    from fwbench.algebra import worldline_defect
     m = 1.0
     h = build_operator(F.FW_HAMILTONIAN, m)
     for p in MOMENTA[:5]:
@@ -504,7 +504,7 @@ def test_worldline_commutator_defect_closed_form():
                 rhs_a = 0.5j * dC
                 lhs_minus_rhs = val.A - rhs_a
                 assert np.linalg.norm(
-                    lhs_minus_rhs - worldline_defect("conventional", m, p, i, j)
+                    lhs_minus_rhs - worldline_defect(m, p, i, j)
                 ) <= 1e-9
 
 
