@@ -1,7 +1,7 @@
-"""Batch verification of commutator and Poisson-bracket tables.
+"""Batch verification of one identity table with two brackets.
 
-Four quantum operator sets are checked against the generator-algebra
-identity table:
+The generator algebra is one table (IDENTITIES).  Each row is read as a
+commutator by four quantum operator sets,
 
   conventional   block-diagonal-representation radius vector, rest-frame
                  spin, and their orbital/boost companions
@@ -10,32 +10,34 @@ identity table:
   center_of_mass center-of-mass position with the laboratory-frame spin
   projected      energy-subspace-projected position/spin/OAM
 
-plus the classical ten-generator Poisson table for a free spinning
-particle.  Each identity yields an AlgebraReport whose verdict encodes
-whether the identity held (or failed) as expected, so the suites assert
-negative results as first-class outcomes.
+and as a Poisson bracket by the classical ten generators of a free
+spinning particle; each row names the sets that carry it.  Each identity
+yields an AlgebraReport whose verdict encodes whether the identity held (or
+failed) as expected, so the suites assert negative results as first-class
+outcomes.
 
-Both kinds of suite evaluate exactly, on a whole stack of samples at once.
-A quantum operator is snapshotted once on the (N, 3) momenta and each
+Both evaluators work exactly, on a whole stack of samples at once.  A
+quantum operator is snapshotted once on the (N, 3) momenta and each
 identity pair is one batched commutator.  A classical observable is one
 forward-mode Jet expression over the 9 phase-space coordinates (Q, P, S),
 evaluated once on the stack of states, and each identity pair is one
 Poisson bracket of the exact gradients.  Identities are checked at t = 0,
 so the -t d_ij terms of the worldline relations vanish.
 
-One known caveat is encoded in the manifests: the worldline relation
+One known caveat is encoded in the table: the worldline relation
 [q_i, K_j] = (q_j [q_i, H] + [q_i, H] q_j)/2 - i t delta_ij cannot hold for
 any spin-1/2 position operator with commuting components (the boost of a
-localized state picks up a spin-dependent shift).  The suites therefore
-expect it to fail -- for every set -- and verify the closed form of the
-defect instead; see tests and the README for the residual's exact shape.
+localized state picks up a spin-dependent shift).  Every set that carries
+it, the classical one included, therefore expects it to fail, and the tests
+verify the closed form of the defect instead; see the README for the
+residual's exact shape.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
-from typing import Callable
+from dataclasses import dataclass, asdict, field
+from typing import Optional
 
 import numpy as np
 
@@ -145,62 +147,164 @@ def _velocity_closed_form(set_name: str, m: float):
     return lambda p, i: 1j * GAMMA.beta * momentum_jets(p)[i] / energy_jet(p, m)
 
 
+F = OperatorFamily
+
+# Families of q, s, l, K and H per set; K None is the naive boost.  In
+# naive_dirac, i d/dp, i (p x d/dp) and Sigma/2 have the same coefficients in
+# every representation: the plain radius vector, orbital angular momentum
+# and spin, here kept together with the Dirac Hamiltonian.
+_SET_FAMILIES = {
+    "conventional": (F.FW_POSITION, F.FW_SPIN, F.OAM_FW, F.BOOST_FW, F.FW_HAMILTONIAN),
+    "naive_dirac": (F.FW_POSITION, F.DIRAC_SPIN, F.OAM_FW, None, F.DIRAC_HAMILTONIAN),
+    "center_of_mass": (F.COM_POSITION_FW, F.LAB_SPIN_FW, F.COM_OAM, F.BOOST_FW,
+                       F.FW_HAMILTONIAN),
+    "projected": (F.PROJECTED_POSITION_FW, F.PROJECTED_SPIN_FW, F.PROJECTED_OAM,
+                  F.BOOST_FW, F.FW_HAMILTONIAN),
+}
+
+
 def build_quantum_set(set_name: str, m: float) -> dict:
     """Operators keyed by role: q, s, l, j, K, H, p (vectors are 3-lists)."""
-    F = OperatorFamily
-    comps = (1, 2, 3)
-    momentum = [build_operator(F.MOMENTUM, m, c) for c in comps]
-    total_j = [build_operator(F.TOTAL_J, m, c) for c in comps]
-
-    if set_name == "conventional":
-        ops = {
-            "q": [build_operator(F.FW_POSITION, m, c) for c in comps],
-            "s": [build_operator(F.FW_SPIN, m, c) for c in comps],
-            "l": [build_operator(F.OAM_FW, m, c) for c in comps],
-            "K": [build_operator(F.BOOST_FW, m, c) for c in comps],
-            "H": build_operator(F.FW_HAMILTONIAN, m),
-        }
-    elif set_name == "naive_dirac":
-        # i d/dp, i (p x d/dp) and Sigma/2 have the same coefficients in every
-        # representation: the plain radius vector, orbital angular momentum
-        # and spin, here kept together with the Dirac Hamiltonian
-        ops = {
-            "q": [build_operator(F.FW_POSITION, m, c) for c in comps],
-            "s": [build_operator(F.DIRAC_SPIN, m, c) for c in comps],
-            "l": [build_operator(F.OAM_FW, m, c) for c in comps],
-            "K": [_naive_boost(m, k) for k in range(3)],
-            "H": build_operator(F.DIRAC_HAMILTONIAN, m),
-        }
-    elif set_name == "center_of_mass":
-        ops = {
-            "q": [build_operator(F.COM_POSITION_FW, m, c) for c in comps],
-            "s": [build_operator(F.LAB_SPIN_FW, m, c) for c in comps],
-            "l": [build_operator(F.COM_OAM, m, c) for c in comps],
-            "K": [build_operator(F.BOOST_FW, m, c) for c in comps],
-            "H": build_operator(F.FW_HAMILTONIAN, m),
-        }
-    elif set_name == "projected":
-        ops = {
-            "q": [build_operator(F.PROJECTED_POSITION_FW, m, c) for c in comps],
-            "s": [build_operator(F.PROJECTED_SPIN_FW, m, c) for c in comps],
-            "l": [build_operator(F.PROJECTED_OAM, m, c) for c in comps],
-            "K": [build_operator(F.BOOST_FW, m, c) for c in comps],
-            "H": build_operator(F.FW_HAMILTONIAN, m),
-        }
-    else:
+    if set_name not in _SET_FAMILIES:
         raise ValueError(f"unknown quantum set: {set_name!r}")
-    ops["p"] = momentum
-    ops["j"] = total_j
-    return ops
+    q, s, l, K, H = _SET_FAMILIES[set_name]
+
+    def vector(family):
+        return [build_operator(family, m, c) for c in (1, 2, 3)]
+
+    return {"q": vector(q), "s": vector(s), "l": vector(l),
+            "K": vector(K) if K else [_naive_boost(m, k) for k in range(3)],
+            "H": build_operator(H, m), "p": vector(F.MOMENTUM), "j": vector(F.TOTAL_J)}
 
 
 # ---------------------------------------------------------------------------
-# quantum identity catalogue
+# the identity table
 # ---------------------------------------------------------------------------
 
-_PAIRS_ANTISYM = [(0, 1), (0, 2), (1, 2)]
-_PAIRS_ALL = [(i, j) for i in range(3) for j in range(3)]
-_SINGLES = [(i, 0) for i in range(3)]
+_PAIRS_ANTISYM = ((0, 1), (0, 2), (1, 2))
+_PAIRS_ALL = tuple((i, j) for i in range(3) for j in range(3))
+_SINGLES = ((0, 0), (1, 0), (2, 0))
+
+# The suites that carry a row.  The center_of_mass and projected suites keep
+# the commutation structure of their own position, spin and OAM, plus the
+# relations that must survive (total angular momentum assembly).
+_EVERY = QUANTUM_SET_NAMES + ("classical",)
+_FULL = ("conventional", "naive_dirac", "classical")
+_COM_FAIL = {"center_of_mass": "fail", "projected": "fail"}
+_ZERO = ("zero", None, 0)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One relation of the generator algebra, read with two brackets.
+
+    The commutator of quantum operators and the Poisson bracket of their
+    classical counterparts obey the same relation, [a, b] = i {A, B}.  lhs
+    names the two roles in the quantum letters q s l j K H p; the classical
+    role is the upper-case letter, and H is a scalar.  rhs is one term
+    (kind, role, c) in the classical convention, for the pair's components
+    i, j and the role's observable R (role None is the number 1):
+
+      zero       0
+      eps        c e_ijk R_k
+      i          c R_i
+      delta      c d_ij R
+      worldline  c Q_j {Q_i, H}; quantum c (q_j [q_i,H] + [q_i,H] q_j)/2
+      velocity   c {Q_j, H} = c P_j / H
+
+    The quantum suite reads the term times i.  sets names the suites that
+    carry the row, "classical" among them.  A row is expected to hold in a
+    set unless expected_by_set says "fail"; notes (quantum, classical)
+    explains an expected failure in its report.
+    """
+
+    quantum_id: Optional[str]
+    classical_id: Optional[str]
+    lhs: tuple
+    pairs: tuple
+    rhs: tuple
+    sets: tuple
+    expected_by_set: dict = field(default_factory=dict)
+    notes: tuple = ("", "")
+
+    def expected(self, set_name: str) -> str:
+        return self.expected_by_set.get(set_name, "hold")
+
+
+_WORLDLINE_NOTES = (
+    "cannot hold for commuting position components with spin 1/2: the "
+    "boost shifts a localized state by a spin-dependent amount",
+    "same spin-induced worldline defect as the quantum "
+    "table; holds only for spinless states",
+)
+
+# Quantum report order; the classical-only rows come last.
+IDENTITIES = (
+    Identity("[p_i,p_j] = 0", "{P_i,P_j} = 0",
+             ("p", "p"), _PAIRS_ANTISYM, _ZERO, _FULL),
+    Identity("[p_i,H] = 0", "{P_i,H} = 0",
+             ("p", "H"), _SINGLES, _ZERO, _FULL),
+    Identity("[j_i,H] = 0", "{J_i,H} = 0",
+             ("j", "H"), _SINGLES, _ZERO, _EVERY),
+    Identity("[j_i,j_j] = i e_ijk j_k", "{J_i,J_j} = e_ijk J_k",
+             ("j", "j"), _PAIRS_ANTISYM, ("eps", "j", 1), _EVERY),
+    Identity("[j_i,p_j] = i e_ijk p_k", "{J_i,P_j} = e_ijk P_k",
+             ("j", "p"), _PAIRS_ALL, ("eps", "p", 1), _EVERY),
+    Identity("[j_i,K_j] = i e_ijk K_k", "{J_i,K_j} = e_ijk K_k",
+             ("j", "K"), _PAIRS_ALL, ("eps", "K", 1), _FULL),
+    Identity("[K_i,H] = i p_i", "{K_i,H} = P_i",
+             ("K", "H"), _SINGLES, ("i", "p", 1), _FULL),
+    Identity("[K_i,K_j] = -i e_ijk j_k", "{K_i,K_j} = -e_ijk J_k",
+             ("K", "K"), _PAIRS_ANTISYM, ("eps", "j", -1), _FULL, {"naive_dirac": "fail"}),
+    Identity("[K_i,p_j] = i d_ij H", "{K_i,P_j} = d_ij H",
+             ("K", "p"), _PAIRS_ALL, ("delta", "H", 1), _FULL),
+    Identity("[q_i,K_j] = ((q_j[q_i,H]+[q_i,H]q_j)/2 - i t d_ij)",
+             "{Q_i,K_j} = Q_j{Q_i,H} - t d_ij",
+             ("q", "K"), _PAIRS_ALL, ("worldline", None, 1), _FULL,
+             {"conventional": "fail", "naive_dirac": "fail", "classical": "fail"},
+             _WORLDLINE_NOTES),
+    Identity("[q_i,p_j] = i d_ij", "{Q_i,P_j} = d_ij",
+             ("q", "p"), _PAIRS_ALL, ("delta", None, 1), _EVERY),
+    Identity("[q_i,j_j] = i e_ijk q_k", "{Q_i,J_j} = e_ijk Q_k",
+             ("q", "j"), _PAIRS_ALL, ("eps", "q", 1), _EVERY),
+    Identity("[q_i,s_j] = 0", "{Q_i,S_j} = 0",
+             ("q", "s"), _PAIRS_ALL, _ZERO, _EVERY, _COM_FAIL),
+    Identity("[s_i,p_j] = 0", "{S_i,P_j} = 0",
+             ("s", "p"), _PAIRS_ALL, _ZERO, _EVERY),
+    Identity("[l_i,s_j] = 0", "{L_i,S_j} = 0",
+             ("l", "s"), _PAIRS_ALL, _ZERO, _EVERY, _COM_FAIL),
+    Identity("[l_i,l_j] = i e_ijk l_k", "{L_i,L_j} = e_ijk L_k",
+             ("l", "l"), _PAIRS_ANTISYM, ("eps", "l", 1), _EVERY, _COM_FAIL),
+    Identity("[s_i,s_j] = i e_ijk s_k", "{S_i,S_j} = e_ijk S_k",
+             ("s", "s"), _PAIRS_ANTISYM, ("eps", "s", 1), _EVERY, _COM_FAIL),
+    Identity("[q_i,q_j] = 0", "{Q_i,Q_j} = 0",
+             ("q", "q"), _PAIRS_ANTISYM, _ZERO, _EVERY, _COM_FAIL),
+    Identity(None, "{L_i,P_j} = e_ijk P_k",
+             ("l", "p"), _PAIRS_ALL, ("eps", "p", 1), ("classical",)),
+    Identity(None, "{Q_i,L_j} = e_ijk Q_k",
+             ("q", "l"), _PAIRS_ALL, ("eps", "q", 1), ("classical",)),
+    Identity(None, "{P_i,S_j} = 0",
+             ("p", "s"), _PAIRS_ALL, _ZERO, ("classical",)),
+    Identity(None, "{H,Q_i} = -P_i/H",
+             ("H", "q"), ((0, 0), (0, 1), (0, 2)), ("velocity", None, -1), ("classical",)),
+)
+
+# Classical report order, as indices into IDENTITIES.
+_CLASSICAL_ORDER = (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 9, 18, 13, 17, 19, 12, 20, 15, 16,
+                    14, 21)
+
+
+def identities_for_set(set_name: str) -> list:
+    """The rows a suite carries, in its report order; "classical" names the
+    Poisson-bracket suite."""
+    if set_name == "classical":
+        return [IDENTITIES[k] for k in _CLASSICAL_ORDER]
+    return [iden for iden in IDENTITIES if set_name in iden.sets]
+
+
+def _operand(values: dict, role: str, k: int):
+    """Component k of a role's operators or observables; H is a scalar."""
+    return values["H"] if role == "H" else values[role][k]
 
 
 def _zero_like(sn) -> PhaseOpValue:
@@ -209,30 +313,6 @@ def _zero_like(sn) -> PhaseOpValue:
 
 def _scaled(sn, c) -> PhaseOpValue:
     return PhaseOpValue(c * sn.A, c * sn.B)
-
-
-def _eps_combo(snaps, i, j, c):
-    """c * eps_ijk snaps[k] summed over k: one term, k = 3 - i - j, if i != j."""
-    if i == j:
-        return _zero_like(snaps[0])
-    return _scaled(snaps[3 - i - j], c * levi(i, j, 3 - i - j))
-
-
-@dataclass(frozen=True)
-class QuantumIdentity:
-    identity_id: str
-    lhs: tuple                      # (role_a, role_b); role "H" is scalar
-    pairs: list
-    rhs: Callable                   # (snaps dict, p, i, j) -> PhaseOpValue
-    expected_by_set: dict
-    note: str = ""
-
-    def expected(self, set_name: str) -> str:
-        return self.expected_by_set.get(set_name, "hold")
-
-
-def _rhs_zero(snaps, p, i, j):
-    return _zero_like(snaps["H"])
 
 
 def _rhs_worldline(snaps, p, i, j, velocity):
@@ -244,84 +324,26 @@ def _rhs_worldline(snaps, p, i, j, velocity):
     return PhaseOpValue(A, 0.5 * (qj.B @ Cl + Cl @ qj.B))
 
 
-def quantum_identities() -> list:
-    """Full identity table with per-set expectations."""
-    worldline_note = (
-        "cannot hold for commuting position components with spin 1/2: the "
-        "boost shifts a localized state by a spin-dependent amount"
-    )
-    com_fail = {"center_of_mass": "fail", "projected": "fail"}
-    ids = [
-        QuantumIdentity("[p_i,p_j] = 0", ("p", "p"), _PAIRS_ANTISYM,
-                        _rhs_zero, {}),
-        QuantumIdentity("[p_i,H] = 0", ("p", "H"), _SINGLES, _rhs_zero, {}),
-        QuantumIdentity("[j_i,H] = 0", ("j", "H"), _SINGLES, _rhs_zero, {}),
-        QuantumIdentity("[j_i,j_j] = i e_ijk j_k", ("j", "j"), _PAIRS_ANTISYM,
-                        lambda sn, p, i, j: _eps_combo(sn["j"], i, j, 1j), {}),
-        QuantumIdentity("[j_i,p_j] = i e_ijk p_k", ("j", "p"), _PAIRS_ALL,
-                        lambda sn, p, i, j: _eps_combo(sn["p"], i, j, 1j), {}),
-        QuantumIdentity("[j_i,K_j] = i e_ijk K_k", ("j", "K"), _PAIRS_ALL,
-                        lambda sn, p, i, j: _eps_combo(sn["K"], i, j, 1j), {}),
-        QuantumIdentity("[K_i,H] = i p_i", ("K", "H"), _SINGLES,
-                        lambda sn, p, i, j: _scaled(sn["p"][i], 1j), {}),
-        QuantumIdentity("[K_i,K_j] = -i e_ijk j_k", ("K", "K"), _PAIRS_ANTISYM,
-                        lambda sn, p, i, j: _eps_combo(sn["j"], i, j, -1j),
-                        {"naive_dirac": "fail"}),
-        QuantumIdentity("[K_i,p_j] = i d_ij H", ("K", "p"), _PAIRS_ALL,
-                        lambda sn, p, i, j:
-                        _scaled(sn["H"], 1j) if i == j else _zero_like(sn["H"]),
-                        {}),
-        QuantumIdentity("[q_i,K_j] = ((q_j[q_i,H]+[q_i,H]q_j)/2 - i t d_ij)",
-                        ("q", "K"), _PAIRS_ALL, None,
-                        {"conventional": "fail", "naive_dirac": "fail"},
-                        note=worldline_note),
-        QuantumIdentity("[q_i,p_j] = i d_ij", ("q", "p"), _PAIRS_ALL,
-                        lambda sn, p, i, j: PhaseOpValue(
-                            1j * float(i == j) * np.eye(sn["q"][0].dim),
-                            np.zeros((3, 1, 1))),
-                        {}),
-        QuantumIdentity("[q_i,j_j] = i e_ijk q_k", ("q", "j"), _PAIRS_ALL,
-                        lambda sn, p, i, j: _eps_combo(sn["q"], i, j, 1j), {}),
-        QuantumIdentity("[q_i,s_j] = 0", ("q", "s"), _PAIRS_ALL, _rhs_zero,
-                        dict(com_fail)),
-        QuantumIdentity("[s_i,p_j] = 0", ("s", "p"), _PAIRS_ALL, _rhs_zero, {}),
-        QuantumIdentity("[l_i,s_j] = 0", ("l", "s"), _PAIRS_ALL, _rhs_zero,
-                        dict(com_fail)),
-        QuantumIdentity("[l_i,l_j] = i e_ijk l_k", ("l", "l"), _PAIRS_ANTISYM,
-                        lambda sn, p, i, j: _eps_combo(sn["l"], i, j, 1j),
-                        dict(com_fail)),
-        QuantumIdentity("[s_i,s_j] = i e_ijk s_k", ("s", "s"), _PAIRS_ANTISYM,
-                        lambda sn, p, i, j: _eps_combo(sn["s"], i, j, 1j),
-                        dict(com_fail)),
-        QuantumIdentity("[q_i,q_j] = 0", ("q", "q"), _PAIRS_ANTISYM, _rhs_zero,
-                        dict(com_fail)),
-    ]
-    return ids
-
-
-# Identities carried by each suite.  The alternative sets focus on the
-# commutation structure of their own position/spin/OAM plus the identities
-# that must survive (total angular momentum assembly).
-_COM_SUBSET = (
-    "[q_i,q_j] = 0",
-    "[l_i,l_j] = i e_ijk l_k",
-    "[s_i,s_j] = i e_ijk s_k",
-    "[l_i,s_j] = 0",
-    "[q_i,s_j] = 0",
-    "[j_i,j_j] = i e_ijk j_k",
-    "[j_i,H] = 0",
-    "[j_i,p_j] = i e_ijk p_k",
-    "[q_i,p_j] = i d_ij",
-    "[q_i,j_j] = i e_ijk q_k",
-    "[s_i,p_j] = 0",
-)
-
-
-def identities_for_set(set_name: str) -> list:
-    table = quantum_identities()
-    if set_name in ("center_of_mass", "projected"):
-        return [iden for iden in table if iden.identity_id in _COM_SUBSET]
-    return table
+def _quantum_rhs(term, snaps: dict, p, i: int, j: int, velocity) -> PhaseOpValue:
+    """i times a table term, from the snapshots at momenta p."""
+    kind, role, c = term
+    R = snaps.get(role)
+    if kind == "eps":
+        k = 3 - i - j
+        return _scaled(R[k], 1j * c * levi(i, j, k)) if i != j else _zero_like(snaps["H"])
+    if kind == "i":
+        return _scaled(R[i], 1j * c)
+    if kind == "delta":
+        if i != j:
+            return _zero_like(snaps["H"])
+        if R is None:
+            return PhaseOpValue(1j * c * np.eye(snaps["H"].dim), np.zeros((3, 1, 1)))
+        return _scaled(R, 1j * c)
+    if kind == "worldline":
+        return _scaled(_rhs_worldline(snaps, p, i, j, velocity), c)
+    if kind == "zero":
+        return _zero_like(snaps["H"])
+    raise ValueError(f"no quantum form for a {kind!r} term")
 
 
 def sample_momenta(n: int, seed: int = 42, box: float = 5.0,
@@ -350,22 +372,20 @@ def run_quantum_suite(set_name: str, m: float, n_samples: int,
     momenta = sample_momenta(n_samples, seed)
     velocity = _velocity_closed_form(set_name, m)
 
-    roles = {r for iden in idents for r in iden.lhs if r != "H"}
+    roles = {r for iden in idents for r in (*iden.lhs, iden.rhs[1])
+             if r not in ("H", None)}
     snaps = {r: [snapshot(op, momenta) for op in ops[r]] for r in roles}
     snaps["H"] = snapshot(ops["H"], momenta)
     reports = []
     for iden in idents:
+        a, b = iden.lhs
         worst = np.zeros(n_samples)
         for (i, j) in iden.pairs:
-            a = snaps[iden.lhs[0]][i] if iden.lhs[0] != "H" else snaps["H"]
-            b = snaps[iden.lhs[1]][j] if iden.lhs[1] != "H" else snaps["H"]
-            if iden.rhs is None:
-                rhs = _rhs_worldline(snaps, momenta, i, j, velocity)
-            else:
-                rhs = iden.rhs(snaps, momenta, i, j)
-            worst = np.maximum(worst, (commutator_snapshot(a, b) - rhs).norm())
-        reports.append(_report(iden.identity_id, set_name, worst,
-                               iden.expected(set_name), iden.note, QUANTUM_TOL))
+            residual = (commutator_snapshot(_operand(snaps, a, i), _operand(snaps, b, j))
+                        - _quantum_rhs(iden.rhs, snaps, momenta, i, j, velocity))
+            worst = np.maximum(worst, residual.norm())
+        reports.append(_report(iden.quantum_id, set_name, worst,
+                               iden.expected(set_name), iden.notes[0], QUANTUM_TOL))
     return reports
 
 
@@ -427,68 +447,29 @@ def _value(obs: Jet) -> np.ndarray:
     return obs.val[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class ClassicalIdentity:
-    identity_id: str
-    lhs: tuple
-    pairs: list
-    rhs: Callable                    # (observables dict, i, j) -> values
-    expected: str = "hold"
-    note: str = ""
+def _classical_rhs(term, obs: dict, i: int, j: int):
+    """A table term at the states, from their observables."""
+    kind, role, c = term
+    R = obs[role.upper()] if role else None
+    if kind == "eps":
+        k = 3 - i - j
+        return c * levi(i, j, k) * _value(R[k]) if i != j else 0.0
+    if kind == "i":
+        return c * _value(R[i])
+    if kind == "delta":
+        return c * (1.0 if R is None else _value(R)) if i == j else 0.0
+    if kind == "worldline":
+        return c * _value(obs["Q"][j]) * _value(obs["P"][i]) / _value(obs["H"])
+    if kind == "velocity":
+        return c * (_value(obs["P"][j]) / _value(obs["H"]))
+    if kind == "zero":
+        return 0.0
+    raise ValueError(f"no classical form for a {kind!r} term")
 
 
 def classical_identities() -> list:
-    def eps_term(name):
-        def rhs(obs, i, j):
-            return sum(levi(i, j, k) * _value(obs[name][k]) for k in range(3))
-        return rhs
-
-    def zero(obs, i, j):
-        return 0.0
-
-    worldline_note = ("same spin-induced worldline defect as the quantum "
-                      "table; holds only for spinless states")
-    return [
-        ClassicalIdentity("{P_i,P_j} = 0", ("P", "P"), _PAIRS_ANTISYM, zero),
-        ClassicalIdentity("{P_i,H} = 0", ("P", "H"), _SINGLES, zero),
-        ClassicalIdentity("{J_i,H} = 0", ("J", "H"), _SINGLES, zero),
-        ClassicalIdentity("{J_i,J_j} = e_ijk J_k", ("J", "J"), _PAIRS_ANTISYM,
-                          eps_term("J")),
-        ClassicalIdentity("{J_i,P_j} = e_ijk P_k", ("J", "P"), _PAIRS_ALL,
-                          eps_term("P")),
-        ClassicalIdentity("{J_i,K_j} = e_ijk K_k", ("J", "K"), _PAIRS_ALL,
-                          eps_term("K")),
-        ClassicalIdentity("{K_i,H} = P_i", ("K", "H"), _SINGLES,
-                          lambda obs, i, j: _value(obs["P"][i])),
-        ClassicalIdentity("{K_i,K_j} = -e_ijk J_k", ("K", "K"), _PAIRS_ANTISYM,
-                          lambda obs, i, j: -eps_term("J")(obs, i, j)),
-        ClassicalIdentity("{K_i,P_j} = d_ij H", ("K", "P"), _PAIRS_ALL,
-                          lambda obs, i, j: _value(obs["H"]) if i == j else 0.0),
-        ClassicalIdentity("{Q_i,P_j} = d_ij", ("Q", "P"), _PAIRS_ALL,
-                          lambda obs, i, j: 1.0 if i == j else 0.0),
-        ClassicalIdentity("{Q_i,J_j} = e_ijk Q_k", ("Q", "J"), _PAIRS_ALL,
-                          eps_term("Q")),
-        ClassicalIdentity("{Q_i,K_j} = Q_j{Q_i,H} - t d_ij", ("Q", "K"),
-                          _PAIRS_ALL,
-                          lambda obs, i, j: (_value(obs["Q"][j]) * _value(obs["P"][i])
-                                             / _value(obs["H"])),
-                          expected="fail", note=worldline_note),
-        ClassicalIdentity("{L_i,P_j} = e_ijk P_k", ("L", "P"), _PAIRS_ALL,
-                          eps_term("P")),
-        ClassicalIdentity("{S_i,P_j} = 0", ("S", "P"), _PAIRS_ALL, zero),
-        ClassicalIdentity("{Q_i,Q_j} = 0", ("Q", "Q"), _PAIRS_ANTISYM, zero),
-        ClassicalIdentity("{Q_i,L_j} = e_ijk Q_k", ("Q", "L"), _PAIRS_ALL,
-                          eps_term("Q")),
-        ClassicalIdentity("{Q_i,S_j} = 0", ("Q", "S"), _PAIRS_ALL, zero),
-        ClassicalIdentity("{P_i,S_j} = 0", ("P", "S"), _PAIRS_ALL, zero),
-        ClassicalIdentity("{L_i,L_j} = e_ijk L_k", ("L", "L"), _PAIRS_ANTISYM,
-                          eps_term("L")),
-        ClassicalIdentity("{S_i,S_j} = e_ijk S_k", ("S", "S"), _PAIRS_ANTISYM,
-                          eps_term("S")),
-        ClassicalIdentity("{L_i,S_j} = 0", ("L", "S"), _PAIRS_ALL, zero),
-        ClassicalIdentity("{H,Q_i} = -P_i/H", ("H", "Q"), [(0, i) for i in range(3)],
-                          lambda obs, i, j: -_value(obs["P"][j]) / _value(obs["H"])),
-    ]
+    """The classical suite's rows, in its report order."""
+    return identities_for_set("classical")
 
 
 def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
@@ -509,7 +490,7 @@ def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
 
 
 def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42) -> list:
-    """Evaluate the Poisson table at seeded random states.
+    """Evaluate the classical rows of the table at seeded random states.
 
     The observables are evaluated once on the whole stack of states, and
     each identity pair is one exact bracket over that stack.
@@ -518,13 +499,11 @@ def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42) -> list:
     obs = classical_observables(states)
     reports = []
     for iden in classical_identities():
+        a, b = (r.upper() for r in iden.lhs)
         worst = np.zeros(n_samples)
         for (i, j) in iden.pairs:
-            f = obs["H"] if iden.lhs[0] == "H" else obs[iden.lhs[0]][i]
-            g = obs["H"] if iden.lhs[1] == "H" else obs[iden.lhs[1]][j]
-            worst = np.maximum(worst, np.abs(poisson_bracket(f, g, states)
-                                             - iden.rhs(obs, i, j)))
-        reports.append(_report(iden.identity_id, "classical", worst,
-                               iden.expected, iden.note, CLASSICAL_TOL))
+            bracket = poisson_bracket(_operand(obs, a, i), _operand(obs, b, j), states)
+            worst = np.maximum(worst, np.abs(bracket - _classical_rhs(iden.rhs, obs, i, j)))
+        reports.append(_report(iden.classical_id, "classical", worst,
+                               iden.expected("classical"), iden.notes[1], CLASSICAL_TOL))
     return reports
-

@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("precess", formatter_class=fmt, help="uniform-field spin precession")
     pr.add_argument("--p", type=_vec3, default=np.zeros(3),
                     help="momentum px,py,pz")
-    pr.add_argument("--mass", type=float, default=1.0)
+    pr.add_argument("--mass", type=_positive_mass, default=1.0)
     pr.add_argument("--e-field", type=_vec3, default=np.zeros(3))
     pr.add_argument("--b-field", type=_vec3, default=np.zeros(3))
     pr.add_argument("--charge", type=float, default=1.0)

@@ -72,7 +72,8 @@ def check_positive_mass(m: float) -> float:
     """m, or ValueError unless it is positive and finite.  The eriksen and
     packet grids hold p = 0, where the massless Hamiltonian has a zero mode:
     the sign function is undefined there, and the free unitary depends on
-    the direction of p and so has no value."""
+    the direction of p and so has no value.  The precession frequencies
+    divide by m."""
     if not 0 < m < np.inf:
         raise ValueError(f"mass must be positive and finite, got {m}")
     return m

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dirac import (GAMMA, check_positive_mass, dirac_hamiltonian, free_propagator,
+from .dirac import (check_positive_mass, dirac_hamiltonian, free_propagator,
                     fw_hamiltonian, fw_unitary_matrix, stacked_energy)
 from .grids import Grid1D
 from .spin_dynamics import spinor_from_direction
@@ -41,7 +41,6 @@ class WavePacket1D:
     psi: np.ndarray          # (n, 4) complex
     m: float
     picture: str
-    positive_energy: bool = False
 
     def __post_init__(self):
         if self.picture not in PICTURES:
@@ -115,9 +114,7 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     psi = np.zeros((grid.n, 4), dtype=complex)
     psi[:, 0] = g * chi[0]
     psi[:, 1] = g * chi[1]
-    packet = WavePacket1D(grid=grid, psi=psi, m=m, picture="fw",
-                          positive_energy=True)
-    return to_picture(packet, picture)
+    return to_picture(WavePacket1D(grid=grid, psi=psi, m=m, picture="fw"), picture)
 
 
 def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
@@ -181,7 +178,7 @@ class Observable:
 
     kind: str
 
-    KINDS = ("identity", "position", "position_sq", "spin_z", "momentum")
+    KINDS = ("identity", "position_sq", "momentum")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -200,12 +197,7 @@ def expectation(packet: WavePacket1D, obs: Observable,
         return float(np.sum(np.abs(psi) ** 2) * dp)
     if obs.kind == "momentum":
         return float(np.sum(grid.p_centered * np.sum(np.abs(psi) ** 2, axis=1)) * dp)
-    if obs.kind == "spin_z":
-        sz = GAMMA.Sigma[2]
-        return float(np.real(np.einsum("ni,ij,nj->", psi.conj(), sz, psi)) * dp)
     xpsi = apply_position(psi, grid)
-    if obs.kind == "position":
-        return float(np.real(np.vdot(psi, xpsi)) * dp)
     return float(np.real(np.vdot(xpsi, xpsi)) * dp)    # position_sq
 
 

@@ -44,10 +44,8 @@ class EvolutionRecord:
     """Sampled Heisenberg evolution of velocity/position matrices, each a
     (T, d, d) stack over the T sample times."""
 
-    times: np.ndarray
     velocity: np.ndarray
     position: np.ndarray
-    rep: str
 
 
 def record_evolution(p, m: float, times, component: int,
@@ -58,9 +56,9 @@ def record_evolution(p, m: float, times, component: int,
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
-        H, v0, rep = dirac_hamiltonian(p, m), GAMMA.alpha[component], "Dirac"
+        H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
     elif particle == "fv":
-        H, v0, rep = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component), "FV"
+        H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
     else:
         raise ValueError(f"unknown particle kind {particle!r}")
     # one propagator exp(-2iHt) per sample time, as a (T, d, d) stack
@@ -70,8 +68,7 @@ def record_evolution(p, m: float, times, component: int,
     prop = free_propagator(H, eps, 2 * t)
     amp = v0 - drift
     osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
-    return EvolutionRecord(times=times, velocity=amp @ prop + drift,
-                           position=pk * t * h_inv + osc, rep=rep)
+    return EvolutionRecord(velocity=amp @ prop + drift, position=pk * t * h_inv + osc)
 
 
 def dominant_frequency(times, values) -> float:

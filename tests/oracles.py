@@ -26,7 +26,8 @@ from fwbench.phase_ops import (
     p_dot,
     snapshot,
 )
-from fwbench.wavepacket import WavePacket1D, make_gaussian_packet, to_picture
+from fwbench.wavepacket import (WavePacket1D, apply_position, make_gaussian_packet,
+                                to_picture)
 from fwbench.zitter import EvolutionRecord
 
 UNITARITY_ATOL = 1e-10
@@ -242,8 +243,31 @@ def make_dirac_upper_packet(p0: float, sigma_p: float, m: float,
     so its velocity expectation trembles at twice the packet energy.
     """
     fw = make_gaussian_packet(p0, sigma_p, m, spin_dir, "fw", grid, n)
-    return WavePacket1D(grid=fw.grid, psi=fw.psi, m=m, picture="dirac",
-                        positive_energy=False)
+    return WavePacket1D(grid=fw.grid, psi=fw.psi, m=m, picture="dirac")
+
+
+def negative_energy_part(packet: WavePacket1D) -> np.ndarray:
+    """(1 - H_D/eps)/2 applied nodewise to the Dirac-picture amplitude, (n, 4),
+    with H_D = beta m + beta gamma_3 p built from the gamma matrices."""
+    pk = to_picture(packet, "dirac")
+    p = pk.grid.p_centered[:, None, None]
+    h = pk.m * GAMMA.beta + p * (GAMMA.beta @ GAMMA.gamma[2])
+    pi_minus = 0.5 * (I4 - h / np.sqrt(pk.m ** 2 + p * p))
+    return np.einsum("nij,nj->ni", pi_minus, pk.psi)
+
+
+def position_expectation(packet: WavePacket1D, picture: str = "fw") -> float:
+    """<x> with the periodized i d/dp averaged in the stated picture."""
+    pk = to_picture(packet, picture)
+    xpsi = apply_position(pk.psi, pk.grid)
+    return float(np.real(np.vdot(pk.psi, xpsi)) * pk.grid.dp)
+
+
+def spin_z_expectation(packet: WavePacket1D) -> float:
+    """<Sigma_3> in the block-diagonal picture."""
+    pk = to_picture(packet, "fw")
+    return float(np.real(np.einsum("ni,ij,nj->", pk.psi.conj(), GAMMA.Sigma[2], pk.psi))
+                 * pk.grid.dp)
 
 
 def packet_difference(packet: WavePacket1D) -> float:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from hypothesis.strategies import floats
 
 from fwbench.algebra import (
     CLASSICAL_TOL,
+    IDENTITIES,
+    QUANTUM_SET_NAMES,
     ClassicalState,
     all_as_expected,
     classical_observables,
+    identities_for_set,
     poisson_bracket,
     reports_to_json,
     run_classical_suite,
@@ -101,6 +105,41 @@ def test_report_json_schema():
                     "min_residual", "frac_above_floor", "tol", "floor",
                     "expected", "verdict"):
             assert key in row
+
+
+# --- the one identity table ---------------------------------------------------
+
+SUITES = QUANTUM_SET_NAMES + ("classical",)
+REFERENCE = Path(__file__).resolve().parents[1] / "fwperf" / "reference.json"
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_suite_order_matches_the_benchmark_reference(name):
+    # the benchmark refuses a suite whose (identity, expectation) list moved
+    table = json.loads(REFERENCE.read_text())["tables"][name]
+    if name == "classical":
+        reports = run_classical_suite(3)
+    else:
+        reports = run_quantum_suite(name, 1.0, 3)
+    assert [[r.identity_id, r.expected] for r in reports] == table
+
+
+def test_identity_table_is_consistent():
+    kinds = {"zero", "eps", "i", "delta", "worldline", "velocity"}
+    for iden in IDENTITIES:
+        assert iden.sets and set(iden.sets) <= set(SUITES), iden
+        assert set(iden.expected_by_set) <= set(iden.sets), iden
+        assert set(iden.expected_by_set.values()) <= {"fail"}, iden
+        assert iden.rhs[0] in kinds, iden
+        quantum = set(iden.sets) & set(QUANTUM_SET_NAMES)
+        assert (iden.quantum_id is not None) == bool(quantum), iden
+        assert (iden.classical_id is not None) == ("classical" in iden.sets), iden
+    for side in ("quantum_id", "classical_id"):
+        ids = [getattr(iden, side) for iden in IDENTITIES if getattr(iden, side)]
+        assert len(ids) == len(set(ids)), side
+    # the classical report order lists every classical row once
+    order = sorted(IDENTITIES.index(iden) for iden in identities_for_set("classical"))
+    assert order == [k for k, iden in enumerate(IDENTITIES) if "classical" in iden.sets]
 
 
 # --- classical side ------------------------------------------------------------

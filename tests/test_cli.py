@@ -44,10 +44,12 @@ def test_usage_error_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
-    # a packet and the eriksen study need a positive, finite mass (their
-    # grids hold p = 0), verify-algebra a finite, non-negative one, and the
-    # time series need enough steps; no row is printed
+    # a packet, the eriksen study and precess need a positive, finite mass
+    # (the grids hold p = 0, the precession frequencies divide by m),
+    # verify-algebra a finite, non-negative one, and the time series need
+    # enough steps; no row is printed
     for argv in (["packet", "--mass", "0"], ["pce", "--mass", "0"],
+                 ["precess", "--mass", "0"], ["precess", "--mass", "-1"],
                  ["packet", "--mass", "-1"], ["pce", "--mass", "-1"],
                  ["packet", "--mass", "inf"],
                  ["eriksen", "--mass", "0"], ["eriksen", "--mass", "nan"],

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fwbench.dirac import GAMMA
 from fwbench.grids import Grid1D
 from fwbench.wavepacket import (
     GridResolutionError,
@@ -18,7 +17,8 @@ from fwbench.wavepacket import (
     to_picture,
 )
 from fwbench.zitter import dominant_frequency
-from oracles import alpha_z_expectation, make_dirac_upper_packet, packet_difference
+from oracles import (alpha_z_expectation, make_dirac_upper_packet, negative_energy_part,
+                     packet_difference, position_expectation, spin_z_expectation)
 
 M = 1.0
 
@@ -32,7 +32,6 @@ def test_norm_and_lower_spinor(relativistic_packet):
     pk = relativistic_packet
     assert pk.norm == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(pk.psi[:, 2:]) == 0.0      # upper-spinor only
-    assert pk.positive_energy
 
 
 def test_picture_round_trip(relativistic_packet):
@@ -45,13 +44,7 @@ def test_picture_round_trip(relativistic_packet):
 
 def test_dirac_picture_packet_is_positive_energy(relativistic_packet):
     pk_d = to_picture(relativistic_packet, "dirac")
-    p = pk_d.grid.p_centered
-    eps = np.sqrt(M * M + p * p)
-    h = (M * GAMMA.beta[None, :, :]
-         + p[:, None, None] * (GAMMA.beta @ GAMMA.gamma[2])[None, :, :])
-    pi_minus = 0.5 * (np.eye(4)[None, :, :] - h / eps[:, None, None])
-    residual = np.einsum("nij,nj->ni", pi_minus, pk_d.psi)
-    assert np.abs(residual).max() <= 1e-10
+    assert np.abs(negative_energy_part(pk_d)).max() <= 1e-10
 
 
 def test_transform_against_direct_dft():
@@ -134,18 +127,17 @@ def test_ehrenfest_drift(relativistic_packet):
     p = pk.grid.p_centered
     eps = np.sqrt(M * M + p * p)
     v_mean = float(np.sum((p / eps) * np.sum(np.abs(pk.psi) ** 2, axis=1)) * pk.grid.dp)
-    obs = Observable("position")
-    x0 = expectation(pk, obs)
+    x0 = position_expectation(pk)
     for t in (1.0, 4.0):
-        xt = expectation(evolve_free(pk, t), obs)
+        xt = position_expectation(evolve_free(pk, t))
         assert xt - x0 == pytest.approx(t * v_mean, abs=1e-8)
 
 
 def test_symmetric_packet_centered(relativistic_packet):
-    for conv in ("fw_picture", "dirac_picture"):
-        assert expectation(relativistic_packet, Observable("position"), conv) \
+    for picture in ("fw", "dirac"):
+        assert position_expectation(relativistic_packet, picture) \
             == pytest.approx(0.0, abs=1e-9)
-        assert expectation(relativistic_packet, Observable("identity"), conv) \
+        assert expectation(relativistic_packet, Observable("identity"), f"{picture}_picture") \
             == pytest.approx(1.0, abs=1e-12)
 
 
@@ -162,10 +154,9 @@ def test_pce_values(relativistic_packet):
 
 def test_spin_z_constant_for_positive_energy_packet():
     pk = make_gaussian_packet(p0=1.0, sigma_p=0.3, m=M, spin_dir=(1.0, 0.0, 0.5))
-    obs = Observable("spin_z")
-    s0 = expectation(pk, obs)
+    s0 = spin_z_expectation(pk)
     for t in (2.0, 20.0):
-        assert expectation(evolve_free(pk, t), obs) == pytest.approx(s0, abs=1e-12)
+        assert spin_z_expectation(evolve_free(pk, t)) == pytest.approx(s0, abs=1e-12)
 
 
 def test_position_operator_hermitian_on_grid(relativistic_packet):
@@ -185,7 +176,8 @@ def test_grid_resolution_errors():
 
 def test_mixed_energy_packet_trembles_at_twice_energy():
     pk = make_dirac_upper_packet(p0=1.0, sigma_p=0.05, m=M)
-    assert not pk.positive_energy
+    # an upper spinor in the Dirac picture is (eps - m)/(2 eps) = 15% negative energy
+    assert np.sum(np.abs(negative_energy_part(pk)) ** 2) * pk.grid.dp > 0.1
     eps_bar = np.sqrt(M * M + 1.0)
     times = np.linspace(0.0, 12 * np.pi / eps_bar, 2400)
     series = [alpha_z_expectation(evolve_free(pk, t)) for t in times]
@@ -214,6 +206,6 @@ def test_packet_validation():
     for bad_mass in (0.0, -1.0, np.nan, np.inf):   # the grid holds p = 0
         with pytest.raises(ValueError, match="mass must be positive"):
             make_gaussian_packet(p0=1.0, sigma_p=0.5, m=bad_mass)
-    for kind in ("something_else", "custom", "quadrupole_1d"):
+    for kind in ("something_else", "custom", "quadrupole_1d", "position", "spin_z"):
         with pytest.raises(ValueError, match="unknown observable kind"):
             Observable(kind)

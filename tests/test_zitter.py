@@ -192,7 +192,6 @@ def test_record_preserves_velocity_spectrum():
     rec = record_evolution(p, 1.0, times, 2, "dirac")
     assert rec.velocity.shape == rec.position.shape == (64, 4, 4)
     assert spectrum_drift(rec) <= 1e-10
-    assert rec.rep == "Dirac"
 
 
 @pytest.mark.parametrize("particle", ["dirac", "fv"])
