@@ -5,7 +5,7 @@ Natural units (hbar = c = 1) throughout.
 
 from .dirac import GAMMA, build_gamma_set, energy
 from .grids import Grid1D
-from .linalg import LinalgError, commutator
+from .linalg import LinalgError
 from .phase_ops import (
     DomainError,
     OperatorFamily,

@@ -66,6 +66,22 @@ def _checked(convert, check):
     return parse
 
 
+def _check_finite(x: float) -> float:
+    """x, or ValueError unless it is finite."""
+    if not np.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
+def _check_positive(x: float) -> float:
+    """x, or ValueError unless it is positive and finite."""
+    if not 0 < x < np.inf:
+        raise ValueError(f"expected a positive, finite number, got {x}")
+    return x
+
+
+_finite = _checked(float, _check_finite)
+_positive = _checked(float, _check_positive)
 _strengths = _checked(lambda text: [float(t) for t in text.split(",")],
                       lambda v0: erk.check_strengths(v0).tolist())
 _grid_size = _checked(int, check_size)
@@ -351,17 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     zi.set_defaults(func=cmd_zitter)
 
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
-    pa.add_argument("--p0", type=float, default=2.0)
-    pa.add_argument("--sigma", type=float, default=0.5)
+    pa.add_argument("--p0", type=_finite, default=2.0)
+    pa.add_argument("--sigma", type=_positive, default=0.5)
     pa.add_argument("--mass", type=_positive_mass, default=1.0)
     pa.add_argument("--n", type=_grid_size, default=256)
-    pa.add_argument("--t", type=float, default=0.0)
+    pa.add_argument("--t", type=_finite, default=0.0)
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_packet)
 
     pc = sub.add_parser("pce", formatter_class=fmt, help="picture-change-error report")
-    pc.add_argument("--p0", type=float, default=2.0)
-    pc.add_argument("--sigma", type=float, default=0.5)
+    pc.add_argument("--p0", type=_finite, default=2.0)
+    pc.add_argument("--sigma", type=_positive, default=0.5)
     pc.add_argument("--mass", type=_positive_mass, default=1.0)
     pc.add_argument("--n", type=_grid_size, default=256)
     pc.add_argument("--format", default="pretty-table", choices=("json", "pretty-table"))

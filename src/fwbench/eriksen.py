@@ -24,11 +24,12 @@ rather than as dense matrices.  beta A flips the sign of A's lower rows; the
 odd part O = [[0, B], [C, 0]] is H's off-diagonal quadrants (C = B^dag);
 [O, M] = 0, so X = O/m and the beta [O,[O,M]] term vanishes.  A product of
 two odd matrices is even, so O^2 = diag(B C, C B): S = sqrt(1+X^2), the
-normalization, eps and the kinetic denominator are functions of two
-half-size eigendecompositions, and the double commutator is formed block by
-block.  g = 2 + beta lambda + lambda beta is even for any lambda, because
-its off-diagonal quadrants are lambda_12 - lambda_12 = 0, so g^(-1/2) is two
-half-size inverse square roots.  The one full-size decomposition per
+normalization, eps and the kinetic denominator are functions of the
+half-size eigendecompositions of B C and C B (one, when B = C), and the
+double commutator is formed block by block.  g = 2 + beta lambda +
+lambda beta is even for any lambda, because its off-diagonal quadrants are
+lambda_12 - lambda_12 = 0, so g^(-1/2) is two half-size inverse square
+roots.  The one full-size decomposition per
 Hamiltonian is eigh(H), which gives both lambda and the exact spectrum.
 
 discretize_dirac_1d builds the 1D Dirac Hamiltonian with a static
@@ -44,14 +45,22 @@ block into the norm over the 4n operator.
 What is factored per grid and what per potential: a potential enters only
 E, so every Hamiltonian on one grid has the same odd part
 O = [[0, P], [P, 0]], with P = spectral_momentum(grid).  The scaling study
-builds P once, and factor_odd_part takes the two half-size
-eigendecompositions of O^2 once per grid and mass.  The study hands that
-FactoredOddPart to approx_fw for every potential, which then forms only
-what depends on E: K, L, the double commutator and the blocks of
-H_approx, plus the products with the shared eigenvectors.  approx_fw(bh)
-on its own factors bh's odd part.  sign_function, eriksen_unitary and
-every check stay per Hamiltonian; Hermiticity is checked once, when the
-BlockedHamiltonian is made.
+builds P once, and factor_odd_part factors O^2 once per grid and mass.
+Since B = C = P, the two diagonal blocks of O^2 are one matrix P^2, so that
+is one half-size eigendecomposition, and from it factor_odd_part forms the
+four half-size operators that depend only on O and m: the diagonal and
+off-diagonal blocks of the approximate unitary, eps and the inverse kinetic
+denominator.  The study hands that FactoredOddPart to approx_fw for every
+potential, which then forms only what depends on E: K, L, the double
+commutator and the even blocks of H_approx.  approx_fw(bh) on its own
+factors bh's odd part, with two eigendecompositions when B != C.
+sign_function, eriksen_unitary and every check stay per Hamiltonian;
+Hermiticity is checked once, when the BlockedHamiltonian is made.  Because
+H is Hermitian, so is U H U^dag for any U, and its off-diagonal norm is
+sqrt(2) times the norm of the upper quadrant alone; and because
+[beta lambda, lambda beta] = beta lambda^2 beta - lambda^2, the commutator
+check reads the off-diagonal quadrants of the lambda^2 that the
+lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  discretize_dirac_1d writes H
@@ -60,14 +69,13 @@ eriksen_unitary forms 1 + beta lambda one column block at a time,
 eriksen_conditions forms and reduces one condition at a time, subtracting
 the identity in place, and the scaling study releases each Hamiltonian's
 matrices before it builds the next.  Across the study's Hamiltonians only
-P (a quarter of a full-size matrix) and the O^2 factorization (two
-half-size eigenvector matrices) stay alive; the approximate unitary,
-which depends only on O and m, is rebuilt per potential rather than kept,
-and a Hamiltonian built on its own builds and releases its own P.
-A full-size matrix is 1 MiB at n = 128 and 4 MiB at n = 256, so peak
-memory is set by how many are alive at once, not by the O(n^3) products.
-Every matrix element is the same sum of the same products that the full
-temporaries held.
+P (a quarter of a full-size matrix) and the factored odd part (four
+half-size matrices, one full-size matrix in all) stay alive; the
+approximate unitary is copied out of the factored blocks per potential
+rather than kept whole, and a Hamiltonian built on its own builds and
+releases its own P.  A full-size matrix is 1 MiB at n = 128 and 4 MiB at
+n = 256, so peak memory is set by how many are alive at once, not by the
+O(n^3) products.
 """
 
 from __future__ import annotations
@@ -82,7 +90,6 @@ from .grids import Grid1D
 from .linalg import (
     LinalgError,
     as_matrix,
-    commutator,
     frob,
     is_hermitian,
     mat_inv_sqrt_psd,
@@ -132,20 +139,12 @@ def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
     return out
 
 
-def _times_beta(A: np.ndarray, n_upper: int) -> np.ndarray:
-    """A beta: A with its right columns negated."""
-    out = A.copy()
-    out[:, n_upper:] *= -1
-    return out
-
-
 def _conjugated_offblock_norm(U: np.ndarray, H: np.ndarray, n_upper: int) -> float:
-    """Frobenius norm of the two off-diagonal quadrants of U H U^dag,
-    (U[:h] H) U[h:]^dag and (U[h:] H) U[:h]^dag with h = n_upper, forming
-    only those."""
-    upper = frob((U[:n_upper] @ H) @ U[n_upper:].conj().T)
-    lower = frob((U[n_upper:] @ H) @ U[:n_upper].conj().T)
-    return float(np.sqrt(upper ** 2 + lower ** 2))
+    """Frobenius norm of the two off-diagonal quadrants of U H U^dag for a
+    Hermitian H, forming only the upper one, (U[:h] H) U[h:]^dag with
+    h = n_upper: U H U^dag is Hermitian, so the lower quadrant is the
+    adjoint of the upper one and has the same norm."""
+    return float(np.sqrt(2.0) * frob((U[:n_upper] @ H) @ U[n_upper:].conj().T))
 
 
 def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
@@ -215,21 +214,29 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     odd -= odd.conj().T                                   # beta U - U^dag beta
     conds["odd_exponent"] = frob(odd)
     del odd
-    conds["lambda_squared"] = frob(_minus_identity(lam @ lam))
-    conds["bl_lb_commute"] = frob(commutator(_beta_times(lam, h), _times_beta(lam, h)))
+    sq = lam @ lam
+    conds["lambda_squared"] = frob(_minus_identity(sq))
+    # [beta lam, lam beta] = beta lam^2 beta - lam^2 is -2 times the
+    # off-diagonal quadrants of lam^2, which subtracting I leaves alone
+    conds["bl_lb_commute"] = 2.0 * float(np.hypot(frob(sq[:h, h:]), frob(sq[h:, :h])))
+    del sq
     conds["offblock"] = _conjugated_offblock_norm(U, bh.H, h)
     return conds
 
 
 @dataclass(frozen=True)
 class FactoredOddPart:
-    """The odd part O = [[0, B], [C, 0]] and mass m with the two half-size
-    eigendecompositions of O^2 = diag(B C, C B): everything in the
+    """The odd part O = [[0, B], [C, 0]] and mass m with everything in the
     approximate transform that does not depend on the even part E.  All
     Hamiltonians on one grid with one mass share it, since the potential
-    enters only E.  blocks[k] = (v, s, eps, denom) for diagonal block k:
-    the eigenvectors of its O^2 block, and S = sqrt(1 + X^2), eps and the
-    kinetic denominator 2 eps^2 + 2 m eps on their eigenvalues."""
+    enters only E.  blocks[k] = (u_diag, u_off, eps, d_inv) for diagonal
+    block k, each a half-size function of that block of O^2 = diag(B C, C B):
+    the diagonal block (1 + S) N of the unitary's column block k, with
+    S = sqrt(1 + X^2) and N = (2 S (1 + S))^(-1/2); its off-diagonal block
+    up to beta's sign, (C/m) N for k = 0 (the unitary holds -(C/m) N) and
+    (B/m) N for k = 1; eps = sqrt(m^2 + O^2); and the inverse kinetic
+    denominator 1/(2 eps^2 + 2 m eps).  When B == C the two blocks are one
+    and the same tuple."""
 
     B: np.ndarray
     C: np.ndarray
@@ -244,18 +251,32 @@ class FactoredOddPart:
 
 
 def factor_odd_part(B: np.ndarray, C: np.ndarray, m: float) -> FactoredOddPart:
-    """Factor O^2 = diag(B C, C B) for the odd part O = [[0, B], [C, 0]]."""
+    """Factor O^2 = diag(B C, C B) for the odd part O = [[0, B], [C, 0]] and
+    form the operators that depend only on O and m.  When B == C, as for
+    every grid Hamiltonian, C B is B C bit for bit, so it is decomposed once
+    and its operators serve both diagonal blocks."""
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
+    # distinct diagonal blocks of O^2, each with the quadrant of O that
+    # multiplies its column block of the unitary off the diagonal
+    distinct = [(B @ C, C)] if np.array_equal(B, C) else [(B @ C, C), (C @ B, B)]
+    decomps = [np.linalg.eigh(q) for q, _ in distinct]
     # eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
-    decomps = [np.linalg.eigh(q) for q in (B @ C, C @ B)]
     w_sq = [np.clip(w, 0.0, None) for w, _ in decomps]
     eps = [np.sqrt(m * m + w) for w in w_sq]
     denom = [2.0 * e * e + 2.0 * m * e for e in eps]
     _reject_zero_eigenvalues(np.concatenate(denom), 1e-12, "kinetic denominator is singular")
-    blocks = tuple((v, np.sqrt(1.0 + w / (m * m)), e, d)
-                   for (_, v), w, e, d in zip(decomps, w_sq, eps, denom))
-    return FactoredOddPart(B, C, m, blocks)
+    blocks = []
+    for (_, v), (_, off), w, e, d in zip(decomps, distinct, w_sq, eps, denom):
+        vh = v.conj().T
+
+        def fn(f):
+            return (v * f) @ vh
+        s = np.sqrt(1.0 + w / (m * m))
+        blocks.append((fn(np.sqrt((1.0 + s) / (2.0 * s))),
+                       ((1.0 / m) * off) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
+                       fn(e), fn(1.0 / d)))
+    return FactoredOddPart(B, C, m, (blocks[0], blocks[-1]))
 
 
 def approx_fw(bh: BlockedHamiltonian, odd: Optional[FactoredOddPart] = None) -> tuple:
@@ -280,23 +301,18 @@ def approx_fw(bh: BlockedHamiltonian, odd: Optional[FactoredOddPart] = None) -> 
     L = C @ E1 - E2 @ C
     double_comm = (B @ L - K @ C, C @ K - L @ B)
 
-    # Column block k of U = (1 + S + beta X) N, N = (2 S (1 + S))^(-1/2), is
-    # (1 + S_k) N_k on the diagonal and (beta X) N_k = -sign_k O N_k / m off
-    # it; H_approx = beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even.
+    # Column block k of U = (1 + S + beta X) N is (1 + S_k) N_k on the
+    # diagonal and (beta X) N_k = -sign_k O N_k / m off it; H_approx =
+    # beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even.
     U = np.empty_like(H)
     h_approx = np.zeros_like(H)
     for k, sign in ((0, 1.0), (1, -1.0)):
-        v, s, eps, denom = odd.blocks[k]
-        vh = v.conj().T
-
-        def fn(f):
-            return (v * f) @ vh
+        u_diag, u_off, eps, d_inv = odd.blocks[k]
         here, other = rows[k], rows[1 - k]
-        U[here, here] = fn(np.sqrt((1.0 + s) / (2.0 * s)))
-        U[other, here] = (-sign / m) * H[other, here] @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s)))
-        d_inv = fn(1.0 / denom)
+        U[here, here] = u_diag
+        U[other, here] = -sign * u_off
         dc = double_comm[k]
-        h_approx[here, here] = (sign * fn(eps) + (E1, E2)[k]
+        h_approx[here, here] = (sign * eps + (E1, E2)[k]
                                 - 0.25 * (d_inv @ dc + dc @ d_inv))
     return U, h_approx
 
@@ -412,7 +428,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     if profile is None:
         width = grid.length / 8.0
         def profile(x):
-            return np.exp(-x**2 / (2 * width**2))
+            return np.exp(-0.5 * (x / width) ** 2)
     P = spectral_momentum(grid)
     odd = factor_odd_part(P, P, m)
     points = np.array([_study_point(grid, m, lambda x: v0 * profile(x), odd)

@@ -47,7 +47,7 @@ def check_size(n: int) -> int:
 
 
 def check_length(length: float) -> float:
-    """length, or ValueError unless it is positive."""
-    if not length > 0:
-        raise ValueError(f"box length must be positive, got {length}")
+    """length, or ValueError unless it is positive and finite."""
+    if not 0 < length < np.inf:
+        raise ValueError(f"box length must be positive and finite, got {length}")
     return length

@@ -2,7 +2,7 @@
 
 Everything downstream works with plain complex numpy arrays; this module
 supplies the validated square-matrix input, the Hermitian inverse square
-root, the commutator and the tolerance-based Hermiticity predicate.
+root and the tolerance-based Hermiticity predicate.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
 
 def is_hermitian(m: ComplexMatrix, rtol: float = HERMITIAN_RTOL) -> bool:
     return hermiticity_defect(m) <= rtol
-
-
-def commutator(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """[A, B] = AB - BA, with BA subtracted in place."""
-    if a.shape != b.shape:
-        raise LinalgError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    out = a @ b
-    out -= b @ a
-    return out
 
 
 def mat_inv_sqrt_psd(m, eps: float = 1e-13) -> ComplexMatrix:

@@ -1,9 +1,9 @@
 """Test-side oracles and operators that no verdict of the program reads.
 
-Operator-level commutators and conjugation, the free block-diagonalizing
-unitary as an operator, the catalogue families that no suite uses, the
-closed-form worldline defects, and small packet, spectral and
-trembling-motion probes.  The tests check the program against
+The dense matrix commutator, operator-level commutators and conjugation,
+the free block-diagonalizing unitary as an operator, the catalogue families
+that no suite uses, the closed-form worldline defects, and small packet,
+spectral and trembling-motion probes.  The tests check the program against
 these; the program itself never calls them.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 from fwbench.algebra import ClassicalState
 from fwbench.dirac import GAMMA, I4, energy, fw_unitary_matrix, stacked_energy
 from fwbench.eriksen import BlockedHamiltonian
-from fwbench.linalg import frob
+from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
     MASSLESS_MIN_P,
     DomainError,
@@ -34,6 +34,13 @@ UNITARITY_ATOL = 1e-10
 
 
 # --- operators ------------------------------------------------------------------
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] = AB - BA of two dense matrices of one shape."""
+    if a.shape != b.shape:
+        raise LinalgError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
+
 
 def evaluate(op: PhaseSpaceOperator, p) -> PhaseOpValue:
     """Coefficients A, B of op at momenta (..., 3), from its snapshot."""

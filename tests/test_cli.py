@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,16 @@ def test_usage_error_exits_2(capsys):
                  ["verify-algebra", "--mass", "inf"],
                  ["zitter", "--steps", "1"], ["zitter", "--steps", "0"],
                  ["zitter", "--particle", "fw", "--steps", "1"],
-                 ["precess", "--steps", "-1"]):
+                 ["precess", "--steps", "-1"],
+                 # the box, the packet momentum and time must be finite, the
+                 # packet width positive and finite
+                 ["eriksen", "--box", "inf"], ["eriksen", "--box", "nan"],
+                 ["packet", "--p0", "nan"], ["packet", "--p0", "inf"],
+                 ["packet", "--t", "nan"], ["packet", "--t", "-inf"],
+                 ["packet", "--sigma", "0"], ["packet", "--sigma", "-0.5"],
+                 ["packet", "--sigma", "nan"], ["packet", "--sigma", "inf"],
+                 ["pce", "--p0", "nan"], ["pce", "--p0", "-inf"],
+                 ["pce", "--sigma", "0"], ["pce", "--sigma", "nan"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -241,6 +251,19 @@ def test_pce_json_output(tmp_path):
     data = json.loads(out.read_text())
     assert data["pce_momentum"] == 0.0
     assert abs(data["pce_x_sq"]) > 1e-4 * data["x_sq_fw_picture"]
+
+
+def test_eriksen_huge_box_exits_1_without_traceback(capsys):
+    # the default profile exp(-(x/width)^2 / 2) stays finite where width^2
+    # overflows.  The grid momenta are of order 1e-299 here, so the odd part
+    # vanishes, the approximate transform is exact to rounding and no
+    # quadratic scaling is left to measure: the verdict is fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["eriksen", "--n", "16", "--box", "1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] == "fail"
+    assert "Traceback" not in err
 
 
 def test_numerical_error_exits_1(capsys):

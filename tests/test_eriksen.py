@@ -28,7 +28,7 @@ from fwbench.eriksen import (
     upper_block_spectrum,
 )
 from fwbench.linalg import LinalgError, frob
-from oracles import evaluate, even_part, fw_unitary_free, odd_part
+from oracles import commutator, evaluate, even_part, fw_unitary_free, odd_part
 
 I4 = np.eye(4)
 
@@ -340,12 +340,8 @@ def test_scaling_study_decomposes_each_hamiltonian_once(monkeypatch):
     assert all(dim <= full // 2 for name, dim in calls if (name, dim) != ("eigh", full))
 
 
-def test_scaling_study_factors_the_odd_part_once(monkeypatch):
-    # every H of the ladder has the odd part of the grid's P: O^2 is factored
-    # once (2 half-size eigh), and each H takes one full-size eigh and two
-    # half-size ones for g^(-1/2)
-    grid = Grid1D(n=16, length=8.0)
-    full = 2 * grid.n
+def _count_eigh(monkeypatch) -> list:
+    """The dimensions of every np.linalg.eigh call from now on."""
     calls = []
     original = np.linalg.eigh
 
@@ -353,10 +349,77 @@ def test_scaling_study_factors_the_odd_part_once(monkeypatch):
         calls.append(a.shape[-1])
         return original(a, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_scaling_study_factors_the_odd_part_once(monkeypatch):
+    # every H of the ladder has the odd part [[0, P], [P, 0]] of the grid's P:
+    # O^2 = diag(P^2, P^2) is factored once (1 half-size eigh), and each H
+    # takes one full-size eigh and two half-size ones for g^(-1/2)
+    grid = Grid1D(n=16, length=8.0)
+    full = 2 * grid.n
+    calls = _count_eigh(monkeypatch)
     potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
     assert calls.count(full) == 3
-    assert calls.count(full // 2) == 8
-    assert len(calls) == 11
+    assert calls.count(full // 2) == 7
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distinct_odd_blocks_are_factored_apart(seed, monkeypatch, dense_eriksen_oracle):
+    # a random Hermitian H has C = B^dag != B, so B C and C B differ and take
+    # one half-size eigh each
+    rng = np.random.default_rng(seed)
+    k, m = 6, 1.3
+    a = rng.normal(size=(2 * k, 2 * k)) + 1j * rng.normal(size=(2 * k, 2 * k))
+    H = 0.5 * (a + a.conj().T)
+    bh = BlockedHamiltonian(H=H, m=m)
+    assert not np.array_equal(H[:k, k:], H[k:, :k])
+    calls = _count_eigh(monkeypatch)
+    odd = factor_odd_part(H[:k, k:], H[k:, :k], m)
+    assert calls == [k, k]
+    U_a, h_a = approx_fw(bh, odd)
+    U_ao, h_ao = dense_eriksen_oracle["approx"](H, block_beta(k), m * np.eye(2 * k))
+    assert _rel(U_a, U_ao) <= 1e-12
+    assert _rel(h_a, h_ao) <= 1e-12
+
+
+@pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_eriksen_oracle):
+    # U H U^dag is Hermitian, so the lower off-diagonal quadrant's norm is the
+    # upper one's
+    grid = Grid1D(n=32, length=16.0)
+    V = ORACLE_PROFILES[profile](grid.length)
+    for m in ORACLE_MASSES:
+        bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x))
+        U_a, _ = approx_fw(bh)
+        nu = bh.n_upper
+        want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
+        got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh.H, nu)
+        assert abs(got / want - 1) <= 1e-12, m
+
+
+def _explicit_bl_lb(lam, n):
+    beta = block_beta(n)
+    return frob(commutator(beta @ lam, lam @ beta))
+
+
+@pytest.mark.parametrize("potential", [0.0, 0.2])
+def test_bl_lb_commute_matches_explicit_commutator(potential):
+    grid = Grid1D(n=32, length=16.0)
+    bh = discretize_dirac_1d(grid, 1.0, lambda x: potential * np.exp(-x**2 / 4.0))
+    U, lam = eriksen_unitary(bh)
+    got = eriksen_conditions(U, lam, bh)["bl_lb_commute"]
+    assert abs(got - _explicit_bl_lb(lam, grid.n)) <= 1e-12
+    # the identity [beta l, l beta] = beta l^2 beta - l^2 holds for any l, so
+    # a random Hermitian l gives an O(1) commutator to match
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=lam.shape) + 1j * rng.normal(size=lam.shape)
+    other = 0.5 * (a + a.conj().T)
+    got = eriksen_conditions(U, other, bh)["bl_lb_commute"]
+    want = _explicit_bl_lb(other, grid.n)
+    assert want > 1.0
+    assert abs(got / want - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))

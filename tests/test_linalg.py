@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from fwbench.dirac import GAMMA
 from fwbench.linalg import (
     LinalgError,
-    commutator,
     frob,
     is_hermitian,
     mat_inv_sqrt_psd,
 )
+from oracles import commutator
 
 I4 = np.eye(4, dtype=complex)
 
