@@ -41,19 +41,17 @@ from typing import Optional
 
 import numpy as np
 
-from .dirac import GAMMA, dirac_hamiltonian
+from .dirac import GAMMA
 from .phase_ops import (
     Jet,
     OperatorFamily,
     PhaseOpValue,
-    PhaseSpaceOperator,
     build_operator,
     commutator_snapshot,
     cross_c,
     energy_jet,
     levi,
     momentum_jets,
-    p_dot,
     snapshot,
 )
 
@@ -122,24 +120,6 @@ def all_as_expected(reports: list) -> bool:
 # quantum operator sets
 # ---------------------------------------------------------------------------
 
-def _naive_boost(m: float, component: int) -> PhaseSpaceOperator:
-    """Boost built blindly from the radius vector and Sigma/2 in the Dirac
-    representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}."""
-    c = component
-    alpha, Sigma = np.stack(GAMMA.alpha), np.stack(GAMMA.Sigma)
-
-    def coeffs(p):
-        P = momentum_jets(p)
-        sxp = cross_c(Sigma, P, c)
-        dinv = Jet(dirac_hamiltonian(p, 2 * m), alpha) / (4 * m * m + p_dot(P, P))
-        A = 0.5j * alpha[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
-        B = [0.0, 0.0, 0.0]
-        B[c] = 1j * Jet(dirac_hamiltonian(p, m), alpha)
-        return (A, *B)
-
-    return PhaseSpaceOperator(4, coeffs, f"K_naive_{c + 1}")
-
-
 def _velocity_closed_form(set_name: str, m: float):
     """Closed form of [q_i, H] as a Jet at momenta p, for the worldline check."""
     if set_name == "naive_dirac":
@@ -149,13 +129,13 @@ def _velocity_closed_form(set_name: str, m: float):
 
 F = OperatorFamily
 
-# Families of q, s, l, K and H per set; K None is the naive boost.  In
-# naive_dirac, i d/dp, i (p x d/dp) and Sigma/2 have the same coefficients in
-# every representation: the plain radius vector, orbital angular momentum
-# and spin, here kept together with the Dirac Hamiltonian.
+# Families of q, s, l, K and H per set.  In naive_dirac, i d/dp,
+# i (p x d/dp) and Sigma/2 have the same coefficients in every
+# representation: the plain radius vector, orbital angular momentum and
+# spin, here kept together with the Dirac Hamiltonian.
 _SET_FAMILIES = {
     "conventional": (F.FW_POSITION, F.FW_SPIN, F.OAM_FW, F.BOOST_FW, F.FW_HAMILTONIAN),
-    "naive_dirac": (F.FW_POSITION, F.DIRAC_SPIN, F.OAM_FW, None, F.DIRAC_HAMILTONIAN),
+    "naive_dirac": (F.FW_POSITION, F.FW_SPIN, F.OAM_FW, F.NAIVE_BOOST, F.DIRAC_HAMILTONIAN),
     "center_of_mass": (F.COM_POSITION_FW, F.LAB_SPIN_FW, F.COM_OAM, F.BOOST_FW,
                        F.FW_HAMILTONIAN),
     "projected": (F.PROJECTED_POSITION_FW, F.PROJECTED_SPIN_FW, F.PROJECTED_OAM,
@@ -172,8 +152,7 @@ def build_quantum_set(set_name: str, m: float) -> dict:
     def vector(family):
         return [build_operator(family, m, c) for c in (1, 2, 3)]
 
-    return {"q": vector(q), "s": vector(s), "l": vector(l),
-            "K": vector(K) if K else [_naive_boost(m, k) for k in range(3)],
+    return {"q": vector(q), "s": vector(s), "l": vector(l), "K": vector(K),
             "H": build_operator(H, m), "p": vector(F.MOMENTUM), "j": vector(F.TOTAL_J)}
 
 
@@ -346,15 +325,14 @@ def _quantum_rhs(term, snaps: dict, p, i: int, j: int, velocity) -> PhaseOpValue
     raise ValueError(f"no quantum form for a {kind!r} term")
 
 
-def sample_momenta(n: int, seed: int = 42, box: float = 5.0,
-                   min_norm: float = 1e-3) -> np.ndarray:
-    """Uniform momenta in [-box, box]^3, rejecting a ball around p = 0."""
+def sample_momenta(n: int, seed: int = 42) -> np.ndarray:
+    """Uniform momenta in [-5, 5]^3, rejecting the ball |p| < 1e-3 around p = 0."""
     rng = np.random.default_rng(seed)
     out = np.empty((n, 3))
     k = 0
     while k < n:
-        p = rng.uniform(-box, box, 3)
-        if np.linalg.norm(p) >= min_norm:
+        p = rng.uniform(-5.0, 5.0, 3)
+        if np.linalg.norm(p) >= 1e-3:
             out[k] = p
             k += 1
     return out

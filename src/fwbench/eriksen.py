@@ -21,12 +21,13 @@ which coincides with the exact result whenever [E, O] = 0.
 
 Here beta = diag(I, -I) and M = m I, and the code uses both as structure
 rather than as dense matrices.  beta A flips the sign of A's lower rows; the
-odd part O = [[0, B], [C, 0]] is H's off-diagonal quadrants (C = B^dag);
-[O, M] = 0, so X = O/m and the beta [O,[O,M]] term vanishes.  A product of
-two odd matrices is even, so O^2 = diag(B C, C B): S = sqrt(1+X^2), the
-normalization, eps and the kinetic denominator are functions of the
-half-size eigendecompositions of B C and C B (one, when B = C), and the
-double commutator is formed block by block.  g = 2 + beta lambda +
+odd part is H's off-diagonal quadrants, O = [[0, P], [P, 0]] with one
+Hermitian block P, as for every grid Hamiltonian and the 4x4 Dirac one
+(P = sigma.p); [O, M] = 0, so X = O/m and the beta [O,[O,M]] term
+vanishes.  A product of two odd matrices is even, so O^2 = diag(P^2, P^2):
+S = sqrt(1+X^2), the normalization, eps and the kinetic denominator are
+functions of the one half-size eigendecomposition of P^2, and the double
+commutator is formed block by block.  g = 2 + beta lambda +
 lambda beta is even for any lambda, because its off-diagonal quadrants are
 lambda_12 - lambda_12 = 0, so g^(-1/2) is two half-size inverse square
 roots.  The one full-size decomposition per
@@ -45,16 +46,15 @@ block into the norm over the 4n operator.
 What is factored per grid and what per potential: a potential enters only
 E, so every Hamiltonian on one grid has the same odd part
 O = [[0, P], [P, 0]], with P = spectral_momentum(grid).  The scaling study
-builds P once, and factor_odd_part factors O^2 once per grid and mass.
-Since B = C = P, the two diagonal blocks of O^2 are one matrix P^2, so that
-is one half-size eigendecomposition, and from it factor_odd_part forms the
-four half-size operators that depend only on O and m: the diagonal and
+builds P once, and factor_odd_part factors O^2 once per grid and mass:
+one half-size eigendecomposition of P^2, from which it forms the four
+half-size operators that depend only on O and m: the diagonal and
 off-diagonal blocks of the approximate unitary, eps and the inverse kinetic
-denominator.  The study hands that FactoredOddPart to approx_fw for every
-potential, which then forms only what depends on E: K, L, the double
-commutator and the even blocks of H_approx.  approx_fw(bh) on its own
-factors bh's odd part, with two eigendecompositions when B != C.
-sign_function, eriksen_unitary and every check stay per Hamiltonian;
+denominator.  approx_fw takes that FactoredOddPart with every potential,
+rejects a Hamiltonian whose odd part or mass it does not match, and forms
+only what depends on E: K, L, the double commutator and the even blocks of
+H_approx.  sign_function, eriksen_unitary and every check stay per
+Hamiltonian;
 Hermiticity is checked once, when the BlockedHamiltonian is made.  Because
 H is Hermitian, so is U H U^dag for any U, and its off-diagonal norm is
 sqrt(2) times the norm of the upper quadrant alone; and because
@@ -153,23 +153,16 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
         raise LinalgError(message)
 
 
-def sign_function(H, rtol: float = ZERO_MODE_RTOL) -> tuple:
-    """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition.
+def sign_function(bh: BlockedHamiltonian) -> tuple:
+    """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition of bh.H,
+    which the BlockedHamiltonian constructor has checked.
 
-    H is a matrix, checked here to be finite and Hermitian, or a
-    BlockedHamiltonian, whose constructor has checked its H.  Returns
-    (lambda, w) with w the ascending eigenvalues of H, so a caller that also
-    needs the spectrum does not decompose H a second time.
+    Returns (lambda, w) with w the ascending eigenvalues of H, so a caller
+    that also needs the spectrum does not decompose H a second time.
     """
-    if isinstance(H, BlockedHamiltonian):
-        H = H.H
-    else:
-        H = as_matrix(H)
-        if not is_hermitian(H):
-            raise LinalgError("sign function requires a Hermitian matrix")
-    w, v = np.linalg.eigh(H)
-    _reject_zero_eigenvalues(w, rtol, f"eigenvalue within {rtol:.0e} of zero: "
-                                      "sign function undefined")
+    w, v = np.linalg.eigh(bh.H)
+    _reject_zero_eigenvalues(w, ZERO_MODE_RTOL, f"eigenvalue within {ZERO_MODE_RTOL:.0e} "
+                                                "of zero: sign function undefined")
     vh = v.conj().T
     v *= np.sign(w)
     return v @ vh, w
@@ -226,88 +219,75 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
 
 @dataclass(frozen=True)
 class FactoredOddPart:
-    """The odd part O = [[0, B], [C, 0]] and mass m with everything in the
-    approximate transform that does not depend on the even part E.  All
-    Hamiltonians on one grid with one mass share it, since the potential
-    enters only E.  blocks[k] = (u_diag, u_off, eps, d_inv) for diagonal
-    block k, each a half-size function of that block of O^2 = diag(B C, C B):
-    the diagonal block (1 + S) N of the unitary's column block k, with
-    S = sqrt(1 + X^2) and N = (2 S (1 + S))^(-1/2); its off-diagonal block
-    up to beta's sign, (C/m) N for k = 0 (the unitary holds -(C/m) N) and
-    (B/m) N for k = 1; eps = sqrt(m^2 + O^2); and the inverse kinetic
-    denominator 1/(2 eps^2 + 2 m eps).  When B == C the two blocks are one
-    and the same tuple."""
+    """The odd part O = [[0, P], [P, 0]], with P Hermitian, and mass m with
+    everything in the approximate transform that does not depend on the
+    even part E.  All Hamiltonians on one grid with one mass share it, since
+    the potential enters only E.  block = (u_diag, u_off, eps, d_inv), each a
+    half-size function of P^2, the diagonal block of O^2: the diagonal block
+    (1 + S) N of each column block of the unitary, with S = sqrt(1 + X^2) and
+    N = (2 S (1 + S))^(-1/2); its off-diagonal block (P/m) N up to beta's
+    sign (the unitary holds -(P/m) N in its left column block and +(P/m) N
+    in its right one); eps = sqrt(m^2 + O^2); and the inverse kinetic
+    denominator 1/(2 eps^2 + 2 m eps)."""
 
-    B: np.ndarray
-    C: np.ndarray
+    P: np.ndarray
     m: float
-    blocks: tuple
+    block: tuple
 
     def matches(self, bh: BlockedHamiltonian) -> bool:
-        """Whether bh has exactly this odd part and mass."""
+        """Whether bh has exactly this mass and both odd quadrants P."""
         h = bh.n_upper
-        return (bh.m == self.m and np.array_equal(bh.H[:h, h:], self.B)
-                and np.array_equal(bh.H[h:, :h], self.C))
+        return (bh.m == self.m and np.array_equal(bh.H[:h, h:], self.P)
+                and np.array_equal(bh.H[h:, :h], self.P))
 
 
-def factor_odd_part(B: np.ndarray, C: np.ndarray, m: float) -> FactoredOddPart:
-    """Factor O^2 = diag(B C, C B) for the odd part O = [[0, B], [C, 0]] and
-    form the operators that depend only on O and m.  When B == C, as for
-    every grid Hamiltonian, C B is B C bit for bit, so it is decomposed once
-    and its operators serve both diagonal blocks."""
+def factor_odd_part(P: np.ndarray, m: float) -> FactoredOddPart:
+    """Factor O^2 = diag(P^2, P^2) for the odd part O = [[0, P], [P, 0]] with
+    Hermitian P, in one half-size eigendecomposition, and form the operators
+    that depend only on O and m."""
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
-    # distinct diagonal blocks of O^2, each with the quadrant of O that
-    # multiplies its column block of the unitary off the diagonal
-    distinct = [(B @ C, C)] if np.array_equal(B, C) else [(B @ C, C), (C @ B, B)]
-    decomps = [np.linalg.eigh(q) for q, _ in distinct]
+    w, v = np.linalg.eigh(P @ P)
     # eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
-    w_sq = [np.clip(w, 0.0, None) for w, _ in decomps]
-    eps = [np.sqrt(m * m + w) for w in w_sq]
-    denom = [2.0 * e * e + 2.0 * m * e for e in eps]
-    _reject_zero_eigenvalues(np.concatenate(denom), 1e-12, "kinetic denominator is singular")
-    blocks = []
-    for (_, v), (_, off), w, e, d in zip(decomps, distinct, w_sq, eps, denom):
-        vh = v.conj().T
+    w = np.clip(w, 0.0, None)
+    eps = np.sqrt(m * m + w)
+    denom = 2.0 * eps * eps + 2.0 * m * eps
+    _reject_zero_eigenvalues(denom, 1e-12, "kinetic denominator is singular")
+    vh = v.conj().T
 
-        def fn(f):
-            return (v * f) @ vh
-        s = np.sqrt(1.0 + w / (m * m))
-        blocks.append((fn(np.sqrt((1.0 + s) / (2.0 * s))),
-                       ((1.0 / m) * off) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
-                       fn(e), fn(1.0 / d)))
-    return FactoredOddPart(B, C, m, (blocks[0], blocks[-1]))
+    def fn(f):
+        return (v * f) @ vh
+    s = np.sqrt(1.0 + w / (m * m))
+    return FactoredOddPart(P, m, (fn(np.sqrt((1.0 + s) / (2.0 * s))),
+                                  ((1.0 / m) * P) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
+                                  fn(eps), fn(1.0 / denom)))
 
 
-def approx_fw(bh: BlockedHamiltonian, odd: Optional[FactoredOddPart] = None) -> tuple:
+def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
     """Approximate relativistic transformation and Hamiltonian (U, H_approx).
 
-    odd is factor_odd_part of bh's odd part and mass; a caller that
-    transforms several Hamiltonians with the same odd part passes it, and
-    one that does not match bh is rejected.
+    odd is factor_odd_part of bh's odd block and mass, shared by every
+    Hamiltonian with that odd part; one that does not match bh is rejected.
     """
-    m, h, H = bh.m, bh.n_upper, bh.H
-    rows = (slice(0, h), slice(h, bh.dim))
-    B, C = H[rows[0], rows[1]], H[rows[1], rows[0]]          # O = [[0, B], [C, 0]]
-    if odd is None:
-        odd = factor_odd_part(B, C, m)
-    elif not odd.matches(bh):
+    if not odd.matches(bh):
         raise LinalgError("odd-part factorization does not match the Hamiltonian's "
                           "odd part and mass")
+    m, h, H, P = bh.m, bh.n_upper, bh.H, odd.P
+    rows = (slice(0, h), slice(h, bh.dim))
     # E = diag(E1, E2), read from H's diagonal quadrants
     E1, E2 = H[:h, :h] - m * np.eye(h), H[h:, h:] + m * np.eye(h)
-    # [O, E] = [[0, K], [L, 0]], so [O, [O, E]] = diag(B L - K C, C K - L B)
-    K = B @ E2 - E1 @ B
-    L = C @ E1 - E2 @ C
-    double_comm = (B @ L - K @ C, C @ K - L @ B)
+    # [O, E] = [[0, K], [L, 0]], so [O, [O, E]] = diag(P L - K P, P K - L P)
+    K = P @ E2 - E1 @ P
+    L = P @ E1 - E2 @ P
+    double_comm = (P @ L - K @ P, P @ K - L @ P)
 
-    # Column block k of U = (1 + S + beta X) N is (1 + S_k) N_k on the
-    # diagonal and (beta X) N_k = -sign_k O N_k / m off it; H_approx =
+    # Column block k of U = (1 + S + beta X) N is (1 + S) N on the diagonal
+    # and (beta X) N = -sign_k O N / m off it; H_approx =
     # beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even.
+    u_diag, u_off, eps, d_inv = odd.block
     U = np.empty_like(H)
     h_approx = np.zeros_like(H)
     for k, sign in ((0, 1.0), (1, -1.0)):
-        u_diag, u_off, eps, d_inv = odd.blocks[k]
         here, other = rows[k], rows[1 - k]
         U[here, here] = u_diag
         U[other, here] = -sign * u_off
@@ -340,7 +320,8 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     n = grid.n
     v_vals = np.asarray(V(grid.x), dtype=float)
     if v_vals.shape != (n,):
-        v_vals = np.array([float(V(xj)) for xj in grid.x])
+        raise ValueError(f"potential must return one value per grid node, shape ({n},), "
+                         f"got shape {v_vals.shape}")
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("potential must be bounded on the box")
     H = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -430,7 +411,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
         def profile(x):
             return np.exp(-0.5 * (x / width) ** 2)
     P = spectral_momentum(grid)
-    odd = factor_odd_part(P, P, m)
+    odd = factor_odd_part(P, m)
     points = np.array([_study_point(grid, m, lambda x: v0 * profile(x), odd)
                        for v0 in v0_arr])
     return ScalingStudy(v0_arr, *points.T)
@@ -441,7 +422,7 @@ def _study_point(grid: Grid1D, m: float, V: Callable, odd: FactoredOddPart) -> t
     lambda is released before the approximate transform is built, and every
     matrix but the shared odd-part factorization on return, before the next
     Hamiltonian is built."""
-    bh = discretize_dirac_1d(grid, m, V, odd.B)          # odd.B is the grid's P
+    bh = discretize_dirac_1d(grid, m, V, odd.P)
     nu = bh.n_upper
     lam, w = sign_function(bh)
     exact_off = _conjugated_offblock_norm(eriksen_unitary(bh, lam)[0], bh.H, nu)

@@ -12,6 +12,7 @@ import numpy as np
 ComplexMatrix = np.ndarray
 
 HERMITIAN_RTOL = 1e-10
+PSD_MIN_EIG_RTOL = 1e-13
 
 
 class LinalgError(ValueError):
@@ -37,12 +38,13 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
     return frob(m - m.conj().T) / max(frob(m), 1e-300)
 
 
-def is_hermitian(m: ComplexMatrix, rtol: float = HERMITIAN_RTOL) -> bool:
-    return hermiticity_defect(m) <= rtol
+def is_hermitian(m: ComplexMatrix) -> bool:
+    return hermiticity_defect(m) <= HERMITIAN_RTOL
 
 
-def mat_inv_sqrt_psd(m, eps: float = 1e-13) -> ComplexMatrix:
-    """(M)^(-1/2) for Hermitian positive-definite M; rejects tiny eigenvalues.
+def mat_inv_sqrt_psd(m) -> ComplexMatrix:
+    """(M)^(-1/2) for Hermitian positive-definite M; rejects an eigenvalue at
+    or below PSD_MIN_EIG_RTOL times the largest.
 
     V diag(w^(-1/2)) V^H from the Hermitian eigendecomposition M = V diag(w) V^H.
     """
@@ -51,6 +53,6 @@ def mat_inv_sqrt_psd(m, eps: float = 1e-13) -> ComplexMatrix:
         raise LinalgError("inverse square root requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
     scale = max(abs(w[0]), abs(w[-1]), 1e-300)
-    if w[0] <= eps * scale:
+    if w[0] <= PSD_MIN_EIG_RTOL * scale:
         raise LinalgError(f"matrix not positive definite: min eigenvalue {w[0]:.3e}")
     return (v * (1.0 / np.sqrt(w))) @ v.conj().T

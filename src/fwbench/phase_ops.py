@@ -62,11 +62,11 @@ class OperatorFamily(Enum):
     NW_POSITION_DIRAC = ("nw_position_dirac", True)
     FW_SPIN = ("fw_spin", True)
     MEAN_SPIN_DIRAC = ("mean_spin_dirac", True)
-    DIRAC_SPIN = ("dirac_spin", True)
     OAM_FW = ("oam_fw", True)
     TOTAL_J = ("total_j", True)
     BOOST_FW = ("boost_fw", True)
     BOOST_DIRAC = ("boost_dirac", True)
+    NAIVE_BOOST = ("naive_boost", True)
     COM_POSITION_FW = ("com_position_fw", True)
     COM_POSITION_DIRAC = ("com_position_dirac", True)
     LAB_SPIN_FW = ("lab_spin_fw", True)
@@ -244,10 +244,9 @@ class PhaseOpValue:
         return np.sqrt(total)
 
     def __sub__(self, other: "PhaseOpValue") -> "PhaseOpValue":
-        second = self.second
-        if other.second is not None:
-            second = other.second if second is None else second - other.second
-        return PhaseOpValue(self.A - other.A, self.B - other.B, second)
+        """A commutator minus a first-order right-hand side: other has no
+        second-order part, so self's is kept as it is."""
+        return PhaseOpValue(self.A - other.A, self.B - other.B, self.second)
 
 
 # --- the operator catalogue ---------------------------------------------------
@@ -313,6 +312,11 @@ def build_operator(family: OperatorFamily, m: float,
     def dirac_h(p):
         return Jet(dirac_hamiltonian(p, m), _ALPHA)
 
+    def naive_boost(p, P, e):
+        sxp = cross_c(_SIGMA, P, c)
+        dinv = Jet(dirac_hamiltonian(p, 2 * m), _ALPHA) / (4 * m * m + p_dot(P, P))
+        return 0.5j * _ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
+
     def lab_spin_fw(p, P, e):
         # s - p x (p x s) / (m(eps+m)) with s = Sigma/2
         pxpxs = P[c] * p_dot(_SIGMA, P) / 2 - p_dot(P, P) * sigma_c / 2
@@ -329,7 +333,6 @@ def build_operator(family: OperatorFamily, m: float,
             -cross_c(_SIGMA, P, c) / (2 * e * (e + m)) + 1j * gamma_c / (2 * e)
             - 1j * p_dot(_GAMMAK, P) * P[c] / (2 * e * e * (e + m))),
         F.FW_SPIN: lambda p, P, e: 0.5 * sigma_c,
-        F.DIRAC_SPIN: lambda p, P, e: 0.5 * sigma_c,
         F.MEAN_SPIN_DIRAC: lambda p, P, e: (
             m * sigma_c / (2 * e) - 1j * cross_c(_GAMMAK, P, c) / (2 * e)
             + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
@@ -340,6 +343,9 @@ def build_operator(family: OperatorFamily, m: float,
             (0.5j * P[c] / e) * beta - beta @ cross_c(_SIGMA, P, c) / (2 * (e + m))),
         # (1/2){x_c, H_D} = (i/2) alpha_c + i H_D d/dp_c,  t = 0
         F.BOOST_DIRAC: lambda p, P, e: 0.5j * _ALPHA[c],
+        # built blindly from the radius vector and Sigma/2 in the Dirac
+        # representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}
+        F.NAIVE_BOOST: naive_boost,
         F.COM_POSITION_FW: lambda p, P, e: cross_c(_SIGMA, P, c) / (2 * m * (e + m)),
         F.COM_POSITION_DIRAC: lambda p, P, e: 1j * (
             gamma_c / (2 * m) - p_dot(_GAMMAK, P) * P[c] / (2 * m * e * e)),
@@ -369,7 +375,7 @@ def build_operator(family: OperatorFamily, m: float,
             B[a], B[b] = P[b] * _IEYE, -P[a] * _IEYE
         elif family is F.BOOST_FW:
             B[c] = 1j * e * beta
-        elif family is F.BOOST_DIRAC:
+        elif family in (F.BOOST_DIRAC, F.NAIVE_BOOST):
             B[c] = 1j * dirac_h(p)
         return (A(p, P, e), *B)
 

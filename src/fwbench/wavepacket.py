@@ -83,13 +83,12 @@ def default_grid(p0: float, sigma_p: float, n: Optional[int] = None) -> Grid1D:
 
 
 def make_gaussian_packet(p0: float, sigma_p: float, m: float,
-                         spin_dir=(0, 0, 1), picture: str = "fw",
-                         grid: Optional[Grid1D] = None,
+                         spin_dir=(0, 0, 1), grid: Optional[Grid1D] = None,
                          n: Optional[int] = None) -> WavePacket1D:
-    """Positive-energy Gaussian packet, upper-spinor-only in the fw picture.
+    """Positive-energy Gaussian packet in the fw picture, upper spinor only.
 
-    The Dirac-picture amplitude is obtained by applying U^-1 nodewise, so
-    the packet stays a superposition of positive-energy plane waves.
+    to_picture(packet, "dirac") applies U^-1 nodewise, so the packet stays a
+    superposition of positive-energy plane waves in the Dirac picture.
     """
     check_positive_mass(m)   # the centered grid holds p = 0
     if grid is None:
@@ -114,7 +113,7 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     psi = np.zeros((grid.n, 4), dtype=complex)
     psi[:, 0] = g * chi[0]
     psi[:, 1] = g * chi[1]
-    return to_picture(WavePacket1D(grid=grid, psi=psi, m=m, picture="fw"), picture)
+    return WavePacket1D(grid=grid, psi=psi, m=m, picture="fw")
 
 
 def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
@@ -137,21 +136,17 @@ def evolve_free(packet: WavePacket1D, t: float) -> WavePacket1D:
 
 
 def momentum_to_position(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Psi(x_l) = (dp/sqrt(2 pi)) sum_j exp(+i p_j x_l) psi(p_j)."""
-    n = grid.n
-    alt = np.where(np.arange(n) % 2, -1.0, 1.0)
-    shaped = alt[:, None] if psi.ndim == 2 else alt
-    return (grid.dp * n / np.sqrt(2 * np.pi)) * shaped * np.fft.ifft(
-        shaped * psi, axis=0)
+    """Psi(x_l) = (dp/sqrt(2 pi)) sum_j exp(+i p_j x_l) psi(p_j), for
+    spinors psi of shape (n, 4)."""
+    alt = np.where(np.arange(grid.n) % 2, -1.0, 1.0)[:, None]
+    return (grid.dp * grid.n / np.sqrt(2 * np.pi)) * alt * np.fft.ifft(alt * psi, axis=0)
 
 
 def position_to_momentum(big_psi: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Inverse of momentum_to_position (kernel exp(-i p x)/sqrt(2 pi))."""
-    n = grid.n
-    alt = np.where(np.arange(n) % 2, -1.0, 1.0)
-    shaped = alt[:, None] if big_psi.ndim == 2 else alt
-    return (grid.dx / np.sqrt(2 * np.pi)) * shaped * np.fft.fft(
-        shaped * big_psi, axis=0)
+    """Inverse of momentum_to_position (kernel exp(-i p x)/sqrt(2 pi)), for
+    spinors of shape (n, 4)."""
+    alt = np.where(np.arange(grid.n) % 2, -1.0, 1.0)[:, None]
+    return (grid.dx / np.sqrt(2 * np.pi)) * alt * np.fft.fft(alt * big_psi, axis=0)
 
 
 def position_space(packet: WavePacket1D) -> tuple:
@@ -166,10 +161,9 @@ def density(packet: WavePacket1D) -> tuple:
 
 
 def apply_position(psi: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Spectrally periodized i d/dp: multiply by x in position space."""
-    big = momentum_to_position(psi, grid)
-    big = grid.x[:, None] * big if big.ndim == 2 else grid.x * big
-    return position_to_momentum(big, grid)
+    """Spectrally periodized i d/dp on spinors of shape (n, 4): multiply by
+    x in position space."""
+    return position_to_momentum(grid.x[:, None] * momentum_to_position(psi, grid), grid)
 
 
 @dataclass(frozen=True)
@@ -185,12 +179,9 @@ class Observable:
             raise ValueError(f"unknown observable kind {self.kind!r}")
 
 
-def expectation(packet: WavePacket1D, obs: Observable,
-                convention: str = "fw_picture") -> float:
-    """<A> with the untransformed operator averaged in the stated picture."""
-    if convention not in ("fw_picture", "dirac_picture"):
-        raise ValueError("convention must be 'fw_picture' or 'dirac_picture'")
-    pk = to_picture(packet, "fw" if convention == "fw_picture" else "dirac")
+def expectation(packet: WavePacket1D, obs: Observable, picture: str = "fw") -> float:
+    """<A> with the untransformed operator averaged in the given picture."""
+    pk = to_picture(packet, picture)
     psi, grid = pk.psi, pk.grid
     dp = grid.dp
     if obs.kind == "identity":
@@ -204,6 +195,5 @@ def expectation(packet: WavePacket1D, obs: Observable,
 def picture_change_error(packet: WavePacket1D, obs: Observable) -> float:
     """Averaging the raw operator with the Dirac-picture amplitude minus
     the same average in the block-diagonal picture."""
-    return (expectation(packet, obs, "dirac_picture")
-            - expectation(packet, obs, "fw_picture"))
+    return expectation(packet, obs, "dirac") - expectation(packet, obs, "fw")
 

@@ -72,13 +72,14 @@ def record_evolution(p, m: float, times, component: int,
 
 
 def dominant_frequency(times, values) -> float:
-    """Angular frequency of a sampled sinusoid via refined zero crossings.
+    """Angular frequency of a sampled sinusoid via its zero crossings.
 
-    Each sign change of the demeaned real part is refined with a local
-    parabola; consecutive crossings are half periods, so a least-squares
-    line through (crossing index, crossing time) gives pi/omega as its
-    slope.  The parabola bias alternates sign between rising and falling
-    crossings and averages out in the fit.
+    Each sign change of the demeaned real part is located by linear
+    interpolation between its two bracketing samples; consecutive crossings
+    are half periods, so a least-squares line through (crossing index,
+    crossing time) gives pi/omega as its slope.  An offset that the mean
+    over a non-whole number of periods leaves moves rising and falling
+    crossings in opposite directions, so it averages out in the fit.
     """
     times = np.asarray(times, dtype=float)
     y = np.asarray(values).real.astype(float)
@@ -87,25 +88,7 @@ def dominant_frequency(times, values) -> float:
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(idx) < 2:
         raise ValueError("fewer than two zero crossings in the series")
-
-    def refine(k):
-        lo = max(k - 1, 0)
-        hi = min(k + 2, len(y) - 1)
-        ts, ys = times[lo:hi + 1], y[lo:hi + 1]
-        if len(ts) == 3:
-            a, b, c = np.polyfit(ts - ts[0], ys, 2)
-            disc = b * b - 4 * a * c
-            if a != 0.0 and disc >= 0:
-                r1 = (-b + np.sqrt(disc)) / (2 * a) + ts[0]
-                r2 = (-b - np.sqrt(disc)) / (2 * a) + ts[0]
-                for r in sorted((r1, r2)):
-                    if times[k] - 1e-12 <= r <= times[k + 1] + 1e-12:
-                        return r
-        # linear fallback on the bracketing pair
-        t0, t1 = times[k], times[k + 1]
-        y0, y1 = y[k], y[k + 1]
-        return t0 - y0 * (t1 - t0) / (y1 - y0)
-
-    crossings = np.array([refine(k) for k in idx])
+    t0, t1, y0, y1 = times[idx], times[idx + 1], y[idx], y[idx + 1]
+    crossings = t0 - y0 * (t1 - t0) / (y1 - y0)
     slope = np.polyfit(np.arange(len(crossings)), crossings, 1)[0]
     return float(np.pi / slope)

@@ -249,7 +249,7 @@ def make_dirac_upper_packet(p0: float, sigma_p: float, m: float,
     Unlike the positive-energy factory, this state mixes both energy signs,
     so its velocity expectation trembles at twice the packet energy.
     """
-    fw = make_gaussian_packet(p0, sigma_p, m, spin_dir, "fw", grid, n)
+    fw = make_gaussian_packet(p0, sigma_p, m, spin_dir, grid, n)
     return WavePacket1D(grid=fw.grid, psi=fw.psi, m=m, picture="dirac")
 
 

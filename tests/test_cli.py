@@ -68,7 +68,16 @@ def test_usage_error_exits_2(capsys):
                  ["packet", "--sigma", "0"], ["packet", "--sigma", "-0.5"],
                  ["packet", "--sigma", "nan"], ["packet", "--sigma", "inf"],
                  ["pce", "--p0", "nan"], ["pce", "--p0", "-inf"],
-                 ["pce", "--sigma", "0"], ["pce", "--sigma", "nan"]):
+                 ["pce", "--sigma", "0"], ["pce", "--sigma", "nan"],
+                 # the trembling series needs a finite momentum, a positive
+                 # mass (at m = 0 alpha_z commutes with H for p along z) and
+                 # a positive, finite end time; precess a finite end time
+                 ["zitter", "--p", "nan"], ["zitter", "--p", "inf"],
+                 ["zitter", "--m", "0"], ["zitter", "--m", "-1"],
+                 ["zitter", "--m", "nan"], ["zitter", "--particle", "fw", "--m", "0"],
+                 ["zitter", "--t-max", "-1"], ["zitter", "--t-max", "0"],
+                 ["zitter", "--t-max", "inf"], ["zitter", "--t-max", "nan"],
+                 ["precess", "--t-max", "inf"], ["precess", "--t-max", "nan"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -205,6 +214,11 @@ def test_precess_command(tmp_path, capsys):
     classical = rows[:, 1:4]
     quantum = rows[:, 4:7]
     assert np.max(np.abs(classical - quantum)) <= 1e-12
+    # a negative end time evolves backward
+    back = tmp_path / "back.csv"
+    assert run(["precess", "--t-max", "-5", "--steps", "40", "--out", str(back)]) == 0
+    np.testing.assert_array_equal(np.loadtxt(back, delimiter=",", skiprows=1)[:, 0],
+                                  -rows[:, 0])
     # zero steps is a valid, empty series
     empty = tmp_path / "empty.csv"
     assert run(["precess", "--steps", "0", "--out", str(empty)]) == 0
@@ -212,8 +226,10 @@ def test_precess_command(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("argv", [["--s0", "0,0,0"], ["--t-max", "inf"],
-                                  ["--t-max", "inf", "--b-field", "0,0,1"]])
+# --t-max must be finite at parse time; fields large enough to overflow
+# the precession frequency still make a non-finite series
+@pytest.mark.parametrize("argv", [["--s0", "0,0,0"], ["--b-field", "0,0,1e308"],
+                                  ["--e-field", "1e308,0,0", "--p", "0,1,0"]])
 def test_precess_rejects_non_finite_series(argv, capsys):
     assert run(["precess", *argv]) == 1
     out, err = capsys.readouterr()
@@ -264,6 +280,9 @@ def test_eriksen_huge_box_exits_1_without_traceback(capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["verdict"] == "fail"
     assert "Traceback" not in err
+    # one stderr line names the failed check, its value and its bound
+    assert err.count("\n") == 1 and err.startswith("failed checks: scaling_exponent ")
+    assert "free_conditions" not in err and "bound 2 +- 0.3" in err
 
 
 def test_numerical_error_exits_1(capsys):

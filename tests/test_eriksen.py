@@ -42,6 +42,12 @@ def blocked_4x4(p, m):
     return BlockedHamiltonian(H=dirac_hamiltonian(p, m), m=m)
 
 
+def own_approx_fw(bh):
+    """approx_fw with bh's own odd block factored."""
+    h = bh.n_upper
+    return approx_fw(bh, factor_odd_part(bh.H[:h, h:], bh.m))
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(n=3, length=10.0)
@@ -80,7 +86,7 @@ def test_eriksen_matches_free_closed_form_unitary():
 
 def test_approx_on_mass_term():
     bh = BlockedHamiltonian(H=1.5 * GAMMA.beta, m=1.5)
-    u, h = approx_fw(bh)
+    u, h = own_approx_fw(bh)
     assert np.allclose(u, I4, atol=1e-12)
     assert np.allclose(h, 1.5 * GAMMA.beta, atol=1e-12)
 
@@ -89,7 +95,7 @@ def test_approx_free_case_is_exact():
     m = 1.0
     p = np.array([1.1, -0.3, 0.7])
     bh = blocked_4x4(p, m)
-    u, h = approx_fw(bh)
+    u, h = own_approx_fw(bh)
     assert np.linalg.norm(h - energy(p, m) * GAMMA.beta) <= 1e-12
     assert np.linalg.norm(u - evaluate(fw_unitary_free(m), p).A) <= 1e-12
 
@@ -172,18 +178,13 @@ def test_scaling_study_quadratic_spectrum_linear_offblock():
 def test_sign_function_rejects_zero_modes():
     h = np.diag([1.0, 0.0, -1.0, 2.0]).astype(complex)
     with pytest.raises(LinalgError, match="zero"):
-        sign_function(h)
+        sign_function(BlockedHamiltonian(H=h, m=1.0))
 
 
 def test_approx_rejects_singular_mass_operator():
     bh = BlockedHamiltonian(H=dirac_hamiltonian((1.0, 0, 0), 0.0), m=0.0)
     with pytest.raises(LinalgError, match="not invertible"):
-        approx_fw(bh)
-
-
-def test_sign_function_rejects_non_hermitian_matrix():
-    with pytest.raises(LinalgError, match="Hermitian"):
-        sign_function(np.array([[1.0, 1.0], [0.0, -1.0]]))
+        own_approx_fw(bh)
 
 
 def test_blocked_hamiltonian_is_frozen():
@@ -206,6 +207,14 @@ def test_eriksen_command_checks_each_hamiltonian_hermitian_once(tmp_path, monkey
     assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
     # the free Hamiltonian and the three of the default --v0 ladder
     assert dims.count(2 * n) == 4
+
+
+def test_discretize_rejects_potential_without_one_finite_value_per_node():
+    grid = Grid1D(n=16, length=8.0)
+    with pytest.raises(ValueError, match="one value per grid node"):
+        discretize_dirac_1d(grid, 1.0, lambda x: 0.3)
+    with pytest.raises(ValueError, match="bounded"):
+        discretize_dirac_1d(grid, 1.0, lambda x: np.where(x == 0.0, np.inf, 0.0))
 
 
 def test_blocked_hamiltonian_validation():
@@ -266,7 +275,7 @@ def test_structured_kernels_match_dense_oracle(H, m, beta, dense_eriksen_oracle)
     U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
     assert _rel(lam, lam_o) <= 1e-12
     assert _rel(U, U_o) <= 1e-12
-    U_a, h_a = approx_fw(bh)
+    U_a, h_a = own_approx_fw(bh)
     U_ao, h_ao = dense_eriksen_oracle["approx"](H, beta, M)
     assert _rel(U_a, U_ao) <= 1e-12
     assert _rel(h_a, h_ao) <= 1e-12
@@ -313,12 +322,13 @@ def test_eriksen_evenness_unitarity_and_block_diagonal(dense_eriksen_oracle, H):
     offblock_norm = dense_eriksen_oracle["offblock"]
     nu = H.shape[0] // 2
     beta = np.diag(np.r_[np.ones(nu), -np.ones(nu)])
-    lam, _ = sign_function(H)
+    bh = BlockedHamiltonian(H=H, m=1.0)
+    lam, _ = sign_function(bh)
     g = 2 * np.eye(2 * nu) + beta @ lam + lam @ beta
     # g is even: the half-size route through its diagonal blocks is exact
     assert offblock_norm(g, nu) <= 1e-13 * frob(g)
     assume(np.linalg.eigvalsh(g).min() > 1e-3)   # g = |1 + beta lam|^2 > 0
-    u, _ = eriksen_unitary(BlockedHamiltonian(H=H, m=1.0))
+    u, _ = eriksen_unitary(bh)
     assert frob(u @ u.conj().T - np.eye(2 * nu)) <= 1e-10
     assert offblock_norm(u @ H @ u.conj().T, nu) <= 1e-10 * frob(H)
 
@@ -365,23 +375,17 @@ def test_scaling_study_factors_the_odd_part_once(monkeypatch):
     assert len(calls) == 10
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_distinct_odd_blocks_are_factored_apart(seed, monkeypatch, dense_eriksen_oracle):
-    # a random Hermitian H has C = B^dag != B, so B C and C B differ and take
-    # one half-size eigh each
-    rng = np.random.default_rng(seed)
+def test_approx_fw_rejects_distinct_odd_quadrants():
+    # a random Hermitian H has C = B^dag != B; a factorization of B matches
+    # its upper odd quadrant and its mass, but not its lower quadrant
+    rng = np.random.default_rng(0)
     k, m = 6, 1.3
     a = rng.normal(size=(2 * k, 2 * k)) + 1j * rng.normal(size=(2 * k, 2 * k))
-    H = 0.5 * (a + a.conj().T)
-    bh = BlockedHamiltonian(H=H, m=m)
-    assert not np.array_equal(H[:k, k:], H[k:, :k])
-    calls = _count_eigh(monkeypatch)
-    odd = factor_odd_part(H[:k, k:], H[k:, :k], m)
-    assert calls == [k, k]
-    U_a, h_a = approx_fw(bh, odd)
-    U_ao, h_ao = dense_eriksen_oracle["approx"](H, block_beta(k), m * np.eye(2 * k))
-    assert _rel(U_a, U_ao) <= 1e-12
-    assert _rel(h_a, h_ao) <= 1e-12
+    bh = BlockedHamiltonian(H=0.5 * (a + a.conj().T), m=m)
+    B = bh.H[:k, k:]
+    assert not np.array_equal(B, bh.H[k:, :k])
+    with pytest.raises(LinalgError, match="does not match"):
+        approx_fw(bh, factor_odd_part(B, m))
 
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
@@ -392,7 +396,7 @@ def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_erik
     V = ORACLE_PROFILES[profile](grid.length)
     for m in ORACLE_MASSES:
         bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x))
-        U_a, _ = approx_fw(bh)
+        U_a, _ = own_approx_fw(bh)
         nu = bh.n_upper
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
         got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh.H, nu)
@@ -427,22 +431,20 @@ def test_approx_fw_with_shared_factorization_is_identical(profile):
     grid = Grid1D(n=32, length=16.0)
     V = ORACLE_PROFILES[profile](grid.length)
     P = spectral_momentum(grid)
-    shared = factor_odd_part(P, P, 1.5)
+    shared = factor_odd_part(P, 1.5)
     for v0 in (1e-2, 0.3):
         bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x))
-        for got, want in zip(approx_fw(bh, shared), approx_fw(bh)):
+        for got, want in zip(approx_fw(bh, shared), own_approx_fw(bh)):
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("b_length, c_length, m",
-                         [(16.0, 8.0, 1.0), (8.0, 16.0, 1.0), (8.0, 8.0, 2.0)],
-                         ids=["B", "C", "m"])
-def test_approx_fw_rejects_mismatched_factorization(b_length, c_length, m):
+@pytest.mark.parametrize("length, m", [(16.0, 1.0), (8.0, 2.0)], ids=["B", "m"])
+def test_approx_fw_rejects_mismatched_factorization(length, m):
     # bh has the odd part of the length-8 grid and mass 1
     bh = discretize_dirac_1d(Grid1D(n=16, length=8.0), 1.0, lambda x: 0.1 * np.cos(x))
-    B, C = (spectral_momentum(Grid1D(n=16, length=L)) for L in (b_length, c_length))
+    P = spectral_momentum(Grid1D(n=16, length=length))
     with pytest.raises(LinalgError, match="does not match"):
-        approx_fw(bh, factor_odd_part(B, C, m))
+        approx_fw(bh, factor_odd_part(P, m))
 
 
 # --- the spin block against the four-component 4n x 4n grid Hamiltonian ------

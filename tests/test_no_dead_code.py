@@ -10,7 +10,10 @@ off anything but an imported module: matching is by name only, so any
 object's attribute of the same name counts, but np.linalg.norm does not
 make a method named norm used.  Reads from the tests do not count: a
 definition only the tests read is a test oracle and belongs in tests/.  The
-re-exports in fwbench/__init__.py do not count as uses either.
+re-exports in fwbench/__init__.py do not count as uses either.  An
+OperatorFamily member counts as used when its name is read as an attribute
+in src/ or scripts/ outside phase_ops.py, which reads every member to build
+it.
 """
 
 import ast
@@ -83,6 +86,33 @@ def _scan() -> tuple:
     return defined, members, used, attrs_used
 
 
+# Families that no product code reads yet: the Dirac-representation forms of
+# the sets, waiting for the Dirac-representation sets and their covariance
+# oracle (ROADMAP item 6).
+PENDING_FAMILIES = {
+    "NW_POSITION_DIRAC", "MEAN_SPIN_DIRAC", "BOOST_DIRAC", "COM_POSITION_DIRAC",
+    "LAB_SPIN_DIRAC", "PROJECTED_POSITION_DIRAC", "PROJECTED_SPIN_DIRAC",
+}
+
+
+def _enum_members(tree, class_name: str) -> set:
+    """The member names assigned in the body of the named class."""
+    return {target.id
+            for stmt in tree.body if isinstance(stmt, ast.ClassDef) and stmt.name == class_name
+            for item in stmt.body if isinstance(item, ast.Assign)
+            for target in item.targets if isinstance(target, ast.Name)}
+
+
+def _attributes_read_outside(excluded: Path) -> set:
+    """Attribute names read in src/ and scripts/ outside the excluded file
+    and fwbench/__init__.py."""
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+    return {n.attr
+            for path in paths if path not in (excluded, PACKAGE / "__init__.py")
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def test_every_public_definition_has_a_caller():
     defined, _, used, _ = _scan()
     traced = _benchmark_targets()
@@ -96,3 +126,13 @@ def test_every_method_and_property_has_a_caller():
     unused = sorted(key for key, name in members.items() if name not in attrs_used)
     assert not unused, f"methods only the tests read, or nothing: {unused}"
 
+
+def test_every_operator_family_has_a_reader():
+    phase_ops = PACKAGE / "phase_ops.py"
+    members = _enum_members(ast.parse(phase_ops.read_text()), "OperatorFamily")
+    assert PENDING_FAMILIES <= members
+    read_outside = _attributes_read_outside(phase_ops)
+    unread = sorted(members - PENDING_FAMILIES - read_outside)
+    assert not unread, f"OperatorFamily members no product code reads: {unread}"
+    read = sorted(PENDING_FAMILIES & read_outside)
+    assert not read, f"pending families that now have a reader; unlist them: {read}"

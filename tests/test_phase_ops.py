@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fwbench.algebra import build_quantum_set
 from fwbench.dirac import GAMMA, energy, fv_hamiltonian_matrix, fv_velocity_matrix
 from fwbench.phase_ops import (
     DomainError,
@@ -117,16 +116,14 @@ def test_massless_rejection_for_rest_frame_families():
 
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 10.0])
 def test_exact_gradients_and_stacks(m):
-    # every family and component, the test-side families, the free unitaries
-    # and the naive boost: exact dA, dB against the Richardson oracle, and an
-    # (N, 3) stack against N single-momentum snapshots
+    # every family and component, the test-side families and the free
+    # unitaries: exact dA, dB against the Richardson oracle, and an (N, 3)
+    # stack against N single-momentum snapshots
     ops = [build_operator(fam, m, c) for fam in OperatorFamily
            for c in ((1, 2, 3) if fam.is_vector else (None,))
            if m > 0 or fam not in MASSIVE_ONLY]
     ops += family_operators(m)
     ops += [fw_unitary_free(m), fw_unitary_free_inv(m)]
-    if m > 0:
-        ops += build_quantum_set("naive_dirac", m)["K"]
     ps = np.random.default_rng(23).uniform(-5, 5, (4, 3))
     for op in ops:
         stack = snapshot(op, ps)
@@ -304,11 +301,12 @@ def test_conjugation_reproduces_nw_position_closed_form(m):
 
 
 def test_dirac_spin_transformed_to_fw_closed_form():
+    # the plain spin Sigma/2 has FW_SPIN's coefficient in every representation
     m = 1.0
     u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
     rng = np.random.default_rng(17)
     for c in (1, 2, 3):
-        s_d = build_operator(F.DIRAC_SPIN, m, c)
+        s_d = build_operator(F.FW_SPIN, m, c)
         for _ in range(10):
             p = rng.uniform(-5, 5, 3)
             e = energy(p, m)
@@ -329,7 +327,7 @@ def test_transformed_dirac_spin_upper_block():
         p = rng.uniform(-5, 5, 3)
         e = energy(p, m)
         for c in (1, 2, 3):
-            block = conjugate(build_operator(F.DIRAC_SPIN, m, c), u, ui, p).A[:2, :2]
+            block = conjugate(build_operator(F.FW_SPIN, m, c), u, ui, p).A[:2, :2]
             expected = (m / e) * sigma[c - 1] / 2 \
                 + p[c - 1] * sum(p[k] * sigma[k] for k in range(3)) / (2 * e * (e + m))
             assert np.linalg.norm(block - expected) <= 1e-12

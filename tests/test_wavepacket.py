@@ -137,7 +137,7 @@ def test_symmetric_packet_centered(relativistic_packet):
     for picture in ("fw", "dirac"):
         assert position_expectation(relativistic_packet, picture) \
             == pytest.approx(0.0, abs=1e-9)
-        assert expectation(relativistic_packet, Observable("identity"), f"{picture}_picture") \
+        assert expectation(relativistic_packet, Observable("identity"), picture) \
             == pytest.approx(1.0, abs=1e-12)
 
 
@@ -201,8 +201,12 @@ def test_packet_validation():
                      picture="schroedinger")
     with pytest.raises(ValueError, match="nonzero"):
         make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, spin_dir=(0, 0, 0))
-    with pytest.raises(ValueError, match="picture"):
-        make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, picture="Dirac")
+    pk = make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0)
+    for bad_picture in ("Dirac", "dirac_picture"):
+        with pytest.raises(ValueError, match="picture"):
+            to_picture(pk, bad_picture)
+        with pytest.raises(ValueError, match="picture"):
+            expectation(pk, Observable("identity"), bad_picture)
     for bad_mass in (0.0, -1.0, np.nan, np.inf):   # the grid holds p = 0
         with pytest.raises(ValueError, match="mass must be positive"):
             make_gaussian_packet(p0=1.0, sigma_p=0.5, m=bad_mass)
