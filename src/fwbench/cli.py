@@ -11,8 +11,9 @@ Subcommands
 Every command is deterministic for a fixed seed and flag set (no
 timestamps, fixed float formatting), so identical invocations produce
 byte-identical output.  Exit status: 0 when all expected-pass checks pass
-and expected-fail checks fail as expected, 1 on a numerical miss, 2 on
-usage errors.
+and expected-fail checks fail as expected, 1 on a numerical miss or a
+numeric failure (a floating-point overflow, invalid operation or division
+by zero, reported as one error line), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -153,13 +154,16 @@ def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
     free grid.  Its matrices are released on return, before the scaling
     study builds its own."""
     bh = erk.discretize_dirac_1d(grid, mass, lambda x: np.zeros_like(x))
-    U, lam = erk.eriksen_unitary(bh)
+    frame = erk.eigenframe(bh)
+    U, lam = erk.eriksen_unitary(frame), erk.sign_function(frame)
+    del frame
     # Frobenius norms are reported over the 4n x 4n Dirac operator; the
     # spectra and the exponent are the same for the spin block.
     conds = {k: float(erk.four_component_norm(v))
              for k, v in erk.eriksen_conditions(U, lam, bh).items()}
+    del lam
     nu = bh.n_upper
-    upper = (U[:nu] @ bh.H) @ U[:nu].conj().T           # upper-left quadrant of U H U^dag
+    upper = erk.conjugated_quadrant(U, bh, 0)           # upper-left quadrant of U H U^dag
     spec_err = float(np.max(np.abs(
         erk.upper_block_spectrum(upper, nu) - erk.free_spectrum_1d(grid, mass)[nu:])))
     return conds, spec_err
@@ -393,10 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  A floating-point overflow, invalid operation or
+    division by zero raises (underflow stays silent: Gaussian tails
+    underflow by design), so a numeric failure ends as one error line and
+    exit status 1, never as nan or inf rows on stdout."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

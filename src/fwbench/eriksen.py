@@ -24,14 +24,47 @@ rather than as dense matrices.  beta A flips the sign of A's lower rows; the
 odd part is H's off-diagonal quadrants, O = [[0, P], [P, 0]] with one
 Hermitian block P, as for every grid Hamiltonian and the 4x4 Dirac one
 (P = sigma.p); [O, M] = 0, so X = O/m and the beta [O,[O,M]] term
-vanishes.  A product of two odd matrices is even, so O^2 = diag(P^2, P^2):
-S = sqrt(1+X^2), the normalization, eps and the kinetic denominator are
-functions of the one half-size eigendecomposition of P^2, and the double
-commutator is formed block by block.  g = 2 + beta lambda +
-lambda beta is even for any lambda, because its off-diagonal quadrants are
-lambda_12 - lambda_12 = 0, so g^(-1/2) is two half-size inverse square
-roots.  The one full-size decomposition per
-Hamiltonian is eigh(H), which gives both lambda and the exact spectrum.
+vanishes.
+
+The exact unitary straight from the eigenframe.  With w, v = eigh(H)
+(ascending, h = dim/2 negative eigenvalues first), V- = v[:, :h] and
+V+ = v[:, h:], lambda = V+ V+^dag - V- V-^dag and V+ V+^dag + V- V-^dag = 1.
+The upper rows of 1 + beta lambda are those of 1 + lambda, 2 X1 V+^dag with
+X1 = v[:h, h:]; its lower rows are those of 1 - lambda, 2 Y2 V-^dag with
+Y2 = v[h:, :h].  X = beta lambda is unitary, so g = 2 + beta lambda +
+lambda beta = 2 + X + X^dag commutes with X, U = g^(-1/2) (1 + beta lambda),
+and g = (1 + X)(1 + X)^dag.  g is even (its off-diagonal quadrants are
+lambda_12 - lambda_12 = 0), with diagonal blocks g_+ = 4 X1 X1^dag and
+g_- = 4 Y2 Y2^dag, so
+
+    U[:h] = (X1 X1^dag)^(-1/2) X1 V+^dag,
+    U[h:] = (Y2 Y2^dag)^(-1/2) Y2 V-^dag:
+
+two half-size inverse square roots, and no 2n x 2n lambda.  A spectrum
+whose positive part does not have exactly h eigenvalues has no unitary
+that sends it to the upper block, and eigenframe rejects it.  lambda itself
+is formed only where the defining conditions read it.
+
+The approximate transform from the local potential.  Both even blocks of a
+local Hamiltonian are the one real diagonal V: E = diag(V, V).  So both
+quadrants of [O, E] are K = [P, V] = P (v_j - v_i), formed elementwise,
+both blocks of [O,[O,E]] are [P, K], and {D^-1, [P, K]} is formed once.
+K is anti-Hermitian, so [P, K] = PK + (PK)^dag, and {D^-1, [P, K]} =
+A + A^dag with A = D^-1 [P, K]: two half-size products in all.
+approx_fw rejects a Hamiltonian whose diagonal quadrants are not diagonal
+or whose two potentials differ by more than rounding.
+
+The odd part from the FFT.  P = spectral_momentum(grid) is
+F^dag diag(p) F with F the DFT and p = grid.p_fft, so O^2 = diag(P^2, P^2)
+and every function of it is F^dag diag(f(p^2)) F: the four half-size
+operators that depend only on O and m (the diagonal and off-diagonal blocks
+of the approximate unitary, eps and the inverse kinetic denominator) are
+formed from the grid's momenta by one inverse FFT each (grid_odd_part),
+with no eigendecomposition.  A potential enters only E, so every
+Hamiltonian on one grid shares them: the scaling study forms them once per
+grid and mass, and approx_fw takes that FactoredOddPart with every
+potential, rejects a Hamiltonian whose odd part or mass it does not match,
+and forms only what depends on E.
 
 discretize_dirac_1d builds the 1D Dirac Hamiltonian with a static
 electrostatic potential on a periodic grid.  With the momentum along x only
@@ -43,44 +76,33 @@ so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
 off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
 block into the norm over the 4n operator.
 
-What is factored per grid and what per potential: a potential enters only
-E, so every Hamiltonian on one grid has the same odd part
-O = [[0, P], [P, 0]], with P = spectral_momentum(grid).  The scaling study
-builds P once, and factor_odd_part factors O^2 once per grid and mass:
-one half-size eigendecomposition of P^2, from which it forms the four
-half-size operators that depend only on O and m: the diagonal and
-off-diagonal blocks of the approximate unitary, eps and the inverse kinetic
-denominator.  approx_fw takes that FactoredOddPart with every potential,
-rejects a Hamiltonian whose odd part or mass it does not match, and forms
-only what depends on E: K, L, the double commutator and the even blocks of
-H_approx.  sign_function, eriksen_unitary and every check stay per
-Hamiltonian;
-Hermiticity is checked once, when the BlockedHamiltonian is made.  Because
-H is Hermitian, so is U H U^dag for any U, and its off-diagonal norm is
-sqrt(2) times the norm of the upper quadrant alone; and because
+Checks.  Hermiticity is checked once, when the BlockedHamiltonian is made.
+Because H is Hermitian, so is U H U^dag for any U, and its off-diagonal norm
+is sqrt(2) times the norm of the upper quadrant alone; the upper rows
+U[:h] H = [U1 (m+v) + U2 P, U1 P + U2 (v-m)] are two half-size products and
+two diagonal scalings (conjugated_quadrant).  Because
 [beta lambda, lambda beta] = beta lambda^2 beta - lambda^2, the commutator
 check reads the off-diagonal quadrants of the lambda^2 that the
 lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  discretize_dirac_1d writes H
-quadrant by quadrant, approx_fw reads E from H's diagonal quadrants,
-eriksen_unitary forms 1 + beta lambda one column block at a time,
-eriksen_conditions forms and reduces one condition at a time, subtracting
-the identity in place, and the scaling study releases each Hamiltonian's
-matrices before it builds the next.  Across the study's Hamiltonians only
-P (a quarter of a full-size matrix) and the factored odd part (four
-half-size matrices, one full-size matrix in all) stay alive; the
-approximate unitary is copied out of the factored blocks per potential
-rather than kept whole, and a Hamiltonian built on its own builds and
-releases its own P.  A full-size matrix is 1 MiB at n = 128 and 4 MiB at
-n = 256, so peak memory is set by how many are alive at once, not by the
-O(n^3) products.
+quadrant by quadrant, eriksen_unitary writes U half by half from the
+eigenframe, eriksen_conditions forms and reduces one condition at a time,
+subtracting the identity in place, and the scaling study releases the
+eigenframe before the approximate transform and each Hamiltonian's matrices
+before it builds the next.  Across the study's Hamiltonians only P (a
+quarter of a full-size matrix) and the factored odd part (four half-size
+matrices, one full-size matrix in all) stay alive, and a Hamiltonian built
+on its own builds and releases its own P.  A full-size matrix is 1 MiB at
+n = 128 and 4 MiB at n = 256, so peak memory is set by how many are alive
+at once, not by the O(n^3) products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,6 +118,9 @@ from .linalg import (
 )
 
 ZERO_MODE_RTOL = 1e-8
+# the two potentials of a local Hamiltonian, read from H's diagonal
+# quadrants as (m + v) - m and (v - m) + m, agree to rounding of m + |v|
+POTENTIAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,7 +131,9 @@ class BlockedHamiltonian:
     O = (H - beta H beta)/2.
 
     The constructor checks that H is finite and Hermitian, once; the kernels
-    that take a BlockedHamiltonian rely on that check.
+    that take a BlockedHamiltonian rely on that check.  Whether H's diagonal
+    quadrants are diagonal, as for a local potential, is checked once too,
+    when a kernel first reads local_diagonals.
     """
 
     H: np.ndarray
@@ -131,6 +158,19 @@ class BlockedHamiltonian:
     def n_upper(self) -> int:
         return self.dim // 2
 
+    @cached_property
+    def local_diagonals(self) -> tuple:
+        """The diagonals of H's two diagonal quadrants, or LinalgError unless
+        both quadrants are diagonal, as for a local potential."""
+        h = self.n_upper
+        quadrants = (self.H[:h, :h], self.H[h:, h:])
+        diagonals = tuple(np.diagonal(q) for q in quadrants)
+        if any(np.count_nonzero(q) != np.count_nonzero(d)
+               for q, d in zip(quadrants, diagonals)):
+            raise LinalgError("diagonal quadrants of the Hamiltonian must be diagonal "
+                              "(a local potential)")
+        return diagonals
+
 
 def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
     """beta A: A with its lower rows negated."""
@@ -139,12 +179,40 @@ def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
     return out
 
 
-def _conjugated_offblock_norm(U: np.ndarray, H: np.ndarray, n_upper: int) -> float:
-    """Frobenius norm of the two off-diagonal quadrants of U H U^dag for a
-    Hermitian H, forming only the upper one, (U[:h] H) U[h:]^dag with
-    h = n_upper: U H U^dag is Hermitian, so the lower quadrant is the
+def _local_potential(bh: BlockedHamiltonian) -> np.ndarray:
+    """The real potential v of H = [[m + v, P], [P, v - m]], or LinalgError
+    unless H's diagonal quadrants are diagonal and give one real v to
+    rounding."""
+    a, d = bh.local_diagonals
+    m = bh.m
+    v = a.real - m
+    gap = max(np.abs(a - m - v).max(), np.abs(d + m - v).max())
+    if gap > POTENTIAL_RTOL * max(m, np.abs(v).max()):
+        raise LinalgError(f"the two diagonal quadrants hold different potentials "
+                          f"(largest gap {gap:.3e}): not one local potential")
+    return v
+
+
+def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.ndarray:
+    """Quadrant (0, k) of U H U^dag, (U[:h] H) U[kh:(k+1)h]^dag with
+    h = n_upper, for bh.H with diagonal diagonal quadrants a and d.
+
+    U[:h] H = [U1 a + U2 H21, U1 H12 + U2 d] with U1, U2 the column halves
+    of U[:h]: two half-size products and two diagonal scalings.
+    """
+    h = bh.n_upper
+    a, d = bh.local_diagonals
+    U1, U2 = U[:h, :h], U[:h, h:]
+    cols = U[k * h:(k + 1) * h].conj().T
+    return ((U1 * a + U2 @ bh.H[h:, :h]) @ cols[:h]
+            + (U1 @ bh.H[:h, h:] + U2 * d) @ cols[h:])
+
+
+def _conjugated_offblock_norm(U: np.ndarray, bh: BlockedHamiltonian) -> float:
+    """Frobenius norm of the two off-diagonal quadrants of U H U^dag, forming
+    only the upper one: U H U^dag is Hermitian, so the lower quadrant is the
     adjoint of the upper one and has the same norm."""
-    return float(np.sqrt(2.0) * frob((U[:n_upper] @ H) @ U[n_upper:].conj().T))
+    return float(np.sqrt(2.0) * frob(conjugated_quadrant(U, bh, 1)))
 
 
 def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
@@ -153,42 +221,47 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
         raise LinalgError(message)
 
 
-def sign_function(bh: BlockedHamiltonian) -> tuple:
-    """lambda = H (H^2)^(-1/2) via the Hermitian eigendecomposition of bh.H,
-    which the BlockedHamiltonian constructor has checked.
+def eigenframe(bh: BlockedHamiltonian) -> tuple:
+    """(w, v) = eigh(bh.H), eigenvalues ascending, for a spectrum with no
+    zero mode and exactly bh.n_upper positive eigenvalues; LinalgError
+    otherwise.  bh.H is Hermitian by the BlockedHamiltonian constructor.
 
-    Returns (lambda, w) with w the ascending eigenvalues of H, so a caller
-    that also needs the spectrum does not decompose H a second time.
+    The frame gives the exact spectrum, eriksen_unitary and sign_function,
+    so a caller decomposes each Hamiltonian once.
     """
     w, v = np.linalg.eigh(bh.H)
     _reject_zero_eigenvalues(w, ZERO_MODE_RTOL, f"eigenvalue within {ZERO_MODE_RTOL:.0e} "
                                                 "of zero: sign function undefined")
-    vh = v.conj().T
-    v *= np.sign(w)
-    return v @ vh, w
+    positive = int(np.count_nonzero(w > 0))
+    if positive != bh.n_upper:
+        raise LinalgError(f"{positive} of {w.size} eigenvalues are positive, not half: "
+                          "no unitary sends the positive spectrum to the upper block")
+    return w, v
 
 
-def eriksen_unitary(bh: BlockedHamiltonian, lam: Optional[np.ndarray] = None) -> tuple:
-    """Exact block-diagonalizing unitary (1+beta lambda)(2+beta lambda+lambda beta)^(-1/2).
+def sign_function(frame: tuple) -> np.ndarray:
+    """lambda = H (H^2)^(-1/2) = v sign(w) v^dag from eigenframe(bh)."""
+    w, v = frame
+    return (v * np.sign(w)) @ v.conj().T
 
-    Returns (U, lambda), with lambda = sign(H) the sign function it is built
-    from; a caller that holds sign_function(bh.H) already passes it as lam.
-    g = 2 + beta lambda + lambda beta = diag(2 + l11 + l11^dag, 2 - l22 - l22^dag),
-    so g^(-1/2) scales the left and right column blocks of 1 + beta lambda.
+
+def eriksen_unitary(frame: tuple) -> np.ndarray:
+    """Exact block-diagonalizing unitary (1+beta lambda)(2+beta lambda+lambda beta)^(-1/2)
+    from eigenframe(bh), without forming lambda:
+
+    U[:h] = (X1 X1^dag)^(-1/2) X1 V+^dag,  U[h:] = (Y2 Y2^dag)^(-1/2) Y2 V-^dag,
+
+    with V- = v[:, :h] and V+ = v[:, h:] the negative- and positive-energy
+    eigenvectors, X1 = v[:h, h:] and Y2 = v[h:, :h]; the module docstring
+    derives it.
     """
-    if lam is None:
-        lam = sign_function(bh)[0]
-    h = bh.n_upper
-    eye = np.eye(h)
-    g = (2.0 * eye + lam[:h, :h] + lam[:h, :h].conj().T,
-         2.0 * eye - lam[h:, h:] - lam[h:, h:].conj().T)
-    U = np.empty_like(lam)
-    for k in (0, 1):
-        cols = slice(k * h, (k + 1) * h)
-        # column block k of 1 + beta lambda
-        left = _beta_times(lam[:, cols], h) + np.eye(bh.dim, h, -k * h)
-        U[:, cols] = left @ mat_inv_sqrt_psd(g[k])
-    return U, lam
+    w, v = frame
+    h = w.size // 2
+    U = np.empty_like(v)
+    for rows, cols in ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h))):
+        X = v[rows, cols]
+        U[rows] = (mat_inv_sqrt_psd(X @ X.conj().T) @ X) @ v[:, cols].conj().T
+    return U
 
 
 def _minus_identity(a: np.ndarray) -> np.ndarray:
@@ -200,7 +273,7 @@ def _minus_identity(a: np.ndarray) -> np.ndarray:
 def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -> dict:
     """Residuals of the defining properties of the exact transformation U
     built from the sign function lam of bh.H, each formed and reduced before
-    the next."""
+    the next.  bh.H has diagonal diagonal quadrants (conjugated_quadrant)."""
     h = bh.n_upper
     conds = {"unitarity": frob(_minus_identity(U @ U.conj().T))}
     odd = _beta_times(U, h)
@@ -213,7 +286,7 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     # off-diagonal quadrants of lam^2, which subtracting I leaves alone
     conds["bl_lb_commute"] = 2.0 * float(np.hypot(frob(sq[:h, h:]), frob(sq[h:, :h])))
     del sq
-    conds["offblock"] = _conjugated_offblock_norm(U, bh.H, h)
+    conds["offblock"] = _conjugated_offblock_norm(U, bh)
     return conds
 
 
@@ -241,67 +314,77 @@ class FactoredOddPart:
                 and np.array_equal(bh.H[h:, :h], self.P))
 
 
-def factor_odd_part(P: np.ndarray, m: float) -> FactoredOddPart:
-    """Factor O^2 = diag(P^2, P^2) for the odd part O = [[0, P], [P, 0]] with
-    Hermitian P, in one half-size eigendecomposition, and form the operators
-    that depend only on O and m."""
+def _fourier_multiplier(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
+    """F^dag diag(symbol) F on the grid for a real symbol over grid.p_fft:
+    the circulant n x n matrix whose (j, l) entry is c[(j - l) mod n] with
+    c = ifft(symbol), its Hermitian part taken on c so that the matrix is
+    exactly Hermitian."""
+    c = np.fft.ifft(symbol)
+    c = 0.5 * (c + np.roll(c[::-1], 1).conj())            # c[-k]^* at k
+    idx = np.arange(grid.n)
+    return c[np.subtract.outer(idx, idx) % grid.n]
+
+
+def grid_odd_part(grid: Grid1D, m: float) -> FactoredOddPart:
+    """The FactoredOddPart of the grid's odd part [[0, P], [P, 0]] with
+    P = spectral_momentum(grid) and mass m: P^2 is diagonal in the DFT basis
+    with eigenvalues p^2, so each operator is F^dag diag(f(p^2)) F."""
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
-    w, v = np.linalg.eigh(P @ P)
+    p = grid.p_fft
+    w = p * p
     # eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
-    w = np.clip(w, 0.0, None)
     eps = np.sqrt(m * m + w)
     denom = 2.0 * eps * eps + 2.0 * m * eps
     _reject_zero_eigenvalues(denom, 1e-12, "kinetic denominator is singular")
-    vh = v.conj().T
-
-    def fn(f):
-        return (v * f) @ vh
     s = np.sqrt(1.0 + w / (m * m))
-    return FactoredOddPart(P, m, (fn(np.sqrt((1.0 + s) / (2.0 * s))),
-                                  ((1.0 / m) * P) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
-                                  fn(eps), fn(1.0 / denom)))
+    symbols = (np.sqrt((1.0 + s) / (2.0 * s)), (p / m) / np.sqrt(2.0 * s * (1.0 + s)),
+               eps, 1.0 / denom)
+    return FactoredOddPart(spectral_momentum(grid), m,
+                           tuple(_fourier_multiplier(grid, f) for f in symbols))
 
 
 def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
-    """Approximate relativistic transformation and Hamiltonian (U, H_approx).
+    """Approximate relativistic transformation and Hamiltonian (U, H_approx)
+    of a local Hamiltonian H = [[m + V, P], [P, V - m]].
 
-    odd is factor_odd_part of bh's odd block and mass, shared by every
-    Hamiltonian with that odd part; one that does not match bh is rejected.
+    odd is the factorization of bh's odd block and mass (grid_odd_part),
+    shared by every Hamiltonian with that odd part; one that does not match
+    bh is rejected, and so is an H whose diagonal quadrants are not one
+    real diagonal potential V.
     """
     if not odd.matches(bh):
         raise LinalgError("odd-part factorization does not match the Hamiltonian's "
                           "odd part and mass")
-    m, h, H, P = bh.m, bh.n_upper, bh.H, odd.P
-    rows = (slice(0, h), slice(h, bh.dim))
-    # E = diag(E1, E2), read from H's diagonal quadrants
-    E1, E2 = H[:h, :h] - m * np.eye(h), H[h:, h:] + m * np.eye(h)
-    # [O, E] = [[0, K], [L, 0]], so [O, [O, E]] = diag(P L - K P, P K - L P)
-    K = P @ E2 - E1 @ P
-    L = P @ E1 - E2 @ P
-    double_comm = (P @ L - K @ P, P @ K - L @ P)
+    v = _local_potential(bh)
+    h, P = bh.n_upper, odd.P
+    # both quadrants of [O, E] are K = [P, V], both blocks of [O, [O, E]]
+    # [P, K] = PK - KP = PK + (PK)^dag, since K is anti-Hermitian
+    PK = P @ (P * (v[None, :] - v[:, None]))
+    double_comm = PK + PK.conj().T
 
     # Column block k of U = (1 + S + beta X) N is (1 + S) N on the diagonal
     # and (beta X) N = -sign_k O N / m off it; H_approx =
-    # beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even.
+    # beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even, and the anticommutator
+    # of two Hermitian matrices is A + A^dag with A = D^-1 [O,[O,E]].
     u_diag, u_off, eps, d_inv = odd.block
-    U = np.empty_like(H)
-    h_approx = np.zeros_like(H)
-    for k, sign in ((0, 1.0), (1, -1.0)):
-        here, other = rows[k], rows[1 - k]
-        U[here, here] = u_diag
-        U[other, here] = -sign * u_off
-        dc = double_comm[k]
-        h_approx[here, here] = (sign * eps + (E1, E2)[k]
-                                - 0.25 * (d_inv @ dc + dc @ d_inv))
+    A = d_inv @ double_comm
+    even = -0.25 * (A + A.conj().T)
+    even[np.diag_indices_from(even)] += v
+    U = np.empty_like(bh.H)
+    U[:h, :h] = U[h:, h:] = u_diag
+    U[:h, h:] = u_off
+    U[h:, :h] = -u_off
+    h_approx = np.zeros_like(bh.H)
+    h_approx[:h, :h] = even + eps
+    h_approx[h:, h:] = even - eps
     return U, h_approx
 
 
 def spectral_momentum(grid: Grid1D) -> np.ndarray:
-    """Dense n x n momentum operator -i d/dx in the periodic spectral basis."""
-    f = np.fft.fft(np.eye(grid.n), axis=0)
-    P = np.fft.ifft(grid.p_fft[:, None] * f, axis=0)
-    return 0.5 * (P + P.conj().T)
+    """Dense n x n momentum operator -i d/dx in the periodic spectral basis,
+    F^dag diag(p_fft) F."""
+    return _fourier_multiplier(grid, grid.p_fft)
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
@@ -398,11 +481,12 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     the approximate transform leaves an O(v0) off-block residual, and the
     upper-block spectra of the two transformed Hamiltonians differ at
     O(v0^2).  The exact reference spectrum comes straight from H itself
-    (the positive eigenvalues of the decomposition that gives lambda),
-    independent of the exact unitary.  The off-block norms are over the
-    spin block; four_component_norm gives them over the 4n operator.  Every
-    H has the odd part [[0, P], [P, 0]] of the grid's momentum operator P,
-    so O^2 is factored once for the whole ladder.
+    (the positive eigenvalues of the eigenframe that gives the exact
+    unitary), independent of the exact unitary.  The off-block norms are
+    over the spin block; four_component_norm gives them over the 4n
+    operator.  Every H has the odd part [[0, P], [P, 0]] of the grid's
+    momentum operator P, so the odd part is factored once for the whole
+    ladder.
     """
     v0_arr = check_strengths(v0_list)
     check_mass(m)
@@ -410,8 +494,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-0.5 * (x / width) ** 2)
-    P = spectral_momentum(grid)
-    odd = factor_odd_part(P, m)
+    odd = grid_odd_part(grid, m)
     points = np.array([_study_point(grid, m, lambda x: v0 * profile(x), odd)
                        for v0 in v0_arr])
     return ScalingStudy(v0_arr, *points.T)
@@ -419,14 +502,15 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
 
 def _study_point(grid: Grid1D, m: float, V: Callable, odd: FactoredOddPart) -> tuple:
     """(even_block_diff, approx_offblock, exact_offblock) for one potential.
-    lambda is released before the approximate transform is built, and every
-    matrix but the shared odd-part factorization on return, before the next
-    Hamiltonian is built."""
+    The eigenframe is released before the approximate transform is built,
+    and every matrix but the shared odd-part factorization on return, before
+    the next Hamiltonian is built."""
     bh = discretize_dirac_1d(grid, m, V, odd.P)
-    nu = bh.n_upper
-    lam, w = sign_function(bh)
-    exact_off = _conjugated_offblock_norm(eriksen_unitary(bh, lam)[0], bh.H, nu)
-    del lam
+    frame = eigenframe(bh)
+    w = frame[0]
+    exact_off = _conjugated_offblock_norm(eriksen_unitary(frame), bh)
+    del frame
     U_a, h_approx = approx_fw(bh, odd)
+    nu = bh.n_upper
     diff = float(np.max(np.abs(upper_block_spectrum(h_approx, nu) - w[nu:])))
-    return diff, _conjugated_offblock_norm(U_a, bh.H, nu), exact_off
+    return diff, _conjugated_offblock_norm(U_a, bh), exact_off

@@ -11,7 +11,7 @@ import numpy as np
 
 from fwbench.algebra import ClassicalState
 from fwbench.dirac import GAMMA, I4, energy, fw_unitary_matrix, stacked_energy
-from fwbench.eriksen import BlockedHamiltonian
+from fwbench.eriksen import BlockedHamiltonian, FactoredOddPart
 from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
     MASSLESS_MIN_P,
@@ -307,6 +307,26 @@ def even_part(bh: BlockedHamiltonian) -> np.ndarray:
     even[:h, :h] = bh.H[:h, :h] - bh.m * np.eye(h)
     even[h:, h:] = bh.H[h:, h:] + bh.m * np.eye(h)
     return even
+
+
+def factor_odd_part(P: np.ndarray, m: float) -> FactoredOddPart:
+    """The FactoredOddPart of O = [[0, P], [P, 0]] for any Hermitian P, from
+    one half-size eigendecomposition of P^2 rather than from the grid's FFT:
+    the oracle for eriksen.grid_odd_part, and the factorization of the 4x4
+    Dirac odd block sigma.p."""
+    if m == 0.0:
+        raise LinalgError("mass operator M = m I is not invertible")
+    w, v = np.linalg.eigh(P @ P)
+    w = np.clip(w, 0.0, None)
+    eps = np.sqrt(m * m + w)
+    denom = 2.0 * eps * eps + 2.0 * m * eps
+    s = np.sqrt(1.0 + w / (m * m))
+
+    def fn(f):
+        return (v * f) @ v.conj().T
+    return FactoredOddPart(P, m, (fn(np.sqrt((1.0 + s) / (2.0 * s))),
+                                  ((1.0 / m) * P) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
+                                  fn(eps), fn(1.0 / denom)))
 
 
 def spectrum_drift(rec: EvolutionRecord) -> float:

@@ -240,7 +240,8 @@ def test_criterion_05_exact_transformation_on_grid():
     grid = Grid1D(n=64, length=32.0)
     m = 1.0
     bh = erk.discretize_dirac_1d(grid, m, lambda x: np.zeros_like(x))
-    u, lam = erk.eriksen_unitary(bh)
+    frame = erk.eigenframe(bh)
+    u, lam = erk.eriksen_unitary(frame), erk.sign_function(frame)
     conds = erk.eriksen_conditions(u, lam, bh)
     h_fw = u @ bh.H @ u.conj().T
     spec_err = float(np.max(np.abs(

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -7,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fwbench import algebra
 from fwbench.cli import main
@@ -225,7 +230,6 @@ def test_precess_command(tmp_path, capsys):
     assert empty.read_text().splitlines()[0].startswith("t,")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 # --t-max must be finite at parse time; fields large enough to overflow
 # the precession frequency still make a non-finite series
 @pytest.mark.parametrize("argv", [["--s0", "0,0,0"], ["--b-field", "0,0,1e308"],
@@ -289,3 +293,81 @@ def test_numerical_error_exits_1(capsys):
     code = run(["packet", "--p0", "500", "--sigma", "0.1", "--n", "64"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+# --- the CLI contract over the whole float range ----------------------------
+
+# any float, 1e+-300, subnormals, +-0, nan and inf included, and ordinary ones
+_FLOAT = st.one_of(st.floats(), st.floats(-10.0, 10.0)).map(repr)
+_VEC3 = st.tuples(_FLOAT, _FLOAT, _FLOAT).map(",".join)
+
+
+def _command(name: str, sizes: dict, values: dict):
+    """argv for one subcommand: the capped sizes always given, each physical
+    value given or left at its default, every option as --name=value so
+    that a negative number is never read as a flag."""
+    return st.fixed_dictionaries(sizes, optional=values).map(
+        lambda d: [name] + [f"--{k}={v}" for k, v in sorted(d.items())])
+
+
+_ARGV = st.one_of(
+    _command("verify-algebra",
+             {"set": st.sampled_from(list(algebra.QUANTUM_SET_NAMES) + ["classical"]),
+              "samples": st.integers(1, 2)},
+             {"mass": _FLOAT, "seed": st.integers(-2, 2**40)}),
+    _command("eriksen", {"n": st.sampled_from([4, 8, 16])},
+             {"box": _FLOAT, "mass": _FLOAT,
+              "v0": st.lists(_FLOAT, min_size=1, max_size=3).map(",".join)}),
+    _command("precess", {"steps": st.integers(0, 5)},
+             {"p": _VEC3, "mass": _FLOAT, "e-field": _VEC3, "b-field": _VEC3,
+              "charge": _FLOAT, "a": _FLOAT, "eta": _FLOAT, "accel": _VEC3,
+              "omega": _VEC3, "spin": st.sampled_from(["0", "0.5", "1"]), "s0": _VEC3,
+              "t-max": _FLOAT}),
+    _command("zitter", {"steps": st.integers(2, 32)},
+             {"p": _FLOAT, "m": _FLOAT, "t-max": _FLOAT,
+              "particle": st.sampled_from(["dirac", "fv", "fw"])}),
+    _command("packet", {"n": st.sampled_from([4, 16, 64])},
+             {"p0": _FLOAT, "sigma": _FLOAT, "mass": _FLOAT, "t": _FLOAT}),
+    _command("pce", {"n": st.sampled_from([4, 16, 64])},
+             {"p0": _FLOAT, "sigma": _FLOAT, "mass": _FLOAT,
+              "format": st.sampled_from(["json", "pretty-table"])}),
+)
+
+_NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@given(_ARGV)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(["pce", "--sigma=1e300"])
+@example(["zitter", "--p=1e300"])
+@example(["zitter", "--m=1e300"])
+@example(["packet", "--mass=1e300"])
+@example(["pce", "--mass=1e-300"])
+@example(["verify-algebra", "--samples=2", "--set=classical", "--mass=1e200"])
+@example(["verify-algebra", "--samples=2", "--set=center_of_mass", "--mass=1e-300"])
+@example(["precess", "--b-field=0,0,1e308"])
+@example(["precess", "--e-field=1e308,0,0", "--p=0,1,0"])
+@example(["precess", "--omega=0,0,1e308"])
+@example(["precess", "--accel=1e308,0,0", "--p=0,1,0"])
+@example(["eriksen", "--n=16", "--mass=1e300"])
+@example(["precess", "--p=1e300,0,0"])
+def test_cli_contract(argv):
+    # exit 0, 1 or 2; a usage error prints nothing on stdout; a numeric
+    # failure is one error line, never a traceback, a RuntimeWarning or a
+    # nan or inf on stdout
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 2:
+        assert out == "", argv
+    assert "Traceback" not in err, argv
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
+        (argv, [str(w.message) for w in caught])
+    assert not _NON_FINITE_TOKEN.search(out), (argv, out[:300])

@@ -18,17 +18,19 @@ from fwbench.eriksen import (
     approx_fw,
     check_strengths,
     discretize_dirac_1d,
+    eigenframe,
     eriksen_conditions,
     eriksen_unitary,
-    factor_odd_part,
     free_spectrum_1d,
+    grid_odd_part,
     potential_scaling_study,
     sign_function,
     spectral_momentum,
     upper_block_spectrum,
 )
 from fwbench.linalg import LinalgError, frob
-from oracles import commutator, evaluate, even_part, fw_unitary_free, odd_part
+from oracles import (commutator, evaluate, even_part, factor_odd_part, fw_unitary_free,
+                     odd_part)
 
 I4 = np.eye(4)
 
@@ -43,7 +45,7 @@ def blocked_4x4(p, m):
 
 
 def own_approx_fw(bh):
-    """approx_fw with bh's own odd block factored."""
+    """approx_fw with bh's own odd block factored by the eigh oracle."""
     h = bh.n_upper
     return approx_fw(bh, factor_odd_part(bh.H[:h, h:], bh.m))
 
@@ -62,15 +64,21 @@ def test_grid_validation():
 def test_spectral_momentum_is_hermitian_and_diagonalizes_plane_waves():
     g = Grid1D(n=32, length=16.0)
     P = spectral_momentum(g)
-    assert frob(P - P.conj().T) <= 1e-12
+    np.testing.assert_array_equal(P, P.conj().T)
     k = 2 * np.pi * 3 / g.length
     wave = np.exp(1j * k * g.x)
     assert np.linalg.norm(P @ wave - k * wave) <= 1e-10
 
 
+def exact_transform(bh):
+    """(U, lambda) of bh from its one eigenframe."""
+    frame = eigenframe(bh)
+    return eriksen_unitary(frame), sign_function(frame)
+
+
 def test_eriksen_on_diagonal_mass_term_is_identity():
     bh = BlockedHamiltonian(H=2.0 * GAMMA.beta, m=2.0)
-    u, _ = eriksen_unitary(bh)
+    u = eriksen_unitary(eigenframe(bh))
     assert np.allclose(u, I4, atol=1e-12)
 
 
@@ -79,7 +87,7 @@ def test_eriksen_matches_free_closed_form_unitary():
     rng = np.random.default_rng(2)
     for _ in range(6):
         p = rng.uniform(-4, 4, 3)
-        u, _ = eriksen_unitary(blocked_4x4(p, m))
+        u = eriksen_unitary(eigenframe(blocked_4x4(p, m)))
         closed = evaluate(fw_unitary_free(m), p).A
         assert np.linalg.norm(u - closed) <= 1e-12
 
@@ -131,7 +139,7 @@ def test_odd_part_anticommutes_with_beta(free_grid_system):
 
 def test_eriksen_conditions_on_free_grid(free_grid_system):
     grid, bh = free_grid_system
-    u, lam = eriksen_unitary(bh)
+    u, lam = exact_transform(bh)
     conds = eriksen_conditions(u, lam, bh)
     for name, value in conds.items():
         assert value <= 1e-10, name
@@ -139,7 +147,7 @@ def test_eriksen_conditions_on_free_grid(free_grid_system):
 
 def test_positive_block_spectrum(free_grid_system):
     grid, bh = free_grid_system
-    u, _ = eriksen_unitary(bh)
+    u = eriksen_unitary(eigenframe(bh))
     h_fw = u @ bh.H @ u.conj().T
     expected = np.sort(np.sqrt(1.0 + grid.p_fft**2))
     assert np.max(np.abs(upper_block_spectrum(h_fw, bh.n_upper) - expected)) <= 1e-10
@@ -149,7 +157,7 @@ def test_eriksen_conditions_with_potential():
     grid = Grid1D(n=32, length=16.0)
     bh = discretize_dirac_1d(grid, 1.0,
                              lambda x: 0.2 * np.exp(-x**2 / 4.0))
-    u, lam = eriksen_unitary(bh)
+    u, lam = exact_transform(bh)
     conds = eriksen_conditions(u, lam, bh)
     assert conds["lambda_squared"] <= 1e-10
     assert conds["odd_exponent"] <= 1e-10
@@ -161,7 +169,7 @@ def test_exactness_when_even_odd_commute(dense_eriksen_oracle):
     # constant potential commutes with the odd part: transform stays exact
     grid = Grid1D(n=32, length=16.0)
     bh = discretize_dirac_1d(grid, 1.0, lambda x: 0.25 * np.ones_like(x))
-    u, _ = eriksen_unitary(bh)
+    u = eriksen_unitary(eigenframe(bh))
     h_fw = u @ bh.H @ u.conj().T
     assert dense_eriksen_oracle["offblock"](h_fw, bh.n_upper) <= 1e-10
 
@@ -178,17 +186,19 @@ def test_scaling_study_quadratic_spectrum_linear_offblock():
 def test_sign_function_rejects_zero_modes():
     h = np.diag([1.0, 0.0, -1.0, 2.0]).astype(complex)
     with pytest.raises(LinalgError, match="zero"):
-        sign_function(BlockedHamiltonian(H=h, m=1.0))
+        eigenframe(BlockedHamiltonian(H=h, m=1.0))
 
 
 def test_approx_rejects_singular_mass_operator():
     bh = BlockedHamiltonian(H=dirac_hamiltonian((1.0, 0, 0), 0.0), m=0.0)
     with pytest.raises(LinalgError, match="not invertible"):
         own_approx_fw(bh)
+    with pytest.raises(LinalgError, match="not invertible"):
+        grid_odd_part(Grid1D(n=16, length=8.0), 0.0)
 
 
 def test_blocked_hamiltonian_is_frozen():
-    # sign_function trusts the constructor's Hermiticity check of bh.H
+    # eigenframe trusts the constructor's Hermiticity check of bh.H
     bh = BlockedHamiltonian(H=np.eye(4), m=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         bh.H = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -271,7 +281,7 @@ def test_structured_kernels_match_dense_oracle(H, m, beta, dense_eriksen_oracle)
     # measured worst case over these cases: 4.2e-15 relative
     bh = BlockedHamiltonian(H=H, m=m)
     M = m * np.eye(H.shape[0])
-    U, lam = eriksen_unitary(bh)
+    U, lam = exact_transform(bh)
     U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
     assert _rel(lam, lam_o) <= 1e-12
     assert _rel(U, U_o) <= 1e-12
@@ -323,12 +333,13 @@ def test_eriksen_evenness_unitarity_and_block_diagonal(dense_eriksen_oracle, H):
     nu = H.shape[0] // 2
     beta = np.diag(np.r_[np.ones(nu), -np.ones(nu)])
     bh = BlockedHamiltonian(H=H, m=1.0)
-    lam, _ = sign_function(bh)
+    frame = eigenframe(bh)
+    lam = sign_function(frame)
     g = 2 * np.eye(2 * nu) + beta @ lam + lam @ beta
     # g is even: the half-size route through its diagonal blocks is exact
     assert offblock_norm(g, nu) <= 1e-13 * frob(g)
     assume(np.linalg.eigvalsh(g).min() > 1e-3)   # g = |1 + beta lam|^2 > 0
-    u, _ = eriksen_unitary(bh)
+    u = eriksen_unitary(frame)
     assert frob(u @ u.conj().T - np.eye(2 * nu)) <= 1e-10
     assert offblock_norm(u @ H @ u.conj().T, nu) <= 1e-10 * frob(H)
 
@@ -362,17 +373,17 @@ def _count_eigh(monkeypatch) -> list:
     return calls
 
 
-def test_scaling_study_factors_the_odd_part_once(monkeypatch):
-    # every H of the ladder has the odd part [[0, P], [P, 0]] of the grid's P:
-    # O^2 = diag(P^2, P^2) is factored once (1 half-size eigh), and each H
-    # takes one full-size eigh and two half-size ones for g^(-1/2)
+def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
+    # every H of the ladder has the odd part [[0, P], [P, 0]] of the grid's P,
+    # whose functions come from the FFT (no eigh), and each H takes one
+    # full-size eigh and two half-size ones for g_+^(-1/2) and g_-^(-1/2)
     grid = Grid1D(n=16, length=8.0)
     full = 2 * grid.n
     calls = _count_eigh(monkeypatch)
     potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
     assert calls.count(full) == 3
-    assert calls.count(full // 2) == 7
-    assert len(calls) == 10
+    assert calls.count(full // 2) == 6
+    assert len(calls) == 9
 
 
 def test_approx_fw_rejects_distinct_odd_quadrants():
@@ -388,6 +399,55 @@ def test_approx_fw_rejects_distinct_odd_quadrants():
         approx_fw(bh, factor_odd_part(B, m))
 
 
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
+    # k+1 positive and k-1 negative eigenvalues, all gapped from zero: no
+    # unitary sends the positive spectrum to the k-dimensional upper block
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 5.0, 2 * k) * np.r_[np.ones(k + 1), -np.ones(k - 1)]
+    q, _ = np.linalg.qr(rng.normal(size=(2 * k, 2 * k))
+                        + 1j * rng.normal(size=(2 * k, 2 * k)))
+    H = (q * w) @ q.conj().T
+    bh = BlockedHamiltonian(H=0.5 * (H + H.conj().T), m=1.0)
+    with pytest.raises(LinalgError, match=f"{k + 1} of {2 * k} eigenvalues are positive"):
+        eigenframe(bh)
+
+
+def test_approx_fw_rejects_non_local_even_part():
+    grid = Grid1D(n=16, length=8.0)
+    odd = grid_odd_part(grid, 1.0)
+    H = discretize_dirac_1d(grid, 1.0, lambda x: 0.1 * np.cos(x), odd.P).H
+    n = grid.n
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for rows in (slice(0, n), slice(n, 2 * n)):
+        # a random Hermitian even quadrant is not a local potential
+        bad = H.copy()
+        bad[rows, rows] += 0.5 * (a + a.conj().T)
+        with pytest.raises(LinalgError, match="must be diagonal"):
+            approx_fw(BlockedHamiltonian(H=bad, m=1.0), odd)
+    # nor are two different potentials in the two quadrants
+    bad = H.copy()
+    bad[n:, n:] += 1e-6 * np.eye(n)
+    with pytest.raises(LinalgError, match="different potentials"):
+        approx_fw(BlockedHamiltonian(H=bad, m=1.0), odd)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
+def test_grid_odd_part_matches_eigh_oracle(n, m):
+    # measured worst case over these cases: 5.6e-14 relative, in d_inv.  The
+    # oracle's error grows with the largest p^2 (its eigh of P^2 is accurate
+    # to rounding of that, absolutely): on a box of n/4 it reaches 1.5e-13
+    grid = Grid1D(n=n, length=32.0)
+    got = grid_odd_part(grid, m)
+    np.testing.assert_array_equal(got.P, spectral_momentum(grid))
+    want = factor_odd_part(got.P, m)
+    for a, b in zip(got.block, want.block):
+        assert _rel(a, b) <= 1e-13
+
+
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
 def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_eriksen_oracle):
     # U H U^dag is Hermitian, so the lower off-diagonal quadrant's norm is the
@@ -399,7 +459,7 @@ def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_erik
         U_a, _ = own_approx_fw(bh)
         nu = bh.n_upper
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
-        got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh.H, nu)
+        got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh)
         assert abs(got / want - 1) <= 1e-12, m
 
 
@@ -412,7 +472,7 @@ def _explicit_bl_lb(lam, n):
 def test_bl_lb_commute_matches_explicit_commutator(potential):
     grid = Grid1D(n=32, length=16.0)
     bh = discretize_dirac_1d(grid, 1.0, lambda x: potential * np.exp(-x**2 / 4.0))
-    U, lam = eriksen_unitary(bh)
+    U, lam = exact_transform(bh)
     got = eriksen_conditions(U, lam, bh)["bl_lb_commute"]
     assert abs(got - _explicit_bl_lb(lam, grid.n)) <= 1e-12
     # the identity [beta l, l beta] = beta l^2 beta - l^2 holds for any l, so
@@ -428,13 +488,13 @@ def test_bl_lb_commute_matches_explicit_commutator(potential):
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
 def test_approx_fw_with_shared_factorization_is_identical(profile):
+    # the study shares one grid factorization across its potentials
     grid = Grid1D(n=32, length=16.0)
     V = ORACLE_PROFILES[profile](grid.length)
-    P = spectral_momentum(grid)
-    shared = factor_odd_part(P, 1.5)
+    shared = grid_odd_part(grid, 1.5)
     for v0 in (1e-2, 0.3):
-        bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x))
-        for got, want in zip(approx_fw(bh, shared), own_approx_fw(bh)):
+        bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x), shared.P)
+        for got, want in zip(approx_fw(bh, shared), approx_fw(bh, grid_odd_part(grid, 1.5))):
             np.testing.assert_array_equal(got, want)
 
 
@@ -442,9 +502,8 @@ def test_approx_fw_with_shared_factorization_is_identical(profile):
 def test_approx_fw_rejects_mismatched_factorization(length, m):
     # bh has the odd part of the length-8 grid and mass 1
     bh = discretize_dirac_1d(Grid1D(n=16, length=8.0), 1.0, lambda x: 0.1 * np.cos(x))
-    P = spectral_momentum(Grid1D(n=16, length=length))
     with pytest.raises(LinalgError, match="does not match"):
-        approx_fw(bh, factor_odd_part(P, m))
+        approx_fw(bh, grid_odd_part(Grid1D(n=16, length=length), m))
 
 
 # --- the spin block against the four-component 4n x 4n grid Hamiltonian ------

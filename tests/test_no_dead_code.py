@@ -17,6 +17,7 @@ it.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -58,6 +59,16 @@ def _benchmark_targets() -> set:
     benchmark's span table names."""
     text = (ROOT / "fwperf" / "spans.py").read_text()
     return {f"{mod}.py:{name}" for mod, name in re.findall(r'"fwbench\.(\w+):(\w+)"', text)}
+
+
+def test_every_benchmark_traced_name_resolves():
+    # the benchmark skips a traced name that no longer exists and reports its
+    # metrics as absent; a rename fails here instead
+    targets = [key.split(".py:") for key in sorted(_benchmark_targets())]
+    assert targets
+    missing = [f"fwbench.{module}:{name}" for module, name in targets
+               if not callable(getattr(importlib.import_module(f"fwbench.{module}"), name, None))]
+    assert not missing, f"names the benchmark traces that fwbench lacks: {missing}"
 
 
 def _scan() -> tuple:
