@@ -10,10 +10,13 @@ Subcommands
 
 Every command is deterministic for a fixed seed and flag set (no
 timestamps, fixed float formatting), so identical invocations produce
-byte-identical output.  Exit status: 0 when all expected-pass checks pass
-and expected-fail checks fail as expected, 1 on a numerical miss or a
-numeric failure (a floating-point overflow, invalid operation or division
-by zero, reported as one error line), 2 on usage errors.
+byte-identical output.  Each cmd_* computes and checks everything first,
+then returns its output text, its stderr note ("" for none) and whether
+every check passed; only main() writes.  Exit status: 0 when all
+expected-pass checks pass and expected-fail checks fail as expected, 1 on
+a numerical miss or a numeric failure (a floating-point overflow, invalid
+operation or division by zero, reported as one error line with stdout and
+the --out file left untouched), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .dirac import (check_mass, check_positive_mass, energy, free_propagator,
 from .grids import Grid1D, check_length, check_size
 
 DEFAULT_SEED = 42
-FORMATS = ("json", "csv", "pretty-table")
 
 
 def _fmt(v: float) -> str:
@@ -47,13 +49,6 @@ def _emit(text: str, out) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _vec3(text: str) -> np.ndarray:
-    parts = [float(t) for t in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 3 comma-separated floats, got {text!r}")
-    return np.array(parts)
 
 
 def _checked(convert, check):
@@ -81,10 +76,30 @@ def _check_positive(x: float) -> float:
     return x
 
 
+def _check_vec3(v: list) -> np.ndarray:
+    """v as an array, or ValueError unless it has three finite components."""
+    if len(v) != 3 or not np.all(np.isfinite(v)):
+        raise ValueError(f"expected 3 comma-separated finite numbers, got {v}")
+    return np.array(v)
+
+
+def _check_direction(v: list) -> np.ndarray:
+    """v as an array, or ValueError unless it is a finite 3-vector not all 0."""
+    s = _check_vec3(v)
+    if not np.any(s):
+        raise ValueError(f"expected a nonzero direction, got {v}")
+    return s
+
+
+def _floats(text: str) -> list:
+    return [float(t) for t in text.split(",")]
+
+
 _finite = _checked(float, _check_finite)
 _positive = _checked(float, _check_positive)
-_strengths = _checked(lambda text: [float(t) for t in text.split(",")],
-                      lambda v0: erk.check_strengths(v0).tolist())
+_vec3 = _checked(_floats, _check_vec3)
+_direction = _checked(_floats, _check_direction)
+_strengths = _checked(_floats, lambda v0: erk.check_strengths(v0).tolist())
 _grid_size = _checked(int, check_size)
 _mass = _checked(float, check_mass)
 _positive_mass = _checked(float, check_positive_mass)
@@ -125,7 +140,11 @@ def _reports_table(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify_algebra(args) -> int:
+_RENDER = {"json": algebra.reports_to_json, "csv": _reports_csv,
+           "pretty-table": _reports_table}
+
+
+def cmd_verify_algebra(args) -> tuple:
     sets = ([args.set] if args.set != "all"
             else list(algebra.QUANTUM_SET_NAMES) + ["classical"])
     reports = []
@@ -136,17 +155,10 @@ def cmd_verify_algebra(args) -> int:
         else:
             reports.extend(algebra.run_quantum_suite(
                 name, args.mass, args.samples, seed=args.seed))
-    if args.format == "json":
-        _emit(algebra.reports_to_json(reports), args.out)
-    elif args.format == "csv":
-        _emit(_reports_csv(reports), args.out)
-    else:
-        _emit(_reports_table(reports), args.out)
     ok = algebra.all_as_expected(reports)
-    if not ok:
-        bad = [r.identity_id for r in reports if r.verdict != "pass"]
-        sys.stderr.write(f"unexpected outcomes: {bad}\n")
-    return 0 if ok else 1
+    bad = [r.identity_id for r in reports if r.verdict != "pass"]
+    return (_RENDER[args.format](reports),
+            "" if ok else f"unexpected outcomes: {bad}\n", ok)
 
 
 def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
@@ -169,7 +181,7 @@ def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
     return conds, spec_err
 
 
-def cmd_eriksen(args) -> int:
+def cmd_eriksen(args) -> tuple:
     grid = Grid1D(n=args.n, length=args.box)
     conds, spec_err = _free_eriksen_checks(grid, args.mass)
     study = erk.potential_scaling_study(grid, args.mass, args.v0)
@@ -192,13 +204,11 @@ def cmd_eriksen(args) -> int:
         ("scaling_exponent", study.exponent, "2 +- 0.3", abs(study.exponent - 2.0) <= 0.3),
     ) if not ok]
     result["verdict"] = "fail" if failed else "pass"
-    _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
-    if failed:
-        sys.stderr.write(f"failed checks: {'; '.join(failed)}\n")
-    return 1 if failed else 0
+    return (json.dumps(result, indent=2, sort_keys=True),
+            f"failed checks: {'; '.join(failed)}\n" if failed else "", not failed)
 
 
-def cmd_precess(args) -> int:
+def cmd_precess(args) -> tuple:
     cfg = sd.FieldConfig(e_field=args.e_field, b_field=args.b_field,
                          charge=args.charge, a_mm=args.a, eta=args.eta,
                          frame_accel=args.accel, frame_omega=args.omega)
@@ -206,25 +216,21 @@ def cmd_precess(args) -> int:
     omega = omega + sd.omega_noninertial(args.p, args.mass, cfg)
     chi0 = sd.spinor_from_direction(args.s0)
     s0 = args.s0 / np.linalg.norm(args.s0)
-    times = np.linspace(0.0, args.t_max, args.steps)
-    rows = []
-    for t in times:
-        s_cl = sd.propagate_classical(s0, omega, t)
-        s_q = sd.sigma_expectation(sd.propagate_quantum(chi0, omega, t))
-        rows.append([t, *s_cl, *s_q])
-    series = np.array(rows).reshape(-1, 7)   # (0, 7) when --steps is 0
+    series = np.array([[t, *sd.propagate_classical(s0, omega, t),
+                        *sd.sigma_expectation(sd.propagate_quantum(chi0, omega, t))]
+                       for t in np.linspace(0.0, args.t_max, args.steps)]
+                      ).reshape(-1, 7)   # (0, 7) when --steps is 0
     if not np.all(np.isfinite(series)):
         raise ValueError("precession series is not finite; check --t-max, --p and the fields")
     worst = float(np.max(np.abs(series[:, 1:4] - series[:, 4:]), initial=0.0))
     header = "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum"
-    body = "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-    _emit(header + "\n" + body + "\n", args.out)
-    sys.stderr.write(f"omega = ({_fmt(omega[0])}, {_fmt(omega[1])}, {_fmt(omega[2])}), "
-                     f"max quantum-classical deviation = {worst:.3e}\n")
-    return 0 if worst <= 1e-12 else 1
+    body = "\n".join(",".join(_fmt(v) for v in row) for row in series)
+    return (header + "\n" + body + "\n",
+            f"omega = ({_fmt(omega[0])}, {_fmt(omega[1])}, {_fmt(omega[2])}), "
+            f"max quantum-classical deviation = {worst:.3e}\n", worst <= 1e-12)
 
 
-def cmd_zitter(args) -> int:
+def cmd_zitter(args) -> tuple:
     p = np.array([0.0, 0.0, args.p])
     eps = energy(p, args.mass)
     times = np.linspace(0.0, args.t_max, args.steps)
@@ -234,47 +240,41 @@ def cmd_zitter(args) -> int:
         # exp(iHt) v exp(-iHt) over the time stack
         evolved = free_propagator(H, eps, -ts) @ v @ free_propagator(H, eps, ts)
         drift = float(np.max(np.linalg.norm(evolved - v, axis=(-2, -1))))
-        _emit("t,velocity_variation\n" + "\n".join(
-            f"{_fmt(t)},{_fmt(0.0)}" for t in times) + "\n", args.out)
-        sys.stderr.write(f"velocity constant; max numeric variation {drift:.3e}\n")
-        return 0 if drift <= 1e-12 else 1
-    component = 2
-    rec = zt.record_evolution(p, args.mass, times, component, args.particle)
-    elem = (0, 2) if args.particle == "dirac" else (0, 1)
-    rows = []
-    for t, v, r in zip(times, rec.velocity, rec.position):
-        ve, re_ = v[elem], r[elem]
-        rows.append([t, ve.real, ve.imag, re_.real, re_.imag])
-    header = "t,re_v,im_v,re_r,im_r"
-    body = "\n".join(",".join(_fmt(x) for x in row) for row in rows)
-    _emit(header + "\n" + body + "\n", args.out)
-    freq = zt.dominant_frequency(times, [v[elem] for v in rec.velocity])
+        return ("t,velocity_variation\n" + "\n".join(
+                    f"{_fmt(t)},{_fmt(0.0)}" for t in times) + "\n",
+                f"velocity constant; max numeric variation {drift:.3e}\n",
+                drift <= 1e-12)
+    rec = zt.record_evolution(p, args.mass, times, 2, args.particle)
+    elem = (slice(None), 0, 2 if args.particle == "dirac" else 1)
+    v, r = rec.velocity[elem], rec.position[elem]
+    freq = zt.dominant_frequency(times, v)
     rel = abs(freq - 2 * eps) / (2 * eps)
-    sys.stderr.write(f"extracted frequency {_fmt(freq)} vs 2*energy {_fmt(2 * eps)}"
-                     f" (relative error {rel:.3e})\n")
-    return 0 if rel <= 1e-6 else 1
+    body = "\n".join(",".join(map(_fmt, row))
+                     for row in zip(times, v.real, v.imag, r.real, r.imag))
+    return ("t,re_v,im_v,re_r,im_r\n" + body + "\n",
+            f"extracted frequency {_fmt(freq)} vs 2*energy {_fmt(2 * eps)}"
+            f" (relative error {rel:.3e})\n", rel <= 1e-6)
 
 
-def cmd_packet(args) -> int:
+def cmd_packet(args) -> tuple:
     pk = wp.make_gaussian_packet(args.p0, args.sigma, args.mass, n=args.n)
     if args.t != 0.0:
         pk = wp.evolve_free(pk, args.t)
     x, rho_fw = wp.density(pk)
     _, rho_d = wp.density(wp.to_picture(pk, "dirac"))
-    header = "x,rho_fw,rho_dirac"
-    body = "\n".join(f"{_fmt(xi)},{_fmt(a)},{_fmt(b)}"
-                     for xi, a, b in zip(x, rho_fw, rho_d))
-    _emit(header + "\n" + body + "\n", args.out)
     n_fw = float(np.sum(rho_fw) * pk.grid.dx)
     n_d = float(np.sum(rho_d) * pk.grid.dx)
     disc = float(np.max(np.abs(rho_d - rho_fw)) / rho_fw.max())
-    sys.stderr.write(f"normalization fw = {n_fw:.10f}, dirac = {n_d:.10f}; "
-                     f"max density discrepancy / peak = {disc:.6f}\n")
-    ok = abs(n_fw - 1) <= 1e-10 and abs(n_d - 1) <= 1e-10
-    return 0 if ok else 1
+    header = "x,rho_fw,rho_dirac"
+    body = "\n".join(f"{_fmt(xi)},{_fmt(a)},{_fmt(b)}"
+                     for xi, a, b in zip(x, rho_fw, rho_d))
+    return (header + "\n" + body + "\n",
+            f"normalization fw = {n_fw:.10f}, dirac = {n_d:.10f}; "
+            f"max density discrepancy / peak = {disc:.6f}\n",
+            abs(n_fw - 1) <= 1e-10 and abs(n_d - 1) <= 1e-10)
 
 
-def cmd_pce(args) -> int:
+def cmd_pce(args) -> tuple:
     pk = wp.make_gaussian_packet(args.p0, args.sigma, args.mass, n=args.n)
     x2_fw = wp.expectation(pk, wp.Observable("position_sq"), "fw")
     x2_d = wp.expectation(pk, wp.Observable("position_sq"), "dirac")
@@ -295,7 +295,11 @@ def cmd_pce(args) -> int:
         "normalization_fw": norm_fw,
         "normalization_dirac": norm_d,
     }
-    lines = [
+    ok = (abs(norm_fw - 1) <= 1e-10 and abs(norm_d - 1) <= 1e-10
+          and abs(pce_p) <= 1e-12 and abs(pce_x2) > 1e-4 * abs(x2_fw))
+    if args.format == "json" or args.out:
+        return json.dumps(result, indent=2, sort_keys=True), "", ok
+    return "\n".join([
         f"normalization fw picture    = {norm_fw:.10f}",
         f"normalization dirac picture = {norm_d:.10f}",
         f"<x^2> fw picture            = {_fmt(x2_fw)}",
@@ -303,14 +307,7 @@ def cmd_pce(args) -> int:
         f"PCE(x^2)                    = {_fmt(pce_x2)}",
         f"PCE(p)                      = {_fmt(pce_p)}",
         f"PCE(identity)               = {_fmt(pce_id)}",
-    ]
-    if args.format == "json" or args.out:
-        _emit(json.dumps(result, indent=2, sort_keys=True), args.out)
-    else:
-        _emit("\n".join(lines), None)
-    ok = (abs(norm_fw - 1) <= 1e-10 and abs(norm_d - 1) <= 1e-10
-          and abs(pce_p) <= 1e-12 and abs(pce_x2) > 1e-4 * abs(x2_fw))
-    return 0 if ok else 1
+    ]), "", ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,9 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=list(algebra.QUANTUM_SET_NAMES) + ["classical", "all"])
     va.add_argument("--mass", type=_mass, default=1.0)
     va.add_argument("--samples", type=_int_at_least(1), default=100)
-    va.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    va.add_argument("--format", default="json", choices=FORMATS)
-    va.add_argument("--out", default=None)
+    va.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
+    va.add_argument("--format", default="json", choices=list(_RENDER))
     va.set_defaults(func=cmd_verify_algebra)
 
     er = sub.add_parser("eriksen", formatter_class=fmt,
@@ -338,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     er.add_argument("--mass", type=_positive_mass, default=1.0)
     er.add_argument("--v0", type=_strengths, default=[1e-3, 1e-2, 1e-1],
                     help="comma-separated potential strengths")
-    er.add_argument("--out", default=None)
     er.set_defaults(func=cmd_eriksen)
 
     pr = sub.add_parser("precess", formatter_class=fmt, help="uniform-field spin precession")
@@ -347,22 +342,21 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mass", type=_positive_mass, default=1.0)
     pr.add_argument("--e-field", type=_vec3, default=np.zeros(3))
     pr.add_argument("--b-field", type=_vec3, default=np.zeros(3))
-    pr.add_argument("--charge", type=float, default=1.0)
-    pr.add_argument("--a", type=float, default=0.0,
+    pr.add_argument("--charge", type=_finite, default=1.0)
+    pr.add_argument("--a", type=_finite, default=0.0,
                     help="anomalous moment (g-2)/2")
-    pr.add_argument("--eta", type=float, default=0.0,
+    pr.add_argument("--eta", type=_finite, default=0.0,
                     help="electric-dipole factor")
     pr.add_argument("--accel", type=_vec3, default=np.zeros(3),
                     help="frame acceleration")
     pr.add_argument("--omega", type=_vec3, default=np.zeros(3),
                     help="frame rotation")
     pr.add_argument("--spin", type=float, default=0.5, choices=(0.0, 0.5, 1.0))
-    pr.add_argument("--s0", type=_vec3, default=np.array([1.0, 0.0, 0.0]),
+    pr.add_argument("--s0", type=_direction, default=np.array([1.0, 0.0, 0.0]),
                     help="initial spin direction")
     pr.add_argument("--t-max", type=_finite, default=10.0,
                     help="end time; a negative value evolves backward")
     pr.add_argument("--steps", type=_int_at_least(0), default=200)
-    pr.add_argument("--out", default=None)
     pr.set_defaults(func=cmd_precess)
 
     zi = sub.add_parser("zitter", formatter_class=fmt, help="trembling-motion time series")
@@ -372,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     zi.add_argument("--t-max", type=_positive, default=10.0)
     zi.add_argument("--steps", type=_int_at_least(2), default=4000)
     zi.add_argument("--particle", default="dirac", choices=("dirac", "fv", "fw"))
-    zi.add_argument("--out", default=None)
     zi.set_defaults(func=cmd_zitter)
 
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
@@ -381,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mass", type=_positive_mass, default=1.0)
     pa.add_argument("--n", type=_grid_size, default=256)
     pa.add_argument("--t", type=_finite, default=0.0)
-    pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_packet)
 
     pc = sub.add_parser("pce", formatter_class=fmt, help="picture-change-error report")
@@ -390,24 +382,28 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mass", type=_positive_mass, default=1.0)
     pc.add_argument("--n", type=_grid_size, default=256)
     pc.add_argument("--format", default="pretty-table", choices=("json", "pretty-table"))
-    pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_pce)
 
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  A floating-point overflow, invalid operation or
-    division by zero raises (underflow stays silent: Gaussian tails
-    underflow by design), so a numeric failure ends as one error line and
-    exit status 1, never as nan or inf rows on stdout."""
+    """Run one subcommand and write what it returned.  Overflow, invalid
+    operations and division by zero raise (underflow stays silent: Gaussian
+    tails underflow by design), so a numeric failure ends as one error line
+    and exit status 1, with nothing written to stdout or the --out file."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            text, note, ok = args.func(args)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    _emit(text, args.out)
+    sys.stderr.write(note)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

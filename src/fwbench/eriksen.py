@@ -91,12 +91,13 @@ quadrant by quadrant, eriksen_unitary writes U half by half from the
 eigenframe, eriksen_conditions forms and reduces one condition at a time,
 subtracting the identity in place, and the scaling study releases the
 eigenframe before the approximate transform and each Hamiltonian's matrices
-before it builds the next.  Across the study's Hamiltonians only P (a
-quarter of a full-size matrix) and the factored odd part (four half-size
-matrices, one full-size matrix in all) stay alive, and a Hamiltonian built
-on its own builds and releases its own P.  A full-size matrix is 1 MiB at
-n = 128 and 4 MiB at n = 256, so peak memory is set by how many are alive
-at once, not by the O(n^3) products.
+before it builds the next.  Across the study's Hamiltonians only the
+factored odd part stays alive: P and four more half-size matrices, each a
+quarter of a full-size matrix.  Each Hamiltonian builds its own P, by the
+same deterministic FFT construction, so the shared factorization still
+matches it bit for bit.  A full-size matrix is 1 MiB at n = 128 and 4 MiB
+at n = 256, so peak memory is set by how many are alive at once, not by
+the O(n^3) products.
 """
 
 from __future__ import annotations
@@ -388,16 +389,14 @@ def spectral_momentum(grid: Grid1D) -> np.ndarray:
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
-                        V: Callable[[np.ndarray], np.ndarray],
-                        P: Optional[np.ndarray] = None) -> BlockedHamiltonian:
+                        V: Callable[[np.ndarray], np.ndarray]) -> BlockedHamiltonian:
     """2n x 2n spin block m sigma_z + V(x) + sigma_x p of the 1D Dirac
     Hamiltonian beta m + V(x) + alpha_1 p on a periodic box.
 
     Basis ordering is component-major (upper component first), so
     beta = diag(I_n, -I_n).  In spinor component order (1, 4 | 2, 3) the
-    4n x 4n Hamiltonian is two copies of this block.  P is
-    spectral_momentum(grid), built here unless a caller that builds several
-    Hamiltonians on the grid passes it.
+    4n x 4n Hamiltonian is two copies of this block, with the odd quadrants
+    P = spectral_momentum(grid).
     """
     check_mass(m)
     n = grid.n
@@ -408,7 +407,7 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     if not np.all(np.isfinite(v_vals)):
         raise ValueError("potential must be bounded on the box")
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, n:] = H[n:, :n] = spectral_momentum(grid) if P is None else P
+    H[:n, n:] = H[n:, :n] = spectral_momentum(grid)
     diag = np.arange(n)
     H[diag, diag] = m + v_vals
     H[n + diag, n + diag] = v_vals - m
@@ -505,7 +504,7 @@ def _study_point(grid: Grid1D, m: float, V: Callable, odd: FactoredOddPart) -> t
     The eigenframe is released before the approximate transform is built,
     and every matrix but the shared odd-part factorization on return, before
     the next Hamiltonian is built."""
-    bh = discretize_dirac_1d(grid, m, V, odd.P)
+    bh = discretize_dirac_1d(grid, m, V)
     frame = eigenframe(bh)
     w = frame[0]
     exact_off = _conjugated_offblock_norm(eriksen_unitary(frame), bh)

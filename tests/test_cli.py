@@ -82,7 +82,17 @@ def test_usage_error_exits_2(capsys):
                  ["zitter", "--m", "nan"], ["zitter", "--particle", "fw", "--m", "0"],
                  ["zitter", "--t-max", "-1"], ["zitter", "--t-max", "0"],
                  ["zitter", "--t-max", "inf"], ["zitter", "--t-max", "nan"],
-                 ["precess", "--t-max", "inf"], ["precess", "--t-max", "nan"]):
+                 ["precess", "--t-max", "inf"], ["precess", "--t-max", "nan"],
+                 # the charge, the moments and every 3-vector must be finite,
+                 # the spin direction nonzero, the suite seed non-negative
+                 ["precess", "--b-field", "0,0,1", "--steps", "0", "--charge", "nan"],
+                 ["precess", "--charge", "inf"], ["precess", "--a", "nan"],
+                 ["precess", "--steps", "2", "--eta", "nan"], ["precess", "--eta", "inf"],
+                 ["precess", "--steps", "2", "--s0", "nan,0,0"], ["precess", "--s0", "0,0,0"],
+                 ["precess", "--p", "nan,0,0"], ["precess", "--e-field", "0,inf,0"],
+                 ["precess", "--b-field", "0,0,nan"], ["precess", "--accel", "inf,0,0"],
+                 ["precess", "--omega", "0,nan,0"], ["precess", "--p", "1,0"],
+                 ["verify-algebra", "--seed", "-1"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -230,15 +240,16 @@ def test_precess_command(tmp_path, capsys):
     assert empty.read_text().splitlines()[0].startswith("t,")
 
 
-# --t-max must be finite at parse time; fields large enough to overflow
-# the precession frequency still make a non-finite series
-@pytest.mark.parametrize("argv", [["--s0", "0,0,0"], ["--b-field", "0,0,1e308"],
+# every input must be finite at parse time; fields or a frame rotation
+# large enough to overflow the precession frequency still make a
+# non-finite series, which prints nothing
+@pytest.mark.parametrize("argv", [["--omega", "0,0,1e308"], ["--b-field", "0,0,1e308"],
                                   ["--e-field", "1e308,0,0", "--p", "0,1,0"]])
 def test_precess_rejects_non_finite_series(argv, capsys):
     assert run(["precess", *argv]) == 1
     out, err = capsys.readouterr()
-    assert "nan" not in out.lower()
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_packet_command(tmp_path, capsys):
@@ -293,6 +304,15 @@ def test_numerical_error_exits_1(capsys):
     code = run(["packet", "--p0", "500", "--sigma", "0.1", "--n", "64"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_late_error_writes_no_out_file(tmp_path, capsys):
+    # two steps hold no two zero crossings: the frequency check fails
+    # after the series is computed, and nothing is written
+    out = tmp_path / "z.csv"
+    assert run(["zitter", "--steps", "2", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- the CLI contract over the whole float range ----------------------------
@@ -351,10 +371,12 @@ _NON_FINITE_TOKEN = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 @example(["precess", "--accel=1e308,0,0", "--p=0,1,0"])
 @example(["eriksen", "--n=16", "--mass=1e300"])
 @example(["precess", "--p=1e300,0,0"])
+@example(["zitter", "--steps=2"])
+@example(["precess", "--charge=nan", "--b-field=0,0,1", "--steps=0"])
 def test_cli_contract(argv):
-    # exit 0, 1 or 2; a usage error prints nothing on stdout; a numeric
-    # failure is one error line, never a traceback, a RuntimeWarning or a
-    # nan or inf on stdout
+    # exit 0, 1 or 2; a usage error or an error line leaves stdout empty; a
+    # numeric failure is one error line, never a traceback, a
+    # RuntimeWarning or a nan or inf on stdout, nor on stderr at exit 0
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -365,8 +387,10 @@ def test_cli_contract(argv):
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
-    if code == 2:
-        assert out == "", argv
+    if code == 2 or re.search(r"^error: ", err, re.MULTILINE):
+        assert out == "", (argv, err, out[:300])
+    if code == 0:
+        assert not _NON_FINITE_TOKEN.search(err), (argv, err)
     assert "Traceback" not in err, argv
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], \
         (argv, [str(w.message) for w in caught])

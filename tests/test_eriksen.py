@@ -417,7 +417,7 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
 def test_approx_fw_rejects_non_local_even_part():
     grid = Grid1D(n=16, length=8.0)
     odd = grid_odd_part(grid, 1.0)
-    H = discretize_dirac_1d(grid, 1.0, lambda x: 0.1 * np.cos(x), odd.P).H
+    H = discretize_dirac_1d(grid, 1.0, lambda x: 0.1 * np.cos(x)).H
     n = grid.n
     rng = np.random.default_rng(1)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -493,7 +493,7 @@ def test_approx_fw_with_shared_factorization_is_identical(profile):
     V = ORACLE_PROFILES[profile](grid.length)
     shared = grid_odd_part(grid, 1.5)
     for v0 in (1e-2, 0.3):
-        bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x), shared.P)
+        bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x))
         for got, want in zip(approx_fw(bh, shared), approx_fw(bh, grid_odd_part(grid, 1.5))):
             np.testing.assert_array_equal(got, want)
 
