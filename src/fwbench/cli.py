@@ -33,8 +33,7 @@ from . import eriksen as erk
 from . import spin_dynamics as sd
 from . import wavepacket as wp
 from . import zitter as zt
-from .dirac import (check_mass, check_positive_mass, energy, free_propagator,
-                    fw_hamiltonian)
+from .dirac import check_positive_mass, energy, free_propagator, fw_hamiltonian
 from .grids import Grid1D, check_length, check_size
 
 DEFAULT_SEED = 42
@@ -101,7 +100,6 @@ _vec3 = _checked(_floats, _check_vec3)
 _direction = _checked(_floats, _check_direction)
 _strengths = _checked(_floats, lambda v0: erk.check_strengths(v0).tolist())
 _grid_size = _checked(int, check_size)
-_mass = _checked(float, check_mass)
 _positive_mass = _checked(float, check_positive_mass)
 
 
@@ -215,7 +213,7 @@ def cmd_precess(args) -> tuple:
     omega = sd.omega_total(args.p, args.mass, cfg, spin=args.spin)
     omega = omega + sd.omega_noninertial(args.p, args.mass, cfg)
     chi0 = sd.spinor_from_direction(args.s0)
-    s0 = args.s0 / np.linalg.norm(args.s0)
+    s0 = sd.unit_direction(args.s0)
     series = np.array([[t, *sd.propagate_classical(s0, omega, t),
                         *sd.sigma_expectation(sd.propagate_quantum(chi0, omega, t))]
                        for t in np.linspace(0.0, args.t_max, args.steps)]
@@ -321,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run commutator / Poisson-bracket suites")
     va.add_argument("--set", default="conventional",
                     choices=list(algebra.QUANTUM_SET_NAMES) + ["classical", "all"])
-    va.add_argument("--mass", type=_mass, default=1.0)
+    va.add_argument("--mass", type=_positive_mass, default=1.0)
     va.add_argument("--samples", type=_int_at_least(1), default=100)
     va.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
     va.add_argument("--format", default="json", choices=list(_RENDER))

@@ -73,7 +73,8 @@ def check_positive_mass(m: float) -> float:
     packet grids hold p = 0, where the massless Hamiltonian has a zero mode:
     the sign function is undefined there, and the free unitary depends on
     the direction of p and so has no value.  The precession frequencies
-    divide by m."""
+    divide by m, and so do the center-of-mass operators of the identity
+    suites."""
     if not 0 < m < np.inf:
         raise ValueError(f"mass must be positive and finite, got {m}")
     return m

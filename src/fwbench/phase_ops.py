@@ -7,10 +7,14 @@ Every operator here acts on momentum-space spinor wave functions as
 with matrix-valued coefficients.  The radius vector is i d/dp, so the
 position, spin, orbital, and boost families of free relativistic particles
 all live at this order.  Commutators of two such operators close on the
-same form plus a symmetrized second-order residual, which for the families
-in this module is identically zero (all derivative coefficients are
-multiples of mutually commuting matrices); it is computed anyway and
-asserted small by the verification suites.
+same form plus a symmetrized second-order part
+(1/2)(B_k D_l + B_l D_k - D_k B_l - D_l B_k).  For every pair the suites
+commute that part is zero by construction: within one operator set each
+derivative coefficient is a scalar multiple of the identity or of the set's
+boost matrix (beta, or the Dirac Hamiltonian at the same momentum), so any
+two of them commute.  The commutator therefore forms only the zeroth- and
+first-order parts, and test_second_order_part_is_zero_by_construction in
+tests/test_phase_ops.py checks that the dropped part vanishes.
 
 Coefficients are evaluated on a whole stack of momenta, shape (..., 3), in
 one call, and their momentum gradients are exact.  Each catalogue
@@ -229,24 +233,17 @@ def _sum_sq(x: np.ndarray, axes: int) -> np.ndarray:
 
 @dataclass
 class PhaseOpValue:
-    """Evaluation snapshot: multiplicative part, derivative part, and (for
-    commutator results) the symmetrized second-order residual."""
+    """Evaluation snapshot: multiplicative part and derivative part."""
 
-    A: np.ndarray                        # shape (..., d, d)
-    B: np.ndarray                        # shape (..., 3, d, d)
-    second: Optional[np.ndarray] = None  # shape (..., 3, 3, d, d)
+    A: np.ndarray    # shape (..., d, d)
+    B: np.ndarray    # shape (..., 3, d, d)
 
     def norm(self):
         """Frobenius norm over all coefficient blocks, one per momentum."""
-        total = _sum_sq(self.A, 2) + _sum_sq(self.B, 3)
-        if self.second is not None:
-            total = total + _sum_sq(self.second, 4)
-        return np.sqrt(total)
+        return np.sqrt(_sum_sq(self.A, 2) + _sum_sq(self.B, 3))
 
     def __sub__(self, other: "PhaseOpValue") -> "PhaseOpValue":
-        """A commutator minus a first-order right-hand side: other has no
-        second-order part, so self's is kept as it is."""
-        return PhaseOpValue(self.A - other.A, self.B - other.B, self.second)
+        return PhaseOpValue(self.A - other.A, self.B - other.B)
 
 
 # --- the operator catalogue ---------------------------------------------------
@@ -456,7 +453,9 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
 
     zeroth:  [A, C] + sum_k (B_k dC_k - D_k dA_k)
     first l: [A, D_l] + [B_l, C] + sum_k (B_k dD_{l,k} - D_k dB_{l,k})
-    second:  (1/2)(B_k D_l + B_l D_k - D_k B_l - D_l B_k)
+
+    The second-order part is zero by construction (see the module docstring)
+    and is not formed.
     """
     if s1.dim != s2.dim:
         raise DomainError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
@@ -469,14 +468,7 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     zero = A @ C - C @ A + B_row @ _block_column(dC) - D_row @ _block_column(dA)
     first = (_kaxis(A) @ D - D @ _kaxis(A) + B @ _kaxis(C) - _kaxis(C) @ B
              + _kaxis(B_row) @ _block_column(dD) - _kaxis(D_row) @ _block_column(dB))
-    # block (k, l) of [B_1; B_2; B_3] [D_1 D_2 D_3] is B_k D_l
-    outer = _block_column(B) @ D_row
-    outer -= _block_column(D) @ B_row
-    d = s1.dim
-    second = outer.reshape(outer.shape[:-2] + (3, d, 3, d)).swapaxes(-3, -2)
-    second = second + second.swapaxes(-3, -4)
-    second *= 0.5
-    return PhaseOpValue(zero, first, second)
+    return PhaseOpValue(zero, first)
 
 
 def _block_row(X: np.ndarray) -> np.ndarray:

@@ -129,13 +129,21 @@ def sigma_expectation(chi) -> np.ndarray:
     return np.array([float((chi.conj() @ (PAULI[k] @ chi)).real) for k in range(3)])
 
 
+def unit_direction(direction) -> np.ndarray:
+    """The direction as a unit vector.  It is divided by its largest
+    |component| before the norm is taken, so that the norm neither overflows
+    (0,0,1e200) nor underflows (1e-320,0,0): both give the axis."""
+    n = np.asarray(direction, dtype=float)
+    scale = np.max(np.abs(n))
+    if scale == 0:
+        raise ValueError("spin direction must be nonzero")
+    n = n / scale
+    return n / np.linalg.norm(n)
+
+
 def spinor_from_direction(direction) -> np.ndarray:
     """Unit spinor with <sigma> along the given direction."""
-    n = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise ValueError("spin direction must be nonzero")
-    n = n / norm
+    n = unit_direction(direction)
     theta = np.arccos(np.clip(n[2], -1.0, 1.0))
     phi = np.arctan2(n[1], n[0])
     return np.array([np.cos(theta / 2),

@@ -50,10 +50,9 @@ def test_usage_error_exits_2(capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
-    # a packet, the eriksen study and precess need a positive, finite mass
-    # (the grids hold p = 0, the precession frequencies divide by m),
-    # verify-algebra a finite, non-negative one, and the time series need
-    # enough steps; no row is printed
+    # every command needs a positive, finite mass (the grids hold p = 0, the
+    # precession frequencies and the center-of-mass set divide by m), and
+    # the time series need enough steps; no row is printed
     for argv in (["packet", "--mass", "0"], ["pce", "--mass", "0"],
                  ["precess", "--mass", "0"], ["precess", "--mass", "-1"],
                  ["packet", "--mass", "-1"], ["pce", "--mass", "-1"],
@@ -61,6 +60,8 @@ def test_usage_error_exits_2(capsys):
                  ["eriksen", "--mass", "0"], ["eriksen", "--mass", "nan"],
                  ["eriksen", "--mass", "inf"],
                  ["verify-algebra", "--mass", "-1"], ["verify-algebra", "--mass", "nan"],
+                 ["verify-algebra", "--mass", "0"],
+                 ["verify-algebra", "--set", "conventional", "--mass", "0"],
                  ["verify-algebra", "--mass", "inf"],
                  ["zitter", "--steps", "1"], ["zitter", "--steps", "0"],
                  ["zitter", "--particle", "fw", "--steps", "1"],
@@ -238,6 +239,16 @@ def test_precess_command(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     assert run(["precess", "--steps", "0", "--out", str(empty)]) == 0
     assert empty.read_text().splitlines()[0].startswith("t,")
+
+
+# a direction is scale-free: components whose norm would overflow or
+# underflow give the series of the axis they point along
+@pytest.mark.parametrize("s0, axis", [("0,0,1e200", "0,0,1"), ("1e-320,0,0", "1,0,0")])
+def test_precess_direction_scale_free(s0, axis, capsys):
+    assert run(["precess", "--steps", "2", "--s0", s0]) == 0
+    scaled = capsys.readouterr()
+    assert run(["precess", "--steps", "2", "--s0", axis]) == 0
+    assert scaled == capsys.readouterr()
 
 
 # every input must be finite at parse time; fields or a frame rotation

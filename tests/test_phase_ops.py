@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fwbench.algebra import (QUANTUM_SET_NAMES, build_quantum_set, identities_for_set,
+                             sample_momenta)
 from fwbench.dirac import GAMMA, energy, fv_hamiltonian_matrix, fv_velocity_matrix
 from fwbench.phase_ops import (
     DomainError,
     OperatorFamily,
     OpSnapshot,
+    PhaseSpaceOperator,
     build_operator,
     coeff_derivative,
     commutator_snapshot,
@@ -132,11 +135,17 @@ def test_exact_gradients_and_stacks(m):
             for key in ("A", "B", "dA", "dB"):
                 assert np.array_equal(getattr(stack, key)[n], getattr(single, key))
             for k in range(3):
-                for exact, coeff in ((single.dA[k], lambda q: evaluate(op, q).A),
-                                     (single.dB[:, k], lambda q: evaluate(op, q).B)):
-                    oracle = coeff_derivative(coeff, p, k)
+                # one difference of [A; B_1; B_2; B_3] gives d/dp_k of all four
+                oracle = coeff_derivative(lambda q: _stacked_coeffs(op, q), p, k)
+                for exact, ref in ((single.dA[k], oracle[0]), (single.dB[:, k], oracle[1:])):
                     bound = 1e-8 * max(1.0, np.linalg.norm(exact))
-                    assert np.linalg.norm(exact - oracle) <= bound, (op.label, k)
+                    assert np.linalg.norm(exact - ref) <= bound, (op.label, k)
+
+
+def _stacked_coeffs(op, q):
+    """A and B_1..B_3 of op at one momentum, stacked as (4, d, d)."""
+    val = evaluate(op, q)
+    return np.concatenate([val.A[None], val.B])
 
 
 def test_massless_singular_momentum_rejected():
@@ -159,7 +168,8 @@ def test_position_momentum_commutator():
         expected = 1j * I4 if ci == cj else np.zeros((4, 4))
         assert np.allclose(val.A, expected, atol=1e-12)
         assert np.linalg.norm(val.B) <= 1e-12
-        assert np.linalg.norm(val.second) <= 1e-15
+        p = MOMENTA[0]
+        assert np.linalg.norm(_second_order(snapshot(xi, p), snapshot(pj, p))) <= 1e-15
 
 
 def test_position_components_commute_exactly():
@@ -198,9 +208,26 @@ def _loop_commutator(s1, s2):
     return zero, first, second
 
 
+def _derivative_products(s1, s2):
+    """B_k D_l and D_l B_k for the derivative parts B of s1 and D of s2, each
+    stacked as (..., 3, 3, d, d) with block [k, l]."""
+    B, D = s1.B[..., :, None, :, :], s2.B[..., None, :, :, :]
+    return B @ D, D @ B
+
+
+def _second_order(s1, s2):
+    """The symmetrized second-order part of [s1, s2], which
+    commutator_snapshot does not form: block [k, l] is
+    (1/2)(B_k D_l + B_l D_k - D_k B_l - D_l B_k)."""
+    BD, DB = _derivative_products(s1, s2)
+    half = BD - DB
+    return 0.5 * (half + half.swapaxes(-3, -4))
+
+
 def test_commutator_snapshot_matches_loop_reference():
     # random coefficients, so the second-order part does not vanish; one
-    # snapshot is a read-only broadcast, as momentum-independent ones are
+    # snapshot is a read-only broadcast, as momentum-independent ones are;
+    # the stacked second-order oracle matches the loop formula
     rng = np.random.default_rng(8)
     n, d = 5, 4
 
@@ -216,16 +243,60 @@ def test_commutator_snapshot_matches_loop_reference():
             at = [OpSnapshot(d, x.A[i], x.B[i], x.dA[i], x.dB[i]) for x in (a, b)]
             zero, first, second = _loop_commutator(*at)
             assert np.linalg.norm(second) > 1.0
-            for got, ref in ((val.A[i], zero), (val.B[i], first), (val.second[i], second)):
+            for got, ref in ((val.A[i], zero), (val.B[i], first),
+                             (_second_order(a, b)[i], second)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_second_order_part_vanishes_for_boost_pair():
-    m = 1.0
-    k1 = build_operator(F.BOOST_FW, m, 1)
-    k2 = build_operator(F.BOOST_FW, m, 2)
-    val = op_commutator(k1, k2, MOMENTA[3])
-    assert np.linalg.norm(val.second) <= 1e-12
+    m, p = 1.0, MOMENTA[3]
+    k1 = snapshot(build_operator(F.BOOST_FW, m, 1), p)
+    k2 = snapshot(build_operator(F.BOOST_FW, m, 2), p)
+    assert np.linalg.norm(_second_order(k1, k2)) <= 1e-12
+
+
+def _assert_second_order_zero(s1, s2, where):
+    """Every B_k D_l equals D_l B_k bit for bit, so the second-order part of
+    [s1, s2] is exactly zero."""
+    BD, DB = _derivative_products(s1, s2)
+    assert np.array_equal(BD, DB), where
+    assert not _second_order(s1, s2).any(), where
+
+
+@pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
+def test_second_order_part_is_zero_by_construction(m):
+    # every (row, pair) each quantum suite commutes, at its sampled momenta:
+    # commutator_snapshot forms only the zeroth- and first-order parts
+    momenta = sample_momenta(20, seed=3)
+    pairs = 0
+    for set_name in QUANTUM_SET_NAMES:
+        ops = build_quantum_set(set_name, m)
+        snaps = {role: [snapshot(op, momenta) for op in v]
+                 for role, v in ops.items() if role != "H"}
+        snaps["H"] = [snapshot(ops["H"], momenta)] * 3    # a scalar, at any index
+        for iden in identities_for_set(set_name):
+            a, b = iden.lhs
+            for i, j in iden.pairs:
+                _assert_second_order_zero(snaps[a][i], snaps[b][j],
+                                          (set_name, iden.quantum_id, i, j))
+                pairs += 1
+    assert pairs == 354
+
+
+def test_second_order_check_catches_non_commuting_derivative_parts():
+    # mutation: Sigma_c d/dp_c has derivative coefficients that anticommute
+    # across components, so the second-order part of [Sigma_1 d/dp_1,
+    # Sigma_2 d/dp_2] is (1/2)[Sigma_1, Sigma_2] = i Sigma_3 at k = 1, l = 2
+    def sigma_derivative(c):
+        B = [0.0, 0.0, 0.0]
+        B[c] = GAMMA.Sigma[c]
+        return PhaseSpaceOperator(4, lambda p: (0.0, *B), f"Sigma_{c + 1} d/dp_{c + 1}")
+
+    momenta = sample_momenta(4, seed=3)
+    s1, s2 = (snapshot(sigma_derivative(c), momenta) for c in (0, 1))
+    with pytest.raises(AssertionError):
+        _assert_second_order_zero(s1, s2, "Sigma_1 d/dp_1, Sigma_2 d/dp_2")
+    assert np.allclose(_second_order(s1, s2)[:, 0, 1], 1j * GAMMA.Sigma[2])
 
 
 def test_dim_mismatch_rejected():
