@@ -42,7 +42,7 @@ def main():
         row = [pz, eps]
         for particle, elem in (("dirac", (0, 2)), ("fv", (0, 1))):
             rec = record_evolution(p, m, times, 2, particle)
-            row.append(dominant_frequency(times, [v[elem] for v in rec.velocity]))
+            row.append(dominant_frequency(times, rec.entry(*elem).velocity))
             if particle == "dirac":
                 H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[2]
             else:

@@ -242,9 +242,9 @@ def cmd_zitter(args) -> tuple:
                     f"{_fmt(t)},{_fmt(0.0)}" for t in times) + "\n",
                 f"velocity constant; max numeric variation {drift:.3e}\n",
                 drift <= 1e-12)
-    rec = zt.record_evolution(p, args.mass, times, 2, args.particle)
-    elem = (slice(None), 0, 2 if args.particle == "dirac" else 1)
-    v, r = rec.velocity[elem], rec.position[elem]
+    rec = zt.record_evolution(p, args.mass, times, 2, args.particle).entry(
+        0, 2 if args.particle == "dirac" else 1)
+    v, r = rec.velocity, rec.position
     freq = zt.dominant_frequency(times, v)
     rel = abs(freq - 2 * eps) / (2 * eps)
     body = "\n".join(",".join(map(_fmt, row))

@@ -147,10 +147,18 @@ def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
     return num / np.sqrt(2 * e * (e + m))
 
 
+def free_phases(eps, t) -> tuple:
+    """(cos(eps t), sin(eps t)), the two time series of exp(-iHt) for
+    H^2 = eps^2: free_propagator sums them with the matrices I and -i H / eps,
+    and zitter.record_evolution keeps them as columns of its closed form."""
+    return np.cos(eps * t), np.sin(eps * t)
+
+
 def free_propagator(H: np.ndarray, eps, t: float) -> np.ndarray:
     """exp(-iHt) = cos(eps t) - i sin(eps t) H / eps for H^2 = eps^2.
 
     H has shape (..., d, d).  eps broadcasts against H: a scalar for one
     matrix, shape (..., 1, 1) for a stack.
     """
-    return np.cos(eps * t) * np.eye(H.shape[-1]) - 1j * np.sin(eps * t) * H / eps
+    cos, sin = free_phases(eps, t)
+    return cos * np.eye(H.shape[-1]) - 1j * sin * H / eps

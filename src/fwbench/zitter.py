@@ -16,6 +16,13 @@ plus oscillation is returned.  The (i/2)(...)H^-1 ordering is the one the
 Heisenberg integral produces; orderings differ only in the sign of
 energy-off-diagonal elements and coincide on each energy eigenspace.
 
+Since e^{-2iHt} = cos(2 eps t) + sin(2 eps t) K with K = -i H / eps, both
+series are linear in the four functions (t, cos 2 eps t, sin 2 eps t, 1):
+each is basis(t) @ C, with a (T, 4) real basis over the T sample times and
+a (4, d, d) stack C of time-independent coefficient matrices.  The record
+stores only these; a reader expands the (T, d, d) stacks, or the (T,)
+series of one matrix element, on demand with one small product.
+
 In the block-diagonal representation the velocity is p_k / H, a constant
 of the motion: the oscillation is a feature of the Dirac (and
 Feshbach-Villars) position operators, not of the mean position operator.
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
+from .dirac import (GAMMA, dirac_hamiltonian, energy, free_phases,
                     fv_hamiltonian_matrix, fv_velocity_matrix)
 
 
@@ -39,20 +46,47 @@ def fw_velocity(p, m: float, component: int) -> np.ndarray:
     return GAMMA.beta * (p[component] / energy(p, m))
 
 
+def _expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """basis @ coeffs over the leading axis: (T, 4) times (4, ...) gives (T, ...).
+
+    The basis is real, so the complex coefficients enter as interleaved
+    (re, im) pairs of one real product, read back as complex."""
+    flat = np.ascontiguousarray(coeffs).reshape(4, -1).view(float)
+    return (basis @ flat).view(complex).reshape(basis.shape[:1] + coeffs.shape[1:])
+
+
 @dataclass
 class EvolutionRecord:
-    """Sampled Heisenberg evolution of velocity/position matrices, each a
-    (T, d, d) stack over the T sample times."""
+    """Heisenberg evolution of velocity/position matrices in closed form.
 
-    velocity: np.ndarray
-    position: np.ndarray
+    basis is (T, 4) with columns (t, cos 2 eps t, sin 2 eps t, 1) over the T
+    sample times; velocity_coeffs and position_coeffs are (4, d, d), or (4,)
+    for one matrix element (see entry).  .velocity and .position expand them
+    to (T, d, d) stacks, or (T,) series."""
+
+    basis: np.ndarray
+    velocity_coeffs: np.ndarray
+    position_coeffs: np.ndarray
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return _expand(self.basis, self.velocity_coeffs)
+
+    @property
+    def position(self) -> np.ndarray:
+        return _expand(self.basis, self.position_coeffs)
+
+    def entry(self, i: int, j: int) -> EvolutionRecord:
+        """The record of matrix element (i, j) alone."""
+        return EvolutionRecord(self.basis, self.velocity_coeffs[:, i, j],
+                               self.position_coeffs[:, i, j])
 
 
 def record_evolution(p, m: float, times, component: int,
                      particle: str = "dirac") -> EvolutionRecord:
-    """Closed-form velocity/position series for one momentum and component
-    of the free Dirac ("dirac") or two-component scalar ("fv") particle;
-    the position excludes r(0)."""
+    """Closed-form velocity/position record for one momentum and component
+    of the free Dirac ("dirac") or two-component scalar ("fv") particle over
+    the 1-D array of times; the position excludes r(0)."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
@@ -61,14 +95,18 @@ def record_evolution(p, m: float, times, component: int,
         H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
     else:
         raise ValueError(f"unknown particle kind {particle!r}")
-    # one propagator exp(-2iHt) per sample time, as a (T, d, d) stack
-    eps, pk, t = energy(p, m), p[component], times[:, None, None]
+    eps, pk = energy(p, m), p[component]
     h_inv = H / (eps * eps)
     drift = pk * h_inv
-    prop = free_propagator(H, eps, 2 * t)
     amp = v0 - drift
-    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
-    return EvolutionRecord(velocity=amp @ prop + drift, position=pk * t * h_inv + osc)
+    osc = 0.5j * amp @ h_inv
+    K = -1j * H / eps
+    cos, sin = free_phases(eps, 2 * times)
+    basis = np.stack((times, cos, sin, np.ones_like(times)), axis=-1)
+    # v = amp e^{-2iHt} + drift,  r = t drift + osc (e^{-2iHt} - 1)
+    return EvolutionRecord(basis,
+                           velocity_coeffs=np.stack((np.zeros_like(amp), amp, amp @ K, drift)),
+                           position_coeffs=np.stack((drift, osc, osc @ K, -osc)))
 
 
 def dominant_frequency(times, values) -> float:

@@ -10,7 +10,9 @@ these; the program itself never calls them.
 import numpy as np
 
 from fwbench.algebra import ClassicalState
-from fwbench.dirac import GAMMA, I4, energy, fw_unitary_matrix, stacked_energy
+from fwbench.dirac import (GAMMA, I4, dirac_hamiltonian, energy, free_propagator,
+                           fv_hamiltonian_matrix, fv_velocity_matrix, fw_unitary_matrix,
+                           stacked_energy)
 from fwbench.eriksen import BlockedHamiltonian, FactoredOddPart
 from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
@@ -334,3 +336,22 @@ def spectrum_drift(rec: EvolutionRecord) -> float:
     evolution preserves it)."""
     ev = np.sort(np.linalg.eigvals(rec.velocity).real, axis=-1)
     return float(np.max(np.abs(ev[1:] - ev[0]), initial=0.0))
+
+
+def stacked_record(p, m: float, times, component: int, particle: str) -> tuple:
+    """(velocity, position) as (T, d, d) stacks, from one propagator
+    P = exp(-2iHt) per sample time: amp P + drift and
+    p_k t H^-1 + (i/2) amp H^-1 (P - I), with drift = p_k H^-1 and
+    amp = v(0) - drift."""
+    p = np.asarray(p, dtype=float)
+    if particle == "dirac":
+        H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
+    else:
+        H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
+    eps, pk, t = energy(p, m), p[component], np.asarray(times, dtype=float)[:, None, None]
+    h_inv = H / (eps * eps)
+    drift = pk * h_inv
+    prop = free_propagator(H, eps, 2 * t)
+    amp = v0 - drift
+    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
+    return amp @ prop + drift, pk * t * h_inv + osc

@@ -1,3 +1,10 @@
+import contextlib
+import io
+import runpy
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,8 +15,11 @@ from fwbench.dirac import (
     fv_hamiltonian_matrix,
     fv_velocity_matrix,
 )
+from fwbench.cli import main
 from fwbench.zitter import dominant_frequency, fw_velocity, record_evolution
-from oracles import spectrum_drift
+from oracles import spectrum_drift, stacked_record
+
+ZITTER_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "zitter_sweep.py"
 
 I4 = np.eye(4, dtype=complex)
 RNG = np.random.default_rng(42)
@@ -204,6 +214,61 @@ def test_record_over_time_stack_matches_single_times(particle):
         one = record_evolution(p, 0.7, [t], 1, particle)
         assert np.linalg.norm(rec.velocity[k] - one.velocity[0]) <= 1e-15
         assert np.linalg.norm(rec.position[k] - one.position[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("particle", ["dirac", "fv"])
+@pytest.mark.parametrize("m", [0.5, 1.0, 4.0])
+@pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (0.3, -1.1, 0.8), (2.0, 0.5, -3.0)])
+def test_closed_form_record_matches_stacked_propagators(particle, m, p):
+    # the stored coefficients expand to the stacks one propagator per time gives
+    times = np.linspace(-2.0, 12.0, 64)
+    for c in range(3):
+        rec = record_evolution(p, m, times, c, particle)
+        for got, want in zip((rec.velocity, rec.position),
+                             stacked_record(p, m, times, c, particle)):
+            scale = max(1.0, np.linalg.norm(want))
+            assert np.linalg.norm(got - want) <= 1e-15 * scale, (c, particle)
+        one = rec.entry(0, 1)
+        for got, want in ((one.velocity, rec.velocity), (one.position, rec.position)):
+            assert np.max(np.abs(got - want[:, 0, 1])) <= 1e-15 * max(1.0, np.abs(want).max())
+
+
+def _traced_peak(fn) -> int:
+    """Bytes traced by tracemalloc at the peak of fn(), above those held before."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_record_memory_stays_linear_in_times():
+    # the record holds a (T, 4) basis, not (T, d, d) stacks: a stacked
+    # record at T = 4000 and its temporaries take about 4.4 MB
+    p, times = np.array([0.0, 0.0, 1.0]), np.linspace(0.0, 10.0, 4000)
+    assert _traced_peak(lambda: record_evolution(p, 1.0, times, 2)) <= 0.5e6
+
+    def cli():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["zitter"]) == 0
+    cli()   # parser and first-call set-up
+    assert _traced_peak(cli) <= 2.0e6
+
+
+def test_zitter_sweep_script(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(sys, "argv", [str(ZITTER_SWEEP), "--out", str(out)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(ZITTER_SWEEP), run_name="__main__")
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (25, 6)
+    two_energy = 2 * rows[:, 1]
+    assert np.all(np.abs(rows[:, [2, 4]] - two_energy[:, None]) <= 1e-6 * two_energy[:, None])
 
 
 def test_record_rejects_unknown_particle():
