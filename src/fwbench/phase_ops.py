@@ -16,6 +16,15 @@ two of them commute.  The commutator therefore forms only the zeroth- and
 first-order parts, and test_second_order_part_is_zero_by_construction in
 tests/test_phase_ops.py checks that the dropped part vanishes.
 
+The catalogue is one table: each OperatorFamily member is one Family row
+(multiplicative part, derivative part, vector, massive_only,
+singular_at_rest), and Family.build holds the domain rules.  It holds the
+families the quantum sets read: the FW-representation position, spin, OAM
+and boost of each set, the two Hamiltonians, the momentum, the total
+angular momentum and the naive boost.  The Dirac-representation forms
+U^-1 (FW family) U are covariance oracles, rows of tests/oracles.py built
+through the same Family.build.
+
 Coefficients are evaluated on a whole stack of momenta, shape (..., 3), in
 one call, and their momentum gradients are exact.  Each catalogue
 coefficient is written once in forward-mode (value, gradient) arithmetic
@@ -56,50 +65,6 @@ def levi(i: int, j: int, k: int) -> float:
 
 class DomainError(ValueError):
     """Operator construction or evaluation outside its admissible domain."""
-
-
-class OperatorFamily(Enum):
-    DIRAC_HAMILTONIAN = ("dirac_hamiltonian", False)
-    FW_HAMILTONIAN = ("fw_hamiltonian", False)
-    MOMENTUM = ("momentum", True)
-    FW_POSITION = ("fw_position", True)
-    NW_POSITION_DIRAC = ("nw_position_dirac", True)
-    FW_SPIN = ("fw_spin", True)
-    MEAN_SPIN_DIRAC = ("mean_spin_dirac", True)
-    OAM_FW = ("oam_fw", True)
-    TOTAL_J = ("total_j", True)
-    BOOST_FW = ("boost_fw", True)
-    BOOST_DIRAC = ("boost_dirac", True)
-    NAIVE_BOOST = ("naive_boost", True)
-    COM_POSITION_FW = ("com_position_fw", True)
-    COM_POSITION_DIRAC = ("com_position_dirac", True)
-    LAB_SPIN_FW = ("lab_spin_fw", True)
-    LAB_SPIN_DIRAC = ("lab_spin_dirac", True)
-    COM_OAM = ("com_oam", True)
-    PROJECTED_POSITION_FW = ("projected_position_fw", True)
-    PROJECTED_POSITION_DIRAC = ("projected_position_dirac", True)
-    PROJECTED_SPIN_FW = ("projected_spin_fw", True)
-    PROJECTED_SPIN_DIRAC = ("projected_spin_dirac", True)
-    PROJECTED_OAM = ("projected_oam", True)
-
-    @property
-    def family_name(self) -> str:
-        return self.value[0]
-
-    @property
-    def is_vector(self) -> bool:
-        return self.value[1]
-
-
-# Families whose coefficients contain an explicit 1/m (rest-frame boost
-# factors); these reject m = 0 at construction.
-_MASSIVE_ONLY = {
-    OperatorFamily.COM_POSITION_FW,
-    OperatorFamily.COM_POSITION_DIRAC,
-    OperatorFamily.LAB_SPIN_FW,
-    OperatorFamily.LAB_SPIN_DIRAC,
-    OperatorFamily.COM_OAM,
-}
 
 
 # --- forward-mode (value, gradient) arithmetic -------------------------------
@@ -254,45 +219,131 @@ _GAMMAK = np.stack(GAMMA.gamma)
 _BETA = GAMMA.beta
 _IEYE = 1j * I4
 
-F = OperatorFamily
 
-# Families with a 1/eps or 1/(eps+m) factor: singular at p = 0 when m = 0,
-# so at m = 0 they reject |p| < MASSLESS_MIN_P.
-_SINGULAR_AT_REST = {
-    F.FW_HAMILTONIAN, F.NW_POSITION_DIRAC, F.MEAN_SPIN_DIRAC, F.BOOST_FW,
-    F.PROJECTED_POSITION_FW, F.PROJECTED_POSITION_DIRAC, F.PROJECTED_SPIN_FW,
-    F.PROJECTED_SPIN_DIRAC, F.PROJECTED_OAM,
-}
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One operator family, A + sum_k B_k d/dp_k, as one catalogue row.
 
-# Derivative parts: i d/dp_c (the radius-vector pattern) and
-# i eps_{c j k} p_k d/dp_j (the angular-momentum pattern).
-_POSITION_LIKE = {
-    F.FW_POSITION, F.NW_POSITION_DIRAC, F.COM_POSITION_FW, F.COM_POSITION_DIRAC,
-    F.PROJECTED_POSITION_FW, F.PROJECTED_POSITION_DIRAC,
-}
-_OAM_LIKE = {F.OAM_FW, F.TOTAL_J, F.COM_OAM, F.PROJECTED_OAM}
+    A(p, P, e, m, c) is the multiplicative part over the momenta p, their
+    components P as Jets and the energy e as a Jet, at mass m and component
+    index c (0 for a scalar family).  B, with the same arguments, returns the
+    derivative part (B_1, B_2, B_3); None means there is none.  A
+    massive_only family carries a 1/m rest-frame factor and rejects m = 0;
+    a singular_at_rest one carries 1/eps, 1/(eps+m) or, at m = 0, 1/|p|^2,
+    so at m = 0 it rejects |p| < MASSLESS_MIN_P.
+    """
+
+    name: str
+    A: Callable
+    B: Optional[Callable] = None
+    vector: bool = True
+    massive_only: bool = False
+    singular_at_rest: bool = False
+    dim: int = 4
+
+    def build(self, m: float, component: Optional[int] = None) -> PhaseSpaceOperator:
+        """The member at mass m: component 1..3 of a vector family, None for a scalar."""
+        if m < 0:
+            raise DomainError(f"mass must be non-negative, got {m}")
+        if m == 0 and self.massive_only:
+            raise DomainError(f"{self.name} carries a 1/m rest-frame factor and "
+                              "requires strictly positive mass")
+        if not self.vector and component is not None:
+            raise DomainError(f"{self.name} is not a vector family")
+        if self.vector and component not in (1, 2, 3):
+            raise DomainError(f"{self.name} needs a component in 1..3, got {component}")
+        c = component - 1 if self.vector else 0
+
+        def coeffs(p):
+            P, e = momentum_jets(p), energy_jet(p, m)
+            B = self.B(p, P, e, m, c) if self.B else (0.0, 0.0, 0.0)
+            return (self.A(p, P, e, m, c), *B)
+
+        label = self.name + (f"_{c + 1}" if self.vector else "")
+        min_p = MASSLESS_MIN_P if m == 0 and self.singular_at_rest else 0.0
+        return PhaseSpaceOperator(self.dim, coeffs, label, min_p)
 
 
-def _require_component(family: OperatorFamily, component) -> int:
-    if not family.is_vector:
-        if component is not None:
-            raise DomainError(f"{family.family_name} is not a vector family")
-        return 0
-    if component not in (1, 2, 3):
-        raise DomainError(
-            f"{family.family_name} needs a component in 1..3, got {component}"
-        )
-    return component - 1
+def _dirac_jet(p, m):
+    return Jet(dirac_hamiltonian(p, m), _ALPHA)
 
 
-def _require_mass(family: OperatorFamily, m: float) -> None:
-    if m < 0:
-        raise DomainError(f"mass must be non-negative, got {m}")
-    if m == 0 and family in _MASSIVE_ONLY:
-        raise DomainError(
-            f"{family.family_name} carries a 1/m rest-frame factor and "
-            "requires strictly positive mass"
-        )
+def _along(c: int, x) -> list:
+    """(B_1, B_2, B_3) with x at index c and zero elsewhere."""
+    B = [0.0, 0.0, 0.0]
+    B[c] = x
+    return B
+
+
+def radius_part(p, P, e, m, c):
+    """i d/dp_c: the derivative part of the radius vector."""
+    return _along(c, _IEYE)
+
+
+def orbital_part(p, P, e, m, c):
+    """i eps_{c j k} p_k d/dp_j: the derivative part of (r x p)_c."""
+    a, b = _CROSS[c]
+    B = [0.0, 0.0, 0.0]
+    B[a], B[b] = P[b] * _IEYE, -P[a] * _IEYE
+    return B
+
+
+def dirac_boost_part(p, P, e, m, c):
+    """i H_D d/dp_c: the derivative part of (1/2){r_c, H_D} at t = 0."""
+    return _along(c, 1j * _dirac_jet(p, m))
+
+
+def _naive_boost(p, P, e, m, c):
+    # built blindly from the radius vector and Sigma/2 in the Dirac
+    # representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}
+    sxp = cross_c(_SIGMA, P, c)
+    dinv = _dirac_jet(p, 2 * m) / (4 * m * m + p_dot(P, P))
+    return 0.5j * _ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
+
+
+def _lab_spin(p, P, e, m, c):
+    # s - p x (p x s) / (m(eps+m)) with s = Sigma/2
+    pxpxs = P[c] * p_dot(_SIGMA, P) / 2 - p_dot(P, P) * _SIGMA[c] / 2
+    return _SIGMA[c] / 2 - pxpxs / (m * (e + m))
+
+
+def _pxpxsigma(P, c):
+    """(p x (p x Sigma))_c = p_c (p.Sigma) - |p|^2 Sigma_c."""
+    return P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * _SIGMA[c]
+
+
+class OperatorFamily(Enum):
+    """The product catalogue: each family a quantum set reads, one row each."""
+
+    DIRAC_HAMILTONIAN = Family("dirac_hamiltonian", lambda p, P, e, m, c: _dirac_jet(p, m),
+                               vector=False)
+    FW_HAMILTONIAN = Family("fw_hamiltonian", lambda p, P, e, m, c: e * _BETA,
+                            vector=False, singular_at_rest=True)
+    MOMENTUM = Family("momentum", lambda p, P, e, m, c: P[c] * I4)
+    FW_POSITION = Family("fw_position", lambda p, P, e, m, c: 0.0, radius_part)
+    FW_SPIN = Family("fw_spin", lambda p, P, e, m, c: 0.5 * _SIGMA[c])
+    OAM_FW = Family("oam_fw", lambda p, P, e, m, c: 0.0, orbital_part)
+    TOTAL_J = Family("total_j", lambda p, P, e, m, c: 0.5 * _SIGMA[c], orbital_part)
+    # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
+    BOOST_FW = Family("boost_fw", lambda p, P, e, m, c: (
+        (0.5j * P[c] / e) * _BETA - _BETA @ cross_c(_SIGMA, P, c) / (2 * (e + m))),
+        lambda p, P, e, m, c: _along(c, 1j * e * _BETA), singular_at_rest=True)
+    # (2 beta m + alpha.p)^-1 is alpha.p/|p|^2 at m = 0, 0/0 at p = 0
+    NAIVE_BOOST = Family("naive_boost", _naive_boost, dirac_boost_part,
+                         singular_at_rest=True)
+    COM_POSITION_FW = Family("com_position_fw", lambda p, P, e, m, c: (
+        cross_c(_SIGMA, P, c) / (2 * m * (e + m))), radius_part, massive_only=True)
+    LAB_SPIN_FW = Family("lab_spin_fw", _lab_spin, massive_only=True)
+    # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
+    COM_OAM = Family("com_oam", lambda p, P, e, m, c: _pxpxsigma(P, c) / (2 * m * (e + m)),
+                     orbital_part, massive_only=True)
+    PROJECTED_POSITION_FW = Family("projected_position_fw", lambda p, P, e, m, c: (
+        -cross_c(_SIGMA, P, c) / (2 * e * (e + m))), radius_part, singular_at_rest=True)
+    PROJECTED_SPIN_FW = Family("projected_spin_fw", lambda p, P, e, m, c: (
+        m * _SIGMA[c] / (2 * e) + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
+        singular_at_rest=True)
+    PROJECTED_OAM = Family("projected_oam", lambda p, P, e, m, c: (
+        -_pxpxsigma(P, c) / (2 * e * (e + m))), orbital_part, singular_at_rest=True)
 
 
 def build_operator(family: OperatorFamily, m: float,
@@ -301,85 +352,7 @@ def build_operator(family: OperatorFamily, m: float,
 
     Vector families take component 1..3; scalar families take None.
     """
-    _require_mass(family, m)
-    c = _require_component(family, component)
-    a, b = _CROSS[c]
-    beta, sigma_c, gamma_c = _BETA, _SIGMA[c], _GAMMAK[c]
-
-    def dirac_h(p):
-        return Jet(dirac_hamiltonian(p, m), _ALPHA)
-
-    def naive_boost(p, P, e):
-        sxp = cross_c(_SIGMA, P, c)
-        dinv = Jet(dirac_hamiltonian(p, 2 * m), _ALPHA) / (4 * m * m + p_dot(P, P))
-        return 0.5j * _ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
-
-    def lab_spin_fw(p, P, e):
-        # s - p x (p x s) / (m(eps+m)) with s = Sigma/2
-        pxpxs = P[c] * p_dot(_SIGMA, P) / 2 - p_dot(P, P) * sigma_c / 2
-        return sigma_c / 2 - pxpxs / (m * (e + m))
-
-    # The multiplicative part A, over the momenta p, their components P as
-    # Jets and the energy e as a Jet.
-    A = {
-        F.DIRAC_HAMILTONIAN: lambda p, P, e: dirac_h(p),
-        F.FW_HAMILTONIAN: lambda p, P, e: e * beta,
-        F.MOMENTUM: lambda p, P, e: P[c] * I4,
-        F.FW_POSITION: lambda p, P, e: 0.0,
-        F.NW_POSITION_DIRAC: lambda p, P, e: (
-            -cross_c(_SIGMA, P, c) / (2 * e * (e + m)) + 1j * gamma_c / (2 * e)
-            - 1j * p_dot(_GAMMAK, P) * P[c] / (2 * e * e * (e + m))),
-        F.FW_SPIN: lambda p, P, e: 0.5 * sigma_c,
-        F.MEAN_SPIN_DIRAC: lambda p, P, e: (
-            m * sigma_c / (2 * e) - 1j * cross_c(_GAMMAK, P, c) / (2 * e)
-            + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
-        F.OAM_FW: lambda p, P, e: 0.0,
-        F.TOTAL_J: lambda p, P, e: 0.5 * sigma_c,
-        # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
-        F.BOOST_FW: lambda p, P, e: (
-            (0.5j * P[c] / e) * beta - beta @ cross_c(_SIGMA, P, c) / (2 * (e + m))),
-        # (1/2){x_c, H_D} = (i/2) alpha_c + i H_D d/dp_c,  t = 0
-        F.BOOST_DIRAC: lambda p, P, e: 0.5j * _ALPHA[c],
-        # built blindly from the radius vector and Sigma/2 in the Dirac
-        # representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}
-        F.NAIVE_BOOST: naive_boost,
-        F.COM_POSITION_FW: lambda p, P, e: cross_c(_SIGMA, P, c) / (2 * m * (e + m)),
-        F.COM_POSITION_DIRAC: lambda p, P, e: 1j * (
-            gamma_c / (2 * m) - p_dot(_GAMMAK, P) * P[c] / (2 * m * e * e)),
-        F.LAB_SPIN_FW: lab_spin_fw,
-        F.LAB_SPIN_DIRAC: lambda p, P, e: sigma_c / 2 - 1j * cross_c(_GAMMAK, P, c) / (2 * m),
-        # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
-        F.COM_OAM: lambda p, P, e: (
-            (P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * sigma_c) / (2 * m * (e + m))),
-        F.PROJECTED_POSITION_FW: lambda p, P, e: -cross_c(_SIGMA, P, c) / (2 * e * (e + m)),
-        F.PROJECTED_POSITION_DIRAC: lambda p, P, e: (
-            -cross_c(_SIGMA, P, c) / (2 * e * e) + 1j * m * gamma_c / (2 * e * e)),
-        F.PROJECTED_SPIN_FW: lambda p, P, e: (
-            m * sigma_c / (2 * e) + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
-        F.PROJECTED_SPIN_DIRAC: lambda p, P, e: (
-            m * m * sigma_c + P[c] * p_dot(_SIGMA, P)
-            - 1j * m * cross_c(_GAMMAK, P, c)) / (2 * e * e),
-        F.PROJECTED_OAM: lambda p, P, e: (
-            -(P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * sigma_c) / (2 * e * (e + m))),
-    }[family]
-
-    def coeffs(p):
-        P, e = momentum_jets(p), energy_jet(p, m)
-        B = [0.0, 0.0, 0.0]
-        if family in _POSITION_LIKE:
-            B[c] = _IEYE
-        elif family in _OAM_LIKE:
-            B[a], B[b] = P[b] * _IEYE, -P[a] * _IEYE
-        elif family is F.BOOST_FW:
-            B[c] = 1j * e * beta
-        elif family in (F.BOOST_DIRAC, F.NAIVE_BOOST):
-            B[c] = 1j * dirac_h(p)
-        return (A(p, P, e), *B)
-
-    label = family.family_name + (f"_{c + 1}" if family.is_vector else "")
-    min_p = MASSLESS_MIN_P if m == 0 and family in _SINGULAR_AT_REST else 0.0
-    return PhaseSpaceOperator(4, coeffs, label, min_p)
-
+    return family.value.build(m, component)
 
 # --- evaluation and commutation ----------------------------------------------
 

@@ -2,9 +2,10 @@
 
 The dense matrix commutator, operator-level commutators and conjugation,
 the free block-diagonalizing unitary as an operator, the catalogue families
-that no suite uses, the closed-form worldline defects, and small packet,
-spectral and trembling-motion probes.  The tests check the program against
-these; the program itself never calls them.
+that no suite uses (among them the Dirac-representation forms of the FW
+families, the covariance oracles), the closed-form worldline defects, and
+small packet, spectral and trembling-motion probes.  The tests check the
+program against these; the program itself never calls them.
 """
 
 import numpy as np
@@ -18,14 +19,17 @@ from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
     MASSLESS_MIN_P,
     DomainError,
+    Family,
     Jet,
+    OperatorFamily,
     PhaseOpValue,
     PhaseSpaceOperator,
     commutator_snapshot,
-    energy_jet,
+    cross_c,
+    dirac_boost_part,
     levi,
-    momentum_jets,
     p_dot,
+    radius_part,
     snapshot,
 )
 from fwbench.wavepacket import (WavePacket1D, apply_position, make_gaussian_packet,
@@ -146,75 +150,104 @@ def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
 
 # --- catalogue families that no verdict reads -----------------------------------
 #
-# Multiplicative operators, each coefficient written once in Jets over the
-# momentum components P and the energy e, as the product catalogue is.
+# Rows of the product's Family table, each coefficient written once in Jets
+# over the momentum components P and the energy e, and built through the
+# same Family.build, which holds the mass and component rules.
 
 _SIGMA = np.stack(GAMMA.Sigma)
 _ALPHA = np.stack(GAMMA.alpha)
+_GAMMAK = np.stack(GAMMA.gamma)
 _RHO_PLUS = GAMMA.rho[2] + 1j * GAMMA.rho[1]    # rho_3 + i rho_2
 
 
-def _four_spin_space(P, e, m, c):
+def _four_spin_space(p, P, e, m, c):
     return _SIGMA[c] / 2 + P[c] * p_dot(_SIGMA, P) / (2 * m * (e + m))
 
 
-def _pauli_lubanski_space(P, e, m, c):
+def _pauli_lubanski_space(p, P, e, m, c):
     return m * _SIGMA[c] / 2 + P[c] * p_dot(_SIGMA, P) / (2 * (e + m))
 
 
-def _spin_prime(P, e, m, c):
+def _spin_prime(p, P, e, m, c):
     # (W - W0 p/(eps+m)) / m, assembled from the four-vector components
     w0 = p_dot(_SIGMA, P) / 2
-    return (_pauli_lubanski_space(P, e, m, c) - w0 * P[c] / (e + m)) / m
+    return (_pauli_lubanski_space(p, P, e, m, c) - w0 * P[c] / (e + m)) / m
 
 
 def _projector(sign):
-    return lambda P, e, m, c: (0.5 * (I4 + sign * m / e * GAMMA.beta)
-                               + sign * p_dot(_ALPHA, P) / (2 * e))
+    return lambda p, P, e, m, c: (0.5 * (I4 + sign * m / e * GAMMA.beta)
+                                  + sign * p_dot(_ALPHA, P) / (2 * e))
 
 
-def _fv_hamiltonian(P, e, m, c):
+def _fv_hamiltonian(p, P, e, m, c):
     # two-component scalar sector: rho_3 m + (rho_3 + i rho_2) p^2/(2m)
     return m * GAMMA.rho[2] + _RHO_PLUS * p_dot(P, P) / (2 * m)
 
 
-# name: (coefficient A(P, e, m, c), dimension, vector, carries 1/m,
-#        singular at p = 0 when massless)
-FAMILIES = {
-    "four_spin_space": (_four_spin_space, 4, True, True, False),
-    "four_spin_time": (lambda P, e, m, c: p_dot(_SIGMA, P) / (2 * m), 4, False, True, False),
-    "pauli_lubanski_space": (_pauli_lubanski_space, 4, True, False, True),
-    "pauli_lubanski_time": (lambda P, e, m, c: p_dot(_SIGMA, P) / 2, 4, False, False, False),
-    "spin_prime": (_spin_prime, 4, True, True, False),
-    "projector_plus": (_projector(1.0), 4, False, False, True),
-    "projector_minus": (_projector(-1.0), 4, False, False, True),
-    "fv_hamiltonian": (_fv_hamiltonian, 2, False, True, False),
+# The Dirac-representation forms U^-1 (FW family) U of the product's FW
+# families, which test_dirac_families_are_conjugated_fw_twins checks against
+# the conjugation: the Newton-Wigner position, the mean spin, the boost and
+# the center-of-mass, laboratory-spin and projected operators.
+
+def _nw_position(p, P, e, m, c):
+    return (-cross_c(_SIGMA, P, c) / (2 * e * (e + m)) + 1j * _GAMMAK[c] / (2 * e)
+            - 1j * p_dot(_GAMMAK, P) * P[c] / (2 * e * e * (e + m)))
+
+
+def _mean_spin(p, P, e, m, c):
+    return (m * _SIGMA[c] / (2 * e) - 1j * cross_c(_GAMMAK, P, c) / (2 * e)
+            + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m)))
+
+
+def _com_position_dirac(p, P, e, m, c):
+    return 1j * (_GAMMAK[c] / (2 * m) - p_dot(_GAMMAK, P) * P[c] / (2 * m * e * e))
+
+
+def _projected_spin_dirac(p, P, e, m, c):
+    return (m * m * _SIGMA[c] + P[c] * p_dot(_SIGMA, P)
+            - 1j * m * cross_c(_GAMMAK, P, c)) / (2 * e * e)
+
+
+FAMILIES = {row.name: row for row in (
+    Family("four_spin_space", _four_spin_space, massive_only=True),
+    Family("four_spin_time", lambda p, P, e, m, c: p_dot(_SIGMA, P) / (2 * m),
+           vector=False, massive_only=True),
+    Family("pauli_lubanski_space", _pauli_lubanski_space, singular_at_rest=True),
+    Family("pauli_lubanski_time", lambda p, P, e, m, c: p_dot(_SIGMA, P) / 2, vector=False),
+    Family("spin_prime", _spin_prime, massive_only=True),
+    Family("projector_plus", _projector(1.0), vector=False, singular_at_rest=True),
+    Family("projector_minus", _projector(-1.0), vector=False, singular_at_rest=True),
+    Family("fv_hamiltonian", _fv_hamiltonian, vector=False, massive_only=True, dim=2),
     # the velocity (rho_3 + i rho_2) p_k / m
-    "fv_velocity": (lambda P, e, m, c: _RHO_PLUS * P[c] / m, 2, True, True, False),
-}
+    Family("fv_velocity", lambda p, P, e, m, c: _RHO_PLUS * P[c] / m,
+           massive_only=True, dim=2),
+    Family("nw_position_dirac", _nw_position, radius_part, singular_at_rest=True),
+    Family("mean_spin_dirac", _mean_spin, singular_at_rest=True),
+    # (1/2){x_c, H_D} = (i/2) alpha_c + i H_D d/dp_c,  t = 0
+    Family("boost_dirac", lambda p, P, e, m, c: 0.5j * _ALPHA[c], dirac_boost_part),
+    Family("com_position_dirac", _com_position_dirac, radius_part, massive_only=True),
+    Family("lab_spin_dirac", lambda p, P, e, m, c: (
+        _SIGMA[c] / 2 - 1j * cross_c(_GAMMAK, P, c) / (2 * m)), massive_only=True),
+    Family("projected_position_dirac", lambda p, P, e, m, c: (
+        -cross_c(_SIGMA, P, c) / (2 * e * e) + 1j * m * _GAMMAK[c] / (2 * e * e)),
+        radius_part, singular_at_rest=True),
+    Family("projected_spin_dirac", _projected_spin_dirac, singular_at_rest=True),
+)}
+
+# every catalogue row: the product's 15 and the 16 above
+ALL_ROWS = (*(family.value for family in OperatorFamily), *FAMILIES.values())
 
 
 def build_family(name: str, m: float, component=None) -> PhaseSpaceOperator:
-    """One member of a family of FAMILIES at mass m; vector families take
-    component 1..3.  Families with a 1/m factor reject m = 0, and those with
-    a 1/eps factor reject |p| < MASSLESS_MIN_P at m = 0."""
-    A, dim, vector, massive_only, singular_at_rest = FAMILIES[name]
-    if m == 0 and massive_only:
-        raise DomainError(f"{name} carries a 1/m rest-frame factor and "
-                          "requires strictly positive mass")
-    c = component - 1 if vector else 0
-    label = name + (f"_{component}" if vector else "")
-    min_p = MASSLESS_MIN_P if m == 0 and singular_at_rest else 0.0
-    return multiplicative(dim, lambda p: A(momentum_jets(p), energy_jet(p, m), m, c),
-                          label, min_p)
+    """One member of the family of FAMILIES named name, at mass m."""
+    return FAMILIES[name].build(m, component)
 
 
 def family_operators(m: float) -> list:
-    """Every component of every family of FAMILIES that admits mass m."""
-    return [build_family(name, m, c)
-            for name, (_, _, vector, massive_only, _) in FAMILIES.items()
-            for c in ((1, 2, 3) if vector else (None,))
-            if m > 0 or not massive_only]
+    """Every component of every row of ALL_ROWS that admits mass m."""
+    return [row.build(m, c) for row in ALL_ROWS
+            for c in ((1, 2, 3) if row.vector else (None,))
+            if m > 0 or not row.massive_only]
 
 
 # --- worldline defects ------------------------------------------------------------

@@ -192,8 +192,8 @@ def test_criterion_04_representation_consistency():
         fw[("s", c)] = build_operator(F.FW_SPIN, m, c)
         fw[("l", c)] = build_operator(F.OAM_FW, m, c)
         fw[("K", c)] = build_operator(F.BOOST_FW, m, c)
-        oracle[("x", c)] = build_operator(F.NW_POSITION_DIRAC, m, c)
-        oracle[("s", c)] = build_operator(F.MEAN_SPIN_DIRAC, m, c)
+        oracle[("x", c)] = build_family("nw_position_dirac", m, c)
+        oracle[("s", c)] = build_family("mean_spin_dirac", m, c)
 
     def expected_l(p, c):
         x_vals = [evaluate(oracle[("x", k + 1)], p) for k in range(3)]

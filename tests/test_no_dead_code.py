@@ -2,23 +2,25 @@
 
 A module-level function or class counts as used when it is read, as a name
 or an attribute, somewhere in src/ or scripts/ outside its own definition,
-or when the benchmark's span table (fwperf/spans.py) wraps it by its
-"fwbench.module:name" path: the benchmark reports that function's metrics,
-so moving it would change the benchmark.  A method or property of a class
-counts as used when an attribute of that name is read in src/ or scripts/
-off anything but an imported module: matching is by name only, so any
-object's attribute of the same name counts, but np.linalg.norm does not
-make a method named norm used.  Reads from the tests do not count: a
-definition only the tests read is a test oracle and belongs in tests/.  The
-re-exports in fwbench/__init__.py do not count as uses either.  An
-OperatorFamily member counts as used when its name is read as an attribute
-in src/ or scripts/ outside phase_ops.py, which reads every member to build
-it.
+when the benchmark's span table (fwperf/spans.py) wraps it by its
+"fwbench.module:name" path, or when the benchmark's driver (fwperf/run.py or
+fwperf/workloads.py) reads it off an imported fwbench module: the benchmark
+reports that function's metrics or calls it, so moving it would change or
+break the benchmark.  A method or property of a class counts as used when
+an attribute of that name is read in src/ or scripts/ off anything but an
+imported module: matching is by name only, so any object's attribute of the
+same name counts, but np.linalg.norm does not make a method named norm
+used.  Reads from the tests do not count: a definition only the tests read
+is a test oracle and belongs in tests/.  The re-exports in
+fwbench/__init__.py do not count as uses either.  An OperatorFamily member
+counts as used when its name is read as an attribute in src/ or scripts/
+outside phase_ops.py, which defines it.
 """
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,6 +73,43 @@ def test_every_benchmark_traced_name_resolves():
     assert not missing, f"names the benchmark traces that fwbench lacks: {missing}"
 
 
+def _benchmark_reads() -> set:
+    """(module, name) for every attribute that fwperf/run.py and
+    fwperf/workloads.py read off an imported fwbench module, such as
+    ("fwbench.algebra", "identities_for_set") for algebra.identities_for_set
+    after `import fwbench.algebra as algebra`."""
+    reads = set()
+    for script in ("run.py", "workloads.py"):
+        tree = ast.parse((ROOT / "fwperf" / script).read_text())
+        bound = {}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                for alias in n.names:
+                    if alias.name.split(".")[0] == "fwbench":
+                        # `import fwbench.x` binds fwbench, `import fwbench.x as y` binds y
+                        importlib.import_module(alias.name)
+                        name = alias.asname or "fwbench"
+                        bound[name] = alias.name if alias.asname else name
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                root, _, rest = ast.unparse(n.value).partition(".")
+                module = ".".join(filter(None, (bound.get(root), rest)))
+                if root in bound and module in sys.modules:
+                    reads.add((module, n.attr))
+    return reads
+
+
+def test_every_benchmark_read_resolves():
+    # a name the benchmark's driver reads that fwbench lacks ends the run as
+    # run_failed; a removal or rename fails here instead
+    reads = _benchmark_reads()
+    assert {("fwbench.algebra", "identities_for_set"),
+            ("fwbench.zitter", "record_evolution"), ("fwbench.cli", "main")} <= reads
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(sys.modules[module], name))
+    assert not missing, f"names the benchmark reads that fwbench lacks: {missing}"
+
+
 def _scan() -> tuple:
     """(module-level definitions, class members, names read, attributes read
     off non-modules), where the definitions map "module:name" and the members
@@ -97,15 +136,6 @@ def _scan() -> tuple:
     return defined, members, used, attrs_used
 
 
-# Families that no product code reads yet: the Dirac-representation forms of
-# the sets, waiting for the Dirac-representation sets and their covariance
-# oracle (ROADMAP item 6).
-PENDING_FAMILIES = {
-    "NW_POSITION_DIRAC", "MEAN_SPIN_DIRAC", "BOOST_DIRAC", "COM_POSITION_DIRAC",
-    "LAB_SPIN_DIRAC", "PROJECTED_POSITION_DIRAC", "PROJECTED_SPIN_DIRAC",
-}
-
-
 def _enum_members(tree, class_name: str) -> set:
     """The member names assigned in the body of the named class."""
     return {target.id
@@ -126,6 +156,7 @@ def _attributes_read_outside(excluded: Path) -> set:
 
 def test_every_public_definition_has_a_caller():
     defined, _, used, _ = _scan()
+    used |= {name for _, name in _benchmark_reads()}
     traced = _benchmark_targets()
     unused = sorted(key for key, name in defined.items()
                     if name not in used and key not in traced)
@@ -141,9 +172,6 @@ def test_every_method_and_property_has_a_caller():
 def test_every_operator_family_has_a_reader():
     phase_ops = PACKAGE / "phase_ops.py"
     members = _enum_members(ast.parse(phase_ops.read_text()), "OperatorFamily")
-    assert PENDING_FAMILIES <= members
-    read_outside = _attributes_read_outside(phase_ops)
-    unread = sorted(members - PENDING_FAMILIES - read_outside)
+    assert members
+    unread = sorted(members - _attributes_read_outside(phase_ops))
     assert not unread, f"OperatorFamily members no product code reads: {unread}"
-    read = sorted(PENDING_FAMILIES & read_outside)
-    assert not read, f"pending families that now have a reader; unlist them: {read}"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from fwbench.phase_ops import (
     snapshot,
 )
 from oracles import (
+    ALL_ROWS,
     NonUnitaryError,
     build_family,
     conjugate,
@@ -35,8 +38,6 @@ RNG = np.random.default_rng(42)
 MOMENTA = [RNG.uniform(-5, 5, 3) for _ in range(12)]
 
 F = OperatorFamily
-MASSIVE_ONLY = {F.COM_POSITION_FW, F.COM_POSITION_DIRAC, F.LAB_SPIN_FW,
-                F.LAB_SPIN_DIRAC, F.COM_OAM}
 
 
 def cross_c(mats, p, c):
@@ -58,13 +59,13 @@ def test_fw_spin_momentum_independent():
 
 def test_mean_spin_at_rest_is_half_sigma():
     for c in (1, 2, 3):
-        op = build_operator(F.MEAN_SPIN_DIRAC, 1.0, c)
+        op = build_family("mean_spin_dirac", 1.0, c)
         assert np.allclose(evaluate(op, np.zeros(3)).A, GAMMA.Sigma[c - 1] / 2)
 
 
 def test_nw_position_at_rest():
     m = 1.3
-    op = build_operator(F.NW_POSITION_DIRAC, m, 2)
+    op = build_family("nw_position_dirac", m, 2)
     val = evaluate(op, np.zeros(3))
     assert np.allclose(val.A, 1j * GAMMA.gamma[1] / (2 * m), atol=1e-14)
     assert np.allclose(val.B[1], 1j * I4)
@@ -119,14 +120,10 @@ def test_massless_rejection_for_rest_frame_families():
 
 @pytest.mark.parametrize("m", [0.0, 0.5, 1.0, 10.0])
 def test_exact_gradients_and_stacks(m):
-    # every family and component, the test-side families and the free
+    # every component of every product and test-side family, and the free
     # unitaries: exact dA, dB against the Richardson oracle, and an (N, 3)
     # stack against N single-momentum snapshots
-    ops = [build_operator(fam, m, c) for fam in OperatorFamily
-           for c in ((1, 2, 3) if fam.is_vector else (None,))
-           if m > 0 or fam not in MASSIVE_ONLY]
-    ops += family_operators(m)
-    ops += [fw_unitary_free(m), fw_unitary_free_inv(m)]
+    ops = family_operators(m) + [fw_unitary_free(m), fw_unitary_free_inv(m)]
     ps = np.random.default_rng(23).uniform(-5, 5, (4, 3))
     for op in ops:
         stack = snapshot(op, ps)
@@ -149,11 +146,40 @@ def _stacked_coeffs(op, q):
 
 
 def test_massless_singular_momentum_rejected():
-    op = build_operator(F.NW_POSITION_DIRAC, 0.0, 1)
-    with pytest.raises(DomainError, match="singular"):
-        evaluate(op, np.array([1e-8, 0, 0]))
-    val = evaluate(op, np.array([1.0, 0, 0]))       # fine away from the cone tip
-    assert np.all(np.isfinite(val.A))
+    for op in (build_family("nw_position_dirac", 0.0, 1), build_operator(F.NAIVE_BOOST, 0.0, 1)):
+        with pytest.raises(DomainError, match="singular"):
+            evaluate(op, np.array([1e-8, 0, 0]))
+        val = evaluate(op, np.array([1.0, 0, 0]))       # fine away from the cone tip
+        assert np.all(np.isfinite(val.A))
+
+
+def _finite_at(op, p) -> bool:
+    try:
+        with np.errstate(all="ignore"):
+            snapshot(op, p)
+    except DomainError:
+        return False
+    return True
+
+
+def test_massless_guards_match_the_coefficients():
+    # at m = 0 with the guards cleared, a massive_only row is non-finite at a
+    # generic momentum; any other row is finite there, and finite at p = 0
+    # exactly when it is not singular_at_rest
+    assert len(ALL_ROWS) == 31
+    generic, rest = np.array([0.3, -0.7, 1.1]), np.zeros(3)
+    wrong = []
+    for row in ALL_ROWS:
+        bare = dataclasses.replace(row, massive_only=False, singular_at_rest=False)
+        for c in ((1, 2, 3) if row.vector else (None,)):
+            op = bare.build(0.0, c)
+            if row.massive_only:
+                ok = not _finite_at(op, generic)
+            else:
+                ok = _finite_at(op, generic) and _finite_at(op, rest) != row.singular_at_rest
+            if not ok:
+                wrong.append(op.label)
+    assert not wrong, f"massless guards that do not match the coefficients: {wrong}"
 
 
 # --- commutation engine -------------------------------------------------------
@@ -337,38 +363,30 @@ def test_conjugating_dirac_hamiltonian_gives_block_diagonal():
         assert np.linalg.norm(hfw.A - energy(p, m) * GAMMA.beta) <= 1e-12
 
 
-@pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
-def test_conjugation_reproduces_mean_spin_closed_form(m):
+# Each Dirac-representation family of the tests' table and the product FW
+# family it is the free-particle picture of.
+DIRAC_TWINS = {
+    "nw_position_dirac": F.FW_POSITION,
+    "mean_spin_dirac": F.FW_SPIN,
+    "boost_dirac": F.BOOST_FW,
+    "com_position_dirac": F.COM_POSITION_FW,
+    "lab_spin_dirac": F.LAB_SPIN_FW,
+    "projected_position_dirac": F.PROJECTED_POSITION_FW,
+    "projected_spin_dirac": F.PROJECTED_SPIN_FW,
+}
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 3.0, 10.0])
+def test_dirac_families_are_conjugated_fw_twins(m):
+    # U^-1 (FW family) U equals the closed-form Dirac-representation family,
+    # multiplicative and derivative parts, for every component
     u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
-    rng = np.random.default_rng(11)
-    for c in (1, 2, 3):
-        s_fw = build_operator(F.FW_SPIN, m, c)
-        oracle = build_operator(F.MEAN_SPIN_DIRAC, m, c)
-        for _ in range(17):
-            p = rng.uniform(-5, 5, 3)
-            assert (conjugate(s_fw, ui, u, p) - evaluate(oracle, p)).norm() <= 1e-10
-
-
-@pytest.mark.parametrize("m", [0.5, 1.0, 3.0])
-def test_closed_form_dirac_boost_matches_conjugated_fw_boost(m):
-    u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
-    ps = np.random.default_rng(29).uniform(-5, 5, (17, 3))
-    for c in (1, 2, 3):
-        conj = conjugate(build_operator(F.BOOST_FW, m, c), ui, u, ps)
-        closed = evaluate(build_operator(F.BOOST_DIRAC, m, c), ps)
-        assert np.all((conj - closed).norm() <= 1e-12)
-
-
-@pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
-def test_conjugation_reproduces_nw_position_closed_form(m):
-    u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
-    rng = np.random.default_rng(13)
-    for c in (1, 2, 3):
-        x_fw = build_operator(F.FW_POSITION, m, c)
-        oracle = build_operator(F.NW_POSITION_DIRAC, m, c)
-        for _ in range(17):
-            p = rng.uniform(-5, 5, 3)
-            assert (conjugate(x_fw, ui, u, p) - evaluate(oracle, p)).norm() <= 1e-10
+    ps = np.random.default_rng(29).uniform(-5, 5, (40, 3))
+    for name, twin in DIRAC_TWINS.items():
+        for c in (1, 2, 3):
+            conj = conjugate(build_operator(twin, m, c), ui, u, ps)
+            closed = evaluate(build_family(name, m, c), ps)
+            assert np.all((conj - closed).norm() <= 1e-12), (name, c)
 
 
 def test_dirac_spin_transformed_to_fw_closed_form():
@@ -407,7 +425,7 @@ def test_transformed_dirac_spin_upper_block():
 def test_identity_conjugation_is_identity():
     m = 1.0
     ident = multiplicative(4, lambda p: I4, "one")
-    op = build_operator(F.MEAN_SPIN_DIRAC, m, 1)
+    op = build_family("mean_spin_dirac", m, 1)
     for p in MOMENTA[:4]:
         assert (conjugate(op, ident, ident, p) - evaluate(op, p)).norm() <= 1e-14
 
@@ -507,7 +525,7 @@ def test_projector_sandwich_equals_projected_spin():
         for c in (1, 2, 3):
             s_d = GAMMA.Sigma[c - 1] / 2
             sandwich = pp @ s_d @ pp + pm @ s_d @ pm
-            proj = evaluate(build_operator(F.PROJECTED_SPIN_DIRAC, m, c), p).A
+            proj = evaluate(build_family("projected_spin_dirac", m, c), p).A
             assert np.linalg.norm(sandwich - proj) <= 1e-10
 
 
@@ -525,10 +543,9 @@ def test_hamiltonian_commutes_with_spin_and_oam():
 def test_all_families_hermitian_as_operators():
     m = 1.0
     p = np.array([1.2, -0.7, 2.1])
-    ops = [build_operator(fam, m, c) for fam in OperatorFamily
-           for c in ((1, 2, 3) if fam.is_vector else (None,))]
-    # the two-component sector is pseudo-Hermitian
-    ops += [op for op in family_operators(m) if op.dim == 4]
+    # every product and test-side family but the two-component sector,
+    # which is pseudo-Hermitian
+    ops = [op for op in family_operators(m) if op.dim == 4]
     for op in ops:
         assert hermiticity_residual(op, p) <= 1e-9, op.label
 
