@@ -363,12 +363,39 @@ def test_conjugating_dirac_hamiltonian_gives_block_diagonal():
         assert np.linalg.norm(hfw.A - energy(p, m) * GAMMA.beta) <= 1e-12
 
 
-# Each Dirac-representation family of the tests' table and the product FW
-# family it is the free-particle picture of.
+def _assert_conjugated_twin(name, twin, m):
+    # U^-1 (FW family) U equals the closed-form Dirac-representation family
+    # of the tests' table, multiplicative and derivative parts, for every
+    # component
+    u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
+    ps = np.random.default_rng(29).uniform(-5, 5, (40, 3))
+    for c in (1, 2, 3):
+        conj = conjugate(build_operator(twin, m, c), ui, u, ps)
+        closed = evaluate(build_family(name, m, c), ps)
+        assert np.all((conj - closed).norm() <= 1e-12), (name, c)
+
+
+TWIN_MASSES = [0.5, 1.0, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("m", TWIN_MASSES)
+def test_conjugation_reproduces_mean_spin_closed_form(m):
+    _assert_conjugated_twin("mean_spin_dirac", F.FW_SPIN, m)
+
+
+@pytest.mark.parametrize("m", TWIN_MASSES)
+def test_closed_form_dirac_boost_matches_conjugated_fw_boost(m):
+    _assert_conjugated_twin("boost_dirac", F.BOOST_FW, m)
+
+
+@pytest.mark.parametrize("m", TWIN_MASSES)
+def test_conjugation_reproduces_nw_position_closed_form(m):
+    _assert_conjugated_twin("nw_position_dirac", F.FW_POSITION, m)
+
+
+# The other Dirac-representation families of the tests' table and the
+# product FW family each is the free-particle picture of.
 DIRAC_TWINS = {
-    "nw_position_dirac": F.FW_POSITION,
-    "mean_spin_dirac": F.FW_SPIN,
-    "boost_dirac": F.BOOST_FW,
     "com_position_dirac": F.COM_POSITION_FW,
     "lab_spin_dirac": F.LAB_SPIN_FW,
     "projected_position_dirac": F.PROJECTED_POSITION_FW,
@@ -376,17 +403,10 @@ DIRAC_TWINS = {
 }
 
 
-@pytest.mark.parametrize("m", [0.5, 1.0, 3.0, 10.0])
+@pytest.mark.parametrize("m", TWIN_MASSES)
 def test_dirac_families_are_conjugated_fw_twins(m):
-    # U^-1 (FW family) U equals the closed-form Dirac-representation family,
-    # multiplicative and derivative parts, for every component
-    u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
-    ps = np.random.default_rng(29).uniform(-5, 5, (40, 3))
     for name, twin in DIRAC_TWINS.items():
-        for c in (1, 2, 3):
-            conj = conjugate(build_operator(twin, m, c), ui, u, ps)
-            closed = evaluate(build_family(name, m, c), ps)
-            assert np.all((conj - closed).norm() <= 1e-12), (name, c)
+        _assert_conjugated_twin(name, twin, m)
 
 
 def test_dirac_spin_transformed_to_fw_closed_form():
