@@ -16,13 +16,16 @@ yields an AlgebraReport whose verdict encodes whether the identity held (or
 failed) as expected, so the suites assert negative results as first-class
 outcomes.
 
-Both evaluators work exactly, on a whole stack of samples at once.  A
-quantum operator is snapshotted once on the (N, 3) momenta and each
-identity pair is one batched commutator.  A classical observable is one
-forward-mode Jet expression over the 9 phase-space coordinates (Q, P, S),
-evaluated once on the stack of states, and each identity pair is one
-Poisson bracket of the exact gradients.  Identities are checked at t = 0,
-so the -t d_ij terms of the worldline relations vanish.
+One evaluator serves both brackets, exactly, on a whole stack of samples
+at once: _rhs forms a row's right-hand side (times i for a commutator),
+and _run_suite forms bracket - rhs for every pair and keeps each sample's
+worst residual.  A quantum operator is snapshotted once on the (N, 3)
+momenta and each identity pair is one batched commutator.  A classical
+observable is one forward-mode Jet expression over the 9 phase-space
+coordinates (Q, P, S), evaluated once on the stack of states, and each
+identity pair is one Poisson bracket of the exact gradients.  Identities
+are checked at t = 0, so the -t d_ij terms of the worldline relations
+vanish.
 
 One known caveat is encoded in the table: the worldline relation
 [q_i, K_j] = (q_j [q_i, H] + [q_i, H] q_j)/2 - i t delta_ij cannot hold for
@@ -82,38 +85,30 @@ class AlgebraReport:
         return asdict(self)
 
 
-def _verdict(expected: str, max_residual: float, tol: float, floor: float) -> str:
-    if expected == "hold":
-        return "pass" if max_residual <= tol else "fail"
-    return "pass" if max_residual >= floor else "fail"
-
-
 def _report(identity_id: str, set_name: str, residuals: list, expected: str,
             note: str, tol: float) -> AlgebraReport:
     """Summarize one identity's per-sample worst residuals against tol and
     FAILURE_FLOOR."""
     res, floor = np.asarray(residuals), FAILURE_FLOOR
+    worst = float(res.max())
+    as_expected = worst <= tol if expected == "hold" else worst >= floor
     return AlgebraReport(
         identity_id=identity_id,
         set_name=set_name,
         samples=len(res),
-        max_residual=float(res.max()),
+        max_residual=worst,
         min_residual=float(res.min()),
         frac_above_floor=float(np.mean(res >= floor)),
         tol=tol,
         floor=floor,
         expected=expected,
-        verdict=_verdict(expected, float(res.max()), tol, floor),
+        verdict="pass" if as_expected else "fail",
         note=note if expected == "fail" else "",
     )
 
 
 def reports_to_json(reports: list) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
-
-
-def all_as_expected(reports: list) -> bool:
-    return all(r.verdict == "pass" for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -286,56 +281,67 @@ def _operand(values: dict, role: str, k: int):
     return values["H"] if role == "H" else values[role][k]
 
 
-def _zero_like(sn) -> PhaseOpValue:
-    return PhaseOpValue(np.zeros_like(sn.A), np.zeros_like(sn.B))
+def _rhs(term, values: dict, i: int, j: int, unit, special):
+    """unit times a table term at components i, j: unit is 1j for a
+    commutator and 1.0 for a Poisson bracket, and values holds each role
+    under its upper-case letter.  special(kind, i, j) gives a worldline or
+    velocity term in the bracket's own form (the quantum worldline carries
+    its i inside [q_i, H])."""
+    kind, role, c = term
+    if kind in ("worldline", "velocity"):
+        return c * special(kind, i, j)
+    R = values[role.upper()] if role else 1.0
+    if kind == "eps":
+        k = 3 - i - j
+        return unit * c * levi(i, j, k) * R[k] if i != j else 0.0
+    if kind == "i":
+        return unit * c * R[i]
+    if kind == "delta":
+        return unit * c * R if i == j else 0.0
+    if kind == "zero":
+        return 0.0
+    raise ValueError(f"unknown table term kind {kind!r}")
 
 
-def _scaled(sn, c) -> PhaseOpValue:
-    return PhaseOpValue(c * sn.A, c * sn.B)
+def _run_suite(set_name: str, operands: dict, values: dict, bracket, special) -> list:
+    """Every row of a suite: per sample, the worst norm of bracket - rhs
+    over the row's pairs.  operands feed the bracket and values the
+    right-hand side, both keyed by the roles' upper-case letters."""
+    unit, tol, side = (1.0, CLASSICAL_TOL, 1) if set_name == "classical" else (1j, QUANTUM_TOL, 0)
+    reports = []
+    for iden in identities_for_set(set_name):
+        a, b = (r.upper() for r in iden.lhs)
+        worst = 0.0
+        for (i, j) in iden.pairs:
+            residual = (bracket(_operand(operands, a, i), _operand(operands, b, j))
+                        - _rhs(iden.rhs, values, i, j, unit, special))
+            worst = np.maximum(worst, abs(residual))
+        reports.append(_report((iden.quantum_id, iden.classical_id)[side], set_name, worst,
+                               iden.expected(set_name), iden.notes[side], tol))
+    return reports
 
 
 def _rhs_worldline(snaps, p, i, j, velocity):
     # (1/2){q_j, C_i} with C_i = [q_i, H]; the -i t delta term vanishes at t=0
-    qj = snaps["q"][j]
+    qj = snaps["Q"][j]
     C = velocity(p, i)
     Cl = C.val[..., None, :, :]
     A = 0.5 * (qj.A @ C.val + C.val @ qj.A) + 0.5 * (qj.B @ C.grad).sum(axis=-3)
     return PhaseOpValue(A, 0.5 * (qj.B @ Cl + Cl @ qj.B))
 
 
-def _quantum_rhs(term, snaps: dict, p, i: int, j: int, velocity) -> PhaseOpValue:
-    """i times a table term, from the snapshots at momenta p."""
-    kind, role, c = term
-    R = snaps.get(role)
-    if kind == "eps":
-        k = 3 - i - j
-        return _scaled(R[k], 1j * c * levi(i, j, k)) if i != j else _zero_like(snaps["H"])
-    if kind == "i":
-        return _scaled(R[i], 1j * c)
-    if kind == "delta":
-        if i != j:
-            return _zero_like(snaps["H"])
-        if R is None:
-            return PhaseOpValue(1j * c * np.eye(snaps["H"].dim), np.zeros((3, 1, 1)))
-        return _scaled(R, 1j * c)
-    if kind == "worldline":
-        return _scaled(_rhs_worldline(snaps, p, i, j, velocity), c)
-    if kind == "zero":
-        return _zero_like(snaps["H"])
-    raise ValueError(f"no quantum form for a {kind!r} term")
+def _draw_momentum(rng) -> np.ndarray:
+    """One momentum uniform in [-5, 5]^3, redrawn while |p| < 1e-3."""
+    p = rng.uniform(-5.0, 5.0, 3)
+    while np.linalg.norm(p) < 1e-3:
+        p = rng.uniform(-5.0, 5.0, 3)
+    return p
 
 
 def sample_momenta(n: int, seed: int = 42) -> np.ndarray:
     """Uniform momenta in [-5, 5]^3, rejecting the ball |p| < 1e-3 around p = 0."""
     rng = np.random.default_rng(seed)
-    out = np.empty((n, 3))
-    k = 0
-    while k < n:
-        p = rng.uniform(-5.0, 5.0, 3)
-        if np.linalg.norm(p) >= 1e-3:
-            out[k] = p
-            k += 1
-    return out
+    return np.array([_draw_momentum(rng) for _ in range(n)]).reshape(n, 3)
 
 
 def run_quantum_suite(set_name: str, m: float, n_samples: int,
@@ -346,25 +352,20 @@ def run_quantum_suite(set_name: str, m: float, n_samples: int,
     each identity pair is one commutator over that stack.
     """
     ops = build_quantum_set(set_name, m)
-    idents = identities_for_set(set_name)
     momenta = sample_momenta(n_samples, seed)
     velocity = _velocity_closed_form(set_name, m)
 
-    roles = {r for iden in idents for r in (*iden.lhs, iden.rhs[1])
+    roles = {r for iden in identities_for_set(set_name) for r in (*iden.lhs, iden.rhs[1])
              if r not in ("H", None)}
-    snaps = {r: [snapshot(op, momenta) for op in ops[r]] for r in roles}
+    snaps = {r.upper(): [snapshot(op, momenta) for op in ops[r]] for r in roles}
     snaps["H"] = snapshot(ops["H"], momenta)
-    reports = []
-    for iden in idents:
-        a, b = iden.lhs
-        worst = np.zeros(n_samples)
-        for (i, j) in iden.pairs:
-            residual = (commutator_snapshot(_operand(snaps, a, i), _operand(snaps, b, j))
-                        - _quantum_rhs(iden.rhs, snaps, momenta, i, j, velocity))
-            worst = np.maximum(worst, residual.norm())
-        reports.append(_report(iden.quantum_id, set_name, worst,
-                               iden.expected(set_name), iden.notes[0], QUANTUM_TOL))
-    return reports
+
+    def special(kind, i, j):
+        if kind != "worldline":
+            raise ValueError(f"no quantum form for a {kind!r} term")
+        return _rhs_worldline(snaps, momenta, i, j, velocity)
+
+    return _run_suite(set_name, snaps, snaps, commutator_snapshot, special)
 
 
 # ---------------------------------------------------------------------------
@@ -420,31 +421,6 @@ def poisson_bracket(f: Jet, g: Jet, state: ClassicalState) -> np.ndarray:
     return canonical + (state.S * np.cross(a[..., 6:9], b[..., 6:9])).sum(axis=-1)
 
 
-def _value(obs: Jet) -> np.ndarray:
-    """An observable's values, one per state."""
-    return obs.val[..., 0, 0]
-
-
-def _classical_rhs(term, obs: dict, i: int, j: int):
-    """A table term at the states, from their observables."""
-    kind, role, c = term
-    R = obs[role.upper()] if role else None
-    if kind == "eps":
-        k = 3 - i - j
-        return c * levi(i, j, k) * _value(R[k]) if i != j else 0.0
-    if kind == "i":
-        return c * _value(R[i])
-    if kind == "delta":
-        return c * (1.0 if R is None else _value(R)) if i == j else 0.0
-    if kind == "worldline":
-        return c * _value(obs["Q"][j]) * _value(obs["P"][i]) / _value(obs["H"])
-    if kind == "velocity":
-        return c * (_value(obs["P"][j]) / _value(obs["H"]))
-    if kind == "zero":
-        return 0.0
-    raise ValueError(f"no classical form for a {kind!r} term")
-
-
 def classical_identities() -> list:
     """The classical suite's rows, in its report order."""
     return identities_for_set("classical")
@@ -457,10 +433,7 @@ def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
     Q, P, S = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
     for k in range(n):
         Q[k] = rng.uniform(-5, 5, 3)
-        p = rng.uniform(-5, 5, 3)
-        while np.linalg.norm(p) < 1e-3:
-            p = rng.uniform(-5, 5, 3)
-        P[k] = p
+        P[k] = _draw_momentum(rng)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         S[k] = direction * rng.uniform(0.5, 2.0)
@@ -475,13 +448,13 @@ def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42) -> list:
     """
     states = sample_states(n_samples, m, seed)
     obs = classical_observables(states)
-    reports = []
-    for iden in classical_identities():
-        a, b = (r.upper() for r in iden.lhs)
-        worst = np.zeros(n_samples)
-        for (i, j) in iden.pairs:
-            bracket = poisson_bracket(_operand(obs, a, i), _operand(obs, b, j), states)
-            worst = np.maximum(worst, np.abs(bracket - _classical_rhs(iden.rhs, obs, i, j)))
-        reports.append(_report(iden.classical_id, "classical", worst,
-                               iden.expected("classical"), iden.notes[1], CLASSICAL_TOL))
-    return reports
+    values = {r: v.val[..., 0, 0] if r == "H" else [x.val[..., 0, 0] for x in v]
+              for r, v in obs.items()}    # one value per state
+
+    def special(kind, i, j):
+        if kind == "worldline":
+            return values["Q"][j] * values["P"][i] / values["H"]
+        return values["P"][j] / values["H"]
+
+    return _run_suite("classical", obs, values, lambda f, g: poisson_bracket(f, g, states),
+                      special)

@@ -432,7 +432,7 @@ def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
 
 
 def upper_block_spectrum(h_fw: np.ndarray, n_upper: int) -> np.ndarray:
-    return np.sort(np.linalg.eigvalsh(h_fw[:n_upper, :n_upper]))
+    return np.linalg.eigvalsh(h_fw[:n_upper, :n_upper])
 
 
 @dataclass

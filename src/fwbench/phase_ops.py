@@ -198,24 +198,33 @@ def _sum_sq(x: np.ndarray, axes: int) -> np.ndarray:
 
 @dataclass
 class PhaseOpValue:
-    """Evaluation snapshot: multiplicative part and derivative part."""
+    """An operator at momenta (...), A + sum_k B_k d/dp_k; a number x stands for x I."""
 
     A: np.ndarray    # shape (..., d, d)
     B: np.ndarray    # shape (..., 3, d, d)
+
+    __array_ufunc__ = None    # numpy scalars defer to the reflected methods
 
     def norm(self):
         """Frobenius norm over all coefficient blocks, one per momentum."""
         return np.sqrt(_sum_sq(self.A, 2) + _sum_sq(self.B, 3))
 
-    def __sub__(self, other: "PhaseOpValue") -> "PhaseOpValue":
-        return PhaseOpValue(self.A - other.A, self.B - other.B)
+    def __abs__(self):
+        return self.norm()
+
+    def __sub__(self, other) -> "PhaseOpValue":
+        if isinstance(other, PhaseOpValue):
+            return PhaseOpValue(self.A - other.A, self.B - other.B)
+        return PhaseOpValue(self.A - other * np.eye(self.A.shape[-1]), self.B)
+
+    def __rmul__(self, c) -> "PhaseOpValue":
+        return PhaseOpValue(c * self.A, c * self.B)
 
 
 # --- the operator catalogue ---------------------------------------------------
 
 _SIGMA = np.stack(GAMMA.Sigma)
 _ALPHA = np.stack(GAMMA.alpha)
-_GAMMAK = np.stack(GAMMA.gamma)
 _BETA = GAMMA.beta
 _IEYE = 1j * I4
 
@@ -382,12 +391,9 @@ def coeff_derivative(f: Callable, p: np.ndarray, k: int,
 
 
 @dataclass
-class OpSnapshot:
-    """Coefficients and their momentum gradients frozen at momenta (...)."""
+class OpSnapshot(PhaseOpValue):
+    """Coefficients A, B and their momentum gradients frozen at momenta (...)."""
 
-    dim: int
-    A: np.ndarray
-    B: np.ndarray    # (..., 3, d, d)
     dA: np.ndarray   # (..., 3, d, d), dA[k] = d A / d p_k
     dB: np.ndarray   # (..., 3, 3, d, d), dB[l, k] = d B_l / d p_k
 
@@ -411,8 +417,7 @@ def snapshot(op: PhaseSpaceOperator, p) -> OpSnapshot:
     gshape = shape[:-2] + (3,) + shape[-2:]
     vals = [x.val if isinstance(x, Jet) else x for x in coeffs]
     grads = [x.grad if isinstance(x, Jet) else 0.0 for x in coeffs]
-    snap = OpSnapshot(op.dim,
-                      np.broadcast_to(np.asarray(vals[0], dtype=complex), shape),
+    snap = OpSnapshot(np.broadcast_to(np.asarray(vals[0], dtype=complex), shape),
                       _stacked(vals[1:], -3, gshape),
                       np.broadcast_to(np.asarray(grads[0], dtype=complex), gshape),
                       _stacked(grads[1:], -4, shape[:-2] + (3, 3) + shape[-2:]))
@@ -430,8 +435,8 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     The second-order part is zero by construction (see the module docstring)
     and is not formed.
     """
-    if s1.dim != s2.dim:
-        raise DomainError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
+    if s1.A.shape[-1] != s2.A.shape[-1]:
+        raise DomainError(f"dimension mismatch: {s1.A.shape[-1]} vs {s2.A.shape[-1]}")
     A, B, dA, dB = s1.A, s1.B, s1.dA, s1.dB
     C, D, dC, dD = s2.A, s2.B, s2.dA, s2.dB
 

@@ -115,9 +115,12 @@ def dominant_frequency(times, values) -> float:
     Each sign change of the demeaned real part is located by linear
     interpolation between its two bracketing samples; consecutive crossings
     are half periods, so a least-squares line through (crossing index,
-    crossing time) gives pi/omega as its slope.  An offset that the mean
-    over a non-whole number of periods leaves moves rising and falling
-    crossings in opposite directions, so it averages out in the fit.
+    crossing time) gives pi/omega as its slope.  The estimate is biased:
+    the mean over a non-whole number of periods leaves an offset that moves
+    rising and falling crossings apart, and the fit does not cancel it
+    (`fwbench zitter --p 0.1` reads 2.6e-3 relative error, `--p 2` 1.5e-4,
+    and both exit 1).  A fix moves every frequency, and the benchmark gates
+    them at ZITTER_REF_REL = 1e-12, so it waits for a reference re-record.
     """
     times = np.asarray(times, dtype=float)
     y = np.asarray(values).real.astype(float)

@@ -98,12 +98,12 @@ def _worldline_oracle_gaps(m: float) -> tuple:
     no_b = np.zeros((3, 4, 4), dtype=complex)
     shifted, quantum_classical = 0.0, 0.0
     for p in sample_momenta(100):
-        snaps = {"q": [snapshot(op, p) for op in ops["q"]],
+        snaps = {"Q": [snapshot(op, p) for op in ops["q"]],
                  "K": [snapshot(op, p) for op in ops["K"]]}
         for i in range(3):
             for j in range(3):
                 shift = worldline_defect(m, p, i, j)
-                residual = (commutator_snapshot(snaps["q"][i], snaps["K"][j])
+                residual = (commutator_snapshot(snaps["Q"][i], snaps["K"][j])
                             - _rhs_worldline(snaps, p, i, j, velocity))
                 shifted = max(shifted,
                               (residual - PhaseOpValue(shift, no_b)).norm())

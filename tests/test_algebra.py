@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis.strategies import floats
 
+import fwbench.algebra as algebra
 from fwbench.algebra import (
     CLASSICAL_TOL,
     IDENTITIES,
     QUANTUM_SET_NAMES,
     ClassicalState,
-    all_as_expected,
+    Identity,
+    _rhs,
     classical_observables,
     identities_for_set,
     poisson_bracket,
@@ -38,7 +40,7 @@ def conventional_reports():
 
 
 def test_conventional_suite_all_as_expected(conventional_reports):
-    assert all_as_expected(conventional_reports)
+    assert all(r.verdict == "pass" for r in conventional_reports)
 
 
 def test_conventional_holding_identities_tight(conventional_reports):
@@ -142,6 +144,49 @@ def test_identity_table_is_consistent():
     assert order == [k for k, iden in enumerate(IDENTITIES) if "classical" in iden.sets]
 
 
+def test_rhs_reads_every_term_kind():
+    # plain numbers stand in for operators and observables: each kind against
+    # its formula, for every pair, with a commutator's and a Poisson bracket's unit
+    values = {"J": [2.0, 3.0, 5.0], "P": [7.0, 11.0, 13.0], "H": 17.0}
+
+    def special(kind, i, j):
+        return {"worldline": 100.0, "velocity": 1000.0}[kind] + 10 * i + j
+
+    def formula(kind, role, c, i, j, unit):
+        R = values.get(role.upper()) if role else 1.0
+        if kind == "eps":
+            return unit * c * sum(levi(i, j, k) * R[k] for k in range(3))
+        if kind == "i":
+            return unit * c * R[i]
+        if kind == "delta":
+            return unit * c * R * (i == j)
+        if kind == "zero":
+            return 0.0
+        return c * special(kind, i, j)
+
+    terms = [("eps", "j", 1), ("eps", "p", -1), ("i", "p", 2), ("delta", "H", 1),
+             ("delta", None, -3), ("zero", None, 0), ("worldline", None, 1),
+             ("velocity", None, -1)]
+    assert {iden.rhs[0] for iden in IDENTITIES} == {t[0] for t in terms}
+    for unit in (1j, 1.0):
+        for term in terms:
+            for i in range(3):
+                for j in range(3):
+                    assert (_rhs(term, values, i, j, unit, special)
+                            == formula(*term, i, j, unit)), (term, i, j, unit)
+
+
+def test_rhs_rejects_unknown_and_quantum_velocity_terms(monkeypatch):
+    with pytest.raises(ValueError, match="unknown"):
+        _rhs(("cross", "p", 1), {"P": [1.0, 2.0, 3.0]}, 0, 1, 1j, lambda *a: 0.0)
+    # a velocity row has no commutator form
+    row = Identity("[q_i,H] = i p_i/H", None, ("q", "H"), ((0, 0),), ("velocity", None, 1),
+                   ("conventional",))
+    monkeypatch.setattr(algebra, "IDENTITIES", IDENTITIES + (row,))
+    with pytest.raises(ValueError, match="velocity"):
+        run_quantum_suite("conventional", 1.0, 2)
+
+
 # --- classical side ------------------------------------------------------------
 
 WORLDLINE_CLASSICAL = "{Q_i,K_j} = Q_j{Q_i,H} - t d_ij"
@@ -208,7 +253,7 @@ def test_classical_oam_spin_bracket_vanishes():
 
 def test_classical_suite_all_as_expected():
     reports = run_classical_suite(25)
-    assert all_as_expected(reports)
+    assert all(r.verdict == "pass" for r in reports)
     table = by_id(reports)
     wl = table[WORLDLINE_CLASSICAL]
     assert wl.expected == "fail" and wl.min_residual >= 1e-3

@@ -1,8 +1,9 @@
 """Every definition in fwbench has a reader in the program.
 
-A module-level function or class counts as used when it is read, as a name
-or an attribute, somewhere in src/ or scripts/ outside its own definition,
-when the benchmark's span table (fwperf/spans.py) wraps it by its
+A module-level function, class or assigned name (a constant or table)
+counts as used when it is read, as a name or an attribute, somewhere in
+src/ or scripts/ outside its own definition or assignment, when the
+benchmark's span table (fwperf/spans.py) wraps it by its
 "fwbench.module:name" path, or when the benchmark's driver (fwperf/run.py or
 fwperf/workloads.py) reads it off an imported fwbench module: the benchmark
 reports that function's metrics or calls it, so moving it would change or
@@ -110,6 +111,15 @@ def test_every_benchmark_read_resolves():
     assert not missing, f"names the benchmark reads that fwbench lacks: {missing}"
 
 
+def _assigned(stmt) -> set:
+    """The names a module-level assignment binds."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+
 def _scan() -> tuple:
     """(module-level definitions, class members, names read, attributes read
     off non-modules), where the definitions map "module:name" and the members
@@ -126,6 +136,10 @@ def _scan() -> tuple:
             if path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined[f"{path.name}:{stmt.name}"] = stmt.name
                 names.discard(stmt.name)
+            if path.parent == PACKAGE:
+                for name in _assigned(stmt):
+                    defined[f"{path.name}:{name}"] = name
+                    names.discard(name)
             if path.parent == PACKAGE and isinstance(stmt, ast.ClassDef):
                 for item in stmt.body:
                     if (isinstance(item, ast.FunctionDef)

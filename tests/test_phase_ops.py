@@ -10,6 +10,7 @@ from fwbench.phase_ops import (
     DomainError,
     OperatorFamily,
     OpSnapshot,
+    PhaseOpValue,
     PhaseSpaceOperator,
     build_operator,
     coeff_derivative,
@@ -260,13 +261,13 @@ def test_commutator_snapshot_matches_loop_reference():
     def rand(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    s1 = OpSnapshot(d, rand(n, d, d), rand(n, 3, d, d), rand(n, 3, d, d), rand(n, 3, 3, d, d))
-    s2 = OpSnapshot(d, rand(n, d, d), np.broadcast_to(rand(3, d, d), (n, 3, d, d)),
+    s1 = OpSnapshot(rand(n, d, d), rand(n, 3, d, d), rand(n, 3, d, d), rand(n, 3, 3, d, d))
+    s2 = OpSnapshot(rand(n, d, d), np.broadcast_to(rand(3, d, d), (n, 3, d, d)),
                     rand(n, 3, d, d), np.broadcast_to(rand(3, 3, d, d), (n, 3, 3, d, d)))
     for a, b in ((s1, s2), (s2, s1)):
         val = commutator_snapshot(a, b)
         for i in range(n):
-            at = [OpSnapshot(d, x.A[i], x.B[i], x.dA[i], x.dB[i]) for x in (a, b)]
+            at = [OpSnapshot(x.A[i], x.B[i], x.dA[i], x.dB[i]) for x in (a, b)]
             zero, first, second = _loop_commutator(*at)
             assert np.linalg.norm(second) > 1.0
             for got, ref in ((val.A[i], zero), (val.B[i], first),
@@ -326,10 +327,32 @@ def test_second_order_check_catches_non_commuting_derivative_parts():
 
 
 def test_dim_mismatch_rejected():
-    a = build_operator(F.FW_HAMILTONIAN, 1.0)
-    b = build_family("fv_hamiltonian", 1.0)
-    with pytest.raises(DomainError):
-        op_commutator(a, b, MOMENTA[0])
+    # a 4x4 snapshot against a 2x2 one, in either order
+    p = MOMENTA[0]
+    a = snapshot(build_operator(F.FW_HAMILTONIAN, 1.0), p)
+    b = snapshot(build_family("fv_hamiltonian", 1.0), p)
+    for s1, s2 in ((a, b), (b, a)):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            commutator_snapshot(s1, s2)
+
+
+def test_number_stands_for_a_multiple_of_the_identity():
+    rng = np.random.default_rng(5)
+    n, d = 4, 3
+    A = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    B = rng.normal(size=(n, 3, d, d)) + 1j * rng.normal(size=(n, 3, d, d))
+    value, x = PhaseOpValue(A, B), 0.5 - 2j
+    shifted = value - x
+    explicit = value - PhaseOpValue(np.broadcast_to(x * np.eye(d), A.shape), np.zeros_like(B))
+    assert np.array_equal(shifted.A, explicit.A) and np.array_equal(shifted.A, A - x * np.eye(d))
+    assert np.array_equal(shifted.B, B)
+    # numpy scalars scale too, as levi's do; a snapshot scales as a PhaseOpValue
+    snap = snapshot(build_operator(F.BOOST_FW, 1.0, 2), MOMENTA[:n])
+    for c in (-2, 1j, np.float64(-1.0), np.complex128(0.25j)):
+        for v in (value, snap):
+            scaled = c * v
+            assert type(scaled) is PhaseOpValue
+            assert np.array_equal(scaled.A, c * v.A) and np.array_equal(scaled.B, c * v.B)
 
 
 # --- representation change ----------------------------------------------------
