@@ -233,22 +233,26 @@ def cmd_zitter(args) -> tuple:
     times = np.linspace(0.0, args.t_max, args.steps)
     if args.particle == "fw":
         v = zt.fw_velocity(p, args.mass, 2)
-        H, ts = fw_hamiltonian(p, args.mass), times[1:][:50, None, None]
-        # exp(iHt) v exp(-iHt) over the time stack
+        H, ts = fw_hamiltonian(p, args.mass), times[:, None, None]
+        # ||exp(iHt) v exp(-iHt) - v|| at every sample time, over the time stack
         evolved = free_propagator(H, eps, -ts) @ v @ free_propagator(H, eps, ts)
-        drift = float(np.max(np.linalg.norm(evolved - v, axis=(-2, -1))))
+        variation = np.linalg.norm(evolved - v, axis=(-2, -1))
+        drift = float(np.max(variation))
         return ("t,velocity_variation\n" + "\n".join(
-                    f"{_fmt(t)},{_fmt(0.0)}" for t in times) + "\n",
+                    f"{_fmt(t)},{_fmt(d)}" for t, d in zip(times, variation)) + "\n",
                 f"velocity constant; max numeric variation {drift:.3e}\n",
                 drift <= 1e-12)
     rec = zt.record_evolution(p, args.mass, times, 2, args.particle).entry(
         0, 2 if args.particle == "dirac" else 1)
     v, r = rec.velocity, rec.position
+    series = "t,re_v,im_v,re_r,im_r\n" + "\n".join(
+        ",".join(map(_fmt, row)) for row in zip(times, v.real, v.imag, r.real, r.imag)) + "\n"
+    if not np.any(rec.velocity_coeffs[1:3]):
+        # no cos or sin term (the scalar-sector velocity at rest is exactly 0)
+        return series, "velocity constant; no trembling to extract a frequency from\n", True
     freq = zt.dominant_frequency(times, v)
     rel = abs(freq - 2 * eps) / (2 * eps)
-    body = "\n".join(",".join(map(_fmt, row))
-                     for row in zip(times, v.real, v.imag, r.real, r.imag))
-    return ("t,re_v,im_v,re_r,im_r\n" + body + "\n",
+    return (series,
             f"extracted frequency {_fmt(freq)} vs 2*energy {_fmt(2 * eps)}"
             f" (relative error {rel:.3e})\n", rel <= 1e-6)
 

@@ -51,8 +51,8 @@ quadrants of [O, E] are K = [P, V] = P (v_j - v_i), formed elementwise,
 both blocks of [O,[O,E]] are [P, K], and {D^-1, [P, K]} is formed once.
 K is anti-Hermitian, so [P, K] = PK + (PK)^dag, and {D^-1, [P, K]} =
 A + A^dag with A = D^-1 [P, K]: two half-size products in all.
-approx_fw rejects a Hamiltonian whose diagonal quadrants are not diagonal
-or whose two potentials differ by more than rounding.
+approx_fw reads v from the BlockedHamiltonian, which holds the potential
+itself rather than a dense H, so no even part but a local one can reach it.
 
 The odd part from the FFT.  P = spectral_momentum(grid) is
 F^dag diag(p) F with F the DFT and p = grid.p_fft, so O^2 = diag(P^2, P^2)
@@ -76,7 +76,10 @@ so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
 off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
 block into the norm over the 4n operator.
 
-Checks.  Hermiticity is checked once, when the BlockedHamiltonian is made.
+Checks.  The BlockedHamiltonian holds H's parts and checks them once, when
+it is made: P Hermitian, v real with one value per row of P, all finite,
+and m non-negative.  eigenframe forms H for eigh; every other kernel, and
+FactoredOddPart.matches, reads the parts.
 Because H is Hermitian, so is U H U^dag for any U, and its off-diagonal norm
 is sqrt(2) times the norm of the upper quadrant alone; the upper rows
 U[:h] H = [U1 (m+v) + U2 P, U1 P + U2 (v-m)] are two half-size products and
@@ -86,24 +89,25 @@ check reads the off-diagonal quadrants of the lambda^2 that the
 lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
-handful of full-size matrices alive at once.  discretize_dirac_1d writes H
-quadrant by quadrant, eriksen_unitary writes U half by half from the
-eigenframe, eriksen_conditions forms and reduces one condition at a time,
-subtracting the identity in place, and the scaling study releases the
-eigenframe before the approximate transform and each Hamiltonian's matrices
-before it builds the next.  Across the study's Hamiltonians only the
-factored odd part stays alive: P and four more half-size matrices, each a
-quarter of a full-size matrix.  Each Hamiltonian builds its own P, by the
-same deterministic FFT construction, so the shared factorization still
-matches it bit for bit.  A full-size matrix is 1 MiB at n = 128 and 4 MiB
-at n = 256, so peak memory is set by how many are alive at once, not by
+handful of full-size matrices alive at once.  The BlockedHamiltonian holds
+only the half-size P, the vector v and m, and eigenframe forms the dense H
+for eigh alone, so H is not alive beside U, the approximate unitary or the
+conditions.  eriksen_unitary writes U half by half from the eigenframe,
+eriksen_conditions forms and reduces one condition at a time, subtracting
+the identity in place, and the scaling study releases the eigenframe
+before the approximate transform and each Hamiltonian's matrices before it
+builds the next.  Across the study's Hamiltonians only the factored odd
+part stays alive: P and four more half-size matrices, each a quarter of a
+full-size matrix.  Each Hamiltonian builds its own P, by the same
+deterministic FFT construction, so the shared factorization still matches
+it bit for bit.  A full-size matrix is 1 MiB at n = 128 and 4 MiB at
+n = 256, so peak memory is set by how many are alive at once, not by
 the O(n^3) products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -119,58 +123,56 @@ from .linalg import (
 )
 
 ZERO_MODE_RTOL = 1e-8
-# the two potentials of a local Hamiltonian, read from H's diagonal
-# quadrants as (m + v) - m and (v - m) + m, agree to rounding of m + |v|
-POTENTIAL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class BlockedHamiltonian:
-    """Hermitian Hamiltonian split against beta = diag(I, -I) with M = m I:
+    """The Hamiltonian H = [[m + v, P], [P, v - m]] split against
+    beta = diag(I, -I) with M = m I, held as its parts: the Hermitian odd
+    block P, the real local potential v and the mass m, so that
 
-    H = beta m + E + O,  E = (H + beta H beta)/2 - beta m,
-    O = (H - beta H beta)/2.
+    H = beta m + E + O,  E = diag(v, v),  O = [[0, P], [P, 0]].
 
-    The constructor checks that H is finite and Hermitian, once; the kernels
-    that take a BlockedHamiltonian rely on that check.  Whether H's diagonal
-    quadrants are diagonal, as for a local potential, is checked once too,
-    when a kernel first reads local_diagonals.
+    The constructor checks the parts once; the kernels that take a
+    BlockedHamiltonian rely on that check.
     """
 
-    H: np.ndarray
+    P: np.ndarray
+    v: np.ndarray
     m: float
 
     def __post_init__(self):
-        H, m = as_matrix(self.H), float(self.m)
+        P, m = as_matrix(self.P), float(self.m)
         if not (np.isfinite(m) and m >= 0.0):
             raise LinalgError(f"mass must be finite and non-negative, got {m}")
-        if H.shape[0] % 2:
-            raise LinalgError("blocked Hamiltonian needs even dimension")
-        if not is_hermitian(H):
-            raise LinalgError("Hamiltonian must be Hermitian")
-        object.__setattr__(self, "H", H)
+        if not is_hermitian(P):
+            raise LinalgError("odd block P must be Hermitian")
+        if np.iscomplexobj(self.v):
+            raise LinalgError("potential must be real")
+        v = np.asarray(self.v, dtype=float)
+        if v.shape != P.shape[:1]:
+            raise LinalgError(f"potential must return one value per grid node, shape "
+                              f"{P.shape[:1]}, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise LinalgError("potential must be bounded on the box")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "v", v)
         object.__setattr__(self, "m", m)
 
     @property
-    def dim(self) -> int:
-        return self.H.shape[0]
+    def n_upper(self) -> int:
+        return self.P.shape[0]
 
     @property
-    def n_upper(self) -> int:
-        return self.dim // 2
-
-    @cached_property
-    def local_diagonals(self) -> tuple:
-        """The diagonals of H's two diagonal quadrants, or LinalgError unless
-        both quadrants are diagonal, as for a local potential."""
+    def H(self) -> np.ndarray:
+        """The dense 2n x 2n matrix [[m + v, P], [P, v - m]], formed on each read."""
         h = self.n_upper
-        quadrants = (self.H[:h, :h], self.H[h:, h:])
-        diagonals = tuple(np.diagonal(q) for q in quadrants)
-        if any(np.count_nonzero(q) != np.count_nonzero(d)
-               for q, d in zip(quadrants, diagonals)):
-            raise LinalgError("diagonal quadrants of the Hamiltonian must be diagonal "
-                              "(a local potential)")
-        return diagonals
+        H = np.zeros((2 * h, 2 * h), dtype=complex)
+        H[:h, h:] = H[h:, :h] = self.P
+        diag = np.arange(h)
+        H[diag, diag] = self.m + self.v
+        H[h + diag, h + diag] = self.v - self.m
+        return H
 
 
 def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
@@ -180,33 +182,18 @@ def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
     return out
 
 
-def _local_potential(bh: BlockedHamiltonian) -> np.ndarray:
-    """The real potential v of H = [[m + v, P], [P, v - m]], or LinalgError
-    unless H's diagonal quadrants are diagonal and give one real v to
-    rounding."""
-    a, d = bh.local_diagonals
-    m = bh.m
-    v = a.real - m
-    gap = max(np.abs(a - m - v).max(), np.abs(d + m - v).max())
-    if gap > POTENTIAL_RTOL * max(m, np.abs(v).max()):
-        raise LinalgError(f"the two diagonal quadrants hold different potentials "
-                          f"(largest gap {gap:.3e}): not one local potential")
-    return v
-
-
 def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.ndarray:
     """Quadrant (0, k) of U H U^dag, (U[:h] H) U[kh:(k+1)h]^dag with
-    h = n_upper, for bh.H with diagonal diagonal quadrants a and d.
+    h = n_upper, from bh's parts without forming H.
 
-    U[:h] H = [U1 a + U2 H21, U1 H12 + U2 d] with U1, U2 the column halves
-    of U[:h]: two half-size products and two diagonal scalings.
+    U[:h] H = [U1 (m + v) + U2 P, U1 P + U2 (v - m)] with U1, U2 the column
+    halves of U[:h]: two half-size products and two diagonal scalings.
     """
     h = bh.n_upper
-    a, d = bh.local_diagonals
     U1, U2 = U[:h, :h], U[:h, h:]
     cols = U[k * h:(k + 1) * h].conj().T
-    return ((U1 * a + U2 @ bh.H[h:, :h]) @ cols[:h]
-            + (U1 @ bh.H[:h, h:] + U2 * d) @ cols[h:])
+    return ((U1 * (bh.m + bh.v) + U2 @ bh.P) @ cols[:h]
+            + (U1 @ bh.P + U2 * (bh.v - bh.m)) @ cols[h:])
 
 
 def _conjugated_offblock_norm(U: np.ndarray, bh: BlockedHamiltonian) -> float:
@@ -225,7 +212,7 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
 def eigenframe(bh: BlockedHamiltonian) -> tuple:
     """(w, v) = eigh(bh.H), eigenvalues ascending, for a spectrum with no
     zero mode and exactly bh.n_upper positive eigenvalues; LinalgError
-    otherwise.  bh.H is Hermitian by the BlockedHamiltonian constructor.
+    otherwise.  bh.H, formed here alone, is Hermitian by construction.
 
     The frame gives the exact spectrum, eriksen_unitary and sign_function,
     so a caller decomposes each Hamiltonian once.
@@ -274,7 +261,7 @@ def _minus_identity(a: np.ndarray) -> np.ndarray:
 def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -> dict:
     """Residuals of the defining properties of the exact transformation U
     built from the sign function lam of bh.H, each formed and reduced before
-    the next.  bh.H has diagonal diagonal quadrants (conjugated_quadrant)."""
+    the next; the off-block residual reads bh's parts (conjugated_quadrant)."""
     h = bh.n_upper
     conds = {"unitarity": frob(_minus_identity(U @ U.conj().T))}
     odd = _beta_times(U, h)
@@ -309,10 +296,8 @@ class FactoredOddPart:
     block: tuple
 
     def matches(self, bh: BlockedHamiltonian) -> bool:
-        """Whether bh has exactly this mass and both odd quadrants P."""
-        h = bh.n_upper
-        return (bh.m == self.m and np.array_equal(bh.H[:h, h:], self.P)
-                and np.array_equal(bh.H[h:, :h], self.P))
+        """Whether bh has exactly this mass and odd block P."""
+        return bh.m == self.m and np.array_equal(bh.P, self.P)
 
 
 def _fourier_multiplier(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
@@ -351,13 +336,12 @@ def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
 
     odd is the factorization of bh's odd block and mass (grid_odd_part),
     shared by every Hamiltonian with that odd part; one that does not match
-    bh is rejected, and so is an H whose diagonal quadrants are not one
-    real diagonal potential V.
+    bh is rejected.
     """
     if not odd.matches(bh):
         raise LinalgError("odd-part factorization does not match the Hamiltonian's "
                           "odd part and mass")
-    v = _local_potential(bh)
+    v = (bh.m + bh.v) - bh.m   # as H holds it: both transforms see one H to the last bit
     h, P = bh.n_upper, odd.P
     # both quadrants of [O, E] are K = [P, V], both blocks of [O, [O, E]]
     # [P, K] = PK - KP = PK + (PK)^dag, since K is anti-Hermitian
@@ -372,11 +356,11 @@ def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
     A = d_inv @ double_comm
     even = -0.25 * (A + A.conj().T)
     even[np.diag_indices_from(even)] += v
-    U = np.empty_like(bh.H)
+    U = np.empty((2 * h, 2 * h), dtype=complex)
     U[:h, :h] = U[h:, h:] = u_diag
     U[:h, h:] = u_off
     U[h:, :h] = -u_off
-    h_approx = np.zeros_like(bh.H)
+    h_approx = np.zeros_like(U)
     h_approx[:h, :h] = even + eps
     h_approx[h:, h:] = even - eps
     return U, h_approx
@@ -398,20 +382,7 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     4n x 4n Hamiltonian is two copies of this block, with the odd quadrants
     P = spectral_momentum(grid).
     """
-    check_mass(m)
-    n = grid.n
-    v_vals = np.asarray(V(grid.x), dtype=float)
-    if v_vals.shape != (n,):
-        raise ValueError(f"potential must return one value per grid node, shape ({n},), "
-                         f"got shape {v_vals.shape}")
-    if not np.all(np.isfinite(v_vals)):
-        raise ValueError("potential must be bounded on the box")
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
-    H[:n, n:] = H[n:, :n] = spectral_momentum(grid)
-    diag = np.arange(n)
-    H[diag, diag] = m + v_vals
-    H[n + diag, n + diag] = v_vals - m
-    return BlockedHamiltonian(H=H, m=m)
+    return BlockedHamiltonian(P=spectral_momentum(grid), v=V(grid.x), m=m)
 
 
 def four_component_norm(block_norm):

@@ -219,6 +219,28 @@ def test_zitter_fw_constant(tmp_path, capsys):
     assert "constant" in capsys.readouterr().err
 
 
+def test_zitter_fw_variation_column_is_measured(tmp_path, capsys):
+    # the column holds ||v(t) - v|| at every sample time, and stderr its maximum
+    out = tmp_path / "fw.csv"
+    assert run(["zitter", "--particle", "fw", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (4000, 2)
+    assert rows[0, 1] == 0.0
+    stated = re.search(r"max numeric variation (\S+)", capsys.readouterr().err).group(1)
+    assert f"{rows[:, 1].max():.3e}" == stated
+
+
+def test_zitter_fv_at_rest_has_no_trembling(tmp_path, capsys):
+    # the scalar-sector velocity at rest is exactly zero: there is no
+    # frequency to extract, and that is no failure
+    out = tmp_path / "fv.csv"
+    assert run(["zitter", "--particle", "fv", "--p", "0", "--out", str(out)]) == 0
+    assert "no trembling" in capsys.readouterr().err
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (4000, 5)
+    assert not np.any(rows[:, 1:])
+
+
 def test_precess_command(tmp_path, capsys):
     out = tmp_path / "prec.csv"
     code = run(["precess", "--p", "1,0,0", "--b-field", "0,0,1", "--a", "0.1",

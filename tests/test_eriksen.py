@@ -17,6 +17,7 @@ from fwbench.eriksen import (
     ScalingStudy,
     approx_fw,
     check_strengths,
+    conjugated_quadrant,
     discretize_dirac_1d,
     eigenframe,
     eriksen_conditions,
@@ -41,13 +42,18 @@ def block_beta(n):
 
 
 def blocked_4x4(p, m):
-    return BlockedHamiltonian(H=dirac_hamiltonian(p, m), m=m)
+    """The 4x4 Dirac Hamiltonian beta m + alpha.p: P = sigma.p and no potential."""
+    return BlockedHamiltonian(P=dirac_hamiltonian(p, m)[:2, 2:], v=np.zeros(2), m=m)
+
+
+def mass_term(v, m):
+    """beta m + diag(v, v) with no odd block."""
+    return BlockedHamiltonian(P=np.zeros((len(v), len(v))), v=v, m=m)
 
 
 def own_approx_fw(bh):
     """approx_fw with bh's own odd block factored by the eigh oracle."""
-    h = bh.n_upper
-    return approx_fw(bh, factor_odd_part(bh.H[:h, h:], bh.m))
+    return approx_fw(bh, factor_odd_part(bh.P, bh.m))
 
 
 def test_grid_validation():
@@ -77,7 +83,8 @@ def exact_transform(bh):
 
 
 def test_eriksen_on_diagonal_mass_term_is_identity():
-    bh = BlockedHamiltonian(H=2.0 * GAMMA.beta, m=2.0)
+    bh = mass_term(np.zeros(2), 2.0)
+    np.testing.assert_array_equal(bh.H, 2.0 * GAMMA.beta)
     u = eriksen_unitary(eigenframe(bh))
     assert np.allclose(u, I4, atol=1e-12)
 
@@ -93,7 +100,7 @@ def test_eriksen_matches_free_closed_form_unitary():
 
 
 def test_approx_on_mass_term():
-    bh = BlockedHamiltonian(H=1.5 * GAMMA.beta, m=1.5)
+    bh = mass_term(np.zeros(2), 1.5)
     u, h = own_approx_fw(bh)
     assert np.allclose(u, I4, atol=1e-12)
     assert np.allclose(h, 1.5 * GAMMA.beta, atol=1e-12)
@@ -184,13 +191,13 @@ def test_scaling_study_quadratic_spectrum_linear_offblock():
 
 
 def test_sign_function_rejects_zero_modes():
-    h = np.diag([1.0, 0.0, -1.0, 2.0]).astype(complex)
+    # H = diag(0, 1, -2, -1)
     with pytest.raises(LinalgError, match="zero"):
-        eigenframe(BlockedHamiltonian(H=h, m=1.0))
+        eigenframe(mass_term(np.array([-1.0, 0.0]), 1.0))
 
 
 def test_approx_rejects_singular_mass_operator():
-    bh = BlockedHamiltonian(H=dirac_hamiltonian((1.0, 0, 0), 0.0), m=0.0)
+    bh = blocked_4x4(np.array([1.0, 0.0, 0.0]), 0.0)
     with pytest.raises(LinalgError, match="not invertible"):
         own_approx_fw(bh)
     with pytest.raises(LinalgError, match="not invertible"):
@@ -198,25 +205,29 @@ def test_approx_rejects_singular_mass_operator():
 
 
 def test_blocked_hamiltonian_is_frozen():
-    # eigenframe trusts the constructor's Hermiticity check of bh.H
-    bh = BlockedHamiltonian(H=np.eye(4), m=1.0)
+    # every kernel trusts the constructor's checks of bh's parts
+    bh = mass_term(np.zeros(2), 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        bh.H = np.array([[0.0, 1.0], [0.0, 0.0]])
+        bh.P = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bh.v = np.array([np.inf, 0.0])
 
 
 def test_eriksen_command_checks_each_hamiltonian_hermitian_once(tmp_path, monkeypatch):
     n = 16
-    dims = []
+    dims = {}
     for module in (fwbench.eriksen, fwbench.linalg):
         original = module.is_hermitian
 
-        def counted(a, *args, _original=original, **kwargs):
-            dims.append(a.shape[-1])
+        def counted(a, *args, _original=original, _module=module.__name__, **kwargs):
+            dims.setdefault(_module, []).append(a.shape[-1])
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(module, "is_hermitian", counted)
     assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
-    # the free Hamiltonian and the three of the default --v0 ladder
-    assert dims.count(2 * n) == 4
+    # the odd block P of the free Hamiltonian and of the three of the default
+    # --v0 ladder; mat_inv_sqrt_psd checks its own half-size inputs
+    assert dims["fwbench.eriksen"] == [n] * 4
+    assert 2 * n not in dims["fwbench.linalg"]
 
 
 def test_discretize_rejects_potential_without_one_finite_value_per_node():
@@ -228,13 +239,34 @@ def test_discretize_rejects_potential_without_one_finite_value_per_node():
 
 
 def test_blocked_hamiltonian_validation():
-    with pytest.raises(LinalgError):
-        BlockedHamiltonian(H=np.array([[0.0, 1.0], [0.0, 0.0]]), m=1.0)
-    with pytest.raises(LinalgError, match="even dimension"):
-        BlockedHamiltonian(H=np.eye(3), m=1.0)
+    v = np.zeros(2)
+    with pytest.raises(LinalgError, match="Hermitian"):
+        BlockedHamiltonian(P=np.array([[0.0, 1.0], [0.0, 0.0]]), v=v, m=1.0)
+    for P in (np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(LinalgError, match="square matrix|non-finite"):
+            BlockedHamiltonian(P=P, v=v, m=1.0)
+    for bad_v in (0.3, np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(LinalgError, match="one value per grid node"):
+            BlockedHamiltonian(P=np.eye(2), v=bad_v, m=1.0)
+    for bad_v in (np.array([np.inf, 0.0]), np.array([0.0, np.nan])):
+        with pytest.raises(LinalgError, match="bounded"):
+            BlockedHamiltonian(P=np.eye(2), v=bad_v, m=1.0)
+    with pytest.raises(LinalgError, match="real"):
+        BlockedHamiltonian(P=np.eye(2), v=np.array([0.0, 1j]), m=1.0)
     for bad_mass in (-1.0, np.nan, np.inf):
         with pytest.raises(LinalgError, match="mass"):
-            BlockedHamiltonian(H=np.eye(4), m=bad_mass)
+            BlockedHamiltonian(P=np.eye(2), v=v, m=bad_mass)
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_blocked_hamiltonian_dense_matrix_is_its_parts(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    P, v, m = 0.5 * (a + a.conj().T), rng.normal(size=n), 1.7
+    bh = BlockedHamiltonian(P=P, v=v, m=m)
+    want = np.block([[np.diag(m + v), P], [P, np.diag(v - m)]])
+    np.testing.assert_array_equal(bh.H, want)
+    assert bh.H.dtype == complex and bh.n_upper == n
 
 
 @pytest.mark.parametrize("v0", [[0.1, 0.1], [0.01], [0.0, 0.01, 0.1],
@@ -263,23 +295,25 @@ def _rel(a, b):
 
 def _oracle_cases():
     rng = np.random.default_rng(5)
-    cases = [pytest.param(dirac_hamiltonian(p, m), m, GAMMA.beta, id=f"4x4-m{m}-{i}")
+    cases = [pytest.param(dirac_hamiltonian(p, m)[:2, 2:], np.zeros(2), m, GAMMA.beta,
+                          id=f"4x4-m{m}-{i}")
              for m in ORACLE_MASSES for i, p in enumerate(rng.uniform(-3, 3, (3, 3)))]
     for n in (16, 32):
         grid = Grid1D(n=n, length=n / 2)
         beta = block_beta(n)
         for m in ORACLE_MASSES:
             for name, profile in ORACLE_PROFILES.items():
-                V = profile(grid.length)
-                H = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x)).H
-                cases.append(pytest.param(H, m, beta, id=f"n{n}-m{m}-{name}"))
+                cases.append(pytest.param(spectral_momentum(grid),
+                                          0.2 * profile(grid.length)(grid.x), m, beta,
+                                          id=f"n{n}-m{m}-{name}"))
     return cases
 
 
-@pytest.mark.parametrize("H, m, beta", _oracle_cases())
-def test_structured_kernels_match_dense_oracle(H, m, beta, dense_eriksen_oracle):
+@pytest.mark.parametrize("P, v, m, beta", _oracle_cases())
+def test_structured_kernels_match_dense_oracle(P, v, m, beta, dense_eriksen_oracle):
     # measured worst case over these cases: 4.2e-15 relative
-    bh = BlockedHamiltonian(H=H, m=m)
+    bh = BlockedHamiltonian(P=P, v=v, m=m)
+    H = bh.H
     M = m * np.eye(H.shape[0])
     U, lam = exact_transform(bh)
     U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
@@ -332,8 +366,9 @@ def test_eriksen_evenness_unitarity_and_block_diagonal(dense_eriksen_oracle, H):
     offblock_norm = dense_eriksen_oracle["offblock"]
     nu = H.shape[0] // 2
     beta = np.diag(np.r_[np.ones(nu), -np.ones(nu)])
-    bh = BlockedHamiltonian(H=H, m=1.0)
-    frame = eigenframe(bh)
+    # a general H is no BlockedHamiltonian: eigh's frame of its k positive
+    # and k negative eigenvalues is the one eigenframe would give
+    frame = np.linalg.eigh(H)
     lam = sign_function(frame)
     g = 2 * np.eye(2 * nu) + beta @ lam + lam @ beta
     # g is even: the half-size route through its diagonal blocks is exact
@@ -386,52 +421,25 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     assert len(calls) == 9
 
 
-def test_approx_fw_rejects_distinct_odd_quadrants():
-    # a random Hermitian H has C = B^dag != B; a factorization of B matches
-    # its upper odd quadrant and its mass, but not its lower quadrant
-    rng = np.random.default_rng(0)
-    k, m = 6, 1.3
-    a = rng.normal(size=(2 * k, 2 * k)) + 1j * rng.normal(size=(2 * k, 2 * k))
-    bh = BlockedHamiltonian(H=0.5 * (a + a.conj().T), m=m)
-    B = bh.H[:k, k:]
-    assert not np.array_equal(B, bh.H[k:, :k])
-    with pytest.raises(LinalgError, match="does not match"):
-        approx_fw(bh, factor_odd_part(B, m))
-
-
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
-    # k+1 positive and k-1 negative eigenvalues, all gapped from zero: no
-    # unitary sends the positive spectrum to the k-dimensional upper block
+    # H = [[m + c, P], [P, c - m]] has the spectrum c +- r_i with
+    # r_i = sqrt(m^2 + p_i^2) over P's eigenvalues p_i; a shift c between the
+    # two smallest roots r_1 < c < r_2 leaves k+1 positive and k-1 negative
+    # eigenvalues, all gapped from zero: no unitary sends the positive
+    # spectrum to the k-dimensional upper block
     rng = np.random.default_rng(seed)
-    w = rng.uniform(0.1, 5.0, 2 * k) * np.r_[np.ones(k + 1), -np.ones(k - 1)]
-    q, _ = np.linalg.qr(rng.normal(size=(2 * k, 2 * k))
-                        + 1j * rng.normal(size=(2 * k, 2 * k)))
-    H = (q * w) @ q.conj().T
-    bh = BlockedHamiltonian(H=0.5 * (H + H.conj().T), m=1.0)
+    mags = np.cumsum(rng.uniform(0.1, 1.0, k))
+    p = mags * rng.choice([-1.0, 1.0], k)
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    P = (q * p) @ q.conj().T
+    m = rng.uniform(0.1, 3.0)
+    r = np.sqrt(m * m + mags * mags)
+    c = 0.5 * (r[0] + r[1]) if k > 1 else r[0] + 1.0
+    bh = BlockedHamiltonian(P=0.5 * (P + P.conj().T), v=np.full(k, c), m=m)
     with pytest.raises(LinalgError, match=f"{k + 1} of {2 * k} eigenvalues are positive"):
         eigenframe(bh)
-
-
-def test_approx_fw_rejects_non_local_even_part():
-    grid = Grid1D(n=16, length=8.0)
-    odd = grid_odd_part(grid, 1.0)
-    H = discretize_dirac_1d(grid, 1.0, lambda x: 0.1 * np.cos(x)).H
-    n = grid.n
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    for rows in (slice(0, n), slice(n, 2 * n)):
-        # a random Hermitian even quadrant is not a local potential
-        bad = H.copy()
-        bad[rows, rows] += 0.5 * (a + a.conj().T)
-        with pytest.raises(LinalgError, match="must be diagonal"):
-            approx_fw(BlockedHamiltonian(H=bad, m=1.0), odd)
-    # nor are two different potentials in the two quadrants
-    bad = H.copy()
-    bad[n:, n:] += 1e-6 * np.eye(n)
-    with pytest.raises(LinalgError, match="different potentials"):
-        approx_fw(BlockedHamiltonian(H=bad, m=1.0), odd)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
@@ -461,6 +469,25 @@ def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_erik
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
         got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh)
         assert abs(got / want - 1) <= 1e-12, m
+
+
+@pytest.mark.parametrize("transform", ["exact", "approx"])
+def test_conjugated_quadrant_matches_dense_conjugation(transform):
+    # quadrants (0, 0) and (0, 1) of U H U^dag from bh's parts against the
+    # dense product, relative to ||H||: the scale of the rounding in the exact
+    # transform's vanishing (0, 1) quadrant
+    rng = np.random.default_rng(7)
+    hams = [blocked_4x4(p, m) for m, p in zip(ORACLE_MASSES, rng.uniform(-3, 3, (3, 3)))]
+    grid = Grid1D(n=32, length=16.0)
+    hams += [discretize_dirac_1d(grid, m, lambda x, V=profile(grid.length): 0.2 * V(x))
+             for m in ORACLE_MASSES for profile in ORACLE_PROFILES.values()]
+    for bh in hams:
+        U = eriksen_unitary(eigenframe(bh)) if transform == "exact" else own_approx_fw(bh)[0]
+        H, h = bh.H, bh.n_upper
+        dense = U @ H @ U.conj().T
+        for k in (0, 1):
+            got = conjugated_quadrant(U, bh, k)
+            assert frob(got - dense[:h, k * h:(k + 1) * h]) <= 1e-12 * frob(H), (bh.m, k)
 
 
 def _explicit_bl_lb(lam, n):
