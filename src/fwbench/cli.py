@@ -178,6 +178,14 @@ def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
     return conds, spec_err
 
 
+def _verdict(checks) -> tuple:
+    """(stderr line naming each failed check with its value and bound, or "";
+    whether all passed) for rows (name, value, bound, ok)."""
+    failed = [f"{name} {value:.6g} (bound {bound})" for name, value, bound, ok in checks
+              if not ok]
+    return (f"failed checks: {'; '.join(failed)}\n" if failed else ""), not failed
+
+
 def cmd_eriksen(args) -> tuple:
     grid = Grid1D(n=args.n, length=args.box)
     conds, spec_err = _free_eriksen_checks(grid, args.mass)
@@ -195,14 +203,13 @@ def cmd_eriksen(args) -> tuple:
         "scaling_exponent": study.exponent,
     }
     worst = max(conds.values())
-    failed = [f"{name} {value:.6g} (bound {bound})" for name, value, bound, ok in (
+    stderr, ok = _verdict((
         ("free_conditions", worst, "max <= 1e-9", worst <= 1e-9),
         ("free_positive_spectrum_error", spec_err, "<= 1e-10", spec_err <= 1e-10),
         ("scaling_exponent", study.exponent, "2 +- 0.3", abs(study.exponent - 2.0) <= 0.3),
-    ) if not ok]
-    result["verdict"] = "fail" if failed else "pass"
-    return (json.dumps(result, indent=2, sort_keys=True),
-            f"failed checks: {'; '.join(failed)}\n" if failed else "", not failed)
+    ))
+    result["verdict"] = "pass" if ok else "fail"
+    return json.dumps(result, indent=2, sort_keys=True), stderr, ok
 
 
 def cmd_precess(args) -> tuple:
@@ -296,10 +303,15 @@ def cmd_pce(args) -> tuple:
         "normalization_fw": norm_fw,
         "normalization_dirac": norm_d,
     }
-    ok = (abs(norm_fw - 1) <= 1e-10 and abs(norm_d - 1) <= 1e-10
-          and abs(pce_p) <= 1e-12 and abs(pce_x2) > 1e-4 * abs(x2_fw))
+    stderr, ok = _verdict((
+        ("normalization_fw", norm_fw, "|x - 1| <= 1e-10", abs(norm_fw - 1) <= 1e-10),
+        ("normalization_dirac", norm_d, "|x - 1| <= 1e-10", abs(norm_d - 1) <= 1e-10),
+        ("pce_momentum", pce_p, "|x| <= 1e-12", abs(pce_p) <= 1e-12),
+        ("pce_x_sq", pce_x2, f"|x| > 1e-4 <x^2>_fw = {1e-4 * abs(x2_fw):.6g}",
+         abs(pce_x2) > 1e-4 * abs(x2_fw)),
+    ))
     if args.format == "json" or args.out:
-        return json.dumps(result, indent=2, sort_keys=True), "", ok
+        return json.dumps(result, indent=2, sort_keys=True), stderr, ok
     return "\n".join([
         f"normalization fw picture    = {norm_fw:.10f}",
         f"normalization dirac picture = {norm_d:.10f}",
@@ -308,7 +320,7 @@ def cmd_pce(args) -> tuple:
         f"PCE(x^2)                    = {_fmt(pce_x2)}",
         f"PCE(p)                      = {_fmt(pce_p)}",
         f"PCE(identity)               = {_fmt(pce_id)}",
-    ]), "", ok
+    ]), stderr, ok
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,11 +60,11 @@ and every function of it is F^dag diag(f(p^2)) F: the four half-size
 operators that depend only on O and m (the diagonal and off-diagonal blocks
 of the approximate unitary, eps and the inverse kinetic denominator) are
 formed from the grid's momenta by one inverse FFT each (grid_odd_part),
-with no eigendecomposition.  A potential enters only E, so every
-Hamiltonian on one grid shares them: the scaling study forms them once per
-grid and mass, and approx_fw takes that FactoredOddPart with every
-potential, rejects a Hamiltonian whose odd part or mass it does not match,
-and forms only what depends on E.
+with no eigendecomposition, in the standing-wave basis below.  A potential
+enters only E, so every Hamiltonian on one grid shares them: the scaling
+study forms them once per grid and mass, and approx_fw takes that
+FactoredOddPart with every potential, rejects a Hamiltonian whose odd part
+or mass it does not match, and forms only what depends on E.
 
 discretize_dirac_1d builds the 1D Dirac Hamiltonian with a static
 electrostatic potential on a periodic grid.  With the momentum along x only
@@ -75,6 +75,32 @@ h = [[m + V, P], [P, V - m]], and the grid Hamiltonian is that block, ordered
 so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
 off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
 block into the norm over the 4n operator.
+
+The standing-wave basis.  Node j sits at x_j = (j - n/2) dx, so its mirror
+image -x_j is node (n - j) % n.  For a potential even on the grid,
+v[j] = v[(n - j) % n], H commutes with T = R K, the reflection x -> -x after
+complex conjugation, and T^2 = 1.  The standing waves
+
+    w_k = a_k e_k + conj(a_k) e_(n-k),  a_k = 1/2 at k = 0 and n/2 (w_k = e_k),
+    a_k = 1/sqrt(2) for 0 < k < n/2,  a_k = -i/sqrt(2) for n/2 < k < n,
+
+are T-invariant and orthonormal, so every operator that commutes with T is
+real in their basis W.  The grid's operators are in that basis: P is real
+symmetric; diag(v) stays diag(v), since w_k lives on the nodes k and n - k,
+where v takes the one value v[k]; and beta is unchanged, since W acts on
+both components alike.  H is then real symmetric, and every eigh and
+product runs in float64, a few times cheaper than in complex128.  A
+Hermitian circulant C, with entries c[(j - l) % n], commutes with T whatever
+its symbol, and
+
+    (W^dag C W)_kl = 2 Re(conj(a_k) a_l c[k - l] + conj(a_k) conj(a_l) c[k + l]),
+
+indices mod n: each entry gathers the pairs of nodes of w_k and w_l from
+c = ifft(symbol), in O(n^2) and with no dense conjugation
+(_standing_multiplier).  W commutes with beta, so spectra, Frobenius norms
+and beta's quadrants are the same as in the position basis, and so is every
+number the study reports.  discretize_dirac_1d rejects a potential that is
+not even on the grid, bit for bit: H would not be real in this basis.
 
 Checks.  The BlockedHamiltonian holds H's parts and checks them once, when
 it is made: P Hermitian, v real with one value per row of P, all finite,
@@ -100,8 +126,8 @@ builds the next.  Across the study's Hamiltonians only the factored odd
 part stays alive: P and four more half-size matrices, each a quarter of a
 full-size matrix.  Each Hamiltonian builds its own P, by the same
 deterministic FFT construction, so the shared factorization still matches
-it bit for bit.  A full-size matrix is 1 MiB at n = 128 and 4 MiB at
-n = 256, so peak memory is set by how many are alive at once, not by
+it bit for bit.  A full-size float64 matrix is 0.5 MiB at n = 128 and 2 MiB
+at n = 256, so peak memory is set by how many are alive at once, not by
 the O(n^3) products.
 """
 
@@ -134,7 +160,9 @@ class BlockedHamiltonian:
     H = beta m + E + O,  E = diag(v, v),  O = [[0, P], [P, 0]].
 
     The constructor checks the parts once; the kernels that take a
-    BlockedHamiltonian rely on that check.
+    BlockedHamiltonian rely on that check.  Every kernel keeps P's dtype:
+    float64 for a grid Hamiltonian in the standing-wave basis, complex128
+    for a complex P such as the 4x4 Dirac block sigma.p.
     """
 
     P: np.ndarray
@@ -165,9 +193,10 @@ class BlockedHamiltonian:
 
     @property
     def H(self) -> np.ndarray:
-        """The dense 2n x 2n matrix [[m + v, P], [P, v - m]], formed on each read."""
+        """The dense 2n x 2n matrix [[m + v, P], [P, v - m]] of P's dtype,
+        formed on each read."""
         h = self.n_upper
-        H = np.zeros((2 * h, 2 * h), dtype=complex)
+        H = np.zeros((2 * h, 2 * h), dtype=self.P.dtype)
         H[:h, h:] = H[h:, :h] = self.P
         diag = np.arange(h)
         H[diag, diag] = self.m + self.v
@@ -300,21 +329,48 @@ class FactoredOddPart:
         return bh.m == self.m and np.array_equal(bh.P, self.P)
 
 
-def _fourier_multiplier(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
-    """F^dag diag(symbol) F on the grid for a real symbol over grid.p_fft:
-    the circulant n x n matrix whose (j, l) entry is c[(j - l) mod n] with
-    c = ifft(symbol), its Hermitian part taken on c so that the matrix is
-    exactly Hermitian."""
+def _mirrored(a: np.ndarray) -> np.ndarray:
+    """a[(n - j) % n] at j: a over the grid nodes reflected through x = 0."""
+    return np.roll(a[::-1], 1)
+
+
+def _standing_multiplier(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
+    """F^dag diag(symbol) F on the grid for a real symbol over grid.p_fft, in
+    the standing-wave basis: the real symmetric n x n matrix
+    2 Re(conj(a_k) a_l c[k - l] + conj(a_k) conj(a_l) c[k + l]) of the module
+    docstring, with c = ifft(symbol).  With D = c[k - l] and S = c[k + l]
+    (indices mod n), the even pairs of nodes k <= n/2 (a_k real) and the odd
+    pairs k > n/2 (a_k imaginary) give the blocks
+
+        [[Re(D + S), Im(D - S)], [-Im(D + S), Re(D - S)]],
+
+    with the rows and columns of the unpaired nodes 0 and n/2 scaled by
+    1/sqrt(2).  D and S are strided views of two copies of c laid end to
+    end, so no n x n index is formed.
+    c takes its Hermitian part first, so that the matrix is exactly
+    symmetric."""
+    n, h = grid.n, grid.n // 2
     c = np.fft.ifft(symbol)
-    c = 0.5 * (c + np.roll(c[::-1], 1).conj())            # c[-k]^* at k
-    idx = np.arange(grid.n)
-    return c[np.subtract.outer(idx, idx) % grid.n]
+    c = 0.5 * (c + _mirrored(c).conj())                  # c[-k]^* at k
+    windows = np.lib.stride_tricks.sliding_window_view
+    S = windows(np.tile(c, 2), n)[:n]                    # row k: c[k + l]
+    D = windows(np.tile(_mirrored(c), 2), n)[n:0:-1]     # row k: c[k - l]
+    even, odd = slice(0, h + 1), slice(h + 1, n)
+    M = np.empty((n, n))
+    M[even, even] = D[even, even].real + S[even, even].real
+    M[odd, odd] = D[odd, odd].real - S[odd, odd].real
+    M[even, odd] = D[even, odd].imag - S[even, odd].imag
+    M[odd, even] = -(D[odd, even].imag + S[odd, even].imag)
+    M[[0, h]] *= np.sqrt(0.5)
+    M[:, [0, h]] *= np.sqrt(0.5)
+    return M
 
 
 def grid_odd_part(grid: Grid1D, m: float) -> FactoredOddPart:
     """The FactoredOddPart of the grid's odd part [[0, P], [P, 0]] with
     P = spectral_momentum(grid) and mass m: P^2 is diagonal in the DFT basis
-    with eigenvalues p^2, so each operator is F^dag diag(f(p^2)) F."""
+    with eigenvalues p^2, so each operator is F^dag diag(f(p^2)) F, formed in
+    the standing-wave basis."""
     if m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
     p = grid.p_fft
@@ -327,7 +383,7 @@ def grid_odd_part(grid: Grid1D, m: float) -> FactoredOddPart:
     symbols = (np.sqrt((1.0 + s) / (2.0 * s)), (p / m) / np.sqrt(2.0 * s * (1.0 + s)),
                eps, 1.0 / denom)
     return FactoredOddPart(spectral_momentum(grid), m,
-                           tuple(_fourier_multiplier(grid, f) for f in symbols))
+                           tuple(_standing_multiplier(grid, f) for f in symbols))
 
 
 def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
@@ -356,7 +412,7 @@ def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
     A = d_inv @ double_comm
     even = -0.25 * (A + A.conj().T)
     even[np.diag_indices_from(even)] += v
-    U = np.empty((2 * h, 2 * h), dtype=complex)
+    U = np.empty((2 * h, 2 * h), dtype=P.dtype)
     U[:h, :h] = U[h:, h:] = u_diag
     U[:h, h:] = u_off
     U[h:, :h] = -u_off
@@ -367,9 +423,10 @@ def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
 
 
 def spectral_momentum(grid: Grid1D) -> np.ndarray:
-    """Dense n x n momentum operator -i d/dx in the periodic spectral basis,
-    F^dag diag(p_fft) F."""
-    return _fourier_multiplier(grid, grid.p_fft)
+    """Dense n x n momentum operator -i d/dx of the periodic spectral
+    discretization, F^dag diag(p_fft) F, in the standing-wave basis: real
+    symmetric."""
+    return _standing_multiplier(grid, grid.p_fft)
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
@@ -378,11 +435,17 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     Hamiltonian beta m + V(x) + alpha_1 p on a periodic box.
 
     Basis ordering is component-major (upper component first), so
-    beta = diag(I_n, -I_n).  In spinor component order (1, 4 | 2, 3) the
-    4n x 4n Hamiltonian is two copies of this block, with the odd quadrants
-    P = spectral_momentum(grid).
+    beta = diag(I_n, -I_n), and each component is in the standing-wave
+    basis, where the potential stays diag(V(x)).  In spinor component order
+    (1, 4 | 2, 3) the 4n x 4n Hamiltonian is two copies of this block, with
+    the odd quadrants P = spectral_momentum(grid).  LinalgError unless V is
+    even on the grid, V(x_j) = V(x_(n-j)) bit for bit.
     """
-    return BlockedHamiltonian(P=spectral_momentum(grid), v=V(grid.x), m=m)
+    bh = BlockedHamiltonian(P=spectral_momentum(grid), v=V(grid.x), m=m)
+    if not np.array_equal(bh.v, _mirrored(bh.v)):
+        raise LinalgError("potential must be even on the grid, v[j] == v[(n - j) % n]: "
+                          "the standing-wave basis is real for parity-even potentials only")
+    return bh
 
 
 def four_component_norm(block_norm):
@@ -456,7 +519,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     over the spin block; four_component_norm gives them over the 4n
     operator.  Every H has the odd part [[0, P], [P, 0]] of the grid's
     momentum operator P, so the odd part is factored once for the whole
-    ladder.
+    ladder.  profile must be even on the grid (discretize_dirac_1d).
     """
     v0_arr = check_strengths(v0_list)
     check_mass(m)

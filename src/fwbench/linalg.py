@@ -1,6 +1,7 @@
-"""Dense complex matrix arithmetic for the spectral layer.
+"""Dense matrix arithmetic for the spectral layer.
 
-Everything downstream works with plain complex numpy arrays; this module
+Everything downstream works with plain numpy arrays, real symmetric or
+complex Hermitian, and every kernel keeps its input's dtype; this module
 supplies the validated square-matrix input, the Hermitian inverse square
 root and the tolerance-based Hermiticity predicate.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-ComplexMatrix = np.ndarray
+Matrix = np.ndarray
 
 HERMITIAN_RTOL = 1e-10
 PSD_MIN_EIG_RTOL = 1e-13
@@ -19,9 +20,10 @@ class LinalgError(ValueError):
     """Structured rejection of an ill-conditioned or ill-typed matrix input."""
 
 
-def as_matrix(m) -> ComplexMatrix:
-    """Validate and return a finite square complex matrix."""
-    a = np.asarray(m, dtype=complex)
+def as_matrix(m) -> Matrix:
+    """Validate and return a finite square matrix, float64 if m is real and
+    complex128 otherwise."""
+    a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise LinalgError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -29,20 +31,20 @@ def as_matrix(m) -> ComplexMatrix:
     return a
 
 
-def frob(m: ComplexMatrix) -> float:
+def frob(m: Matrix) -> float:
     return float(np.linalg.norm(m))
 
 
-def hermiticity_defect(m: ComplexMatrix) -> float:
+def hermiticity_defect(m: Matrix) -> float:
     """Relative deviation ||M - M^dag|| / max(||M||, 1e-300)."""
     return frob(m - m.conj().T) / max(frob(m), 1e-300)
 
 
-def is_hermitian(m: ComplexMatrix) -> bool:
+def is_hermitian(m: Matrix) -> bool:
     return hermiticity_defect(m) <= HERMITIAN_RTOL
 
 
-def mat_inv_sqrt_psd(m) -> ComplexMatrix:
+def mat_inv_sqrt_psd(m) -> Matrix:
     """(M)^(-1/2) for Hermitian positive-definite M; rejects an eigenvalue at
     or below PSD_MIN_EIG_RTOL times the largest.
 

@@ -10,8 +10,8 @@ import scipy.linalg
 from fwbench.algebra import ClassicalState, classical_observables, poisson_bracket
 from fwbench.dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
                            fv_hamiltonian_matrix)
-from fwbench.eriksen import spectral_momentum
 from fwbench.phase_ops import coeff_derivative, cross_c, p_dot
+from oracles import fourier_multiplier
 
 
 def positive_energy_density_gap(p0: float, sigma_p: float, m: float,
@@ -132,12 +132,13 @@ def dense_scaling_study(hamiltonians, beta, M) -> dict:
 def dirac_grid_hamiltonian_4n(grid, m: float, v_vals):
     """The full four-component 4n x 4n grid Hamiltonian
     beta m + V(x) + alpha_1 p, component-major, from the Dirac matrices
-    themselves rather than from the spin-block structure; v_vals holds V
-    at the grid points.  Returns (H, beta)."""
+    themselves rather than from the spin-block structure, in the position
+    basis with the oracle circulant as the momentum; v_vals holds V at the
+    grid points.  Returns (H, beta)."""
     eye_n = np.eye(grid.n)
     H = (m * np.kron(GAMMA.beta, eye_n)
          + np.kron(np.eye(4), np.diag(v_vals))
-         + np.kron(GAMMA.alpha[0], spectral_momentum(grid)))
+         + np.kron(GAMMA.alpha[0], fourier_multiplier(grid, grid.p_fft)))
     return H, np.kron(GAMMA.beta, eye_n)
 
 

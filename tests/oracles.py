@@ -3,9 +3,10 @@
 The dense matrix commutator, operator-level commutators and conjugation,
 the free block-diagonalizing unitary as an operator, the catalogue families
 that no suite uses (among them the Dirac-representation forms of the FW
-families, the covariance oracles), the closed-form worldline defects, and
-small packet, spectral and trembling-motion probes.  The tests check the
-program against these; the program itself never calls them.
+families, the covariance oracles), the closed-form worldline defects,
+small packet, spectral and trembling-motion probes, and the grid's momentum
+operator on the nodes with the standing-wave basis that makes it real.  The
+tests check the program against these; the program itself never calls them.
 """
 
 import numpy as np
@@ -362,6 +363,34 @@ def factor_odd_part(P: np.ndarray, m: float) -> FactoredOddPart:
     return FactoredOddPart(P, m, (fn(np.sqrt((1.0 + s) / (2.0 * s))),
                                   ((1.0 / m) * P) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
                                   fn(eps), fn(1.0 / denom)))
+
+
+def fourier_multiplier(grid, symbol) -> np.ndarray:
+    """F^dag diag(symbol) F on the grid's nodes for a real symbol over
+    grid.p_fft: the position-basis circulant whose (j, l) entry is
+    c[(j - l) mod n] with c = ifft(symbol), its Hermitian part taken on c so
+    that the matrix is exactly Hermitian."""
+    c = np.fft.ifft(symbol)
+    c = 0.5 * (c + np.roll(c[::-1], 1).conj())            # c[-k]^* at k
+    idx = np.arange(grid.n)
+    return c[np.subtract.outer(idx, idx) % grid.n]
+
+
+def standing_wave_basis(n: int) -> np.ndarray:
+    """The n x n unitary W whose columns are the standing waves on the grid's
+    nodes, written out entry by entry: e_k at the self-mirrored nodes k = 0
+    and n/2, (e_k + e_(n-k))/sqrt(2) for 0 < k < n/2 and
+    i(e_(n-k) - e_k)/sqrt(2) for n/2 < k < n."""
+    W = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        mirror = (n - k) % n
+        if k == mirror:
+            W[k, k] = 1.0
+        elif k < mirror:
+            W[k, k] = W[mirror, k] = np.sqrt(0.5)
+        else:
+            W[k, k], W[mirror, k] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
+    return W
 
 
 def spectrum_drift(rec: EvolutionRecord) -> float:

@@ -317,6 +317,18 @@ def test_pce_json_output(tmp_path):
     assert abs(data["pce_x_sq"]) > 1e-4 * data["x_sq_fw_picture"]
 
 
+@pytest.mark.parametrize("fmt", ["pretty-table", "json"])
+def test_pce_names_its_failed_check_on_stderr(capsys, fmt):
+    # PCE(x^2) falls as 1/(4 m^2), below the verdict's 1e-4 <x^2> at m = 100
+    assert run(["pce", "--mass", "100", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out
+    assert err.count("\n") == 1 and err.startswith("failed checks: pce_x_sq 2.4")
+    assert "normalization" not in err and "pce_momentum" not in err
+    assert run(["pce", "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_eriksen_huge_box_exits_1_without_traceback(capsys):
     # the default profile exp(-(x/width)^2 / 2) stays finite where width^2
     # overflows.  The grid momenta are of order 1e-299 here, so the odd part

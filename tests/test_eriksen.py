@@ -30,8 +30,8 @@ from fwbench.eriksen import (
     upper_block_spectrum,
 )
 from fwbench.linalg import LinalgError, frob
-from oracles import (commutator, evaluate, even_part, factor_odd_part, fw_unitary_free,
-                     odd_part)
+from oracles import (commutator, evaluate, even_part, factor_odd_part, fourier_multiplier,
+                     fw_unitary_free, odd_part, standing_wave_basis)
 
 I4 = np.eye(4)
 
@@ -68,12 +68,48 @@ def test_grid_validation():
 
 
 def test_spectral_momentum_is_hermitian_and_diagonalizes_plane_waves():
+    # P is real symmetric in the standing-wave basis W; back on the nodes,
+    # W P W^dag is the position-basis circulant and has the plane waves as
+    # eigenvectors
     g = Grid1D(n=32, length=16.0)
     P = spectral_momentum(g)
-    np.testing.assert_array_equal(P, P.conj().T)
+    assert P.dtype == np.float64
+    np.testing.assert_array_equal(P, P.T)
+    W = standing_wave_basis(g.n)
+    P_pos = fourier_multiplier(g, g.p_fft)
+    assert frob(W @ P @ W.conj().T - P_pos) <= 1e-14 * frob(P_pos)
     k = 2 * np.pi * 3 / g.length
     wave = np.exp(1j * k * g.x)
-    assert np.linalg.norm(P @ wave - k * wave) <= 1e-10
+    assert np.linalg.norm(P_pos @ wave - k * wave) <= 1e-10
+    assert np.linalg.norm(W @ (P @ (W.conj().T @ wave)) - k * wave) <= 1e-10
+
+
+def _shifted_gauss(length):
+    return lambda x: np.exp(-0.5 * ((x - length / 16) / (length / 8)) ** 2)
+
+
+def test_grid_kernels_stay_real():
+    grid, m = Grid1D(n=16, length=8.0), 1.5
+    bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * np.exp(-x**2 / 4.0))
+    frame = eigenframe(bh)
+    U_a, h_a = approx_fw(bh, grid_odd_part(grid, m))
+    for a in (bh.P, bh.H, *frame, eriksen_unitary(frame), sign_function(frame), U_a, h_a,
+              conjugated_quadrant(U_a, bh, 1)):
+        assert a.dtype == np.float64
+
+
+def test_uneven_potential_is_rejected():
+    # a potential that is not even on the grid makes H complex in the
+    # standing-wave basis; the reflection check runs after the shape check
+    grid = Grid1D(n=16, length=8.0)
+    with pytest.raises(LinalgError, match="even on the grid"):
+        discretize_dirac_1d(grid, 1.0, _shifted_gauss(grid.length))
+    with pytest.raises(LinalgError, match="even on the grid"):
+        potential_scaling_study(grid, 1.0, [1e-3, 1e-2], _shifted_gauss(grid.length))
+    with pytest.raises(LinalgError, match="even on the grid"):
+        discretize_dirac_1d(grid, 1.0, lambda x: np.where(x == x[1], 1.0, 0.0))
+    with pytest.raises(LinalgError, match="one value per grid node"):
+        potential_scaling_study(grid, 1.0, [1e-3, 1e-2], lambda x: 0.3)
 
 
 def exact_transform(bh):
@@ -445,15 +481,19 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
 def test_grid_odd_part_matches_eigh_oracle(n, m):
-    # measured worst case over these cases: 5.6e-14 relative, in d_inv.  The
-    # oracle's error grows with the largest p^2 (its eigh of P^2 is accurate
-    # to rounding of that, absolutely): on a box of n/4 it reaches 1.5e-13
+    # compared on the nodes, where the oracle factors the position-basis
+    # circulant: measured worst case over these cases 5.6e-14 relative, in
+    # d_inv.  The oracle's error grows with the largest p^2 (its eigh of P^2
+    # is accurate to rounding of that, absolutely): on a box of n/4 it
+    # reaches 1.5e-13
     grid = Grid1D(n=n, length=32.0)
     got = grid_odd_part(grid, m)
     np.testing.assert_array_equal(got.P, spectral_momentum(grid))
-    want = factor_odd_part(got.P, m)
+    want = factor_odd_part(fourier_multiplier(grid, grid.p_fft), m)
+    W = standing_wave_basis(n)
     for a, b in zip(got.block, want.block):
-        assert _rel(a, b) <= 1e-13
+        assert a.dtype == np.float64
+        assert _rel(W @ a @ W.conj().T, b) <= 1e-13
 
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
@@ -540,17 +580,23 @@ def _spin_block_order(n):
     return np.concatenate([np.arange(c * n, (c + 1) * n) for c in (0, 3, 1, 2)])
 
 
-@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n", [4, 16, 32])
 @pytest.mark.parametrize("m", ORACLE_MASSES)
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
 def test_four_component_hamiltonian_is_two_spin_blocks(n, m, profile, dense_eriksen_oracle):
     grid = Grid1D(n=n, length=n / 2)
     V = ORACLE_PROFILES[profile](grid.length)
+    # the 4n operator is on the nodes; the spin block is in the standing-wave
+    # basis, where it is real: h = W2^dag h_pos W2 with W2 = diag(W, W)
     H4, beta4 = dense_eriksen_oracle["hamiltonian_4n"](grid, m, 0.2 * V(grid.x))
     h = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x)).H
     order = _spin_block_order(n)
-    zero = np.zeros_like(h)
-    np.testing.assert_array_equal(H4[np.ix_(order, order)], np.block([[h, zero], [zero, h]]))
+    blocks = H4[np.ix_(order, order)]
+    h_pos, zero = blocks[:2 * n, :2 * n], np.zeros((2 * n, 2 * n))
+    np.testing.assert_array_equal(blocks, np.block([[h_pos, zero], [zero, h_pos]]))
+    W2 = np.kron(np.eye(2), standing_wave_basis(n))
+    assert h.dtype == np.float64
+    assert frob(h - W2.conj().T @ h_pos @ W2) <= 1e-14 * frob(h_pos)
     beta = block_beta(n)
     np.testing.assert_array_equal(beta4[np.ix_(order, order)],
                                   np.block([[beta, zero], [zero, beta]]))
@@ -579,24 +625,28 @@ def test_eriksen_command_matches_four_component_oracle(n, tmp_path, dense_erikse
 
 
 def test_eriksen_command_decomposes_nothing_larger_than_the_spin_block(tmp_path, monkeypatch):
+    # and every Hermitian decomposition runs in real arithmetic
     n = 16
-    dims = []
+    dims, dtypes = [], []
     for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
         original = getattr(np.linalg, name)
 
-        def counted(a, *args, _original=original, **kwargs):
+        def counted(a, *args, _original=original, _name=name, **kwargs):
             dims.append(a.shape[-1])
+            if _name in ("eigh", "eigvalsh"):
+                dtypes.append(a.dtype)
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
     assert max(dims) == 2 * n
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes)
 
 
 def test_eriksen_working_set(capsys):
     # each grid Hamiltonian is built, checked and transformed with a handful
-    # of full-size matrices, and released before the next one is built
+    # of full-size float64 matrices, and released before the next one is built
     n = 128
-    full_size = (2 * n) ** 2 * 16
+    full_size = (2 * n) ** 2 * 8
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:

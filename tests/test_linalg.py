@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fwbench.dirac import GAMMA
 from fwbench.linalg import (
     LinalgError,
+    as_matrix,
     frob,
     is_hermitian,
     mat_inv_sqrt_psd,
@@ -45,6 +46,20 @@ def test_inv_sqrt_rejects_bad_input():
         mat_inv_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(LinalgError, match="positive definite"):
         mat_inv_sqrt_psd(np.diag([1.0, -4.0]))
+
+
+def test_real_input_stays_real():
+    # a real symmetric matrix is decomposed in float64, a complex one in complex128
+    assert as_matrix([[1, 2], [2, 1]]).dtype == np.float64
+    assert as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+    assert as_matrix(np.eye(2) + 0j).dtype == np.complex128
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(5, 5))
+    psd = a @ a.T + 0.1 * np.eye(5)
+    r = mat_inv_sqrt_psd(psd)
+    assert r.dtype == np.float64
+    assert frob(r @ psd @ r - np.eye(5)) <= 1e-10
+    np.testing.assert_allclose(mat_inv_sqrt_psd(psd + 0j), r, rtol=0, atol=1e-12)
 
 
 def test_commutator_trivial_cases():
