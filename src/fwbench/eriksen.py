@@ -20,11 +20,14 @@ transformation and Hamiltonian are
 which coincides with the exact result whenever [E, O] = 0.
 
 Here beta = diag(I, -I) and M = m I, and the code uses both as structure
-rather than as dense matrices.  beta A flips the sign of A's lower rows; the
-odd part is H's off-diagonal quadrants, O = [[0, P], [P, 0]] with one
-Hermitian block P, as for every grid Hamiltonian and the 4x4 Dirac one
-(P = sigma.p); [O, M] = 0, so X = O/m and the beta [O,[O,M]] term
-vanishes.
+rather than as dense matrices.  beta A flips the sign of A's lower rows.
+The odd part is H's off-diagonal quadrants, held in the basis where they are
+diagonal: O = [[0, diag p], [diag p, 0]] with p real.  Any Hermitian odd
+block P = Q diag(p) Q^dag reaches this form by the unitary diag(Q, Q), which
+commutes with beta, so no generality is lost; the grid Hamiltonian is in it
+already (the momentum basis below), and the 4x4 Dirac block sigma.p is
+rotated into it by its eigenvectors.  [O, M] = 0, so X = O/m and the
+beta [O,[O,M]] term vanishes.
 
 The exact unitary straight from the eigenframe.  With w, v = eigh(H)
 (ascending, h = dim/2 negative eigenvalues first), V- = v[:, :h] and
@@ -45,90 +48,70 @@ whose positive part does not have exactly h eigenvalues has no unitary
 that sends it to the upper block, and eigenframe rejects it.  lambda itself
 is formed only where the defining conditions read it.
 
-The approximate transform from the local potential.  Both even blocks of a
-local Hamiltonian are the one real diagonal V: E = diag(V, V).  So both
-quadrants of [O, E] are K = [P, V] = P (v_j - v_i), formed elementwise,
-both blocks of [O,[O,E]] are [P, K], and {D^-1, [P, K]} is formed once.
-K is anti-Hermitian, so [P, K] = PK + (PK)^dag, and {D^-1, [P, K]} =
-A + A^dag with A = D^-1 [P, K]: two half-size products in all.
-approx_fw reads v from the BlockedHamiltonian, which holds the potential
-itself rather than a dense H, so no even part but a local one can reach it.
+The approximate transform, elementwise.  O^2 = diag(p^2, p^2), so every
+function of O and m is a vector: eps = sqrt(m^2 + p^2), and the column
+blocks of the unitary (1 + S + beta X) / sqrt(2 S (1 + S)) hold
+(eps + m)/N on their diagonal and p/N off it, up to beta's sign, with
+N = sqrt(2 eps (eps + m)): the free closed forms.  The kinetic denominator
+2 eps^2 + {eps, M} is N^2; write d = 1/N^2.  Both even blocks of a local
+Hamiltonian are the one V, E = diag(V, V), so both quadrants of [O, E] are
+K = [diag p, V], K_ij = (p_i - p_j) V_ij, and both blocks of [O,[O,E]] are
+[diag p, K], (p_i - p_j)^2 V_ij.  So
 
-The odd part from the FFT.  P = spectral_momentum(grid) is
-F^dag diag(p) F with F the DFT and p = grid.p_fft, so O^2 = diag(P^2, P^2)
-and every function of it is F^dag diag(f(p^2)) F: the four half-size
-operators that depend only on O and m (the diagonal and off-diagonal blocks
-of the approximate unitary, eps and the inverse kinetic denominator) are
-formed from the grid's momenta by one inverse FFT each (grid_odd_part),
-with no eigendecomposition, in the standing-wave basis below.  A potential
-enters only E, so every Hamiltonian on one grid shares them: the scaling
-study forms them once per grid and mass, and approx_fw takes that
-FactoredOddPart with every potential, rejects a Hamiltonian whose odd part
-or mass it does not match, and forms only what depends on E.
+    H_approx = diag(even + diag(eps), even - diag(eps)),
+    even_ij = V_ij (1 - (d_i + d_j) (p_i - p_j)^2 / 4):
 
-discretize_dirac_1d builds the 1D Dirac Hamiltonian with a static
-electrostatic potential on a periodic grid.  With the momentum along x only
-beta and alpha_1 appear, and alpha_1 couples spinor components 1 and 4, and
-2 and 3, with the same operator.  In the component order (1, 4 | 2, 3) the
-4n x 4n Hamiltonian is therefore diag(h, h) for one two-component 2n x 2n block
-h = [[m + V, P], [P, V - m]], and the grid Hamiltonian is that block, ordered
-so beta is literally diag(I_n, -I_n) and "block-diagonal" means vanishing
-off-diagonal quadrants.  four_component_norm turns a Frobenius norm over the
-block into the norm over the 4n operator.
+O(n^2) elementwise work, with no product and no decomposition.  approx_fw
+reads V from the BlockedHamiltonian, which holds one potential block for
+both even blocks rather than a dense H, so no other even part can reach it.
 
-The standing-wave basis.  Node j sits at x_j = (j - n/2) dx, so its mirror
-image -x_j is node (n - j) % n.  For a potential even on the grid,
-v[j] = v[(n - j) % n], H commutes with T = R K, the reflection x -> -x after
-complex conjugation, and T^2 = 1.  The standing waves
+The momentum basis.  discretize_dirac_1d builds the 1D Dirac Hamiltonian
+with a static electrostatic potential on a periodic grid.  With the
+momentum along x only beta and alpha_1 appear, and alpha_1 couples spinor
+components 1 and 4, and 2 and 3, with the same operator.  In the component
+order (1, 4 | 2, 3) the 4n x 4n Hamiltonian is therefore diag(h, h) for one
+two-component 2n x 2n block, ordered so beta is literally diag(I_n, -I_n)
+and "block-diagonal" means vanishing off-diagonal quadrants;
+four_component_norm turns a Frobenius norm over the block into the norm
+over the 4n operator.  Each component is held in the DFT basis,
+F_kj = exp(-2 pi i k j / n) / sqrt(n) over the nodes j, where the spectral
+momentum F^dag diag(p) F with p = grid.p_fft is diag(p) and the potential
+diag(v) on the nodes is the circulant F diag(v) F^dag,
+V_jk = fft(v)[(j - k) % n] / n.  Node j sits at x_j = (j - n/2) dx, so its
+mirror image -x_j is node (n - j) % n.  For a potential even on the grid,
+v[j] = v[(n - j) % n], fft(v) is real and even, so
 
-    w_k = a_k e_k + conj(a_k) e_(n-k),  a_k = 1/2 at k = 0 and n/2 (w_k = e_k),
-    a_k = 1/sqrt(2) for 0 < k < n/2,  a_k = -i/sqrt(2) for n/2 < k < n,
+    V_jk = c[min(d, n - d)],  d = (j - k) % n,  c = rfft(v).real / n,
 
-are T-invariant and orthonormal, so every operator that commutes with T is
-real in their basis W.  The grid's operators are in that basis: P is real
-symmetric; diag(v) stays diag(v), since w_k lives on the nodes k and n - k,
-where v takes the one value v[k]; and beta is unchanged, since W acts on
-both components alike.  H is then real symmetric, and every eigh and
-product runs in float64, a few times cheaper than in complex128.  A
-Hermitian circulant C, with entries c[(j - l) % n], commutes with T whatever
-its symbol, and
-
-    (W^dag C W)_kl = 2 Re(conj(a_k) a_l c[k - l] + conj(a_k) conj(a_l) c[k + l]),
-
-indices mod n: each entry gathers the pairs of nodes of w_k and w_l from
-c = ifft(symbol), in O(n^2) and with no dense conjugation
-(_standing_multiplier).  W commutes with beta, so spectra, Frobenius norms
-and beta's quadrants are the same as in the position basis, and so is every
-number the study reports.  discretize_dirac_1d rejects a potential that is
-not even on the grid, bit for bit: H would not be real in this basis.
+real and exactly symmetric: H = [[m + V, diag p], [diag p, V - m]] is real
+symmetric and every eigh and product runs in float64.  diag(F, F) commutes
+with beta, so spectra, Frobenius norms and beta's quadrants are those of the
+node basis, and so is every number the study reports.  discretize_dirac_1d
+rejects a potential that is not even on the grid, bit for bit: V would not
+be real.
 
 Checks.  The BlockedHamiltonian holds H's parts and checks them once, when
-it is made: P Hermitian, v real with one value per row of P, all finite,
-and m non-negative.  eigenframe forms H for eigh; every other kernel, and
-FactoredOddPart.matches, reads the parts.
-Because H is Hermitian, so is U H U^dag for any U, and its off-diagonal norm
-is sqrt(2) times the norm of the upper quadrant alone; the upper rows
-U[:h] H = [U1 (m+v) + U2 P, U1 P + U2 (v-m)] are two half-size products and
-two diagonal scalings (conjugated_quadrant).  Because
-[beta lambda, lambda beta] = beta lambda^2 beta - lambda^2, the commutator
-check reads the off-diagonal quadrants of the lambda^2 that the
+it is made: p real with one value per row of V, V Hermitian, all finite,
+and m non-negative.  eigenframe forms H for eigh; every other kernel reads
+the parts.  Because H is Hermitian, so is U H U^dag for any U, and its
+off-diagonal norm is sqrt(2) times the norm of the upper quadrant alone;
+the upper rows U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)]
+are two half-size products and two column scalings (conjugated_quadrant).
+Because [beta lambda, lambda beta] = beta lambda^2 beta - lambda^2, the
+commutator check reads the off-diagonal quadrants of the lambda^2 that the
 lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
-only the half-size P, the vector v and m, and eigenframe forms the dense H
+only the vector p, the half-size V and m, and eigenframe forms the dense H
 for eigh alone, so H is not alive beside U, the approximate unitary or the
 conditions.  eriksen_unitary writes U half by half from the eigenframe,
 eriksen_conditions forms and reduces one condition at a time, subtracting
 the identity in place, and the scaling study releases the eigenframe
 before the approximate transform and each Hamiltonian's matrices before it
-builds the next.  Across the study's Hamiltonians only the factored odd
-part stays alive: P and four more half-size matrices, each a quarter of a
-full-size matrix.  Each Hamiltonian builds its own P, by the same
-deterministic FFT construction, so the shared factorization still matches
-it bit for bit.  A full-size float64 matrix is 0.5 MiB at n = 128 and 2 MiB
-at n = 256, so peak memory is set by how many are alive at once, not by
-the O(n^3) products.
+builds the next: nothing but the grid outlives a Hamiltonian.  A full-size
+float64 matrix is 0.5 MiB at n = 128 and 2 MiB at n = 256, so peak memory
+is set by how many are alive at once, not by the O(n^3) products.
 """
 
 from __future__ import annotations
@@ -153,54 +136,56 @@ ZERO_MODE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class BlockedHamiltonian:
-    """The Hamiltonian H = [[m + v, P], [P, v - m]] split against
-    beta = diag(I, -I) with M = m I, held as its parts: the Hermitian odd
-    block P, the real local potential v and the mass m, so that
+    """The Hamiltonian H = [[m + V, diag p], [diag p, V - m]] split against
+    beta = diag(I, -I) with M = m I, held as its parts: the real odd block
+    diag(p), the Hermitian potential block V and the mass m, so that
 
-    H = beta m + E + O,  E = diag(v, v),  O = [[0, P], [P, 0]].
+    H = beta m + E + O,  E = diag(V, V),  O = [[0, diag p], [diag p, 0]].
 
     The constructor checks the parts once; the kernels that take a
-    BlockedHamiltonian rely on that check.  Every kernel keeps P's dtype:
-    float64 for a grid Hamiltonian in the standing-wave basis, complex128
-    for a complex P such as the 4x4 Dirac block sigma.p.
+    BlockedHamiltonian rely on that check.  Every kernel keeps V's dtype:
+    float64 for a grid Hamiltonian in the momentum basis, complex128 for a
+    complex V such as the 4x4 Dirac block rotated into the eigenbasis of
+    sigma.p.
     """
 
-    P: np.ndarray
-    v: np.ndarray
+    p: np.ndarray
+    V: np.ndarray
     m: float
 
     def __post_init__(self):
-        P, m = as_matrix(self.P), float(self.m)
+        V, m = as_matrix(self.V), float(self.m)
         if not (np.isfinite(m) and m >= 0.0):
             raise LinalgError(f"mass must be finite and non-negative, got {m}")
-        if not is_hermitian(P):
-            raise LinalgError("odd block P must be Hermitian")
-        if np.iscomplexobj(self.v):
-            raise LinalgError("potential must be real")
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != P.shape[:1]:
-            raise LinalgError(f"potential must return one value per grid node, shape "
-                              f"{P.shape[:1]}, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise LinalgError("potential must be bounded on the box")
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "v", v)
+        if not is_hermitian(V):
+            raise LinalgError("potential block V must be Hermitian")
+        if np.iscomplexobj(self.p):
+            raise LinalgError("odd block p must be real")
+        p = np.asarray(self.p, dtype=float)
+        if p.shape != V.shape[:1]:
+            raise LinalgError(f"odd block p must hold one value per row of V, shape "
+                              f"{V.shape[:1]}, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise LinalgError("odd block p has non-finite entries")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "V", V)
         object.__setattr__(self, "m", m)
 
     @property
     def n_upper(self) -> int:
-        return self.P.shape[0]
+        return self.p.size
 
     @property
     def H(self) -> np.ndarray:
-        """The dense 2n x 2n matrix [[m + v, P], [P, v - m]] of P's dtype,
-        formed on each read."""
+        """The dense 2n x 2n matrix [[m + V, diag p], [diag p, V - m]] of V's
+        dtype, formed on each read."""
         h = self.n_upper
-        H = np.zeros((2 * h, 2 * h), dtype=self.P.dtype)
-        H[:h, h:] = H[h:, :h] = self.P
+        H = np.zeros((2 * h, 2 * h), dtype=self.V.dtype)
+        H[:h, :h] = H[h:, h:] = self.V
         diag = np.arange(h)
-        H[diag, diag] = self.m + self.v
-        H[h + diag, h + diag] = self.v - self.m
+        H[diag, h + diag] = H[h + diag, diag] = self.p
+        H[diag, diag] += self.m
+        H[h + diag, h + diag] -= self.m
         return H
 
 
@@ -215,14 +200,15 @@ def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.nda
     """Quadrant (0, k) of U H U^dag, (U[:h] H) U[kh:(k+1)h]^dag with
     h = n_upper, from bh's parts without forming H.
 
-    U[:h] H = [U1 (m + v) + U2 P, U1 P + U2 (v - m)] with U1, U2 the column
-    halves of U[:h]: two half-size products and two diagonal scalings.
+    U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)] with U1, U2
+    the column halves of U[:h]: two half-size products and two column
+    scalings.
     """
     h = bh.n_upper
     U1, U2 = U[:h, :h], U[:h, h:]
     cols = U[k * h:(k + 1) * h].conj().T
-    return ((U1 * (bh.m + bh.v) + U2 @ bh.P) @ cols[:h]
-            + (U1 @ bh.P + U2 * (bh.v - bh.m)) @ cols[h:])
+    return ((U1 @ bh.V + bh.m * U1 + U2 * bh.p) @ cols[:h]
+            + (U1 * bh.p + U2 @ bh.V - bh.m * U2) @ cols[h:])
 
 
 def _conjugated_offblock_norm(U: np.ndarray, bh: BlockedHamiltonian) -> float:
@@ -307,126 +293,37 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     return conds
 
 
-@dataclass(frozen=True)
-class FactoredOddPart:
-    """The odd part O = [[0, P], [P, 0]], with P Hermitian, and mass m with
-    everything in the approximate transform that does not depend on the
-    even part E.  All Hamiltonians on one grid with one mass share it, since
-    the potential enters only E.  block = (u_diag, u_off, eps, d_inv), each a
-    half-size function of P^2, the diagonal block of O^2: the diagonal block
-    (1 + S) N of each column block of the unitary, with S = sqrt(1 + X^2) and
-    N = (2 S (1 + S))^(-1/2); its off-diagonal block (P/m) N up to beta's
-    sign (the unitary holds -(P/m) N in its left column block and +(P/m) N
-    in its right one); eps = sqrt(m^2 + O^2); and the inverse kinetic
-    denominator 1/(2 eps^2 + 2 m eps)."""
-
-    P: np.ndarray
-    m: float
-    block: tuple
-
-    def matches(self, bh: BlockedHamiltonian) -> bool:
-        """Whether bh has exactly this mass and odd block P."""
-        return bh.m == self.m and np.array_equal(bh.P, self.P)
-
-
-def _mirrored(a: np.ndarray) -> np.ndarray:
-    """a[(n - j) % n] at j: a over the grid nodes reflected through x = 0."""
-    return np.roll(a[::-1], 1)
-
-
-def _standing_multiplier(grid: Grid1D, symbol: np.ndarray) -> np.ndarray:
-    """F^dag diag(symbol) F on the grid for a real symbol over grid.p_fft, in
-    the standing-wave basis: the real symmetric n x n matrix
-    2 Re(conj(a_k) a_l c[k - l] + conj(a_k) conj(a_l) c[k + l]) of the module
-    docstring, with c = ifft(symbol).  With D = c[k - l] and S = c[k + l]
-    (indices mod n), the even pairs of nodes k <= n/2 (a_k real) and the odd
-    pairs k > n/2 (a_k imaginary) give the blocks
-
-        [[Re(D + S), Im(D - S)], [-Im(D + S), Re(D - S)]],
-
-    with the rows and columns of the unpaired nodes 0 and n/2 scaled by
-    1/sqrt(2).  D and S are strided views of two copies of c laid end to
-    end, so no n x n index is formed.
-    c takes its Hermitian part first, so that the matrix is exactly
-    symmetric."""
-    n, h = grid.n, grid.n // 2
-    c = np.fft.ifft(symbol)
-    c = 0.5 * (c + _mirrored(c).conj())                  # c[-k]^* at k
-    windows = np.lib.stride_tricks.sliding_window_view
-    S = windows(np.tile(c, 2), n)[:n]                    # row k: c[k + l]
-    D = windows(np.tile(_mirrored(c), 2), n)[n:0:-1]     # row k: c[k - l]
-    even, odd = slice(0, h + 1), slice(h + 1, n)
-    M = np.empty((n, n))
-    M[even, even] = D[even, even].real + S[even, even].real
-    M[odd, odd] = D[odd, odd].real - S[odd, odd].real
-    M[even, odd] = D[even, odd].imag - S[even, odd].imag
-    M[odd, even] = -(D[odd, even].imag + S[odd, even].imag)
-    M[[0, h]] *= np.sqrt(0.5)
-    M[:, [0, h]] *= np.sqrt(0.5)
-    return M
-
-
-def grid_odd_part(grid: Grid1D, m: float) -> FactoredOddPart:
-    """The FactoredOddPart of the grid's odd part [[0, P], [P, 0]] with
-    P = spectral_momentum(grid) and mass m: P^2 is diagonal in the DFT basis
-    with eigenvalues p^2, so each operator is F^dag diag(f(p^2)) F, formed in
-    the standing-wave basis."""
-    if m == 0.0:
-        raise LinalgError("mass operator M = m I is not invertible")
-    p = grid.p_fft
-    w = p * p
-    # eps^2 = m^2 + O^2 and X^2 = O^2 / m^2
-    eps = np.sqrt(m * m + w)
-    denom = 2.0 * eps * eps + 2.0 * m * eps
-    _reject_zero_eigenvalues(denom, 1e-12, "kinetic denominator is singular")
-    s = np.sqrt(1.0 + w / (m * m))
-    symbols = (np.sqrt((1.0 + s) / (2.0 * s)), (p / m) / np.sqrt(2.0 * s * (1.0 + s)),
-               eps, 1.0 / denom)
-    return FactoredOddPart(spectral_momentum(grid), m,
-                           tuple(_standing_multiplier(grid, f) for f in symbols))
-
-
-def approx_fw(bh: BlockedHamiltonian, odd: FactoredOddPart) -> tuple:
+def approx_fw(bh: BlockedHamiltonian) -> tuple:
     """Approximate relativistic transformation and Hamiltonian (U, H_approx)
-    of a local Hamiltonian H = [[m + V, P], [P, V - m]].
+    of a local Hamiltonian H = [[m + V, diag p], [diag p, V - m]], elementwise
+    from the free closed forms (module docstring):
 
-    odd is the factorization of bh's odd block and mass (grid_odd_part),
-    shared by every Hamiltonian with that odd part; one that does not match
-    bh is rejected.
+    U = [[diag u, diag s], [-diag s, diag u]],  u = (eps + m)/N,  s = p/N,
+    H_approx = diag(even + diag(eps), even - diag(eps)),
+    even_ij = V_ij (1 - (d_i + d_j) (p_i - p_j)^2 / 4),
+
+    with eps = sqrt(m^2 + p^2), N = sqrt(2 eps (eps + m)) and d = 1/N^2.
     """
-    if not odd.matches(bh):
-        raise LinalgError("odd-part factorization does not match the Hamiltonian's "
-                          "odd part and mass")
-    v = (bh.m + bh.v) - bh.m   # as H holds it: both transforms see one H to the last bit
-    h, P = bh.n_upper, odd.P
-    # both quadrants of [O, E] are K = [P, V], both blocks of [O, [O, E]]
-    # [P, K] = PK - KP = PK + (PK)^dag, since K is anti-Hermitian
-    PK = P @ (P * (v[None, :] - v[:, None]))
-    double_comm = PK + PK.conj().T
-
-    # Column block k of U = (1 + S + beta X) N is (1 + S) N on the diagonal
-    # and (beta X) N = -sign_k O N / m off it; H_approx =
-    # beta eps + E - (1/4) {D^-1, [O,[O,E]]} is even, and the anticommutator
-    # of two Hermitian matrices is A + A^dag with A = D^-1 [O,[O,E]].
-    u_diag, u_off, eps, d_inv = odd.block
-    A = d_inv @ double_comm
-    even = -0.25 * (A + A.conj().T)
-    even[np.diag_indices_from(even)] += v
-    U = np.empty((2 * h, 2 * h), dtype=P.dtype)
-    U[:h, :h] = U[h:, h:] = u_diag
-    U[:h, h:] = u_off
-    U[h:, :h] = -u_off
-    h_approx = np.zeros_like(U)
-    h_approx[:h, :h] = even + eps
-    h_approx[h:, h:] = even - eps
+    if bh.m == 0.0:
+        raise LinalgError("mass operator M = m I is not invertible")
+    p, m, h = bh.p, bh.m, bh.n_upper
+    eps = np.sqrt(m * m + p * p)
+    norm_sq = 2.0 * eps * (eps + m)                   # the kinetic denominator
+    _reject_zero_eigenvalues(norm_sq, 1e-12, "kinetic denominator is singular")
+    d = 1.0 / norm_sq
+    gap = p[:, None] - p[None, :]
+    even = bh.V * (1.0 - 0.25 * (d[:, None] + d[None, :]) * (gap * gap))
+    norm = np.sqrt(norm_sq)
+    diag = np.arange(h)
+    U = np.zeros((2 * h, 2 * h))
+    U[diag, diag] = U[h + diag, h + diag] = (eps + m) / norm
+    U[diag, h + diag] = p / norm
+    U[h + diag, diag] = -p / norm
+    h_approx = np.zeros_like(U, dtype=even.dtype)
+    h_approx[:h, :h] = h_approx[h:, h:] = even
+    h_approx[diag, diag] += eps
+    h_approx[h + diag, h + diag] -= eps
     return U, h_approx
-
-
-def spectral_momentum(grid: Grid1D) -> np.ndarray:
-    """Dense n x n momentum operator -i d/dx of the periodic spectral
-    discretization, F^dag diag(p_fft) F, in the standing-wave basis: real
-    symmetric."""
-    return _standing_multiplier(grid, grid.p_fft)
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
@@ -435,17 +332,31 @@ def discretize_dirac_1d(grid: Grid1D, m: float,
     Hamiltonian beta m + V(x) + alpha_1 p on a periodic box.
 
     Basis ordering is component-major (upper component first), so
-    beta = diag(I_n, -I_n), and each component is in the standing-wave
-    basis, where the potential stays diag(V(x)).  In spinor component order
-    (1, 4 | 2, 3) the 4n x 4n Hamiltonian is two copies of this block, with
-    the odd quadrants P = spectral_momentum(grid).  LinalgError unless V is
-    even on the grid, V(x_j) = V(x_(n-j)) bit for bit.
+    beta = diag(I_n, -I_n), and each component is in the DFT basis, where
+    the odd block is diag(grid.p_fft) and the potential is the real
+    circulant V_jk = c[min(d, n - d)], d = (j - k) % n, c = rfft(v).real / n.
+    In spinor component order (1, 4 | 2, 3) the 4n x 4n Hamiltonian is two
+    copies of this block.  LinalgError unless V returns one finite real value
+    per node and is even on the grid, V(x_j) = V(x_(n-j)) bit for bit.
     """
-    bh = BlockedHamiltonian(P=spectral_momentum(grid), v=V(grid.x), m=m)
-    if not np.array_equal(bh.v, _mirrored(bh.v)):
+    v = V(grid.x)
+    if np.iscomplexobj(v):
+        raise LinalgError("potential must be real")
+    v = np.asarray(v, dtype=float)
+    if v.shape != grid.x.shape:
+        raise LinalgError(f"potential must return one value per grid node, shape "
+                          f"{grid.x.shape}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise LinalgError("potential must be bounded on the box")
+    if not np.array_equal(v, np.roll(v[::-1], 1)):         # v[(n - j) % n] at j
         raise LinalgError("potential must be even on the grid, v[j] == v[(n - j) % n]: "
-                          "the standing-wave basis is real for parity-even potentials only")
-    return bh
+                          "the momentum-basis potential is real for parity-even "
+                          "potentials only")
+    c = np.fft.rfft(v).real / grid.n
+    column = np.concatenate([c, c[-2:0:-1]])          # c[min(d, n - d)] at d
+    idx = np.arange(grid.n)
+    return BlockedHamiltonian(p=grid.p_fft, V=column[np.abs(idx[:, None] - idx[None, :])],
+                              m=m)
 
 
 def four_component_norm(block_norm):
@@ -517,9 +428,7 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     (the positive eigenvalues of the eigenframe that gives the exact
     unitary), independent of the exact unitary.  The off-block norms are
     over the spin block; four_component_norm gives them over the 4n
-    operator.  Every H has the odd part [[0, P], [P, 0]] of the grid's
-    momentum operator P, so the odd part is factored once for the whole
-    ladder.  profile must be even on the grid (discretize_dirac_1d).
+    operator.  profile must be even on the grid (discretize_dirac_1d).
     """
     v0_arr = check_strengths(v0_list)
     check_mass(m)
@@ -527,23 +436,20 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-0.5 * (x / width) ** 2)
-    odd = grid_odd_part(grid, m)
-    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x), odd)
-                       for v0 in v0_arr])
+    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x)) for v0 in v0_arr])
     return ScalingStudy(v0_arr, *points.T)
 
 
-def _study_point(grid: Grid1D, m: float, V: Callable, odd: FactoredOddPart) -> tuple:
+def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:
     """(even_block_diff, approx_offblock, exact_offblock) for one potential.
     The eigenframe is released before the approximate transform is built,
-    and every matrix but the shared odd-part factorization on return, before
-    the next Hamiltonian is built."""
+    and every matrix on return, before the next Hamiltonian is built."""
     bh = discretize_dirac_1d(grid, m, V)
     frame = eigenframe(bh)
     w = frame[0]
     exact_off = _conjugated_offblock_norm(eriksen_unitary(frame), bh)
     del frame
-    U_a, h_approx = approx_fw(bh, odd)
+    U_a, h_approx = approx_fw(bh)
     nu = bh.n_upper
     diff = float(np.max(np.abs(upper_block_spectrum(h_approx, nu) - w[nu:])))
     return diff, _conjugated_offblock_norm(U_a, bh), exact_off

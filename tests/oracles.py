@@ -5,7 +5,7 @@ the free block-diagonalizing unitary as an operator, the catalogue families
 that no suite uses (among them the Dirac-representation forms of the FW
 families, the covariance oracles), the closed-form worldline defects,
 small packet, spectral and trembling-motion probes, and the grid's momentum
-operator on the nodes with the standing-wave basis that makes it real.  The
+operator on the nodes.  The
 tests check the program against these; the program itself never calls them.
 """
 
@@ -15,7 +15,7 @@ from fwbench.algebra import ClassicalState
 from fwbench.dirac import (GAMMA, I4, dirac_hamiltonian, energy, free_propagator,
                            fv_hamiltonian_matrix, fv_velocity_matrix, fw_unitary_matrix,
                            stacked_energy)
-from fwbench.eriksen import BlockedHamiltonian, FactoredOddPart
+from fwbench.eriksen import BlockedHamiltonian
 from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
     MASSLESS_MIN_P,
@@ -345,26 +345,6 @@ def even_part(bh: BlockedHamiltonian) -> np.ndarray:
     return even
 
 
-def factor_odd_part(P: np.ndarray, m: float) -> FactoredOddPart:
-    """The FactoredOddPart of O = [[0, P], [P, 0]] for any Hermitian P, from
-    one half-size eigendecomposition of P^2 rather than from the grid's FFT:
-    the oracle for eriksen.grid_odd_part, and the factorization of the 4x4
-    Dirac odd block sigma.p."""
-    if m == 0.0:
-        raise LinalgError("mass operator M = m I is not invertible")
-    w, v = np.linalg.eigh(P @ P)
-    w = np.clip(w, 0.0, None)
-    eps = np.sqrt(m * m + w)
-    denom = 2.0 * eps * eps + 2.0 * m * eps
-    s = np.sqrt(1.0 + w / (m * m))
-
-    def fn(f):
-        return (v * f) @ v.conj().T
-    return FactoredOddPart(P, m, (fn(np.sqrt((1.0 + s) / (2.0 * s))),
-                                  ((1.0 / m) * P) @ fn(1.0 / np.sqrt(2.0 * s * (1.0 + s))),
-                                  fn(eps), fn(1.0 / denom)))
-
-
 def fourier_multiplier(grid, symbol) -> np.ndarray:
     """F^dag diag(symbol) F on the grid's nodes for a real symbol over
     grid.p_fft: the position-basis circulant whose (j, l) entry is
@@ -374,23 +354,6 @@ def fourier_multiplier(grid, symbol) -> np.ndarray:
     c = 0.5 * (c + np.roll(c[::-1], 1).conj())            # c[-k]^* at k
     idx = np.arange(grid.n)
     return c[np.subtract.outer(idx, idx) % grid.n]
-
-
-def standing_wave_basis(n: int) -> np.ndarray:
-    """The n x n unitary W whose columns are the standing waves on the grid's
-    nodes, written out entry by entry: e_k at the self-mirrored nodes k = 0
-    and n/2, (e_k + e_(n-k))/sqrt(2) for 0 < k < n/2 and
-    i(e_(n-k) - e_k)/sqrt(2) for n/2 < k < n."""
-    W = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        mirror = (n - k) % n
-        if k == mirror:
-            W[k, k] = 1.0
-        elif k < mirror:
-            W[k, k] = W[mirror, k] = np.sqrt(0.5)
-        else:
-            W[k, k], W[mirror, k] = -1j * np.sqrt(0.5), 1j * np.sqrt(0.5)
-    return W
 
 
 def spectrum_drift(rec: EvolutionRecord) -> float:

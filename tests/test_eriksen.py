@@ -23,15 +23,12 @@ from fwbench.eriksen import (
     eriksen_conditions,
     eriksen_unitary,
     free_spectrum_1d,
-    grid_odd_part,
     potential_scaling_study,
     sign_function,
-    spectral_momentum,
     upper_block_spectrum,
 )
 from fwbench.linalg import LinalgError, frob
-from oracles import (commutator, evaluate, even_part, factor_odd_part, fourier_multiplier,
-                     fw_unitary_free, odd_part, standing_wave_basis)
+from oracles import commutator, evaluate, even_part, fw_unitary_free, odd_part
 
 I4 = np.eye(4)
 
@@ -41,19 +38,30 @@ def block_beta(n):
     return np.kron(np.diag([1.0, -1.0]), np.eye(n))
 
 
+def eigenbasis_hamiltonian(P, v, m):
+    """(bh, Q2) for H = [[m + diag v, P], [P, diag v - m]] with a Hermitian
+    odd block P = Q diag(p) Q^dag: bh holds H in P's eigenbasis, p and
+    V = Q^dag diag(v) Q, and Q2 = diag(Q, Q) takes its matrices back,
+    H = Q2 bh.H Q2^dag (rotated_back)."""
+    p, Q = np.linalg.eigh(P)
+    return (BlockedHamiltonian(p=p, V=Q.conj().T @ np.diag(v) @ Q, m=m),
+            np.kron(np.eye(2), Q))
+
+
+def rotated_back(A, Q2):
+    """Q2 A Q2^dag: a matrix of eigenbasis_hamiltonian's basis in the original one."""
+    return Q2 @ A @ Q2.conj().T
+
+
 def blocked_4x4(p, m):
-    """The 4x4 Dirac Hamiltonian beta m + alpha.p: P = sigma.p and no potential."""
-    return BlockedHamiltonian(P=dirac_hamiltonian(p, m)[:2, 2:], v=np.zeros(2), m=m)
+    """(bh, Q2) of the 4x4 Dirac Hamiltonian beta m + alpha.p, P = sigma.p and
+    no potential, in the eigenbasis of sigma.p (eigenbasis_hamiltonian)."""
+    return eigenbasis_hamiltonian(dirac_hamiltonian(p, m)[:2, 2:], np.zeros(2), m)
 
 
 def mass_term(v, m):
     """beta m + diag(v, v) with no odd block."""
-    return BlockedHamiltonian(P=np.zeros((len(v), len(v))), v=v, m=m)
-
-
-def own_approx_fw(bh):
-    """approx_fw with bh's own odd block factored by the eigh oracle."""
-    return approx_fw(bh, factor_odd_part(bh.P, bh.m))
+    return BlockedHamiltonian(p=np.zeros(len(v)), V=np.diag(v), m=m)
 
 
 def test_grid_validation():
@@ -67,21 +75,26 @@ def test_grid_validation():
     assert g.dx * g.dp * g.n == pytest.approx(2 * np.pi, abs=1e-13)
 
 
-def test_spectral_momentum_is_hermitian_and_diagonalizes_plane_waves():
-    # P is real symmetric in the standing-wave basis W; back on the nodes,
-    # W P W^dag is the position-basis circulant and has the plane waves as
-    # eigenvectors
-    g = Grid1D(n=32, length=16.0)
-    P = spectral_momentum(g)
-    assert P.dtype == np.float64
-    np.testing.assert_array_equal(P, P.T)
-    W = standing_wave_basis(g.n)
-    P_pos = fourier_multiplier(g, g.p_fft)
-    assert frob(W @ P @ W.conj().T - P_pos) <= 1e-14 * frob(P_pos)
-    k = 2 * np.pi * 3 / g.length
-    wave = np.exp(1j * k * g.x)
-    assert np.linalg.norm(P_pos @ wave - k * wave) <= 1e-10
-    assert np.linalg.norm(W @ (P @ (W.conj().T @ wave)) - k * wave) <= 1e-10
+def test_grid_hamiltonian_is_the_node_hamiltonian_in_the_dft_basis(dense_eriksen_oracle):
+    # bh.H = F2 h_node F2^dag with F2 = diag(F, F), F the unitary DFT and
+    # h_node the spin block of the four-component oracle on the nodes; the
+    # odd block is the grid's momenta bit for bit and V is real and exactly
+    # symmetric
+    for n in (4, 16, 64):
+        grid = Grid1D(n=n, length=n / 2)
+        F2 = np.kron(np.eye(2), np.fft.fft(np.eye(n), norm="ortho"))
+        order = _spin_block_order(n)
+        for m in ORACLE_MASSES:
+            for name, profile in ORACLE_PROFILES.items():
+                V = profile(grid.length)
+                bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x))
+                H4, _ = dense_eriksen_oracle["hamiltonian_4n"](grid, m, 0.2 * V(grid.x))
+                h_node = H4[np.ix_(order, order)][:2 * n, :2 * n]
+                assert frob(bh.H - F2 @ h_node @ F2.conj().T) <= 1e-14 * frob(h_node), \
+                    (n, m, name)
+                np.testing.assert_array_equal(bh.p, grid.p_fft)
+                assert bh.V.dtype == np.float64
+                np.testing.assert_array_equal(bh.V, bh.V.T)
 
 
 def _shifted_gauss(length):
@@ -92,15 +105,15 @@ def test_grid_kernels_stay_real():
     grid, m = Grid1D(n=16, length=8.0), 1.5
     bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * np.exp(-x**2 / 4.0))
     frame = eigenframe(bh)
-    U_a, h_a = approx_fw(bh, grid_odd_part(grid, m))
-    for a in (bh.P, bh.H, *frame, eriksen_unitary(frame), sign_function(frame), U_a, h_a,
+    U_a, h_a = approx_fw(bh)
+    for a in (bh.V, bh.H, *frame, eriksen_unitary(frame), sign_function(frame), U_a, h_a,
               conjugated_quadrant(U_a, bh, 1)):
         assert a.dtype == np.float64
 
 
 def test_uneven_potential_is_rejected():
     # a potential that is not even on the grid makes H complex in the
-    # standing-wave basis; the reflection check runs after the shape check
+    # momentum basis; the reflection check runs after the shape check
     grid = Grid1D(n=16, length=8.0)
     with pytest.raises(LinalgError, match="even on the grid"):
         discretize_dirac_1d(grid, 1.0, _shifted_gauss(grid.length))
@@ -130,14 +143,15 @@ def test_eriksen_matches_free_closed_form_unitary():
     rng = np.random.default_rng(2)
     for _ in range(6):
         p = rng.uniform(-4, 4, 3)
-        u = eriksen_unitary(eigenframe(blocked_4x4(p, m)))
+        bh, Q2 = blocked_4x4(p, m)
+        u = rotated_back(eriksen_unitary(eigenframe(bh)), Q2)
         closed = evaluate(fw_unitary_free(m), p).A
         assert np.linalg.norm(u - closed) <= 1e-12
 
 
 def test_approx_on_mass_term():
     bh = mass_term(np.zeros(2), 1.5)
-    u, h = own_approx_fw(bh)
+    u, h = approx_fw(bh)
     assert np.allclose(u, I4, atol=1e-12)
     assert np.allclose(h, 1.5 * GAMMA.beta, atol=1e-12)
 
@@ -145,8 +159,8 @@ def test_approx_on_mass_term():
 def test_approx_free_case_is_exact():
     m = 1.0
     p = np.array([1.1, -0.3, 0.7])
-    bh = blocked_4x4(p, m)
-    u, h = own_approx_fw(bh)
+    bh, Q2 = blocked_4x4(p, m)
+    u, h = (rotated_back(a, Q2) for a in approx_fw(bh))
     assert np.linalg.norm(h - energy(p, m) * GAMMA.beta) <= 1e-12
     assert np.linalg.norm(u - evaluate(fw_unitary_free(m), p).A) <= 1e-12
 
@@ -233,20 +247,22 @@ def test_sign_function_rejects_zero_modes():
 
 
 def test_approx_rejects_singular_mass_operator():
-    bh = blocked_4x4(np.array([1.0, 0.0, 0.0]), 0.0)
+    # X = O/m: at m = 0 the 4x4 block has nonzero momenta, and every FFT grid
+    # holds p = 0, where the kinetic denominator 2 eps (eps + m) vanishes too
+    bh, _ = blocked_4x4(np.array([1.0, 0.0, 0.0]), 0.0)
     with pytest.raises(LinalgError, match="not invertible"):
-        own_approx_fw(bh)
+        approx_fw(bh)
     with pytest.raises(LinalgError, match="not invertible"):
-        grid_odd_part(Grid1D(n=16, length=8.0), 0.0)
+        approx_fw(discretize_dirac_1d(Grid1D(n=16, length=8.0), 0.0, np.zeros_like))
 
 
 def test_blocked_hamiltonian_is_frozen():
     # every kernel trusts the constructor's checks of bh's parts
     bh = mass_term(np.zeros(2), 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        bh.P = np.array([[0.0, 1.0], [0.0, 0.0]])
+        bh.V = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        bh.v = np.array([np.inf, 0.0])
+        bh.p = np.array([np.inf, 0.0])
 
 
 def test_eriksen_command_checks_each_hamiltonian_hermitian_once(tmp_path, monkeypatch):
@@ -260,8 +276,8 @@ def test_eriksen_command_checks_each_hamiltonian_hermitian_once(tmp_path, monkey
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(module, "is_hermitian", counted)
     assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
-    # the odd block P of the free Hamiltonian and of the three of the default
-    # --v0 ladder; mat_inv_sqrt_psd checks its own half-size inputs
+    # the potential block V of the free Hamiltonian and of the three of the
+    # default --v0 ladder; mat_inv_sqrt_psd checks its own half-size inputs
     assert dims["fwbench.eriksen"] == [n] * 4
     assert 2 * n not in dims["fwbench.linalg"]
 
@@ -272,35 +288,38 @@ def test_discretize_rejects_potential_without_one_finite_value_per_node():
         discretize_dirac_1d(grid, 1.0, lambda x: 0.3)
     with pytest.raises(ValueError, match="bounded"):
         discretize_dirac_1d(grid, 1.0, lambda x: np.where(x == 0.0, np.inf, 0.0))
+    with pytest.raises(ValueError, match="real"):
+        discretize_dirac_1d(grid, 1.0, lambda x: np.zeros_like(x) + 0.1j)
 
 
 def test_blocked_hamiltonian_validation():
-    v = np.zeros(2)
+    p = np.zeros(2)
     with pytest.raises(LinalgError, match="Hermitian"):
-        BlockedHamiltonian(P=np.array([[0.0, 1.0], [0.0, 0.0]]), v=v, m=1.0)
-    for P in (np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        BlockedHamiltonian(p=p, V=np.array([[0.0, 1.0], [0.0, 0.0]]), m=1.0)
+    for V in (np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(LinalgError, match="square matrix|non-finite"):
-            BlockedHamiltonian(P=P, v=v, m=1.0)
-    for bad_v in (0.3, np.zeros(3), np.zeros((2, 1))):
-        with pytest.raises(LinalgError, match="one value per grid node"):
-            BlockedHamiltonian(P=np.eye(2), v=bad_v, m=1.0)
-    for bad_v in (np.array([np.inf, 0.0]), np.array([0.0, np.nan])):
-        with pytest.raises(LinalgError, match="bounded"):
-            BlockedHamiltonian(P=np.eye(2), v=bad_v, m=1.0)
+            BlockedHamiltonian(p=p, V=V, m=1.0)
+    for bad_p in (0.3, np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(LinalgError, match="one value per row of V"):
+            BlockedHamiltonian(p=bad_p, V=np.eye(2), m=1.0)
+    for bad_p in (np.array([np.inf, 0.0]), np.array([0.0, np.nan])):
+        with pytest.raises(LinalgError, match="non-finite"):
+            BlockedHamiltonian(p=bad_p, V=np.eye(2), m=1.0)
     with pytest.raises(LinalgError, match="real"):
-        BlockedHamiltonian(P=np.eye(2), v=np.array([0.0, 1j]), m=1.0)
+        BlockedHamiltonian(p=np.array([0.0, 1j]), V=np.eye(2), m=1.0)
     for bad_mass in (-1.0, np.nan, np.inf):
         with pytest.raises(LinalgError, match="mass"):
-            BlockedHamiltonian(P=np.eye(2), v=v, m=bad_mass)
+            BlockedHamiltonian(p=p, V=np.eye(2), m=bad_mass)
 
 
 @pytest.mark.parametrize("n", [2, 16])
 def test_blocked_hamiltonian_dense_matrix_is_its_parts(n):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    P, v, m = 0.5 * (a + a.conj().T), rng.normal(size=n), 1.7
-    bh = BlockedHamiltonian(P=P, v=v, m=m)
-    want = np.block([[np.diag(m + v), P], [P, np.diag(v - m)]])
+    p, V, m = rng.normal(size=n), 0.5 * (a + a.conj().T), 1.7
+    bh = BlockedHamiltonian(p=p, V=V, m=m)
+    eye = np.eye(n)
+    want = np.block([[V + m * eye, np.diag(p)], [np.diag(p), V - m * eye]])
     np.testing.assert_array_equal(bh.H, want)
     assert bh.H.dtype == complex and bh.n_upper == n
 
@@ -330,35 +349,39 @@ def _rel(a, b):
 
 
 def _oracle_cases():
-    rng = np.random.default_rng(5)
-    cases = [pytest.param(dirac_hamiltonian(p, m)[:2, 2:], np.zeros(2), m, GAMMA.beta,
+    """(bh, Q2): 4x4 Dirac blocks with a small diagonal potential in the
+    eigenbasis of sigma.p, and grid Hamiltonians, already in the eigenbasis
+    of their odd block (Q2 = 1)."""
+    rng, rng_v = np.random.default_rng(5), np.random.default_rng(6)
+    cases = [pytest.param(*eigenbasis_hamiltonian(dirac_hamiltonian(p, m)[:2, 2:],
+                                                  rng_v.uniform(-0.2, 0.2, 2), m),
                           id=f"4x4-m{m}-{i}")
              for m in ORACLE_MASSES for i, p in enumerate(rng.uniform(-3, 3, (3, 3)))]
     for n in (16, 32):
         grid = Grid1D(n=n, length=n / 2)
-        beta = block_beta(n)
         for m in ORACLE_MASSES:
             for name, profile in ORACLE_PROFILES.items():
-                cases.append(pytest.param(spectral_momentum(grid),
-                                          0.2 * profile(grid.length)(grid.x), m, beta,
-                                          id=f"n{n}-m{m}-{name}"))
+                V = profile(grid.length)
+                bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x))
+                cases.append(pytest.param(bh, np.eye(2 * n), id=f"n{n}-m{m}-{name}"))
     return cases
 
 
-@pytest.mark.parametrize("P, v, m, beta", _oracle_cases())
-def test_structured_kernels_match_dense_oracle(P, v, m, beta, dense_eriksen_oracle):
-    # measured worst case over these cases: 4.2e-15 relative
-    bh = BlockedHamiltonian(P=P, v=v, m=m)
-    H = bh.H
-    M = m * np.eye(H.shape[0])
+@pytest.mark.parametrize("bh, Q2", _oracle_cases())
+def test_structured_kernels_match_dense_oracle(bh, Q2, dense_eriksen_oracle):
+    # compared in the oracle's basis, H = Q2 bh.H Q2^dag: measured worst case
+    # over these cases 1.8e-15 relative
+    H = rotated_back(bh.H, Q2)
+    beta = block_beta(bh.n_upper)
+    M = bh.m * np.eye(H.shape[0])
     U, lam = exact_transform(bh)
     U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
-    assert _rel(lam, lam_o) <= 1e-12
-    assert _rel(U, U_o) <= 1e-12
-    U_a, h_a = own_approx_fw(bh)
+    assert _rel(rotated_back(lam, Q2), lam_o) <= 1e-12
+    assert _rel(rotated_back(U, Q2), U_o) <= 1e-12
+    U_a, h_a = approx_fw(bh)
     U_ao, h_ao = dense_eriksen_oracle["approx"](H, beta, M)
-    assert _rel(U_a, U_ao) <= 1e-12
-    assert _rel(h_a, h_ao) <= 1e-12
+    assert _rel(rotated_back(U_a, Q2), U_ao) <= 1e-12
+    assert _rel(rotated_back(h_a, Q2), h_ao) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -445,9 +468,9 @@ def _count_eigh(monkeypatch) -> list:
 
 
 def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
-    # every H of the ladder has the odd part [[0, P], [P, 0]] of the grid's P,
-    # whose functions come from the FFT (no eigh), and each H takes one
-    # full-size eigh and two half-size ones for g_+^(-1/2) and g_-^(-1/2)
+    # every H of the ladder has the odd part [[0, diag p], [diag p, 0]], whose
+    # functions are vectors (no eigh), and each H takes one full-size eigh
+    # and two half-size ones for g_+^(-1/2) and g_-^(-1/2)
     grid = Grid1D(n=16, length=8.0)
     full = 2 * grid.n
     calls = _count_eigh(monkeypatch)
@@ -460,40 +483,40 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
-    # H = [[m + c, P], [P, c - m]] has the spectrum c +- r_i with
-    # r_i = sqrt(m^2 + p_i^2) over P's eigenvalues p_i; a shift c between the
-    # two smallest roots r_1 < c < r_2 leaves k+1 positive and k-1 negative
-    # eigenvalues, all gapped from zero: no unitary sends the positive
-    # spectrum to the k-dimensional upper block
+    # H = [[m + c, diag p], [diag p, c - m]], in the eigenbasis of any
+    # Hermitian odd block with eigenvalues p_i, has the spectrum c +- r_i with
+    # r_i = sqrt(m^2 + p_i^2); a shift c between the two smallest roots
+    # r_1 < c < r_2 leaves k+1 positive and k-1 negative eigenvalues, all
+    # gapped from zero: no unitary sends the positive spectrum to the
+    # k-dimensional upper block
     rng = np.random.default_rng(seed)
     mags = np.cumsum(rng.uniform(0.1, 1.0, k))
     p = mags * rng.choice([-1.0, 1.0], k)
-    q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-    P = (q * p) @ q.conj().T
     m = rng.uniform(0.1, 3.0)
     r = np.sqrt(m * m + mags * mags)
     c = 0.5 * (r[0] + r[1]) if k > 1 else r[0] + 1.0
-    bh = BlockedHamiltonian(P=0.5 * (P + P.conj().T), v=np.full(k, c), m=m)
+    bh = BlockedHamiltonian(p=p, V=c * np.eye(k), m=m)
     with pytest.raises(LinalgError, match=f"{k + 1} of {2 * k} eigenvalues are positive"):
         eigenframe(bh)
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
-def test_grid_odd_part_matches_eigh_oracle(n, m):
-    # compared on the nodes, where the oracle factors the position-basis
-    # circulant: measured worst case over these cases 5.6e-14 relative, in
-    # d_inv.  The oracle's error grows with the largest p^2 (its eigh of P^2
-    # is accurate to rounding of that, absolutely): on a box of n/4 it
-    # reaches 1.5e-13
+def test_grid_odd_part_matches_eigh_oracle(n, m, dense_eriksen_oracle):
+    # the free approximate transform depends on the odd part diag(p) alone:
+    # its unitary and beta eps, from the closed forms, against the oracle's
+    # eigh-based functions of the odd part on the nodes.  Measured worst case
+    # over these cases 1.1e-14 relative
     grid = Grid1D(n=n, length=32.0)
-    got = grid_odd_part(grid, m)
-    np.testing.assert_array_equal(got.P, spectral_momentum(grid))
-    want = factor_odd_part(fourier_multiplier(grid, grid.p_fft), m)
-    W = standing_wave_basis(n)
-    for a, b in zip(got.block, want.block):
-        assert a.dtype == np.float64
-        assert _rel(W @ a @ W.conj().T, b) <= 1e-13
+    F2 = np.kron(np.eye(2), np.fft.fft(np.eye(n), norm="ortho"))
+    U, h = approx_fw(discretize_dirac_1d(grid, m, np.zeros_like))
+    assert U.dtype == h.dtype == np.float64
+    H4, beta4 = dense_eriksen_oracle["hamiltonian_4n"](grid, m, np.zeros(n))
+    order = _spin_block_order(n)[:2 * n]
+    U_o, h_o = dense_eriksen_oracle["approx"](H4[np.ix_(order, order)], block_beta(n),
+                                              m * np.eye(2 * n))
+    assert _rel(F2.conj().T @ U @ F2, U_o) <= 1e-13
+    assert _rel(F2.conj().T @ h @ F2, h_o) <= 1e-13
 
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
@@ -504,7 +527,7 @@ def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_erik
     V = ORACLE_PROFILES[profile](grid.length)
     for m in ORACLE_MASSES:
         bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x))
-        U_a, _ = own_approx_fw(bh)
+        U_a, _ = approx_fw(bh)
         nu = bh.n_upper
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
         got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh)
@@ -517,17 +540,37 @@ def test_conjugated_quadrant_matches_dense_conjugation(transform):
     # dense product, relative to ||H||: the scale of the rounding in the exact
     # transform's vanishing (0, 1) quadrant
     rng = np.random.default_rng(7)
-    hams = [blocked_4x4(p, m) for m, p in zip(ORACLE_MASSES, rng.uniform(-3, 3, (3, 3)))]
+    hams = [blocked_4x4(p, m)[0] for m, p in zip(ORACLE_MASSES, rng.uniform(-3, 3, (3, 3)))]
     grid = Grid1D(n=32, length=16.0)
     hams += [discretize_dirac_1d(grid, m, lambda x, V=profile(grid.length): 0.2 * V(x))
              for m in ORACLE_MASSES for profile in ORACLE_PROFILES.values()]
     for bh in hams:
-        U = eriksen_unitary(eigenframe(bh)) if transform == "exact" else own_approx_fw(bh)[0]
+        U = eriksen_unitary(eigenframe(bh)) if transform == "exact" else approx_fw(bh)[0]
         H, h = bh.H, bh.n_upper
         dense = U @ H @ U.conj().T
         for k in (0, 1):
             got = conjugated_quadrant(U, bh, k)
             assert frob(got - dense[:h, k * h:(k + 1) * h]) <= 1e-12 * frob(H), (bh.m, k)
+
+
+@pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
+def test_approx_offblock_matches_closed_form(profile):
+    # U = [[diag u, diag s], [-diag s, diag u]] with u = (eps + m)/N and
+    # s = p/N: the free part of U H U^T cancels, -2 m u s + p (u^2 - s^2) = 0,
+    # and its upper-right quadrant is (s_i u_j - u_i s_j) V_ij
+    grid = Grid1D(n=32, length=16.0)
+    V = ORACLE_PROFILES[profile](grid.length)
+    v0 = [1e-3, 1e-2, 1e-1]
+    p = grid.p_fft
+    for m in ORACLE_MASSES:
+        study = potential_scaling_study(grid, m, v0, V)
+        eps = np.sqrt(m * m + p * p)
+        norm = np.sqrt(2 * eps * (eps + m))
+        u, s = (eps + m) / norm, p / norm
+        for got, strength in zip(study.approx_offblock, v0):
+            pot = discretize_dirac_1d(grid, m, lambda x: strength * V(x)).V
+            want = np.sqrt(2) * frob((np.outer(s, u) - np.outer(u, s)) * pot)
+            assert abs(got / want - 1) <= 1e-12, (m, strength)
 
 
 def _explicit_bl_lb(lam, n):
@@ -553,26 +596,6 @@ def test_bl_lb_commute_matches_explicit_commutator(potential):
     assert abs(got / want - 1) <= 1e-12
 
 
-@pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
-def test_approx_fw_with_shared_factorization_is_identical(profile):
-    # the study shares one grid factorization across its potentials
-    grid = Grid1D(n=32, length=16.0)
-    V = ORACLE_PROFILES[profile](grid.length)
-    shared = grid_odd_part(grid, 1.5)
-    for v0 in (1e-2, 0.3):
-        bh = discretize_dirac_1d(grid, 1.5, lambda x: v0 * V(x))
-        for got, want in zip(approx_fw(bh, shared), approx_fw(bh, grid_odd_part(grid, 1.5))):
-            np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.parametrize("length, m", [(16.0, 1.0), (8.0, 2.0)], ids=["B", "m"])
-def test_approx_fw_rejects_mismatched_factorization(length, m):
-    # bh has the odd part of the length-8 grid and mass 1
-    bh = discretize_dirac_1d(Grid1D(n=16, length=8.0), 1.0, lambda x: 0.1 * np.cos(x))
-    with pytest.raises(LinalgError, match="does not match"):
-        approx_fw(bh, grid_odd_part(Grid1D(n=16, length=length), m))
-
-
 # --- the spin block against the four-component 4n x 4n grid Hamiltonian ------
 
 def _spin_block_order(n):
@@ -584,19 +607,15 @@ def _spin_block_order(n):
 @pytest.mark.parametrize("m", ORACLE_MASSES)
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
 def test_four_component_hamiltonian_is_two_spin_blocks(n, m, profile, dense_eriksen_oracle):
+    # the grid Hamiltonian is this spin block in the DFT basis
+    # (test_grid_hamiltonian_is_the_node_hamiltonian_in_the_dft_basis)
     grid = Grid1D(n=n, length=n / 2)
     V = ORACLE_PROFILES[profile](grid.length)
-    # the 4n operator is on the nodes; the spin block is in the standing-wave
-    # basis, where it is real: h = W2^dag h_pos W2 with W2 = diag(W, W)
     H4, beta4 = dense_eriksen_oracle["hamiltonian_4n"](grid, m, 0.2 * V(grid.x))
-    h = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x)).H
     order = _spin_block_order(n)
     blocks = H4[np.ix_(order, order)]
     h_pos, zero = blocks[:2 * n, :2 * n], np.zeros((2 * n, 2 * n))
     np.testing.assert_array_equal(blocks, np.block([[h_pos, zero], [zero, h_pos]]))
-    W2 = np.kron(np.eye(2), standing_wave_basis(n))
-    assert h.dtype == np.float64
-    assert frob(h - W2.conj().T @ h_pos @ W2) <= 1e-14 * frob(h_pos)
     beta = block_beta(n)
     np.testing.assert_array_equal(beta4[np.ix_(order, order)],
                                   np.block([[beta, zero], [zero, beta]]))
