@@ -12,19 +12,8 @@ import argparse
 
 import numpy as np
 
-from fwbench.dirac import (
-    GAMMA,
-    dirac_hamiltonian,
-    energy,
-    fv_hamiltonian_matrix,
-    fv_velocity_matrix,
-)
+from fwbench.dirac import energy
 from fwbench.zitter import dominant_frequency, record_evolution
-
-
-def oscillation_amplitude(H, v0, pk, eps):
-    h_inv = H / eps**2
-    return np.linalg.norm(0.5j * (v0 - pk * h_inv) @ h_inv, 2)
 
 
 def main():
@@ -43,11 +32,8 @@ def main():
         for particle, elem in (("dirac", (0, 2)), ("fv", (0, 1))):
             rec = record_evolution(p, m, times, 2, particle)
             row.append(dominant_frequency(times, rec.entry(*elem).velocity))
-            if particle == "dirac":
-                H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[2]
-            else:
-                H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, 2)
-            row.append(oscillation_amplitude(H, v0, pz, eps))
+            # trembling amplitude: the norm of the position's cos(2 eps t) coefficient
+            row.append(np.linalg.norm(rec.position_coeffs[1], 2))
         lines.append(",".join(f"{v:.12g}" for v in row))
 
     with open(args.out, "w") as fh:

@@ -216,7 +216,7 @@ def cmd_precess(args) -> tuple:
     cfg = sd.FieldConfig(e_field=args.e_field, b_field=args.b_field,
                          charge=args.charge, a_mm=args.a, eta=args.eta,
                          frame_accel=args.accel, frame_omega=args.omega)
-    omega = sd.omega_total(args.p, args.mass, cfg, spin=args.spin)
+    omega = sd.omega_total(args.p, args.mass, cfg)
     omega = omega + sd.omega_noninertial(args.p, args.mass, cfg)
     chi0 = sd.spinor_from_direction(args.s0)
     s0 = sd.unit_direction(args.s0)
@@ -284,13 +284,12 @@ def cmd_packet(args) -> tuple:
 
 def cmd_pce(args) -> tuple:
     pk = wp.make_gaussian_packet(args.p0, args.sigma, args.mass, n=args.n)
-    x2_fw = wp.expectation(pk, wp.Observable("position_sq"), "fw")
-    x2_d = wp.expectation(pk, wp.Observable("position_sq"), "dirac")
-    pce_x2 = x2_d - x2_fw
-    pce_p = wp.picture_change_error(pk, wp.Observable("momentum"))
-    pce_id = wp.picture_change_error(pk, wp.Observable("identity"))
-    norm_fw = wp.to_picture(pk, "fw").norm
-    norm_d = wp.to_picture(pk, "dirac").norm
+    pk_d = wp.to_picture(pk, "dirac")
+    x_sq, mom = wp.Observable("position_sq"), wp.Observable("momentum")
+    x2_fw, x2_d = wp.expectation(pk, x_sq), wp.expectation(pk_d, x_sq, "dirac")
+    p_fw, p_d = wp.expectation(pk, mom), wp.expectation(pk_d, mom, "dirac")
+    norm_fw, norm_d = pk.norm, pk_d.norm
+    pce_x2, pce_p, pce_id = x2_d - x2_fw, p_d - p_fw, norm_d - norm_fw
     result = {
         "p0": args.p0,
         "sigma": args.sigma,
@@ -364,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="frame acceleration")
     pr.add_argument("--omega", type=_vec3, default=np.zeros(3),
                     help="frame rotation")
-    pr.add_argument("--spin", type=float, default=0.5, choices=(0.0, 0.5, 1.0))
     pr.add_argument("--s0", type=_direction, default=np.array([1.0, 0.0, 0.0]),
                     help="initial spin direction")
     pr.add_argument("--t-max", type=_finite, default=10.0,

@@ -5,8 +5,7 @@ Conventions (natural units, hbar = c = 1):
     alpha_k = offdiag(sigma_k, sigma_k)
     gamma_k = beta alpha_k
     Sigma_k = diag(sigma_k, sigma_k)
-    Pi_k    = beta Sigma_k
-    rho_k   = 2x2 Pauli set acting on two-component scalar-sector states.
+    rho_k   = PAULI, the 2x2 set acting on two-component scalar-sector states.
 
 All entries are exact elements of {0, +-1, +-i}.
 """
@@ -22,6 +21,8 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+for _s in PAULI:
+    _s.setflags(write=False)
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -37,13 +38,9 @@ class GammaSet:
     alpha: tuple
     gamma: tuple
     Sigma: tuple
-    Pi: tuple
-    rho: tuple
 
     def __post_init__(self):
-        for m in (self.beta, *self.alpha, *self.gamma, *self.Sigma, *self.Pi):
-            m.setflags(write=False)
-        for m in self.rho:
+        for m in (self.beta, *self.alpha, *self.gamma, *self.Sigma):
             m.setflags(write=False)
 
 
@@ -54,8 +51,7 @@ def build_gamma_set() -> GammaSet:
     alpha = tuple(_block(z, s, s, z) for s in PAULI)
     gamma = tuple(beta @ a for a in alpha)
     sigma_big = tuple(_block(s, z, z, s) for s in PAULI)
-    pi = tuple(beta @ s for s in sigma_big)
-    return GammaSet(beta=beta, alpha=alpha, gamma=gamma, Sigma=sigma_big, Pi=pi, rho=PAULI)
+    return GammaSet(beta=beta, alpha=alpha, gamma=gamma, Sigma=sigma_big)
 
 
 GAMMA = build_gamma_set()

@@ -15,8 +15,7 @@ and in a frame with acceleration acc and rotation omega
 Momentum is held fixed: only the spin sector evolves, so quantum and
 classical propagation are both exact exponentials and must agree to
 machine precision (the 2-to-1 covering of rotations by unit quaternions).
-The spin-0 case carries no precession term; spin 1 reuses the same
-angular-velocity formula with its own g/eta conventions.
+Every formula here is for the spin-1/2 particle.
 """
 
 from __future__ import annotations
@@ -76,17 +75,8 @@ def omega_edm(p, m: float, cfg: FieldConfig) -> np.ndarray:
     )
 
 
-def omega_total(p, m: float, cfg: FieldConfig, spin: float = 0.5) -> np.ndarray:
-    """Total angular velocity of spin rotation in uniform fields.
-
-    spin selects the particle sector: 0 has no spin term at all, while 1/2
-    and 1 share the identical closed form (moments differ only through the
-    g and eta conventions already encoded in cfg).
-    """
-    if spin == 0:
-        return np.zeros(3)
-    if spin not in (0.5, 1):
-        raise ValueError(f"unsupported spin {spin}; use 0, 0.5 or 1")
+def omega_total(p, m: float, cfg: FieldConfig) -> np.ndarray:
+    """Total angular velocity of spin rotation in uniform fields."""
     return omega_mdm(p, m, cfg) + omega_edm(p, m, cfg)
 
 

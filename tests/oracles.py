@@ -12,7 +12,7 @@ tests check the program against these; the program itself never calls them.
 import numpy as np
 
 from fwbench.algebra import ClassicalState
-from fwbench.dirac import (GAMMA, I4, dirac_hamiltonian, energy, free_propagator,
+from fwbench.dirac import (GAMMA, I4, PAULI, dirac_hamiltonian, energy, free_propagator,
                            fv_hamiltonian_matrix, fv_velocity_matrix, fw_unitary_matrix,
                            stacked_energy)
 from fwbench.eriksen import BlockedHamiltonian
@@ -33,7 +33,8 @@ from fwbench.phase_ops import (
     radius_part,
     snapshot,
 )
-from fwbench.wavepacket import (WavePacket1D, apply_position, make_gaussian_packet,
+from fwbench.grids import Grid1D
+from fwbench.wavepacket import (WavePacket1D, make_gaussian_packet, momentum_to_position,
                                 to_picture)
 from fwbench.zitter import EvolutionRecord
 
@@ -158,7 +159,7 @@ def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
 _SIGMA = np.stack(GAMMA.Sigma)
 _ALPHA = np.stack(GAMMA.alpha)
 _GAMMAK = np.stack(GAMMA.gamma)
-_RHO_PLUS = GAMMA.rho[2] + 1j * GAMMA.rho[1]    # rho_3 + i rho_2
+_RHO_PLUS = PAULI[2] + 1j * PAULI[1]    # rho_3 + i rho_2
 
 
 def _four_spin_space(p, P, e, m, c):
@@ -182,7 +183,7 @@ def _projector(sign):
 
 def _fv_hamiltonian(p, P, e, m, c):
     # two-component scalar sector: rho_3 m + (rho_3 + i rho_2) p^2/(2m)
-    return m * GAMMA.rho[2] + _RHO_PLUS * p_dot(P, P) / (2 * m)
+    return m * PAULI[2] + _RHO_PLUS * p_dot(P, P) / (2 * m)
 
 
 # The Dirac-representation forms U^-1 (FW family) U of the product's FW
@@ -299,11 +300,50 @@ def negative_energy_part(packet: WavePacket1D) -> np.ndarray:
     return np.einsum("nij,nj->ni", pi_minus, pk.psi)
 
 
+def position_to_momentum(big_psi: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Inverse of momentum_to_position (kernel exp(-i p x)/sqrt(2 pi)), for
+    spinors of shape (n, 4)."""
+    alt = np.where(np.arange(grid.n) % 2, -1.0, 1.0)[:, None]
+    return (grid.dx / np.sqrt(2 * np.pi)) * alt * np.fft.fft(alt * big_psi, axis=0)
+
+
+def position_space(packet: WavePacket1D) -> tuple:
+    """(x nodes, Psi(x) with shape (n, 4))."""
+    return packet.grid.x, momentum_to_position(packet.psi, packet.grid)
+
+
+def apply_position(packet: WavePacket1D) -> np.ndarray:
+    """The spectrally periodized i d/dp on the packet's amplitude, (n, 4):
+    multiply by x in position space, transform back."""
+    x, big_psi = position_space(packet)
+    return position_to_momentum(x[:, None] * big_psi, packet.grid)
+
+
 def position_expectation(packet: WavePacket1D, picture: str = "fw") -> float:
     """<x> with the periodized i d/dp averaged in the stated picture."""
     pk = to_picture(packet, picture)
-    xpsi = apply_position(pk.psi, pk.grid)
-    return float(np.real(np.vdot(pk.psi, xpsi)) * pk.grid.dp)
+    return float(np.real(np.vdot(pk.psi, apply_position(pk))) * pk.grid.dp)
+
+
+def position_sq_expectation(packet: WavePacket1D, picture: str = "fw") -> float:
+    """<x^2> = ||i d/dp psi||^2 dp in the stated picture, by the operator
+    route: no density is formed."""
+    xpsi = apply_position(to_picture(packet, picture))
+    return float(np.real(np.vdot(xpsi, xpsi)) * packet.grid.dp)
+
+
+def closed_form_pce_x_sq(packet: WavePacket1D) -> float:
+    """PCE(x^2) = sum |phi(p)|^2 m^2 / (4 eps^4) dp for an fw-picture packet
+    with momentum and spin along z.  With u(p) = U(p)^dag e_1 the Dirac
+    amplitude is phi u, and |d_p (phi u)|^2 - |d_p phi|^2 = |phi|^2 |d_p u|^2
+    once the Berry connection <u, d_p u> vanishes, as it does for spin
+    along p; |d_p u|^2 = m^2 / (4 eps^4)."""
+    if packet.picture != "fw" or np.any(packet.psi[:, 1:]):
+        raise ValueError("the closed form holds for an fw packet with spin up along z")
+    p = packet.grid.p_centered
+    eps2 = packet.m ** 2 + p * p
+    return float(np.sum(np.abs(packet.psi[:, 0]) ** 2 * packet.m ** 2 / (4 * eps2 * eps2))
+                 * packet.grid.dp)
 
 
 def spin_z_expectation(packet: WavePacket1D) -> float:

@@ -386,7 +386,7 @@ _ARGV = st.one_of(
     _command("precess", {"steps": st.integers(0, 5)},
              {"p": _VEC3, "mass": _FLOAT, "e-field": _VEC3, "b-field": _VEC3,
               "charge": _FLOAT, "a": _FLOAT, "eta": _FLOAT, "accel": _VEC3,
-              "omega": _VEC3, "spin": st.sampled_from(["0", "0.5", "1"]), "s0": _VEC3,
+              "omega": _VEC3, "s0": _VEC3,
               "t-max": _FLOAT}),
     _command("zitter", {"steps": st.integers(2, 32)},
              {"p": _FLOAT, "m": _FLOAT, "t-max": _FLOAT,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fwbench.dirac import (
     GAMMA,
+    PAULI,
     build_gamma_set,
     dirac_hamiltonian,
     energy,
@@ -39,16 +40,18 @@ def test_sigma_algebra_exact():
 
 
 def test_pi_and_gamma_definitions():
+    # Pi_k = beta Sigma_k = diag(sigma_k, -sigma_k), built here from the Pauli set
     g = GAMMA
+    z = np.zeros((2, 2))
     for k in range(3):
-        assert np.array_equal(g.Pi[k], g.beta @ g.Sigma[k])
+        assert np.array_equal(g.beta @ g.Sigma[k], np.block([[PAULI[k], z], [z, -PAULI[k]]]))
         assert np.array_equal(g.gamma[k], g.beta @ g.alpha[k])
 
 
 def test_matrices_entrywise_exact_values():
     g = GAMMA
     allowed = {0.0, 1.0, -1.0}
-    for m in (g.beta, *g.alpha, *g.gamma, *g.Sigma, *g.Pi):
+    for m in (g.beta, *g.alpha, *g.gamma, *g.Sigma, *PAULI):
         for entry in m.ravel():
             assert entry.real in allowed and entry.imag in allowed
 
@@ -118,3 +121,5 @@ def test_fw_hamiltonian_is_beta_energy():
 def test_gamma_set_immutable():
     with pytest.raises(ValueError):
         GAMMA.beta[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        PAULI[2][0, 0] = 5.0

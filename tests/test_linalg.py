@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwbench.dirac import GAMMA
+from fwbench.dirac import GAMMA, PAULI
 from fwbench.linalg import (
     LinalgError,
     as_matrix,
@@ -66,7 +66,7 @@ def test_commutator_trivial_cases():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert frob(commutator(I4, m)) == 0.0
-    s1, s2, s3 = GAMMA.rho
+    s1, s2, s3 = PAULI
     assert np.allclose(commutator(s1, s2), 2j * s3)
     beta, a1 = GAMMA.beta, GAMMA.alpha[0]
     assert np.allclose(commutator(beta, a1), 2 * beta @ a1)

@@ -5,7 +5,7 @@ import pytest
 
 from fwbench.algebra import (QUANTUM_SET_NAMES, build_quantum_set, identities_for_set,
                              sample_momenta)
-from fwbench.dirac import GAMMA, energy, fv_hamiltonian_matrix, fv_velocity_matrix
+from fwbench.dirac import GAMMA, PAULI, energy, fv_hamiltonian_matrix, fv_velocity_matrix
 from fwbench.phase_ops import (
     DomainError,
     OperatorFamily,
@@ -454,7 +454,7 @@ def test_transformed_dirac_spin_upper_block():
     m = 1.0
     u, ui = fw_unitary_free(m), fw_unitary_free_inv(m)
     rng = np.random.default_rng(19)
-    sigma = GAMMA.rho
+    sigma = PAULI
     for _ in range(8):
         p = rng.uniform(-5, 5, 3)
         e = energy(p, m)

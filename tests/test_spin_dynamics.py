@@ -49,24 +49,6 @@ def test_edm_momentum_terms():
     assert np.allclose(omega_edm(p, m, cfg), expected, atol=1e-14)
 
 
-def test_spin_zero_has_no_precession():
-    cfg = FieldConfig(b_field=(1.0, 1.0, 1.0), e_field=(0.5, 0, 0), a_mm=0.2)
-    assert np.array_equal(omega_total(np.ones(3), 1.0, cfg, spin=0), np.zeros(3))
-
-
-def test_spin_one_reuses_the_same_formula():
-    cfg = FieldConfig(b_field=(0.4, -0.2, 1.0), e_field=(0.1, 0.9, 0.0),
-                      a_mm=0.05, eta=0.2, charge=-1.0)
-    p = np.array([0.7, -1.1, 2.0])
-    assert np.array_equal(omega_total(p, 1.0, cfg, spin=0.5),
-                          omega_total(p, 1.0, cfg, spin=1))
-
-
-def test_unsupported_spin_rejected():
-    with pytest.raises(ValueError):
-        omega_total(np.zeros(3), 1.0, FieldConfig(), spin=0.75)
-
-
 def test_mdm_requires_positive_mass():
     with pytest.raises(ValueError):
         omega_mdm(np.zeros(3), 0.0, FieldConfig(b_field=(0, 0, 1.0)))

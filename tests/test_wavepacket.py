@@ -1,3 +1,9 @@
+import contextlib
+import io
+import runpy
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,21 +12,22 @@ from fwbench.wavepacket import (
     GridResolutionError,
     Observable,
     WavePacket1D,
-    apply_position,
     density,
     evolve_free,
     expectation,
     make_gaussian_packet,
     momentum_to_position,
     picture_change_error,
-    position_to_momentum,
     to_picture,
 )
 from fwbench.zitter import dominant_frequency
-from oracles import (alpha_z_expectation, make_dirac_upper_packet, negative_energy_part,
-                     packet_difference, position_expectation, spin_z_expectation)
+from oracles import (alpha_z_expectation, apply_position, closed_form_pce_x_sq,
+                     make_dirac_upper_packet, negative_energy_part, packet_difference,
+                     position_expectation, position_sq_expectation, position_to_momentum,
+                     spin_z_expectation)
 
 M = 1.0
+PCE_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "pce_sweep.py"
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +159,46 @@ def test_pce_values(relativistic_packet):
     assert pce > 0        # the raw-x^2 average is larger with Dirac amplitudes
 
 
+@pytest.mark.parametrize("p0, sigma_p, m", [(2.0, 0.5, 1.0), (0.0, 0.05, 1.0),
+                                             (1e3, 250.0, 1e3), (-0.006, 0.002, 3e-3)])
+def test_position_sq_is_the_density_moment_of_i_d_dp(p0, sigma_p, m):
+    # the density moment sum x^2 rho dx against ||i d/dp psi||^2 dp, an
+    # inverse-FFT operator route that forms no density
+    pk = make_gaussian_packet(p0, sigma_p, m)
+    for picture in ("fw", "dirac"):
+        oracle = position_sq_expectation(pk, picture)
+        value = expectation(pk, Observable("position_sq"), picture)
+        assert abs(value - oracle) <= 1e-13 * oracle
+
+
+@pytest.mark.parametrize("p0, sigma_p", [(2.0, 0.5), (0.0, 0.25), (3.0, 1.0)])
+@pytest.mark.parametrize("m", [1e-3, 1.0, 30.0, 1e4])
+def test_pce_x_sq_matches_closed_form(p0, sigma_p, m):
+    # momentum and spin along z: PCE(x^2) = sum |phi|^2 m^2 / (4 eps^4) dp,
+    # by the density moment and by the i d/dp route
+    pk = make_gaussian_packet(p0 * m, sigma_p * m, m)
+    closed = closed_form_pce_x_sq(pk)
+    by_density = picture_change_error(pk, Observable("position_sq"))
+    by_operator = position_sq_expectation(pk, "dirac") - position_sq_expectation(pk, "fw")
+    for value in (by_density, by_operator):
+        assert abs(value - closed) <= 1e-12 * closed
+
+
+def test_pce_sweep_script(tmp_path, monkeypatch):
+    out = tmp_path / "pce.csv"
+    monkeypatch.setattr(sys, "argv", [str(PCE_SWEEP), "--out", str(out)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        runpy.run_path(str(PCE_SWEEP), run_name="__main__")
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (20, 4)
+    for p0, sigma, rel, disc in rows:
+        pk = make_gaussian_packet(p0, sigma, 1.0)
+        expected = (picture_change_error(pk, Observable("position_sq"))
+                    / expectation(pk, Observable("position_sq")))
+        assert rel == float(f"{expected:.6e}") and rel > 0
+        assert disc > 0
+
+
 def test_spin_z_constant_for_positive_energy_packet():
     pk = make_gaussian_packet(p0=1.0, sigma_p=0.3, m=M, spin_dir=(1.0, 0.0, 0.5))
     s0 = spin_z_expectation(pk)
@@ -161,7 +208,7 @@ def test_spin_z_constant_for_positive_energy_packet():
 
 def test_position_operator_hermitian_on_grid(relativistic_packet):
     pk = relativistic_packet
-    xpsi = apply_position(pk.psi, pk.grid)
+    xpsi = apply_position(pk)
     inner = np.vdot(pk.psi, xpsi) * pk.grid.dp
     assert abs(inner.imag) <= 1e-12
 

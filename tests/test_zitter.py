@@ -269,6 +269,11 @@ def test_zitter_sweep_script(tmp_path, monkeypatch):
     assert rows.shape == (25, 6)
     two_energy = 2 * rows[:, 1]
     assert np.all(np.abs(rows[:, [2, 4]] - two_energy[:, None]) <= 1e-6 * two_energy[:, None])
+    # trembling amplitudes in closed form at m = 1: m / (2 eps^2) for the
+    # Dirac alpha_z, p / (2 eps^2) for the scalar-sector velocity; the CSV
+    # rounds p, eps and the amplitudes to 12 significant digits each
+    closed = np.stack((np.ones(25), rows[:, 0]), axis=1) / (2 * rows[:, 1:2] ** 2)
+    np.testing.assert_allclose(rows[:, [3, 5]], closed, rtol=1e-10, atol=0)
 
 
 def test_record_rejects_unknown_particle():
