@@ -17,7 +17,6 @@ from fwbench.wavepacket import (
     density,
     expectation,
     make_gaussian_packet,
-    picture_change_error,
     to_picture,
 )
 
@@ -33,10 +32,11 @@ def main():
     for p0 in (0.0, 0.5, 1.0, 2.0, 3.0):
         for sigma in (0.1, 0.25, 0.5, 1.0):
             pk = make_gaussian_packet(p0 * m, sigma * m, m)
+            pk_d = to_picture(pk, "dirac")
             x2 = expectation(pk, Observable("position_sq"))
-            pce = picture_change_error(pk, Observable("position_sq"))
+            pce = expectation(pk_d, Observable("position_sq"), "dirac") - x2
             _, rho_fw = density(pk)
-            _, rho_d = density(to_picture(pk, "dirac"))
+            _, rho_d = density(pk_d)
             disc = float(np.max(np.abs(rho_d - rho_fw)) / rho_fw.max())
             lines.append(f"{p0:.3g},{sigma:.3g},{pce / x2:.6e},{disc:.6e}")
 

@@ -130,6 +130,14 @@ def fv_velocity_matrix(p, m: float, component: int) -> np.ndarray:
     return (_RHO3 + 1j * _RHO2) * p[..., component, None, None] / m
 
 
+def fw_weights(eps, m: float) -> tuple:
+    """(u, 1/N, N^2) with u = (eps + m)/N and N^2 = 2 eps (eps + m): the free
+    unitary is u + gamma.p / N, and N^2 is eriksen.approx_fw's kinetic denominator."""
+    norm_sq = 2 * eps * (eps + m)
+    inv_norm = 1.0 / np.sqrt(norm_sq)
+    return (eps + m) * inv_norm, inv_norm, norm_sq
+
+
 def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
     """Free block-diagonalizing unitary (eps + m + gamma.p)/sqrt(2 eps (eps+m)).
 
@@ -137,10 +145,9 @@ def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
     the sign of gamma.p, which gives U^-1.
     """
     p = np.asarray(p, dtype=float)
-    e = stacked_energy(p, m)
+    u, inv_norm, _ = fw_weights(stacked_energy(p, m), m)
     gamma_p = (p @ _GAMMA_ROWS).reshape(p.shape[:-1] + (4, 4))
-    num = (e + m) * I4 + (-1.0 if inverse else 1.0) * gamma_p
-    return num / np.sqrt(2 * e * (e + m))
+    return u * I4 + (-inv_norm if inverse else inv_norm) * gamma_p
 
 
 def free_phases(eps, t) -> tuple:

@@ -49,21 +49,27 @@ that sends it to the upper block, and eigenframe rejects it.  lambda itself
 is formed only where the defining conditions read it.
 
 The approximate transform, elementwise.  O^2 = diag(p^2, p^2), so every
-function of O and m is a vector: eps = sqrt(m^2 + p^2), and the column
-blocks of the unitary (1 + S + beta X) / sqrt(2 S (1 + S)) hold
-(eps + m)/N on their diagonal and p/N off it, up to beta's sign, with
-N = sqrt(2 eps (eps + m)): the free closed forms.  The kinetic denominator
+function of O and m is a vector: eps = sqrt(m^2 + p^2), and the unitary
+(1 + S + beta X) / sqrt(2 S (1 + S)) is U = [[u, s], [-s, u]] with
+u = diag(eps + m)/N and s = diag(p)/N, N = sqrt(2 eps (eps + m)): the free
+closed forms (dirac.fw_weights).  The kinetic denominator
 2 eps^2 + {eps, M} is N^2; write d = 1/N^2.  Both even blocks of a local
 Hamiltonian are the one V, E = diag(V, V), so both quadrants of [O, E] are
 K = [diag p, V], K_ij = (p_i - p_j) V_ij, and both blocks of [O,[O,E]] are
 [diag p, K], (p_i - p_j)^2 V_ij.  So
 
     H_approx = diag(even + diag(eps), even - diag(eps)),
-    even_ij = V_ij (1 - (d_i + d_j) (p_i - p_j)^2 / 4):
+    even_ij = V_ij (1 - (d_i + d_j) (p_i - p_j)^2 / 4),
 
-O(n^2) elementwise work, with no product and no decomposition.  approx_fw
-reads V from the BlockedHamiltonian, which holds one potential block for
-both even blocks rather than a dense H, so no other even part can reach it.
+and the upper-right quadrant of U H U^dag,
+-(u (m + V) + s diag p) s + (u diag p + s (V - m)) u, is
+(s_i u_j - u_i s_j) V_ij: its diagonal p (u^2 - s^2) - 2 m u s vanishes,
+as u^2 - s^2 = m/eps and 2 u s = p/eps.  approx_fw returns the upper block
+of H_approx, all that the study reads of it, and the off-block norm from
+these: O(n^2) elementwise work, with no product, no decomposition and
+nothing larger than n x n.  It reads V from the BlockedHamiltonian, which
+holds one potential block for both even blocks rather than a dense H, so
+no other even part can reach it.
 
 The momentum basis.  discretize_dirac_1d builds the 1D Dirac Hamiltonian
 with a static electrostatic potential on a periodic grid.  With the
@@ -103,15 +109,13 @@ lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
-only the vector p, the half-size V and m, and eigenframe forms the dense H
-for eigh alone, so H is not alive beside U, the approximate unitary or the
-conditions.  eriksen_unitary writes U half by half from the eigenframe,
-eriksen_conditions forms and reduces one condition at a time, subtracting
-the identity in place, and the scaling study releases the eigenframe
-before the approximate transform and each Hamiltonian's matrices before it
-builds the next: nothing but the grid outlives a Hamiltonian.  A full-size
-float64 matrix is 0.5 MiB at n = 128 and 2 MiB at n = 256, so peak memory
-is set by how many are alive at once, not by the O(n^3) products.
+only p, the half-size V and m; eigenframe forms the dense H for eigh alone;
+eriksen_unitary writes U half by half; eriksen_conditions forms and reduces
+one condition at a time, subtracting the identity in place; approx_fw forms
+half-size matrices only; and the scaling study releases the eigenframe
+before the approximate transform, and each Hamiltonian's matrices before it
+builds the next.  A full-size float64 matrix is 0.5 MiB at n = 128 and
+2 MiB at n = 256, so peak memory is set by how many are alive at once.
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import check_mass
+from .dirac import check_mass, fw_weights
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -187,13 +191,6 @@ class BlockedHamiltonian:
         H[diag, diag] += self.m
         H[h + diag, h + diag] -= self.m
         return H
-
-
-def _beta_times(A: np.ndarray, n_upper: int) -> np.ndarray:
-    """beta A: A with its lower rows negated."""
-    out = A.copy()
-    out[n_upper:] *= -1
-    return out
 
 
 def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.ndarray:
@@ -279,7 +276,8 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     the next; the off-block residual reads bh's parts (conjugated_quadrant)."""
     h = bh.n_upper
     conds = {"unitarity": frob(_minus_identity(U @ U.conj().T))}
-    odd = _beta_times(U, h)
+    odd = U.copy()
+    odd[h:] *= -1                                         # beta U
     odd -= odd.conj().T                                   # beta U - U^dag beta
     conds["odd_exponent"] = frob(odd)
     del odd
@@ -294,36 +292,23 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
 
 
 def approx_fw(bh: BlockedHamiltonian) -> tuple:
-    """Approximate relativistic transformation and Hamiltonian (U, H_approx)
-    of a local Hamiltonian H = [[m + V, diag p], [diag p, V - m]], elementwise
-    from the free closed forms (module docstring):
-
-    U = [[diag u, diag s], [-diag s, diag u]],  u = (eps + m)/N,  s = p/N,
-    H_approx = diag(even + diag(eps), even - diag(eps)),
-    even_ij = V_ij (1 - (d_i + d_j) (p_i - p_j)^2 / 4),
-
-    with eps = sqrt(m^2 + p^2), N = sqrt(2 eps (eps + m)) and d = 1/N^2.
-    """
+    """(upper, offblock) of the approximate relativistic transformation U
+    (module docstring): the upper block even + diag(eps) of H_approx, in V's
+    dtype, and the off-block norm sqrt(2) ||(s_i u_j - u_i s_j) V_ij|| of
+    U H U^dag, from dirac.fw_weights' u, 1/N and N^2 with s = p/N and
+    d = 1/N^2.  Nothing larger than n x n is formed."""
     if bh.m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
-    p, m, h = bh.p, bh.m, bh.n_upper
-    eps = np.sqrt(m * m + p * p)
-    norm_sq = 2.0 * eps * (eps + m)                   # the kinetic denominator
+    p, V = bh.p, bh.V
+    eps = _energies(p, bh.m)
+    u, inv_norm, norm_sq = fw_weights(eps, bh.m)
     _reject_zero_eigenvalues(norm_sq, 1e-12, "kinetic denominator is singular")
     d = 1.0 / norm_sq
     gap = p[:, None] - p[None, :]
-    even = bh.V * (1.0 - 0.25 * (d[:, None] + d[None, :]) * (gap * gap))
-    norm = np.sqrt(norm_sq)
-    diag = np.arange(h)
-    U = np.zeros((2 * h, 2 * h))
-    U[diag, diag] = U[h + diag, h + diag] = (eps + m) / norm
-    U[diag, h + diag] = p / norm
-    U[h + diag, diag] = -p / norm
-    h_approx = np.zeros_like(U, dtype=even.dtype)
-    h_approx[:h, :h] = h_approx[h:, h:] = even
-    h_approx[diag, diag] += eps
-    h_approx[h + diag, h + diag] -= eps
-    return U, h_approx
+    upper = V * (1.0 - 0.25 * (d[:, None] + d[None, :]) * (gap * gap))
+    upper[np.diag_indices_from(upper)] += eps
+    s = p * inv_norm
+    return upper, float(np.sqrt(2.0) * frob((np.outer(s, u) - np.outer(u, s)) * V))
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
@@ -370,14 +355,15 @@ def four_component_norm(block_norm):
     return np.sqrt(2.0) * block_norm
 
 
+def _energies(p: np.ndarray, m: float) -> np.ndarray:
+    """eps = sqrt(m^2 + p^2) at each odd-block value p."""
+    return np.sqrt(m * m + p * p)
+
+
 def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
     """Sorted exact spectrum of the free discretized spin block."""
-    eps = np.sqrt(m * m + grid.p_fft**2)
+    eps = _energies(grid.p_fft, m)
     return np.sort(np.concatenate([eps, -eps]))
-
-
-def upper_block_spectrum(h_fw: np.ndarray, n_upper: int) -> np.ndarray:
-    return np.linalg.eigvalsh(h_fw[:n_upper, :n_upper])
 
 
 @dataclass
@@ -449,7 +435,6 @@ def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:
     w = frame[0]
     exact_off = _conjugated_offblock_norm(eriksen_unitary(frame), bh)
     del frame
-    U_a, h_approx = approx_fw(bh)
-    nu = bh.n_upper
-    diff = float(np.max(np.abs(upper_block_spectrum(h_approx, nu) - w[nu:])))
-    return diff, _conjugated_offblock_norm(U_a, bh), exact_off
+    upper, approx_off = approx_fw(bh)
+    diff = float(np.max(np.abs(np.linalg.eigvalsh(upper) - w[bh.n_upper:])))
+    return diff, approx_off, exact_off

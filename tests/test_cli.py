@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwbench import algebra
+from fwbench import algebra, cli, spin_dynamics, wavepacket, zitter
 from fwbench.cli import main
 from fwbench.zitter import dominant_frequency
 
@@ -327,6 +328,58 @@ def test_pce_names_its_failed_check_on_stderr(capsys, fmt):
     assert "normalization" not in err and "pce_momentum" not in err
     assert run(["pce", "--format", fmt]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_pce_momentum_bound_scales_with_the_packet_momenta(capsys):
+    # PCE(p) is zero in theory and rounds at the scale |p0| + 6 sigma: at
+    # sigma = 1e8 it reads 5.6e-9, far above an absolute 1e-12
+    assert run(["pce", "--sigma", "1e8", "--mass", "1", "--p0", "0", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    pce_p = json.loads(out)["pce_momentum"]
+    assert 1e-12 < abs(pce_p) <= 100 * np.finfo(float).eps * 6e8
+
+
+def _shifted(function, factor):
+    """function with its result scaled by factor."""
+    return lambda *args: function(*args) * factor
+
+
+def _rescaled_picture(to_picture):
+    """to_picture with the amplitude of the packet it returns scaled by 1.1."""
+    def rescaled(packet, picture):
+        moved = to_picture(packet, picture)
+        return dataclasses.replace(moved, psi=1.1 * moved.psi)
+    return rescaled
+
+
+@pytest.mark.parametrize("argv, module, name, wrap, check, info", [
+    (["precess", "--p", "1,0,0", "--b-field", "0,0,1", "--steps", "5"], spin_dynamics,
+     "propagate_classical", lambda f: _shifted(f, 1 + 1e-6), "quantum_classical_deviation",
+     "omega = ("),
+    (["zitter"], zitter, "dominant_frequency", lambda f: _shifted(f, 1 + 1e-3),
+     "frequency_relative_error", "extracted frequency "),
+    (["zitter", "--particle", "fv"], zitter, "dominant_frequency",
+     lambda f: _shifted(f, 1 + 1e-3), "frequency_relative_error", "extracted frequency "),
+    (["zitter", "--particle", "fw", "--steps", "50"], cli, "free_propagator",
+     lambda f: _shifted(f, 1 + 1e-6), "velocity_variation", "velocity constant; "),
+    (["packet"], wavepacket, "to_picture", _rescaled_picture, "normalization_dirac",
+     "normalization fw = "),
+], ids=["precess", "zitter-dirac", "zitter-fv", "zitter-fw", "packet"])
+def test_failed_check_is_named_on_stderr(argv, module, name, wrap, check, info,
+                                         monkeypatch, capsys):
+    # a passing run writes its one informational line; a failing run keeps it
+    # first and adds one line naming the failed check, its value and its bound
+    assert run(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(info) and err.count("\n") == 1
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out
+    info_line, failed = err.splitlines()
+    assert info_line.startswith(info)
+    assert failed.startswith(f"failed checks: {check} ") and "(bound " in failed
 
 
 def test_eriksen_huge_box_exits_1_without_traceback(capsys):

@@ -25,7 +25,6 @@ from fwbench.eriksen import (
     free_spectrum_1d,
     potential_scaling_study,
     sign_function,
-    upper_block_spectrum,
 )
 from fwbench.linalg import LinalgError, frob
 from oracles import commutator, evaluate, even_part, fw_unitary_free, odd_part
@@ -105,9 +104,9 @@ def test_grid_kernels_stay_real():
     grid, m = Grid1D(n=16, length=8.0), 1.5
     bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * np.exp(-x**2 / 4.0))
     frame = eigenframe(bh)
-    U_a, h_a = approx_fw(bh)
-    for a in (bh.V, bh.H, *frame, eriksen_unitary(frame), sign_function(frame), U_a, h_a,
-              conjugated_quadrant(U_a, bh, 1)):
+    U = eriksen_unitary(frame)
+    for a in (bh.V, bh.H, *frame, U, sign_function(frame), approx_fw(bh)[0],
+              conjugated_quadrant(U, bh, 1)):
         assert a.dtype == np.float64
 
 
@@ -150,19 +149,30 @@ def test_eriksen_matches_free_closed_form_unitary():
 
 
 def test_approx_on_mass_term():
-    bh = mass_term(np.zeros(2), 1.5)
-    u, h = approx_fw(bh)
-    assert np.allclose(u, I4, atol=1e-12)
-    assert np.allclose(h, 1.5 * GAMMA.beta, atol=1e-12)
+    # at p = 0 the approximate unitary is the identity: H_approx = beta m
+    upper, offblock = approx_fw(mass_term(np.zeros(2), 1.5))
+    assert np.allclose(upper, 1.5 * np.eye(2), atol=1e-12)
+    assert offblock == 0.0
 
 
 def test_approx_free_case_is_exact():
     m = 1.0
     p = np.array([1.1, -0.3, 0.7])
     bh, Q2 = blocked_4x4(p, m)
-    u, h = (rotated_back(a, Q2) for a in approx_fw(bh))
-    assert np.linalg.norm(h - energy(p, m) * GAMMA.beta) <= 1e-12
-    assert np.linalg.norm(u - evaluate(fw_unitary_free(m), p).A) <= 1e-12
+    upper, offblock = approx_fw(bh)
+    Q = Q2[:2, :2]
+    assert np.linalg.norm(Q @ upper @ Q.conj().T - energy(p, m) * np.eye(2)) <= 1e-12
+    assert offblock == 0.0
+
+
+@pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
+def test_approx_on_free_grid_is_the_free_spectrum(m):
+    # V = 0: the upper block is diag(eps) exactly and U block-diagonalizes
+    # H exactly, at every mass scale
+    grid = Grid1D(n=64, length=32.0)
+    upper, offblock = approx_fw(discretize_dirac_1d(grid, m, np.zeros_like))
+    np.testing.assert_array_equal(upper, np.diag(np.sqrt(m * m + grid.p_fft**2)))
+    assert offblock == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +217,8 @@ def test_positive_block_spectrum(free_grid_system):
     u = eriksen_unitary(eigenframe(bh))
     h_fw = u @ bh.H @ u.conj().T
     expected = np.sort(np.sqrt(1.0 + grid.p_fft**2))
-    assert np.max(np.abs(upper_block_spectrum(h_fw, bh.n_upper) - expected)) <= 1e-10
+    nu = bh.n_upper
+    assert np.max(np.abs(np.linalg.eigvalsh(h_fw[:nu, :nu]) - expected)) <= 1e-10
 
 
 def test_eriksen_conditions_with_potential():
@@ -254,6 +265,15 @@ def test_approx_rejects_singular_mass_operator():
         approx_fw(bh)
     with pytest.raises(LinalgError, match="not invertible"):
         approx_fw(discretize_dirac_1d(Grid1D(n=16, length=8.0), 0.0, np.zeros_like))
+
+
+def test_approx_rejects_singular_kinetic_denominator():
+    # N^2 = 2 eps (eps + m) is 4 m^2 at p = 0 and about 2 p^2 at p >> m:
+    # below 1e-12 of its largest value the approximate transform has no value
+    bh = BlockedHamiltonian(p=np.array([0.0, 1e7]), V=np.zeros((2, 2)), m=0.1)
+    with pytest.raises(LinalgError, match="kinetic denominator is singular"):
+        approx_fw(bh)
+    approx_fw(BlockedHamiltonian(p=np.array([0.0, 1e5]), V=np.zeros((2, 2)), m=0.1))
 
 
 def test_blocked_hamiltonian_is_frozen():
@@ -370,7 +390,7 @@ def _oracle_cases():
 @pytest.mark.parametrize("bh, Q2", _oracle_cases())
 def test_structured_kernels_match_dense_oracle(bh, Q2, dense_eriksen_oracle):
     # compared in the oracle's basis, H = Q2 bh.H Q2^dag: measured worst case
-    # over these cases 1.8e-15 relative
+    # over these cases 1.8e-15 relative, 1.7e-14 for the off-block norm
     H = rotated_back(bh.H, Q2)
     beta = block_beta(bh.n_upper)
     M = bh.m * np.eye(H.shape[0])
@@ -378,10 +398,12 @@ def test_structured_kernels_match_dense_oracle(bh, Q2, dense_eriksen_oracle):
     U_o, lam_o = dense_eriksen_oracle["unitary"](H, beta)
     assert _rel(rotated_back(lam, Q2), lam_o) <= 1e-12
     assert _rel(rotated_back(U, Q2), U_o) <= 1e-12
-    U_a, h_a = approx_fw(bh)
+    upper, offblock = approx_fw(bh)
     U_ao, h_ao = dense_eriksen_oracle["approx"](H, beta, M)
-    assert _rel(rotated_back(U_a, Q2), U_ao) <= 1e-12
-    assert _rel(rotated_back(h_a, Q2), h_ao) <= 1e-12
+    h, Q = bh.n_upper, Q2[:bh.n_upper, :bh.n_upper]
+    assert _rel(Q @ upper @ Q.conj().T, h_ao[:h, :h]) <= 1e-12
+    want = dense_eriksen_oracle["offblock"](U_ao @ H @ U_ao.conj().T, h)
+    assert abs(offblock / want - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -504,49 +526,54 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
 @pytest.mark.parametrize("m", [0.5, 1.0, 10.0])
 def test_grid_odd_part_matches_eigh_oracle(n, m, dense_eriksen_oracle):
     # the free approximate transform depends on the odd part diag(p) alone:
-    # its unitary and beta eps, from the closed forms, against the oracle's
-    # eigh-based functions of the odd part on the nodes.  Measured worst case
-    # over these cases 1.1e-14 relative
+    # its upper block eps, from the closed forms, against the oracle's
+    # eigh-based functions of the odd part on the nodes, and its off-block
+    # norm, exactly zero, against the oracle's rounding.  Measured worst case
+    # over these cases 2.6e-15 relative
     grid = Grid1D(n=n, length=32.0)
-    F2 = np.kron(np.eye(2), np.fft.fft(np.eye(n), norm="ortho"))
-    U, h = approx_fw(discretize_dirac_1d(grid, m, np.zeros_like))
-    assert U.dtype == h.dtype == np.float64
+    F = np.fft.fft(np.eye(n), norm="ortho")
+    upper, offblock = approx_fw(discretize_dirac_1d(grid, m, np.zeros_like))
+    assert upper.dtype == np.float64
     H4, beta4 = dense_eriksen_oracle["hamiltonian_4n"](grid, m, np.zeros(n))
     order = _spin_block_order(n)[:2 * n]
-    U_o, h_o = dense_eriksen_oracle["approx"](H4[np.ix_(order, order)], block_beta(n),
-                                              m * np.eye(2 * n))
-    assert _rel(F2.conj().T @ U @ F2, U_o) <= 1e-13
-    assert _rel(F2.conj().T @ h @ F2, h_o) <= 1e-13
+    H = H4[np.ix_(order, order)]
+    U_o, h_o = dense_eriksen_oracle["approx"](H, block_beta(n), m * np.eye(2 * n))
+    assert _rel(F.conj().T @ upper @ F, h_o[:n, :n]) <= 1e-13
+    assert offblock == 0.0
+    assert dense_eriksen_oracle["offblock"](U_o @ H @ U_o.conj().T, n) <= 1e-13 * frob(H)
 
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
 def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_eriksen_oracle):
     # U H U^dag is Hermitian, so the lower off-diagonal quadrant's norm is the
-    # upper one's
+    # upper one's; the oracle's approximate unitary leaves an O(V) off-block
+    # part to compare
     grid = Grid1D(n=32, length=16.0)
     V = ORACLE_PROFILES[profile](grid.length)
     for m in ORACLE_MASSES:
         bh = discretize_dirac_1d(grid, m, lambda x: 0.2 * V(x))
-        U_a, _ = approx_fw(bh)
         nu = bh.n_upper
+        U_a, _ = dense_eriksen_oracle["approx"](bh.H, block_beta(nu), m * np.eye(2 * nu))
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
         got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh)
         assert abs(got / want - 1) <= 1e-12, m
 
 
 @pytest.mark.parametrize("transform", ["exact", "approx"])
-def test_conjugated_quadrant_matches_dense_conjugation(transform):
+def test_conjugated_quadrant_matches_dense_conjugation(transform, dense_eriksen_oracle):
     # quadrants (0, 0) and (0, 1) of U H U^dag from bh's parts against the
     # dense product, relative to ||H||: the scale of the rounding in the exact
-    # transform's vanishing (0, 1) quadrant
+    # transform's vanishing (0, 1) quadrant.  The approximate unitary is the
+    # dense oracle's, whose (0, 1) quadrant is O(V)
     rng = np.random.default_rng(7)
     hams = [blocked_4x4(p, m)[0] for m, p in zip(ORACLE_MASSES, rng.uniform(-3, 3, (3, 3)))]
     grid = Grid1D(n=32, length=16.0)
     hams += [discretize_dirac_1d(grid, m, lambda x, V=profile(grid.length): 0.2 * V(x))
              for m in ORACLE_MASSES for profile in ORACLE_PROFILES.values()]
     for bh in hams:
-        U = eriksen_unitary(eigenframe(bh)) if transform == "exact" else approx_fw(bh)[0]
         H, h = bh.H, bh.n_upper
+        U = (eriksen_unitary(eigenframe(bh)) if transform == "exact" else
+             dense_eriksen_oracle["approx"](H, block_beta(h), bh.m * np.eye(2 * h))[0])
         dense = U @ H @ U.conj().T
         for k in (0, 1):
             got = conjugated_quadrant(U, bh, k)
@@ -554,10 +581,10 @@ def test_conjugated_quadrant_matches_dense_conjugation(transform):
 
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
-def test_approx_offblock_matches_closed_form(profile):
-    # U = [[diag u, diag s], [-diag s, diag u]] with u = (eps + m)/N and
-    # s = p/N: the free part of U H U^T cancels, -2 m u s + p (u^2 - s^2) = 0,
-    # and its upper-right quadrant is (s_i u_j - u_i s_j) V_ij
+def test_approx_offblock_matches_closed_form(profile, dense_eriksen_oracle):
+    # approx_fw's off-block norm is the closed form sqrt(2) ||(s_i u_j - u_i s_j) V_ij||;
+    # the oracle conjugates H densely with U = [[diag u, diag s], [-diag s, diag u]],
+    # u = (eps + m)/N and s = p/N, and reads both off-diagonal quadrants
     grid = Grid1D(n=32, length=16.0)
     V = ORACLE_PROFILES[profile](grid.length)
     v0 = [1e-3, 1e-2, 1e-1]
@@ -566,10 +593,11 @@ def test_approx_offblock_matches_closed_form(profile):
         study = potential_scaling_study(grid, m, v0, V)
         eps = np.sqrt(m * m + p * p)
         norm = np.sqrt(2 * eps * (eps + m))
-        u, s = (eps + m) / norm, p / norm
+        u, s = np.diag((eps + m) / norm), np.diag(p / norm)
+        U = np.block([[u, s], [-s, u]])
         for got, strength in zip(study.approx_offblock, v0):
-            pot = discretize_dirac_1d(grid, m, lambda x: strength * V(x)).V
-            want = np.sqrt(2) * frob((np.outer(s, u) - np.outer(u, s)) * pot)
+            H = discretize_dirac_1d(grid, m, lambda x: strength * V(x)).H
+            want = dense_eriksen_oracle["offblock"](U @ H @ U.T, grid.n)
             assert abs(got / want - 1) <= 1e-12, (m, strength)
 
 
