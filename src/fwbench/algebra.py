@@ -11,21 +11,24 @@ commutator by four quantum operator sets,
   projected      energy-subspace-projected position/spin/OAM
 
 and as a Poisson bracket by the classical ten generators of a free
-spinning particle; each row names the sets that carry it.  Each identity
-yields an AlgebraReport whose verdict encodes whether the identity held (or
-failed) as expected, so the suites assert negative results as first-class
-outcomes.
+spinning particle; each row names the sets that carry it.  A quantum set is
+one row of _SET_FAMILIES, a catalogue family per role, and its j is its own
+l + s, so the j rows check that the two assemble the conserved total
+angular momentum even where neither obeys su(2).  Each identity yields an
+AlgebraReport whose verdict encodes whether the identity held (or failed)
+as expected, so the suites assert negative results as first-class outcomes.
 
 One evaluator serves both brackets, exactly, on a whole stack of samples
 at once: _rhs forms a row's right-hand side (times i for a commutator),
 and _run_suite forms bracket - rhs for every pair and keeps each sample's
-worst residual.  A quantum operator is snapshotted once on the (N, 3)
-momenta and each identity pair is one batched commutator.  A classical
-observable is one forward-mode Jet expression over the 9 phase-space
-coordinates (Q, P, S), evaluated once on the stack of states, and each
-identity pair is one Poisson bracket of the exact gradients.  Identities
-are checked at t = 0, so the -t d_ij terms of the worldline relations
-vanish.
+worst residual; the worldline term takes the bracket's pair product,
+(1/2){q, v} of two snapshots or the product of two classical values.  A
+quantum operator is snapshotted once on the (N, 3) momenta and each
+identity pair is one batched commutator.  A classical observable is one
+forward-mode Jet expression over the 9 phase-space coordinates (Q, P, S),
+evaluated once on the stack of states, and each identity pair is one
+Poisson bracket of the exact gradients.  Identities are checked at t = 0,
+so the -t d_ij terms of the worldline relations vanish.
 
 One known caveat is encoded in the table: the worldline relation
 [q_i, K_j] = (q_j [q_i, H] + [q_i, H] q_j)/2 - i t delta_ij cannot hold for
@@ -44,11 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dirac import GAMMA
 from .phase_ops import (
     Jet,
     OperatorFamily,
-    PhaseOpValue,
     build_operator,
     commutator_snapshot,
     cross_c,
@@ -56,6 +57,7 @@ from .phase_ops import (
     levi,
     momentum_jets,
     snapshot,
+    symmetrized_product,
 )
 
 QUANTUM_TOL = 1e-8
@@ -115,40 +117,35 @@ def reports_to_json(reports: list) -> str:
 # quantum operator sets
 # ---------------------------------------------------------------------------
 
-def _velocity_closed_form(set_name: str, m: float):
-    """Closed form of [q_i, H] as a Jet at momenta p, for the worldline check."""
-    if set_name == "naive_dirac":
-        return lambda p, i: Jet(1j * GAMMA.alpha[i], np.zeros((3, 4, 4)))
-    return lambda p, i: 1j * GAMMA.beta * momentum_jets(p)[i] / energy_jet(p, m)
-
-
 F = OperatorFamily
 
-# Families of q, s, l, K and H per set.  In naive_dirac, i d/dp,
-# i (p x d/dp) and Sigma/2 have the same coefficients in every
-# representation: the plain radius vector, orbital angular momentum and
-# spin, here kept together with the Dirac Hamiltonian.
+# The family of each role per set.  In naive_dirac, i d/dp, i (p x d/dp) and
+# Sigma/2 have the same coefficients in every representation: the plain
+# radius vector, orbital angular momentum and spin, here kept together with
+# the Dirac Hamiltonian and its velocity.  The FW sets share one velocity,
+# since their position shifts commute with beta eps.
 _SET_FAMILIES = {
-    "conventional": (F.FW_POSITION, F.FW_SPIN, F.OAM_FW, F.BOOST_FW, F.FW_HAMILTONIAN),
-    "naive_dirac": (F.FW_POSITION, F.FW_SPIN, F.OAM_FW, F.NAIVE_BOOST, F.DIRAC_HAMILTONIAN),
-    "center_of_mass": (F.COM_POSITION_FW, F.LAB_SPIN_FW, F.COM_OAM, F.BOOST_FW,
-                       F.FW_HAMILTONIAN),
-    "projected": (F.PROJECTED_POSITION_FW, F.PROJECTED_SPIN_FW, F.PROJECTED_OAM,
-                  F.BOOST_FW, F.FW_HAMILTONIAN),
+    "conventional": dict(q=F.FW_POSITION, s=F.FW_SPIN, l=F.OAM_FW, K=F.BOOST_FW,
+                         H=F.FW_HAMILTONIAN, v=F.FW_VELOCITY),
+    "naive_dirac": dict(q=F.FW_POSITION, s=F.FW_SPIN, l=F.OAM_FW, K=F.NAIVE_BOOST,
+                        H=F.DIRAC_HAMILTONIAN, v=F.DIRAC_VELOCITY),
+    "center_of_mass": dict(q=F.COM_POSITION_FW, s=F.LAB_SPIN_FW, l=F.COM_OAM, K=F.BOOST_FW,
+                           H=F.FW_HAMILTONIAN, v=F.FW_VELOCITY),
+    "projected": dict(q=F.PROJECTED_POSITION_FW, s=F.PROJECTED_SPIN_FW, l=F.PROJECTED_OAM,
+                      K=F.BOOST_FW, H=F.FW_HAMILTONIAN, v=F.FW_VELOCITY),
 }
 
 
 def build_quantum_set(set_name: str, m: float) -> dict:
-    """Operators keyed by role: q, s, l, j, K, H, p (vectors are 3-lists)."""
+    """Operators keyed by role: H, and the 3-lists q, s, l, K, v, p and j,
+    where j is the set's own l + s."""
     if set_name not in _SET_FAMILIES:
         raise ValueError(f"unknown quantum set: {set_name!r}")
-    q, s, l, K, H = _SET_FAMILIES[set_name]
-
-    def vector(family):
-        return [build_operator(family, m, c) for c in (1, 2, 3)]
-
-    return {"q": vector(q), "s": vector(s), "l": vector(l), "K": vector(K),
-            "H": build_operator(H, m), "p": vector(F.MOMENTUM), "j": vector(F.TOTAL_J)}
+    ops = {role: build_operator(family, m) if role == "H"
+           else [build_operator(family, m, c) for c in (1, 2, 3)]
+           for role, family in {**_SET_FAMILIES[set_name], "p": F.MOMENTUM}.items()}
+    ops["j"] = [l + s for l, s in zip(ops["l"], ops["s"])]
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +158,8 @@ _SINGLES = ((0, 0), (1, 0), (2, 0))
 
 # The suites that carry a row.  The center_of_mass and projected suites keep
 # the commutation structure of their own position, spin and OAM, plus the
-# relations that must survive (total angular momentum assembly).
+# relations that must survive: their own l + s is the conserved total
+# angular momentum.
 _EVERY = QUANTUM_SET_NAMES + ("classical",)
 _FULL = ("conventional", "naive_dirac", "classical")
 _COM_FAIL = {"center_of_mass": "fail", "projected": "fail"}
@@ -174,19 +172,21 @@ class Identity:
 
     The commutator of quantum operators and the Poisson bracket of their
     classical counterparts obey the same relation, [a, b] = i {A, B}.  lhs
-    names the two roles in the quantum letters q s l j K H p; the classical
-    role is the upper-case letter, and H is a scalar.  rhs is one term
+    names the two roles in the quantum letters q s l j K H p v; the
+    classical role is the upper-case letter, H is a scalar, and v is the
+    velocity, quantum -i [q, H] and classical V = P / H.  rhs is one term
     (kind, role, c) in the classical convention, for the pair's components
     i, j and the role's observable R (role None is the number 1):
 
       zero       0
       eps        c e_ijk R_k
       i          c R_i
+      j          c R_j
       delta      c d_ij R
-      worldline  c Q_j {Q_i, H}; quantum c (q_j [q_i,H] + [q_i,H] q_j)/2
-      velocity   c {Q_j, H} = c P_j / H
+      worldline  c Q_j R_i; quantum c (1/2){q_j, r_i}
 
-    The quantum suite reads the term times i.  sets names the suites that
+    The quantum suite reads the term times i, so the worldline term with
+    R = V is c (1/2){q_j, [q_i, H]}.  sets names the suites that
     carry the row, "classical" among them.  A row is expected to hold in a
     set unless expected_by_set says "fail"; notes (quantum, classical)
     explains an expected failure in its report.
@@ -234,7 +234,7 @@ IDENTITIES = (
              ("K", "p"), _PAIRS_ALL, ("delta", "H", 1), _FULL),
     Identity("[q_i,K_j] = ((q_j[q_i,H]+[q_i,H]q_j)/2 - i t d_ij)",
              "{Q_i,K_j} = Q_j{Q_i,H} - t d_ij",
-             ("q", "K"), _PAIRS_ALL, ("worldline", None, 1), _FULL,
+             ("q", "K"), _PAIRS_ALL, ("worldline", "v", 1), _FULL,
              {"conventional": "fail", "naive_dirac": "fail", "classical": "fail"},
              _WORLDLINE_NOTES),
     Identity("[q_i,p_j] = i d_ij", "{Q_i,P_j} = d_ij",
@@ -260,7 +260,7 @@ IDENTITIES = (
     Identity(None, "{P_i,S_j} = 0",
              ("p", "s"), _PAIRS_ALL, _ZERO, ("classical",)),
     Identity(None, "{H,Q_i} = -P_i/H",
-             ("H", "q"), ((0, 0), (0, 1), (0, 2)), ("velocity", None, -1), ("classical",)),
+             ("H", "q"), ((0, 0), (0, 1), (0, 2)), ("j", "v", -1), ("classical",)),
 )
 
 # Classical report order, as indices into IDENTITIES.
@@ -281,21 +281,22 @@ def _operand(values: dict, role: str, k: int):
     return values["H"] if role == "H" else values[role][k]
 
 
-def _rhs(term, values: dict, i: int, j: int, unit, special):
+def _rhs(term, values: dict, i: int, j: int, unit, product):
     """unit times a table term at components i, j: unit is 1j for a
-    commutator and 1.0 for a Poisson bracket, and values holds each role
-    under its upper-case letter.  special(kind, i, j) gives a worldline or
-    velocity term in the bracket's own form (the quantum worldline carries
-    its i inside [q_i, H])."""
+    commutator and 1.0 for a Poisson bracket, values holds each role under
+    its upper-case letter, and product(q, r) is the bracket's pair product
+    for the worldline term."""
     kind, role, c = term
-    if kind in ("worldline", "velocity"):
-        return c * special(kind, i, j)
     R = values[role.upper()] if role else 1.0
     if kind == "eps":
         k = 3 - i - j
         return unit * c * levi(i, j, k) * R[k] if i != j else 0.0
     if kind == "i":
         return unit * c * R[i]
+    if kind == "j":
+        return unit * c * R[j]
+    if kind == "worldline":
+        return unit * c * product(values["Q"][j], R[i])
     if kind == "delta":
         return unit * c * R if i == j else 0.0
     if kind == "zero":
@@ -303,10 +304,11 @@ def _rhs(term, values: dict, i: int, j: int, unit, special):
     raise ValueError(f"unknown table term kind {kind!r}")
 
 
-def _run_suite(set_name: str, operands: dict, values: dict, bracket, special) -> list:
+def _run_suite(set_name: str, operands: dict, values: dict, bracket, product) -> list:
     """Every row of a suite: per sample, the worst norm of bracket - rhs
     over the row's pairs.  operands feed the bracket and values the
-    right-hand side, both keyed by the roles' upper-case letters."""
+    right-hand side, both keyed by the roles' upper-case letters, and
+    product is the pair product of the worldline term."""
     unit, tol, side = (1.0, CLASSICAL_TOL, 1) if set_name == "classical" else (1j, QUANTUM_TOL, 0)
     reports = []
     for iden in identities_for_set(set_name):
@@ -314,20 +316,11 @@ def _run_suite(set_name: str, operands: dict, values: dict, bracket, special) ->
         worst = 0.0
         for (i, j) in iden.pairs:
             residual = (bracket(_operand(operands, a, i), _operand(operands, b, j))
-                        - _rhs(iden.rhs, values, i, j, unit, special))
+                        - _rhs(iden.rhs, values, i, j, unit, product))
             worst = np.maximum(worst, abs(residual))
         reports.append(_report((iden.quantum_id, iden.classical_id)[side], set_name, worst,
                                iden.expected(set_name), iden.notes[side], tol))
     return reports
-
-
-def _rhs_worldline(snaps, p, i, j, velocity):
-    # (1/2){q_j, C_i} with C_i = [q_i, H]; the -i t delta term vanishes at t=0
-    qj = snaps["Q"][j]
-    C = velocity(p, i)
-    Cl = C.val[..., None, :, :]
-    A = 0.5 * (qj.A @ C.val + C.val @ qj.A) + 0.5 * (qj.B @ C.grad).sum(axis=-3)
-    return PhaseOpValue(A, 0.5 * (qj.B @ Cl + Cl @ qj.B))
 
 
 def _draw_momentum(rng) -> np.ndarray:
@@ -353,19 +346,12 @@ def run_quantum_suite(set_name: str, m: float, n_samples: int,
     """
     ops = build_quantum_set(set_name, m)
     momenta = sample_momenta(n_samples, seed)
-    velocity = _velocity_closed_form(set_name, m)
 
     roles = {r for iden in identities_for_set(set_name) for r in (*iden.lhs, iden.rhs[1])
              if r not in ("H", None)}
     snaps = {r.upper(): [snapshot(op, momenta) for op in ops[r]] for r in roles}
     snaps["H"] = snapshot(ops["H"], momenta)
-
-    def special(kind, i, j):
-        if kind != "worldline":
-            raise ValueError(f"no quantum form for a {kind!r} term")
-        return _rhs_worldline(snaps, momenta, i, j, velocity)
-
-    return _run_suite(set_name, snaps, snaps, commutator_snapshot, special)
+    return _run_suite(set_name, snaps, snaps, commutator_snapshot, symmetrized_product)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +380,9 @@ def classical_observables(state: ClassicalState) -> dict:
     """Every catalogued observable at the states, as a scalar Jet over the 9
     phase-space coordinates (Q, P, S).
 
-    "H" is one Jet, with the closed-form gradient (0, P/H, 0); Q, P, S, L, J
-    and K are 3-lists, with
-        L = Q x P,  J = L + S,  K_i = Q_i H - (S x P)_i / (m + H).
+    "H" is one Jet, with the closed-form gradient (0, P/H, 0); Q, P, S, L, J,
+    K and V are 3-lists, with
+        L = Q x P,  J = L + S,  K_i = Q_i H - (S x P)_i / (m + H),  V = P / H.
     """
     X = momentum_jets(np.concatenate([state.Q, state.P, state.S], axis=-1))
     Q, P, S = X[0:3], X[3:6], X[6:9]
@@ -406,7 +392,8 @@ def classical_observables(state: ClassicalState) -> dict:
     L = [cross_c(Q, P, c) for c in range(3)]
     return {"H": H, "Q": Q, "P": P, "S": S, "L": L,
             "J": [L[c] + S[c] for c in range(3)],
-            "K": [Q[c] * H - cross_c(S, P, c) / (state.m + H) for c in range(3)]}
+            "K": [Q[c] * H - cross_c(S, P, c) / (state.m + H) for c in range(3)],
+            "V": [P[c] / H for c in range(3)]}
 
 
 def poisson_bracket(f: Jet, g: Jet, state: ClassicalState) -> np.ndarray:
@@ -450,11 +437,5 @@ def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42) -> list:
     obs = classical_observables(states)
     values = {r: v.val[..., 0, 0] if r == "H" else [x.val[..., 0, 0] for x in v]
               for r, v in obs.items()}    # one value per state
-
-    def special(kind, i, j):
-        if kind == "worldline":
-            return values["Q"][j] * values["P"][i] / values["H"]
-        return values["P"][j] / values["H"]
-
     return _run_suite("classical", obs, values, lambda f, g: poisson_bracket(f, g, states),
-                      special)
+                      np.multiply)

@@ -20,8 +20,9 @@ The catalogue is one table: each OperatorFamily member is one Family row
 (multiplicative part, derivative part, vector, massive_only,
 singular_at_rest), and Family.build holds the domain rules.  It holds the
 families the quantum sets read: the FW-representation position, spin, OAM
-and boost of each set, the two Hamiltonians, the momentum, the total
-angular momentum and the naive boost.  The Dirac-representation forms
+and boost of each set, the two Hamiltonians and their velocities, the
+momentum and the naive boost; a set's total angular momentum is the sum of
+its OAM and spin operators.  The Dirac-representation forms
 U^-1 (FW family) U are covariance oracles, rows of tests/oracles.py built
 through the same Family.build.
 
@@ -190,6 +191,12 @@ class PhaseSpaceOperator:
             )
         return p
 
+    def __add__(self, other: "PhaseSpaceOperator") -> "PhaseSpaceOperator":
+        """The sum, formed coefficient by coefficient."""
+        return PhaseSpaceOperator(
+            self.dim, lambda p: tuple(a + b for a, b in zip(self.coeffs(p), other.coeffs(p))),
+            f"{self.label}+{other.label}", max(self.min_p, other.min_p))
+
 
 def _sum_sq(x: np.ndarray, axes: int) -> np.ndarray:
     """Sum of |x|^2 over the last `axes` axes."""
@@ -310,12 +317,6 @@ def _naive_boost(p, P, e, m, c):
     return 0.5j * _ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
 
 
-def _lab_spin(p, P, e, m, c):
-    # s - p x (p x s) / (m(eps+m)) with s = Sigma/2
-    pxpxs = P[c] * p_dot(_SIGMA, P) / 2 - p_dot(P, P) * _SIGMA[c] / 2
-    return _SIGMA[c] / 2 - pxpxs / (m * (e + m))
-
-
 def _pxpxsigma(P, c):
     """(p x (p x Sigma))_c = p_c (p.Sigma) - |p|^2 Sigma_c."""
     return P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * _SIGMA[c]
@@ -328,11 +329,14 @@ class OperatorFamily(Enum):
                                vector=False)
     FW_HAMILTONIAN = Family("fw_hamiltonian", lambda p, P, e, m, c: e * _BETA,
                             vector=False, singular_at_rest=True)
+    # the velocities -i [q_c, H] under each Hamiltonian
+    FW_VELOCITY = Family("fw_velocity", lambda p, P, e, m, c: _BETA * P[c] / e,
+                         singular_at_rest=True)
+    DIRAC_VELOCITY = Family("dirac_velocity", lambda p, P, e, m, c: _ALPHA[c])
     MOMENTUM = Family("momentum", lambda p, P, e, m, c: P[c] * I4)
     FW_POSITION = Family("fw_position", lambda p, P, e, m, c: 0.0, radius_part)
     FW_SPIN = Family("fw_spin", lambda p, P, e, m, c: 0.5 * _SIGMA[c])
     OAM_FW = Family("oam_fw", lambda p, P, e, m, c: 0.0, orbital_part)
-    TOTAL_J = Family("total_j", lambda p, P, e, m, c: 0.5 * _SIGMA[c], orbital_part)
     # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
     BOOST_FW = Family("boost_fw", lambda p, P, e, m, c: (
         (0.5j * P[c] / e) * _BETA - _BETA @ cross_c(_SIGMA, P, c) / (2 * (e + m))),
@@ -342,7 +346,8 @@ class OperatorFamily(Enum):
                          singular_at_rest=True)
     COM_POSITION_FW = Family("com_position_fw", lambda p, P, e, m, c: (
         cross_c(_SIGMA, P, c) / (2 * m * (e + m))), radius_part, massive_only=True)
-    LAB_SPIN_FW = Family("lab_spin_fw", _lab_spin, massive_only=True)
+    LAB_SPIN_FW = Family("lab_spin_fw", lambda p, P, e, m, c: (
+        0.5 * _SIGMA[c] - _pxpxsigma(P, c) / (2 * m * (e + m))), massive_only=True)
     # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
     COM_OAM = Family("com_oam", lambda p, P, e, m, c: _pxpxsigma(P, c) / (2 * m * (e + m)),
                      orbital_part, massive_only=True)
@@ -447,6 +452,18 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     first = (_kaxis(A) @ D - D @ _kaxis(A) + B @ _kaxis(C) - _kaxis(C) @ B
              + _kaxis(B_row) @ _block_column(dD) - _kaxis(D_row) @ _block_column(dB))
     return PhaseOpValue(zero, first)
+
+
+def symmetrized_product(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
+    """(1/2){O, V} of a first-order operator O and a multiplicative one V
+    (no derivative part), from snapshots at the same momenta.
+
+    zeroth:  (A V + V A)/2 + sum_k B_k dV_k / 2
+    first l: (B_l V + V B_l)/2
+    """
+    A, B, V = s1.A, s1.B, s2.A
+    return PhaseOpValue(0.5 * (A @ V + V @ A) + 0.5 * (B @ s2.dA).sum(axis=-3),
+                        0.5 * (B @ _kaxis(V) + _kaxis(V) @ B))
 
 
 def _block_row(X: np.ndarray) -> np.ndarray:

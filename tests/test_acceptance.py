@@ -36,8 +36,6 @@ import pytest
 from fwbench.algebra import (
     QUANTUM_TOL,
     ClassicalState,
-    _rhs_worldline,
-    _velocity_closed_form,
     build_quantum_set,
     run_quantum_suite,
     sample_momenta,
@@ -61,6 +59,7 @@ from fwbench.phase_ops import (
     commutator_snapshot,
     levi,
     snapshot,
+    symmetrized_product,
 )
 from oracles import (
     build_family,
@@ -88,23 +87,22 @@ def _worldline_oracle_gaps(m: float) -> tuple:
 
     Returns (residual minus shift, shift minus i beta times the classical
     defect), maximised over the 100 suite momenta and all pairs (i, j).
-    The residual is [q_i, K_j] minus the suite's right-hand side, A, B and
-    second-order parts together.  The classical defect of {Q_i, K_j} is
+    The residual is [q_i, K_j] minus the suite's right-hand side
+    i (1/2){q_j, v_i}, with v the set's velocity row, A and B parts
+    together.  The classical defect of {Q_i, K_j} is
     linear in S, so S = Sigma/2 turns it into the operator
     sum_k defect(S = e_k) Sigma_k / 2.
     """
     ops = build_quantum_set("conventional", m)
-    velocity = _velocity_closed_form("conventional", m)
     no_b = np.zeros((3, 4, 4), dtype=complex)
     shifted, quantum_classical = 0.0, 0.0
     for p in sample_momenta(100):
-        snaps = {"Q": [snapshot(op, p) for op in ops["q"]],
-                 "K": [snapshot(op, p) for op in ops["K"]]}
+        snaps = {r: [snapshot(op, p) for op in ops[r]] for r in ("q", "K", "v")}
         for i in range(3):
             for j in range(3):
                 shift = worldline_defect(m, p, i, j)
-                residual = (commutator_snapshot(snaps["Q"][i], snaps["K"][j])
-                            - _rhs_worldline(snaps, p, i, j, velocity))
+                residual = (commutator_snapshot(snaps["q"][i], snaps["K"][j])
+                            - 1j * symmetrized_product(snaps["q"][j], snaps["v"][i]))
                 shifted = max(shifted,
                               (residual - PhaseOpValue(shift, no_b)).norm())
                 classical = sum(

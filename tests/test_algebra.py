@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from fwbench.algebra import (
     ClassicalState,
     Identity,
     _rhs,
+    build_quantum_set,
     classical_observables,
     identities_for_set,
     poisson_bracket,
@@ -23,8 +27,8 @@ from fwbench.algebra import (
     sample_momenta,
     sample_states,
 )
-from fwbench.dirac import energy
-from fwbench.phase_ops import coeff_derivative, levi
+from fwbench.dirac import GAMMA, energy
+from fwbench.phase_ops import OperatorFamily, coeff_derivative, levi
 from oracles import classical_worldline_defect, worldline_defect
 
 
@@ -85,6 +89,44 @@ def test_alternative_sets_violate_su2_and_commutativity(set_name):
         assert reports[iid].verdict == "pass" and reports[iid].expected == "hold"
 
 
+@pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
+def test_catalogue_velocity_is_the_commutator_with_the_hamiltonian(monkeypatch, m):
+    # every set's velocity row v, the worldline's input, obeys [H, q_i] = -i v_i
+    row = Identity("[H,q_i] = -i v_i", None, ("H", "q"), ((0, 0), (0, 1), (0, 2)),
+                   ("j", "v", -1), QUANTUM_SET_NAMES)
+    monkeypatch.setattr(algebra, "IDENTITIES", IDENTITIES + (row,))
+    for set_name in QUANTUM_SET_NAMES:
+        r = by_id(run_quantum_suite(set_name, m, 20))[row.quantum_id]
+        assert r.verdict == "pass" and r.max_residual <= 1e-14, (set_name, r.max_residual)
+
+
+# each family that shifts a set's OAM or spin: its set, and the unshifted
+# multiplicative part at component index c
+SHIFTED_FAMILIES = {
+    "COM_OAM": ("center_of_mass", lambda c: 0.0),
+    "LAB_SPIN_FW": ("center_of_mass", lambda c: 0.5 * GAMMA.Sigma[c]),
+    "PROJECTED_OAM": ("projected", lambda c: 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFTED_FAMILIES))
+def test_a_shift_error_breaks_the_total_angular_momentum(monkeypatch, name):
+    # a set's j is its own l + s, so scaling one shift by 1 + 1e-5 must fail
+    # the rows that read j
+    set_name, unshifted = SHIFTED_FAMILIES[name]
+    member = OperatorFamily[name]
+    row = member.value
+
+    def A(p, P, e, m, c):
+        a = row.A(p, P, e, m, c)
+        return a + 1e-5 * (a - unshifted(c))
+
+    monkeypatch.setattr(member, "_value_", dataclasses.replace(row, A=A))
+    reports = by_id(run_quantum_suite(set_name, 1.0, 20))
+    for iid in ("[j_i,j_j] = i e_ijk j_k", "[q_i,j_j] = i e_ijk q_k"):
+        assert reports[iid].verdict == "fail", (iid, reports[iid].max_residual)
+
+
 def test_suite_rejects_unknown_set():
     with pytest.raises(ValueError):
         run_quantum_suite("bogus", 1.0, 5)
@@ -127,8 +169,18 @@ def test_suite_order_matches_the_benchmark_reference(name):
 
 
 def test_identity_table_is_consistent():
-    kinds = {"zero", "eps", "i", "delta", "worldline", "velocity"}
+    kinds = {"zero", "eps", "i", "j", "delta", "worldline"}
+    # a quantum suite reads its roles by the table's letters, the classical
+    # suite by their upper-case forms
+    roles = {name: set(build_quantum_set(name, 1.0)) for name in QUANTUM_SET_NAMES}
+    roles["classical"] = set(classical_observables(sample_states(1)))
     for iden in IDENTITIES:
+        # every role a row reads, either side, is one that each carrying set has
+        kind, role, _ = iden.rhs
+        read = {*iden.lhs, role, "q" if kind == "worldline" else None} - {None}
+        for name in iden.sets:
+            wanted = {r.upper() for r in read} if name == "classical" else read
+            assert wanted <= roles[name], (iden, name, wanted - roles[name])
         assert iden.sets and set(iden.sets) <= set(SUITES), iden
         assert set(iden.expected_by_set) <= set(iden.sets), iden
         assert set(iden.expected_by_set.values()) <= {"fail"}, iden
@@ -146,11 +198,13 @@ def test_identity_table_is_consistent():
 
 def test_rhs_reads_every_term_kind():
     # plain numbers stand in for operators and observables: each kind against
-    # its formula, for every pair, with a commutator's and a Poisson bracket's unit
-    values = {"J": [2.0, 3.0, 5.0], "P": [7.0, 11.0, 13.0], "H": 17.0}
+    # its formula, for every pair, with a commutator's and a Poisson bracket's
+    # unit, and a pair product that keeps its operands apart
+    values = {"J": [2.0, 3.0, 5.0], "P": [7.0, 11.0, 13.0], "H": 17.0,
+              "Q": [19.0, 23.0, 29.0], "V": [31.0, 37.0, 41.0]}
 
-    def special(kind, i, j):
-        return {"worldline": 100.0, "velocity": 1000.0}[kind] + 10 * i + j
+    def product(q, v):
+        return 1000.0 * q + v
 
     def formula(kind, role, c, i, j, unit):
         R = values.get(role.upper()) if role else 1.0
@@ -158,33 +212,50 @@ def test_rhs_reads_every_term_kind():
             return unit * c * sum(levi(i, j, k) * R[k] for k in range(3))
         if kind == "i":
             return unit * c * R[i]
+        if kind == "j":
+            return unit * c * R[j]
         if kind == "delta":
             return unit * c * R * (i == j)
-        if kind == "zero":
-            return 0.0
-        return c * special(kind, i, j)
+        if kind == "worldline":
+            return unit * c * (1000.0 * values["Q"][j] + R[i])
+        return 0.0
 
-    terms = [("eps", "j", 1), ("eps", "p", -1), ("i", "p", 2), ("delta", "H", 1),
-             ("delta", None, -3), ("zero", None, 0), ("worldline", None, 1),
-             ("velocity", None, -1)]
+    terms = [("eps", "j", 1), ("eps", "p", -1), ("i", "p", 2), ("j", "v", -1),
+             ("delta", "H", 1), ("delta", None, -3), ("zero", None, 0),
+             ("worldline", "v", 1)]
     assert {iden.rhs[0] for iden in IDENTITIES} == {t[0] for t in terms}
     for unit in (1j, 1.0):
         for term in terms:
             for i in range(3):
                 for j in range(3):
-                    assert (_rhs(term, values, i, j, unit, special)
+                    assert (_rhs(term, values, i, j, unit, product)
                             == formula(*term, i, j, unit)), (term, i, j, unit)
 
 
-def test_rhs_rejects_unknown_and_quantum_velocity_terms(monkeypatch):
+def test_rhs_rejects_unknown_term_kinds():
     with pytest.raises(ValueError, match="unknown"):
         _rhs(("cross", "p", 1), {"P": [1.0, 2.0, 3.0]}, 0, 1, 1j, lambda *a: 0.0)
-    # a velocity row has no commutator form
-    row = Identity("[q_i,H] = i p_i/H", None, ("q", "H"), ((0, 0),), ("velocity", None, 1),
-                   ("conventional",))
-    monkeypatch.setattr(algebra, "IDENTITIES", IDENTITIES + (row,))
-    with pytest.raises(ValueError, match="velocity"):
-        run_quantum_suite("conventional", 1.0, 2)
+
+
+ALGEBRA_SCAN = Path(__file__).resolve().parents[1] / "scripts" / "algebra_scan.py"
+
+
+def test_algebra_scan_script(tmp_path, monkeypatch, capsys):
+    # every suite at three masses, none unexpected; a row per suite is that
+    # suite's own report at the same mass and the default seed
+    out = tmp_path / "scan.json"
+    monkeypatch.setattr(sys, "argv", [str(ALGEBRA_SCAN), "--samples", "5", "--json", str(out)])
+    runpy.run_path(str(ALGEBRA_SCAN), run_name="__main__")
+    assert "240 identity x mass combinations, 0 unexpected outcomes" in capsys.readouterr().out
+    rows = json.loads(out.read_text())
+    assert len(rows) == 240
+    for name in SUITES:
+        row = [r for r in rows if r["set"] == name][-1]
+        reports = (run_classical_suite(5, m=row["mass"]) if name == "classical"
+                   else run_quantum_suite(name, row["mass"], 5))
+        report = by_id(reports)[row.pop("identity_id")].to_dict()
+        assert {k: v for k, v in row.items() if k not in ("set", "mass")} == {
+            k: v for k, v in report.items() if k != "identity_id"}, name
 
 
 # --- classical side ------------------------------------------------------------

@@ -17,6 +17,7 @@ from fwbench.phase_ops import (
     commutator_snapshot,
     levi,
     snapshot,
+    symmetrized_product,
 )
 from oracles import (
     ALL_ROWS,
@@ -167,7 +168,7 @@ def test_massless_guards_match_the_coefficients():
     # at m = 0 with the guards cleared, a massive_only row is non-finite at a
     # generic momentum; any other row is finite there, and finite at p = 0
     # exactly when it is not singular_at_rest
-    assert len(ALL_ROWS) == 31
+    assert len(ALL_ROWS) == 32
     generic, rest = np.array([0.3, -0.7, 1.1]), np.zeros(3)
     wrong = []
     for row in ALL_ROWS:
@@ -273,6 +274,26 @@ def test_commutator_snapshot_matches_loop_reference():
             for got, ref in ((val.A[i], zero), (val.B[i], first),
                              (_second_order(a, b)[i], second)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_symmetrized_product_is_product_plus_half_commutator():
+    # (1/2){O, V} = V O + (1/2)[O, V] for a multiplicative V, at random
+    # coefficients and at a broadcast V, as a momentum-independent one is
+    rng = np.random.default_rng(9)
+    n, d = 5, 4
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    o = OpSnapshot(rand(n, d, d), rand(n, 3, d, d), rand(n, 3, d, d), rand(n, 3, 3, d, d))
+    zero_b, zero_db = np.zeros((n, 3, d, d)), np.zeros((n, 3, 3, d, d))
+    for v in (OpSnapshot(rand(n, d, d), zero_b, rand(n, 3, d, d), zero_db),
+              OpSnapshot(np.broadcast_to(rand(d, d), (n, d, d)), zero_b, zero_b, zero_db)):
+        half = commutator_snapshot(o, v)
+        got = symmetrized_product(o, v)
+        for x, ref in ((got.A, v.A @ o.A + 0.5 * half.A),
+                       (got.B, v.A[:, None] @ o.B + 0.5 * half.B)):
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_second_order_part_vanishes_for_boost_pair():
@@ -540,22 +561,19 @@ def test_four_spin_space_closed_form():
 
 
 def test_total_angular_momentum_reassembly():
-    # l + s = L_com + zeta = L_proj + S_proj = j, coefficient by coefficient
+    # every set's own j = l + s (L_com + zeta, L_proj + S_proj) is the
+    # conventional OAM plus spin, coefficient by coefficient
     m = 1.0
-    combos = [
-        (F.OAM_FW, F.FW_SPIN),
-        (F.COM_OAM, F.LAB_SPIN_FW),
-        (F.PROJECTED_OAM, F.PROJECTED_SPIN_FW),
-    ]
-    for p in MOMENTA[:6]:
-        for c in (1, 2, 3):
-            j_val = evaluate(build_operator(F.TOTAL_J, m, c), p)
-            for oam_fam, spin_fam in combos:
-                l_val = evaluate(build_operator(oam_fam, m, c), p)
-                s_val = evaluate(build_operator(spin_fam, m, c), p)
+    for set_name in QUANTUM_SET_NAMES:
+        j = build_quantum_set(set_name, m)["j"]
+        for p in MOMENTA[:6]:
+            for c in (1, 2, 3):
+                l_val = evaluate(build_operator(F.OAM_FW, m, c), p)
+                s_val = evaluate(build_operator(F.FW_SPIN, m, c), p)
+                j_val = evaluate(j[c - 1], p)
                 diff_a = np.linalg.norm(l_val.A + s_val.A - j_val.A)
                 diff_b = np.linalg.norm(l_val.B + s_val.B - j_val.B)
-                assert diff_a <= 1e-10 and diff_b <= 1e-10
+                assert diff_a <= 1e-10 and diff_b <= 1e-10, (set_name, c)
 
 
 def test_projector_sandwich_equals_projected_spin():
