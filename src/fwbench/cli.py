@@ -17,11 +17,18 @@ expected-pass checks pass and expected-fail checks fail as expected, 1 on
 a numerical miss or a numeric failure (a floating-point overflow, invalid
 operation or division by zero, reported as one error line with stdout and
 the --out file left untouched), 2 on usage errors.
+
+main can be called repeatedly in one process.  Every call shares one
+parser, built on the first call; its defaults are immutable (tuples and
+read-only arrays), so no call changes what the next one parses.  main looks
+each command up as the module's cmd_<command> at every call, so a cmd_*
+rebound on the module, by a tracer or a test, is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -328,7 +335,16 @@ def cmd_pce(args) -> tuple:
     ]), stderr, ok
 
 
+# every call of the one parser hands out the same default objects, so none
+# of them can be changed in place
+_ZERO3, _X_AXIS = np.zeros(3), np.array([1.0, 0.0, 0.0])
+_ZERO3.flags.writeable = _X_AXIS.flags.writeable = False
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fwbench parser, built on the first call and shared by every later
+    one.  It holds no command functions: main looks each one up by name."""
     parser = argparse.ArgumentParser(
         prog="fwbench",
         description="Relativistic position/spin operator workbench")
@@ -343,38 +359,35 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--samples", type=_int_at_least(1), default=100)
     va.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
     va.add_argument("--format", default="json", choices=list(_RENDER))
-    va.set_defaults(func=cmd_verify_algebra)
 
     er = sub.add_parser("eriksen", formatter_class=fmt,
                         help="exact/approximate block-diagonalization study")
     er.add_argument("--n", type=_grid_size, default=64)
     er.add_argument("--box", type=_checked(float, check_length), default=32.0)
     er.add_argument("--mass", type=_positive_mass, default=1.0)
-    er.add_argument("--v0", type=_strengths, default=[1e-3, 1e-2, 1e-1],
+    er.add_argument("--v0", type=_strengths, default=(1e-3, 1e-2, 1e-1),
                     help="comma-separated potential strengths")
-    er.set_defaults(func=cmd_eriksen)
 
     pr = sub.add_parser("precess", formatter_class=fmt, help="uniform-field spin precession")
-    pr.add_argument("--p", type=_vec3, default=np.zeros(3),
+    pr.add_argument("--p", type=_vec3, default=_ZERO3,
                     help="momentum px,py,pz")
     pr.add_argument("--mass", type=_positive_mass, default=1.0)
-    pr.add_argument("--e-field", type=_vec3, default=np.zeros(3))
-    pr.add_argument("--b-field", type=_vec3, default=np.zeros(3))
+    pr.add_argument("--e-field", type=_vec3, default=_ZERO3)
+    pr.add_argument("--b-field", type=_vec3, default=_ZERO3)
     pr.add_argument("--charge", type=_finite, default=1.0)
     pr.add_argument("--a", type=_finite, default=0.0,
                     help="anomalous moment (g-2)/2")
     pr.add_argument("--eta", type=_finite, default=0.0,
                     help="electric-dipole factor")
-    pr.add_argument("--accel", type=_vec3, default=np.zeros(3),
+    pr.add_argument("--accel", type=_vec3, default=_ZERO3,
                     help="frame acceleration")
-    pr.add_argument("--omega", type=_vec3, default=np.zeros(3),
+    pr.add_argument("--omega", type=_vec3, default=_ZERO3,
                     help="frame rotation")
-    pr.add_argument("--s0", type=_direction, default=np.array([1.0, 0.0, 0.0]),
+    pr.add_argument("--s0", type=_direction, default=_X_AXIS,
                     help="initial spin direction")
     pr.add_argument("--t-max", type=_finite, default=10.0,
                     help="end time; a negative value evolves backward")
     pr.add_argument("--steps", type=_int_at_least(0), default=200)
-    pr.set_defaults(func=cmd_precess)
 
     zi = sub.add_parser("zitter", formatter_class=fmt, help="trembling-motion time series")
     zi.add_argument("--p", type=_finite, default=1.0, help="momentum along z")
@@ -383,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     zi.add_argument("--t-max", type=_positive, default=10.0)
     zi.add_argument("--steps", type=_int_at_least(2), default=4000)
     zi.add_argument("--particle", default="dirac", choices=("dirac", "fv", "fw"))
-    zi.set_defaults(func=cmd_zitter)
 
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
     pa.add_argument("--p0", type=_finite, default=2.0)
@@ -391,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mass", type=_positive_mass, default=1.0)
     pa.add_argument("--n", type=_grid_size, default=256)
     pa.add_argument("--t", type=_finite, default=0.0)
-    pa.set_defaults(func=cmd_packet)
 
     pc = sub.add_parser("pce", formatter_class=fmt, help="picture-change-error report")
     pc.add_argument("--p0", type=_finite, default=2.0)
@@ -399,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mass", type=_positive_mass, default=1.0)
     pc.add_argument("--n", type=_grid_size, default=256)
     pc.add_argument("--format", default="pretty-table", choices=("json", "pretty-table"))
-    pc.set_defaults(func=cmd_pce)
 
     for command in sub.choices.values():
         command.add_argument("--out", default=None)
@@ -412,9 +422,11 @@ def main(argv=None) -> int:
     tails underflow by design), so a numeric failure ends as one error line
     and exit status 1, with nothing written to stdout or the --out file."""
     args = build_parser().parse_args(argv)
+    # looked up at each call, so that a cmd_* rebound on the module runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            text, note, ok = args.func(args)
+            text, note, ok = command(args)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -173,6 +174,59 @@ def test_byte_identical_reruns(tmp_path):
     assert run(["verify-algebra", "--set", "conventional", "--samples", "8",
                 "--seed", "8", "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
+
+
+def _outcome(argv, capsys) -> tuple:
+    code = run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_each_call_runs_the_command_bound_on_the_module(monkeypatch, capsys):
+    # a tracer wraps a command by rebinding cli.cmd_*; the parser that every
+    # call shares must not keep the function it saw when it was built
+    assert run(["eriksen", "--n", "16"]) == 0
+    calls = []
+    original = cli.cmd_eriksen
+
+    def counting(args):
+        calls.append(args.n)
+        return original(args)
+    monkeypatch.setattr(cli, "cmd_eriksen", counting)
+    assert run(["eriksen", "--n", "16"]) == 0
+    assert calls == [16]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_defaults_are_immutable():
+    # every call parses with the same parser, so a default changed in place
+    # would change every later call
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    changeable = [(name, action.dest, action.default)
+                  for name, command in [("fwbench", parser), *sub.choices.items()]
+                  for action in command._actions
+                  if not (action.default is None
+                          or isinstance(action.default, (str, int, float, bool, tuple))
+                          or (isinstance(action.default, np.ndarray)
+                              and not action.default.flags.writeable))]
+    assert not changeable
+
+
+@pytest.mark.parametrize("defaults, other, bad", [
+    (["precess", "--steps", "5"], ["--p", "1,0,0", "--b-field", "0,0,1", "--a", "0.1"],
+     ["--p", "1,0"]),
+    (["eriksen", "--n", "16"], ["--v0", "0.02,0.2"], ["--v0", "0.1,0.1"]),
+], ids=["precess", "eriksen"])
+def test_reused_parser_keeps_no_state(defaults, other, bad, capsys):
+    first = _outcome(defaults, capsys)
+    assert first[0] == 0
+    assert _outcome(defaults + other, capsys)[1:] != first[1:]
+    with pytest.raises(SystemExit) as exc:
+        run(defaults + bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _outcome(defaults, capsys) == first
 
 
 def test_verify_algebra_formats(tmp_path):
