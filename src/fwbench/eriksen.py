@@ -48,6 +48,18 @@ whose positive part does not have exactly h eigenvalues has no unitary
 that sends it to the upper block, and eigenframe rejects it.  lambda itself
 is formed only where the defining conditions read it.
 
+The exact off-block without U.  P+ = (X1 X1^dag)^(-1/2) X1 and
+P- = (Y2 Y2^dag)^(-1/2) Y2 are h x h unitary polar factors, so U[:h] = P+ V+^dag,
+U[h:] = P- V-^dag, and the upper off-diagonal quadrant of U H U^dag is
+
+    U[:h] H U[h:]^dag = P+ (V+^dag H V-) P-^dag.
+
+The Frobenius norm is unchanged by unitary factors, so the off-block norm of
+U H U^dag is sqrt(2) ||V+^dag H V-||: the eigenframe gives it with no inverse
+square root, and V+^dag H is built from the parts like U[:h] H below.  In
+exact arithmetic it is 0, as V+^dag H V- = V+^dag V- diag(w-); what it
+measures is the rounding of eigh's frame, which U inherits.
+
 The approximate transform, elementwise.  O^2 = diag(p^2, p^2), so every
 function of O and m is a vector: eps = sqrt(m^2 + p^2), and the unitary
 (1 + S + beta X) / sqrt(2 S (1 + S)) is U = [[u, s], [-s, u]] with
@@ -102,20 +114,26 @@ and m non-negative.  eigenframe forms H for eigh; every other kernel reads
 the parts.  Because H is Hermitian, so is U H U^dag for any U, and its
 off-diagonal norm is sqrt(2) times the norm of the upper quadrant alone;
 the upper rows U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)]
-are two half-size products and two column scalings (conjugated_quadrant).
-Because [beta lambda, lambda beta] = beta lambda^2 beta - lambda^2, the
-commutator check reads the off-diagonal quadrants of the lambda^2 that the
-lambda^2 = 1 check forms anyway.
+are two half-size products and two column scalings (conjugated_quadrant),
+and V+^dag H is the same with V+^dag's column halves X1^dag and X2^dag,
+X2 = v[h:, h:] (exact_offblock_norm).  The free check forms U and reads its
+defining conditions from it, the runtime check of the factorization above;
+the scaling study reads only the off-block norm, from the eigenframe, and
+forms no U.  Because [beta lambda, lambda beta] = beta lambda^2 beta -
+lambda^2, the commutator check reads the off-diagonal quadrants of the
+lambda^2 that the lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
 only p, the half-size V and m; eigenframe forms the dense H for eigh alone;
 eriksen_unitary writes U half by half; eriksen_conditions forms and reduces
 one condition at a time, subtracting the identity in place; approx_fw forms
-half-size matrices only; and the scaling study releases the eigenframe
-before the approximate transform, and each Hamiltonian's matrices before it
-builds the next.  A full-size float64 matrix is 0.5 MiB at n = 128 and
-2 MiB at n = 256, so peak memory is set by how many are alive at once.
+half-size matrices only; and the scaling study forms no U, reads the exact
+off-block from the eigenframe through half-size products, releases the
+eigenframe before the approximate transform, and each Hamiltonian's
+matrices before it builds the next.  A full-size float64 matrix is 0.5 MiB
+at n = 128 and 2 MiB at n = 256, so peak memory is set by how many are
+alive at once.
 """
 
 from __future__ import annotations
@@ -193,19 +211,25 @@ class BlockedHamiltonian:
         return H
 
 
-def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.ndarray:
-    """Quadrant (0, k) of U H U^dag, (U[:h] H) U[kh:(k+1)h]^dag with
-    h = n_upper, from bh's parts without forming H.
+def _sandwich(rows: np.ndarray, bh: BlockedHamiltonian, cols: np.ndarray) -> np.ndarray:
+    """rows H cols for h x 2h rows and 2h x h cols, h = n_upper, from bh's
+    parts without forming H.
 
-    U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)] with U1, U2
-    the column halves of U[:h]: two half-size products and two column
+    rows H = [R1 (m + V) + R2 diag p, R1 diag p + R2 (V - m)] with R1, R2
+    the column halves of rows: two half-size products and two column
     scalings.
     """
     h = bh.n_upper
-    U1, U2 = U[:h, :h], U[:h, h:]
-    cols = U[k * h:(k + 1) * h].conj().T
-    return ((U1 @ bh.V + bh.m * U1 + U2 * bh.p) @ cols[:h]
-            + (U1 * bh.p + U2 @ bh.V - bh.m * U2) @ cols[h:])
+    R1, R2 = rows[:, :h], rows[:, h:]
+    return ((R1 @ bh.V + bh.m * R1 + R2 * bh.p) @ cols[:h]
+            + (R1 * bh.p + R2 @ bh.V - bh.m * R2) @ cols[h:])
+
+
+def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.ndarray:
+    """Quadrant (0, k) of U H U^dag, (U[:h] H) U[kh:(k+1)h]^dag with
+    h = n_upper, from bh's parts without forming H."""
+    h = bh.n_upper
+    return _sandwich(U[:h], bh, U[k * h:(k + 1) * h].conj().T)
 
 
 def _conjugated_offblock_norm(U: np.ndarray, bh: BlockedHamiltonian) -> float:
@@ -262,6 +286,17 @@ def eriksen_unitary(frame: tuple) -> np.ndarray:
         X = v[rows, cols]
         U[rows] = (mat_inv_sqrt_psd(X @ X.conj().T) @ X) @ v[:, cols].conj().T
     return U
+
+
+def exact_offblock_norm(frame: tuple, bh: BlockedHamiltonian) -> float:
+    """Frobenius norm of the off-diagonal quadrants of U H U^dag for the
+    exact unitary U = eriksen_unitary(frame), without forming U:
+    sqrt(2) ||V+^dag H V-||, with V- = v[:, :h] and V+ = v[:, h:] the
+    negative- and positive-energy eigenvectors of eigenframe(bh).  The
+    module docstring derives the identity."""
+    w, v = frame
+    h = w.size // 2
+    return float(np.sqrt(2.0) * frob(_sandwich(v[:, h:].conj().T, bh, v[:, :h])))
 
 
 def _minus_identity(a: np.ndarray) -> np.ndarray:
@@ -410,11 +445,12 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     The exact transform block-diagonalizes every H to machine precision;
     the approximate transform leaves an O(v0) off-block residual, and the
     upper-block spectra of the two transformed Hamiltonians differ at
-    O(v0^2).  The exact reference spectrum comes straight from H itself
-    (the positive eigenvalues of the eigenframe that gives the exact
-    unitary), independent of the exact unitary.  The off-block norms are
-    over the spin block; four_component_norm gives them over the 4n
-    operator.  profile must be even on the grid (discretize_dirac_1d).
+    O(v0^2).  One eigenframe per H gives both exact numbers without
+    forming the exact unitary: the reference spectrum is its positive
+    eigenvalues, and the exact off-block is exact_offblock_norm, equal to
+    the off-block norm of U H U^dag.  The off-block norms are over the spin
+    block; four_component_norm gives them over the 4n operator.  profile
+    must be even on the grid (discretize_dirac_1d).
     """
     v0_arr = check_strengths(v0_list)
     check_mass(m)
@@ -427,13 +463,14 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
 
 
 def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:
-    """(even_block_diff, approx_offblock, exact_offblock) for one potential.
-    The eigenframe is released before the approximate transform is built,
-    and every matrix on return, before the next Hamiltonian is built."""
+    """(even_block_diff, approx_offblock, exact_offblock) for one potential:
+    one full-size eigh, and no exact unitary (exact_offblock_norm).  The
+    eigenframe is released before the approximate transform is built, and
+    every matrix on return, before the next Hamiltonian is built."""
     bh = discretize_dirac_1d(grid, m, V)
     frame = eigenframe(bh)
     w = frame[0]
-    exact_off = _conjugated_offblock_norm(eriksen_unitary(frame), bh)
+    exact_off = exact_offblock_norm(frame, bh)
     del frame
     upper, approx_off = approx_fw(bh)
     diff = float(np.max(np.abs(np.linalg.eigvalsh(upper) - w[bh.n_upper:])))

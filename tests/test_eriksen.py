@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fwbench.cli
 import fwbench.eriksen
 import fwbench.linalg
 from fwbench.cli import main
@@ -491,15 +492,26 @@ def _count_eigh(monkeypatch) -> list:
 
 def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     # every H of the ladder has the odd part [[0, diag p], [diag p, 0]], whose
-    # functions are vectors (no eigh), and each H takes one full-size eigh
-    # and two half-size ones for g_+^(-1/2) and g_-^(-1/2)
+    # functions are vectors (no eigh), and the exact off-block is read from
+    # the eigenframe: each H takes one full-size eigh and no half-size one,
+    # and the study forms no exact unitary and no g^(-1/2).  The free check,
+    # which does form U, shows that the counting wrappers see the calls
     grid = Grid1D(n=16, length=8.0)
     full = 2 * grid.n
     calls = _count_eigh(monkeypatch)
+    counts = dict.fromkeys(("eriksen_unitary", "mat_inv_sqrt_psd"), 0)
+    for name in counts:
+        original = getattr(fwbench.eriksen, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(fwbench.eriksen, name, counted)
     potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
-    assert calls.count(full) == 3
-    assert calls.count(full // 2) == 6
-    assert len(calls) == 9
+    assert calls == [full] * 3
+    assert counts == {"eriksen_unitary": 0, "mat_inv_sqrt_psd": 0}
+    fwbench.cli._free_eriksen_checks(grid, 1.0)
+    assert counts == {"eriksen_unitary": 1, "mat_inv_sqrt_psd": 2}
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -557,6 +569,61 @@ def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_erik
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
         got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh)
         assert abs(got / want - 1) <= 1e-12, m
+
+
+def _swapped_offblock_norm(frame, bh):
+    """exact_offblock_norm with V+ read where V- belongs: sqrt(2) ||V+^dag H V+||,
+    the norm of the positive spectrum, O(||H||)."""
+    w, v = frame
+    h = w.size // 2
+    return float(np.sqrt(2.0) * frob(v[:, h:].conj().T @ bh.H @ v[:, h:]))
+
+
+# worst measured over these cases, in units of u ||H||_F: 0.28 against the
+# formed U and 3.4 against the dense oracle; the values themselves are
+# rounding, up to about 7 u ||H||_F
+EXACT_OFFBLOCK_VIA_U_ULPS = 2.0
+EXACT_OFFBLOCK_DENSE_ULPS = 10.0
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["identity", "v_plus_for_v_minus"])
+def test_exact_offblock_from_eigenframe_matches_unitary_and_oracle(mutant, monkeypatch,
+                                                                   dense_eriksen_oracle):
+    # the study's exact off-block, sqrt(2) ||V+^dag H V-||, against the same
+    # norm read from the formed U (conjugated_quadrant) and from the dense
+    # oracle's U H U^dag, each within a bound in units of u ||H||_F.  The
+    # mutant reads V+ where V- belongs and must break both bounds
+    if mutant:
+        monkeypatch.setattr(fwbench.eriksen, "exact_offblock_norm", _swapped_offblock_norm)
+    rng = np.random.default_rng(7)
+    cases = []
+    for m, p in zip(ORACLE_MASSES, rng.uniform(-3, 3, (3, 3))):
+        bh, Q2 = blocked_4x4(p, m)
+        cases.append((bh, Q2, fwbench.eriksen.exact_offblock_norm(eigenframe(bh), bh)))
+    v0 = [1e-3, 1e-2, 1e-1]
+    for n in (16, 32):
+        grid = Grid1D(n=n, length=n / 2)
+        for m in ORACLE_MASSES:
+            for profile in ORACLE_PROFILES.values():
+                V = profile(grid.length)
+                study = potential_scaling_study(grid, m, v0, V)
+                cases += [(discretize_dirac_1d(grid, m, lambda x: v * V(x)), np.eye(2 * n),
+                           got) for v, got in zip(v0, study.exact_offblock)]
+    via_u, dense = [], []
+    for bh, Q2, got in cases:
+        H, h = rotated_back(bh.H, Q2), bh.n_upper
+        ulp = np.finfo(float).eps * frob(H)
+        U = eriksen_unitary(eigenframe(bh))
+        via_u.append(abs(got - np.sqrt(2.0) * frob(conjugated_quadrant(U, bh, 1))) / ulp)
+        U_o, _ = dense_eriksen_oracle["unitary"](H, block_beta(h))
+        want = dense_eriksen_oracle["offblock"](U_o @ H @ U_o.conj().T, h)
+        dense.append(abs(got - want) / ulp)
+    if mutant:
+        assert min(via_u) > EXACT_OFFBLOCK_VIA_U_ULPS
+        assert min(dense) > EXACT_OFFBLOCK_DENSE_ULPS
+    else:
+        assert max(via_u) <= EXACT_OFFBLOCK_VIA_U_ULPS
+        assert max(dense) <= EXACT_OFFBLOCK_DENSE_ULPS
 
 
 @pytest.mark.parametrize("transform", ["exact", "approx"])
