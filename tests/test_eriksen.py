@@ -579,9 +579,9 @@ def _swapped_offblock_norm(frame, bh):
     return float(np.sqrt(2.0) * frob(v[:, h:].conj().T @ bh.H @ v[:, h:]))
 
 
-# worst measured over these cases, in units of u ||H||_F: 0.28 against the
+# worst measured over these cases, in units of u ||H||_F: 0.27 against the
 # formed U and 3.4 against the dense oracle; the values themselves are
-# rounding, up to about 7 u ||H||_F
+# rounding, up to 4.6 u ||H||_F
 EXACT_OFFBLOCK_VIA_U_ULPS = 2.0
 EXACT_OFFBLOCK_DENSE_ULPS = 10.0
 
