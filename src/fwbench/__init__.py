@@ -34,11 +34,7 @@ from .spin_dynamics import (
     propagate_classical,
     propagate_quantum,
 )
-from .zitter import (
-    dominant_frequency,
-    fw_velocity,
-    record_evolution,
-)
+from .zitter import dominant_frequency, record_evolution
 from .wavepacket import (
     Observable,
     WavePacket1D,

@@ -8,6 +8,14 @@ Conventions (natural units, hbar = c = 1):
     rho_k   = PAULI, the 2x2 set acting on two-component scalar-sector states.
 
 All entries are exact elements of {0, +-1, +-i}.
+
+The free-particle closed forms live here once each: the energy
+eps = sqrt(m^2 + |p|^2) (energy, for one momentum, a stack of them, or the
+1-D grid momenta of the eriksen odd block), the Dirac and scalar-sector
+Hamiltonians and velocities, the block-diagonalizing unitary, and
+exp(-iHt) for H^2 = eps^2.  The block-diagonal (Foldy-Wouthuysen)
+Hamiltonian beta eps and velocity beta p_k / eps are rows of the
+phase_ops catalogue, FW_HAMILTONIAN and FW_VELOCITY.
 """
 
 from __future__ import annotations
@@ -76,13 +84,6 @@ def check_positive_mass(m: float) -> float:
     return m
 
 
-def energy(p, m: float) -> float:
-    """Relativistic energy sqrt(m^2 + |p|^2) of a free particle."""
-    check_mass(m)
-    p = np.asarray(p, dtype=float)
-    return float(np.sqrt(m * m + p @ p))
-
-
 # alpha_k and gamma_k as rows of a (3, 16) matrix, so that p @ M sums the
 # three products for a single momentum or a stack of them in one call
 _ALPHA_ROWS = np.stack(GAMMA.alpha).reshape(3, 16)
@@ -97,20 +98,16 @@ def dirac_hamiltonian(p, m: float) -> np.ndarray:
 
 
 def _p_squared(p: np.ndarray) -> np.ndarray:
-    """|p|^2 at momenta (..., 3) as shape (..., 1, 1); bit-identical to p @ p."""
+    """|p|^2 at momenta (..., d) as shape (..., 1, 1); bit-identical to p @ p."""
     return p[..., None, :] @ p[..., :, None]
 
 
-def stacked_energy(p, m: float) -> np.ndarray:
-    """sqrt(m^2 + |p|^2) at momenta of shape (..., 3), as shape (..., 1, 1),
-    so that it scales a stack of matrices point by point."""
+def energy(p, m: float):
+    """Relativistic energy sqrt(m^2 + |p|^2) of a free particle at momenta
+    of shape (..., d), as shape (...): a number for one momentum.  Indexed
+    [..., None, None], it scales a stack of matrices point by point."""
     check_mass(m)
-    return np.sqrt(m * m + _p_squared(np.asarray(p, dtype=float)))
-
-
-def fw_hamiltonian(p, m: float) -> np.ndarray:
-    """Block-diagonal free Hamiltonian beta sqrt(m^2 + p^2) at momenta (..., 3)."""
-    return stacked_energy(p, m) * GAMMA.beta
+    return np.sqrt(m * m + _p_squared(np.asarray(p, dtype=float))[..., 0, 0])
 
 
 def fv_hamiltonian_matrix(p, m: float) -> np.ndarray:
@@ -145,7 +142,7 @@ def fw_unitary_matrix(p, m: float, inverse: bool = False) -> np.ndarray:
     the sign of gamma.p, which gives U^-1.
     """
     p = np.asarray(p, dtype=float)
-    u, inv_norm, _ = fw_weights(stacked_energy(p, m), m)
+    u, inv_norm, _ = fw_weights(energy(p, m)[..., None, None], m)
     gamma_p = (p @ _GAMMA_ROWS).reshape(p.shape[:-1] + (4, 4))
     return u * I4 + (-inv_norm if inverse else inv_norm) * gamma_p
 

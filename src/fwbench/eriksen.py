@@ -143,7 +143,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import check_mass, fw_weights
+from .dirac import check_mass, energy, fw_weights
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -335,7 +335,7 @@ def approx_fw(bh: BlockedHamiltonian) -> tuple:
     if bh.m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
     p, V = bh.p, bh.V
-    eps = _energies(p, bh.m)
+    eps = energy(p[:, None], bh.m)
     u, inv_norm, norm_sq = fw_weights(eps, bh.m)
     _reject_zero_eigenvalues(norm_sq, 1e-12, "kinetic denominator is singular")
     d = 1.0 / norm_sq
@@ -390,14 +390,9 @@ def four_component_norm(block_norm):
     return np.sqrt(2.0) * block_norm
 
 
-def _energies(p: np.ndarray, m: float) -> np.ndarray:
-    """eps = sqrt(m^2 + p^2) at each odd-block value p."""
-    return np.sqrt(m * m + p * p)
-
-
 def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
     """Sorted exact spectrum of the free discretized spin block."""
-    eps = _energies(grid.p_fft, m)
+    eps = energy(grid.p_fft[:, None], m)
     return np.sort(np.concatenate([eps, -eps]))
 
 

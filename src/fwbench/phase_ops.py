@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import GAMMA, I4, dirac_hamiltonian, stacked_energy
+from .dirac import GAMMA, I4, dirac_hamiltonian, energy
 
 FD_REL_STEP = 1e-5
 MASSLESS_MIN_P = 1e-6
@@ -149,7 +149,7 @@ def energy_jet(p: np.ndarray, m: float) -> Jet:
     At m = 0, p = 0 the gradient is NaN; a coefficient that uses it there
     fails the finiteness check of its evaluation.
     """
-    e = stacked_energy(p, m)
+    e = energy(p, m)[..., None, None]
     with np.errstate(invalid="ignore"):
         return Jet(e, p[..., :, None, None] / _kaxis(e))
 

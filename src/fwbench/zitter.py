@@ -1,20 +1,33 @@
-"""Trembling motion of free Dirac and two-component scalar particles.
+"""Trembling motion of the free Dirac, two-component scalar and
+Foldy-Wouthuysen particles.
 
-At fixed momentum the Heisenberg velocity obeys dv/dt = 2i(p_k - v H),
-whose matrix-level solution is
+At fixed momentum the Hamiltonian is a matrix H with H^2 = eps^2, so every
+function of H is closed form.  An operator O at that momentum splits into
+the part that anticommutes with H and the part that commutes with it,
 
-    v(t) = (v(0) - p_k H^-1) e^{-2iHt} + p_k H^-1,
+    O_- = H [H, O] / (2 eps^2),    O_+ = O - O_-,
 
-with H the fixed-momentum Hamiltonian matrix (H^2 = eps^2, so every
-function of H is closed form).  The position operator picks up
+and e^{iHt} O e^{-iHt} = O_+ + O_- e^{-2iHt}.  For the velocity O = v(0),
+integrating v(s) gives the position
 
-    r(t) - r(0) = p_k t H^-1 + (i/2)(v(0) - p_k H^-1) H^-1 (e^{-2iHt} - 1),
+    r(t) - r(0) = O_+ t + (i/2) O_- H^-1 (e^{-2iHt} - 1);
 
-obtained by integrating v(s); r(0) itself is the untouched differential
-operator i d/dp_k and is not representable as a matrix, so only the drift
-plus oscillation is returned.  The (i/2)(...)H^-1 ordering is the one the
-Heisenberg integral produces; orderings differ only in the sign of
-energy-off-diagonal elements and coincide on each energy eigenspace.
+r(0) itself is the untouched differential operator i d/dp_k and is not
+representable as a matrix, so only the drift plus oscillation is returned.
+The (i/2)(...)H^-1 ordering is the one the Heisenberg integral produces;
+orderings differ only in the sign of energy-off-diagonal elements and
+coincide on each energy eigenspace.
+
+For the Dirac velocity alpha_k and the scalar-sector one, O_+ = p_k H^-1:
+the velocity obeys dv/dt = 2i(p_k - v H), and it trembles at 2 eps.  In
+the block-diagonal (Foldy-Wouthuysen) representation H = beta eps and the
+velocity beta p_k / eps, both catalogue rows of phase_ops, are diagonal:
+[H, O] is exactly zero, so O_- is zero and the velocity is a constant of
+the motion.  The oscillation is a feature of the Dirac (and
+Feshbach-Villars) position operators, not of the mean position operator.
+The product H [H, O] rounds at u ||H||^2 ||O|| / eps^2 (u the unit
+roundoff): u ||O|| for the Dirac H, but about (|p|/m)^2 times that for the
+non-normal scalar-sector H, whose entries reach p^2 / (2m).
 
 Since e^{-2iHt} = cos(2 eps t) + sin(2 eps t) K with K = -i H / eps, both
 series are linear in the four functions (t, cos 2 eps t, sin 2 eps t, 1):
@@ -22,10 +35,6 @@ each is basis(t) @ C, with a (T, 4) real basis over the T sample times and
 a (4, d, d) stack C of time-independent coefficient matrices.  The record
 stores only these; a reader expands the (T, d, d) stacks, or the (T,)
 series of one matrix element, on demand with one small product.
-
-In the block-diagonal representation the velocity is p_k / H, a constant
-of the motion: the oscillation is a feature of the Dirac (and
-Feshbach-Villars) position operators, not of the mean position operator.
 """
 
 from __future__ import annotations
@@ -36,14 +45,7 @@ import numpy as np
 
 from .dirac import (GAMMA, dirac_hamiltonian, energy, free_phases,
                     fv_hamiltonian_matrix, fv_velocity_matrix)
-
-
-def fw_velocity(p, m: float, component: int) -> np.ndarray:
-    """beta p_k / eps: commutes with the Hamiltonian, no trembling."""
-    p = np.asarray(p, dtype=float)
-    if m == 0 and np.linalg.norm(p) == 0:
-        raise ValueError("velocity undefined at m = 0, p = 0")
-    return GAMMA.beta * (p[component] / energy(p, m))
+from .phase_ops import OperatorFamily, build_operator, snapshot
 
 
 def _expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -85,28 +87,31 @@ class EvolutionRecord:
 def record_evolution(p, m: float, times, component: int,
                      particle: str = "dirac") -> EvolutionRecord:
     """Closed-form velocity/position record for one momentum and component
-    of the free Dirac ("dirac") or two-component scalar ("fv") particle over
-    the 1-D array of times; the position excludes r(0)."""
+    of the free Dirac ("dirac"), two-component scalar ("fv") or
+    Foldy-Wouthuysen ("fw") particle over the 1-D array of times; the
+    position excludes r(0)."""
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
         H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
     elif particle == "fv":
         H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
+    elif particle == "fw":
+        H = snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, m), p).A
+        v0 = snapshot(build_operator(OperatorFamily.FW_VELOCITY, m, component + 1), p).A
     else:
         raise ValueError(f"unknown particle kind {particle!r}")
-    eps, pk = energy(p, m), p[component]
-    h_inv = H / (eps * eps)
-    drift = pk * h_inv
-    amp = v0 - drift
-    osc = 0.5j * amp @ h_inv
+    eps = energy(p, m)
+    odd = H @ (H @ v0 - v0 @ H) / (2 * eps * eps)     # O_-, anticommutes with H
+    even = v0 - odd                                   # O_+, commutes with H
+    osc = 0.5j * odd @ H / (eps * eps)                # (i/2) O_- H^-1
     K = -1j * H / eps
     cos, sin = free_phases(eps, 2 * times)
     basis = np.stack((times, cos, sin, np.ones_like(times)), axis=-1)
-    # v = amp e^{-2iHt} + drift,  r = t drift + osc (e^{-2iHt} - 1)
+    # v = O_- e^{-2iHt} + O_+,  r = t O_+ + osc (e^{-2iHt} - 1)
     return EvolutionRecord(basis,
-                           velocity_coeffs=np.stack((np.zeros_like(amp), amp, amp @ K, drift)),
-                           position_coeffs=np.stack((drift, osc, osc @ K, -osc)))
+                           velocity_coeffs=np.stack((np.zeros_like(odd), odd, odd @ K, even)),
+                           position_coeffs=np.stack((even, osc, osc @ K, -osc)))
 
 
 def dominant_frequency(times, values) -> float:

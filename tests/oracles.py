@@ -13,8 +13,7 @@ import numpy as np
 
 from fwbench.algebra import ClassicalState
 from fwbench.dirac import (GAMMA, I4, PAULI, dirac_hamiltonian, energy, free_propagator,
-                           fv_hamiltonian_matrix, fv_velocity_matrix, fw_unitary_matrix,
-                           stacked_energy)
+                           fv_hamiltonian_matrix, fv_velocity_matrix, fw_unitary_matrix)
 from fwbench.eriksen import BlockedHamiltonian
 from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
@@ -98,7 +97,7 @@ def _fw_free_operator(m: float, inverse: bool) -> PhaseSpaceOperator:
 
     def A(p):
         # U = num * s with s = 1/sqrt(2 eps (eps+m)): d_k U = (d_k num) s + U d_k log(s)
-        e = stacked_energy(p, m)[..., None, :, :]
+        e = energy(p, m)[..., None, None, None]
         s = 1.0 / np.sqrt(2 * e * (e + m))
         pk = p[..., :, None, None]
         dlog_s = -(pk * (2 * e + m) / e) / (2 * e * (e + m))
@@ -405,18 +404,19 @@ def spectrum_drift(rec: EvolutionRecord) -> float:
 
 def stacked_record(p, m: float, times, component: int, particle: str) -> tuple:
     """(velocity, position) as (T, d, d) stacks, from one propagator
-    P = exp(-2iHt) per sample time: amp P + drift and
-    p_k t H^-1 + (i/2) amp H^-1 (P - I), with drift = p_k H^-1 and
-    amp = v(0) - drift."""
+    P = exp(-2iHt) per sample time: odd P + even and
+    even t + (i/2) odd H^-1 (P - I), with v(0) split as the record splits it,
+    odd = H [H, v(0)] / (2 eps^2) and even = v(0) - odd.  It checks the
+    record's expansion in (t, cos, sin, 1); the split itself is checked
+    against p_k H^-1 and against expm."""
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
         H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
     else:
         H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
-    eps, pk, t = energy(p, m), p[component], np.asarray(times, dtype=float)[:, None, None]
-    h_inv = H / (eps * eps)
-    drift = pk * h_inv
+    eps, t = energy(p, m), np.asarray(times, dtype=float)[:, None, None]
+    odd = H @ (H @ v0 - v0 @ H) / (2 * eps * eps)
+    even = v0 - odd
     prop = free_propagator(H, eps, 2 * t)
-    amp = v0 - drift
-    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
-    return amp @ prop + drift, pk * t * h_inv + osc
+    osc = 0.5j * odd @ H / (eps * eps) @ (prop - np.eye(H.shape[0]))
+    return odd @ prop + even, even * t + osc

@@ -274,15 +274,22 @@ def test_zitter_fw_constant(tmp_path, capsys):
     assert "constant" in capsys.readouterr().err
 
 
-def test_zitter_fw_variation_column_is_measured(tmp_path, capsys):
-    # the column holds ||v(t) - v|| at every sample time, and stderr its maximum
+def test_zitter_fw_prints_the_standard_series(tmp_path, capsys):
+    # the FW velocity commutes with H: element (0, 0) is p / eps at every
+    # time and the position drifts as t p / eps, at the defaults and over
+    # masses and momenta far on both sides of |p| ~ m
     out = tmp_path / "fw.csv"
     assert run(["zitter", "--particle", "fw", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "velocity constant; no trembling to extract a frequency from\n"
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert rows.shape == (4000, 2)
-    assert rows[0, 1] == 0.0
-    stated = re.search(r"max numeric variation (\S+)", capsys.readouterr().err).group(1)
-    assert f"{rows[:, 1].max():.3e}" == stated
+    assert rows.shape == (4000, 5)
+    assert np.all(rows[:, 1] == rows[0, 1]) and rows[0, 1] == pytest.approx(2 ** -0.5, rel=1e-15)
+    assert not np.any(rows[:, [2, 4]])
+    np.testing.assert_allclose(rows[:, 3], rows[:, 0] * rows[0, 1], rtol=1e-15, atol=0)
+    for m in ("1e-3", "0.3", "1", "1e3"):
+        for p in ("1e-3", "0.1", "2.7", "1e4"):
+            assert run(["zitter", "--particle", "fw", "--m", m, "--p", p, "--steps", "50"]) == 0
+            assert capsys.readouterr().err.startswith("velocity constant; no trembling"), (m, p)
 
 
 def test_zitter_fv_at_rest_has_no_trembling(tmp_path, capsys):
@@ -415,11 +422,9 @@ def _rescaled_picture(to_picture):
      "frequency_relative_error", "extracted frequency "),
     (["zitter", "--particle", "fv"], zitter, "dominant_frequency",
      lambda f: _shifted(f, 1 + 1e-3), "frequency_relative_error", "extracted frequency "),
-    (["zitter", "--particle", "fw", "--steps", "50"], cli, "free_propagator",
-     lambda f: _shifted(f, 1 + 1e-6), "velocity_variation", "velocity constant; "),
     (["packet"], wavepacket, "to_picture", _rescaled_picture, "normalization_dirac",
      "normalization fw = "),
-], ids=["precess", "zitter-dirac", "zitter-fv", "zitter-fw", "packet"])
+], ids=["precess", "zitter-dirac", "zitter-fv", "packet"])
 def test_failed_check_is_named_on_stderr(argv, module, name, wrap, check, info,
                                          monkeypatch, capsys):
     # a passing run writes its one informational line; a failing run keeps it
@@ -434,6 +439,29 @@ def test_failed_check_is_named_on_stderr(argv, module, name, wrap, check, info,
     info_line, failed = err.splitlines()
     assert info_line.startswith(info)
     assert failed.startswith(f"failed checks: {check} ") and "(bound " in failed
+
+
+@pytest.mark.parametrize("argv, stdout_argv", [
+    (["verify-algebra", "--samples", "3"], None),
+    (["verify-algebra", "--samples", "3", "--format", "csv"], None),
+    (["verify-algebra", "--samples", "3", "--format", "pretty-table"], None),
+    (["eriksen", "--n", "16"], None),
+    (["precess", "--steps", "5"], None),
+    (["zitter", "--steps", "400"], None),
+    (["packet"], None),
+    # pce --out writes JSON by design
+    (["pce"], ["pce", "--format", "json"]),
+], ids=["verify-algebra-json", "verify-algebra-csv", "verify-algebra-table", "eriksen",
+        "precess", "zitter", "packet", "pce"])
+def test_out_file_holds_the_bytes_of_stdout(argv, stdout_argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    on_file = capsys.readouterr()
+    assert on_file.out == ""
+    assert run(stdout_argv or argv) == 0
+    on_stdout = capsys.readouterr()
+    assert out.read_bytes() == on_stdout.out.encode()
+    assert on_file.err == on_stdout.err
 
 
 def test_eriksen_huge_box_exits_1_without_traceback(capsys):

@@ -11,9 +11,9 @@ from fwbench.dirac import (
     dirac_hamiltonian,
     energy,
     free_propagator,
-    fw_hamiltonian,
     fw_unitary_matrix,
 )
+from fwbench.phase_ops import OperatorFamily, build_operator, snapshot
 
 I4 = np.eye(4)
 
@@ -62,6 +62,20 @@ def test_energy_values():
     assert energy((1.0, 2.0, 2.0), 0.0) == pytest.approx(3.0, abs=1e-15)
     with pytest.raises(ValueError):
         energy((1.0, 0.0, 0.0), -1.0)
+
+
+def test_energy_of_points_stacks_and_odd_block_values():
+    # one function for a single momentum, a stack of them and the 1-D grid
+    # momenta of the eriksen odd block, bit for bit the forms it replaced:
+    # sqrt(m^2 + p @ p) per point and sqrt(m^2 + p * p) per grid value
+    rng = np.random.default_rng(11)
+    for m in (0.0, 1e-3, 1.0, 1e3):
+        ps = rng.standard_normal((200, 3)) * np.exp(rng.uniform(-5, 5, (200, 1)))
+        stacked = energy(ps, m)
+        assert stacked.shape == (200,)
+        assert np.array_equal(stacked, [np.sqrt(m * m + p @ p) for p in ps])
+        assert all(energy(p, m) == e for p, e in zip(ps, stacked))
+        assert np.array_equal(energy(ps[:, :1], m), np.sqrt(m * m + ps[:, 0] * ps[:, 0]))
 
 
 @given(st.integers(min_value=0, max_value=10**6),
@@ -114,8 +128,13 @@ def test_free_propagator_matches_spectral_exponential(m):
 
 
 def test_fw_hamiltonian_is_beta_energy():
-    p = np.array([1.0, -2.0, 0.5])
-    assert np.allclose(fw_hamiltonian(p, 2.0), energy(p, 2.0) * GAMMA.beta)
+    # the catalogue row, at one momentum and over a stack, is beta eps
+    ps = np.random.default_rng(4).uniform(-3, 3, (20, 3))
+    for m in (0.5, 2.0):
+        h = snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, m), ps).A
+        assert np.array_equal(h, energy(ps, m)[:, None, None] * GAMMA.beta)
+        assert np.array_equal(snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, m),
+                                       ps[0]).A, h[0])
 
 
 def test_gamma_set_immutable():

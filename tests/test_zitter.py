@@ -16,7 +16,8 @@ from fwbench.dirac import (
     fv_velocity_matrix,
 )
 from fwbench.cli import main
-from fwbench.zitter import dominant_frequency, fw_velocity, record_evolution
+from fwbench.phase_ops import DomainError, OperatorFamily, build_operator, snapshot
+from fwbench.zitter import dominant_frequency, record_evolution
 from oracles import spectrum_drift, stacked_record
 
 ZITTER_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "zitter_sweep.py"
@@ -167,22 +168,72 @@ def test_fv_requires_positive_mass():
         fv_hamiltonian_matrix(np.ones(3), 0.0)
 
 
+# masses and momenta along z from deep inside to far outside |p| ~ m, and
+# (0.3, 2.7), where v - p_k H / eps^2 leaves a 1-ulp residue of the FW velocity
+SPLIT_LADDER = [(m, pz) for m in (1e-3, 1.0, 1e3) for pz in (1e-3, 0.1, 2.7, 1e4)] + [(0.3, 2.7)]
+
+
+def _fw_row(family, m, p, component=None):
+    return snapshot(build_operator(family, m, component), p).A
+
+
 def test_fw_velocity_values():
-    assert np.allclose(fw_velocity(np.array([3.0, 0, 0]), 4.0, 0),
+    # the catalogue rows are beta eps and beta p_c / eps bit for bit, with
+    # eps = sqrt(m^2 + p.p) formed here
+    for m, pz in SPLIT_LADDER:
+        p = np.array([0.0, 0.0, pz])
+        eps = np.sqrt(m * m + p @ p)
+        assert np.array_equal(_fw_row(OperatorFamily.FW_HAMILTONIAN, m, p), GAMMA.beta * eps)
+        for c in range(3):
+            assert np.array_equal(_fw_row(OperatorFamily.FW_VELOCITY, m, p, c + 1),
+                                  GAMMA.beta * p[c] / eps), (m, pz, c)
+    assert np.allclose(_fw_row(OperatorFamily.FW_VELOCITY, 4.0, np.array([3.0, 0, 0]), 1),
                        0.6 * GAMMA.beta)
-    assert np.linalg.norm(fw_velocity(np.zeros(3), 1.0, 1)) == 0.0
-    with pytest.raises(ValueError):
-        fw_velocity(np.zeros(3), 0.0, 0)
+    assert np.linalg.norm(_fw_row(OperatorFamily.FW_VELOCITY, 1.0, np.zeros(3), 2)) == 0.0
+    with pytest.raises(DomainError):
+        _fw_row(OperatorFamily.FW_VELOCITY, 0.0, np.zeros(3), 1)
 
 
 def test_fw_velocity_is_constant_of_motion(heisenberg_oracle):
-    p = np.array([1.0, 2.0, -0.3])
-    m = 1.0
-    h = energy(p, m) * GAMMA.beta
-    v = fw_velocity(p, m, 2)
-    assert np.linalg.norm(h @ v - v @ h) == 0.0
+    # both FW matrices are diagonal, so [H, v] and the anticommuting part
+    # O_- = H [H, v] / (2 eps^2) are exactly zero, and the record holds v(0)
+    # at every time
+    times = np.linspace(0.0, 50.0, 7)
+    for m, pz in SPLIT_LADDER:
+        p = np.array([0.0, 0.0, pz])
+        for c in range(3):
+            rec = record_evolution(p, m, times, c, "fw")
+            v0 = _fw_row(OperatorFamily.FW_VELOCITY, m, p, c + 1)
+            assert not np.any(rec.velocity_coeffs[:3]) and not np.any(rec.position_coeffs[1:])
+            assert np.array_equal(rec.velocity, np.broadcast_to(v0, (7, 4, 4)))
+    # the Dirac-form split v - p_k H / eps^2 does not cancel here
+    m, p = 0.3, np.array([0.0, 0.0, 2.7])
+    h = _fw_row(OperatorFamily.FW_HAMILTONIAN, m, p)
+    v = _fw_row(OperatorFamily.FW_VELOCITY, m, p, 3)
+    eps = energy(p, m)
+    assert np.any(v - p[2] * h / (eps * eps))
     for t in (0.5, 7.0, 50.0):
         assert np.linalg.norm(heisenberg_oracle(h, v, t) - v) <= 1e-12
+
+
+@pytest.mark.parametrize("particle", ["dirac", "fv"])
+def test_commuting_part_of_the_velocity_is_p_over_h(particle):
+    # for the Dirac and scalar-sector velocity, O_+ = O - O_- is p_k H^-1
+    # ({H, v} = 2 p_k).  The split rounds at u ||H||^2 ||v|| / eps^2 (the
+    # product H [H, v]), which is u ||v|| for the Dirac H and grows as
+    # (|p|/m)^2 for the non-normal scalar-sector H: measured worst 0.37 and
+    # 0.43 of that scale.  Dropping the leading H in O_- gives about 1e17.
+    ham = {"dirac": dirac_hamiltonian, "fv": fv_hamiltonian_matrix}[particle]
+    moments = [(m, np.array([0.0, 0.0, pz])) for m, pz in SPLIT_LADDER]
+    moments += [(m, RNG.uniform(-4, 4, 3)) for m in (0.5, 1.0, 4.0) for _ in range(5)]
+    u = np.finfo(float).eps
+    for m, p in moments:
+        H, eps = ham(p, m), energy(p, m)
+        for c in range(3):
+            v0 = GAMMA.alpha[c] if particle == "dirac" else fv_velocity_matrix(p, m, c)
+            even = record_evolution(p, m, [0.0], c, particle).velocity_coeffs[3]
+            bound = u * np.linalg.norm(H) ** 2 * np.linalg.norm(v0) / eps ** 2
+            assert np.linalg.norm(even - p[c] * H / eps ** 2) <= bound, (m, p, c)
 
 
 @pytest.mark.parametrize("particle,elem", [("dirac", (0, 2)), ("fv", (0, 1))])
@@ -278,7 +329,7 @@ def test_zitter_sweep_script(tmp_path, monkeypatch):
 
 def test_record_rejects_unknown_particle():
     with pytest.raises(ValueError, match="particle"):
-        record_evolution(np.ones(3), 1.0, [0.0, 1.0], 0, "fw")
+        record_evolution(np.ones(3), 1.0, [0.0, 1.0], 0, "scalar")
 
 
 def test_structural_identity_between_dirac_and_fv_records():
