@@ -18,16 +18,17 @@ The (i/2)(...)H^-1 ordering is the one the Heisenberg integral produces;
 orderings differ only in the sign of energy-off-diagonal elements and
 coincide on each energy eigenspace.
 
-For the Dirac velocity alpha_k and the scalar-sector one, O_+ = p_k H^-1:
-the velocity obeys dv/dt = 2i(p_k - v H), and it trembles at 2 eps.  In
-the block-diagonal (Foldy-Wouthuysen) representation H = beta eps and the
-velocity beta p_k / eps, both catalogue rows of phase_ops, are diagonal:
-[H, O] is exactly zero, so O_- is zero and the velocity is a constant of
-the motion.  The oscillation is a feature of the Dirac (and
+For a velocity, {H, v} = 2 p_k gives O_+ = p_k H^-1 with no product by
+H, and the record uses it whenever [H, v] is nonzero: the Dirac velocity
+alpha_k and the scalar-sector one obey dv/dt = 2i(p_k - v H) and tremble
+at 2 eps.  (H [H, v] would round at u ||H||^2 ||v|| / eps^2, about
+(|p|/m)^2 times u ||v|| for the non-normal scalar-sector H, whose entries
+reach p^2 / (2m).)  In the block-diagonal (Foldy-Wouthuysen)
+representation H = beta eps and the velocity beta p_k / eps, both
+catalogue rows of phase_ops, are diagonal: [H, v] is exactly zero, so O_-
+is zero, where v - p_k H^-1 would leave one ulp, and the velocity is a
+constant of the motion.  The oscillation is a feature of the Dirac (and
 Feshbach-Villars) position operators, not of the mean position operator.
-The product H [H, O] rounds at u ||H||^2 ||O|| / eps^2 (u the unit
-roundoff): u ||O|| for the Dirac H, but about (|p|/m)^2 times that for the
-non-normal scalar-sector H, whose entries reach p^2 / (2m).
 
 Since e^{-2iHt} = cos(2 eps t) + sin(2 eps t) K with K = -i H / eps, both
 series are linear in the four functions (t, cos 2 eps t, sin 2 eps t, 1):
@@ -101,10 +102,14 @@ def record_evolution(p, m: float, times, component: int,
         v0 = snapshot(build_operator(OperatorFamily.FW_VELOCITY, m, component + 1), p).A
     else:
         raise ValueError(f"unknown particle kind {particle!r}")
-    eps = energy(p, m)
-    odd = H @ (H @ v0 - v0 @ H) / (2 * eps * eps)     # O_-, anticommutes with H
-    even = v0 - odd                                   # O_+, commutes with H
-    osc = 0.5j * odd @ H / (eps * eps)                # (i/2) O_- H^-1
+    eps, pk = energy(p, m), p[component]
+    h_inv = H / (eps * eps)
+    if np.any(H @ v0 - v0 @ H):
+        even = pk * h_inv                             # O_+ = p_k H^-1
+        odd = v0 - even                               # O_-, anticommutes with H
+    else:
+        even, odd = v0, np.zeros_like(v0)
+    osc = 0.5j * odd @ h_inv                          # (i/2) O_- H^-1
     K = -1j * H / eps
     cos, sin = free_phases(eps, 2 * times)
     basis = np.stack((times, cos, sin, np.ones_like(times)), axis=-1)

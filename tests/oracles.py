@@ -404,19 +404,18 @@ def spectrum_drift(rec: EvolutionRecord) -> float:
 
 def stacked_record(p, m: float, times, component: int, particle: str) -> tuple:
     """(velocity, position) as (T, d, d) stacks, from one propagator
-    P = exp(-2iHt) per sample time: odd P + even and
-    even t + (i/2) odd H^-1 (P - I), with v(0) split as the record splits it,
-    odd = H [H, v(0)] / (2 eps^2) and even = v(0) - odd.  It checks the
-    record's expansion in (t, cos, sin, 1); the split itself is checked
-    against p_k H^-1 and against expm."""
+    P = exp(-2iHt) per sample time: amp P + drift and
+    p_k t H^-1 + (i/2) amp H^-1 (P - I), with drift = p_k H^-1 and
+    amp = v(0) - drift."""
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
         H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
     else:
         H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
-    eps, t = energy(p, m), np.asarray(times, dtype=float)[:, None, None]
-    odd = H @ (H @ v0 - v0 @ H) / (2 * eps * eps)
-    even = v0 - odd
+    eps, pk, t = energy(p, m), p[component], np.asarray(times, dtype=float)[:, None, None]
+    h_inv = H / (eps * eps)
+    drift = pk * h_inv
     prop = free_propagator(H, eps, 2 * t)
-    osc = 0.5j * odd @ H / (eps * eps) @ (prop - np.eye(H.shape[0]))
-    return odd @ prop + even, even * t + osc
+    amp = v0 - drift
+    osc = 0.5j * amp @ h_inv @ (prop - np.eye(H.shape[0]))
+    return amp @ prop + drift, pk * t * h_inv + osc

@@ -206,34 +206,31 @@ def test_fw_velocity_is_constant_of_motion(heisenberg_oracle):
             v0 = _fw_row(OperatorFamily.FW_VELOCITY, m, p, c + 1)
             assert not np.any(rec.velocity_coeffs[:3]) and not np.any(rec.position_coeffs[1:])
             assert np.array_equal(rec.velocity, np.broadcast_to(v0, (7, 4, 4)))
-    # the Dirac-form split v - p_k H / eps^2 does not cancel here
     m, p = 0.3, np.array([0.0, 0.0, 2.7])
     h = _fw_row(OperatorFamily.FW_HAMILTONIAN, m, p)
     v = _fw_row(OperatorFamily.FW_VELOCITY, m, p, 3)
-    eps = energy(p, m)
-    assert np.any(v - p[2] * h / (eps * eps))
     for t in (0.5, 7.0, 50.0):
         assert np.linalg.norm(heisenberg_oracle(h, v, t) - v) <= 1e-12
 
 
 @pytest.mark.parametrize("particle", ["dirac", "fv"])
 def test_commuting_part_of_the_velocity_is_p_over_h(particle):
-    # for the Dirac and scalar-sector velocity, O_+ = O - O_- is p_k H^-1
-    # ({H, v} = 2 p_k).  The split rounds at u ||H||^2 ||v|| / eps^2 (the
-    # product H [H, v]), which is u ||v|| for the Dirac H and grows as
-    # (|p|/m)^2 for the non-normal scalar-sector H: measured worst 0.37 and
-    # 0.43 of that scale.  Dropping the leading H in O_- gives about 1e17.
+    # {H, v} = 2 p_k, so for the Dirac and scalar-sector velocity
+    # O_+ = p_k H^-1, here with H^-1 = H / (m^2 + p.p), and O_- = v - O_+.
+    # The bound is relative to p_k H^-1: 1e-14 ||H^-1|| alone is below one
+    # ulp of O_+ once |p_k| > 45.  Splitting by H [H, v] / (2 eps^2) instead
+    # misses by 1e-3 of it for the scalar-sector H at m = 1e-3, p = 1e4.
     ham = {"dirac": dirac_hamiltonian, "fv": fv_hamiltonian_matrix}[particle]
     moments = [(m, np.array([0.0, 0.0, pz])) for m, pz in SPLIT_LADDER]
     moments += [(m, RNG.uniform(-4, 4, 3)) for m in (0.5, 1.0, 4.0) for _ in range(5)]
-    u = np.finfo(float).eps
     for m, p in moments:
-        H, eps = ham(p, m), energy(p, m)
+        h_inv = ham(p, m) / (m * m + p @ p)
         for c in range(3):
             v0 = GAMMA.alpha[c] if particle == "dirac" else fv_velocity_matrix(p, m, c)
-            even = record_evolution(p, m, [0.0], c, particle).velocity_coeffs[3]
-            bound = u * np.linalg.norm(H) ** 2 * np.linalg.norm(v0) / eps ** 2
-            assert np.linalg.norm(even - p[c] * H / eps ** 2) <= bound, (m, p, c)
+            coeffs = record_evolution(p, m, [0.0], c, particle).velocity_coeffs
+            exact = p[c] * h_inv
+            assert np.linalg.norm(coeffs[3] - exact) <= 1e-14 * np.linalg.norm(exact)
+            assert np.array_equal(coeffs[1], v0 - coeffs[3]), (m, p, c)
 
 
 @pytest.mark.parametrize("particle,elem", [("dirac", (0, 2)), ("fv", (0, 1))])
