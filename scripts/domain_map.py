@@ -5,8 +5,9 @@ Every cell is one fwbench command at one mass of MASSES, at its other
 defaults, run in this process through fwbench.cli.main with stdout
 discarded.  The CSV has one row per cell: the command, its arguments, the
 exit status, and the failed checks read from stderr, joined by "; ": the
-names on the `failed checks:` line, the identities of verify-algebra's
-`unexpected outcomes` list, or the text of an `error:` line.  The ledger
+names on the `failed checks:` line, the `set: identity` entries of
+verify-algebra's `unexpected outcomes` list, or the text of an `error:`
+line.  The ledger
 scripts/domain_ledger.csv lists the cells that exit 1 on correct physics,
 each with the ROADMAP item that owns it.
 

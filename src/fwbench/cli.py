@@ -162,7 +162,7 @@ def cmd_verify_algebra(args) -> tuple:
         else:
             reports.extend(algebra.run_quantum_suite(
                 name, args.mass, args.samples, seed=args.seed))
-    bad = [r.identity_id for r in reports if r.verdict != "pass"]
+    bad = [f"{r.set_name}: {r.identity_id}" for r in reports if r.verdict != "pass"]
     return (_RENDER[args.format](reports),
             f"unexpected outcomes: {bad}\n" if bad else "", not bad)
 
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     zi.add_argument("--m", dest="mass", type=_positive_mass, default=1.0)
     zi.add_argument("--t-max", type=_positive, default=10.0)
     zi.add_argument("--steps", type=_int_at_least(2), default=4000)
-    zi.add_argument("--particle", default="dirac", choices=("dirac", "fv", "fw"))
+    zi.add_argument("--particle", default="dirac", choices=tuple(zt.HAMILTONIANS))
 
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
     pa.add_argument("--p0", type=_finite, default=2.0)

@@ -11,11 +11,13 @@ All entries are exact elements of {0, +-1, +-i}.
 
 The free-particle closed forms live here once each: the energy
 eps = sqrt(m^2 + |p|^2) (energy, for one momentum, a stack of them, or the
-1-D grid momenta of the eriksen odd block), the Dirac and scalar-sector
-Hamiltonians and velocities, the block-diagonalizing unitary, and
-exp(-iHt) for H^2 = eps^2.  The block-diagonal (Foldy-Wouthuysen)
-Hamiltonian beta eps and velocity beta p_k / eps are rows of the
-phase_ops catalogue, FW_HAMILTONIAN and FW_VELOCITY.
+1-D grid momenta of the eriksen odd block), the Dirac matrix
+beta m + alpha . p, the block-diagonalizing unitary, and exp(-iHt) for
+H^2 = eps^2.  The Hamiltonians the program evolves under, and their
+velocities, are rows of the phase_ops catalogue: DIRAC_HAMILTONIAN (this
+Dirac matrix, with gradient alpha_k), FV_HAMILTONIAN for the two-component
+scalar sector and FW_HAMILTONIAN, beta eps, for the block-diagonal
+(Foldy-Wouthuysen) representation.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ def check_positive_mass(m: float) -> float:
 # three products for a single momentum or a stack of them in one call
 _ALPHA_ROWS = np.stack(GAMMA.alpha).reshape(3, 16)
 _GAMMA_ROWS = np.stack(GAMMA.gamma).reshape(3, 16)
-_RHO2, _RHO3 = PAULI[1], PAULI[2]
 
 
 def dirac_hamiltonian(p, m: float) -> np.ndarray:
@@ -97,34 +98,14 @@ def dirac_hamiltonian(p, m: float) -> np.ndarray:
     return m * GAMMA.beta + (p @ _ALPHA_ROWS).reshape(p.shape[:-1] + (4, 4))
 
 
-def _p_squared(p: np.ndarray) -> np.ndarray:
-    """|p|^2 at momenta (..., d) as shape (..., 1, 1); bit-identical to p @ p."""
-    return p[..., None, :] @ p[..., :, None]
-
-
 def energy(p, m: float):
     """Relativistic energy sqrt(m^2 + |p|^2) of a free particle at momenta
     of shape (..., d), as shape (...): a number for one momentum.  Indexed
-    [..., None, None], it scales a stack of matrices point by point."""
+    [..., None, None], it scales a stack of matrices point by point.  |p|^2
+    is a (1, d) @ (d, 1) product per momentum, bit-identical to p @ p."""
     check_mass(m)
-    return np.sqrt(m * m + _p_squared(np.asarray(p, dtype=float))[..., 0, 0])
-
-
-def fv_hamiltonian_matrix(p, m: float) -> np.ndarray:
-    """Two-component scalar-sector Hamiltonian rho_3 m + (rho_3 + i rho_2) p^2/(2m)
-    at momenta (..., 3)."""
-    if m <= 0:
-        raise ValueError("two-component scalar-sector form requires m > 0")
     p = np.asarray(p, dtype=float)
-    return _RHO3 * m + (_RHO3 + 1j * _RHO2) * _p_squared(p) / (2 * m)
-
-
-def fv_velocity_matrix(p, m: float, component: int) -> np.ndarray:
-    """Scalar-sector velocity (rho_3 + i rho_2) p_k / m at momenta (..., 3)."""
-    if m <= 0:
-        raise ValueError("two-component scalar-sector form requires m > 0")
-    p = np.asarray(p, dtype=float)
-    return (_RHO3 + 1j * _RHO2) * p[..., component, None, None] / m
+    return np.sqrt(m * m + (p[..., None, :] @ p[..., :, None])[..., 0, 0])
 
 
 def fw_weights(eps, m: float) -> tuple:

@@ -18,11 +18,16 @@ tests/test_phase_ops.py checks that the dropped part vanishes.
 
 The catalogue is one table: each OperatorFamily member is one Family row
 (multiplicative part, derivative part, vector, massive_only,
-singular_at_rest), and Family.build holds the domain rules.  It holds the
-families the quantum sets read: the FW-representation position, spin, OAM
-and boost of each set, the two Hamiltonians and their velocities, the
-momentum and the naive boost; a set's total angular momentum is the sum of
-its OAM and spin operators.  The Dirac-representation forms
+singular_at_rest, dim), and Family.build holds the domain rules.  It holds
+the families the program reads: those of the quantum sets (the
+FW-representation position, spin, OAM and boost of each set, the Dirac and
+FW Hamiltonians and their velocities, the momentum and the naive boost; a
+set's total angular momentum is the sum of its OAM and spin operators),
+and the 2 x 2 Hamiltonian FV_HAMILTONIAN of the two-component scalar
+(Feshbach-Villars) sector.  zitter reads each particle's Hamiltonian row
+and takes the velocity as its exact gradient d H / d p_k, which for the
+Dirac and FW rows is the velocity row bit for bit; wavepacket evolves
+under the Hamiltonian row of each picture.  The Dirac-representation forms
 U^-1 (FW family) U are covariance oracles, rows of tests/oracles.py built
 through the same Family.build.
 
@@ -46,7 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import GAMMA, I4, dirac_hamiltonian, energy
+from .dirac import GAMMA, I4, PAULI, dirac_hamiltonian, energy
 
 FD_REL_STEP = 1e-5
 MASSLESS_MIN_P = 1e-6
@@ -234,6 +239,7 @@ _SIGMA = np.stack(GAMMA.Sigma)
 _ALPHA = np.stack(GAMMA.alpha)
 _BETA = GAMMA.beta
 _IEYE = 1j * I4
+_RHO_PLUS = PAULI[2] + 1j * PAULI[1]    # rho_3 + i rho_2
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +252,8 @@ class Family:
     derivative part (B_1, B_2, B_3); None means there is none.  A
     massive_only family carries a 1/m rest-frame factor and rejects m = 0;
     a singular_at_rest one carries 1/eps, 1/(eps+m) or, at m = 0, 1/|p|^2,
-    so at m = 0 it rejects |p| < MASSLESS_MIN_P.
+    so at m = 0 it rejects |p| < MASSLESS_MIN_P.  dim is the coefficients'
+    matrix size: 4, or 2 for the two-component scalar sector.
     """
 
     name: str
@@ -329,8 +336,14 @@ class OperatorFamily(Enum):
                                vector=False)
     FW_HAMILTONIAN = Family("fw_hamiltonian", lambda p, P, e, m, c: e * _BETA,
                             vector=False, singular_at_rest=True)
-    # the velocities -i [q_c, H] under each Hamiltonian
-    FW_VELOCITY = Family("fw_velocity", lambda p, P, e, m, c: _BETA * P[c] / e,
+    # the two-component scalar sector: rho_3 m + (rho_3 + i rho_2) p^2/(2m)
+    FV_HAMILTONIAN = Family("fv_hamiltonian", lambda p, P, e, m, c: (
+        m * PAULI[2] + _RHO_PLUS * p_dot(P, P) / (2 * m)),
+        vector=False, massive_only=True, dim=2)
+    # the velocities -i [q_c, H] = d H / d p_c under each Hamiltonian; p_c / eps
+    # is divided first, as in the gradient of beta eps, so the row is that
+    # gradient bit for bit
+    FW_VELOCITY = Family("fw_velocity", lambda p, P, e, m, c: _BETA * (P[c] / e),
                          singular_at_rest=True)
     DIRAC_VELOCITY = Family("dirac_velocity", lambda p, P, e, m, c: _ALPHA[c])
     MOMENTUM = Family("momentum", lambda p, P, e, m, c: P[c] * I4)

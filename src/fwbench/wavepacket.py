@@ -13,9 +13,9 @@ Wave functions in the two pictures are related nodewise by the free
 unitary U(p) = (eps + m + gamma_3 p)/sqrt(2 eps (eps+m)); expectation
 values of an *untransformed* operator therefore depend on the picture the
 averaging is done in, and the difference is the picture change error.
-Free evolution applies exp(-iHt) nodewise, with H the catalogue's
-FW_HAMILTONIAN beta eps in the fw picture and the Dirac Hamiltonian in the
-dirac one.
+Free evolution applies exp(-iHt) nodewise, with H the picture's catalogue
+row: FW_HAMILTONIAN, beta eps, in the fw picture and DIRAC_HAMILTONIAN in
+the dirac one.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .dirac import (check_positive_mass, dirac_hamiltonian, energy, free_propagator,
-                    fw_unitary_matrix)
+from .dirac import check_positive_mass, energy, free_propagator, fw_unitary_matrix
 from .grids import Grid1D
-from .phase_ops import OperatorFamily, build_operator, snapshot
+from .phase_ops import build_operator, snapshot
 from .spin_dynamics import spinor_from_direction
+from .zitter import HAMILTONIANS
 
 PICTURES = ("fw", "dirac")
 
@@ -129,10 +129,7 @@ def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
 def evolve_free(packet: WavePacket1D, t: float) -> WavePacket1D:
     """Nodewise propagator exp(-i H(p) t) in the packet's own picture."""
     p = _z_momenta(packet.grid)
-    if packet.picture == "fw":
-        H = snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, packet.m), p).A
-    else:
-        H = dirac_hamiltonian(p, packet.m)
+    H = snapshot(build_operator(HAMILTONIANS[packet.picture], packet.m), p).A
     mats = free_propagator(H, energy(p, packet.m)[..., None, None], t)
     return replace(packet, psi=_apply_nodewise(mats, packet.psi))
 

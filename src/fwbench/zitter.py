@@ -18,16 +18,22 @@ The (i/2)(...)H^-1 ordering is the one the Heisenberg integral produces;
 orderings differ only in the sign of energy-off-diagonal elements and
 coincide on each energy eigenspace.
 
+Each particle's H is its Hamiltonian row of the phase_ops catalogue
+(DIRAC_HAMILTONIAN, FV_HAMILTONIAN or FW_HAMILTONIAN), snapshot once at
+p, and its velocity is Hamilton's v_k = -i [r_k, H] = d H / d p_k, the
+row's exact gradient: alpha_k for the Dirac particle,
+(rho_3 + i rho_2) p_k / m for the scalar sector and beta p_k / eps for the
+block-diagonal (Foldy-Wouthuysen) one.
+
 For a velocity, {H, v} = 2 p_k gives O_+ = p_k H^-1 with no product by
 H, and the record uses it whenever [H, v] is nonzero: the Dirac velocity
 alpha_k and the scalar-sector one obey dv/dt = 2i(p_k - v H) and tremble
 at 2 eps.  (H [H, v] would round at u ||H||^2 ||v|| / eps^2, about
 (|p|/m)^2 times u ||v|| for the non-normal scalar-sector H, whose entries
-reach p^2 / (2m).)  In the block-diagonal (Foldy-Wouthuysen)
-representation H = beta eps and the velocity beta p_k / eps, both
-catalogue rows of phase_ops, are diagonal: [H, v] is exactly zero, so O_-
-is zero, where v - p_k H^-1 would leave one ulp, and the velocity is a
-constant of the motion.  The oscillation is a feature of the Dirac (and
+reach p^2 / (2m).)  In the block-diagonal representation H = beta eps and
+v = beta p_k / eps are diagonal: [H, v] is exactly zero, so O_- is zero,
+where v - p_k H^-1 would leave one ulp, and the velocity is a constant of
+the motion.  The oscillation is a feature of the Dirac (and
 Feshbach-Villars) position operators, not of the mean position operator.
 
 Since e^{-2iHt} = cos(2 eps t) + sin(2 eps t) K with K = -i H / eps, both
@@ -44,9 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac import (GAMMA, dirac_hamiltonian, energy, free_phases,
-                    fv_hamiltonian_matrix, fv_velocity_matrix)
+from .dirac import energy, free_phases
 from .phase_ops import OperatorFamily, build_operator, snapshot
+
+# the catalogue's Hamiltonian row of each particle, and of each packet picture
+HAMILTONIANS = {"dirac": OperatorFamily.DIRAC_HAMILTONIAN,
+                "fv": OperatorFamily.FV_HAMILTONIAN,
+                "fw": OperatorFamily.FW_HAMILTONIAN}
 
 
 def _expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -90,18 +100,14 @@ def record_evolution(p, m: float, times, component: int,
     """Closed-form velocity/position record for one momentum and component
     of the free Dirac ("dirac"), two-component scalar ("fv") or
     Foldy-Wouthuysen ("fw") particle over the 1-D array of times; the
-    position excludes r(0)."""
+    position excludes r(0).  H is the particle's catalogue row at p and
+    v(0) = d H / d p_component its exact gradient."""
+    if particle not in HAMILTONIANS:
+        raise ValueError(f"unknown particle kind {particle!r}")
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
-    if particle == "dirac":
-        H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
-    elif particle == "fv":
-        H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
-    elif particle == "fw":
-        H = snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, m), p).A
-        v0 = snapshot(build_operator(OperatorFamily.FW_VELOCITY, m, component + 1), p).A
-    else:
-        raise ValueError(f"unknown particle kind {particle!r}")
+    snap = snapshot(build_operator(HAMILTONIANS[particle], m), p)
+    H, v0 = snap.A, snap.dA[component]
     eps, pk = energy(p, m), p[component]
     h_inv = H / (eps * eps)
     if np.any(H @ v0 - v0 @ H):

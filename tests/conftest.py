@@ -8,10 +8,9 @@ import pytest
 import scipy.linalg
 
 from fwbench.algebra import ClassicalState, classical_observables, poisson_bracket
-from fwbench.dirac import (GAMMA, dirac_hamiltonian, energy, free_propagator,
-                           fv_hamiltonian_matrix)
+from fwbench.dirac import GAMMA, dirac_hamiltonian, energy, free_propagator
 from fwbench.phase_ops import coeff_derivative, cross_c, p_dot
-from oracles import fourier_multiplier
+from oracles import fourier_multiplier, fv_hamiltonian_matrix
 
 
 def positive_energy_density_gap(p0: float, sigma_p: float, m: float,

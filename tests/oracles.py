@@ -3,7 +3,9 @@
 The dense matrix commutator, operator-level commutators and conjugation,
 the free block-diagonalizing unitary as an operator, the catalogue families
 that no suite uses (among them the Dirac-representation forms of the FW
-families, the covariance oracles), the closed-form worldline defects,
+families, the covariance oracles, and the scalar-sector velocity), the
+scalar-sector Hamiltonian and velocity as plain matrices, the closed-form
+worldline defects,
 small packet, spectral and trembling-motion probes, and the grid's momentum
 operator on the nodes.  The
 tests check the program against these; the program itself never calls them.
@@ -13,7 +15,7 @@ import numpy as np
 
 from fwbench.algebra import ClassicalState
 from fwbench.dirac import (GAMMA, I4, PAULI, dirac_hamiltonian, energy, free_propagator,
-                           fv_hamiltonian_matrix, fv_velocity_matrix, fw_unitary_matrix)
+                           fw_unitary_matrix)
 from fwbench.eriksen import BlockedHamiltonian
 from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
@@ -180,11 +182,6 @@ def _projector(sign):
                                   + sign * p_dot(_ALPHA, P) / (2 * e))
 
 
-def _fv_hamiltonian(p, P, e, m, c):
-    # two-component scalar sector: rho_3 m + (rho_3 + i rho_2) p^2/(2m)
-    return m * PAULI[2] + _RHO_PLUS * p_dot(P, P) / (2 * m)
-
-
 # The Dirac-representation forms U^-1 (FW family) U of the product's FW
 # families, which test_dirac_families_are_conjugated_fw_twins checks against
 # the conjugation: the Newton-Wigner position, the mean spin, the boost and
@@ -218,8 +215,7 @@ FAMILIES = {row.name: row for row in (
     Family("spin_prime", _spin_prime, massive_only=True),
     Family("projector_plus", _projector(1.0), vector=False, singular_at_rest=True),
     Family("projector_minus", _projector(-1.0), vector=False, singular_at_rest=True),
-    Family("fv_hamiltonian", _fv_hamiltonian, vector=False, massive_only=True, dim=2),
-    # the velocity (rho_3 + i rho_2) p_k / m
+    # the velocity (rho_3 + i rho_2) p_k / m of the product's FV_HAMILTONIAN
     Family("fv_velocity", lambda p, P, e, m, c: _RHO_PLUS * P[c] / m,
            massive_only=True, dim=2),
     Family("nw_position_dirac", _nw_position, radius_part, singular_at_rest=True),
@@ -235,7 +231,7 @@ FAMILIES = {row.name: row for row in (
     Family("projected_spin_dirac", _projected_spin_dirac, singular_at_rest=True),
 )}
 
-# every catalogue row: the product's 15 and the 16 above
+# every catalogue row: the product's 17 and the 15 above
 ALL_ROWS = (*(family.value for family in OperatorFamily), *FAMILIES.values())
 
 
@@ -249,6 +245,28 @@ def family_operators(m: float) -> list:
     return [row.build(m, c) for row in ALL_ROWS
             for c in ((1, 2, 3) if row.vector else (None,))
             if m > 0 or not row.massive_only]
+
+
+# --- the two-component scalar sector as plain matrices ---------------------------
+#
+# The closed forms the catalogue row FV_HAMILTONIAN and its gradient are
+# checked against, written with a matrix product for |p|^2.
+
+def fv_hamiltonian_matrix(p, m: float) -> np.ndarray:
+    """Two-component scalar-sector Hamiltonian rho_3 m + (rho_3 + i rho_2) p^2/(2m)
+    at momenta (..., 3)."""
+    if m <= 0:
+        raise ValueError("two-component scalar-sector form requires m > 0")
+    p = np.asarray(p, dtype=float)
+    return PAULI[2] * m + _RHO_PLUS * (p[..., None, :] @ p[..., :, None]) / (2 * m)
+
+
+def fv_velocity_matrix(p, m: float, component: int) -> np.ndarray:
+    """Scalar-sector velocity (rho_3 + i rho_2) p_k / m at momenta (..., 3)."""
+    if m <= 0:
+        raise ValueError("two-component scalar-sector form requires m > 0")
+    p = np.asarray(p, dtype=float)
+    return _RHO_PLUS * p[..., component, None, None] / m
 
 
 # --- worldline defects ------------------------------------------------------------

@@ -40,13 +40,7 @@ from fwbench.algebra import (
     run_quantum_suite,
     sample_momenta,
 )
-from fwbench.dirac import (
-    GAMMA,
-    dirac_hamiltonian,
-    energy,
-    fv_hamiltonian_matrix,
-    fv_velocity_matrix,
-)
+from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
 from fwbench import eriksen as erk
 from fwbench import spin_dynamics as sd
@@ -66,6 +60,8 @@ from oracles import (
     classical_worldline_defect,
     conjugate,
     evaluate,
+    fv_hamiltonian_matrix,
+    fv_velocity_matrix,
     fw_unitary_free,
     fw_unitary_free_inv,
     op_commutator,

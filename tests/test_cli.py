@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import io
@@ -154,6 +155,19 @@ def test_verify_algebra_all_sets(tmp_path):
     # at high mass: exact Poisson brackets keep {K_i,K_j} = -e_ijk J_k exact
     assert run(["verify-algebra", "--set", "classical", "--mass", "100",
                 "--samples", "20", "--out", str(tmp_path / "high_mass.json")]) == 0
+
+
+def test_unexpected_outcomes_name_their_set(capsys):
+    # at m = 100 the center_of_mass and projected sets fail the same two
+    # identities; each entry carries its set, so no entry repeats
+    assert run(["verify-algebra", "--set", "all", "--mass", "100", "--samples", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("unexpected outcomes: ") and err.count("\n") == 1
+    entries = ast.literal_eval(err[len("unexpected outcomes: "):])
+    assert entries and len(set(entries)) == len(entries)
+    sets = {"conventional", "naive_dirac", "center_of_mass", "projected", "classical"}
+    assert all(entry.split(": ", 1)[0] in sets for entry in entries)
+    assert "center_of_mass: [q_i,s_j] = 0" in entries and "projected: [q_i,s_j] = 0" in entries
 
 
 def test_verify_algebra_strict_floor_fails(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from fwbench.algebra import (QUANTUM_SET_NAMES, build_quantum_set, identities_for_set,
                              sample_momenta)
-from fwbench.dirac import GAMMA, PAULI, energy, fv_hamiltonian_matrix, fv_velocity_matrix
+from fwbench.dirac import GAMMA, PAULI, energy
 from fwbench.phase_ops import (
     DomainError,
     OperatorFamily,
@@ -27,6 +27,8 @@ from oracles import (
     constant_operator,
     evaluate,
     family_operators,
+    fv_hamiltonian_matrix,
+    fv_velocity_matrix,
     fw_unitary_free,
     fw_unitary_free_inv,
     hermiticity_residual,
@@ -351,7 +353,7 @@ def test_dim_mismatch_rejected():
     # a 4x4 snapshot against a 2x2 one, in either order
     p = MOMENTA[0]
     a = snapshot(build_operator(F.FW_HAMILTONIAN, 1.0), p)
-    b = snapshot(build_family("fv_hamiltonian", 1.0), p)
+    b = snapshot(build_operator(F.FV_HAMILTONIAN, 1.0), p)
     for s1, s2 in ((a, b), (b, a)):
         with pytest.raises(DomainError, match="dimension mismatch"):
             commutator_snapshot(s1, s2)
@@ -613,17 +615,17 @@ def test_all_families_hermitian_as_operators():
 
 def test_fv_hamiltonian_squares_to_energy():
     m = 1.0
-    h = build_family("fv_hamiltonian", m)
+    h = build_operator(F.FV_HAMILTONIAN, m)
     for p in MOMENTA[:6]:
         a = evaluate(h, p).A
         assert np.linalg.norm(a @ a - energy(p, m) ** 2 * np.eye(2)) <= 1e-12
-        # the test-side family is the matrix the trembling-motion runs use
+        # the catalogue row agrees with the plain matrix oracle
         assert np.linalg.norm(a - fv_hamiltonian_matrix(p, m)) <= 1e-14 * np.linalg.norm(a)
 
 
 def test_fv_velocity_is_momentum_gradient_of_hamiltonian():
     m = 1.0
-    h = build_family("fv_hamiltonian", m)
+    h = build_operator(F.FV_HAMILTONIAN, m)
     p = MOMENTA[4]
     s = snapshot(h, p)
     for c in (1, 2, 3):

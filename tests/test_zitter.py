@@ -8,17 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fwbench.dirac import (
-    GAMMA,
-    dirac_hamiltonian,
-    energy,
-    fv_hamiltonian_matrix,
-    fv_velocity_matrix,
-)
+from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
 from fwbench.cli import main
 from fwbench.phase_ops import DomainError, OperatorFamily, build_operator, snapshot
 from fwbench.zitter import dominant_frequency, record_evolution
-from oracles import spectrum_drift, stacked_record
+from oracles import (fv_hamiltonian_matrix, fv_velocity_matrix, spectrum_drift,
+                     stacked_record)
 
 ZITTER_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "zitter_sweep.py"
 
@@ -178,20 +173,53 @@ def _fw_row(family, m, p, component=None):
 
 
 def test_fw_velocity_values():
-    # the catalogue rows are beta eps and beta p_c / eps bit for bit, with
-    # eps = sqrt(m^2 + p.p) formed here
+    # the catalogue rows are beta eps and beta (p_c / eps) bit for bit, with
+    # eps = sqrt(m^2 + p.p) formed here and p_c / eps divided in real arithmetic
     for m, pz in SPLIT_LADDER:
         p = np.array([0.0, 0.0, pz])
         eps = np.sqrt(m * m + p @ p)
         assert np.array_equal(_fw_row(OperatorFamily.FW_HAMILTONIAN, m, p), GAMMA.beta * eps)
         for c in range(3):
             assert np.array_equal(_fw_row(OperatorFamily.FW_VELOCITY, m, p, c + 1),
-                                  GAMMA.beta * p[c] / eps), (m, pz, c)
+                                  GAMMA.beta * (p[c] / eps)), (m, pz, c)
     assert np.allclose(_fw_row(OperatorFamily.FW_VELOCITY, 4.0, np.array([3.0, 0, 0]), 1),
                        0.6 * GAMMA.beta)
     assert np.linalg.norm(_fw_row(OperatorFamily.FW_VELOCITY, 1.0, np.zeros(3), 2)) == 0.0
     with pytest.raises(DomainError):
         _fw_row(OperatorFamily.FW_VELOCITY, 0.0, np.zeros(3), 1)
+
+
+def _ladder_and_random_momenta():
+    """(m, p) over the split ladder along z and 15 random 3-D momenta."""
+    moments = [(m, np.array([0.0, 0.0, pz])) for m, pz in SPLIT_LADDER]
+    rng = np.random.default_rng(7)
+    return moments + [(m, rng.uniform(-4, 4, 3)) for m in (0.5, 1.0, 4.0) for _ in range(5)]
+
+
+@pytest.mark.parametrize("hamiltonian,velocity", [
+    (OperatorFamily.DIRAC_HAMILTONIAN, OperatorFamily.DIRAC_VELOCITY),
+    (OperatorFamily.FW_HAMILTONIAN, OperatorFamily.FW_VELOCITY)], ids=["dirac", "fw"])
+def test_velocity_rows_are_the_hamiltonian_gradients(hamiltonian, velocity):
+    # Hamilton's v_c = d H / d p_c: each velocity row is its Hamiltonian
+    # row's exact gradient bit for bit, so the suites that read the velocity
+    # row and the trembling record that reads the gradient see one matrix
+    for m, p in _ladder_and_random_momenta():
+        dA = snapshot(build_operator(hamiltonian, m), p).dA
+        for c in range(3):
+            assert np.array_equal(_fw_row(velocity, m, p, c + 1), dA[c]), (m, p, c)
+
+
+@pytest.mark.parametrize("particle", ["dirac", "fv", "fw"])
+def test_record_starts_at_the_particle_velocity(particle):
+    # v(0) of the record is alpha_c, (rho_3 + i rho_2) p_c / m or
+    # beta (p_c / eps), each formed here without the catalogue, bit for bit
+    for m, p in _ladder_and_random_momenta():
+        eps = np.sqrt(m * m + p @ p)
+        for c in range(3):
+            want = {"dirac": GAMMA.alpha[c], "fv": fv_velocity_matrix(p, m, c),
+                    "fw": GAMMA.beta * (p[c] / eps)}[particle]
+            got = record_evolution(p, m, [0.0], c, particle).velocity[0]
+            assert np.array_equal(got, want), (m, p, c)
 
 
 def test_fw_velocity_is_constant_of_motion(heisenberg_oracle):
