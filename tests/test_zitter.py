@@ -168,7 +168,7 @@ def test_fv_requires_positive_mass():
 SPLIT_LADDER = [(m, pz) for m in (1e-3, 1.0, 1e3) for pz in (1e-3, 0.1, 2.7, 1e4)] + [(0.3, 2.7)]
 
 
-def _fw_row(family, m, p, component=None):
+def _row(family, m, p, component=None):
     return snapshot(build_operator(family, m, component), p).A
 
 
@@ -178,15 +178,15 @@ def test_fw_velocity_values():
     for m, pz in SPLIT_LADDER:
         p = np.array([0.0, 0.0, pz])
         eps = np.sqrt(m * m + p @ p)
-        assert np.array_equal(_fw_row(OperatorFamily.FW_HAMILTONIAN, m, p), GAMMA.beta * eps)
+        assert np.array_equal(_row(OperatorFamily.FW_HAMILTONIAN, m, p), GAMMA.beta * eps)
         for c in range(3):
-            assert np.array_equal(_fw_row(OperatorFamily.FW_VELOCITY, m, p, c + 1),
+            assert np.array_equal(_row(OperatorFamily.FW_VELOCITY, m, p, c + 1),
                                   GAMMA.beta * (p[c] / eps)), (m, pz, c)
-    assert np.allclose(_fw_row(OperatorFamily.FW_VELOCITY, 4.0, np.array([3.0, 0, 0]), 1),
+    assert np.allclose(_row(OperatorFamily.FW_VELOCITY, 4.0, np.array([3.0, 0, 0]), 1),
                        0.6 * GAMMA.beta)
-    assert np.linalg.norm(_fw_row(OperatorFamily.FW_VELOCITY, 1.0, np.zeros(3), 2)) == 0.0
+    assert np.linalg.norm(_row(OperatorFamily.FW_VELOCITY, 1.0, np.zeros(3), 2)) == 0.0
     with pytest.raises(DomainError):
-        _fw_row(OperatorFamily.FW_VELOCITY, 0.0, np.zeros(3), 1)
+        _row(OperatorFamily.FW_VELOCITY, 0.0, np.zeros(3), 1)
 
 
 def _ladder_and_random_momenta():
@@ -206,7 +206,7 @@ def test_velocity_rows_are_the_hamiltonian_gradients(hamiltonian, velocity):
     for m, p in _ladder_and_random_momenta():
         dA = snapshot(build_operator(hamiltonian, m), p).dA
         for c in range(3):
-            assert np.array_equal(_fw_row(velocity, m, p, c + 1), dA[c]), (m, p, c)
+            assert np.array_equal(_row(velocity, m, p, c + 1), dA[c]), (m, p, c)
 
 
 @pytest.mark.parametrize("particle", ["dirac", "fv", "fw"])
@@ -231,12 +231,12 @@ def test_fw_velocity_is_constant_of_motion(heisenberg_oracle):
         p = np.array([0.0, 0.0, pz])
         for c in range(3):
             rec = record_evolution(p, m, times, c, "fw")
-            v0 = _fw_row(OperatorFamily.FW_VELOCITY, m, p, c + 1)
+            v0 = _row(OperatorFamily.FW_VELOCITY, m, p, c + 1)
             assert not np.any(rec.velocity_coeffs[:3]) and not np.any(rec.position_coeffs[1:])
             assert np.array_equal(rec.velocity, np.broadcast_to(v0, (7, 4, 4)))
     m, p = 0.3, np.array([0.0, 0.0, 2.7])
-    h = _fw_row(OperatorFamily.FW_HAMILTONIAN, m, p)
-    v = _fw_row(OperatorFamily.FW_VELOCITY, m, p, 3)
+    h = _row(OperatorFamily.FW_HAMILTONIAN, m, p)
+    v = _row(OperatorFamily.FW_VELOCITY, m, p, 3)
     for t in (0.5, 7.0, 50.0):
         assert np.linalg.norm(heisenberg_oracle(h, v, t) - v) <= 1e-12
 
