@@ -50,6 +50,13 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _series_csv(header: str, rows: np.ndarray) -> str:
+    """A CSV of the header line and one line per row of the (N, k) array,
+    each value written as _fmt writes it; the header alone when N is 0."""
+    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return header + "\n" + "".join([template % tuple(row) for row in rows.tolist()])
+
+
 def _emit(text: str, out) -> None:
     """Write text, ended by one newline, to the --out file or to stdout."""
     text = text if text.endswith("\n") else text + "\n"
@@ -236,9 +243,8 @@ def cmd_precess(args) -> tuple:
         raise ValueError("precession series is not finite; check --t-max, --p and the fields")
     worst = float(np.max(np.abs(series[:, 1:4] - series[:, 4:]), initial=0.0))
     header = "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum"
-    body = "\n".join(",".join(_fmt(v) for v in row) for row in series)
     failed, ok = _verdict([("quantum_classical_deviation", worst, "<= 1e-12", worst <= 1e-12)])
-    return (header + "\n" + body + "\n",
+    return (_series_csv(header, series),
             f"omega = ({_fmt(omega[0])}, {_fmt(omega[1])}, {_fmt(omega[2])}), "
             f"max quantum-classical deviation = {worst:.3e}\n" + failed, ok)
 
@@ -250,8 +256,8 @@ def cmd_zitter(args) -> tuple:
     rec = zt.record_evolution(p, args.mass, times, 2, args.particle).entry(
         0, {"dirac": 2, "fv": 1, "fw": 0}[args.particle])
     v, r = rec.velocity, rec.position
-    series = "t,re_v,im_v,re_r,im_r\n" + "\n".join(
-        ",".join(map(_fmt, row)) for row in zip(times, v.real, v.imag, r.real, r.imag)) + "\n"
+    series = _series_csv("t,re_v,im_v,re_r,im_r",
+                         np.column_stack((times, v.real, v.imag, r.real, r.imag)))
     if not np.any(rec.velocity_coeffs[1:3]):
         # no cos or sin term: the FW velocity commutes with H, and the
         # scalar-sector velocity at rest is exactly 0
@@ -273,12 +279,9 @@ def cmd_packet(args) -> tuple:
     n_fw = float(np.sum(rho_fw) * pk.grid.dx)
     n_d = float(np.sum(rho_d) * pk.grid.dx)
     disc = float(np.max(np.abs(rho_d - rho_fw)) / rho_fw.max())
-    header = "x,rho_fw,rho_dirac"
-    body = "\n".join(f"{_fmt(xi)},{_fmt(a)},{_fmt(b)}"
-                     for xi, a, b in zip(x, rho_fw, rho_d))
     failed, ok = _verdict([(f"normalization_{pic}", n, "|x - 1| <= 1e-10", abs(n - 1) <= 1e-10)
                            for pic, n in (("fw", n_fw), ("dirac", n_d))])
-    return (header + "\n" + body + "\n",
+    return (_series_csv("x,rho_fw,rho_dirac", np.column_stack((x, rho_fw, rho_d))),
             f"normalization fw = {n_fw:.10f}, dirac = {n_d:.10f}; "
             f"max density discrepancy / peak = {disc:.6f}\n" + failed, ok)
 

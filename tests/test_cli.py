@@ -333,10 +333,11 @@ def test_precess_command(tmp_path, capsys):
     assert run(["precess", "--t-max", "-5", "--steps", "40", "--out", str(back)]) == 0
     np.testing.assert_array_equal(np.loadtxt(back, delimiter=",", skiprows=1)[:, 0],
                                   -rows[:, 0])
-    # zero steps is a valid, empty series
+    # zero steps is a valid, empty series: the header line alone
     empty = tmp_path / "empty.csv"
     assert run(["precess", "--steps", "0", "--out", str(empty)]) == 0
-    assert empty.read_text().splitlines()[0].startswith("t,")
+    assert empty.read_text() == (
+        "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum\n")
 
 
 # a direction is scale-free: components whose norm would overflow or
@@ -359,6 +360,39 @@ def test_precess_rejects_non_finite_series(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _joined_csv(header, rows):
+    """The series CSV joined value by value with _fmt, the writer's oracle;
+    with no rows, the header line alone."""
+    return "".join(line + "\n" for line in
+                   [header, *(",".join(cli._fmt(v) for v in row) for row in rows)])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7])
+def test_series_writer_formats_each_value_as_fmt(n_rows):
+    values = np.array([-0.0, 5e-324, 1e-310, 0.1, 1 / 3, -2.5e-16, 1e308])
+    rows = np.array([np.roll(values, k) for k in range(n_rows)]).reshape(-1, 7)
+    text = cli._series_csv("a,b,c,d,e,f,g", rows)
+    assert text == _joined_csv("a,b,c,d,e,f,g", rows)
+    assert text.count("\n") == 1 + n_rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["zitter", "--particle", "dirac"], ["zitter", "--particle", "fv"],
+    ["zitter", "--particle", "fw"], ["packet", "--t", "3.7"],
+    ["precess", "--p", "1,0,0", "--b-field", "0,0,1", "--a", "0.1"]],
+    ids=["zitter-dirac", "zitter-fv", "zitter-fw", "packet", "precess"])
+def test_series_commands_write_what_the_joined_csv_writes(argv, monkeypatch, capsys):
+    assert run(argv) == 0
+    written = capsys.readouterr()
+    monkeypatch.setattr(cli, "_series_csv", _joined_csv)
+    assert run(argv) == 0
+    joined = capsys.readouterr()
+    # the first differing line, so that a failure does not diff whole series
+    assert [pair for pair in zip(written.out.splitlines(), joined.out.splitlines())
+            if pair[0] != pair[1]][:1] == []
+    assert written == joined
 
 
 def test_packet_command(tmp_path, capsys):

@@ -1,9 +1,6 @@
 import contextlib
 import io
-import runpy
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +11,6 @@ from fwbench.phase_ops import DomainError, OperatorFamily, build_operator, snaps
 from fwbench.zitter import dominant_frequency, record_evolution
 from oracles import (fv_hamiltonian_matrix, fv_velocity_matrix, spectrum_drift,
                      stacked_record)
-
-ZITTER_SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "zitter_sweep.py"
 
 I4 = np.eye(4, dtype=complex)
 RNG = np.random.default_rng(42)
@@ -336,20 +331,22 @@ def test_record_memory_stays_linear_in_times():
     assert _traced_peak(cli) <= 2.0e6
 
 
-def test_zitter_sweep_script(tmp_path, monkeypatch):
-    out = tmp_path / "sweep.csv"
-    monkeypatch.setattr(sys, "argv", [str(ZITTER_SWEEP), "--out", str(out)])
-    with contextlib.redirect_stdout(io.StringIO()):
-        runpy.run_path(str(ZITTER_SWEEP), run_name="__main__")
-    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    assert rows.shape == (25, 6)
-    two_energy = 2 * rows[:, 1]
-    assert np.all(np.abs(rows[:, [2, 4]] - two_energy[:, None]) <= 1e-6 * two_energy[:, None])
-    # trembling amplitudes in closed form at m = 1: m / (2 eps^2) for the
-    # Dirac alpha_z, p / (2 eps^2) for the scalar-sector velocity; the CSV
-    # rounds p, eps and the amplitudes to 12 significant digits each
-    closed = np.stack((np.ones(25), rows[:, 0]), axis=1) / (2 * rows[:, 1:2] ** 2)
-    np.testing.assert_allclose(rows[:, [3, 5]], closed, rtol=1e-10, atol=0)
+def test_trembling_frequency_and_amplitude_across_momenta():
+    # over 30 periods at m = 1 the frequency is twice the energy, and the
+    # trembling amplitude, the 2-norm of the position's cos(2 eps t)
+    # coefficient, is m / (2 eps^2) for the Dirac alpha_z and p / (2 eps^2)
+    # for the scalar-sector velocity: Compton scale, falling with energy
+    m = 1.0
+    for pz in np.linspace(0.1, 5.0, 25):
+        p = np.array([0.0, 0.0, pz])
+        eps = energy(p, m)
+        times = np.linspace(0.0, 30 * np.pi / eps, 3000)
+        for particle, elem, amplitude in (("dirac", (0, 2), m), ("fv", (0, 1), pz)):
+            rec = record_evolution(p, m, times, 2, particle)
+            freq = dominant_frequency(times, rec.entry(*elem).velocity)
+            assert abs(freq - 2 * eps) <= 1e-6 * 2 * eps, (particle, pz, freq)
+            assert np.linalg.norm(rec.position_coeffs[1], 2) == pytest.approx(
+                amplitude / (2 * eps**2), rel=1e-10, abs=0), (particle, pz)
 
 
 def test_record_rejects_unknown_particle():
