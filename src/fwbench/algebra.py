@@ -31,12 +31,16 @@ Poisson bracket of the exact gradients.  Identities are checked at t = 0,
 so the -t d_ij terms of the worldline relations vanish.
 
 One known caveat is encoded in the table: the worldline relation
-[q_i, K_j] = (q_j [q_i, H] + [q_i, H] q_j)/2 - i t delta_ij cannot hold for
-any spin-1/2 position operator with commuting components (the boost of a
-localized state picks up a spin-dependent shift).  Every set that carries
-it, the classical one included, therefore expects it to fail, and the tests
-verify the closed form of the defect instead; see the README for the
-residual's exact shape.
+[q_i, K_j] = (q_j [q_i, H] + [q_i, H] q_j)/2 - i t delta_ij holds for no
+even spin-1/2 position operator with commuting components (the boost of a
+localized state picks up a spin-dependent shift).  Evenness is what it
+needs: any position x with commuting components satisfies it identically
+for the boost K = (1/2){x, H}, and so the Dirac radius vector r = i d/dp,
+which is not even, does with K = (1/2){r, H_D}.  naive_dirac keeps r but
+subtracts a spin term from that boost, and fails the row by it.  Every set
+that carries the row, the classical one included, expects it to fail, and
+the tests verify the closed form of conventional's defect instead; see the
+README for the residual's exact shape.
 """
 
 from __future__ import annotations
@@ -206,10 +210,12 @@ class Identity:
 
 
 _WORLDLINE_NOTES = (
-    "cannot hold for commuting position components with spin 1/2: the "
-    "boost shifts a localized state by a spin-dependent amount",
-    "same spin-induced worldline defect as the quantum "
-    "table; holds only for spinless states",
+    "holds for no even spin-1/2 position with commuting components, whose "
+    "boost shifts a localized state by a spin-dependent amount; the Dirac r "
+    "satisfies it with the boost (1/2){r, H_D}, from which naive_dirac's "
+    "boost subtracts a spin term",
+    "same spin-induced worldline defect as the conventional quantum "
+    "set; holds only for spinless states",
 )
 
 # Quantum report order; the classical-only rows come last.

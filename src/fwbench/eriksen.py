@@ -110,9 +110,19 @@ be real.
 
 Checks.  The BlockedHamiltonian holds H's parts and checks them once, when
 it is made: p real with one value per row of V, V Hermitian, all finite,
-and m non-negative.  eigenframe forms H for eigh; every other kernel reads
-the parts.  Because H is Hermitian, so is U H U^dag for any U, and its
-off-diagonal norm is sqrt(2) times the norm of the upper quadrant alone;
+and m non-negative.  eigenframe picks its decomposition from V.  A diagonal
+V (the free grid, or V = c I) couples row k of H only to row n + k, so H
+is n independent 2x2 blocks [[m + V_kk, p_k], [p_k, V_kk - m]], one per
+momentum: one batched eigh of the (n, 2, 2) stack gives them, and their
+sorted eigenvalues and eigenvectors fill w and v with no H formed.  Any
+other V takes one dense eigh of H.  The frames can differ only by a
+unitary inside a degenerate eigenspace (a +-p pair of blocks), which
+leaves V+ V+^dag and V- V-^dag, and so lambda, U and the off-block, as
+they are; in the split frame X1 X1^dag is diagonal.  The zero-mode and
+half-positive checks read the assembled w on both paths.  Every other
+kernel reads the parts.  Because H is Hermitian, so is U H U^dag for any
+U, and its off-diagonal norm is sqrt(2) times the norm of the upper
+quadrant alone;
 the upper rows U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)]
 are two half-size products and two column scalings (conjugated_quadrant),
 and V+^dag H is the same with V+^dag's column halves X1^dag and X2^dag,
@@ -125,10 +135,11 @@ lambda^2 that the lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
-only p, the half-size V and m; eigenframe forms the dense H for eigh alone;
-eriksen_unitary writes U half by half; eriksen_conditions forms and reduces
-one condition at a time, subtracting the identity in place; approx_fw forms
-half-size matrices only; and the scaling study forms no U, reads the exact
+only p, the half-size V and m; eigenframe forms the dense H for eigh alone,
+and for a diagonal V no H, only the (n, 2, 2) stack and v; eriksen_unitary
+writes U half by half; eriksen_conditions forms and reduces one condition
+at a time, subtracting the identity in place; approx_fw forms half-size
+matrices only; and the scaling study forms no U, reads the exact
 off-block from the eigenframe through half-size products, releases the
 eigenframe before the approximate transform, and each Hamiltonian's
 matrices before it builds the next.  A full-size float64 matrix is 0.5 MiB
@@ -245,15 +256,45 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
         raise LinalgError(message)
 
 
+def _momentum_eigh(bh: BlockedHamiltonian) -> tuple:
+    """eigh(bh.H) for a diagonal V: H couples row k only to row n + k, so it
+    is n independent 2x2 blocks [[m + V_kk, p_k], [p_k, V_kk - m]], one per
+    momentum, decomposed by one batched eigh.  The 2n eigenvalues are
+    sorted ascending (stably, so equal ones keep their block order), and
+    each block's eigenvectors fill rows k and n + k of their columns of v."""
+    h = bh.n_upper
+    d = np.diagonal(bh.V)
+    blocks = np.empty((h, 2, 2), dtype=bh.V.dtype)
+    blocks[:, 0, 0] = d + bh.m
+    blocks[:, 1, 1] = d - bh.m
+    blocks[:, 0, 1] = blocks[:, 1, 0] = bh.p
+    wk, vk = np.linalg.eigh(blocks)
+    order = np.argsort(wk, axis=None, kind="stable")
+    k, j = np.divmod(order, 2)
+    cols = np.arange(2 * h)
+    v = np.zeros((2 * h, 2 * h), dtype=bh.V.dtype)
+    v[k, cols] = vk[k, 0, j]
+    v[h + k, cols] = vk[k, 1, j]
+    return wk.ravel()[order], v
+
+
 def eigenframe(bh: BlockedHamiltonian) -> tuple:
     """(w, v) = eigh(bh.H), eigenvalues ascending, for a spectrum with no
     zero mode and exactly bh.n_upper positive eigenvalues; LinalgError
-    otherwise.  bh.H, formed here alone, is Hermitian by construction.
+    otherwise.
 
-    The frame gives the exact spectrum, eriksen_unitary and sign_function,
-    so a caller decomposes each Hamiltonian once.
+    A diagonal V (the free grid, or any V = c I) splits H by momentum into
+    2x2 blocks, one batched eigh (_momentum_eigh); any other V takes one
+    dense eigh of bh.H, formed here alone and Hermitian by construction.
+    The two frames may differ by a unitary inside a degenerate eigenspace
+    (a +-p pair), which leaves the spectral projectors V+ V+^dag and
+    V- V-^dag, and so lambda and U, unchanged.  The frame gives the exact
+    spectrum, eriksen_unitary and sign_function, so a caller decomposes
+    each Hamiltonian once.
     """
-    w, v = np.linalg.eigh(bh.H)
+    V = bh.V
+    diagonal = np.count_nonzero(V) == np.count_nonzero(np.diagonal(V))
+    w, v = _momentum_eigh(bh) if diagonal else np.linalg.eigh(bh.H)
     _reject_zero_eigenvalues(w, ZERO_MODE_RTOL, f"eigenvalue within {ZERO_MODE_RTOL:.0e} "
                                                 "of zero: sign function undefined")
     positive = int(np.count_nonzero(w > 0))

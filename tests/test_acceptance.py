@@ -9,10 +9,12 @@ size:
 
 * 01 checks the full 18-relation identity table of the conventional
   operator set.  Seventeen relations hold at 1e-8.  The worldline relation
-  [q_i, K_j] = (q_j [q_i,H] + [q_i,H] q_j)/2 - i t d_ij cannot hold for
-  any spin-1/2 position operator with commuting components: boosting a
+  [q_i, K_j] = (q_j [q_i,H] + [q_i,H] q_j)/2 - i t d_ij holds for no even
+  spin-1/2 position operator with commuting components: boosting a
   localized state shifts it by a spin-dependent amount (Newton & Wigner,
-  Rev. Mod. Phys. 21, 400 (1949)).  The test asserts the spin-shifted
+  Rev. Mod. Phys. 21, 400 (1949)).  The Dirac radius vector, with
+  commuting components but not even, satisfies it exactly with the boost
+  (1/2){r, H_D} (tests/test_algebra.py).  The test asserts the spin-shifted
   form instead: the residual equals the closed-form shift
   -i beta d/dp_i [(Sigma x p)_j / (2(eps+m))] to 1e-8, and the shift
   equals i beta times the classical Poisson-bracket defect of {Q_i, K_j}

@@ -26,7 +26,17 @@ from fwbench.algebra import (
     sample_states,
 )
 from fwbench.dirac import GAMMA, energy
-from fwbench.phase_ops import OperatorFamily, coeff_derivative, levi
+from fwbench.phase_ops import (
+    Family,
+    OperatorFamily,
+    build_operator,
+    coeff_derivative,
+    commutator_snapshot,
+    dirac_boost_part,
+    levi,
+    snapshot,
+    symmetrized_product,
+)
 from oracles import classical_worldline_defect, worldline_defect
 
 
@@ -56,8 +66,8 @@ def test_conventional_position_commutativity_is_exact(conventional_reports):
 
 
 def test_conventional_worldline_relation_fails(conventional_reports):
-    # no commuting-component position operator of a spin-1/2 system can
-    # trace a covariant worldline; the residual floor documents that
+    # no even position operator with commuting components of a spin-1/2
+    # system can trace a covariant worldline; the residual floor documents that
     r = by_id(conventional_reports)["[q_i,K_j] = ((q_j[q_i,H]+[q_i,H]q_j)/2 - i t d_ij)"]
     assert r.expected == "fail"
     assert r.min_residual >= 1e-3
@@ -74,6 +84,60 @@ def test_naive_dirac_boost_failures():
     for iid in ("[K_i,H] = i p_i", "[K_i,p_j] = i d_ij H",
                 "[j_i,K_j] = i e_ijk K_k"):
         assert reports[iid].verdict == "pass" and reports[iid].expected == "hold"
+
+
+def _dirac_boost(drop_alpha: bool = False) -> Family:
+    """K_c = (1/2){r_c, H_D} = (i/2) alpha_c + i H_D d/dp_c at t = 0, the Dirac
+    boost that naive_dirac's boost subtracts a spin term from; drop_alpha
+    leaves out the (i/2) alpha_c part."""
+    return Family("dirac_boost", lambda p, P, e, m, c: 0.0 if drop_alpha
+                  else 0.5j * GAMMA.alpha[c], dirac_boost_part)
+
+
+def _dirac_boost_residuals(m: float, boost: Family) -> dict:
+    """Worst residual over 50 seeded momenta of the worldline row, [K_i,H] and
+    [K_i,K_j] for the Dirac radius vector r = i d/dp with H_D, alpha and
+    the boost, against rounding's scale u (m + max|p|)."""
+    momenta = sample_momenta(50, seed=3)
+    F = OperatorFamily
+
+    def vector(build):
+        return [snapshot(build(c), momenta) for c in (1, 2, 3)]
+    q, v, p = (vector(lambda c, f=f: build_operator(f, m, c))
+               for f in (F.FW_POSITION, F.DIRAC_VELOCITY, F.MOMENTUM))
+    K = vector(lambda c: boost.build(m, c))
+    j = vector(lambda c: build_operator(F.OAM_FW, m, c) + build_operator(F.FW_SPIN, m, c))
+    H = snapshot(build_operator(F.DIRAC_HAMILTONIAN, m), momenta)
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    return {
+        "worldline": max(abs(commutator_snapshot(q[a], K[b])
+                             - 1j * symmetrized_product(q[b], v[a])).max()
+                         for a, b in pairs),
+        "[K_i,H] = i p_i": max(abs(commutator_snapshot(K[a], H) - 1j * p[a]).max()
+                               for a in range(3)),
+        "[K_i,K_j] = -i e_ijk j_k": max(
+            abs(commutator_snapshot(K[a], K[b]) - (-1j * levi(a, b, 3 - a - b)) * j[3 - a - b])
+            .max() for a, b in pairs if a < b),
+        "ulp": np.finfo(float).eps * (m + np.linalg.norm(momenta, axis=-1).max()),
+    }
+
+
+@pytest.mark.parametrize("m", [1e-3, 1.0, 100.0, 1e3])
+def test_dirac_radius_vector_satisfies_the_worldline_relation(m):
+    # the Dirac r has commuting components and, with K = (1/2){r, H_D},
+    # satisfies [q_i,K_j] = (1/2){q_j,[q_i,H]} identically: what no even
+    # spin-1/2 position with commuting components does.  The boost closes
+    # the Poincare rows that naive_dirac's fails; all read 0 (measured)
+    res = _dirac_boost_residuals(m, _dirac_boost())
+    for row in ("worldline", "[K_i,H] = i p_i", "[K_i,K_j] = -i e_ijk j_k"):
+        assert res[row] <= 4 * res["ulp"], row
+
+
+def test_dirac_boost_without_its_alpha_part_breaks_k_h():
+    # mutation check: (1/2){r_c, H_D} without (i/2) alpha_c is i H_D d/dp_c,
+    # whose commutator with H_D is i H_D alpha_c, not i p_c
+    res = _dirac_boost_residuals(1.0, _dirac_boost(drop_alpha=True))
+    assert res["[K_i,H] = i p_i"] >= 1.0
 
 
 @pytest.mark.parametrize("set_name", ["center_of_mass", "projected"])

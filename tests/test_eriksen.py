@@ -495,7 +495,9 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     # functions are vectors (no eigh), and the exact off-block is read from
     # the eigenframe: each H takes one full-size eigh and no half-size one,
     # and the study forms no exact unitary and no g^(-1/2).  The free check,
-    # which does form U, shows that the counting wrappers see the calls
+    # which does form U, shows that the counting wrappers see the calls; its
+    # V = 0 is diagonal, so its frame is one batched eigh of n 2x2 blocks
+    # and no full-size eigh
     grid = Grid1D(n=16, length=8.0)
     full = 2 * grid.n
     calls = _count_eigh(monkeypatch)
@@ -512,6 +514,7 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     assert counts == {"eriksen_unitary": 0, "mat_inv_sqrt_psd": 0}
     fwbench.cli._free_eriksen_checks(grid, 1.0)
     assert counts == {"eriksen_unitary": 1, "mat_inv_sqrt_psd": 2}
+    assert 2 in calls[3:] and max(calls[3:]) < full
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -529,9 +532,69 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
     m = rng.uniform(0.1, 3.0)
     r = np.sqrt(m * m + mags * mags)
     c = 0.5 * (r[0] + r[1]) if k > 1 else r[0] + 1.0
+    message = f"{k + 1} of {2 * k} eigenvalues are positive"
     bh = BlockedHamiltonian(p=p, V=c * np.eye(k), m=m)
-    with pytest.raises(LinalgError, match=f"{k + 1} of {2 * k} eigenvalues are positive"):
+    with pytest.raises(LinalgError, match=message):
         eigenframe(bh)
+    if k > 1:
+        # a non-diagonal V takes the dense path: c I plus a Hermitian W with
+        # ||W||_2 at a quarter of the spectrum's distance from zero, which
+        # moves no eigenvalue across it (Weyl)
+        W = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        W += W.conj().T
+        gap = np.abs(np.concatenate([c + r, c - r])).min()
+        V = c * np.eye(k) + 0.25 * gap * W / np.linalg.norm(W, 2)
+        assert np.count_nonzero(V - np.diag(np.diagonal(V))) > 0
+        with pytest.raises(LinalgError, match=message):
+            eigenframe(BlockedHamiltonian(p=p, V=V, m=m))
+
+
+def _diagonal_potential_cases():
+    """BlockedHamiltonians with a diagonal V over a grid's momenta, which hold
+    p = 0 and the Nyquist node -n dp / 2: V even in p (every +-p pair a
+    degenerate pair of blocks) or not, real or of complex dtype.  |V_kk| < m
+    keeps one eigenvalue of each sign in every block."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (4, 8, 32):
+        p = Grid1D(n=n, length=n / 2).p_fft
+        for m in (0.5, 2.0):
+            by_size = rng.uniform(-0.9, 0.9, n) * m
+            even = by_size[np.unique(np.abs(p), return_inverse=True)[1]]
+            for kind, v in (("even", even), ("generic", rng.uniform(-0.9, 0.9, n) * m)):
+                for dtype in (float, complex):
+                    bh = BlockedHamiltonian(p=p, V=np.diag(v).astype(dtype), m=m)
+                    cases.append(pytest.param(bh, id=f"n{n}-m{m}-{kind}-{dtype.__name__}"))
+    return cases
+
+
+@pytest.mark.parametrize("bh", _diagonal_potential_cases())
+def test_momentum_split_frame_matches_dense_frame(bh):
+    # the split frame and one dense eigh of bh.H: the same ascending spectrum
+    # to rounding, and, as lambda and U do not depend on the basis inside a
+    # degenerate eigenspace, the same sign function and unitary within
+    # test_structured_kernels_match_dense_oracle's bounds, and defining
+    # conditions within test_eriksen_conditions_on_free_grid's
+    w, v = frame = eigenframe(bh)
+    dense = np.linalg.eigh(bh.H)
+    assert v.dtype == dense[1].dtype == bh.V.dtype
+    # in units of u max|w|, measured worst 1.2 against the closed form
+    # V_kk +- sqrt(m^2 + p_k^2) and 6.1 against the dense eigh
+    ulp = np.finfo(float).eps * np.abs(w).max()
+    r = np.sqrt(bh.m**2 + bh.p**2)
+    d = np.diagonal(bh.V).real
+    assert np.max(np.abs(w - np.sort(np.concatenate([d - r, d + r])))) <= 2 * ulp
+    assert np.max(np.abs(w - dense[0])) <= 16 * ulp
+    # a +-p pair of blocks is degenerate where V is even, so the two frames
+    # may differ there by more than signs
+    assert frob(v.conj().T @ bh.H @ v - np.diag(w)) <= 1e-13 * frob(bh.H)
+    lam, U = sign_function(frame), eriksen_unitary(frame)
+    assert _rel(lam, sign_function(dense)) <= 1e-12
+    assert _rel(U, eriksen_unitary(dense)) <= 1e-12
+    for conds in (eriksen_conditions(U, lam, bh),
+                  eriksen_conditions(eriksen_unitary(dense), sign_function(dense), bh)):
+        for name, value in conds.items():
+            assert value <= 1e-10, name
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
