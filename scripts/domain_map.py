@@ -7,8 +7,8 @@ pce's packet width at rest, precess in a magnetic field), run in this
 process through fwbench.cli.main with stdout discarded.  The CSV has one
 row per cell: the command, its arguments, the exit status, and the failed
 checks read from stderr, joined by "; ": the names on the `failed checks:`
-line, the `set: identity` entries of verify-algebra's `unexpected
-outcomes` list, or the text of an `error:` line.  The ledger
+line (`set: identity` for verify-algebra), or the text of an `error:`
+line.  The ledger
 scripts/domain_ledger.csv lists the cells that exit 1 on correct physics,
 each with the ROADMAP item that owns it.
 
@@ -16,7 +16,6 @@ Usage: python scripts/domain_map.py [--out domain_map.csv]
 """
 
 import argparse
-import ast
 import contextlib
 import csv
 import io
@@ -49,9 +48,9 @@ def failed_checks(stderr: str) -> str:
     names = []
     for line in stderr.splitlines():
         if line.startswith("failed checks: "):
-            names += [item.split(" ")[0] for item in line[15:].split("; ")]
-        elif line.startswith("unexpected outcomes: "):
-            names += ast.literal_eval(line[21:])
+            # each item is "<name> <value> (bound <bound>)"
+            names += [item.partition(" (bound ")[0].rsplit(" ", 1)[0]
+                      for item in line[15:].split("; ")]
         elif line.startswith("error: "):
             names.append(line)
     return "; ".join(names)

@@ -46,14 +46,17 @@ from .grids import Grid1D, check_length, check_size
 DEFAULT_SEED = 42
 
 
+_FLOAT = "%.17g"   # every float written in full: 17 digits round-trip float64
+
+
 def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+    return _FLOAT % v
 
 
 def _series_csv(header: str, rows: np.ndarray) -> str:
     """A CSV of the header line and one line per row of the (N, k) array,
     each value written as _fmt writes it; the header alone when N is 0."""
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    template = ",".join([_FLOAT] * rows.shape[1]) + "\n"
     return header + "\n" + "".join([template % tuple(row) for row in rows.tolist()])
 
 
@@ -158,6 +161,14 @@ _RENDER = {"json": algebra.reports_to_json, "csv": _reports_csv,
            "pretty-table": _reports_table}
 
 
+def _verdict(checks) -> tuple:
+    """(stderr line naming each failed check with its value and bound, or "";
+    whether all passed) for rows (name, value, bound, ok)."""
+    failed = [f"{name} {value:.6g} (bound {bound})" for name, value, bound, ok in checks
+              if not ok]
+    return (f"failed checks: {'; '.join(failed)}\n" if failed else ""), not failed
+
+
 def cmd_verify_algebra(args) -> tuple:
     sets = ([args.set] if args.set != "all"
             else list(algebra.QUANTUM_SET_NAMES) + ["classical"])
@@ -169,41 +180,15 @@ def cmd_verify_algebra(args) -> tuple:
         else:
             reports.extend(algebra.run_quantum_suite(
                 name, args.mass, args.samples, seed=args.seed))
-    bad = [f"{r.set_name}: {r.identity_id}" for r in reports if r.verdict != "pass"]
-    return (_RENDER[args.format](reports),
-            f"unexpected outcomes: {bad}\n" if bad else "", not bad)
-
-
-def _free_eriksen_checks(grid: Grid1D, mass: float) -> tuple:
-    """(conditions, positive-spectrum error) of the exact transform on the
-    free grid.  Its matrices are released on return, before the scaling
-    study builds its own."""
-    bh = erk.discretize_dirac_1d(grid, mass, lambda x: np.zeros_like(x))
-    frame = erk.eigenframe(bh)
-    U, lam = erk.eriksen_unitary(frame), erk.sign_function(frame)
-    del frame
-    # Frobenius norms are reported over the 4n x 4n Dirac operator; the
-    # spectra and the exponent are the same for the spin block.
-    conds = {k: float(erk.four_component_norm(v))
-             for k, v in erk.eriksen_conditions(U, lam, bh).items()}
-    del lam
-    upper = erk.conjugated_quadrant(U, bh, 0)           # upper-left quadrant of U H U^dag
-    spec_err = float(np.max(np.abs(
-        np.linalg.eigvalsh(upper) - erk.free_spectrum_1d(grid, mass)[bh.n_upper:])))
-    return conds, spec_err
-
-
-def _verdict(checks) -> tuple:
-    """(stderr line naming each failed check with its value and bound, or "";
-    whether all passed) for rows (name, value, bound, ok)."""
-    failed = [f"{name} {value:.6g} (bound {bound})" for name, value, bound, ok in checks
-              if not ok]
-    return (f"failed checks: {'; '.join(failed)}\n" if failed else ""), not failed
+    stderr, ok = _verdict([(f"{r.set_name}: {r.identity_id}", r.max_residual,
+                            f"<= {r.tol:g}" if r.expected == "hold" else f">= {r.floor:g}",
+                            r.verdict == "pass") for r in reports])
+    return _RENDER[args.format](reports), stderr, ok
 
 
 def cmd_eriksen(args) -> tuple:
     grid = Grid1D(n=args.n, length=args.box)
-    conds, spec_err = _free_eriksen_checks(grid, args.mass)
+    conds, spec_err = erk.free_checks(grid, args.mass)
     study = erk.potential_scaling_study(grid, args.mass, args.v0)
     result = {
         "n": args.n,

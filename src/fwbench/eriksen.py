@@ -126,19 +126,20 @@ quadrant alone;
 the upper rows U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)]
 are two half-size products and two column scalings (conjugated_quadrant),
 and V+^dag H is the same with V+^dag's column halves X1^dag and X2^dag,
-X2 = v[h:, h:] (exact_offblock_norm).  The free check forms U and reads its
-defining conditions from it, the runtime check of the factorization above;
-the scaling study reads only the off-block norm, from the eigenframe, and
-forms no U.  Because [beta lambda, lambda beta] = beta lambda^2 beta -
-lambda^2, the commutator check reads the off-diagonal quadrants of the
-lambda^2 that the lambda^2 = 1 check forms anyway.
+X2 = v[h:, h:] (exact_offblock_norm).  free_checks forms U on the free grid
+and reads its defining conditions from it, the runtime check of the
+factorization above; the scaling study reads only the off-block norm, from
+the eigenframe, and forms no U.  Because [beta lambda, lambda beta] =
+beta lambda^2 beta - lambda^2, the commutator check reads the off-diagonal
+quadrants of the lambda^2 that the lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
 only p, the half-size V and m; eigenframe forms the dense H for eigh alone,
 and for a diagonal V no H, only the (n, 2, 2) stack and v; eriksen_unitary
 writes U half by half; eriksen_conditions forms and reduces one condition
-at a time, subtracting the identity in place; approx_fw forms half-size
+at a time, subtracting the identity in place; free_checks releases the
+frame and lambda as soon as it has read them; approx_fw forms half-size
 matrices only; and the scaling study forms no U, reads the exact
 off-block from the eigenframe through half-size products, releases the
 eigenframe before the approximate transform, and each Hamiltonian's
@@ -435,6 +436,23 @@ def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
     """Sorted exact spectrum of the free discretized spin block."""
     eps = energy(grid.p_fft[:, None], m)
     return np.sort(np.concatenate([eps, -eps]))
+
+
+def free_checks(grid: Grid1D, m: float) -> tuple:
+    """(eriksen_conditions as norms over the 4n x 4n operator, error of the
+    upper block's spectrum against the exact positive one) of the exact
+    transform on the free grid, its matrices released on return."""
+    bh = discretize_dirac_1d(grid, m, lambda x: np.zeros_like(x))
+    frame = eigenframe(bh)
+    U, lam = eriksen_unitary(frame), sign_function(frame)
+    del frame
+    conds = {k: float(four_component_norm(v))
+             for k, v in eriksen_conditions(U, lam, bh).items()}
+    del lam
+    upper = conjugated_quadrant(U, bh, 0)
+    spec_err = float(np.max(np.abs(
+        np.linalg.eigvalsh(upper) - free_spectrum_1d(grid, m)[bh.n_upper:])))
+    return conds, spec_err
 
 
 @dataclass

@@ -1,5 +1,4 @@
 import argparse
-import ast
 import contextlib
 import dataclasses
 import io
@@ -105,16 +104,27 @@ def test_usage_error_exits_2(capsys):
         assert captured.out == "" and f"argument {argv[-2]}" in captured.err, argv
 
 
-def test_product_imports_numpy_only():
-    # the package and its CLI run on numpy alone; scipy is a test dependency
+def _fresh_stdout(code: str) -> str:
+    """What code prints in a fresh interpreter that imports fwbench from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, fwbench, fwbench.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_product_imports_numpy_only():
+    # the package and its CLI run on numpy alone; scipy is a test dependency
+    assert _fresh_stdout("import sys, fwbench, fwbench.cli; print(sorted(m for m in "
+                         "sys.modules if m.split('.')[0] == 'scipy'))") == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    # the modules are the package's surface: each name has one import path,
+    # and `import fwbench` binds no name and loads no fwbench module
+    assert _fresh_stdout("import sys, fwbench; print(sorted(m for m in sys.modules "
+                         "if m.startswith('fwbench.')), [n for n in vars(fwbench) "
+                         "if not n.startswith('__')])") == "[] []"
 
 
 def test_help_available_for_each_subcommand(capsys):
@@ -159,11 +169,13 @@ def test_verify_algebra_all_sets(tmp_path):
 
 def test_unexpected_outcomes_name_their_set(capsys):
     # at m = 100 the center_of_mass and projected sets fail the same two
-    # identities; each entry carries its set, so no entry repeats
+    # identities; each entry carries its set, so no entry repeats, and reads
+    # "<set>: <identity> <max_residual> (bound <= tol or >= floor)"
     assert run(["verify-algebra", "--set", "all", "--mass", "100", "--samples", "10"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("unexpected outcomes: ") and err.count("\n") == 1
-    entries = ast.literal_eval(err[len("unexpected outcomes: "):])
+    assert err.startswith("failed checks: ") and err.count("\n") == 1
+    items = err[len("failed checks: "):-1].split("; ")
+    entries = [re.fullmatch(r"(.+) \S+ \(bound [<>]= \S+\)", item)[1] for item in items]
     assert entries and len(set(entries)) == len(entries)
     sets = {"conventional", "naive_dirac", "center_of_mass", "projected", "classical"}
     assert all(entry.split(": ", 1)[0] in sets for entry in entries)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import fwbench.cli
 import fwbench.eriksen
 import fwbench.linalg
 from fwbench.cli import main
@@ -512,7 +511,7 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
     assert calls == [full] * 3
     assert counts == {"eriksen_unitary": 0, "mat_inv_sqrt_psd": 0}
-    fwbench.cli._free_eriksen_checks(grid, 1.0)
+    fwbench.eriksen.free_checks(grid, 1.0)
     assert counts == {"eriksen_unitary": 1, "mat_inv_sqrt_psd": 2}
     assert 2 in calls[3:] and max(calls[3:]) < full
 
