@@ -45,7 +45,6 @@ README for the residual's exact shape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict, field
 from typing import Optional
 
@@ -111,10 +110,6 @@ def _report(identity_id: str, set_name: str, residuals: list, expected: str,
         verdict="pass" if as_expected else "fail",
         note=note if expected == "fail" else "",
     )
-
-
-def reports_to_json(reports: list) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,11 @@ def _reports_table(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDER = {"json": algebra.reports_to_json, "csv": _reports_csv,
-           "pretty-table": _reports_table}
+def _reports_json(reports) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+
+
+_RENDER = {"json": _reports_json, "csv": _reports_csv, "pretty-table": _reports_table}
 
 
 def _verdict(checks) -> tuple:
@@ -257,8 +260,7 @@ def cmd_zitter(args) -> tuple:
 
 def cmd_packet(args) -> tuple:
     pk = wp.make_gaussian_packet(args.p0, args.sigma, args.mass, n=args.n)
-    if args.t != 0.0:
-        pk = wp.evolve_free(pk, args.t)
+    pk = wp.evolve_free(pk, args.t)
     x, rho_fw = wp.density(pk)
     _, rho_d = wp.density(wp.to_picture(pk, "dirac"))
     n_fw = float(np.sum(rho_fw) * pk.grid.dx)

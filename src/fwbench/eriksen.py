@@ -150,12 +150,12 @@ alive at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import check_mass, energy, fw_weights
+from .dirac import energy, fw_weights
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -242,13 +242,6 @@ def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.nda
     h = n_upper, from bh's parts without forming H."""
     h = bh.n_upper
     return _sandwich(U[:h], bh, U[k * h:(k + 1) * h].conj().T)
-
-
-def _conjugated_offblock_norm(U: np.ndarray, bh: BlockedHamiltonian) -> float:
-    """Frobenius norm of the two off-diagonal quadrants of U H U^dag, forming
-    only the upper one: U H U^dag is Hermitian, so the lower quadrant is the
-    adjoint of the upper one and has the same norm."""
-    return float(np.sqrt(2.0) * frob(conjugated_quadrant(U, bh, 1)))
 
 
 def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
@@ -364,7 +357,8 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     # off-diagonal quadrants of lam^2, which subtracting I leaves alone
     conds["bl_lb_commute"] = 2.0 * float(np.hypot(frob(sq[:h, h:]), frob(sq[h:, :h])))
     del sq
-    conds["offblock"] = _conjugated_offblock_norm(U, bh)
+    # U H U^dag is Hermitian: its lower quadrant is the upper one's adjoint
+    conds["offblock"] = float(np.sqrt(2.0) * frob(conjugated_quadrant(U, bh, 1)))
     return conds
 
 
@@ -464,19 +458,15 @@ class ScalingStudy:
     is the block-basis-invariant content of the even block, and it is what
     converges quadratically in the potential strength.  Matrix elements of
     different block-diagonalizations differ already at first order by an
-    even change of basis.
+    even change of basis.  exponent is the slope of log even_block_diff
+    against log v0, fitted by potential_scaling_study, which fills the record.
     """
 
     v0: np.ndarray
     even_block_diff: np.ndarray
     approx_offblock: np.ndarray
     exact_offblock: np.ndarray
-    exponent: float = field(init=False)
-
-    def __post_init__(self):
-        self.v0 = check_strengths(self.v0)
-        slope = np.polyfit(np.log(self.v0), np.log(self.even_block_diff), 1)[0]
-        self.exponent = float(slope)
+    exponent: float
 
 
 def check_strengths(v0_list) -> np.ndarray:
@@ -504,16 +494,17 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     eigenvalues, and the exact off-block is exact_offblock_norm, equal to
     the off-block norm of U H U^dag.  The off-block norms are over the spin
     block; four_component_norm gives them over the 4n operator.  profile
-    must be even on the grid (discretize_dirac_1d).
+    must be even on the grid (discretize_dirac_1d).  v0 is checked here,
+    and m by each Hamiltonian's BlockedHamiltonian.
     """
     v0_arr = check_strengths(v0_list)
-    check_mass(m)
     if profile is None:
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-0.5 * (x / width) ** 2)
-    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x)) for v0 in v0_arr])
-    return ScalingStudy(v0_arr, *points.T)
+    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x)) for v0 in v0_arr]).T
+    exponent = float(np.polyfit(np.log(v0_arr), np.log(points[0]), 1)[0])
+    return ScalingStudy(v0_arr, *points, exponent)
 
 
 def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Matrix = np.ndarray
-
 HERMITIAN_RTOL = 1e-10
 PSD_MIN_EIG_RTOL = 1e-13
 
@@ -20,7 +18,7 @@ class LinalgError(ValueError):
     """Structured rejection of an ill-conditioned or ill-typed matrix input."""
 
 
-def as_matrix(m) -> Matrix:
+def as_matrix(m) -> np.ndarray:
     """Validate and return a finite square matrix, float64 if m is real and
     complex128 otherwise."""
     a = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
@@ -31,20 +29,16 @@ def as_matrix(m) -> Matrix:
     return a
 
 
-def frob(m: Matrix) -> float:
+def frob(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def hermiticity_defect(m: Matrix) -> float:
-    """Relative deviation ||M - M^dag|| / max(||M||, 1e-300)."""
-    return frob(m - m.conj().T) / max(frob(m), 1e-300)
+def is_hermitian(m: np.ndarray) -> bool:
+    """||M - M^dag|| / max(||M||, 1e-300) <= HERMITIAN_RTOL."""
+    return frob(m - m.conj().T) / max(frob(m), 1e-300) <= HERMITIAN_RTOL
 
 
-def is_hermitian(m: Matrix) -> bool:
-    return hermiticity_defect(m) <= HERMITIAN_RTOL
-
-
-def mat_inv_sqrt_psd(m) -> Matrix:
+def mat_inv_sqrt_psd(m) -> np.ndarray:
     """(M)^(-1/2) for Hermitian positive-definite M; rejects an eigenvalue at
     or below PSD_MIN_EIG_RTOL times the largest.
 

@@ -87,8 +87,8 @@ class Jet:
     grad[..., k, :, :] = d val / d x_k over n coordinates x: the 3 momenta
     of an operator coefficient, or the 9 phase-space coordinates (Q, P, S)
     of a classical observable.  A scalar function has r = c = 1, so it
-    scales d x d matrices elementwise.  Plain numbers and constant matrices
-    combine with a Jet as coordinate-independent values.
+    scales d x d matrices elementwise.  Numbers and constant matrices combine
+    with a Jet as coordinate-independent values, a matrix only as M @ Jet.
     """
 
     __array_ufunc__ = None    # ndarray operands defer to the reflected methods
@@ -132,10 +132,8 @@ class Jet:
         return Jet(q, -_kaxis(q) * self.grad / _kaxis(self.val))
 
     def __matmul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.val @ other.val,
-                       self.grad @ _kaxis(other.val) + _kaxis(self.val) @ other.grad)
-        return Jet(self.val @ other, self.grad @ other)
+        return Jet(self.val @ other.val,
+                   self.grad @ _kaxis(other.val) + _kaxis(self.val) @ other.grad)
 
     def __rmatmul__(self, other):
         return Jet(other @ self.val, other @ self.grad)
@@ -383,15 +381,14 @@ def build_operator(family: OperatorFamily, m: float,
 
 # --- evaluation and commutation ----------------------------------------------
 
-def coeff_derivative(f: Callable, p: np.ndarray, k: int,
-                     rel_step: float = FD_REL_STEP) -> np.ndarray:
+def coeff_derivative(f: Callable, p: np.ndarray, k: int) -> np.ndarray:
     """d f / d p_k by central differences with one Richardson level.
 
     f returns an array (an operator coefficient) or a float (a classical
     observable, with p the phase-space coordinates).  The tests use it as an
     oracle for the exact Jet gradients.
     """
-    h = rel_step * max(1.0, float(np.linalg.norm(p)))
+    h = FD_REL_STEP * max(1.0, float(np.linalg.norm(p)))
 
     def central(hh):
         pp = p.copy()

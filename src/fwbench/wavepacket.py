@@ -1,13 +1,13 @@
 """1D momentum-space spinor packets under free evolution.
 
-Packets live on the centered momentum grid of a periodic box with the
-momentum pointing along z, so the full 4x4 operator structure survives
-while every spatial transform is one-dimensional.  The momentum-to-
-position kernel is fixed to exp(+i p x)/sqrt(2 pi) (grid-periodized).
-Every observable is a moment of one density of the picture it is averaged
-in: momentum-type ones of |psi(p)|^2, position-type ones of the position
-density |Psi(x)|^2 on the box nodes.  By Parseval the position moments
-equal the averages of the spectrally periodized i d/dp.
+Packets live on the centered momentum grid of a periodic box, with the
+momentum along z and the spin up along z, so the full 4x4 operator
+structure survives while every spatial transform is one-dimensional.
+The momentum-to-position kernel is fixed to exp(+i p x)/sqrt(2 pi)
+(grid-periodized).  Every observable is a moment of one density of the
+picture it is averaged in: momentum-type ones of |psi(p)|^2, position-type
+ones of the position density |Psi(x)|^2 on the box nodes.  By Parseval the
+position moments equal the averages of the spectrally periodized i d/dp.
 
 Wave functions in the two pictures are related nodewise by the free
 unitary U(p) = (eps + m + gamma_3 p)/sqrt(2 eps (eps+m)); expectation
@@ -28,7 +28,6 @@ import numpy as np
 from .dirac import check_positive_mass, energy, free_propagator, fw_unitary_matrix
 from .grids import Grid1D
 from .phase_ops import build_operator, snapshot
-from .spin_dynamics import spinor_from_direction
 from .zitter import HAMILTONIANS
 
 PICTURES = ("fw", "dirac")
@@ -88,16 +87,15 @@ def default_grid(p0: float, sigma_p: float, n: Optional[int] = None) -> Grid1D:
 
 
 def make_gaussian_packet(p0: float, sigma_p: float, m: float,
-                         spin_dir=(0, 0, 1), grid: Optional[Grid1D] = None,
                          n: Optional[int] = None) -> WavePacket1D:
-    """Positive-energy Gaussian packet in the fw picture, upper spinor only.
+    """Positive-energy Gaussian packet in the fw picture, spin up along z:
+    the first spinor component alone, on default_grid(p0, sigma_p, n).
 
     to_picture(packet, "dirac") applies U^-1 nodewise, so the packet stays a
     superposition of positive-energy plane waves in the Dirac picture.
     """
     check_positive_mass(m)   # the centered grid holds p = 0
-    if grid is None:
-        grid = default_grid(p0, sigma_p, n)
+    grid = default_grid(p0, sigma_p, n)
     p = grid.p_centered
     p_lo, p_hi = p[0], p[-1]
     if p0 - 6 * sigma_p < p_lo or p0 + 6 * sigma_p > p_hi:
@@ -108,10 +106,8 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     g = np.exp(-((p - p0) ** 2) / (4 * sigma_p**2)).astype(complex)
     g /= np.sqrt(np.sum(np.abs(g) ** 2) * grid.dp)
 
-    chi = spinor_from_direction(spin_dir)
     psi = np.zeros((grid.n, 4), dtype=complex)
-    psi[:, 0] = g * chi[0]
-    psi[:, 1] = g * chi[1]
+    psi[:, 0] = g
     return WavePacket1D(grid=grid, psi=psi, m=m, picture="fw")
 
 
@@ -153,7 +149,7 @@ class Observable:
 
     kind: str
 
-    KINDS = ("identity", "position_sq", "momentum")
+    KINDS = ("position_sq", "momentum")
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -165,8 +161,6 @@ def expectation(packet: WavePacket1D, obs: Observable, picture: str = "fw") -> f
     as a moment of that picture's momentum or position density."""
     pk = to_picture(packet, picture)
     grid = pk.grid
-    if obs.kind == "identity":
-        return pk.norm
     if obs.kind == "momentum":
         return float(np.sum(grid.p_centered * np.sum(np.abs(pk.psi) ** 2, axis=1)) * grid.dp)
     # position_sq; x * x first would overflow in a huge box before rho scales it

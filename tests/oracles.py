@@ -296,14 +296,13 @@ def classical_worldline_defect(state: ClassicalState, i: int, j: int) -> np.ndar
 
 # --- packets, grid Hamiltonians and trembling-motion records ----------------------
 
-def make_dirac_upper_packet(p0: float, sigma_p: float, m: float,
-                            spin_dir=(0, 0, 1), grid=None, n=None) -> WavePacket1D:
+def make_dirac_upper_packet(p0: float, sigma_p: float, m: float, n=None) -> WavePacket1D:
     """Gaussian upper spinor written directly in the Dirac picture.
 
     Unlike the positive-energy factory, this state mixes both energy signs,
     so its velocity expectation trembles at twice the packet energy.
     """
-    fw = make_gaussian_packet(p0, sigma_p, m, spin_dir, grid, n)
+    fw = make_gaussian_packet(p0, sigma_p, m, n)
     return WavePacket1D(grid=fw.grid, psi=fw.psi, m=m, picture="dirac")
 
 

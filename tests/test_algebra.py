@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import floats
 
 import fwbench.algebra as algebra
+from fwbench.cli import _RENDER
 from fwbench.algebra import (
     CLASSICAL_TOL,
     IDENTITIES,
@@ -19,7 +20,6 @@ from fwbench.algebra import (
     classical_observables,
     identities_for_set,
     poisson_bracket,
-    reports_to_json,
     run_classical_suite,
     run_quantum_suite,
     sample_momenta,
@@ -204,7 +204,7 @@ def test_sample_momenta_reproducible_and_bounded():
 
 def test_report_json_schema():
     reports = run_quantum_suite("conventional", 1.0, 3)
-    data = json.loads(reports_to_json(reports))
+    data = json.loads(_RENDER["json"](reports))
     assert len(data) == len(reports)
     for row in data:
         for key in ("identity_id", "set_name", "samples", "max_residual",

@@ -127,6 +127,13 @@ def test_package_import_loads_no_submodule():
                          "if not n.startswith('__')])") == "[] []"
 
 
+def test_wavepacket_loads_no_spin_dynamics():
+    # the packet is spin-up along z by construction; the packet layer needs
+    # no spin-direction code
+    assert _fresh_stdout("import sys, fwbench.wavepacket; "
+                         "print('fwbench.spin_dynamics' in sys.modules)") == "False"
+
+
 def test_help_available_for_each_subcommand(capsys):
     for cmd in ("verify-algebra", "eriksen", "precess", "zitter", "packet", "pce"):
         with pytest.raises(SystemExit) as exc:
@@ -372,6 +379,18 @@ def test_precess_rejects_non_finite_series(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_precess_series_check_catches_silent_nan(capsys):
+    # 2 m overflows to inf in Python float arithmetic, which raises nothing,
+    # and so does charge * eta: the electric-dipole prefactor is inf / inf,
+    # a quiet NaN that no floating-point trap sees, and only the series
+    # check stops it
+    assert run(["precess", "--mass", "1.7e308", "--charge", "1e10", "--eta", "1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: precession series is not finite; "
+                   "check --t-max, --p and the fields\n")
 
 
 def _joined_csv(header, rows):

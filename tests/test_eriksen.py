@@ -14,7 +14,6 @@ from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
 from fwbench.eriksen import (
     BlockedHamiltonian,
-    ScalingStudy,
     approx_fw,
     check_strengths,
     conjugated_quadrant,
@@ -350,8 +349,6 @@ def test_scaling_study_rejects_degenerate_strengths(v0):
     with pytest.raises(ValueError, match="strength"):
         check_strengths(v0)
     with pytest.raises(ValueError, match="strength"):
-        ScalingStudy(v0, np.ones(len(v0)), np.ones(len(v0)), np.ones(len(v0)))
-    with pytest.raises(ValueError, match="strength"):
         potential_scaling_study(Grid1D(n=16, length=8.0), 1.0, v0)
 
 
@@ -619,9 +616,9 @@ def test_grid_odd_part_matches_eigh_oracle(n, m, dense_eriksen_oracle):
 
 @pytest.mark.parametrize("profile", sorted(ORACLE_PROFILES))
 def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_eriksen_oracle):
-    # U H U^dag is Hermitian, so the lower off-diagonal quadrant's norm is the
-    # upper one's; the oracle's approximate unitary leaves an O(V) off-block
-    # part to compare
+    # eriksen_conditions forms only the upper off-diagonal quadrant: U H U^dag
+    # is Hermitian, so the lower quadrant's norm is the upper one's; the
+    # oracle's approximate unitary leaves an O(V) off-block part to compare
     grid = Grid1D(n=32, length=16.0)
     V = ORACLE_PROFILES[profile](grid.length)
     for m in ORACLE_MASSES:
@@ -629,7 +626,7 @@ def test_one_quadrant_offblock_norm_matches_full_conjugation(profile, dense_erik
         nu = bh.n_upper
         U_a, _ = dense_eriksen_oracle["approx"](bh.H, block_beta(nu), m * np.eye(2 * nu))
         want = dense_eriksen_oracle["offblock"](U_a @ bh.H @ U_a.conj().T, nu)
-        got = fwbench.eriksen._conjugated_offblock_norm(U_a, bh)
+        got = eriksen_conditions(U_a, sign_function(eigenframe(bh)), bh)["offblock"]
         assert abs(got / want - 1) <= 1e-12, m
 
 

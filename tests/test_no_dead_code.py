@@ -12,8 +12,7 @@ an attribute of that name is read in src/ or scripts/ off anything but an
 imported module: matching is by name only, so any object's attribute of the
 same name counts, but np.linalg.norm does not make a method named norm
 used.  Reads from the tests do not count: a definition only the tests read
-is a test oracle and belongs in tests/.  The re-exports in
-fwbench/__init__.py do not count as uses either.  An OperatorFamily member
+is a test oracle and belongs in tests/.  An OperatorFamily member
 counts as used when its name is read as an attribute in src/ or scripts/
 outside phase_ops.py, which defines it.
 """
@@ -127,8 +126,6 @@ def _scan() -> tuple:
     definition's own name."""
     defined, members, used, attrs_used = {}, {}, set(), set()
     for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
-        if path == PACKAGE / "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         modules = _modules_bound(tree)
         for stmt in tree.body:
@@ -159,11 +156,10 @@ def _enum_members(tree, class_name: str) -> set:
 
 
 def _attributes_read_outside(excluded: Path) -> set:
-    """Attribute names read in src/ and scripts/ outside the excluded file
-    and fwbench/__init__.py."""
+    """Attribute names read in src/ and scripts/ outside the excluded file."""
     paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
     return {n.attr
-            for path in paths if path not in (excluded, PACKAGE / "__init__.py")
+            for path in paths if path != excluded
             for n in ast.walk(ast.parse(path.read_text()))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 

@@ -111,6 +111,12 @@ def test_component_validation():
         build_operator(F.FW_POSITION, 1.0, 0)       # components are 1..3
     with pytest.raises(DomainError):
         build_operator(F.FW_HAMILTONIAN, 1.0, 1)    # scalar family
+    with pytest.raises(DomainError, match="non-negative"):
+        build_operator(F.FW_HAMILTONIAN, -1.0)
+    with pytest.raises(DomainError, match=r"shape \(\.\.\., 3\)"):
+        snapshot(build_operator(F.FW_HAMILTONIAN, 1.0), np.zeros((4, 2)))
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="derivative failed"):
+        coeff_derivative(lambda q: np.full((4, 4), np.inf), np.ones(3), 0)   # inf - inf
 
 
 def test_massless_rejection_for_rest_frame_families():

@@ -52,6 +52,8 @@ def test_edm_momentum_terms():
 def test_mdm_requires_positive_mass():
     with pytest.raises(ValueError):
         omega_mdm(np.zeros(3), 0.0, FieldConfig(b_field=(0, 0, 1.0)))
+    with pytest.raises(ValueError, match="m > 0"):
+        omega_edm(np.zeros(3), 0.0, FieldConfig(e_field=(1.0, 0, 0), eta=0.5))
 
 
 def test_noninertial_cases():
@@ -120,6 +122,8 @@ def test_quantum_trivial_cases():
 def test_quantum_requires_normalized_spinor():
     with pytest.raises(ValueError):
         propagate_quantum(np.array([1.0, 1.0]), np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="nonzero"):   # no spinor points nowhere
+        spinor_from_direction((0, 0, 0))
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fwbench.grids import Grid1D
+from fwbench.spin_dynamics import spinor_from_direction
 from fwbench.wavepacket import (
     GridResolutionError,
     Observable,
@@ -137,14 +138,13 @@ def test_symmetric_packet_centered(relativistic_packet):
     for picture in ("fw", "dirac"):
         assert position_expectation(relativistic_packet, picture) \
             == pytest.approx(0.0, abs=1e-9)
-        assert expectation(relativistic_packet, Observable("identity"), picture) \
-            == pytest.approx(1.0, abs=1e-12)
+        assert to_picture(relativistic_packet, picture).norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pce_values(relativistic_packet):
     pk = relativistic_packet
     assert picture_change_error(pk, Observable("momentum")) == pytest.approx(0.0, abs=1e-12)
-    assert picture_change_error(pk, Observable("identity")) == pytest.approx(0.0, abs=1e-12)
+    assert to_picture(pk, "dirac").norm - pk.norm == pytest.approx(0.0, abs=1e-12)
     x2 = expectation(pk, Observable("position_sq"))
     pce = picture_change_error(pk, Observable("position_sq"))
     assert abs(pce) > 1e-4 * abs(x2)
@@ -192,7 +192,11 @@ def test_picture_change_error_and_density_discrepancy_are_positive():
 
 
 def test_spin_z_constant_for_positive_energy_packet():
-    pk = make_gaussian_packet(p0=1.0, sigma_p=0.3, m=M, spin_dir=(1.0, 0.0, 0.5))
+    # the spin-up packet's Gaussian on the upper spinor of a tilted spin
+    up = make_gaussian_packet(p0=1.0, sigma_p=0.3, m=M)
+    psi = np.zeros_like(up.psi)
+    psi[:, :2] = up.psi[:, :1] * spinor_from_direction((1.0, 0.0, 0.5))
+    pk = WavePacket1D(grid=up.grid, psi=psi, m=M, picture="fw")
     s0 = spin_z_expectation(pk)
     for t in (2.0, 20.0):
         assert spin_z_expectation(evolve_free(pk, t)) == pytest.approx(s0, abs=1e-12)
@@ -207,10 +211,10 @@ def test_position_operator_hermitian_on_grid(relativistic_packet):
 
 def test_grid_resolution_errors():
     with pytest.raises(GridResolutionError):
-        make_gaussian_packet(p0=50.0, sigma_p=0.5, m=M, grid=Grid1D(64, 16.0))
+        make_gaussian_packet(p0=50.0, sigma_p=0.5, m=M, n=64)
     with pytest.raises(GridResolutionError):
-        # dp = 2 pi / 12 on 16 nodes spans only about +-4 sigma
-        make_gaussian_packet(p0=0.0, sigma_p=1.0, m=M, grid=Grid1D(16, 12.0))
+        # dp = sigma / 8 on 64 nodes spans only about +-4 sigma
+        make_gaussian_packet(p0=0.0, sigma_p=1.0, m=M, n=64)
 
 
 def test_mixed_energy_packet_trembles_at_twice_energy():
@@ -238,17 +242,18 @@ def test_packet_validation():
     with pytest.raises(ValueError):
         WavePacket1D(grid=grid, psi=np.zeros((32, 4), complex), m=1.0,
                      picture="schroedinger")
-    with pytest.raises(ValueError, match="nonzero"):
-        make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0, spin_dir=(0, 0, 0))
+    with pytest.raises(ValueError, match="sigma_p must be positive"):
+        make_gaussian_packet(p0=1.0, sigma_p=0.0, m=1.0)
     pk = make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0)
     for bad_picture in ("Dirac", "dirac_picture"):
         with pytest.raises(ValueError, match="picture"):
             to_picture(pk, bad_picture)
         with pytest.raises(ValueError, match="picture"):
-            expectation(pk, Observable("identity"), bad_picture)
+            expectation(pk, Observable("momentum"), bad_picture)
     for bad_mass in (0.0, -1.0, np.nan, np.inf):   # the grid holds p = 0
         with pytest.raises(ValueError, match="mass must be positive"):
             make_gaussian_packet(p0=1.0, sigma_p=0.5, m=bad_mass)
-    for kind in ("something_else", "custom", "quadrupole_1d", "position", "spin_z"):
+    for kind in ("something_else", "custom", "quadrupole_1d", "position", "spin_z",
+                 "identity"):
         with pytest.raises(ValueError, match="unknown observable kind"):
             Observable(kind)
