@@ -229,6 +229,11 @@ def cmd_precess(args) -> tuple:
                       ).reshape(-1, 7)   # (0, 7) when --steps is 0
     if not np.all(np.isfinite(series)):
         raise ValueError("precession series is not finite; check --t-max, --p and the fields")
+    if not np.all(np.isfinite(omega)):
+        # e / m and the other prefactors are Python floats, which overflow to
+        # inf without raising; with no steps nothing else reads omega
+        raise ValueError("precession angular velocity is not finite; "
+                         "check --mass, --charge and the fields")
     worst = float(np.max(np.abs(series[:, 1:4] - series[:, 4:]), initial=0.0))
     header = "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum"
     failed, ok = _verdict([("quantum_classical_deviation", worst, "<= 1e-12", worst <= 1e-12)])

@@ -110,19 +110,19 @@ be real.
 
 Checks.  The BlockedHamiltonian holds H's parts and checks them once, when
 it is made: p real with one value per row of V, V Hermitian, all finite,
-and m non-negative.  eigenframe picks its decomposition from V.  A diagonal
-V (the free grid, or V = c I) couples row k of H only to row n + k, so H
-is n independent 2x2 blocks [[m + V_kk, p_k], [p_k, V_kk - m]], one per
-momentum: one batched eigh of the (n, 2, 2) stack gives them, and their
-sorted eigenvalues and eigenvectors fill w and v with no H formed.  Any
-other V takes one dense eigh of H.  The frames can differ only by a
-unitary inside a degenerate eigenspace (a +-p pair of blocks), which
-leaves V+ V+^dag and V- V-^dag, and so lambda, U and the off-block, as
-they are; in the split frame X1 X1^dag is diagonal.  The zero-mode and
-half-positive checks read the assembled w on both paths.  Every other
-kernel reads the parts.  Because H is Hermitian, so is U H U^dag for any
-U, and its off-diagonal norm is sqrt(2) times the norm of the upper
-quadrant alone;
+and m non-negative.  It holds one Hamiltonian or a stack of them, p of
+shape (..., h) and V of shape (..., h, h), and every kernel acts on each
+member, indexing with ... and taking adjoints over the last two axes.  The
+free grid is such a stack: V = 0 couples row k of H only to row n + k, so
+H is n independent one-momentum Hamiltonians [[m, p_k], [p_k, -m]], and
+free_checks holds it as p = grid.p_fft[:, None] and V = 0 of shape
+(n, 1, 1), which one batched eigh decomposes.  The (k, n + k) permutation
+takes the stack to H, block-diagonal, so Frobenius norms over the stack
+are those over H; eigenframe tests for a zero mode against the largest
+|eigenvalue| of the whole stack, as for H, and for half-positive spectra
+member by member.  Because H is Hermitian, so is U H U^dag for any U, and
+its off-diagonal norm is sqrt(2) times the norm of the upper quadrant
+alone;
 the upper rows U[:h] H = [U1 (m + V) + U2 diag p, U1 diag p + U2 (V - m)]
 are two half-size products and two column scalings (conjugated_quadrant),
 and V+^dag H is the same with V+^dag's column halves X1^dag and X2^dag,
@@ -135,17 +135,16 @@ quadrants of the lambda^2 that the lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
-only p, the half-size V and m; eigenframe forms the dense H for eigh alone,
-and for a diagonal V no H, only the (n, 2, 2) stack and v; eriksen_unitary
-writes U half by half; eriksen_conditions forms and reduces one condition
-at a time, subtracting the identity in place; free_checks releases the
-frame and lambda as soon as it has read them; approx_fw forms half-size
-matrices only; and the scaling study forms no U, reads the exact
+only p, the half-size V and m; eigenframe forms the dense H for eigh alone;
+eriksen_unitary writes U half by half; eriksen_conditions forms and reduces
+one condition at a time, subtracting the identity in place; approx_fw forms
+half-size matrices only; and the scaling study forms no U, reads the exact
 off-block from the eigenframe through half-size products, releases the
 eigenframe before the approximate transform, and each Hamiltonian's
-matrices before it builds the next.  A full-size float64 matrix is 0.5 MiB
-at n = 128 and 2 MiB at n = 256, so peak memory is set by how many are
-alive at once.
+matrices before it builds the next.  The free check's stack holds 4n
+entries per matrix, far below one full-size matrix.  A full-size float64
+matrix is 0.5 MiB at n = 128 and 2 MiB at n = 256, so peak memory is set by
+how many are alive at once.
 """
 
 from __future__ import annotations
@@ -159,6 +158,7 @@ from .dirac import energy, fw_weights
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
+    adjoint,
     as_matrix,
     frob,
     is_hermitian,
@@ -176,8 +176,10 @@ class BlockedHamiltonian:
 
     H = beta m + E + O,  E = diag(V, V),  O = [[0, diag p], [diag p, 0]].
 
-    The constructor checks the parts once; the kernels that take a
-    BlockedHamiltonian rely on that check.  Every kernel keeps V's dtype:
+    p of shape (..., n) and V of shape (..., n, n) hold a stack of such
+    Hamiltonians, one per leading index.  The constructor checks the parts
+    once; the kernels that take a BlockedHamiltonian rely on that check.
+    Every kernel keeps V's dtype:
     float64 for a grid Hamiltonian in the momentum basis, complex128 for a
     complex V such as the 4x4 Dirac block rotated into the eigenbasis of
     sigma.p.
@@ -196,9 +198,9 @@ class BlockedHamiltonian:
         if np.iscomplexobj(self.p):
             raise LinalgError("odd block p must be real")
         p = np.asarray(self.p, dtype=float)
-        if p.shape != V.shape[:1]:
+        if p.shape != V.shape[:-1]:
             raise LinalgError(f"odd block p must hold one value per row of V, shape "
-                              f"{V.shape[:1]}, got shape {p.shape}")
+                              f"{V.shape[:-1]}, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise LinalgError("odd block p has non-finite entries")
         object.__setattr__(self, "p", p)
@@ -207,19 +209,19 @@ class BlockedHamiltonian:
 
     @property
     def n_upper(self) -> int:
-        return self.p.size
+        return self.p.shape[-1]
 
     @property
     def H(self) -> np.ndarray:
         """The dense 2n x 2n matrix [[m + V, diag p], [diag p, V - m]] of V's
-        dtype, formed on each read."""
+        dtype, or the stack of them, formed on each read."""
         h = self.n_upper
-        H = np.zeros((2 * h, 2 * h), dtype=self.V.dtype)
-        H[:h, :h] = H[h:, h:] = self.V
+        H = np.zeros(self.V.shape[:-2] + (2 * h, 2 * h), dtype=self.V.dtype)
+        H[..., :h, :h] = H[..., h:, h:] = self.V
         diag = np.arange(h)
-        H[diag, h + diag] = H[h + diag, diag] = self.p
-        H[diag, diag] += self.m
-        H[h + diag, h + diag] -= self.m
+        H[..., diag, h + diag] = H[..., h + diag, diag] = self.p
+        H[..., diag, diag] += self.m
+        H[..., h + diag, h + diag] -= self.m
         return H
 
 
@@ -231,17 +233,17 @@ def _sandwich(rows: np.ndarray, bh: BlockedHamiltonian, cols: np.ndarray) -> np.
     the column halves of rows: two half-size products and two column
     scalings.
     """
-    h = bh.n_upper
-    R1, R2 = rows[:, :h], rows[:, h:]
-    return ((R1 @ bh.V + bh.m * R1 + R2 * bh.p) @ cols[:h]
-            + (R1 * bh.p + R2 @ bh.V - bh.m * R2) @ cols[h:])
+    h, p = bh.n_upper, bh.p[..., None, :]
+    R1, R2 = rows[..., :h], rows[..., h:]
+    return ((R1 @ bh.V + bh.m * R1 + R2 * p) @ cols[..., :h, :]
+            + (R1 * p + R2 @ bh.V - bh.m * R2) @ cols[..., h:, :])
 
 
 def conjugated_quadrant(U: np.ndarray, bh: BlockedHamiltonian, k: int) -> np.ndarray:
     """Quadrant (0, k) of U H U^dag, (U[:h] H) U[kh:(k+1)h]^dag with
     h = n_upper, from bh's parts without forming H."""
     h = bh.n_upper
-    return _sandwich(U[:h], bh, U[k * h:(k + 1) * h].conj().T)
+    return _sandwich(U[..., :h, :], bh, adjoint(U[..., k * h:(k + 1) * h, :]))
 
 
 def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
@@ -250,50 +252,24 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
         raise LinalgError(message)
 
 
-def _momentum_eigh(bh: BlockedHamiltonian) -> tuple:
-    """eigh(bh.H) for a diagonal V: H couples row k only to row n + k, so it
-    is n independent 2x2 blocks [[m + V_kk, p_k], [p_k, V_kk - m]], one per
-    momentum, decomposed by one batched eigh.  The 2n eigenvalues are
-    sorted ascending (stably, so equal ones keep their block order), and
-    each block's eigenvectors fill rows k and n + k of their columns of v."""
-    h = bh.n_upper
-    d = np.diagonal(bh.V)
-    blocks = np.empty((h, 2, 2), dtype=bh.V.dtype)
-    blocks[:, 0, 0] = d + bh.m
-    blocks[:, 1, 1] = d - bh.m
-    blocks[:, 0, 1] = blocks[:, 1, 0] = bh.p
-    wk, vk = np.linalg.eigh(blocks)
-    order = np.argsort(wk, axis=None, kind="stable")
-    k, j = np.divmod(order, 2)
-    cols = np.arange(2 * h)
-    v = np.zeros((2 * h, 2 * h), dtype=bh.V.dtype)
-    v[k, cols] = vk[k, 0, j]
-    v[h + k, cols] = vk[k, 1, j]
-    return wk.ravel()[order], v
-
-
 def eigenframe(bh: BlockedHamiltonian) -> tuple:
     """(w, v) = eigh(bh.H), eigenvalues ascending, for a spectrum with no
-    zero mode and exactly bh.n_upper positive eigenvalues; LinalgError
-    otherwise.
+    zero mode and exactly bh.n_upper positive eigenvalues in each member;
+    LinalgError otherwise.
 
-    A diagonal V (the free grid, or any V = c I) splits H by momentum into
-    2x2 blocks, one batched eigh (_momentum_eigh); any other V takes one
-    dense eigh of bh.H, formed here alone and Hermitian by construction.
-    The two frames may differ by a unitary inside a degenerate eigenspace
-    (a +-p pair), which leaves the spectral projectors V+ V+^dag and
-    V- V-^dag, and so lambda and U, unchanged.  The frame gives the exact
-    spectrum, eriksen_unitary and sign_function, so a caller decomposes
-    each Hamiltonian once.
+    bh.H is formed here alone, Hermitian by construction.  The zero-mode
+    test is relative to the largest |eigenvalue| of the whole stack, so a
+    stack rejects what its block-diagonal matrix would.  The frame gives
+    the exact spectrum, eriksen_unitary and sign_function, so a caller
+    decomposes each Hamiltonian once.
     """
-    V = bh.V
-    diagonal = np.count_nonzero(V) == np.count_nonzero(np.diagonal(V))
-    w, v = _momentum_eigh(bh) if diagonal else np.linalg.eigh(bh.H)
+    w, v = np.linalg.eigh(bh.H)
     _reject_zero_eigenvalues(w, ZERO_MODE_RTOL, f"eigenvalue within {ZERO_MODE_RTOL:.0e} "
                                                 "of zero: sign function undefined")
-    positive = int(np.count_nonzero(w > 0))
-    if positive != bh.n_upper:
-        raise LinalgError(f"{positive} of {w.size} eigenvalues are positive, not half: "
+    positive = np.count_nonzero(w > 0, axis=-1)
+    wrong = positive[positive != bh.n_upper]
+    if wrong.size:
+        raise LinalgError(f"{wrong[0]} of {w.shape[-1]} eigenvalues are positive, not half: "
                           "no unitary sends the positive spectrum to the upper block")
     return w, v
 
@@ -301,7 +277,7 @@ def eigenframe(bh: BlockedHamiltonian) -> tuple:
 def sign_function(frame: tuple) -> np.ndarray:
     """lambda = H (H^2)^(-1/2) = v sign(w) v^dag from eigenframe(bh)."""
     w, v = frame
-    return (v * np.sign(w)) @ v.conj().T
+    return (v * np.sign(w)[..., None, :]) @ adjoint(v)
 
 
 def eriksen_unitary(frame: tuple) -> np.ndarray:
@@ -315,11 +291,11 @@ def eriksen_unitary(frame: tuple) -> np.ndarray:
     derives it.
     """
     w, v = frame
-    h = w.size // 2
+    h = w.shape[-1] // 2
     U = np.empty_like(v)
     for rows, cols in ((slice(0, h), slice(h, None)), (slice(h, None), slice(0, h))):
-        X = v[rows, cols]
-        U[rows] = (mat_inv_sqrt_psd(X @ X.conj().T) @ X) @ v[:, cols].conj().T
+        X = v[..., rows, cols]
+        U[..., rows, :] = (mat_inv_sqrt_psd(X @ adjoint(X)) @ X) @ adjoint(v[..., cols])
     return U
 
 
@@ -330,13 +306,14 @@ def exact_offblock_norm(frame: tuple, bh: BlockedHamiltonian) -> float:
     negative- and positive-energy eigenvectors of eigenframe(bh).  The
     module docstring derives the identity."""
     w, v = frame
-    h = w.size // 2
-    return float(np.sqrt(2.0) * frob(_sandwich(v[:, h:].conj().T, bh, v[:, :h])))
+    h = w.shape[-1] // 2
+    return float(np.sqrt(2.0) * frob(_sandwich(adjoint(v[..., h:]), bh, v[..., :h])))
 
 
 def _minus_identity(a: np.ndarray) -> np.ndarray:
-    """a - I, in place."""
-    a[np.diag_indices_from(a)] -= 1.0
+    """a - I, of each member of a stack, in place."""
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] -= 1.0
     return a
 
 
@@ -345,17 +322,18 @@ def eriksen_conditions(U: np.ndarray, lam: np.ndarray, bh: BlockedHamiltonian) -
     built from the sign function lam of bh.H, each formed and reduced before
     the next; the off-block residual reads bh's parts (conjugated_quadrant)."""
     h = bh.n_upper
-    conds = {"unitarity": frob(_minus_identity(U @ U.conj().T))}
+    conds = {"unitarity": frob(_minus_identity(U @ adjoint(U)))}
     odd = U.copy()
-    odd[h:] *= -1                                         # beta U
-    odd -= odd.conj().T                                   # beta U - U^dag beta
+    odd[..., h:, :] *= -1                                 # beta U
+    odd -= adjoint(odd)                                   # beta U - U^dag beta
     conds["odd_exponent"] = frob(odd)
     del odd
     sq = lam @ lam
     conds["lambda_squared"] = frob(_minus_identity(sq))
     # [beta lam, lam beta] = beta lam^2 beta - lam^2 is -2 times the
     # off-diagonal quadrants of lam^2, which subtracting I leaves alone
-    conds["bl_lb_commute"] = 2.0 * float(np.hypot(frob(sq[:h, h:]), frob(sq[h:, :h])))
+    conds["bl_lb_commute"] = 2.0 * float(np.hypot(frob(sq[..., :h, h:]),
+                                                  frob(sq[..., h:, :h])))
     del sq
     # U H U^dag is Hermitian: its lower quadrant is the upper one's adjoint
     conds["offblock"] = float(np.sqrt(2.0) * frob(conjugated_quadrant(U, bh, 1)))
@@ -426,27 +404,18 @@ def four_component_norm(block_norm):
     return np.sqrt(2.0) * block_norm
 
 
-def free_spectrum_1d(grid: Grid1D, m: float) -> np.ndarray:
-    """Sorted exact spectrum of the free discretized spin block."""
-    eps = energy(grid.p_fft[:, None], m)
-    return np.sort(np.concatenate([eps, -eps]))
-
-
 def free_checks(grid: Grid1D, m: float) -> tuple:
-    """(eriksen_conditions as norms over the 4n x 4n operator, error of the
-    upper block's spectrum against the exact positive one) of the exact
-    transform on the free grid, its matrices released on return."""
-    bh = discretize_dirac_1d(grid, m, lambda x: np.zeros_like(x))
+    """(eriksen_conditions as norms over the 4n x 4n operator, largest error
+    of the upper block's entries against the exact positive energies) of
+    the exact transform on the free grid, held as the stack of its n
+    one-momentum Hamiltonians [[m, p_k], [p_k, -m]]."""
+    bh = BlockedHamiltonian(p=grid.p_fft[:, None], V=np.zeros((grid.n, 1, 1)), m=m)
     frame = eigenframe(bh)
     U, lam = eriksen_unitary(frame), sign_function(frame)
-    del frame
     conds = {k: float(four_component_norm(v))
              for k, v in eriksen_conditions(U, lam, bh).items()}
-    del lam
-    upper = conjugated_quadrant(U, bh, 0)
-    spec_err = float(np.max(np.abs(
-        np.linalg.eigvalsh(upper) - free_spectrum_1d(grid, m)[bh.n_upper:])))
-    return conds, spec_err
+    upper = conjugated_quadrant(U, bh, 0)[:, 0, 0]
+    return conds, float(np.max(np.abs(upper - energy(bh.p, m))))
 
 
 @dataclass

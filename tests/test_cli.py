@@ -393,6 +393,18 @@ def test_precess_series_check_catches_silent_nan(capsys):
                    "check --t-max, --p and the fields\n")
 
 
+def test_precess_rejects_non_finite_omega_with_no_steps(capsys):
+    # e / m overflows to inf in Python float arithmetic, which raises nothing,
+    # and with no steps no propagation reads the infinite angular velocity
+    argv = ["precess", "--steps", "0", "--charge", "1e308", "--mass", "1e-10",
+            "--b-field", "1,1,1"]
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: precession angular velocity is not finite; "
+                   "check --mass, --charge and the fields\n")
+
+
 def _joined_csv(header, rows):
     """The series CSV joined value by value with _fmt, the writer's oracle;
     with no rows, the header line alone."""

@@ -21,7 +21,7 @@ from fwbench.eriksen import (
     eigenframe,
     eriksen_conditions,
     eriksen_unitary,
-    free_spectrum_1d,
+    free_checks,
     potential_scaling_study,
     sign_function,
 )
@@ -181,10 +181,16 @@ def free_grid_system():
     return grid, bh
 
 
+def free_spectrum(grid, m):
+    """The free spin block's exact spectrum +-eps(p) over the grid, sorted."""
+    eps = energy(grid.p_fft[:, None], m)
+    return np.sort(np.concatenate([-eps, eps]))
+
+
 def test_free_spectrum_matches_analytic(free_grid_system):
     grid, bh = free_grid_system
     ev = np.sort(np.linalg.eigvalsh(bh.H))
-    assert np.max(np.abs(ev - free_spectrum_1d(grid, 1.0))) <= 1e-10
+    assert np.max(np.abs(ev - free_spectrum(grid, 1.0))) <= 1e-10
 
 
 def test_constant_potential_shifts_spectrum_exactly(free_grid_system):
@@ -192,7 +198,7 @@ def test_constant_potential_shifts_spectrum_exactly(free_grid_system):
     c = 0.37
     bh = discretize_dirac_1d(grid, 1.0, lambda x: c * np.ones_like(x))
     ev = np.sort(np.linalg.eigvalsh(bh.H))
-    assert np.max(np.abs(ev - (free_spectrum_1d(grid, 1.0) + c))) <= 1e-10
+    assert np.max(np.abs(ev - (free_spectrum(grid, 1.0) + c))) <= 1e-10
 
 
 def test_odd_part_anticommutes_with_beta(free_grid_system):
@@ -286,19 +292,20 @@ def test_blocked_hamiltonian_is_frozen():
 
 def test_eriksen_command_checks_each_hamiltonian_hermitian_once(tmp_path, monkeypatch):
     n = 16
-    dims = {}
+    shapes = {}
     for module in (fwbench.eriksen, fwbench.linalg):
         original = module.is_hermitian
 
         def counted(a, *args, _original=original, _module=module.__name__, **kwargs):
-            dims.setdefault(_module, []).append(a.shape[-1])
+            shapes.setdefault(_module, []).append(a.shape)
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(module, "is_hermitian", counted)
     assert main(["eriksen", "--n", str(n), "--out", str(tmp_path / "e.json")]) == 0
-    # the potential block V of the free Hamiltonian and of the three of the
-    # default --v0 ladder; mat_inv_sqrt_psd checks its own half-size inputs
-    assert dims["fwbench.eriksen"] == [n] * 4
-    assert 2 * n not in dims["fwbench.linalg"]
+    # the potential block V of the free Hamiltonian, the stack of its n
+    # one-momentum blocks, and of the three of the default --v0 ladder;
+    # mat_inv_sqrt_psd checks its own half-size inputs
+    assert shapes["fwbench.eriksen"] == [(n, 1, 1)] + [(n, n)] * 3
+    assert all(shape[-1] < 2 * n for shape in shapes["fwbench.linalg"])
 
 
 def test_discretize_rejects_potential_without_one_finite_value_per_node():
@@ -321,6 +328,10 @@ def test_blocked_hamiltonian_validation():
     for bad_p in (0.3, np.zeros(3), np.zeros((2, 1))):
         with pytest.raises(LinalgError, match="one value per row of V"):
             BlockedHamiltonian(p=bad_p, V=np.eye(2), m=1.0)
+    # a stack of three 2x2 potential blocks takes one p row per member
+    for bad_p in (np.zeros(2), np.zeros((1, 2)), np.zeros((3, 3)), np.zeros((2, 3))):
+        with pytest.raises(LinalgError, match="one value per row of V"):
+            BlockedHamiltonian(p=bad_p, V=np.zeros((3, 2, 2)), m=1.0)
     for bad_p in (np.array([np.inf, 0.0]), np.array([0.0, np.nan])):
         with pytest.raises(LinalgError, match="non-finite"):
             BlockedHamiltonian(p=bad_p, V=np.eye(2), m=1.0)
@@ -491,9 +502,9 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     # functions are vectors (no eigh), and the exact off-block is read from
     # the eigenframe: each H takes one full-size eigh and no half-size one,
     # and the study forms no exact unitary and no g^(-1/2).  The free check,
-    # which does form U, shows that the counting wrappers see the calls; its
-    # V = 0 is diagonal, so its frame is one batched eigh of n 2x2 blocks
-    # and no full-size eigh
+    # which does form U, shows that the counting wrappers see the calls; it
+    # holds the free grid as n one-momentum 2x2 Hamiltonians, so its frame
+    # is one batched eigh of the stack and no full-size eigh
     grid = Grid1D(n=16, length=8.0)
     full = 2 * grid.n
     calls = _count_eigh(monkeypatch)
@@ -533,9 +544,9 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
     with pytest.raises(LinalgError, match=message):
         eigenframe(bh)
     if k > 1:
-        # a non-diagonal V takes the dense path: c I plus a Hermitian W with
-        # ||W||_2 at a quarter of the spectrum's distance from zero, which
-        # moves no eigenvalue across it (Weyl)
+        # a non-diagonal V, c I plus a Hermitian W with ||W||_2 at a quarter
+        # of the spectrum's distance from zero, which moves no eigenvalue
+        # across it (Weyl)
         W = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         W += W.conj().T
         gap = np.abs(np.concatenate([c + r, c - r])).min()
@@ -564,33 +575,86 @@ def _diagonal_potential_cases():
     return cases
 
 
+def _momentum_stack(bh):
+    """bh with a diagonal V as the stack of its n one-momentum Hamiltonians
+    [[m + V_kk, p_k], [p_k, V_kk - m]]: row k of bh.H couples only to row n + k."""
+    return BlockedHamiltonian(p=bh.p[:, None], V=np.diagonal(bh.V)[:, None, None], m=bh.m)
+
+
+def _scatter(stack):
+    """The 2n x 2n matrix whose rows and columns (k, n + k) hold member k of
+    an (n, 2, 2) stack, the inverse of the (k, n + k) permutation."""
+    n = len(stack)
+    idx = np.stack([np.arange(n), n + np.arange(n)], axis=1)
+    full = np.zeros((2 * n, 2 * n), dtype=stack.dtype)
+    full[idx[:, :, None], idx[:, None, :]] = stack
+    return full
+
+
 @pytest.mark.parametrize("bh", _diagonal_potential_cases())
 def test_momentum_split_frame_matches_dense_frame(bh):
-    # the split frame and one dense eigh of bh.H: the same ascending spectrum
-    # to rounding, and, as lambda and U do not depend on the basis inside a
-    # degenerate eigenspace, the same sign function and unitary within
+    # the frame of the per-momentum stack and of the dense bh.H: the same
+    # spectrum to rounding, and, as lambda and U do not depend on the basis
+    # inside a degenerate eigenspace (a +-p pair where V is even), the same
+    # sign function and unitary after the (k, n + k) permutation within
     # test_structured_kernels_match_dense_oracle's bounds, and defining
     # conditions within test_eriksen_conditions_on_free_grid's
-    w, v = frame = eigenframe(bh)
-    dense = np.linalg.eigh(bh.H)
-    assert v.dtype == dense[1].dtype == bh.V.dtype
-    # in units of u max|w|, measured worst 1.2 against the closed form
-    # V_kk +- sqrt(m^2 + p_k^2) and 6.1 against the dense eigh
+    stack = _momentum_stack(bh)
+    np.testing.assert_array_equal(_scatter(stack.H), bh.H)
+    frame, dense = eigenframe(stack), eigenframe(bh)
+    assert frame[1].dtype == dense[1].dtype == bh.V.dtype
+    w = dense[0]
+    # in units of u max|w|: each member's pair against the closed form
+    # V_kk +- sqrt(m^2 + p_k^2), and the whole spectrum against the dense eigh
     ulp = np.finfo(float).eps * np.abs(w).max()
-    r = np.sqrt(bh.m**2 + bh.p**2)
-    d = np.diagonal(bh.V).real
-    assert np.max(np.abs(w - np.sort(np.concatenate([d - r, d + r])))) <= 2 * ulp
-    assert np.max(np.abs(w - dense[0])) <= 16 * ulp
-    # a +-p pair of blocks is degenerate where V is even, so the two frames
-    # may differ there by more than signs
-    assert frob(v.conj().T @ bh.H @ v - np.diag(w)) <= 1e-13 * frob(bh.H)
+    r, d = np.sqrt(bh.m**2 + bh.p**2), np.diagonal(bh.V).real
+    assert np.max(np.abs(frame[0] - np.stack([d - r, d + r], axis=-1))) <= 2 * ulp
+    assert np.max(np.abs(np.sort(frame[0], axis=None) - w)) <= 16 * ulp
     lam, U = sign_function(frame), eriksen_unitary(frame)
-    assert _rel(lam, sign_function(dense)) <= 1e-12
-    assert _rel(U, eriksen_unitary(dense)) <= 1e-12
-    for conds in (eriksen_conditions(U, lam, bh),
+    assert _rel(_scatter(lam), sign_function(dense)) <= 1e-12
+    assert _rel(_scatter(U), eriksen_unitary(dense)) <= 1e-12
+    for conds in (eriksen_conditions(U, lam, stack),
                   eriksen_conditions(eriksen_unitary(dense), sign_function(dense), bh)):
         for name, value in conds.items():
             assert value <= 1e-10, name
+
+
+def test_eigenframe_counts_positive_eigenvalues_per_member():
+    # two one-momentum Hamiltonians at p = 0, V = +-2 and m = 1: the spectra
+    # (1, 3) and (-3, -1) hold half of the stack's eigenvalues positive, but
+    # no member has one positive eigenvalue to send to its upper block
+    bh = BlockedHamiltonian(p=np.zeros((2, 1)), V=np.array([2.0, -2.0])[:, None, None], m=1.0)
+    with pytest.raises(LinalgError, match="2 of 2 eigenvalues are positive"):
+        eigenframe(bh)
+    eigenframe(BlockedHamiltonian(p=np.ones((2, 1)), V=np.zeros((2, 1, 1)), m=1.0))
+
+
+def test_free_checks_decompose_nothing_larger_than_2x2(monkeypatch):
+    # the free grid is n one-momentum Hamiltonians: every decomposition is of
+    # a stack of 2x2 (or 1x1) matrices, and no full-size matrix is formed
+    grid = Grid1D(n=128, length=32.0)
+    full_size = (2 * grid.n) ** 2 * 8
+    dims = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            dims.append(a.shape[-1])
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        conds, spec_err = free_checks(grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert dims and max(dims) <= 2
+    assert peak < full_size, f"peak {peak / full_size:.2f} full-size matrices"
+    assert max(conds.values()) <= 1e-12 and spec_err <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])

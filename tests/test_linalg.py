@@ -46,6 +46,11 @@ def test_inv_sqrt_rejects_bad_input():
         mat_inv_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(LinalgError, match="positive definite"):
         mat_inv_sqrt_psd(np.diag([1.0, -4.0]))
+    # each member of a stack on its own: one that is not positive definite
+    with pytest.raises(LinalgError, match="min eigenvalue -4.000e"):
+        mat_inv_sqrt_psd(np.stack([np.eye(2), np.diag([1.0, -4.0]), np.eye(2)]))
+    with pytest.raises(LinalgError, match="square"):
+        mat_inv_sqrt_psd(np.ones((2, 2, 3)))
 
 
 def test_real_input_stays_real():
@@ -98,3 +103,25 @@ def test_structure_predicates():
     assert is_hermitian(GAMMA.beta)
     assert is_unitary(GAMMA.alpha[1])
     assert not is_hermitian(1j * GAMMA.beta)
+    # each member of a stack on its own: one small non-Hermitian member among
+    # large Hermitian ones, whose defect is O(1) relative to its own norm but
+    # below HERMITIAN_RTOL relative to the whole stack's
+    big, small = 1e8 * np.eye(2), np.array([[0.0, 1e-3], [0.0, 0.0]])
+    assert not is_hermitian(np.stack([big, small, big]))
+    assert is_hermitian(np.stack([big, small + small.T, big]))
+
+
+def test_inv_sqrt_of_a_stack_is_each_member_s():
+    # members of widely different scales, each positive definite on its own
+    # although the smallest is far below 1e-13 of the largest
+    rng = np.random.default_rng(9)
+    stack = []
+    for scale in (1e-20, 1.0, 1e12):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        stack.append(scale * (a @ a.conj().T + 0.1 * np.eye(3)))
+    stack = np.stack(stack)
+    got = mat_inv_sqrt_psd(stack)
+    assert got.shape == stack.shape
+    for member, r in zip(stack, got):
+        want = mat_inv_sqrt_psd(member)
+        assert frob(r - want) <= 1e-12 * frob(want)
