@@ -2,8 +2,9 @@
 """Whole-domain verdict map: each command's exit status over a mass ladder.
 
 Every cell is one row of COMMANDS at one mass of MASSES: an fwbench
-command at its other defaults, or on a second axis (zitter's momentum,
-pce's packet width at rest, precess in a magnetic field), run in this
+command at its other defaults, or on a second axis (zitter's particle, each
+key of zitter.HAMILTONIANS, and its momentum, pce's packet width at rest,
+precess in a magnetic field), run in this
 process through fwbench.cli.main with stdout discarded.  The CSV has one
 row per cell: the command, its arguments, the exit status, and the failed
 checks read from stderr, joined by "; ": the names on the `failed checks:`
@@ -22,9 +23,9 @@ import io
 import sys
 
 from fwbench.cli import main as fwbench_main
+from fwbench.zitter import HAMILTONIANS
 
 MASSES = ("1e-3", "1e-2", "0.1", "1", "10", "100", "1e3", "1e4")
-PARTICLES = ("dirac", "fv", "fw")
 # (command, arguments besides the mass, the command's mass flag); the
 # suites run 10 samples, not 100, so that they take about a third of the
 # map's time (at 20 samples every cell exits and fails as it does at 10)
@@ -32,11 +33,11 @@ COMMANDS = (
     ("verify-algebra", ("--set", "all", "--samples", "10"), "--mass"),
     ("eriksen", (), "--mass"),
     ("precess", (), "--mass"),
-    *(("zitter", ("--particle", particle), "--m") for particle in PARTICLES),
+    *(("zitter", ("--particle", particle), "--m") for particle in HAMILTONIANS),
     ("packet", (), "--mass"),
     ("pce", (), "--mass"),
     *(("zitter", ("--particle", particle, "--p", p), "--m")
-      for particle in PARTICLES for p in ("0", "0.1", "2", "3")),
+      for particle in HAMILTONIANS for p in ("0", "0.1", "2", "3")),
     *(("pce", ("--p0", "0", "--sigma", sigma), "--mass") for sigma in ("0.5", "8", "1e8")),
     ("precess", ("--p", "1,0,0", "--b-field", "0,0,1", "--a", "0.1"), "--mass"),
 )

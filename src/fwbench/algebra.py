@@ -66,8 +66,7 @@ from .phase_ops import (
 QUANTUM_TOL = 1e-8
 CLASSICAL_TOL = 1e-6
 FAILURE_FLOOR = 1e-3
-
-QUANTUM_SET_NAMES = ("conventional", "naive_dirac", "center_of_mass", "projected")
+DEFAULT_SEED = 42    # of the sampled momenta and states
 
 
 @dataclass
@@ -133,6 +132,7 @@ _SET_FAMILIES = {
     "projected": dict(q=F.PROJECTED_POSITION_FW, s=F.PROJECTED_SPIN_FW, l=F.PROJECTED_OAM,
                       K=F.BOOST_FW, H=F.FW_HAMILTONIAN, v=F.FW_VELOCITY),
 }
+QUANTUM_SET_NAMES = tuple(_SET_FAMILIES)
 
 
 def build_quantum_set(set_name: str, m: float) -> dict:
@@ -165,7 +165,7 @@ _COM_FAIL = {"center_of_mass": "fail", "projected": "fail"}
 _ZERO = ("zero", None, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Identity:
     """One relation of the generator algebra, read with two brackets.
 
@@ -332,14 +332,14 @@ def _draw_momentum(rng) -> np.ndarray:
     return p
 
 
-def sample_momenta(n: int, seed: int = 42) -> np.ndarray:
+def sample_momenta(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform momenta in [-5, 5]^3, rejecting the ball |p| < 1e-3 around p = 0."""
     rng = np.random.default_rng(seed)
     return np.array([_draw_momentum(rng) for _ in range(n)]).reshape(n, 3)
 
 
 def run_quantum_suite(set_name: str, m: float, n_samples: int,
-                      seed: int = 42) -> list:
+                      seed: int = DEFAULT_SEED) -> list:
     """Evaluate every identity of a set at seeded random momenta.
 
     Each operator is evaluated once on the whole (n_samples, 3) stack, and
@@ -414,7 +414,7 @@ def classical_identities() -> list:
     return identities_for_set("classical")
 
 
-def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
+def sample_states(n: int, m: float = 1.0, seed: int = DEFAULT_SEED) -> ClassicalState:
     """n seeded states, stacked: Q and P uniform in [-5, 5]^3 (|P| >= 1e-3),
     S along a random direction with length uniform in [0.5, 2]."""
     rng = np.random.default_rng(seed)
@@ -428,7 +428,7 @@ def sample_states(n: int, m: float = 1.0, seed: int = 42) -> ClassicalState:
     return ClassicalState(Q=Q, P=P, S=S, m=m)
 
 
-def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = 42) -> list:
+def run_classical_suite(n_samples: int, m: float = 1.0, seed: int = DEFAULT_SEED) -> list:
     """Evaluate the classical rows of the table at seeded random states.
 
     The observables are evaluated once on the whole stack of states, and

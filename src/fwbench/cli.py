@@ -43,9 +43,6 @@ from . import zitter as zt
 from .dirac import check_positive_mass, energy
 from .grids import Grid1D, check_length, check_size
 
-DEFAULT_SEED = 42
-
-
 _FLOAT = "%.17g"   # every float written in full: 17 digits round-trip float64
 
 
@@ -192,6 +189,7 @@ def cmd_verify_algebra(args) -> tuple:
 def cmd_eriksen(args) -> tuple:
     grid = Grid1D(n=args.n, length=args.box)
     conds, spec_err = erk.free_checks(grid, args.mass)
+    conds = {k: float(erk.four_component_norm(v)) for k, v in conds.items()}
     study = erk.potential_scaling_study(grid, args.mass, args.v0)
     result = {
         "n": args.n,
@@ -344,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=list(algebra.QUANTUM_SET_NAMES) + ["classical", "all"])
     va.add_argument("--mass", type=_positive_mass, default=1.0)
     va.add_argument("--samples", type=_int_at_least(1), default=100)
-    va.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
+    va.add_argument("--seed", type=_int_at_least(0), default=algebra.DEFAULT_SEED)
     va.add_argument("--format", default="json", choices=list(_RENDER))
 
     er = sub.add_parser("eriksen", formatter_class=fmt,

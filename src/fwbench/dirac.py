@@ -1,13 +1,17 @@
 """Standard-representation Dirac matrices and free-particle kinematics.
 
-Conventions (natural units, hbar = c = 1):
-    beta  = diag(I2, -I2)
-    alpha_k = offdiag(sigma_k, sigma_k)
-    gamma_k = beta alpha_k
-    Sigma_k = diag(sigma_k, sigma_k)
-    rho_k   = PAULI, the 2x2 set acting on two-component scalar-sector states.
+Conventions (natural units, hbar = c = 1), each matrix defined once here as
+a read-only Kronecker product of the Pauli matrices sigma_k:
 
-All entries are exact elements of {0, +-1, +-i}.
+    PAULI  (3, 2, 2)  sigma_k; also rho_k, acting on two-component
+                      scalar-sector states
+    BETA   (4, 4)     sigma_3 (x) I2 = diag(I2, -I2)
+    ALPHA  (3, 4, 4)  sigma_1 (x) sigma_k = offdiag(sigma_k, sigma_k)
+    SIGMA  (3, 4, 4)  I2 (x) sigma_k = diag(sigma_k, sigma_k)
+    GAMMA  (3, 4, 4)  gamma_k = BETA @ ALPHA[k] = offdiag(sigma_k, -sigma_k)
+
+The stacks index their first axis by k = 0, 1, 2, and all entries are
+exact elements of {0, +-1, +-i}.
 
 The free-particle closed forms live here once each: the energy
 eps = sqrt(m^2 + |p|^2) (energy, for one momentum, a stack of them, or the
@@ -22,49 +26,17 @@ scalar sector and FW_HAMILTONIAN, beta eps, for the block-diagonal
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-for _s in PAULI:
-    _s.setflags(write=False)
-
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-def _block(a, b, c, d):
-    return np.block([[a, b], [c, d]])
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    beta: np.ndarray
-    alpha: tuple
-    gamma: tuple
-    Sigma: tuple
-
-    def __post_init__(self):
-        for m in (self.beta, *self.alpha, *self.gamma, *self.Sigma):
-            m.setflags(write=False)
-
-
-def build_gamma_set() -> GammaSet:
-    """Construct the fixed standard-representation matrix set."""
-    z = np.zeros((2, 2), dtype=complex)
-    beta = _block(I2, z, z, -I2)
-    alpha = tuple(_block(z, s, s, z) for s in PAULI)
-    gamma = tuple(beta @ a for a in alpha)
-    sigma_big = tuple(_block(s, z, z, s) for s in PAULI)
-    return GammaSet(beta=beta, alpha=alpha, gamma=gamma, Sigma=sigma_big)
-
-
-GAMMA = build_gamma_set()
+BETA = np.kron(PAULI[2], I2)
+ALPHA = np.kron(PAULI[0], PAULI)
+SIGMA = np.kron(I2, PAULI)
+GAMMA = BETA @ ALPHA
+PAULI.flags.writeable = BETA.flags.writeable = ALPHA.flags.writeable = False
+SIGMA.flags.writeable = GAMMA.flags.writeable = False
 
 
 def check_mass(m: float) -> float:
@@ -88,14 +60,14 @@ def check_positive_mass(m: float) -> float:
 
 # alpha_k and gamma_k as rows of a (3, 16) matrix, so that p @ M sums the
 # three products for a single momentum or a stack of them in one call
-_ALPHA_ROWS = np.stack(GAMMA.alpha).reshape(3, 16)
-_GAMMA_ROWS = np.stack(GAMMA.gamma).reshape(3, 16)
+_ALPHA_ROWS = ALPHA.reshape(3, 16)
+_GAMMA_ROWS = GAMMA.reshape(3, 16)
 
 
 def dirac_hamiltonian(p, m: float) -> np.ndarray:
     """H = beta m + alpha . p at momenta of shape (..., 3), shape (..., 4, 4)."""
     p = np.asarray(p, dtype=float)
-    return m * GAMMA.beta + (p @ _ALPHA_ROWS).reshape(p.shape[:-1] + (4, 4))
+    return m * BETA + (p @ _ALPHA_ROWS).reshape(p.shape[:-1] + (4, 4))
 
 
 def energy(p, m: float):

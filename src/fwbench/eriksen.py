@@ -89,9 +89,10 @@ momentum along x only beta and alpha_1 appear, and alpha_1 couples spinor
 components 1 and 4, and 2 and 3, with the same operator.  In the component
 order (1, 4 | 2, 3) the 4n x 4n Hamiltonian is therefore diag(h, h) for one
 two-component 2n x 2n block, ordered so beta is literally diag(I_n, -I_n)
-and "block-diagonal" means vanishing off-diagonal quadrants;
-four_component_norm turns a Frobenius norm over the block into the norm
-over the 4n operator.  Each component is held in the DFT basis,
+and "block-diagonal" means vanishing off-diagonal quadrants.  Every norm
+this module returns is over that spin block; four_component_norm turns it
+into the norm over the 4n operator, which `fwbench eriksen` reports.  Each
+component is held in the DFT basis,
 F_kj = exp(-2 pi i k j / n) / sqrt(n) over the nodes j, where the spectral
 momentum F^dag diag(p) F with p = grid.p_fft is diag(p) and the potential
 diag(v) on the nodes is the circulant F diag(v) F^dag,
@@ -168,7 +169,7 @@ from .linalg import (
 ZERO_MODE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockedHamiltonian:
     """The Hamiltonian H = [[m + V, diag p], [diag p, V - m]] split against
     beta = diag(I, -I) with M = m I, held as its parts: the real odd block
@@ -405,15 +406,16 @@ def four_component_norm(block_norm):
 
 
 def free_checks(grid: Grid1D, m: float) -> tuple:
-    """(eriksen_conditions as norms over the 4n x 4n operator, largest error
-    of the upper block's entries against the exact positive energies) of
-    the exact transform on the free grid, held as the stack of its n
-    one-momentum Hamiltonians [[m, p_k], [p_k, -m]]."""
+    """(eriksen_conditions, largest error of the upper block's entries
+    against the exact positive energies) of the exact transform on the free
+    grid, held as the stack of its n one-momentum Hamiltonians
+    [[m, p_k], [p_k, -m]].  The conditions are norms over the 2n x 2n spin
+    block, as every norm this module returns; four_component_norm gives
+    them over the 4n operator."""
     bh = BlockedHamiltonian(p=grid.p_fft[:, None], V=np.zeros((grid.n, 1, 1)), m=m)
     frame = eigenframe(bh)
     U, lam = eriksen_unitary(frame), sign_function(frame)
-    conds = {k: float(four_component_norm(v))
-             for k, v in eriksen_conditions(U, lam, bh).items()}
+    conds = eriksen_conditions(U, lam, bh)
     upper = conjugated_quadrant(U, bh, 0)[:, 0, 0]
     return conds, float(np.max(np.abs(upper - energy(bh.p, m))))
 

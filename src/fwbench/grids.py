@@ -17,11 +17,12 @@ class Grid1D:
 
     n: int
     length: float
-    dx: float = field(init=False)
-    dp: float = field(init=False)
-    x: np.ndarray = field(init=False)
-    p_centered: np.ndarray = field(init=False)
-    p_fft: np.ndarray = field(init=False)
+    # derived from (n, length), which alone compare and hash
+    dx: float = field(init=False, compare=False)
+    dp: float = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, compare=False)
+    p_centered: np.ndarray = field(init=False, compare=False)
+    p_fft: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         check_size(self.n)

@@ -51,22 +51,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import GAMMA, I4, PAULI, dirac_hamiltonian, energy
+from .dirac import ALPHA, BETA, I4, PAULI, SIGMA, dirac_hamiltonian, energy
 
 FD_REL_STEP = 1e-5
 MASSLESS_MIN_P = 1e-6
-
-_LEVI = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _LEVI[_i, _j, _k] = 1.0
-    _LEVI[_i, _k, _j] = -1.0
 
 # (a x b)_c = a[_CROSS[c][0]] b[_CROSS[c][1]] - a[_CROSS[c][1]] b[_CROSS[c][0]]
 _CROSS = ((1, 2), (2, 0), (0, 1))
 
 
 def levi(i: int, j: int, k: int) -> float:
-    return _LEVI[i, j, k]
+    """The Levi-Civita symbol e_ijk over the indices 0, 1, 2."""
+    return (i - j) * (j - k) * (k - i) / 2
 
 
 class DomainError(ValueError):
@@ -233,9 +229,6 @@ class PhaseOpValue:
 
 # --- the operator catalogue ---------------------------------------------------
 
-_SIGMA = np.stack(GAMMA.Sigma)
-_ALPHA = np.stack(GAMMA.alpha)
-_BETA = GAMMA.beta
 _IEYE = 1j * I4
 _RHO_PLUS = PAULI[2] + 1j * PAULI[1]    # rho_3 + i rho_2
 
@@ -286,7 +279,7 @@ class Family:
 
 
 def _dirac_jet(p, m):
-    return Jet(dirac_hamiltonian(p, m), _ALPHA)
+    return Jet(dirac_hamiltonian(p, m), ALPHA)
 
 
 def _along(c: int, x) -> list:
@@ -317,14 +310,14 @@ def dirac_boost_part(p, P, e, m, c):
 def _naive_boost(p, P, e, m, c):
     # built blindly from the radius vector and Sigma/2 in the Dirac
     # representation: (1/2){r_c, H_D} - (1/2){(Sigma x p)_c / 2, (2 beta m + alpha.p)^-1}
-    sxp = cross_c(_SIGMA, P, c)
+    sxp = cross_c(SIGMA, P, c)
     dinv = _dirac_jet(p, 2 * m) / (4 * m * m + p_dot(P, P))
-    return 0.5j * _ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
+    return 0.5j * ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
 
 
 def _pxpxsigma(P, c):
     """(p x (p x Sigma))_c = p_c (p.Sigma) - |p|^2 Sigma_c."""
-    return P[c] * p_dot(_SIGMA, P) - p_dot(P, P) * _SIGMA[c]
+    return P[c] * p_dot(SIGMA, P) - p_dot(P, P) * SIGMA[c]
 
 
 class OperatorFamily(Enum):
@@ -332,7 +325,7 @@ class OperatorFamily(Enum):
 
     DIRAC_HAMILTONIAN = Family("dirac_hamiltonian", lambda p, P, e, m, c: _dirac_jet(p, m),
                                vector=False)
-    FW_HAMILTONIAN = Family("fw_hamiltonian", lambda p, P, e, m, c: e * _BETA,
+    FW_HAMILTONIAN = Family("fw_hamiltonian", lambda p, P, e, m, c: e * BETA,
                             vector=False, singular_at_rest=True)
     # the two-component scalar sector: rho_3 m + (rho_3 + i rho_2) p^2/(2m)
     FV_HAMILTONIAN = Family("fv_hamiltonian", lambda p, P, e, m, c: (
@@ -341,31 +334,31 @@ class OperatorFamily(Enum):
     # the velocities -i [q_c, H] = d H / d p_c under each Hamiltonian; p_c / eps
     # is divided first, as in the gradient of beta eps, so the row is that
     # gradient bit for bit
-    FW_VELOCITY = Family("fw_velocity", lambda p, P, e, m, c: _BETA * (P[c] / e),
+    FW_VELOCITY = Family("fw_velocity", lambda p, P, e, m, c: BETA * (P[c] / e),
                          singular_at_rest=True)
-    DIRAC_VELOCITY = Family("dirac_velocity", lambda p, P, e, m, c: _ALPHA[c])
+    DIRAC_VELOCITY = Family("dirac_velocity", lambda p, P, e, m, c: ALPHA[c])
     MOMENTUM = Family("momentum", lambda p, P, e, m, c: P[c] * I4)
     FW_POSITION = Family("fw_position", lambda p, P, e, m, c: 0.0, radius_part)
-    FW_SPIN = Family("fw_spin", lambda p, P, e, m, c: 0.5 * _SIGMA[c])
+    FW_SPIN = Family("fw_spin", lambda p, P, e, m, c: 0.5 * SIGMA[c])
     OAM_FW = Family("oam_fw", lambda p, P, e, m, c: 0.0, orbital_part)
     # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
     BOOST_FW = Family("boost_fw", lambda p, P, e, m, c: (
-        (0.5j * P[c] / e) * _BETA - _BETA @ cross_c(_SIGMA, P, c) / (2 * (e + m))),
-        lambda p, P, e, m, c: _along(c, 1j * e * _BETA), singular_at_rest=True)
+        (0.5j * P[c] / e) * BETA - BETA @ cross_c(SIGMA, P, c) / (2 * (e + m))),
+        lambda p, P, e, m, c: _along(c, 1j * e * BETA), singular_at_rest=True)
     # (2 beta m + alpha.p)^-1 is alpha.p/|p|^2 at m = 0, 0/0 at p = 0
     NAIVE_BOOST = Family("naive_boost", _naive_boost, dirac_boost_part,
                          singular_at_rest=True)
     COM_POSITION_FW = Family("com_position_fw", lambda p, P, e, m, c: (
-        cross_c(_SIGMA, P, c) / (2 * m * (e + m))), radius_part, massive_only=True)
+        cross_c(SIGMA, P, c) / (2 * m * (e + m))), radius_part, massive_only=True)
     LAB_SPIN_FW = Family("lab_spin_fw", lambda p, P, e, m, c: (
-        0.5 * _SIGMA[c] - _pxpxsigma(P, c) / (2 * m * (e + m))), massive_only=True)
+        0.5 * SIGMA[c] - _pxpxsigma(P, c) / (2 * m * (e + m))), massive_only=True)
     # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
     COM_OAM = Family("com_oam", lambda p, P, e, m, c: _pxpxsigma(P, c) / (2 * m * (e + m)),
                      orbital_part, massive_only=True)
     PROJECTED_POSITION_FW = Family("projected_position_fw", lambda p, P, e, m, c: (
-        -cross_c(_SIGMA, P, c) / (2 * e * (e + m))), radius_part, singular_at_rest=True)
+        -cross_c(SIGMA, P, c) / (2 * e * (e + m))), radius_part, singular_at_rest=True)
     PROJECTED_SPIN_FW = Family("projected_spin_fw", lambda p, P, e, m, c: (
-        m * _SIGMA[c] / (2 * e) + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m))),
+        m * SIGMA[c] / (2 * e) + P[c] * p_dot(SIGMA, P) / (2 * e * (e + m))),
         singular_at_rest=True)
     PROJECTED_OAM = Family("projected_oam", lambda p, P, e, m, c: (
         -_pxpxsigma(P, c) / (2 * e * (e + m))), orbital_part, singular_at_rest=True)

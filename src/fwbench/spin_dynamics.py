@@ -27,7 +27,7 @@ import numpy as np
 from .dirac import PAULI, energy, free_propagator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldConfig:
     """Uniform external fields, particle moments, and frame kinematics."""
 

@@ -37,7 +37,7 @@ class GridResolutionError(ValueError):
     """Packet does not fit the grid: its p0 +- 6 sigma band leaves the box."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WavePacket1D:
     """Spinor amplitude per momentum node, normalized to sum |psi|^2 dp = 1."""
 
@@ -71,31 +71,26 @@ def _apply_nodewise(mats: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", mats, psi)
 
 
-def default_grid(p0: float, sigma_p: float, n: Optional[int] = None) -> Grid1D:
-    """Grid sampling the packet with dp = sigma/8 and covering p0 +- 8 sigma.
-
-    When n is not given, the smallest power of two >= 256 that reaches the
-    required momentum band is used.
-    """
-    if sigma_p <= 0:
-        raise ValueError("sigma_p must be positive")
-    if n is None:
-        n = 256
-        while (n // 2 - 1) * (sigma_p / 8) < abs(p0) + 8 * sigma_p:
-            n *= 2
-    return Grid1D(n=n, length=2 * np.pi / (sigma_p / 8))
-
-
 def make_gaussian_packet(p0: float, sigma_p: float, m: float,
                          n: Optional[int] = None) -> WavePacket1D:
     """Positive-energy Gaussian packet in the fw picture, spin up along z:
-    the first spinor component alone, on default_grid(p0, sigma_p, n).
+    the first spinor component alone, on the grid with dp = sigma_p/8 and n
+    nodes, or, when n is not given, the smallest power of two >= 256 that
+    covers p0 +- 8 sigma_p.
 
     to_picture(packet, "dirac") applies U^-1 nodewise, so the packet stays a
     superposition of positive-energy plane waves in the Dirac picture.
     """
     check_positive_mass(m)   # the centered grid holds p = 0
-    grid = default_grid(p0, sigma_p, n)
+    if not np.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
+    if not 0 < sigma_p < np.inf:
+        raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
+    if n is None:
+        n = 256
+        while (n // 2 - 1) * (sigma_p / 8) < abs(p0) + 8 * sigma_p:
+            n *= 2
+    grid = Grid1D(n=n, length=2 * np.pi / (sigma_p / 8))
     p = grid.p_centered
     p_lo, p_hi = p[0], p[-1]
     if p0 - 6 * sigma_p < p_lo or p0 + 6 * sigma_p > p_hi:

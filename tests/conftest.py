@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from fwbench.algebra import ClassicalState, classical_observables, poisson_bracket
-from fwbench.dirac import GAMMA, dirac_hamiltonian, energy, free_propagator
+from fwbench.dirac import ALPHA, BETA, dirac_hamiltonian, energy, free_propagator
 from fwbench.phase_ops import coeff_derivative, cross_c, p_dot
 from oracles import fourier_multiplier, fv_hamiltonian_matrix
 
@@ -135,10 +135,10 @@ def dirac_grid_hamiltonian_4n(grid, m: float, v_vals):
     basis with the oracle circulant as the momentum; v_vals holds V at the
     grid points.  Returns (H, beta)."""
     eye_n = np.eye(grid.n)
-    H = (m * np.kron(GAMMA.beta, eye_n)
+    H = (m * np.kron(BETA, eye_n)
          + np.kron(np.eye(4), np.diag(v_vals))
-         + np.kron(GAMMA.alpha[0], fourier_multiplier(grid, grid.p_fft)))
-    return H, np.kron(GAMMA.beta, eye_n)
+         + np.kron(ALPHA[0], fourier_multiplier(grid, grid.p_fft)))
+    return H, np.kron(BETA, eye_n)
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ tests check the program against these; the program itself never calls them.
 import numpy as np
 
 from fwbench.algebra import ClassicalState
-from fwbench.dirac import (GAMMA, I4, PAULI, dirac_hamiltonian, energy, free_propagator,
-                           fw_unitary_matrix)
+from fwbench.dirac import (ALPHA, BETA, GAMMA, I4, PAULI, SIGMA, dirac_hamiltonian, energy,
+                           free_propagator, fw_unitary_matrix)
 from fwbench.eriksen import BlockedHamiltonian
 from fwbench.linalg import LinalgError, frob
 from fwbench.phase_ops import (
@@ -95,7 +95,6 @@ def _fw_free_operator(m: float, inverse: bool) -> PhaseSpaceOperator:
     if m < 0:
         raise DomainError(f"mass must be non-negative, got {m}")
     sign = -1.0 if inverse else 1.0
-    gammas = np.stack(GAMMA.gamma)
 
     def A(p):
         # U = num * s with s = 1/sqrt(2 eps (eps+m)): d_k U = (d_k num) s + U d_k log(s)
@@ -104,7 +103,7 @@ def _fw_free_operator(m: float, inverse: bool) -> PhaseSpaceOperator:
         pk = p[..., :, None, None]
         dlog_s = -(pk * (2 * e + m) / e) / (2 * e * (e + m))
         u = fw_unitary_matrix(p, m, inverse)
-        return Jet(u, (pk / e * I4 + sign * gammas) * s + u[..., None, :, :] * dlog_s)
+        return Jet(u, (pk / e * I4 + sign * GAMMA) * s + u[..., None, :, :] * dlog_s)
 
     return multiplicative(4, A, "U_fw_free_inv" if inverse else "U_fw_free",
                           MASSLESS_MIN_P if m == 0 else 0.0)
@@ -157,29 +156,26 @@ def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
 # over the momentum components P and the energy e, and built through the
 # same Family.build, which holds the mass and component rules.
 
-_SIGMA = np.stack(GAMMA.Sigma)
-_ALPHA = np.stack(GAMMA.alpha)
-_GAMMAK = np.stack(GAMMA.gamma)
 _RHO_PLUS = PAULI[2] + 1j * PAULI[1]    # rho_3 + i rho_2
 
 
 def _four_spin_space(p, P, e, m, c):
-    return _SIGMA[c] / 2 + P[c] * p_dot(_SIGMA, P) / (2 * m * (e + m))
+    return SIGMA[c] / 2 + P[c] * p_dot(SIGMA, P) / (2 * m * (e + m))
 
 
 def _pauli_lubanski_space(p, P, e, m, c):
-    return m * _SIGMA[c] / 2 + P[c] * p_dot(_SIGMA, P) / (2 * (e + m))
+    return m * SIGMA[c] / 2 + P[c] * p_dot(SIGMA, P) / (2 * (e + m))
 
 
 def _spin_prime(p, P, e, m, c):
     # (W - W0 p/(eps+m)) / m, assembled from the four-vector components
-    w0 = p_dot(_SIGMA, P) / 2
+    w0 = p_dot(SIGMA, P) / 2
     return (_pauli_lubanski_space(p, P, e, m, c) - w0 * P[c] / (e + m)) / m
 
 
 def _projector(sign):
-    return lambda p, P, e, m, c: (0.5 * (I4 + sign * m / e * GAMMA.beta)
-                                  + sign * p_dot(_ALPHA, P) / (2 * e))
+    return lambda p, P, e, m, c: (0.5 * (I4 + sign * m / e * BETA)
+                                  + sign * p_dot(ALPHA, P) / (2 * e))
 
 
 # The Dirac-representation forms U^-1 (FW family) U of the product's FW
@@ -188,30 +184,30 @@ def _projector(sign):
 # the center-of-mass, laboratory-spin and projected operators.
 
 def _nw_position(p, P, e, m, c):
-    return (-cross_c(_SIGMA, P, c) / (2 * e * (e + m)) + 1j * _GAMMAK[c] / (2 * e)
-            - 1j * p_dot(_GAMMAK, P) * P[c] / (2 * e * e * (e + m)))
+    return (-cross_c(SIGMA, P, c) / (2 * e * (e + m)) + 1j * GAMMA[c] / (2 * e)
+            - 1j * p_dot(GAMMA, P) * P[c] / (2 * e * e * (e + m)))
 
 
 def _mean_spin(p, P, e, m, c):
-    return (m * _SIGMA[c] / (2 * e) - 1j * cross_c(_GAMMAK, P, c) / (2 * e)
-            + P[c] * p_dot(_SIGMA, P) / (2 * e * (e + m)))
+    return (m * SIGMA[c] / (2 * e) - 1j * cross_c(GAMMA, P, c) / (2 * e)
+            + P[c] * p_dot(SIGMA, P) / (2 * e * (e + m)))
 
 
 def _com_position_dirac(p, P, e, m, c):
-    return 1j * (_GAMMAK[c] / (2 * m) - p_dot(_GAMMAK, P) * P[c] / (2 * m * e * e))
+    return 1j * (GAMMA[c] / (2 * m) - p_dot(GAMMA, P) * P[c] / (2 * m * e * e))
 
 
 def _projected_spin_dirac(p, P, e, m, c):
-    return (m * m * _SIGMA[c] + P[c] * p_dot(_SIGMA, P)
-            - 1j * m * cross_c(_GAMMAK, P, c)) / (2 * e * e)
+    return (m * m * SIGMA[c] + P[c] * p_dot(SIGMA, P)
+            - 1j * m * cross_c(GAMMA, P, c)) / (2 * e * e)
 
 
 FAMILIES = {row.name: row for row in (
     Family("four_spin_space", _four_spin_space, massive_only=True),
-    Family("four_spin_time", lambda p, P, e, m, c: p_dot(_SIGMA, P) / (2 * m),
+    Family("four_spin_time", lambda p, P, e, m, c: p_dot(SIGMA, P) / (2 * m),
            vector=False, massive_only=True),
     Family("pauli_lubanski_space", _pauli_lubanski_space, singular_at_rest=True),
-    Family("pauli_lubanski_time", lambda p, P, e, m, c: p_dot(_SIGMA, P) / 2, vector=False),
+    Family("pauli_lubanski_time", lambda p, P, e, m, c: p_dot(SIGMA, P) / 2, vector=False),
     Family("spin_prime", _spin_prime, massive_only=True),
     Family("projector_plus", _projector(1.0), vector=False, singular_at_rest=True),
     Family("projector_minus", _projector(-1.0), vector=False, singular_at_rest=True),
@@ -221,12 +217,12 @@ FAMILIES = {row.name: row for row in (
     Family("nw_position_dirac", _nw_position, radius_part, singular_at_rest=True),
     Family("mean_spin_dirac", _mean_spin, singular_at_rest=True),
     # (1/2){x_c, H_D} = (i/2) alpha_c + i H_D d/dp_c,  t = 0
-    Family("boost_dirac", lambda p, P, e, m, c: 0.5j * _ALPHA[c], dirac_boost_part),
+    Family("boost_dirac", lambda p, P, e, m, c: 0.5j * ALPHA[c], dirac_boost_part),
     Family("com_position_dirac", _com_position_dirac, radius_part, massive_only=True),
     Family("lab_spin_dirac", lambda p, P, e, m, c: (
-        _SIGMA[c] / 2 - 1j * cross_c(_GAMMAK, P, c) / (2 * m)), massive_only=True),
+        SIGMA[c] / 2 - 1j * cross_c(GAMMA, P, c) / (2 * m)), massive_only=True),
     Family("projected_position_dirac", lambda p, P, e, m, c: (
-        -cross_c(_SIGMA, P, c) / (2 * e * e) + 1j * m * _GAMMAK[c] / (2 * e * e)),
+        -cross_c(SIGMA, P, c) / (2 * e * e) + 1j * m * GAMMA[c] / (2 * e * e)),
         radius_part, singular_at_rest=True),
     Family("projected_spin_dirac", _projected_spin_dirac, singular_at_rest=True),
 )}
@@ -278,11 +274,10 @@ def worldline_defect(m: float, p, i: int, j: int) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     e = energy(p, m)
-    Sigma, beta = GAMMA.Sigma, GAMMA.beta
-    sxp_j = sum(levi(j, k, l) * p[l] * Sigma[k] for k in range(3) for l in range(3))
-    term = sum(levi(j, k, i) * Sigma[k] for k in range(3)) / (2 * (e + m)) \
+    sxp_j = sum(levi(j, k, l) * p[l] * SIGMA[k] for k in range(3) for l in range(3))
+    term = sum(levi(j, k, i) * SIGMA[k] for k in range(3)) / (2 * (e + m)) \
         - sxp_j * p[i] / (2 * e * (e + m) ** 2)
-    return -1j * beta @ term
+    return -1j * BETA @ term
 
 
 def classical_worldline_defect(state: ClassicalState, i: int, j: int) -> np.ndarray:
@@ -311,7 +306,7 @@ def negative_energy_part(packet: WavePacket1D) -> np.ndarray:
     with H_D = beta m + beta gamma_3 p built from the gamma matrices."""
     pk = to_picture(packet, "dirac")
     p = pk.grid.p_centered[:, None, None]
-    h = pk.m * GAMMA.beta + p * (GAMMA.beta @ GAMMA.gamma[2])
+    h = pk.m * BETA + p * (BETA @ GAMMA[2])
     pi_minus = 0.5 * (I4 - h / np.sqrt(pk.m ** 2 + p * p))
     return np.einsum("nij,nj->ni", pi_minus, pk.psi)
 
@@ -365,7 +360,7 @@ def closed_form_pce_x_sq(packet: WavePacket1D) -> float:
 def spin_z_expectation(packet: WavePacket1D) -> float:
     """<Sigma_3> in the block-diagonal picture."""
     pk = to_picture(packet, "fw")
-    return float(np.real(np.einsum("ni,ij,nj->", pk.psi.conj(), GAMMA.Sigma[2], pk.psi))
+    return float(np.real(np.einsum("ni,ij,nj->", pk.psi.conj(), SIGMA[2], pk.psi))
                  * pk.grid.dp)
 
 
@@ -379,7 +374,7 @@ def packet_difference(packet: WavePacket1D) -> float:
 def alpha_z_expectation(packet: WavePacket1D) -> float:
     """<alpha_3> in the Dirac picture (the oscillating velocity signal)."""
     pk = to_picture(packet, "dirac")
-    return float(np.real(np.einsum("ni,ij,nj->", pk.psi.conj(), GAMMA.alpha[2], pk.psi))
+    return float(np.real(np.einsum("ni,ij,nj->", pk.psi.conj(), ALPHA[2], pk.psi))
                  * pk.grid.dp)
 
 
@@ -426,7 +421,7 @@ def stacked_record(p, m: float, times, component: int, particle: str) -> tuple:
     amp = v(0) - drift."""
     p = np.asarray(p, dtype=float)
     if particle == "dirac":
-        H, v0 = dirac_hamiltonian(p, m), GAMMA.alpha[component]
+        H, v0 = dirac_hamiltonian(p, m), ALPHA[component]
     else:
         H, v0 = fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, component)
     eps, pk, t = energy(p, m), p[component], np.asarray(times, dtype=float)[:, None, None]

@@ -42,7 +42,7 @@ from fwbench.algebra import (
     run_quantum_suite,
     sample_momenta,
 )
-from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
+from fwbench.dirac import ALPHA, BETA, SIGMA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
 from fwbench import eriksen as erk
 from fwbench import spin_dynamics as sd
@@ -106,10 +106,10 @@ def _worldline_oracle_gaps(m: float) -> tuple:
                 classical = sum(
                     classical_worldline_defect(
                         ClassicalState(Q=np.zeros(3), P=p, S=np.eye(3)[k], m=m),
-                        i, j) * GAMMA.Sigma[k] / 2
+                        i, j) * SIGMA[k] / 2
                     for k in range(3))
                 quantum_classical = max(quantum_classical, float(np.max(np.abs(
-                    shift - 1j * GAMMA.beta @ classical))))
+                    shift - 1j * BETA @ classical))))
     return shifted, quantum_classical
 
 
@@ -204,8 +204,8 @@ def test_criterion_04_representation_consistency():
         e = energy(p, m)
         x_val = evaluate(oracle[("x", c + 1)], p)
         s_vals = [evaluate(oracle[("s", k + 1)], p).A for k in range(3)]
-        hd = m * GAMMA.beta + sum(p[k] * GAMMA.alpha[k] for k in range(3))
-        a = 0.5 * (x_val.A @ hd + hd @ x_val.A) + 0.5j * GAMMA.alpha[c]
+        hd = m * BETA + sum(p[k] * ALPHA[k] for k in range(3))
+        a = 0.5 * (x_val.A @ hd + hd @ x_val.A) + 0.5j * ALPHA[c]
         sxp = sum(levi(c, k, l) * s_vals[k] * p[l]
                   for k in range(3) for l in range(3))
         a = a - hd @ sxp / (e * (e + m))
@@ -313,7 +313,7 @@ def test_criterion_08_trembling_motion(heisenberg_oracle, heisenberg_position_or
             for t in (0.3, 1.1):
                 for c in range(3):
                     for particle, h, v0 in (
-                            ("dirac", dirac_hamiltonian(p, m), GAMMA.alpha[c]),
+                            ("dirac", dirac_hamiltonian(p, m), ALPHA[c]),
                             ("fv", fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, c))):
                         rec = zt.record_evolution(p, m, [t], c, particle)
                         worst_closed = max(worst_closed, float(np.linalg.norm(
@@ -332,7 +332,7 @@ def test_criterion_08_trembling_motion(heisenberg_oracle, heisenberg_position_or
             freq_err = max(freq_err, abs(freq - 2 * eps) / (2 * eps))
     p = np.array([1.0, -2.0, 0.5])
     v_fw = snapshot(build_operator(OperatorFamily.FW_VELOCITY, 1.0, 1), p).A
-    h_fw = energy(p, 1.0) * GAMMA.beta
+    h_fw = energy(p, 1.0) * BETA
     fw_var = max(float(np.linalg.norm(heisenberg_oracle(h_fw, v_fw, t) - v_fw))
                  for t in (0.5, 5.0, 50.0))
     fw_rec = zt.record_evolution(p, 1.0, [0.5, 5.0, 50.0], 0, "fw").velocity

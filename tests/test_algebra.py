@@ -25,7 +25,7 @@ from fwbench.algebra import (
     sample_momenta,
     sample_states,
 )
-from fwbench.dirac import GAMMA, energy
+from fwbench.dirac import ALPHA, SIGMA, energy
 from fwbench.phase_ops import (
     Family,
     OperatorFamily,
@@ -91,7 +91,7 @@ def _dirac_boost(drop_alpha: bool = False) -> Family:
     boost that naive_dirac's boost subtracts a spin term from; drop_alpha
     leaves out the (i/2) alpha_c part."""
     return Family("dirac_boost", lambda p, P, e, m, c: 0.0 if drop_alpha
-                  else 0.5j * GAMMA.alpha[c], dirac_boost_part)
+                  else 0.5j * ALPHA[c], dirac_boost_part)
 
 
 def _dirac_boost_residuals(m: float, boost: Family) -> dict:
@@ -166,7 +166,7 @@ def test_catalogue_velocity_is_the_commutator_with_the_hamiltonian(monkeypatch, 
 # multiplicative part at component index c
 SHIFTED_FAMILIES = {
     "COM_OAM": ("center_of_mass", lambda c: 0.0),
-    "LAB_SPIN_FW": ("center_of_mass", lambda c: 0.5 * GAMMA.Sigma[c]),
+    "LAB_SPIN_FW": ("center_of_mass", lambda c: 0.5 * SIGMA[c]),
     "PROJECTED_OAM": ("projected", lambda c: 0.0),
 }
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwbench.dirac import (
+    ALPHA,
+    BETA,
     GAMMA,
     PAULI,
-    build_gamma_set,
+    SIGMA,
     dirac_hamiltonian,
     energy,
     free_propagator,
@@ -19,39 +21,37 @@ I4 = np.eye(4)
 
 
 def test_clifford_relations_exact():
-    g = build_gamma_set()
-    assert np.array_equal(g.beta @ g.beta, I4 + 0j)
+    assert np.array_equal(BETA @ BETA, I4 + 0j)
     for j in range(3):
-        assert np.array_equal(g.beta @ g.alpha[j] + g.alpha[j] @ g.beta,
+        assert np.array_equal(BETA @ ALPHA[j] + ALPHA[j] @ BETA,
                               np.zeros((4, 4)) + 0j)
         for k in range(3):
-            anti = g.alpha[j] @ g.alpha[k] + g.alpha[k] @ g.alpha[j]
+            anti = ALPHA[j] @ ALPHA[k] + ALPHA[k] @ ALPHA[j]
             assert np.array_equal(anti, 2.0 * (j == k) * I4 + 0j)
 
 
 def test_sigma_algebra_exact():
-    g = GAMMA
     levi = {(0, 1): 2, (1, 2): 0, (2, 0): 1}
     for (i, j), k in levi.items():
-        comm = g.Sigma[i] @ g.Sigma[j] - g.Sigma[j] @ g.Sigma[i]
-        assert np.array_equal(comm, 2j * g.Sigma[k])
+        comm = SIGMA[i] @ SIGMA[j] - SIGMA[j] @ SIGMA[i]
+        assert np.array_equal(comm, 2j * SIGMA[k])
     for k in range(3):
-        assert np.array_equal(g.Sigma[k], g.Sigma[k].conj().T)
+        assert np.array_equal(SIGMA[k], SIGMA[k].conj().T)
 
 
 def test_pi_and_gamma_definitions():
     # Pi_k = beta Sigma_k = diag(sigma_k, -sigma_k), built here from the Pauli set
-    g = GAMMA
     z = np.zeros((2, 2))
     for k in range(3):
-        assert np.array_equal(g.beta @ g.Sigma[k], np.block([[PAULI[k], z], [z, -PAULI[k]]]))
-        assert np.array_equal(g.gamma[k], g.beta @ g.alpha[k])
+        assert np.array_equal(BETA @ SIGMA[k], np.block([[PAULI[k], z], [z, -PAULI[k]]]))
+        assert np.array_equal(GAMMA[k], BETA @ ALPHA[k])
 
 
 def test_matrices_entrywise_exact_values():
-    g = GAMMA
+    assert PAULI.shape == (3, 2, 2) and BETA.shape == (4, 4)
+    assert ALPHA.shape == SIGMA.shape == GAMMA.shape == (3, 4, 4)
     allowed = {0.0, 1.0, -1.0}
-    for m in (g.beta, *g.alpha, *g.gamma, *g.Sigma, *PAULI):
+    for m in (BETA, *ALPHA, *GAMMA, *SIGMA, *PAULI):
         for entry in m.ravel():
             assert entry.real in allowed and entry.imag in allowed
 
@@ -105,9 +105,9 @@ def test_stacked_matrices_match_per_point_formulas(m):
     us, uis = fw_unitary_matrix(ps, m), fw_unitary_matrix(ps, m, inverse=True)
     assert hs.shape == us.shape == (50, 4, 4)
     for p, h, u, ui in zip(ps, hs, us, uis):
-        assert np.array_equal(h, m * GAMMA.beta + sum(p[k] * GAMMA.alpha[k] for k in range(3)))
+        assert np.array_equal(h, m * BETA + sum(p[k] * ALPHA[k] for k in range(3)))
         e = np.sqrt(m * m + p @ p)
-        gp = sum(p[k] * GAMMA.gamma[k] for k in range(3))
+        gp = sum(p[k] * GAMMA[k] for k in range(3))
         scale = np.sqrt(2 * e * (e + m))
         assert np.linalg.norm(u - ((e + m) * I4 + gp) / scale) <= 1e-15
         assert np.linalg.norm(ui - ((e + m) * I4 - gp) / scale) <= 1e-15
@@ -132,13 +132,17 @@ def test_fw_hamiltonian_is_beta_energy():
     ps = np.random.default_rng(4).uniform(-3, 3, (20, 3))
     for m in (0.5, 2.0):
         h = snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, m), ps).A
-        assert np.array_equal(h, energy(ps, m)[:, None, None] * GAMMA.beta)
+        assert np.array_equal(h, energy(ps, m)[:, None, None] * BETA)
         assert np.array_equal(snapshot(build_operator(OperatorFamily.FW_HAMILTONIAN, m),
                                        ps[0]).A, h[0])
 
 
 def test_gamma_set_immutable():
-    with pytest.raises(ValueError):
-        GAMMA.beta[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        PAULI[2][0, 0] = 5.0
+    # each matrix constant, and every view of it, refuses a write in place
+    for matrix in (PAULI, BETA, ALPHA, SIGMA, GAMMA):
+        with pytest.raises(ValueError):
+            matrix[..., 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            matrix[0] *= 2.0
+        with pytest.raises(ValueError):
+            matrix.reshape(-1)[0] = 5.0

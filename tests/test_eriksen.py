@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fwbench.eriksen
 import fwbench.linalg
 from fwbench.cli import main
-from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
+from fwbench.dirac import BETA, dirac_hamiltonian, energy
 from fwbench.grids import Grid1D
 from fwbench.eriksen import (
     BlockedHamiltonian,
@@ -131,7 +131,7 @@ def exact_transform(bh):
 
 def test_eriksen_on_diagonal_mass_term_is_identity():
     bh = mass_term(np.zeros(2), 2.0)
-    np.testing.assert_array_equal(bh.H, 2.0 * GAMMA.beta)
+    np.testing.assert_array_equal(bh.H, 2.0 * BETA)
     u = eriksen_unitary(eigenframe(bh))
     assert np.allclose(u, I4, atol=1e-12)
 
@@ -859,6 +859,26 @@ def test_eriksen_command_matches_four_component_oracle(n, tmp_path, dense_erikse
     assert max(data["free_conditions"].values()) <= 1e-12
     assert max(data["exact_offblock"]) <= 1e-12
     assert np.max(oracle["exact_offblock"]) <= 1e-12
+
+
+def test_eriksen_command_alone_scales_spin_block_norms_to_4n(tmp_path):
+    # free_checks returns the conditions over the spin block, as
+    # eriksen_conditions gives them for the free stack, and the study its
+    # off-block norms; the command reports all of them over the 4n operator,
+    # sqrt(2) times the spin block's
+    grid = Grid1D(n=16, length=32.0)
+    conds, spec_err = free_checks(grid, 1.0)
+    bh = BlockedHamiltonian(p=grid.p_fft[:, None], V=np.zeros((grid.n, 1, 1)), m=1.0)
+    frame = eigenframe(bh)
+    assert conds == eriksen_conditions(eriksen_unitary(frame), sign_function(frame), bh)
+    study = potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
+    out = tmp_path / "eriksen.json"
+    assert main(["eriksen", "--n", "16", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["free_conditions"] == {k: float(np.sqrt(2.0) * v) for k, v in conds.items()}
+    assert data["free_positive_spectrum_error"] == spec_err
+    for key in ("approx_offblock", "exact_offblock"):
+        assert data[key] == [float(np.sqrt(2.0) * v) for v in getattr(study, key)]
 
 
 def test_eriksen_command_decomposes_nothing_larger_than_the_spin_block(tmp_path, monkeypatch):

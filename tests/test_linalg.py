@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwbench.dirac import GAMMA, PAULI
+from fwbench.dirac import ALPHA, BETA, PAULI
 from fwbench.linalg import (
     LinalgError,
     as_matrix,
@@ -73,7 +73,7 @@ def test_commutator_trivial_cases():
     assert frob(commutator(I4, m)) == 0.0
     s1, s2, s3 = PAULI
     assert np.allclose(commutator(s1, s2), 2j * s3)
-    beta, a1 = GAMMA.beta, GAMMA.alpha[0]
+    beta, a1 = BETA, ALPHA[0]
     assert np.allclose(commutator(beta, a1), 2 * beta @ a1)
 
 
@@ -100,9 +100,9 @@ def test_commutator_bilinear():
 
 
 def test_structure_predicates():
-    assert is_hermitian(GAMMA.beta)
-    assert is_unitary(GAMMA.alpha[1])
-    assert not is_hermitian(1j * GAMMA.beta)
+    assert is_hermitian(BETA)
+    assert is_unitary(ALPHA[1])
+    assert not is_hermitian(1j * BETA)
     # each member of a stack on its own: one small non-Hermitian member among
     # large Hermitian ones, whose defect is O(1) relative to its own norm but
     # below HERMITIAN_RTOL relative to the whole stack's

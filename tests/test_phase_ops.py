@@ -5,7 +5,7 @@ import pytest
 
 from fwbench.algebra import (QUANTUM_SET_NAMES, build_quantum_set, identities_for_set,
                              sample_momenta)
-from fwbench.dirac import GAMMA, PAULI, energy
+from fwbench.dirac import ALPHA, BETA, GAMMA, PAULI, SIGMA, energy
 from fwbench.phase_ops import (
     DomainError,
     OperatorFamily,
@@ -58,27 +58,27 @@ def test_fw_spin_momentum_independent():
     for c in (1, 2, 3):
         op = build_operator(F.FW_SPIN, 1.0, c)
         for p in MOMENTA[:4]:
-            assert np.array_equal(evaluate(op, p).A, GAMMA.Sigma[c - 1] / 2)
+            assert np.array_equal(evaluate(op, p).A, SIGMA[c - 1] / 2)
 
 
 def test_mean_spin_at_rest_is_half_sigma():
     for c in (1, 2, 3):
         op = build_family("mean_spin_dirac", 1.0, c)
-        assert np.allclose(evaluate(op, np.zeros(3)).A, GAMMA.Sigma[c - 1] / 2)
+        assert np.allclose(evaluate(op, np.zeros(3)).A, SIGMA[c - 1] / 2)
 
 
 def test_nw_position_at_rest():
     m = 1.3
     op = build_family("nw_position_dirac", m, 2)
     val = evaluate(op, np.zeros(3))
-    assert np.allclose(val.A, 1j * GAMMA.gamma[1] / (2 * m), atol=1e-14)
+    assert np.allclose(val.A, 1j * GAMMA[1] / (2 * m), atol=1e-14)
     assert np.allclose(val.B[1], 1j * I4)
     assert np.allclose(val.B[0], 0) and np.allclose(val.B[2], 0)
 
 
 def test_fw_hamiltonian_value():
     op = build_operator(F.FW_HAMILTONIAN, 4.0)
-    assert np.allclose(evaluate(op, np.array([3.0, 0, 0])).A, 5.0 * GAMMA.beta)
+    assert np.allclose(evaluate(op, np.array([3.0, 0, 0])).A, 5.0 * BETA)
 
 
 def test_momentum_value():
@@ -96,7 +96,7 @@ def test_projector_closed_form_and_idempotence():
     for p in MOMENTA[:6]:
         e = energy(p, m)
         a = evaluate(plus, p).A
-        expected = 0.5 * (I4 + m / e * GAMMA.beta) + p_dot(GAMMA.alpha, p) / (2 * e)
+        expected = 0.5 * (I4 + m / e * BETA) + p_dot(ALPHA, p) / (2 * e)
         assert np.allclose(a, expected, atol=1e-12)
         assert np.linalg.norm(a @ a - a) <= 1e-12
         b = evaluate(minus, p).A
@@ -220,7 +220,7 @@ def test_hamiltonian_position_commutator_closed_form():
     h = build_operator(F.FW_HAMILTONIAN, 4.0)
     x1 = build_operator(F.FW_POSITION, 4.0, 1)
     val = op_commutator(h, x1, np.array([3.0, 0, 0]))
-    assert np.allclose(val.A, -0.6j * GAMMA.beta, atol=1e-10)
+    assert np.allclose(val.A, -0.6j * BETA, atol=1e-10)
     assert np.linalg.norm(val.B) <= 1e-10
 
 
@@ -229,7 +229,7 @@ def test_dirac_hamiltonian_position_commutator_is_minus_i_alpha():
     for c in (1, 2, 3):
         r = build_operator(F.FW_POSITION, 1.0, c)   # plain radius vector
         val = op_commutator(h, r, MOMENTA[2])
-        assert np.allclose(val.A, -1j * GAMMA.alpha[c - 1], atol=1e-10)
+        assert np.allclose(val.A, -1j * ALPHA[c - 1], atol=1e-10)
 
 
 def _loop_commutator(s1, s2):
@@ -345,14 +345,14 @@ def test_second_order_check_catches_non_commuting_derivative_parts():
     # Sigma_2 d/dp_2] is (1/2)[Sigma_1, Sigma_2] = i Sigma_3 at k = 1, l = 2
     def sigma_derivative(c):
         B = [0.0, 0.0, 0.0]
-        B[c] = GAMMA.Sigma[c]
+        B[c] = SIGMA[c]
         return PhaseSpaceOperator(4, lambda p: (0.0, *B), f"Sigma_{c + 1} d/dp_{c + 1}")
 
     momenta = sample_momenta(4, seed=3)
     s1, s2 = (snapshot(sigma_derivative(c), momenta) for c in (0, 1))
     with pytest.raises(AssertionError):
         _assert_second_order_zero(s1, s2, "Sigma_1 d/dp_1, Sigma_2 d/dp_2")
-    assert np.allclose(_second_order(s1, s2)[:, 0, 1], 1j * GAMMA.Sigma[2])
+    assert np.allclose(_second_order(s1, s2)[:, 0, 1], 1j * SIGMA[2])
 
 
 def test_dim_mismatch_rejected():
@@ -375,7 +375,7 @@ def test_number_stands_for_a_multiple_of_the_identity():
     explicit = value - PhaseOpValue(np.broadcast_to(x * np.eye(d), A.shape), np.zeros_like(B))
     assert np.array_equal(shifted.A, explicit.A) and np.array_equal(shifted.A, A - x * np.eye(d))
     assert np.array_equal(shifted.B, B)
-    # numpy scalars scale too, as levi's do; a snapshot scales as a PhaseOpValue
+    # numpy scalars scale too; a snapshot scales as a PhaseOpValue
     snap = snapshot(build_operator(F.BOOST_FW, 1.0, 2), MOMENTA[:n])
     for c in (-2, 1j, np.float64(-1.0), np.complex128(0.25j)):
         for v in (value, snap):
@@ -396,7 +396,7 @@ def test_fw_unitary_free_properties():
         assert np.linalg.norm(u @ u.conj().T - I4) <= 1e-12
         assert np.linalg.norm(u @ ui - I4) <= 1e-12
         # odd exponential generator condition
-        assert np.linalg.norm(GAMMA.beta @ u - u.conj().T @ GAMMA.beta) <= 1e-12
+        assert np.linalg.norm(BETA @ u - u.conj().T @ BETA) <= 1e-12
 
 
 def test_fw_unitary_free_massless_needs_nonzero_momentum():
@@ -412,7 +412,7 @@ def test_conjugating_dirac_hamiltonian_gives_block_diagonal():
     hd = build_operator(F.DIRAC_HAMILTONIAN, m)
     for p in MOMENTA[:6]:
         hfw = conjugate(hd, fw_unitary_free(m), fw_unitary_free_inv(m), p)
-        assert np.linalg.norm(hfw.A - energy(p, m) * GAMMA.beta) <= 1e-12
+        assert np.linalg.norm(hfw.A - energy(p, m) * BETA) <= 1e-12
 
 
 def _assert_conjugated_twin(name, twin, m):
@@ -471,9 +471,9 @@ def test_dirac_spin_transformed_to_fw_closed_form():
         for _ in range(10):
             p = rng.uniform(-5, 5, 3)
             e = energy(p, m)
-            expected = (m * GAMMA.Sigma[c - 1] / (2 * e)
-                        + p[c - 1] * p_dot(GAMMA.Sigma, p) / (2 * e * (e + m))
-                        + 1j * cross_c(GAMMA.gamma, p, c - 1) / (2 * e))
+            expected = (m * SIGMA[c - 1] / (2 * e)
+                        + p[c - 1] * p_dot(SIGMA, p) / (2 * e * (e + m))
+                        + 1j * cross_c(GAMMA, p, c - 1) / (2 * e))
             assert np.linalg.norm(conjugate(s_d, u, ui, p).A - expected) <= 1e-12
 
 
@@ -517,7 +517,7 @@ def test_spin_prime_equals_rest_frame_spin():
     for c in (1, 2, 3):
         sp = build_family("spin_prime", m, c)
         for p in MOMENTA[:8]:
-            assert np.linalg.norm(evaluate(sp, p).A - GAMMA.Sigma[c - 1] / 2) <= 1e-12
+            assert np.linalg.norm(evaluate(sp, p).A - SIGMA[c - 1] / 2) <= 1e-12
 
 
 def test_casimir_invariant():
@@ -552,8 +552,8 @@ def test_lab_spin_two_closed_forms_agree():
         zeta = build_operator(F.LAB_SPIN_FW, m, c)
         for p in MOMENTA[:8]:
             e = energy(p, m)
-            other = ((e / m) * GAMMA.Sigma[c - 1] / 2
-                     - p[c - 1] * p_dot(GAMMA.Sigma, p) / (2 * m * (e + m)))
+            other = ((e / m) * SIGMA[c - 1] / 2
+                     - p[c - 1] * p_dot(SIGMA, p) / (2 * m * (e + m)))
             assert np.linalg.norm(evaluate(zeta, p).A - other) <= 1e-12
 
 
@@ -563,8 +563,8 @@ def test_four_spin_space_closed_form():
         a = build_family("four_spin_space", m, c)
         for p in MOMENTA[:6]:
             e = energy(p, m)
-            expected = GAMMA.Sigma[c - 1] / 2 \
-                + p[c - 1] * p_dot(GAMMA.Sigma, p) / (2 * m * (e + m))
+            expected = SIGMA[c - 1] / 2 \
+                + p[c - 1] * p_dot(SIGMA, p) / (2 * m * (e + m))
             assert np.linalg.norm(evaluate(a, p).A - expected) == 0.0
 
 
@@ -592,7 +592,7 @@ def test_projector_sandwich_equals_projected_spin():
         pp = evaluate(plus, p).A
         pm = evaluate(minus, p).A
         for c in (1, 2, 3):
-            s_d = GAMMA.Sigma[c - 1] / 2
+            s_d = SIGMA[c - 1] / 2
             sandwich = pp @ s_d @ pp + pm @ s_d @ pm
             proj = evaluate(build_family("projected_spin_dirac", m, c), p).A
             assert np.linalg.norm(sandwich - proj) <= 1e-10
@@ -654,7 +654,7 @@ def test_worldline_commutator_defect_closed_form():
                 val = op_commutator(xi, kj, p)
                 # symmetrized-product side, from the closed-form velocity:
                 # A_rhs = (i/2) d[x_i, H]/dp_j
-                dC = 1j * GAMMA.beta * ((1.0 if i == j else 0.0) / e
+                dC = 1j * BETA * ((1.0 if i == j else 0.0) / e
                                         - p[i] * p[j] / e**3)
                 rhs_a = 0.5j * dC
                 lhs_minus_rhs = val.A - rhs_a
@@ -664,7 +664,7 @@ def test_worldline_commutator_defect_closed_form():
 
 
 def test_constant_operator_roundtrip():
-    op = constant_operator(GAMMA.Sigma[0] / 2, "s1")
+    op = constant_operator(SIGMA[0] / 2, "s1")
     val = evaluate(op, MOMENTA[0])
-    assert np.array_equal(val.A, GAMMA.Sigma[0] / 2)
+    assert np.array_equal(val.A, SIGMA[0] / 2)
     assert np.linalg.norm(val.B) == 0.0

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fwbench.algebra import IDENTITIES
+from fwbench.eriksen import BlockedHamiltonian
 from fwbench.grids import Grid1D
-from fwbench.spin_dynamics import spinor_from_direction
+from fwbench.spin_dynamics import FieldConfig, spinor_from_direction
 from fwbench.wavepacket import (
     GridResolutionError,
     Observable,
@@ -257,3 +261,30 @@ def test_packet_validation():
                  "identity"):
         with pytest.raises(ValueError, match="unknown observable kind"):
             Observable(kind)
+
+
+@pytest.mark.parametrize("p0, sigma_p, name", [(np.nan, 0.5, "p0"), (np.inf, 0.5, "p0"),
+                                               (1.0, np.nan, "sigma_p"),
+                                               (1.0, np.inf, "sigma_p")])
+def test_packet_rejects_non_finite_inputs_before_sizing_the_grid(p0, sigma_p, name):
+    # unchecked, p0 = nan gives NaN amplitudes and p0 = inf doubles the grid
+    # size until it overflows, so each is rejected, by name, before sizing
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make_gaussian_packet(p0=p0, sigma_p=sigma_p, m=1.0)
+
+
+def test_frozen_records_compare_and_hash():
+    # a grid is its (n, length); the records that hold other arrays compare
+    # by identity
+    grid = Grid1D(n=8, length=4.0)
+    assert grid == Grid1D(n=8, length=4.0) and grid != Grid1D(n=8, length=2.0)
+    assert hash(grid) == hash(Grid1D(n=8, length=4.0))
+    pk = make_gaussian_packet(p0=1.0, sigma_p=0.5, m=1.0)
+    records = [(pk, replace(pk)),
+               (BlockedHamiltonian(p=np.ones(2), V=np.eye(2), m=1.0),
+                BlockedHamiltonian(p=np.ones(2), V=np.eye(2), m=1.0)),
+               (FieldConfig(), FieldConfig()),
+               (IDENTITIES[0], replace(IDENTITIES[0]))]
+    for record, twin in records:
+        assert record == record and record != twin
+        assert len({record, twin, record}) == 2

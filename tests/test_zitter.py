@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fwbench.dirac import GAMMA, dirac_hamiltonian, energy
+from fwbench.dirac import ALPHA, BETA, dirac_hamiltonian, energy
 from fwbench.cli import main
 from fwbench.phase_ops import DomainError, OperatorFamily, build_operator, snapshot
 from fwbench.zitter import dominant_frequency, record_evolution
@@ -19,7 +19,7 @@ RNG = np.random.default_rng(42)
 def test_velocity_initial_condition():
     for c in range(3):
         v = record_evolution(RNG.uniform(-3, 3, 3), 1.0, [0.0], c).velocity[0]
-        assert np.array_equal(v, GAMMA.alpha[c] + 0j)
+        assert np.array_equal(v, ALPHA[c] + 0j)
 
 
 def test_rest_frame_oscillation_at_twice_mass():
@@ -27,8 +27,8 @@ def test_rest_frame_oscillation_at_twice_mass():
     m = 1.3
     times = (0.0, 0.4, 1.1)
     for t, v in zip(times, record_evolution(np.zeros(3), m, times, 0).velocity):
-        expected = GAMMA.alpha[0] @ (np.cos(2 * m * t) * I4
-                                     - 1j * np.sin(2 * m * t) * GAMMA.beta)
+        expected = ALPHA[0] @ (np.cos(2 * m * t) * I4
+                                     - 1j * np.sin(2 * m * t) * BETA)
         assert np.linalg.norm(v - expected) <= 1e-13
 
 
@@ -69,7 +69,7 @@ def test_closed_velocity_matches_numeric_heisenberg(m, t, heisenberg_oracle):
         p = RNG.uniform(-4, 4, 3)
         h = dirac_hamiltonian(p, m)
         for c in range(3):
-            numeric = heisenberg_oracle(h, GAMMA.alpha[c], t)
+            numeric = heisenberg_oracle(h, ALPHA[c], t)
             closed = record_evolution(p, m, [t], c).velocity[0]
             assert np.linalg.norm(numeric - closed) <= 1e-9
 
@@ -88,8 +88,8 @@ def test_closed_position_matches_numeric_heisenberg(heisenberg_position_oracle):
 def test_position_oscillation_amplitude_at_rest():
     # one Compton wavelength scale: spectral norm 1/(2m) at p = 0
     m = 1.0
-    h_inv = GAMMA.beta / m
-    amp = 0.5j * GAMMA.alpha[0] @ h_inv
+    h_inv = BETA / m
+    amp = 0.5j * ALPHA[0] @ h_inv
     assert np.linalg.norm(amp, 2) == pytest.approx(0.5 / m, abs=1e-14)
     assert np.linalg.norm(record_evolution(np.zeros(3), m, [0.0], 0).position) == 0.0
 
@@ -173,12 +173,12 @@ def test_fw_velocity_values():
     for m, pz in SPLIT_LADDER:
         p = np.array([0.0, 0.0, pz])
         eps = np.sqrt(m * m + p @ p)
-        assert np.array_equal(_row(OperatorFamily.FW_HAMILTONIAN, m, p), GAMMA.beta * eps)
+        assert np.array_equal(_row(OperatorFamily.FW_HAMILTONIAN, m, p), BETA * eps)
         for c in range(3):
             assert np.array_equal(_row(OperatorFamily.FW_VELOCITY, m, p, c + 1),
-                                  GAMMA.beta * (p[c] / eps)), (m, pz, c)
+                                  BETA * (p[c] / eps)), (m, pz, c)
     assert np.allclose(_row(OperatorFamily.FW_VELOCITY, 4.0, np.array([3.0, 0, 0]), 1),
-                       0.6 * GAMMA.beta)
+                       0.6 * BETA)
     assert np.linalg.norm(_row(OperatorFamily.FW_VELOCITY, 1.0, np.zeros(3), 2)) == 0.0
     with pytest.raises(DomainError):
         _row(OperatorFamily.FW_VELOCITY, 0.0, np.zeros(3), 1)
@@ -211,8 +211,8 @@ def test_record_starts_at_the_particle_velocity(particle):
     for m, p in _ladder_and_random_momenta():
         eps = np.sqrt(m * m + p @ p)
         for c in range(3):
-            want = {"dirac": GAMMA.alpha[c], "fv": fv_velocity_matrix(p, m, c),
-                    "fw": GAMMA.beta * (p[c] / eps)}[particle]
+            want = {"dirac": ALPHA[c], "fv": fv_velocity_matrix(p, m, c),
+                    "fw": BETA * (p[c] / eps)}[particle]
             got = record_evolution(p, m, [0.0], c, particle).velocity[0]
             assert np.array_equal(got, want), (m, p, c)
 
@@ -249,7 +249,7 @@ def test_commuting_part_of_the_velocity_is_p_over_h(particle):
     for m, p in moments:
         h_inv = ham(p, m) / (m * m + p @ p)
         for c in range(3):
-            v0 = GAMMA.alpha[c] if particle == "dirac" else fv_velocity_matrix(p, m, c)
+            v0 = ALPHA[c] if particle == "dirac" else fv_velocity_matrix(p, m, c)
             coeffs = record_evolution(p, m, [0.0], c, particle).velocity_coeffs
             exact = p[c] * h_inv
             assert np.linalg.norm(coeffs[3] - exact) <= 1e-14 * np.linalg.norm(exact)
@@ -363,7 +363,7 @@ def test_structural_identity_between_dirac_and_fv_records():
     eps = energy(p, m)
     period = np.pi / eps
     for particle, ham, v0 in (
-        ("dirac", dirac_hamiltonian(p, m), GAMMA.alpha[2]),
+        ("dirac", dirac_hamiltonian(p, m), ALPHA[2]),
         ("fv", fv_hamiltonian_matrix(p, m), fv_velocity_matrix(p, m, 2)),
     ):
         times = np.linspace(0.0, period, 33)[:-1]
