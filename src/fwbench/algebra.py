@@ -359,7 +359,7 @@ def run_quantum_suite(set_name: str, m: float, n_samples: int,
 # classical side
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ClassicalState:
     """Phase-space points of a free spinning particle: Q, P and S of shape
     (..., 3), one point or a stack."""

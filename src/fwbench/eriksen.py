@@ -420,7 +420,7 @@ def free_checks(grid: Grid1D, m: float) -> tuple:
     return conds, float(np.max(np.abs(upper - energy(bh.p, m))))
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalingStudy:
     """Approximate-vs-exact comparison over a ladder of potential strengths.
 

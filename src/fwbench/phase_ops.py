@@ -41,6 +41,15 @@ observables over phase space (Q, P, S) in algebra.  Nothing in the program
 differences numerically: the Richardson difference coeff_derivative is the
 tests' oracle for the exact gradients, kept here because the benchmark's
 span table (fwperf/spans.py) traces it by name.
+
+snapshot keeps a momentum-independent coefficient as a read-only broadcast
+view, stride 0 on the momentum axes, and commutator_snapshot reads that
+structure, since its cost is the number of small matrix products, not their
+flops: such a block is its single matrix, a zero block drops every term it
+enters, a single matrix meets a momentum stack in one matrix product over
+all the stack's rows, and only two stacks meet in a product batched over
+the momenta.  The result is broadcast back to the full momentum shape, one
+value per momentum.
 """
 
 from __future__ import annotations
@@ -202,7 +211,7 @@ def _sum_sq(x: np.ndarray, axes: int) -> np.ndarray:
     return (x.real ** 2 + x.imag ** 2).sum(axis=tuple(range(-axes, 0)))
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseOpValue:
     """An operator at momenta (...), A + sum_k B_k d/dp_k; a number x stands for x I."""
 
@@ -398,7 +407,7 @@ def coeff_derivative(f: Callable, p: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class OpSnapshot(PhaseOpValue):
     """Coefficients A, B and their momentum gradients frozen at momenta (...)."""
 
@@ -441,20 +450,82 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     first l: [A, D_l] + [B_l, C] + sum_k (B_k dD_{l,k} - D_k dB_{l,k})
 
     The second-order part is zero by construction (see the module docstring)
-    and is not formed.
+    and is not formed.  Each block is read as snapshot leaves it: a
+    momentum-independent block, a broadcast view with stride 0 on the
+    momentum axes, is its single matrix, and a zero one drops every term it
+    enters.  A product of a single matrix and a momentum stack is one matrix
+    product over all the stack's rows; only two stacks meet in a product
+    batched over the momenta.  The result has the full momentum shape, one
+    value per momentum.
     """
     if s1.A.shape[-1] != s2.A.shape[-1]:
         raise DomainError(f"dimension mismatch: {s1.A.shape[-1]} vs {s2.A.shape[-1]}")
-    A, B, dA, dB = s1.A, s1.B, s1.dA, s1.dB
-    C, D, dC, dD = s2.A, s2.B, s2.dA, s2.dB
+    A, B, dA, dB = (_momentum_rows(x, s1.A.ndim - 2) for x in (s1.A, s1.B, s1.dA, s1.dB))
+    C, D, dC, dD = (_momentum_rows(x, s2.A.ndim - 2) for x in (s2.A, s2.B, s2.dA, s2.dB))
 
     # each sum over k is one matmul of block rows by block columns:
     # sum_k B_k dC_k = [B_1 B_2 B_3] [dC_1; dC_2; dC_3]
-    B_row, D_row = _block_row(B), _block_row(D)
-    zero = A @ C - C @ A + B_row @ _block_column(dC) - D_row @ _block_column(dA)
-    first = (_kaxis(A) @ D - D @ _kaxis(A) + B @ _kaxis(C) - _kaxis(C) @ B
-             + _kaxis(B_row) @ _block_column(dD) - _kaxis(D_row) @ _block_column(dB))
-    return PhaseOpValue(zero, first)
+    B_row, D_row = (None if X is None else _block_row(X) for X in (B, D))
+    dA, dB, dC, dD = (None if X is None else _block_column(X) for X in (dA, dB, dC, dD))
+    zero = _signed_sum((A, C), (C, A), (B_row, dC), (D_row, dA))
+    first = _signed_sum((A, D), (D, A), (B, C), (C, B), (B_row, dD), (D_row, dB))
+    return PhaseOpValue(_at_momenta(zero, s1.A.shape), _at_momenta(first, s1.B.shape))
+
+
+def _momentum_rows(x: np.ndarray, axes: int) -> Optional[np.ndarray]:
+    """x with its leading `axes` momentum axes as one: of length 1 when x is
+    the same at every momentum (stride 0 on those axes), and None when that
+    one matrix block is zero."""
+    if not any(x.strides[:axes]):
+        single = x[(0,) * axes][None]
+        return single if single.any() else None
+    return x.reshape((-1,) + x.shape[axes:])
+
+
+def _product(X: Optional[np.ndarray], Y: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """X @ Y over momentum rows, None when either factor is zero.
+
+    The factor with fewer axes gains the index l after its momentum axis.
+    Two stacks, or two single matrices, meet in a batched product.  A
+    single matrix and a stack share no axis longer than 1, so X's matrices
+    stacked as rows meet Y's set side by side in one product, arranged back
+    to the broadcast shape.
+    """
+    if X is None or Y is None:
+        return None
+    X, Y = (Z[:, None] if Z.ndim < max(X.ndim, Y.ndim) else Z for Z in (X, Y))
+    if len(X) == len(Y):
+        return X @ Y
+    rows = X.reshape(-1, X.shape[-1])
+    cols = np.moveaxis(Y, -2, 0).reshape(Y.shape[-2], -1)
+    out = (rows @ cols).reshape(X.shape[:-1] + Y.shape[:-2] + Y.shape[-1:])
+    n = X.ndim - 2    # batch axes; out is (X's batch, rows, Y's batch, columns)
+    order = [a for k in range(n) for a in (k, n + 1 + k)] + [n, 2 * n + 1]
+    shape = np.broadcast_shapes(X.shape[:-2], Y.shape[:-2]) + (X.shape[-2], Y.shape[-1])
+    return out.transpose(order).reshape(shape)
+
+
+def _signed_sum(*pairs) -> Optional[np.ndarray]:
+    """X_1 Y_1 - X_2 Y_2 + X_3 Y_3 - ... over the pairs (X, Y), left to right
+    and one product at a time, skipping the products that are zero; None
+    when every one is."""
+    total = None
+    for k, (X, Y) in enumerate(pairs):
+        t = _product(X, Y)
+        if t is None:
+            continue
+        if total is None:
+            total = -t if k % 2 else t
+        else:
+            total = total - t if k % 2 else total + t
+    return total
+
+
+def _at_momenta(x: Optional[np.ndarray], shape: tuple) -> np.ndarray:
+    """Momentum rows x (None for zero) at the full shape (*momenta, ...)."""
+    if x is None:
+        return np.broadcast_to(np.zeros((), dtype=complex), shape)
+    return np.broadcast_to(x[0], shape) if len(x) == 1 else x.reshape(shape)
 
 
 def symmetrized_product(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:

@@ -31,6 +31,7 @@ from .phase_ops import build_operator, snapshot
 from .zitter import HAMILTONIANS
 
 PICTURES = ("fw", "dirac")
+MAX_PACKET_NODES = 2**56    # the longest (n, 4) complex spinor array numpy can size
 
 
 class GridResolutionError(ValueError):
@@ -76,7 +77,8 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     """Positive-energy Gaussian packet in the fw picture, spin up along z:
     the first spinor component alone, on the grid with dp = sigma_p/8 and n
     nodes, or, when n is not given, the smallest power of two >= 256 that
-    covers p0 +- 8 sigma_p.
+    covers p0 +- 8 sigma_p; p0 / sigma_p that need more than MAX_PACKET_NODES
+    nodes are rejected before the grid is sized.
 
     to_picture(packet, "dirac") applies U^-1 nodewise, so the packet stays a
     superposition of positive-energy plane waves in the Dirac picture.
@@ -87,6 +89,9 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     if not 0 < sigma_p < np.inf:
         raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
     if n is None:
+        if (MAX_PACKET_NODES // 2 - 1) * (sigma_p / 8) < abs(p0) + 8 * sigma_p:
+            raise ValueError(f"p0 = {p0} and sigma_p = {sigma_p} need a grid of more "
+                             f"than {MAX_PACKET_NODES} nodes to cover p0 +- 8 sigma_p")
         n = 256
         while (n // 2 - 1) * (sigma_p / 8) < abs(p0) + 8 * sigma_p:
             n *= 2

@@ -68,7 +68,7 @@ def _expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (basis @ flat).view(complex).reshape(basis.shape[:1] + coeffs.shape[1:])
 
 
-@dataclass
+@dataclass(eq=False)
 class EvolutionRecord:
     """Heisenberg evolution of velocity/position matrices in closed form.
 

@@ -308,6 +308,15 @@ def test_every_suite_as_expected_at_mass_0_5(name):
     assert [r.identity_id for r in reports if r.verdict != "pass"] == []
 
 
+@pytest.mark.parametrize("name", QUANTUM_SET_NAMES)
+@pytest.mark.parametrize("n_samples", [1, 7])
+def test_every_quantum_report_counts_each_sample(name, n_samples):
+    # a commutator that is the same at every momentum still yields one
+    # residual per sample, not a single value for the whole stack
+    reports = run_quantum_suite(name, 1.0, n_samples)
+    assert reports and all(r.samples == n_samples for r in reports)
+
+
 # --- classical side ------------------------------------------------------------
 
 WORLDLINE_CLASSICAL = "{Q_i,K_j} = Q_j{Q_i,H} - t d_ij"

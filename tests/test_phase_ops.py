@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -260,10 +261,22 @@ def _second_order(s1, s2):
     return 0.5 * (half + half.swapaxes(-3, -4))
 
 
+def _block(kind: str, core: tuple, momenta: tuple, rand) -> np.ndarray:
+    """A coefficient block of one kind at momenta, as snapshot leaves it: a
+    read-only broadcast of zeros or of one random matrix, or a random stack."""
+    if kind == "zero":
+        return np.broadcast_to(np.zeros(core, dtype=complex), momenta + core)
+    if kind == "single":
+        return np.broadcast_to(rand(*core), momenta + core)
+    return rand(*momenta, *core)
+
+
 def test_commutator_snapshot_matches_loop_reference():
     # random coefficients, so the second-order part does not vanish; one
     # snapshot is a read-only broadcast, as momentum-independent ones are;
-    # the stacked second-order oracle matches the loop formula
+    # the stacked second-order oracle matches the loop formula.  Then every
+    # block kind in each of the eight positions A B dA dB | C D dC dD, against
+    # every kind in the other seven, at one momentum, a stack and a 2-D stack
     rng = np.random.default_rng(8)
     n, d = 5, 4
 
@@ -282,6 +295,28 @@ def test_commutator_snapshot_matches_loop_reference():
             for got, ref in ((val.A[i], zero), (val.B[i], first),
                              (_second_order(a, b)[i], second)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    # each kind at each position against each kind in the rest, so that every
+    # product meets every pair of kinds; and, on the stack, every pattern of
+    # zero blocks, so that each sum starts at each of its terms
+    kinds = ("zero", "single", "stack")
+    cores = ((d, d), (3, d, d), (3, d, d), (3, 3, d, d)) * 2
+    layouts = {tuple(kind if k == pos else rest for k in range(8))
+               for pos in range(8) for kind in kinds for rest in kinds}
+    assert len(layouts) == 8 * 3 * 2 + 3
+    zeros = set(itertools.product(("zero", "stack"), repeat=8))
+    for momenta, cases in (((), layouts), ((n,), layouts | zeros), ((2, n), layouts)):
+        for layout in sorted(cases):
+            blocks = [_block(kind, core, momenta, rand) for kind, core in zip(layout, cores)]
+            a, b = OpSnapshot(*blocks[:4]), OpSnapshot(*blocks[4:])
+            val = commutator_snapshot(a, b)
+            assert val.A.shape == momenta + (d, d), layout
+            assert val.B.shape == momenta + (3, d, d), layout
+            for i in np.ndindex(momenta):
+                at = [OpSnapshot(x.A[i], x.B[i], x.dA[i], x.dB[i]) for x in (a, b)]
+                zero, first, _ = _loop_commutator(*at)
+                for got, ref in ((val.A[i], zero), (val.B[i], first)):
+                    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), layout
 
 
 def test_symmetrized_product_is_product_plus_half_commutator():

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fwbench.algebra import IDENTITIES
-from fwbench.eriksen import BlockedHamiltonian
+from fwbench.algebra import IDENTITIES, ClassicalState
+from fwbench.eriksen import BlockedHamiltonian, ScalingStudy
 from fwbench.grids import Grid1D
 from fwbench.spin_dynamics import FieldConfig, spinor_from_direction
 from fwbench.wavepacket import (
+    MAX_PACKET_NODES,
     GridResolutionError,
     Observable,
     WavePacket1D,
@@ -19,7 +20,8 @@ from fwbench.wavepacket import (
     picture_change_error,
     to_picture,
 )
-from fwbench.zitter import dominant_frequency
+from fwbench.phase_ops import OpSnapshot, PhaseOpValue
+from fwbench.zitter import EvolutionRecord, dominant_frequency
 from oracles import (alpha_z_expectation, apply_position, closed_form_pce_x_sq,
                      make_dirac_upper_packet, negative_energy_part, packet_difference,
                      position_expectation, position_sq_expectation, position_to_momentum,
@@ -273,6 +275,25 @@ def test_packet_rejects_non_finite_inputs_before_sizing_the_grid(p0, sigma_p, na
         make_gaussian_packet(p0=p0, sigma_p=sigma_p, m=1.0)
 
 
+@pytest.mark.parametrize("p0, sigma_p", [(1e300, 0.5), (1.0, 1e-300)])
+def test_packet_rejects_extreme_inputs_before_sizing_the_grid(p0, sigma_p):
+    # finite, but p0 / sigma_p would double the grid size past any array
+    # numpy can hold; the message names both arguments
+    with pytest.raises(ValueError, match="^p0 = .* and sigma_p = .* need a grid"):
+        make_gaussian_packet(p0=p0, sigma_p=sigma_p, m=1.0)
+
+
+def test_packet_grid_size_up_to_the_node_bound():
+    # without n the grid is the smallest power of two >= 256 that covers
+    # p0 +- 8 sigma_p with dp = sigma_p/8, up to MAX_PACKET_NODES; one
+    # doubling past that bound is rejected
+    for p0, n in ((0.0, 256), (10.0, 512), (40.0, 2048), (-40.0, 2048)):
+        assert make_gaussian_packet(p0=p0, sigma_p=0.5, m=1.0).grid.n == n
+    half = MAX_PACKET_NODES // 2 - 1
+    with pytest.raises(ValueError, match="need a grid"):
+        make_gaussian_packet(p0=1.25 * half, sigma_p=10.0, m=1.0)
+
+
 def test_frozen_records_compare_and_hash():
     # a grid is its (n, length); the records that hold other arrays compare
     # by identity
@@ -285,6 +306,13 @@ def test_frozen_records_compare_and_hash():
                 BlockedHamiltonian(p=np.ones(2), V=np.eye(2), m=1.0)),
                (FieldConfig(), FieldConfig()),
                (IDENTITIES[0], replace(IDENTITIES[0]))]
+    # and so do the mutable records that hold arrays
+    a, b = np.eye(4, dtype=complex), np.zeros((3, 4, 4), dtype=complex)
+    mutable = [PhaseOpValue(a, b), OpSnapshot(a, b, b, np.zeros((3, 3, 4, 4))),
+               ClassicalState(Q=np.ones(3), P=np.ones(3), S=np.ones(3), m=1.0),
+               EvolutionRecord(np.ones((2, 4)), np.ones((4, 4, 4)), np.ones((4, 4, 4))),
+               ScalingStudy(np.ones(2), np.ones(2), np.ones(2), np.ones(2), 2.0)]
+    records += [(record, replace(record)) for record in mutable]
     for record, twin in records:
         assert record == record and record != twin
         assert len({record, twin, record}) == 2
