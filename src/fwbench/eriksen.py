@@ -45,8 +45,9 @@ g_- = 4 Y2 Y2^dag, so
 
 two half-size inverse square roots, and no 2n x 2n lambda.  A spectrum
 whose positive part does not have exactly h eigenvalues has no unitary
-that sends it to the upper block, and eigenframe rejects it.  lambda itself
-is formed only where the defining conditions read it.
+that sends it to the upper block: one check, _check_spectrum, rejects it
+for eigenframe and eigenvalues alike.  lambda itself is formed only where
+the defining conditions read it.
 
 The exact off-block without U.  P+ = (X1 X1^dag)^(-1/2) X1 and
 P- = (Y2 Y2^dag)^(-1/2) Y2 are h x h unitary polar factors, so U[:h] = P+ V+^dag,
@@ -58,7 +59,10 @@ The Frobenius norm is unchanged by unitary factors, so the off-block norm of
 U H U^dag is sqrt(2) ||V+^dag H V-||: the eigenframe gives it with no inverse
 square root, and V+^dag H is built from the parts like U[:h] H below.  In
 exact arithmetic it is 0, as V+^dag H V- = V+^dag V- diag(w-); what it
-measures is the rounding of eigh's frame, which U inherits.
+measures is the rounding of eigh's frame, which U inherits.  So the
+scaling study reads it at its largest strength alone, where the potential
+couples the blocks most, and takes the other strengths' spectra from
+eigvalsh, which forms no eigenvectors.
 
 The approximate transform, elementwise.  O^2 = diag(p^2, p^2), so every
 function of O and m is a vector: eps = sqrt(m^2 + p^2), and the unitary
@@ -119,7 +123,7 @@ H is n independent one-momentum Hamiltonians [[m, p_k], [p_k, -m]], and
 free_checks holds it as p = grid.p_fft[:, None] and V = 0 of shape
 (n, 1, 1), which one batched eigh decomposes.  The (k, n + k) permutation
 takes the stack to H, block-diagonal, so Frobenius norms over the stack
-are those over H; eigenframe tests for a zero mode against the largest
+are those over H; _check_spectrum tests for a zero mode against the largest
 |eigenvalue| of the whole stack, as for H, and for half-positive spectra
 member by member.  Because H is Hermitian, so is U H U^dag for any U, and
 its off-diagonal norm is sqrt(2) times the norm of the upper quadrant
@@ -129,20 +133,22 @@ are two half-size products and two column scalings (conjugated_quadrant),
 and V+^dag H is the same with V+^dag's column halves X1^dag and X2^dag,
 X2 = v[h:, h:] (exact_offblock_norm).  free_checks forms U on the free grid
 and reads its defining conditions from it, the runtime check of the
-factorization above; the scaling study reads only the off-block norm, from
-the eigenframe, and forms no U.  Because [beta lambda, lambda beta] =
-beta lambda^2 beta - lambda^2, the commutator check reads the off-diagonal
-quadrants of the lambda^2 that the lambda^2 = 1 check forms anyway.
+factorization above; the scaling study forms no U, and reads only the
+off-block norm, from the eigenframe of its largest strength.  Because
+[beta lambda, lambda beta] = beta lambda^2 beta - lambda^2, the commutator
+check reads the off-diagonal quadrants of the lambda^2 that the
+lambda^2 = 1 check forms anyway.
 
 Working set: each Hamiltonian is built, checked and transformed with a
 handful of full-size matrices alive at once.  The BlockedHamiltonian holds
-only p, the half-size V and m; eigenframe forms the dense H for eigh alone;
-eriksen_unitary writes U half by half; eriksen_conditions forms and reduces
-one condition at a time, subtracting the identity in place; approx_fw forms
-half-size matrices only; and the scaling study forms no U, reads the exact
-off-block from the eigenframe through half-size products, releases the
-eigenframe before the approximate transform, and each Hamiltonian's
-matrices before it builds the next.  The free check's stack holds 4n
+only p, the half-size V and m; eigenframe and eigenvalues form the dense H
+for eigh and eigvalsh alone; eriksen_unitary writes U half by half;
+eriksen_conditions forms and reduces one condition at a time, subtracting
+the identity in place; approx_fw forms half-size matrices only; and the
+scaling study forms no U, takes eigenvectors at its largest strength alone,
+reads the exact off-block from them through half-size products, releases
+them before the approximate transform, and each Hamiltonian's matrices
+before it builds the next.  The free check's stack holds 4n
 entries per matrix, far below one full-size matrix.  A full-size float64
 matrix is 0.5 MiB at n = 128 and 2 MiB at n = 256, so peak memory is set by
 how many are alive at once.
@@ -253,26 +259,41 @@ def _reject_zero_eigenvalues(w: np.ndarray, rtol: float, message: str) -> None:
         raise LinalgError(message)
 
 
-def eigenframe(bh: BlockedHamiltonian) -> tuple:
-    """(w, v) = eigh(bh.H), eigenvalues ascending, for a spectrum with no
-    zero mode and exactly bh.n_upper positive eigenvalues in each member;
+def _check_spectrum(w: np.ndarray, n_upper: int) -> np.ndarray:
+    """w, the ascending eigenvalues of a BlockedHamiltonian's H, if they hold
+    no zero mode and exactly n_upper positive eigenvalues in each member;
     LinalgError otherwise.
 
-    bh.H is formed here alone, Hermitian by construction.  The zero-mode
-    test is relative to the largest |eigenvalue| of the whole stack, so a
-    stack rejects what its block-diagonal matrix would.  The frame gives
-    the exact spectrum, eriksen_unitary and sign_function, so a caller
-    decomposes each Hamiltonian once.
+    The zero-mode test is relative to the largest |eigenvalue| of the whole
+    stack, so a stack rejects what its block-diagonal matrix would.
     """
-    w, v = np.linalg.eigh(bh.H)
     _reject_zero_eigenvalues(w, ZERO_MODE_RTOL, f"eigenvalue within {ZERO_MODE_RTOL:.0e} "
                                                 "of zero: sign function undefined")
     positive = np.count_nonzero(w > 0, axis=-1)
-    wrong = positive[positive != bh.n_upper]
+    wrong = positive[positive != n_upper]
     if wrong.size:
         raise LinalgError(f"{wrong[0]} of {w.shape[-1]} eigenvalues are positive, not half: "
                           "no unitary sends the positive spectrum to the upper block")
-    return w, v
+    return w
+
+
+def eigenframe(bh: BlockedHamiltonian) -> tuple:
+    """(w, v) = eigh(bh.H), eigenvalues ascending, for a spectrum that
+    _check_spectrum accepts; LinalgError otherwise.
+
+    bh.H is formed here and in eigenvalues alone, Hermitian by construction.
+    The frame gives the exact spectrum, eriksen_unitary and sign_function,
+    so a caller decomposes each Hamiltonian once.
+    """
+    w, v = np.linalg.eigh(bh.H)
+    return _check_spectrum(w, bh.n_upper), v
+
+
+def eigenvalues(bh: BlockedHamiltonian) -> np.ndarray:
+    """eigvalsh(bh.H), ascending, for a spectrum that _check_spectrum
+    accepts: the spectrum of eigenframe(bh), rejected alike, without the
+    eigenvectors."""
+    return _check_spectrum(np.linalg.eigvalsh(bh.H), bh.n_upper)
 
 
 def sign_function(frame: tuple) -> np.ndarray:
@@ -346,19 +367,22 @@ def approx_fw(bh: BlockedHamiltonian) -> tuple:
     (module docstring): the upper block even + diag(eps) of H_approx, in V's
     dtype, and the off-block norm sqrt(2) ||(s_i u_j - u_i s_j) V_ij|| of
     U H U^dag, from dirac.fw_weights' u, 1/N and N^2 with s = p/N and
-    d = 1/N^2.  Nothing larger than n x n is formed."""
+    d = 1/N^2.  Nothing larger than n x n is formed.  For a stack, upper is
+    the stack of upper blocks and the norm is over the whole stack."""
     if bh.m == 0.0:
         raise LinalgError("mass operator M = m I is not invertible")
     p, V = bh.p, bh.V
-    eps = energy(p[:, None], bh.m)
+    eps = energy(p[..., None], bh.m)
     u, inv_norm, norm_sq = fw_weights(eps, bh.m)
     _reject_zero_eigenvalues(norm_sq, 1e-12, "kinetic denominator is singular")
     d = 1.0 / norm_sq
-    gap = p[:, None] - p[None, :]
-    upper = V * (1.0 - 0.25 * (d[:, None] + d[None, :]) * (gap * gap))
-    upper[np.diag_indices_from(upper)] += eps
+    gap = p[..., :, None] - p[..., None, :]
+    upper = V * (1.0 - 0.25 * (d[..., :, None] + d[..., None, :]) * (gap * gap))
+    diag = np.arange(bh.n_upper)
+    upper[..., diag, diag] += eps
     s = p * inv_norm
-    return upper, float(np.sqrt(2.0) * frob((np.outer(s, u) - np.outer(u, s)) * V))
+    cross = s[..., :, None] * u[..., None, :] - u[..., :, None] * s[..., None, :]
+    return upper, float(np.sqrt(2.0) * frob(cross * V))
 
 
 def discretize_dirac_1d(grid: Grid1D, m: float,
@@ -429,8 +453,11 @@ class ScalingStudy:
     is the block-basis-invariant content of the even block, and it is what
     converges quadratically in the potential strength.  Matrix elements of
     different block-diagonalizations differ already at first order by an
-    even change of basis.  exponent is the slope of log even_block_diff
-    against log v0, fitted by potential_scaling_study, which fills the record.
+    even change of basis.  even_block_diff and approx_offblock hold one
+    value per strength of v0, in its order; exact_offblock holds one value,
+    at the largest strength, max(v0).  exponent is the slope of log
+    even_block_diff against log v0, fitted by potential_scaling_study,
+    which fills the record.
     """
 
     v0: np.ndarray
@@ -460,34 +487,46 @@ def potential_scaling_study(grid: Grid1D, m: float, v0_list,
     The exact transform block-diagonalizes every H to machine precision;
     the approximate transform leaves an O(v0) off-block residual, and the
     upper-block spectra of the two transformed Hamiltonians differ at
-    O(v0^2).  One eigenframe per H gives both exact numbers without
-    forming the exact unitary: the reference spectrum is its positive
-    eigenvalues, and the exact off-block is exact_offblock_norm, equal to
-    the off-block norm of U H U^dag.  The off-block norms are over the spin
-    block; four_component_norm gives them over the 4n operator.  profile
-    must be even on the grid (discretize_dirac_1d).  v0 is checked here,
-    and m by each Hamiltonian's BlockedHamiltonian.
+    O(v0^2).  The reference spectrum is the positive eigenvalues of H, from
+    eigenvalues at every strength but the largest.  At max(v0), where the
+    potential couples the blocks most, one eigenframe gives both the
+    spectrum and the exact off-block, exact_offblock_norm, equal to the
+    off-block norm of U H U^dag, without forming the exact unitary.  Every
+    strength's spectrum passes the one check of _check_spectrum, in the
+    order of v0, so the first strength that fails it names the error.  The
+    off-block norms are over the spin block; four_component_norm gives them
+    over the 4n operator.  profile must be even on the grid
+    (discretize_dirac_1d).  v0 is checked here, and m by each Hamiltonian's
+    BlockedHamiltonian.
     """
     v0_arr = check_strengths(v0_list)
     if profile is None:
         width = grid.length / 8.0
         def profile(x):
             return np.exp(-0.5 * (x / width) ** 2)
-    points = np.array([_study_point(grid, m, lambda x: v0 * profile(x)) for v0 in v0_arr]).T
-    exponent = float(np.polyfit(np.log(v0_arr), np.log(points[0]), 1)[0])
-    return ScalingStudy(v0_arr, *points, exponent)
+    top = int(np.argmax(v0_arr))
+    diff, approx_off, exact_off = zip(*(
+        _study_point(grid, m, lambda x: v0 * profile(x), k == top)
+        for k, v0 in enumerate(v0_arr)))
+    exponent = float(np.polyfit(np.log(v0_arr), np.log(diff), 1)[0])
+    return ScalingStudy(v0_arr, np.array(diff), np.array(approx_off),
+                        np.array([exact_off[top]]), exponent)
 
 
-def _study_point(grid: Grid1D, m: float, V: Callable) -> tuple:
-    """(even_block_diff, approx_offblock, exact_offblock) for one potential:
-    one full-size eigh, and no exact unitary (exact_offblock_norm).  The
-    eigenframe is released before the approximate transform is built, and
-    every matrix on return, before the next Hamiltonian is built."""
+def _study_point(grid: Grid1D, m: float, V: Callable, offblock: bool) -> tuple:
+    """(even_block_diff, approx_offblock, exact_offblock) for one potential.
+    exact_offblock is None unless offblock: then one full-size eigh gives the
+    spectrum and exact_offblock_norm, and no exact unitary is formed;
+    otherwise the spectrum is eigenvalues alone.  The eigenframe is released
+    before the approximate transform is built, and every matrix on return,
+    before the next Hamiltonian is built."""
     bh = discretize_dirac_1d(grid, m, V)
-    frame = eigenframe(bh)
-    w = frame[0]
-    exact_off = exact_offblock_norm(frame, bh)
-    del frame
+    if offblock:
+        frame = eigenframe(bh)
+        w, exact_off = frame[0], exact_offblock_norm(frame, bh)
+        del frame
+    else:
+        w, exact_off = eigenvalues(bh), None
     upper, approx_off = approx_fw(bh)
     diff = float(np.max(np.abs(np.linalg.eigvalsh(upper) - w[bh.n_upper:])))
     return diff, approx_off, exact_off

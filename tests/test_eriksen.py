@@ -19,13 +19,14 @@ from fwbench.eriksen import (
     conjugated_quadrant,
     discretize_dirac_1d,
     eigenframe,
+    eigenvalues,
     eriksen_conditions,
     eriksen_unitary,
     free_checks,
     potential_scaling_study,
     sign_function,
 )
-from fwbench.linalg import LinalgError, frob
+from fwbench.linalg import LinalgError, adjoint, frob
 from oracles import commutator, evaluate, even_part, fw_unitary_free, odd_part
 
 I4 = np.eye(4)
@@ -256,10 +257,34 @@ def test_scaling_study_quadratic_spectrum_linear_offblock():
     assert abs(off_slope - 1.0) <= 0.2
 
 
-def test_sign_function_rejects_zero_modes():
+def _unchecked_eigenvalues(bh):
+    """Mutant of eigenvalues that skips the spectrum check."""
+    return np.linalg.eigvalsh(bh.H)
+
+
+# the two spectrum paths, which one check serves, and the mutant that every
+# rejection test must catch
+SPECTRUM_PATHS = [pytest.param(eigenframe, False, id="eigenframe"),
+                  pytest.param(eigenvalues, False, id="eigenvalues"),
+                  pytest.param(_unchecked_eigenvalues, True, id="mutant-unchecked-eigenvalues")]
+
+
+def assert_rejects(spectrum, mutant, bh, message):
+    """spectrum(bh) raises LinalgError matching message; for the mutant
+    that assertion itself fails."""
+    if mutant:
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            assert_rejects(spectrum, False, bh, message)
+        return
+    with pytest.raises(LinalgError, match=message):
+        spectrum(bh)
+
+
+@pytest.mark.parametrize("spectrum, mutant", SPECTRUM_PATHS)
+def test_spectrum_paths_reject_zero_modes(spectrum, mutant):
     # H = diag(0, 1, -2, -1)
-    with pytest.raises(LinalgError, match="zero"):
-        eigenframe(mass_term(np.array([-1.0, 0.0]), 1.0))
+    assert_rejects(spectrum, mutant, mass_term(np.array([-1.0, 0.0]), 1.0),
+                   "eigenvalue within 1e-08 of zero: sign function undefined")
 
 
 def test_approx_rejects_singular_mass_operator():
@@ -279,6 +304,22 @@ def test_approx_rejects_singular_kinetic_denominator():
     with pytest.raises(LinalgError, match="kinetic denominator is singular"):
         approx_fw(bh)
     approx_fw(BlockedHamiltonian(p=np.array([0.0, 1e5]), V=np.zeros((2, 2)), m=0.1))
+
+
+def test_approx_on_a_stack_acts_on_each_member():
+    # a stack of two Hamiltonians with different odd blocks and complex
+    # potentials: the stack of the members' upper blocks, bit for bit, and
+    # the off-block norm over the whole stack
+    rng = np.random.default_rng(5)
+    p = rng.uniform(-2.0, 2.0, (2, 3))
+    V = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    V += adjoint(V)
+    m = 0.7
+    upper, offblock = approx_fw(BlockedHamiltonian(p=p, V=V, m=m))
+    members = [approx_fw(BlockedHamiltonian(p=p[k], V=V[k], m=m)) for k in range(2)]
+    np.testing.assert_array_equal(upper, np.stack([u for u, _ in members]))
+    assert offblock == pytest.approx(np.hypot(*(off for _, off in members)), rel=1e-15)
+    assert min(off for _, off in members) > 0.0
 
 
 def test_blocked_hamiltonian_is_frozen():
@@ -480,9 +521,10 @@ def test_scaling_study_decomposes_each_hamiltonian_once(monkeypatch):
             return _original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
-    assert calls.count(("eigh", full)) == 3
-    assert calls.count(("eigvalsh", full)) == 0
-    assert all(dim <= full // 2 for name, dim in calls if (name, dim) != ("eigh", full))
+    # eigenvectors at the largest strength alone, for the exact off-block
+    assert calls.count(("eigh", full)) == 1
+    assert calls.count(("eigvalsh", full)) == 2
+    assert all(dim <= full // 2 for name, dim in calls if dim != full)
 
 
 def _count_eigh(monkeypatch) -> list:
@@ -500,11 +542,12 @@ def _count_eigh(monkeypatch) -> list:
 def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
     # every H of the ladder has the odd part [[0, diag p], [diag p, 0]], whose
     # functions are vectors (no eigh), and the exact off-block is read from
-    # the eigenframe: each H takes one full-size eigh and no half-size one,
-    # and the study forms no exact unitary and no g^(-1/2).  The free check,
-    # which does form U, shows that the counting wrappers see the calls; it
-    # holds the free grid as n one-momentum 2x2 Hamiltonians, so its frame
-    # is one batched eigh of the stack and no full-size eigh
+    # the eigenframe of the largest strength: the ladder takes one full-size
+    # eigh and no half-size one, and the study forms no exact unitary and no
+    # g^(-1/2).  The free check, which does form U, shows that the counting
+    # wrappers see the calls; it holds the free grid as n one-momentum 2x2
+    # Hamiltonians, so its frame is one batched eigh of the stack and no
+    # full-size eigh
     grid = Grid1D(n=16, length=8.0)
     full = 2 * grid.n
     calls = _count_eigh(monkeypatch)
@@ -517,16 +560,30 @@ def test_scaling_study_factors_the_odd_part_without_eigh(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(fwbench.eriksen, name, counted)
     potential_scaling_study(grid, 1.0, [1e-3, 1e-2, 1e-1])
-    assert calls == [full] * 3
+    assert calls == [full]
     assert counts == {"eriksen_unitary": 0, "mat_inv_sqrt_psd": 0}
     fwbench.eriksen.free_checks(grid, 1.0)
     assert counts == {"eriksen_unitary": 1, "mat_inv_sqrt_psd": 2}
-    assert 2 in calls[3:] and max(calls[3:]) < full
+    assert 2 in calls[1:] and max(calls[1:]) < full
 
 
+@pytest.mark.parametrize("mutant", [False, True], ids=["eigenvalues", "unchecked_eigenvalues"])
+def test_scaling_study_checks_every_strength_in_ladder_order(mutant, monkeypatch):
+    # at m = 0.01 the strengths 0.1 and 1 close the 2m gap: 17 and 19 of 32
+    # eigenvalues are positive.  The first strength that fails names the
+    # error, though only the largest takes the eigenframe; a study whose
+    # eigenvalue-only path skipped the check would name the largest's count
+    if mutant:
+        monkeypatch.setattr(fwbench.eriksen, "eigenvalues", _unchecked_eigenvalues)
+    first = "19" if mutant else "17"
+    with pytest.raises(LinalgError, match=f"^{first} of 32 eigenvalues are positive"):
+        potential_scaling_study(Grid1D(n=16, length=32.0), 0.01, [1e-3, 0.1, 1.0])
+
+
+@pytest.mark.parametrize("spectrum, mutant", SPECTRUM_PATHS)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
+def test_spectrum_paths_reject_spectrum_without_half_positive(spectrum, mutant, k, seed):
     # H = [[m + c, diag p], [diag p, c - m]], in the eigenbasis of any
     # Hermitian odd block with eigenvalues p_i, has the spectrum c +- r_i with
     # r_i = sqrt(m^2 + p_i^2); a shift c between the two smallest roots
@@ -539,10 +596,9 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
     m = rng.uniform(0.1, 3.0)
     r = np.sqrt(m * m + mags * mags)
     c = 0.5 * (r[0] + r[1]) if k > 1 else r[0] + 1.0
-    message = f"{k + 1} of {2 * k} eigenvalues are positive"
-    bh = BlockedHamiltonian(p=p, V=c * np.eye(k), m=m)
-    with pytest.raises(LinalgError, match=message):
-        eigenframe(bh)
+    message = (f"{k + 1} of {2 * k} eigenvalues are positive, not half: "
+               "no unitary sends the positive spectrum to the upper block")
+    assert_rejects(spectrum, mutant, BlockedHamiltonian(p=p, V=c * np.eye(k), m=m), message)
     if k > 1:
         # a non-diagonal V, c I plus a Hermitian W with ||W||_2 at a quarter
         # of the spectrum's distance from zero, which moves no eigenvalue
@@ -552,8 +608,7 @@ def test_eigenframe_rejects_spectrum_without_half_positive(k, seed):
         gap = np.abs(np.concatenate([c + r, c - r])).min()
         V = c * np.eye(k) + 0.25 * gap * W / np.linalg.norm(W, 2)
         assert np.count_nonzero(V - np.diag(np.diagonal(V))) > 0
-        with pytest.raises(LinalgError, match=message):
-            eigenframe(BlockedHamiltonian(p=p, V=V, m=m))
+        assert_rejects(spectrum, mutant, BlockedHamiltonian(p=p, V=V, m=m), message)
 
 
 def _diagonal_potential_cases():
@@ -619,14 +674,18 @@ def test_momentum_split_frame_matches_dense_frame(bh):
             assert value <= 1e-10, name
 
 
-def test_eigenframe_counts_positive_eigenvalues_per_member():
+@pytest.mark.parametrize("spectrum, mutant", SPECTRUM_PATHS)
+def test_spectrum_paths_count_positive_eigenvalues_per_member(spectrum, mutant):
     # two one-momentum Hamiltonians at p = 0, V = +-2 and m = 1: the spectra
     # (1, 3) and (-3, -1) hold half of the stack's eigenvalues positive, but
     # no member has one positive eigenvalue to send to its upper block
     bh = BlockedHamiltonian(p=np.zeros((2, 1)), V=np.array([2.0, -2.0])[:, None, None], m=1.0)
-    with pytest.raises(LinalgError, match="2 of 2 eigenvalues are positive"):
-        eigenframe(bh)
-    eigenframe(BlockedHamiltonian(p=np.ones((2, 1)), V=np.zeros((2, 1, 1)), m=1.0))
+    assert_rejects(spectrum, mutant, bh, "2 of 2 eigenvalues are positive")
+    accepted = BlockedHamiltonian(p=np.ones((2, 1)), V=np.zeros((2, 1, 1)), m=1.0)
+    w = spectrum(accepted)
+    np.testing.assert_allclose(w[0] if spectrum is eigenframe else w,
+                               np.full((2, 2), [-np.sqrt(2.0), np.sqrt(2.0)]),
+                               rtol=4 * np.finfo(float).eps)
 
 
 def test_free_checks_decompose_nothing_larger_than_2x2(monkeypatch):
@@ -730,8 +789,9 @@ def test_exact_offblock_from_eigenframe_matches_unitary_and_oracle(mutant, monke
             for profile in ORACLE_PROFILES.values():
                 V = profile(grid.length)
                 study = potential_scaling_study(grid, m, v0, V)
-                cases += [(discretize_dirac_1d(grid, m, lambda x: v * V(x)), np.eye(2 * n),
-                           got) for v, got in zip(v0, study.exact_offblock)]
+                (got,) = study.exact_offblock
+                cases.append((discretize_dirac_1d(grid, m, lambda x: max(v0) * V(x)),
+                              np.eye(2 * n), got))
     via_u, dense = [], []
     for bh, Q2, got in cases:
         H, h = rotated_back(bh.H, Q2), bh.n_upper
@@ -879,6 +939,34 @@ def test_eriksen_command_alone_scales_spin_block_norms_to_4n(tmp_path):
     assert data["free_positive_spectrum_error"] == spec_err
     for key in ("approx_offblock", "exact_offblock"):
         assert data[key] == [float(np.sqrt(2.0) * v) for v in getattr(study, key)]
+
+
+@pytest.mark.parametrize("v0", ["0.1,0.001,0.01", "0.01,0.1,0.001,0.1"])
+def test_eriksen_command_reports_exact_offblock_at_the_largest_strength(v0, tmp_path,
+                                                                        monkeypatch):
+    # out of ladder order, and with the largest strength twice: one exact
+    # off-block, from the one eigenframe of the Hamiltonian at v0 = 0.1, as
+    # a one-element list whose max the benchmark's gate takes
+    grid, m = Grid1D(n=16, length=32.0), 1.0
+    seen = []
+    original = fwbench.eriksen.exact_offblock_norm
+
+    def spied(frame, bh):
+        seen.append((bh, original(frame, bh)))
+        return seen[-1][1]
+    monkeypatch.setattr(fwbench.eriksen, "exact_offblock_norm", spied)
+    out = tmp_path / "eriksen.json"
+    assert main(["eriksen", "--n", "16", "--v0", v0, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    width = grid.length / 8.0
+    largest = discretize_dirac_1d(grid, m, lambda x: 0.1 * np.exp(-0.5 * (x / width) ** 2))
+    ((bh, norm),) = seen
+    np.testing.assert_array_equal(bh.V, largest.V)
+    assert data["v0"] == [float(v) for v in v0.split(",")]
+    assert len(data["even_block_spectral_diff"]) == len(data["approx_offblock"]) == len(data["v0"])
+    assert isinstance(data["exact_offblock"], list)
+    assert data["exact_offblock"] == [float(np.sqrt(2.0) * norm)]
+    assert max(data["exact_offblock"]) <= 1e-12
 
 
 def test_eriksen_command_decomposes_nothing_larger_than_the_spin_block(tmp_path, monkeypatch):
