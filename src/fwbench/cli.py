@@ -28,6 +28,7 @@ rebound on the module, by a tracer or a test, is the one that runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -128,21 +129,17 @@ def _int_at_least(lowest: int):
     return _checked(int, check)
 
 
+def _csv_value(column: str, value) -> str:
+    """One CSV field: a float as _fmt writes it, the identity and the note quoted."""
+    if isinstance(value, float):
+        return _fmt(value)
+    return f'"{value}"' if column in ("identity_id", "note") else str(value)
+
+
 def _reports_csv(reports) -> str:
-    cols = ["identity_id", "set_name", "samples", "max_residual", "min_residual",
-            "frac_above_floor", "tol", "floor", "expected", "verdict", "note"]
-    lines = [",".join(cols)]
-    for r in reports:
-        d = r.to_dict()
-        row = []
-        for c in cols:
-            v = d[c]
-            if isinstance(v, float):
-                row.append(_fmt(v))
-            else:
-                row.append(f'"{v}"' if c in ("identity_id", "note") else str(v))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols = [f.name for f in dataclasses.fields(algebra.AlgebraReport)]
+    rows = [",".join(_csv_value(c, getattr(r, c)) for c in cols) for r in reports]
+    return "\n".join([",".join(cols), *rows]) + "\n"
 
 
 def _reports_table(reports) -> str:
@@ -167,6 +164,12 @@ def _verdict(checks) -> tuple:
     failed = [f"{name} {value:.6g} (bound {bound})" for name, value, bound, ok in checks
               if not ok]
     return (f"failed checks: {'; '.join(failed)}\n" if failed else ""), not failed
+
+
+def _normalization_checks(n_fw: float, n_dirac: float) -> list:
+    """The check rows that a packet's norm is 1 in each picture."""
+    return [(f"normalization_{pic}", n, "|x - 1| <= 1e-10", abs(n - 1) <= 1e-10)
+            for pic, n in (("fw", n_fw), ("dirac", n_dirac))]
 
 
 def cmd_verify_algebra(args) -> tuple:
@@ -217,21 +220,18 @@ def cmd_precess(args) -> tuple:
     cfg = sd.FieldConfig(e_field=args.e_field, b_field=args.b_field,
                          charge=args.charge, a_mm=args.a, eta=args.eta,
                          frame_accel=args.accel, frame_omega=args.omega)
-    omega = sd.omega_total(args.p, args.mass, cfg)
-    omega = omega + sd.omega_noninertial(args.p, args.mass, cfg)
-    chi0 = sd.spinor_from_direction(args.s0)
-    s0 = sd.unit_direction(args.s0)
-    series = np.array([[t, *sd.propagate_classical(s0, omega, t),
-                        *sd.sigma_expectation(sd.propagate_quantum(chi0, omega, t))]
-                       for t in np.linspace(0.0, args.t_max, args.steps)]
-                      ).reshape(-1, 7)   # (0, 7) when --steps is 0
-    if not np.all(np.isfinite(series)):
-        raise ValueError("precession series is not finite; check --t-max, --p and the fields")
+    omega = sd.angular_velocity(args.p, args.mass, cfg)
     if not np.all(np.isfinite(omega)):
         # e / m and the other prefactors are Python floats, which overflow to
-        # inf without raising; with no steps nothing else reads omega
+        # inf without raising
         raise ValueError("precession angular velocity is not finite; "
                          "check --mass, --charge and the fields")
+    times = np.linspace(0.0, args.t_max, args.steps)
+    s_classical = sd.propagate_classical(sd.unit_direction(args.s0), omega, times)
+    chi = sd.propagate_quantum(sd.spinor_from_direction(args.s0), omega, times)
+    series = np.column_stack((times, s_classical, sd.sigma_expectation(chi)))
+    if not np.all(np.isfinite(series)):
+        raise ValueError("precession series is not finite; check --t-max, --p and the fields")
     worst = float(np.max(np.abs(series[:, 1:4] - series[:, 4:]), initial=0.0))
     header = "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum"
     failed, ok = _verdict([("quantum_classical_deviation", worst, "<= 1e-12", worst <= 1e-12)])
@@ -269,8 +269,7 @@ def cmd_packet(args) -> tuple:
     n_fw = float(np.sum(rho_fw) * pk.grid.dx)
     n_d = float(np.sum(rho_d) * pk.grid.dx)
     disc = float(np.max(np.abs(rho_d - rho_fw)) / rho_fw.max())
-    failed, ok = _verdict([(f"normalization_{pic}", n, "|x - 1| <= 1e-10", abs(n - 1) <= 1e-10)
-                           for pic, n in (("fw", n_fw), ("dirac", n_d))])
+    failed, ok = _verdict(_normalization_checks(n_fw, n_d))
     return (_series_csv("x,rho_fw,rho_dirac", np.column_stack((x, rho_fw, rho_d))),
             f"normalization fw = {n_fw:.10f}, dirac = {n_d:.10f}; "
             f"max density discrepancy / peak = {disc:.6f}\n" + failed, ok)
@@ -280,8 +279,8 @@ def cmd_pce(args) -> tuple:
     pk = wp.make_gaussian_packet(args.p0, args.sigma, args.mass, n=args.n)
     pk_d = wp.to_picture(pk, "dirac")
     x_sq, mom = wp.Observable("position_sq"), wp.Observable("momentum")
-    x2_fw, x2_d = wp.expectation(pk, x_sq), wp.expectation(pk_d, x_sq, "dirac")
-    p_fw, p_d = wp.expectation(pk, mom), wp.expectation(pk_d, mom, "dirac")
+    x2_fw, x2_d = wp.expectation(pk, x_sq), wp.expectation(pk_d, x_sq)
+    p_fw, p_d = wp.expectation(pk, mom), wp.expectation(pk_d, mom)
     norm_fw, norm_d = pk.norm, pk_d.norm
     pce_x2, pce_p, pce_id = x2_d - x2_fw, p_d - p_fw, norm_d - norm_fw
     result = {
@@ -300,8 +299,7 @@ def cmd_pce(args) -> tuple:
     # the packet's momenta, the band p0 +- 6 sigma that the grid covers
     p_bound = 100 * np.finfo(float).eps * (abs(args.p0) + 6 * args.sigma)
     stderr, ok = _verdict((
-        ("normalization_fw", norm_fw, "|x - 1| <= 1e-10", abs(norm_fw - 1) <= 1e-10),
-        ("normalization_dirac", norm_d, "|x - 1| <= 1e-10", abs(norm_d - 1) <= 1e-10),
+        *_normalization_checks(norm_fw, norm_d),
         ("pce_momentum", pce_p, f"|x| <= 100 u (|p0| + 6 sigma) = {p_bound:.6g}",
          abs(pce_p) <= p_bound),
         ("pce_x_sq", pce_x2, f"|x| > 1e-4 <x^2>_fw = {1e-4 * abs(x2_fw):.6g}",

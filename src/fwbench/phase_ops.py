@@ -42,13 +42,15 @@ differences numerically: the Richardson difference coeff_derivative is the
 tests' oracle for the exact gradients, kept here because the benchmark's
 span table (fwperf/spans.py) traces it by name.
 
-snapshot keeps a momentum-independent coefficient as a read-only broadcast
-view, stride 0 on the momentum axes, and commutator_snapshot reads that
-structure, since its cost is the number of small matrix products, not their
-flops: such a block is its single matrix, a zero block drops every term it
-enters, a single matrix meets a momentum stack in one matrix product over
-all the stack's rows, and only two stacks meet in a product batched over
-the momenta.  The result is broadcast back to the full momentum shape, one
+One kernel, _bracket, forms the first-order part of O1 O2 + sign O2 O1:
+commutator_snapshot is its sign -1, and symmetrized_product, the
+worldline term's (1/2){O, V}, half its sign +1.  snapshot keeps a
+momentum-independent coefficient as a read-only broadcast view, stride 0 on
+the momentum axes, and the kernel reads that structure, since its cost is
+the number of small matrix products, not their flops: such a block is its
+single matrix, a zero block drops every term it enters, a single matrix
+meets a momentum stack in one matrix product over all the stack's rows, and
+only two stacks meet in a product batched over the momenta.  The result is broadcast back to the full momentum shape, one
 value per momentum.
 """
 
@@ -450,13 +452,35 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     first l: [A, D_l] + [B_l, C] + sum_k (B_k dD_{l,k} - D_k dB_{l,k})
 
     The second-order part is zero by construction (see the module docstring)
-    and is not formed.  Each block is read as snapshot leaves it: a
-    momentum-independent block, a broadcast view with stride 0 on the
-    momentum axes, is its single matrix, and a zero one drops every term it
-    enters.  A product of a single matrix and a momentum stack is one matrix
-    product over all the stack's rows; only two stacks meet in a product
-    batched over the momenta.  The result has the full momentum shape, one
-    value per momentum.
+    and is not formed.
+    """
+    return _bracket(s1, s2, -1.0)
+
+
+def symmetrized_product(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
+    """(1/2){O, V} of a first-order operator O and a multiplicative one V
+    (no derivative part), from snapshots at the same momenta.
+
+    zeroth:  (A V + V A + sum_k B_k dV_k) / 2
+    first l: (B_l V + V B_l) / 2
+    """
+    return 0.5 * _bracket(s1, s2, 1.0)
+
+
+def _bracket(s1: OpSnapshot, s2: OpSnapshot, sign: float) -> PhaseOpValue:
+    """O1 O2 + sign O2 O1 without its second-order part, for the operators
+    O1 = A + B_k d/dp_k and O2 = C + D_k d/dp_k of two snapshots:
+
+    zeroth:  A C + sign C A + sum_k (B_k dC_k + sign D_k dA_k)
+    first l: A D_l + sign D_l A + B_l C + sign C B_l
+             + sum_k (B_k dD_{l,k} + sign D_k dB_{l,k})
+
+    Each block is read as snapshot leaves it: a momentum-independent block,
+    a broadcast view with stride 0 on the momentum axes, is its single
+    matrix, and a zero one drops every term it enters.  A product of a
+    single matrix and a momentum stack is one matrix product over all the
+    stack's rows; only two stacks meet in a product batched over the
+    momenta.  The result has the full momentum shape, one value per momentum.
     """
     if s1.A.shape[-1] != s2.A.shape[-1]:
         raise DomainError(f"dimension mismatch: {s1.A.shape[-1]} vs {s2.A.shape[-1]}")
@@ -467,8 +491,8 @@ def commutator_snapshot(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
     # sum_k B_k dC_k = [B_1 B_2 B_3] [dC_1; dC_2; dC_3]
     B_row, D_row = (None if X is None else _block_row(X) for X in (B, D))
     dA, dB, dC, dD = (None if X is None else _block_column(X) for X in (dA, dB, dC, dD))
-    zero = _signed_sum((A, C), (C, A), (B_row, dC), (D_row, dA))
-    first = _signed_sum((A, D), (D, A), (B, C), (C, B), (B_row, dD), (D_row, dB))
+    zero = _signed_sum(sign, (A, C), (C, A), (B_row, dC), (D_row, dA))
+    first = _signed_sum(sign, (A, D), (D, A), (B, C), (C, B), (B_row, dD), (D_row, dB))
     return PhaseOpValue(_at_momenta(zero, s1.A.shape), _at_momenta(first, s1.B.shape))
 
 
@@ -505,19 +529,17 @@ def _product(X: Optional[np.ndarray], Y: Optional[np.ndarray]) -> Optional[np.nd
     return out.transpose(order).reshape(shape)
 
 
-def _signed_sum(*pairs) -> Optional[np.ndarray]:
-    """X_1 Y_1 - X_2 Y_2 + X_3 Y_3 - ... over the pairs (X, Y), left to right
-    and one product at a time, skipping the products that are zero; None
-    when every one is."""
+def _signed_sum(sign: float, *pairs) -> Optional[np.ndarray]:
+    """X_1 Y_1 + sign X_2 Y_2 + X_3 Y_3 + sign X_4 Y_4 + ... over the pairs
+    (X, Y), left to right and one product at a time, skipping the products
+    that are zero; None when every one is.  sign is +-1, so sign * t is
+    exact."""
     total = None
     for k, (X, Y) in enumerate(pairs):
         t = _product(X, Y)
-        if t is None:
-            continue
-        if total is None:
-            total = -t if k % 2 else t
-        else:
-            total = total - t if k % 2 else total + t
+        if t is not None:
+            t = sign * t if k % 2 else t
+            total = t if total is None else total + t
     return total
 
 
@@ -526,18 +548,6 @@ def _at_momenta(x: Optional[np.ndarray], shape: tuple) -> np.ndarray:
     if x is None:
         return np.broadcast_to(np.zeros((), dtype=complex), shape)
     return np.broadcast_to(x[0], shape) if len(x) == 1 else x.reshape(shape)
-
-
-def symmetrized_product(s1: OpSnapshot, s2: OpSnapshot) -> PhaseOpValue:
-    """(1/2){O, V} of a first-order operator O and a multiplicative one V
-    (no derivative part), from snapshots at the same momenta.
-
-    zeroth:  (A V + V A)/2 + sum_k B_k dV_k / 2
-    first l: (B_l V + V B_l)/2
-    """
-    A, B, V = s1.A, s1.B, s2.A
-    return PhaseOpValue(0.5 * (A @ V + V @ A) + 0.5 * (B @ s2.dA).sum(axis=-3),
-                        0.5 * (B @ _kaxis(V) + _kaxis(V) @ B))
 
 
 def _block_row(X: np.ndarray) -> np.ndarray:

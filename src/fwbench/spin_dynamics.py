@@ -10,12 +10,16 @@ block (beta -> +1), is
 
 and in a frame with acceleration acc and rotation omega
 
-    W = acc x p / (eps + m) - omega.
+    W_frame = acc x p / (eps + m) - omega.
+
+angular_velocity is the one implementation of the total, added in the
+order (W_mdm + W_edm) + W_frame.
 
 Momentum is held fixed: only the spin sector evolves, so quantum and
 classical propagation are both exact exponentials and must agree to
 machine precision (the 2-to-1 covering of rotations by unit quaternions).
-Every formula here is for the spin-1/2 particle.
+Both propagators take a whole 1-D time grid in one call and return one
+row per time.  Every formula here is for the spin-1/2 particle.
 """
 
 from __future__ import annotations
@@ -46,77 +50,68 @@ class FieldConfig:
                 raise ValueError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, v)
             v.setflags(write=False)
+        for name in ("charge", "a_mm", "eta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-def omega_mdm(p, m: float, cfg: FieldConfig) -> np.ndarray:
-    """Magnetic-dipole part of the precession angular velocity."""
+def angular_velocity(p, m: float, cfg: FieldConfig) -> np.ndarray:
+    """The spin's precession angular velocity W_mdm + W_edm + W_frame at
+    momentum p, shape (3,)."""
     if m <= 0:
         raise ValueError("precession formulas require m > 0")
     p = np.asarray(p, dtype=float)
     e, a = cfg.charge, cfg.a_mm
     eps = energy(p, m)
     B, E = cfg.b_field, cfg.e_field
-    return (e / m) * (
+    mdm = (e / m) * (
         -(m / eps + a) * B
         + a * (p @ B) * p / (eps * (eps + m))
         + (m / (eps + m) + a) * np.cross(p, E) / eps
     )
-
-
-def omega_edm(p, m: float, cfg: FieldConfig) -> np.ndarray:
-    """Electric-dipole part of the precession angular velocity."""
-    if m <= 0:
-        raise ValueError("precession formulas require m > 0")
-    p = np.asarray(p, dtype=float)
-    eps = energy(p, m)
-    B, E = cfg.b_field, cfg.e_field
-    return -(cfg.charge * cfg.eta / (2 * m)) * (
+    edm = -(e * cfg.eta / (2 * m)) * (
         E - (p @ E) * p / (eps * (eps + m)) + np.cross(p, B) / eps
     )
+    frame = np.cross(cfg.frame_accel, p) / (eps + m) - cfg.frame_omega
+    return (mdm + edm) + frame
 
 
-def omega_total(p, m: float, cfg: FieldConfig) -> np.ndarray:
-    """Total angular velocity of spin rotation in uniform fields."""
-    return omega_mdm(p, m, cfg) + omega_edm(p, m, cfg)
-
-
-def omega_noninertial(p, m: float, cfg: FieldConfig) -> np.ndarray:
-    """Precession in an accelerated, rotating frame (positive-energy block)."""
-    p = np.asarray(p, dtype=float)
-    eps = energy(p, m)
-    return np.cross(cfg.frame_accel, p) / (eps + m) - cfg.frame_omega
-
-
-def propagate_classical(s0, omega, t: float) -> np.ndarray:
-    """Rotate s0 about omega by |omega| t (exact Rodrigues formula)."""
+def propagate_classical(s0, omega, times) -> np.ndarray:
+    """s0 rotated about omega by |omega| t at each time t of a 1-D grid
+    (exact Rodrigues formula), shape (T, 3).  An empty grid reads nothing
+    of omega, whose norm may overflow."""
     s0 = np.asarray(s0, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    w = np.linalg.norm(omega)
+    t = np.asarray(times, dtype=float)[:, None]
+    w = np.linalg.norm(omega) if len(t) else 0.0
     if w == 0.0:
-        return s0.copy()
+        return np.tile(s0, (len(t), 1))
     axis = omega / w
     theta = w * t
     return (s0 * np.cos(theta) + np.cross(axis, s0) * np.sin(theta)
             + axis * (axis @ s0) * (1 - np.cos(theta)))
 
 
-def propagate_quantum(chi0, omega, t: float) -> np.ndarray:
-    """chi(t) = exp(-i (omega . sigma / 2) t) chi0 for a unit spinor."""
+def propagate_quantum(chi0, omega, times) -> np.ndarray:
+    """chi(t) = exp(-i (omega . sigma / 2) t) chi0 for a unit spinor, at
+    each time t of a 1-D grid, shape (T, 2); like propagate_classical, it
+    reads nothing of omega on an empty grid."""
     chi0 = np.asarray(chi0, dtype=complex)
     if chi0.shape != (2,) or abs(chi0 @ chi0.conj() - 1.0) > 1e-10:
         raise ValueError("chi0 must be a normalized 2-spinor")
     omega = np.asarray(omega, dtype=float)
-    w = np.linalg.norm(omega)
+    t = np.asarray(times, dtype=float)[:, None, None]
+    w = np.linalg.norm(omega) if len(t) else 0.0
     if w == 0.0:
-        return chi0.copy()
+        return np.tile(chi0, (len(t), 1))
     axis_dot_sigma = sum(omega[k] / w * PAULI[k] for k in range(3))
     return free_propagator(axis_dot_sigma, 1.0, 0.5 * w * t) @ chi0
 
 
 def sigma_expectation(chi) -> np.ndarray:
-    """<sigma> of a 2-spinor."""
+    """<sigma> of 2-spinors, shape (..., 2) -> (..., 3)."""
     chi = np.asarray(chi, dtype=complex)
-    return np.array([float((chi.conj() @ (PAULI[k] @ chi)).real) for k in range(3)])
+    return (chi.conj()[..., None, None, :] @ (PAULI @ chi[..., None, :, None]))[..., 0, 0].real
 
 
 def unit_direction(direction) -> np.ndarray:

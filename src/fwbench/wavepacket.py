@@ -4,15 +4,17 @@ Packets live on the centered momentum grid of a periodic box, with the
 momentum along z and the spin up along z, so the full 4x4 operator
 structure survives while every spatial transform is one-dimensional.
 The momentum-to-position kernel is fixed to exp(+i p x)/sqrt(2 pi)
-(grid-periodized).  Every observable is a moment of one density of the
-picture it is averaged in: momentum-type ones of |psi(p)|^2, position-type
-ones of the position density |Psi(x)|^2 on the box nodes.  By Parseval the
-position moments equal the averages of the spectrally periodized i d/dp.
+(grid-periodized).  expectation averages an observable in the packet's
+own picture, as a moment of one of its densities: momentum-type ones of
+|psi(p)|^2, position-type ones of the position density |Psi(x)|^2 on the
+box nodes.  By Parseval the position moments equal the averages of the
+spectrally periodized i d/dp.
 
 Wave functions in the two pictures are related nodewise by the free
-unitary U(p) = (eps + m + gamma_3 p)/sqrt(2 eps (eps+m)); expectation
-values of an *untransformed* operator therefore depend on the picture the
-averaging is done in, and the difference is the picture change error.
+unitary U(p) = (eps + m + gamma_3 p)/sqrt(2 eps (eps+m)), and to_picture
+is the one place where a packet changes picture.  Expectation values of an
+*untransformed* operator therefore depend on the picture the packet is in,
+and the difference is the picture change error.
 Free evolution applies exp(-iHt) nodewise, with H the picture's catalogue
 row: FW_HAMILTONIAN, beta eps, in the fw picture and DIRAC_HAMILTONIAN in
 the dirac one.
@@ -156,20 +158,19 @@ class Observable:
             raise ValueError(f"unknown observable kind {self.kind!r}")
 
 
-def expectation(packet: WavePacket1D, obs: Observable, picture: str = "fw") -> float:
-    """<A> with the untransformed operator averaged in the given picture,
-    as a moment of that picture's momentum or position density."""
-    pk = to_picture(packet, picture)
-    grid = pk.grid
+def expectation(packet: WavePacket1D, obs: Observable) -> float:
+    """<A> with the untransformed operator averaged in the packet's own
+    picture, as a moment of that picture's momentum or position density."""
+    grid = packet.grid
     if obs.kind == "momentum":
-        return float(np.sum(grid.p_centered * np.sum(np.abs(pk.psi) ** 2, axis=1)) * grid.dp)
+        return float(np.sum(grid.p_centered * np.sum(np.abs(packet.psi) ** 2, axis=1)) * grid.dp)
     # position_sq; x * x first would overflow in a huge box before rho scales it
-    x, rho = density(pk)
+    x, rho = density(packet)
     return float(np.sum(x * (x * rho)) * grid.dx)
 
 
 def picture_change_error(packet: WavePacket1D, obs: Observable) -> float:
     """Averaging the raw operator with the Dirac-picture amplitude minus
     the same average in the block-diagonal picture."""
-    return expectation(packet, obs, "dirac") - expectation(packet, obs, "fw")
-
+    return (expectation(to_picture(packet, "dirac"), obs)
+            - expectation(to_picture(packet, "fw"), obs))

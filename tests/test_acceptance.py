@@ -267,21 +267,21 @@ def test_criterion_06_spin_precession_quantum_classical():
                              eta=rng.uniform(-0.5, 0.5))
         p = rng.uniform(-5, 5, 3)
         m = rng.uniform(0.3, 5.0)
-        omega = sd.omega_total(p, m, cfg)
+        omega = sd.angular_velocity(p, m, cfg)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         chi = sd.spinor_from_direction(direction)
-        for t in rng.uniform(0.0, 20.0, 4):
-            s_q = sd.sigma_expectation(sd.propagate_quantum(chi, omega, t))
-            s_c = sd.propagate_classical(direction, omega, t)
-            worst = max(worst, float(np.max(np.abs(s_q - s_c))))
+        times = rng.uniform(0.0, 20.0, 4)
+        s_q = sd.sigma_expectation(sd.propagate_quantum(chi, omega, times))
+        s_c = sd.propagate_classical(direction, omega, times)
+        worst = max(worst, float(np.max(np.abs(s_q - s_c))))
     # rest-frame rates
     e_charge, a, eta, m, b0, e0 = -1.0, 0.2, 0.3, 1.7, 1.1, 0.9
     cfg = sd.FieldConfig(b_field=(0, 0, b0), charge=e_charge, a_mm=a)
-    rate_err = abs(sd.omega_total(np.zeros(3), m, cfg)[2]
+    rate_err = abs(sd.angular_velocity(np.zeros(3), m, cfg)[2]
                    + (e_charge / m) * (1 + a) * b0)
     cfg = sd.FieldConfig(e_field=(e0, 0, 0), charge=e_charge, eta=eta)
-    rate_err = max(rate_err, abs(sd.omega_edm(np.zeros(3), m, cfg)[0]
+    rate_err = max(rate_err, abs(sd.angular_velocity(np.zeros(3), m, cfg)[0]
                                  + (e_charge * eta / (2 * m)) * e0))
     ok = worst <= 1e-12 and rate_err <= 1e-12
     _verdict(6, ok, f"max propagation deviation {worst:.2e}, "
@@ -296,7 +296,7 @@ def test_criterion_07_noninertial_frame(frame_precession_oracle):
                              frame_omega=rng.normal(size=3))
         p = rng.uniform(-5, 5, 3)
         m = rng.uniform(0.2, 5.0)
-        q = sd.omega_noninertial(p, m, cfg)
+        q = sd.angular_velocity(p, m, cfg)
         c = frame_precession_oracle(p, m, cfg)
         worst = max(worst, float(np.max(np.abs(q - c))))
         expected = np.cross(cfg.frame_accel, p) / (energy(p, m) + m) - cfg.frame_omega

@@ -352,11 +352,13 @@ def test_precess_command(tmp_path, capsys):
     assert run(["precess", "--t-max", "-5", "--steps", "40", "--out", str(back)]) == 0
     np.testing.assert_array_equal(np.loadtxt(back, delimiter=",", skiprows=1)[:, 0],
                                   -rows[:, 0])
-    # zero steps is a valid, empty series: the header line alone
-    empty = tmp_path / "empty.csv"
-    assert run(["precess", "--steps", "0", "--out", str(empty)]) == 0
-    assert empty.read_text() == (
-        "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum\n")
+    # zero steps is a valid, empty series: the header line alone, also for a
+    # finite angular velocity whose norm would overflow
+    for extra in ([], ["--omega", "0,1e200,1e200"]):
+        empty = tmp_path / "empty.csv"
+        assert run(["precess", "--steps", "0", *extra, "--out", str(empty)]) == 0
+        assert empty.read_text() == (
+            "t,Sx_classical,Sy_classical,Sz_classical,Sx_quantum,Sy_quantum,Sz_quantum\n")
 
 
 # a direction is scale-free: components whose norm would overflow or
@@ -381,12 +383,21 @@ def test_precess_rejects_non_finite_series(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_precess_series_check_catches_silent_nan(capsys):
+def test_precess_series_check_catches_silent_nan(monkeypatch, capsys):
     # 2 m overflows to inf in Python float arithmetic, which raises nothing,
     # and so does charge * eta: the electric-dipole prefactor is inf / inf,
-    # a quiet NaN that no floating-point trap sees, and only the series
-    # check stops it
+    # a quiet NaN that no floating-point trap sees, and the angular-velocity
+    # check stops it before anything is propagated
     assert run(["precess", "--mass", "1.7e308", "--charge", "1e10", "--eta", "1e300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: precession angular velocity is not finite; "
+                   "check --mass, --charge and the fields\n")
+    # a propagator that returns a quiet NaN from a finite angular velocity
+    # reaches the series check
+    monkeypatch.setattr(spin_dynamics, "propagate_classical",
+                        lambda s0, omega, times: np.full((len(times), 3), np.nan))
+    assert run(["precess", "--steps", "3"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("error: precession series is not finite; "

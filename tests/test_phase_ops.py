@@ -296,25 +296,59 @@ def test_commutator_snapshot_matches_loop_reference():
                              (_second_order(a, b)[i], second)):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    # each kind at each position against each kind in the rest, so that every
-    # product meets every pair of kinds; and, on the stack, every pattern of
-    # zero blocks, so that each sum starts at each of its terms
+    _assert_layout_sweep(commutator_snapshot, lambda a, b: _loop_commutator(a, b)[:2],
+                         rand, n, d)
+
+
+def _loop_symmetrized(o, v):
+    """(1/2){O, V} of a multiplicative V, with explicit sums over k."""
+    A, B, C, dC = o.A, o.B, v.A, v.dA
+    zero = 0.5 * (A @ C + C @ A + sum(B[k] @ dC[k] for k in range(3)))
+    first = np.stack([0.5 * (B[l] @ C + C @ B[l]) for l in range(3)])
+    return zero, first
+
+
+def test_symmetrized_product_matches_loop_reference():
+    # the layout sweep of the commutator, with V multiplicative: its
+    # derivative part D and the gradient dD are zero blocks
+    rng = np.random.default_rng(10)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    _assert_layout_sweep(symmetrized_product, _loop_symmetrized, rand, 5, 4,
+                         zero_positions=(5, 7))
+
+
+def _assert_layout_sweep(bracket, loop_reference, rand, n, d, zero_positions=()):
+    """bracket(a, b) against loop_reference's (zeroth, first) parts at each
+    momentum: each block kind at each of the eight positions A B dA dB |
+    C D dC dD against each kind in the rest, so that every product meets
+    every pair of kinds, and, on the stack, every pattern of zero blocks,
+    so that each sum starts at each of its terms.  The blocks at
+    zero_positions are always zero.  It runs at one momentum, a stack of n
+    and a (2, n) stack."""
     kinds = ("zero", "single", "stack")
     cores = ((d, d), (3, d, d), (3, d, d), (3, 3, d, d)) * 2
     layouts = {tuple(kind if k == pos else rest for k in range(8))
                for pos in range(8) for kind in kinds for rest in kinds}
     assert len(layouts) == 8 * 3 * 2 + 3
     zeros = set(itertools.product(("zero", "stack"), repeat=8))
+
+    def fixed(cases):
+        return {tuple("zero" if k in zero_positions else kind for k, kind in enumerate(c))
+                for c in cases}
+
     for momenta, cases in (((), layouts), ((n,), layouts | zeros), ((2, n), layouts)):
-        for layout in sorted(cases):
+        for layout in sorted(fixed(cases)):
             blocks = [_block(kind, core, momenta, rand) for kind, core in zip(layout, cores)]
             a, b = OpSnapshot(*blocks[:4]), OpSnapshot(*blocks[4:])
-            val = commutator_snapshot(a, b)
+            val = bracket(a, b)
             assert val.A.shape == momenta + (d, d), layout
             assert val.B.shape == momenta + (3, d, d), layout
             for i in np.ndindex(momenta):
                 at = [OpSnapshot(x.A[i], x.B[i], x.dA[i], x.dB[i]) for x in (a, b)]
-                zero, first, _ = _loop_commutator(*at)
+                zero, first = loop_reference(*at)
                 for got, ref in ((val.A[i], zero), (val.B[i], first)):
                     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), layout
 
@@ -396,8 +430,9 @@ def test_dim_mismatch_rejected():
     a = snapshot(build_operator(F.FW_HAMILTONIAN, 1.0), p)
     b = snapshot(build_operator(F.FV_HAMILTONIAN, 1.0), p)
     for s1, s2 in ((a, b), (b, a)):
-        with pytest.raises(DomainError, match="dimension mismatch"):
-            commutator_snapshot(s1, s2)
+        for bracket in (commutator_snapshot, symmetrized_product):
+            with pytest.raises(DomainError, match="dimension mismatch"):
+                bracket(s1, s2)
 
 
 def test_number_stands_for_a_multiple_of_the_identity():

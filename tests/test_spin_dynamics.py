@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,7 @@ from hypothesis import strategies as st
 from fwbench.dirac import energy
 from fwbench.spin_dynamics import (
     FieldConfig,
-    omega_edm,
-    omega_mdm,
-    omega_noninertial,
-    omega_total,
+    angular_velocity,
     propagate_classical,
     propagate_quantum,
     sigma_expectation,
@@ -19,13 +18,13 @@ from fwbench.spin_dynamics import (
 
 def test_rest_frame_magnetic_precession():
     cfg = FieldConfig(b_field=(0, 0, 2.0), charge=1.0, a_mm=0.1)
-    w = omega_total(np.zeros(3), 1.0, cfg)
+    w = angular_velocity(np.zeros(3), 1.0, cfg)
     assert np.allclose(w, [0, 0, -(1.0 / 1.0) * 1.1 * 2.0], atol=1e-15)
 
 
 def test_rest_frame_edm_precession():
     cfg = FieldConfig(e_field=(3.0, 0, 0), charge=1.0, eta=0.4)
-    w = omega_total(np.zeros(3), 2.0, cfg)
+    w = angular_velocity(np.zeros(3), 2.0, cfg)
     assert np.allclose(w, [-(0.4 / 4.0) * 3.0, 0, 0], atol=1e-15)
 
 
@@ -33,7 +32,7 @@ def test_momentum_cross_electric_term():
     # p=(3,0,0), m=4, E along y, a=0: only (1/eps)(m/(eps+m)) p x E survives,
     # giving e E0 p / (eps (eps+m)) along z = e E0 / 15 for unit inputs
     cfg = FieldConfig(e_field=(0, 1.0, 0), charge=1.0)
-    w = omega_total(np.array([3.0, 0, 0]), 4.0, cfg)
+    w = angular_velocity(np.array([3.0, 0, 0]), 4.0, cfg)
     assert np.allclose(w, [0, 0, 3.0 / 45.0], atol=1e-15)
 
 
@@ -46,28 +45,29 @@ def test_edm_momentum_terms():
     expected = -(-1.0 * 0.7 / (2 * m)) * (
         cfg.e_field - (p @ cfg.e_field) * p / (eps * (eps + m))
         + np.cross(p, cfg.b_field) / eps)
-    assert np.allclose(omega_edm(p, m, cfg), expected, atol=1e-14)
+    edm = angular_velocity(p, m, cfg) - angular_velocity(p, m, dataclasses.replace(cfg, eta=0.0))
+    assert np.allclose(edm, expected, atol=1e-14)
 
 
 def test_mdm_requires_positive_mass():
     with pytest.raises(ValueError):
-        omega_mdm(np.zeros(3), 0.0, FieldConfig(b_field=(0, 0, 1.0)))
+        angular_velocity(np.zeros(3), 0.0, FieldConfig(b_field=(0, 0, 1.0)))
     with pytest.raises(ValueError, match="m > 0"):
-        omega_edm(np.zeros(3), 0.0, FieldConfig(e_field=(1.0, 0, 0), eta=0.5))
+        angular_velocity(np.zeros(3), 0.0, FieldConfig(e_field=(1.0, 0, 0), eta=0.5))
 
 
 def test_noninertial_cases():
     cfg = FieldConfig(frame_omega=(0.1, 0.2, 0.3))
-    assert np.allclose(omega_noninertial(np.zeros(3), 1.0, cfg), [-0.1, -0.2, -0.3])
+    assert np.allclose(angular_velocity(np.zeros(3), 1.0, cfg), [-0.1, -0.2, -0.3])
     cfg2 = FieldConfig(frame_accel=(2.0, 0, 0), frame_omega=(0.1, 0.2, 0.3))
     p_parallel = np.array([5.0, 0.0, 0.0])
-    assert np.allclose(omega_noninertial(p_parallel, 1.0, cfg2),
+    assert np.allclose(angular_velocity(p_parallel, 1.0, cfg2),
                        [-0.1, -0.2, -0.3])
     cfg3 = FieldConfig(frame_accel=(2.0, 0, 0))
     q = 1.5
     p = np.array([0.0, q, 0.0])
     eps = energy(p, 1.0)
-    assert np.allclose(omega_noninertial(p, 1.0, cfg3),
+    assert np.allclose(angular_velocity(p, 1.0, cfg3),
                        [0, 0, 2.0 * q / (eps + 1.0)], atol=1e-15)
 
 
@@ -78,7 +78,7 @@ def test_noninertial_quantum_classical_identical(frame_precession_oracle):
                           frame_omega=rng.normal(size=3))
         p = rng.uniform(-5, 5, 3)
         m = rng.uniform(0.2, 5.0)
-        q = omega_noninertial(p, m, cfg)
+        q = angular_velocity(p, m, cfg)
         c = frame_precession_oracle(p, m, cfg)
         assert np.max(np.abs(q - c)) <= 1e-12
 
@@ -88,7 +88,7 @@ def test_frame_drag_limit():
     rng = np.random.default_rng(12)
     for _ in range(10):
         p = rng.uniform(-5, 5, 3)
-        assert np.array_equal(omega_noninertial(p, 1.0, cfg), [0, 0, -1.7])
+        assert np.array_equal(angular_velocity(p, 1.0, cfg), [0, 0, -1.7])
 
 
 def test_mdm_transverse_field_magnitude_regression():
@@ -97,31 +97,31 @@ def test_mdm_transverse_field_magnitude_regression():
     cfg = FieldConfig(b_field=(0, 0, b0), charge=e_charge)
     p = np.array([2.0, -1.0, 0.0])
     eps = energy(p, m)
-    w = omega_mdm(p, m, cfg)
+    w = angular_velocity(p, m, cfg)
     assert np.allclose(w, [0, 0, -e_charge * b0 / eps * (m / m)], atol=1e-14)
     assert np.linalg.norm(w) == pytest.approx(abs(e_charge) * b0 / eps, abs=1e-14)
 
 
 def test_rodrigues_rotation_cases():
     s0 = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(propagate_classical(s0, np.zeros(3), 5.0), s0)
+    assert np.array_equal(propagate_classical(s0, np.zeros(3), [5.0]), [s0])
     axis = np.array([2.0, 0.0, 0.0])
-    assert np.allclose(propagate_classical(s0, axis, 3.3), s0, atol=1e-15)
+    assert np.allclose(propagate_classical(s0, axis, [3.3]), [s0], atol=1e-15)
     w0 = 0.8
-    rotated = propagate_classical(s0, np.array([0, 0, w0]), np.pi / (2 * w0))
-    assert np.allclose(rotated, [0, 1, 0], atol=1e-14)
+    rotated = propagate_classical(s0, np.array([0, 0, w0]), [np.pi / (2 * w0)])
+    assert np.allclose(rotated, [[0, 1, 0]], atol=1e-14)
 
 
 def test_quantum_trivial_cases():
     chi = spinor_from_direction((0, 0, 1))
-    assert np.array_equal(propagate_quantum(chi, np.zeros(3), 2.0), chi)
-    out = propagate_quantum(chi, np.array([0, 0, 1.3]), 4.2)
-    assert np.allclose(sigma_expectation(out), [0, 0, 1], atol=1e-14)
+    assert np.array_equal(propagate_quantum(chi, np.zeros(3), [2.0]), [chi])
+    out = propagate_quantum(chi, np.array([0, 0, 1.3]), [4.2])
+    assert np.allclose(sigma_expectation(out), [[0, 0, 1]], atol=1e-14)
 
 
 def test_quantum_requires_normalized_spinor():
     with pytest.raises(ValueError):
-        propagate_quantum(np.array([1.0, 1.0]), np.ones(3), 1.0)
+        propagate_quantum(np.array([1.0, 1.0]), np.ones(3), [1.0])
     with pytest.raises(ValueError, match="nonzero"):   # no spinor points nowhere
         spinor_from_direction((0, 0, 0))
 
@@ -133,20 +133,19 @@ def test_quantum_matches_classical_rotation(seed):
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     omega = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-    t = rng.uniform(0.0, 100.0 / max(np.linalg.norm(omega), 1e-3))
+    times = rng.uniform(0.0, 100.0 / max(np.linalg.norm(omega), 1e-3), 4)
     chi = spinor_from_direction(direction)
-    s_q = sigma_expectation(propagate_quantum(chi, omega, t))
-    s_c = propagate_classical(direction, omega, t)
+    s_q = sigma_expectation(propagate_quantum(chi, omega, times))
+    s_c = propagate_classical(direction, omega, times)
     assert np.max(np.abs(s_q - s_c)) <= 1e-12
-    assert abs(np.linalg.norm(s_c) - 1.0) <= 1e-10
+    assert np.max(np.abs(np.linalg.norm(s_c, axis=1) - 1.0)) <= 1e-10
 
 
 def test_classical_norm_preserved_long_times():
     s0 = np.array([0.6, 0.0, 0.8])
     omega = np.array([0.3, -1.0, 0.2])
-    for t in (1.0, 10.0, 100.0 / np.linalg.norm(omega)):
-        s = propagate_classical(s0, omega, t)
-        assert abs(np.linalg.norm(s) - 1.0) <= 1e-10
+    s = propagate_classical(s0, omega, [1.0, 10.0, 100.0 / np.linalg.norm(omega)])
+    assert np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0)) <= 1e-10
 
 
 def test_field_config_validation():
@@ -154,3 +153,28 @@ def test_field_config_validation():
         FieldConfig(e_field=(1.0, np.nan, 0.0))
     with pytest.raises(ValueError):
         FieldConfig(b_field=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("name", ["charge", "a_mm", "eta"])
+def test_field_config_rejects_non_finite_scalars(name):
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FieldConfig(b_field=(0, 0, 1.0), **{name: value})
+
+
+@pytest.mark.parametrize("omega", [(0.3, -1.1, 0.7), (0.0, 0.0, 0.0)], ids=["omega", "zero"])
+@pytest.mark.parametrize("times", [np.linspace(-7.5, 30.0, 11), np.array([])],
+                         ids=["grid", "empty"])
+def test_time_grid_propagators_match_per_time_calls(omega, times):
+    # one call over the grid is the stack of one-time calls, bit for bit;
+    # the grid holds negative times, and an empty grid gives empty stacks
+    s0 = np.array([0.6, 0.0, 0.8])
+    chi0 = spinor_from_direction(s0)
+    s_c = propagate_classical(s0, omega, times)
+    chi = propagate_quantum(chi0, omega, times)
+    s_q = sigma_expectation(chi)
+    assert s_c.shape == s_q.shape == (len(times), 3) and chi.shape == (len(times), 2)
+    for k, t in enumerate(times):
+        assert np.array_equal(s_c[k], propagate_classical(s0, omega, [t])[0])
+        assert np.array_equal(chi[k], propagate_quantum(chi0, omega, [t])[0])
+        assert np.array_equal(s_q[k], sigma_expectation(chi[k]))

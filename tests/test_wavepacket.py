@@ -166,7 +166,7 @@ def test_position_sq_is_the_density_moment_of_i_d_dp(p0, sigma_p, m):
     pk = make_gaussian_packet(p0, sigma_p, m)
     for picture in ("fw", "dirac"):
         oracle = position_sq_expectation(pk, picture)
-        value = expectation(pk, Observable("position_sq"), picture)
+        value = expectation(to_picture(pk, picture), Observable("position_sq"))
         assert abs(value - oracle) <= 1e-13 * oracle
 
 
@@ -254,8 +254,6 @@ def test_packet_validation():
     for bad_picture in ("Dirac", "dirac_picture"):
         with pytest.raises(ValueError, match="picture"):
             to_picture(pk, bad_picture)
-        with pytest.raises(ValueError, match="picture"):
-            expectation(pk, Observable("momentum"), bad_picture)
     for bad_mass in (0.0, -1.0, np.nan, np.inf):   # the grid holds p = 0
         with pytest.raises(ValueError, match="mass must be positive"):
             make_gaussian_packet(p0=1.0, sigma_p=0.5, m=bad_mass)
