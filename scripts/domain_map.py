@@ -4,7 +4,9 @@
 Every cell is one row of COMMANDS at one mass of MASSES: an fwbench
 command at its other defaults, or on a second axis (zitter's particle, each
 key of zitter.HAMILTONIANS, and its momentum, pce's packet width at rest,
-precess in a magnetic field), run in this
+precess in a magnetic field, and at two edges of its domain: a spin
+direction within 1e-9 of the z axis and a frame rotation whose square
+overflows), run in this
 process through fwbench.cli.main with stdout discarded.  The CSV has one
 row per cell: the command, its arguments, the exit status, and the failed
 checks read from stderr, joined by "; ": the names on the `failed checks:`
@@ -40,6 +42,8 @@ COMMANDS = (
       for particle in HAMILTONIANS for p in ("0", "0.1", "2", "3")),
     *(("pce", ("--p0", "0", "--sigma", sigma), "--mass") for sigma in ("0.5", "8", "1e8")),
     ("precess", ("--p", "1,0,0", "--b-field", "0,0,1", "--a", "0.1"), "--mass"),
+    ("precess", ("--s0", "1e-9,0,1"), "--mass"),
+    ("precess", ("--omega", "0,0,1e200"), "--mass"),
 )
 COLUMNS = ("command", "arguments", "exit_status", "failed_checks")
 

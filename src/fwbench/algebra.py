@@ -50,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dirac import check_positive
 from .phase_ops import (
     Jet,
     OperatorFamily,
@@ -373,8 +374,7 @@ class ClassicalState:
         self.Q = np.asarray(self.Q, dtype=float)
         self.P = np.asarray(self.P, dtype=float)
         self.S = np.asarray(self.S, dtype=float)
-        if self.m <= 0:
-            raise ValueError("classical suite requires m > 0")
+        check_positive(self.m, "mass")
 
 
 def classical_observables(state: ClassicalState) -> dict:

@@ -41,8 +41,8 @@ from . import eriksen as erk
 from . import spin_dynamics as sd
 from . import wavepacket as wp
 from . import zitter as zt
-from .dirac import check_positive_mass, energy
-from .grids import Grid1D, check_length, check_size
+from .dirac import check_finite, check_positive, check_vec3, energy
+from .grids import Grid1D, check_size
 
 _FLOAT = "%.17g"   # every float written in full: 17 digits round-trip float64
 
@@ -78,32 +78,10 @@ def _checked(convert, check):
     return parse
 
 
-def _check_finite(x: float) -> float:
-    """x, or ValueError unless it is finite."""
-    if not np.isfinite(x):
-        raise ValueError(f"expected a finite number, got {x}")
-    return x
-
-
-def _check_positive(x: float) -> float:
-    """x, or ValueError unless it is positive and finite."""
-    if not 0 < x < np.inf:
-        raise ValueError(f"expected a positive, finite number, got {x}")
-    return x
-
-
-def _check_vec3(v: list) -> np.ndarray:
-    """v as an array, or ValueError unless it has three finite components."""
-    if len(v) != 3 or not np.all(np.isfinite(v)):
-        raise ValueError(f"expected 3 comma-separated finite numbers, got {v}")
-    return np.array(v)
-
-
 def _check_direction(v: list) -> np.ndarray:
-    """v as an array, or ValueError unless it is a finite 3-vector not all 0."""
-    s = _check_vec3(v)
-    if not np.any(s):
-        raise ValueError(f"expected a nonzero direction, got {v}")
+    """v as an array, or ValueError unless it is a direction unit_direction takes."""
+    s = check_vec3(v, "value")
+    sd.unit_direction(s)
     return s
 
 
@@ -111,13 +89,19 @@ def _floats(text: str) -> list:
     return [float(t) for t in text.split(",")]
 
 
-_finite = _checked(float, _check_finite)
-_positive = _checked(float, _check_positive)
-_vec3 = _checked(_floats, _check_vec3)
+_finite = _checked(float, lambda x: check_finite(x, "value"))
+_positive = _checked(float, lambda x: check_positive(x, "value"))
+_vec3 = _checked(_floats, lambda v: check_vec3(v, "value"))
 _direction = _checked(_floats, _check_direction)
 _strengths = _checked(_floats, lambda v0: erk.check_strengths(v0).tolist())
 _grid_size = _checked(int, check_size)
-_positive_mass = _checked(float, check_positive_mass)
+_box = _checked(float, lambda x: check_positive(x, "box length"))
+# every --mass is positive: the eriksen and packet grids hold p = 0, where
+# the massless Hamiltonian has a zero mode (the sign function is undefined
+# there, and the free unitary depends on the direction of p and so has no
+# value); the precession frequencies divide by m, and so do the
+# center-of-mass operators of the identity suites
+_positive_mass = _checked(float, lambda m: check_positive(m, "mass"))
 
 
 def _int_at_least(lowest: int):
@@ -346,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     er = sub.add_parser("eriksen", formatter_class=fmt,
                         help="exact/approximate block-diagonalization study")
     er.add_argument("--n", type=_grid_size, default=64)
-    er.add_argument("--box", type=_checked(float, check_length), default=32.0)
+    er.add_argument("--box", type=_box, default=32.0)
     er.add_argument("--mass", type=_positive_mass, default=1.0)
     er.add_argument("--v0", type=_strengths, default=(1e-3, 1e-2, 1e-1),
                     help="comma-separated potential strengths")

@@ -22,6 +22,11 @@ velocities, are rows of the phase_ops catalogue: DIRAC_HAMILTONIAN (this
 Dirac matrix, with gradient alpha_k), FV_HAMILTONIAN for the two-component
 scalar sector and FW_HAMILTONIAN, beta eps, for the block-diagonal
 (Foldy-Wouthuysen) representation.
+
+The input rules live here once each, and both the library's constructors
+and the CLI's argument types call them: check_finite, check_positive
+(positive and finite), check_mass (finite and non-negative) and check_vec3
+(3 finite numbers).  A rule's name argument only labels its message.
 """
 
 from __future__ import annotations
@@ -39,6 +44,20 @@ PAULI.flags.writeable = BETA.flags.writeable = ALPHA.flags.writeable = False
 SIGMA.flags.writeable = GAMMA.flags.writeable = False
 
 
+def check_finite(x: float, name: str) -> float:
+    """x, or ValueError unless it is finite."""
+    if not np.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
+def check_positive(x: float, name: str) -> float:
+    """x, or ValueError unless it is positive and finite."""
+    if not 0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
 def check_mass(m: float) -> float:
     """m, or ValueError unless it is finite and non-negative."""
     if not 0 <= m < np.inf:
@@ -46,16 +65,12 @@ def check_mass(m: float) -> float:
     return m
 
 
-def check_positive_mass(m: float) -> float:
-    """m, or ValueError unless it is positive and finite.  The eriksen and
-    packet grids hold p = 0, where the massless Hamiltonian has a zero mode:
-    the sign function is undefined there, and the free unitary depends on
-    the direction of p and so has no value.  The precession frequencies
-    divide by m, and so do the center-of-mass operators of the identity
-    suites."""
-    if not 0 < m < np.inf:
-        raise ValueError(f"mass must be positive and finite, got {m}")
-    return m
+def check_vec3(v, name: str) -> np.ndarray:
+    """v as a float array, or ValueError unless it holds 3 finite numbers."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,) or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be 3 finite numbers, got {v}")
+    return a
 
 
 # alpha_k and gamma_k as rows of a (3, 16) matrix, so that p @ M sums the

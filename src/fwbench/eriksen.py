@@ -161,7 +161,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import energy, fw_weights
+from .dirac import check_mass, energy, fw_weights
 from .grids import Grid1D
 from .linalg import (
     LinalgError,
@@ -197,9 +197,7 @@ class BlockedHamiltonian:
     m: float
 
     def __post_init__(self):
-        V, m = as_matrix(self.V), float(self.m)
-        if not (np.isfinite(m) and m >= 0.0):
-            raise LinalgError(f"mass must be finite and non-negative, got {m}")
+        V, m = as_matrix(self.V), check_mass(float(self.m))
         if not is_hermitian(V):
             raise LinalgError("potential block V must be Hermitian")
         if np.iscomplexobj(self.p):

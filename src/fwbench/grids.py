@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dirac import check_positive
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -26,7 +28,7 @@ class Grid1D:
 
     def __post_init__(self):
         check_size(self.n)
-        check_length(self.length)
+        check_positive(self.length, "box length")
         dx = self.length / self.n
         dp = 2 * np.pi / self.length
         idx = np.arange(self.n)
@@ -46,9 +48,3 @@ def check_size(n: int) -> int:
         raise ValueError(f"grid size must be a power of two >= 4, got {n}")
     return n
 
-
-def check_length(length: float) -> float:
-    """length, or ValueError unless it is positive and finite."""
-    if not 0 < length < np.inf:
-        raise ValueError(f"box length must be positive and finite, got {length}")
-    return length

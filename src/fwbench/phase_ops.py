@@ -62,7 +62,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dirac import ALPHA, BETA, I4, PAULI, SIGMA, dirac_hamiltonian, energy
+from .dirac import ALPHA, BETA, I4, PAULI, SIGMA, check_mass, dirac_hamiltonian, energy
 
 FD_REL_STEP = 1e-5
 MASSLESS_MIN_P = 1e-6
@@ -268,8 +268,7 @@ class Family:
 
     def build(self, m: float, component: Optional[int] = None) -> PhaseSpaceOperator:
         """The member at mass m: component 1..3 of a vector family, None for a scalar."""
-        if m < 0:
-            raise DomainError(f"mass must be non-negative, got {m}")
+        check_mass(m)
         if m == 0 and self.massive_only:
             raise DomainError(f"{self.name} carries a 1/m rest-frame factor and "
                               "requires strictly positive mass")

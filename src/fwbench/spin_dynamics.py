@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dirac import PAULI, energy, free_propagator
+from .dirac import PAULI, check_finite, check_positive, check_vec3, energy, free_propagator
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,21 +45,17 @@ class FieldConfig:
 
     def __post_init__(self):
         for name in ("e_field", "b_field", "frame_accel", "frame_omega"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite 3-vector")
+            v = check_vec3(getattr(self, name), name)
             object.__setattr__(self, name, v)
             v.setflags(write=False)
         for name in ("charge", "a_mm", "eta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            check_finite(getattr(self, name), name)
 
 
 def angular_velocity(p, m: float, cfg: FieldConfig) -> np.ndarray:
     """The spin's precession angular velocity W_mdm + W_edm + W_frame at
     momentum p, shape (3,)."""
-    if m <= 0:
-        raise ValueError("precession formulas require m > 0")
+    check_positive(m, "mass")
     p = np.asarray(p, dtype=float)
     e, a = cfg.charge, cfg.a_mm
     eps = energy(p, m)
@@ -76,17 +72,27 @@ def angular_velocity(p, m: float, cfg: FieldConfig) -> np.ndarray:
     return (mdm + edm) + frame
 
 
+def _axis_and_norm(v) -> tuple:
+    """(v / |v|, |v|) for a nonzero 3-vector v, (None, 0.0) for zero.  v is
+    divided by its largest |component| before the norm is taken, so that
+    the norm neither overflows (0,0,1e200) nor underflows (1e-320,0,0)."""
+    v = np.asarray(v, dtype=float)
+    scale = np.max(np.abs(v))
+    if scale == 0:
+        return None, 0.0
+    n = v / scale
+    norm = np.linalg.norm(n)
+    return n / norm, scale * norm
+
+
 def propagate_classical(s0, omega, times) -> np.ndarray:
     """s0 rotated about omega by |omega| t at each time t of a 1-D grid
-    (exact Rodrigues formula), shape (T, 3).  An empty grid reads nothing
-    of omega, whose norm may overflow."""
+    (exact Rodrigues formula), shape (T, 3)."""
     s0 = np.asarray(s0, dtype=float)
-    omega = np.asarray(omega, dtype=float)
     t = np.asarray(times, dtype=float)[:, None]
-    w = np.linalg.norm(omega) if len(t) else 0.0
-    if w == 0.0:
+    axis, w = _axis_and_norm(omega)
+    if axis is None:
         return np.tile(s0, (len(t), 1))
-    axis = omega / w
     theta = w * t
     return (s0 * np.cos(theta) + np.cross(axis, s0) * np.sin(theta)
             + axis * (axis @ s0) * (1 - np.cos(theta)))
@@ -94,17 +100,15 @@ def propagate_classical(s0, omega, times) -> np.ndarray:
 
 def propagate_quantum(chi0, omega, times) -> np.ndarray:
     """chi(t) = exp(-i (omega . sigma / 2) t) chi0 for a unit spinor, at
-    each time t of a 1-D grid, shape (T, 2); like propagate_classical, it
-    reads nothing of omega on an empty grid."""
+    each time t of a 1-D grid, shape (T, 2)."""
     chi0 = np.asarray(chi0, dtype=complex)
     if chi0.shape != (2,) or abs(chi0 @ chi0.conj() - 1.0) > 1e-10:
         raise ValueError("chi0 must be a normalized 2-spinor")
-    omega = np.asarray(omega, dtype=float)
     t = np.asarray(times, dtype=float)[:, None, None]
-    w = np.linalg.norm(omega) if len(t) else 0.0
-    if w == 0.0:
+    axis, w = _axis_and_norm(omega)
+    if axis is None:
         return np.tile(chi0, (len(t), 1))
-    axis_dot_sigma = sum(omega[k] / w * PAULI[k] for k in range(3))
+    axis_dot_sigma = sum(axis[k] * PAULI[k] for k in range(3))
     return free_propagator(axis_dot_sigma, 1.0, 0.5 * w * t) @ chi0
 
 
@@ -115,21 +119,20 @@ def sigma_expectation(chi) -> np.ndarray:
 
 
 def unit_direction(direction) -> np.ndarray:
-    """The direction as a unit vector.  It is divided by its largest
-    |component| before the norm is taken, so that the norm neither overflows
-    (0,0,1e200) nor underflows (1e-320,0,0): both give the axis."""
-    n = np.asarray(direction, dtype=float)
-    scale = np.max(np.abs(n))
-    if scale == 0:
+    """The direction as a unit vector, scaled as _axis_and_norm scales it:
+    (0,0,1e200) and (1e-320,0,0) both give the axis."""
+    axis, _ = _axis_and_norm(direction)
+    if axis is None:
         raise ValueError("spin direction must be nonzero")
-    n = n / scale
-    return n / np.linalg.norm(n)
+    return axis
 
 
 def spinor_from_direction(direction) -> np.ndarray:
-    """Unit spinor with <sigma> along the given direction."""
+    """Unit spinor with <sigma> along the given direction.  The polar angle
+    is arctan2(|n_perp|, n_z), which keeps a transverse part that 1 - n_z
+    would round away within about 1e-8 of the z axis."""
     n = unit_direction(direction)
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
+    theta = np.arctan2(np.hypot(n[0], n[1]), n[2])
     phi = np.arctan2(n[1], n[0])
     return np.array([np.cos(theta / 2),
                      np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dirac import check_positive_mass, energy, free_propagator, fw_unitary_matrix
+from .dirac import check_finite, check_positive, energy, free_propagator, fw_unitary_matrix
 from .grids import Grid1D
 from .phase_ops import build_operator, snapshot
 from .zitter import HAMILTONIANS
@@ -85,11 +85,9 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
     to_picture(packet, "dirac") applies U^-1 nodewise, so the packet stays a
     superposition of positive-energy plane waves in the Dirac picture.
     """
-    check_positive_mass(m)   # the centered grid holds p = 0
-    if not np.isfinite(p0):
-        raise ValueError(f"p0 must be finite, got {p0}")
-    if not 0 < sigma_p < np.inf:
-        raise ValueError(f"sigma_p must be positive and finite, got {sigma_p}")
+    check_positive(m, "mass")   # the centered grid holds p = 0
+    check_finite(p0, "p0")
+    check_positive(sigma_p, "sigma_p")
     if n is None:
         if (MAX_PACKET_NODES // 2 - 1) * (sigma_p / 8) < abs(p0) + 8 * sigma_p:
             raise ValueError(f"p0 = {p0} and sigma_p = {sigma_p} need a grid of more "
@@ -114,9 +112,8 @@ def make_gaussian_packet(p0: float, sigma_p: float, m: float,
 
 
 def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
-    """Same physical state, amplitude re-expressed in the other picture."""
-    if picture not in PICTURES:
-        raise ValueError(f"picture must be one of {PICTURES}")
+    """Same physical state, amplitude re-expressed in the other picture;
+    the packet's own check rejects a picture not in PICTURES."""
     if picture == packet.picture:
         return packet
     mats = fw_unitary_matrix(_z_momenta(packet.grid), packet.m,

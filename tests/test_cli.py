@@ -353,7 +353,7 @@ def test_precess_command(tmp_path, capsys):
     np.testing.assert_array_equal(np.loadtxt(back, delimiter=",", skiprows=1)[:, 0],
                                   -rows[:, 0])
     # zero steps is a valid, empty series: the header line alone, also for a
-    # finite angular velocity whose norm would overflow
+    # finite angular velocity whose square overflows
     for extra in ([], ["--omega", "0,1e200,1e200"]):
         empty = tmp_path / "empty.csv"
         assert run(["precess", "--steps", "0", *extra, "--out", str(empty)]) == 0
@@ -369,6 +369,15 @@ def test_precess_direction_scale_free(s0, axis, capsys):
     scaled = capsys.readouterr()
     assert run(["precess", "--steps", "2", "--s0", axis]) == 0
     assert scaled == capsys.readouterr()
+
+
+# the propagators take |omega| after scaling by its largest component, so
+# a finite angular velocity whose square would overflow still rotates
+def test_precess_propagates_omega_whose_square_overflows(capsys):
+    assert run(["precess", "--omega", "0,0,1e200"]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 201
+    assert float(err.rpartition("deviation = ")[2]) <= 1e-12
 
 
 # every input must be finite at parse time; fields or a frame rotation

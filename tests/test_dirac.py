@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +17,12 @@ from fwbench.dirac import (
     free_propagator,
     fw_unitary_matrix,
 )
+from fwbench.algebra import ClassicalState
+from fwbench.eriksen import BlockedHamiltonian
+from fwbench.grids import Grid1D
 from fwbench.phase_ops import OperatorFamily, build_operator, snapshot
+from fwbench.spin_dynamics import FieldConfig, angular_velocity
+from fwbench.wavepacket import make_gaussian_packet
 
 I4 = np.eye(4)
 
@@ -146,3 +153,60 @@ def test_gamma_set_immutable():
             matrix[0] *= 2.0
         with pytest.raises(ValueError):
             matrix.reshape(-1)[0] = 5.0
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+NOT_POSITIVE = (*NON_FINITE, 0.0, -1.0)
+NEGATIVE_MASS = (*NON_FINITE, -1.0)
+ZERO3 = np.zeros(3)
+VECTORS = ("e_field", "b_field", "frame_accel", "frame_omega")
+
+
+# each library entry point that takes one input, its rule's message and
+# the inputs the rule rejects
+ENTRY_POINTS = {
+    "grid_length": (lambda x: Grid1D(n=8, length=x),
+                    "box length must be positive and finite", NOT_POSITIVE),
+    "packet_p0": (lambda x: make_gaussian_packet(x, 0.5, 1.0), "p0 must be finite", NON_FINITE),
+    "packet_sigma_p": (lambda x: make_gaussian_packet(2.0, x, 1.0),
+                       "sigma_p must be positive and finite", NOT_POSITIVE),
+    "packet_mass": (lambda x: make_gaussian_packet(2.0, 0.5, x),
+                    "mass must be positive and finite", NOT_POSITIVE),
+    **{name: (lambda x, name=name: FieldConfig(**{name: (0.0, x, 0.0)}),
+              f"{name} must be 3 finite numbers", NON_FINITE) for name in VECTORS},
+    **{f"{name}_shape": (lambda x, name=name: FieldConfig(**{name: (x, x)}),
+                         f"{name} must be 3 finite numbers", (0.0,)) for name in VECTORS},
+    **{name: (lambda x, name=name: FieldConfig(**{name: x}), f"{name} must be finite", NON_FINITE)
+       for name in ("charge", "a_mm", "eta")},
+    "angular_velocity_mass": (lambda x: angular_velocity(ZERO3, x, FieldConfig()),
+                              "mass must be positive and finite", NOT_POSITIVE),
+    "classical_state_mass": (lambda x: ClassicalState(ZERO3, ZERO3, ZERO3, x),
+                             "mass must be positive and finite", NOT_POSITIVE),
+    "blocked_hamiltonian_mass": (lambda x: BlockedHamiltonian(p=np.zeros(2), V=np.eye(2), m=x),
+                                 "mass must be finite and non-negative", NEGATIVE_MASS),
+    "build_operator_mass": (lambda x: build_operator(OperatorFamily.FW_HAMILTONIAN, x),
+                            "mass must be finite and non-negative", NEGATIVE_MASS),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_library_entry_points_apply_the_input_rules(entry):
+    # each rejects every bad value with its rule's own ValueError, not a
+    # subclass, so the library and the CLI's argument types say the same
+    make, message, bad = ENTRY_POINTS[entry]
+    for x in bad:
+        with pytest.raises(ValueError, match=f"^{message}, got ") as exc:
+            make(x)
+        assert type(exc.value) is ValueError, x
+
+
+def test_each_input_rule_message_is_spelled_once():
+    # the rules live in dirac.py; an inline copy of one elsewhere in the
+    # package would let the two drift apart
+    sources = {path.name: path.read_text()
+               for path in (Path(__file__).resolve().parents[1] / "src" / "fwbench").glob("*.py")}
+    for message in ("must be finite,", "must be positive and finite",
+                    "must be finite and non-negative", "must be 3 finite numbers"):
+        spelled = {name: text.count(message)
+                   for name, text in sources.items() if message in text}
+        assert spelled == {"dirac.py": 1}, (message, spelled)

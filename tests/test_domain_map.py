@@ -28,7 +28,7 @@ def test_domain_map_matches_its_ledger(tmp_path, monkeypatch):
     with contextlib.redirect_stderr(io.StringIO()):
         runpy.run_path(str(SCRIPTS / "domain_map.py"), run_name="__main__")
     cells = _read(out)
-    assert len(cells) == 192 and {c["exit_status"] for c in cells} <= {"0", "1"}
+    assert len(cells) == 208 and {c["exit_status"] for c in cells} <= {"0", "1"}
     failing = {(c["command"], c["arguments"]): c["failed_checks"]
                for c in cells if c["exit_status"] != "0"}
     assert all(failing.values())

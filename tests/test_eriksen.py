@@ -379,7 +379,7 @@ def test_blocked_hamiltonian_validation():
     with pytest.raises(LinalgError, match="real"):
         BlockedHamiltonian(p=np.array([0.0, 1j]), V=np.eye(2), m=1.0)
     for bad_mass in (-1.0, np.nan, np.inf):
-        with pytest.raises(LinalgError, match="mass"):
+        with pytest.raises(ValueError, match="^mass must be finite and non-negative, got"):
             BlockedHamiltonian(p=p, V=np.eye(2), m=bad_mass)
 
 

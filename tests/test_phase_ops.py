@@ -112,7 +112,7 @@ def test_component_validation():
         build_operator(F.FW_POSITION, 1.0, 0)       # components are 1..3
     with pytest.raises(DomainError):
         build_operator(F.FW_HAMILTONIAN, 1.0, 1)    # scalar family
-    with pytest.raises(DomainError, match="non-negative"):
+    with pytest.raises(ValueError, match="^mass must be finite and non-negative, got -1.0"):
         build_operator(F.FW_HAMILTONIAN, -1.0)
     with pytest.raises(DomainError, match=r"shape \(\.\.\., 3\)"):
         snapshot(build_operator(F.FW_HAMILTONIAN, 1.0), np.zeros((4, 2)))

@@ -13,6 +13,7 @@ from fwbench.spin_dynamics import (
     propagate_quantum,
     sigma_expectation,
     spinor_from_direction,
+    unit_direction,
 )
 
 
@@ -52,7 +53,7 @@ def test_edm_momentum_terms():
 def test_mdm_requires_positive_mass():
     with pytest.raises(ValueError):
         angular_velocity(np.zeros(3), 0.0, FieldConfig(b_field=(0, 0, 1.0)))
-    with pytest.raises(ValueError, match="m > 0"):
+    with pytest.raises(ValueError, match="^mass must be positive and finite, got 0.0"):
         angular_velocity(np.zeros(3), 0.0, FieldConfig(e_field=(1.0, 0, 0), eta=0.5))
 
 
@@ -146,6 +147,17 @@ def test_classical_norm_preserved_long_times():
     omega = np.array([0.3, -1.0, 0.2])
     s = propagate_classical(s0, omega, [1.0, 10.0, 100.0 / np.linalg.norm(omega)])
     assert np.max(np.abs(np.linalg.norm(s, axis=1) - 1.0)) <= 1e-10
+
+
+def test_spinor_points_along_its_direction():
+    # within about 1e-8 of the z axis 1 - n_z rounds to 0, so the polar
+    # angle must come from the transverse part, not from arccos(n_z)
+    rng = np.random.default_rng(45)
+    near_poles = [(1e-9, 0.0, 1.0), (5e-324, 1e-10, 0.5), (0.0, -3e-9, -1.0),
+                  (1e-8, 1e-8, -1.0), (-2e-12, 5e-13, 7.0), (1e-300, 0.0, -1e-291)]
+    for d in [*near_poles, *rng.normal(size=(500, 3))]:
+        s = sigma_expectation(spinor_from_direction(d))
+        assert np.max(np.abs(s - unit_direction(d))) <= 4 * np.finfo(float).eps, d
 
 
 def test_field_config_validation():
