@@ -44,13 +44,20 @@ span table (fwperf/spans.py) traces it by name.
 
 One kernel, _bracket, forms the first-order part of O1 O2 + sign O2 O1:
 commutator_snapshot is its sign -1, and symmetrized_product, the
-worldline term's (1/2){O, V}, half its sign +1.  snapshot keeps a
-momentum-independent coefficient as a read-only broadcast view, stride 0 on
-the momentum axes, and the kernel reads that structure, since its cost is
-the number of small matrix products, not their flops: such a block is its
-single matrix, a zero block drops every term it enters, a single matrix
-meets a momentum stack in one matrix product over all the stack's rows, and
-only two stacks meet in a product batched over the momenta.  The result is broadcast back to the full momentum shape, one
+worldline term's (1/2){O, V}, half its sign +1.  Its cost is the number of
+small matrix products, not their flops, so it reads the structure of each
+block.  snapshot keeps a momentum-independent coefficient as a read-only
+broadcast view, stride 0 on the momentum axes: such a block is its single
+matrix, a zero block drops every term it enters, and a single matrix meets
+a dense momentum stack in one matrix product over all the stack's rows.
+Each snapshot also marks, once, the A and B blocks that are momentum
+stacks of diagonal matrices (p I, eps beta, beta p_c / eps, the OAM's
+p_k i I, the boost's i eps beta).  Such a block is its diagonals and meets
+any factor elementwise, and a product of two of them stays diagonal.  This
+is the matmul bit for bit, because each diagonal entry is purely real or
+purely imaginary.  The sums over k keep their full block rows in one
+matrix product, and two dense stacks meet in a product batched over the
+momenta.  The result is broadcast back to the full momentum shape, one
 value per momentum.
 """
 
@@ -58,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -415,6 +423,13 @@ class OpSnapshot(PhaseOpValue):
     dA: np.ndarray   # (..., 3, d, d), dA[k] = d A / d p_k
     dB: np.ndarray   # (..., 3, 3, d, d), dB[l, k] = d B_l / d p_k
 
+    @cached_property
+    def diagonal_stacks(self) -> tuple:
+        """(A, B), each as the _Diagonal of its momentum rows when it is a
+        momentum stack whose every matrix is diagonal, else None.  Read off
+        the blocks themselves the first time a bracket asks."""
+        return tuple(_diagonal_rows(x, self.A.ndim - 2) for x in (self.A, self.B))
+
 
 def _stacked(blocks: list, axis: int, shape: tuple) -> np.ndarray:
     """The blocks stacked along axis, as a complex array broadcast to shape.
@@ -476,10 +491,13 @@ def _bracket(s1: OpSnapshot, s2: OpSnapshot, sign: float) -> PhaseOpValue:
 
     Each block is read as snapshot leaves it: a momentum-independent block,
     a broadcast view with stride 0 on the momentum axes, is its single
-    matrix, and a zero one drops every term it enters.  A product of a
-    single matrix and a momentum stack is one matrix product over all the
-    stack's rows; only two stacks meet in a product batched over the
-    momenta.  The result has the full momentum shape, one value per momentum.
+    matrix, and a zero one drops every term it enters.  An A or B that the
+    snapshot flags as a stack of diagonal matrices (diagonal_stacks) meets
+    the other factor elementwise, except in the sums over k, which keep
+    their full block rows.  A product of a single matrix and a dense
+    momentum stack is one matrix product over all the stack's rows; only two
+    dense stacks meet in a product batched over the momenta.  The result has
+    the full momentum shape, one value per momentum.
     """
     if s1.A.shape[-1] != s2.A.shape[-1]:
         raise DomainError(f"dimension mismatch: {s1.A.shape[-1]} vs {s2.A.shape[-1]}")
@@ -490,6 +508,9 @@ def _bracket(s1: OpSnapshot, s2: OpSnapshot, sign: float) -> PhaseOpValue:
     # sum_k B_k dC_k = [B_1 B_2 B_3] [dC_1; dC_2; dC_3]
     B_row, D_row = (None if X is None else _block_row(X) for X in (B, D))
     dA, dB, dC, dD = (None if X is None else _block_column(X) for X in (dA, dB, dC, dD))
+    # every other product reads a diagonal momentum stack as its diagonals
+    A, B = (X if d is None else d for X, d in zip((A, B), s1.diagonal_stacks))
+    C, D = (X if d is None else d for X, d in zip((C, D), s2.diagonal_stacks))
     zero = _signed_sum(sign, (A, C), (C, A), (B_row, dC), (D_row, dA))
     first = _signed_sum(sign, (A, D), (D, A), (B, C), (C, B), (B_row, dD), (D_row, dB))
     return PhaseOpValue(_at_momenta(zero, s1.A.shape), _at_momenta(first, s1.B.shape))
@@ -505,19 +526,78 @@ def _momentum_rows(x: np.ndarray, axes: int) -> Optional[np.ndarray]:
     return x.reshape((-1,) + x.shape[axes:])
 
 
-def _product(X: Optional[np.ndarray], Y: Optional[np.ndarray]) -> Optional[np.ndarray]:
+def _diagonal_rows(x: np.ndarray, axes: int) -> Optional["_Diagonal"]:
+    """x's momentum rows as a _Diagonal when x is a momentum stack (a nonzero
+    stride on its leading `axes` momentum axes) with every matrix diagonal,
+    else None."""
+    if not any(x.strides[:axes]):
+        return None
+    rows = _momentum_rows(x, axes)
+    d = np.diagonal(rows, axis1=-2, axis2=-1)
+    return _Diagonal(d) if np.count_nonzero(rows) == np.count_nonzero(d) else None
+
+
+class _Diagonal:
+    """A momentum stack of diagonal matrices held as its diagonals d, shape
+    (rows, ..., n), in the kernel's products and sums.
+
+    It meets a matrix elementwise, d Y by rows and X d by columns, and
+    another diagonal stack as d1 d2, which stays diagonal; a sum stays
+    diagonal until it meets a full term.  Each product is the matmul's bit
+    for bit when every diagonal entry is purely real or purely imaginary, as
+    in every catalogue row: the matmul's other terms are exact zeros, and
+    such an entry's complex product rounds once per component either way.
+    """
+
+    __array_ufunc__ = None    # ndarray operands defer to the reflected methods
+
+    def __init__(self, d: np.ndarray):
+        self.d = d
+        self.ndim = d.ndim + 1    # as the full matrices it stands for
+
+    def __getitem__(self, index) -> "_Diagonal":
+        return _Diagonal(self.d[index])
+
+    def __matmul__(self, other):
+        if isinstance(other, _Diagonal):
+            return _Diagonal(self.d * other.d)
+        return self.d[..., :, None] * other
+
+    def __rmatmul__(self, other):
+        return other * self.d[..., None, :]
+
+    def __rmul__(self, c) -> "_Diagonal":
+        return _Diagonal(c * self.d)
+
+    def __add__(self, other):
+        if isinstance(other, _Diagonal):
+            return _Diagonal(self.d + other.d)
+        return self.full() + other
+
+    __radd__ = __add__
+
+    def full(self) -> np.ndarray:
+        """The full matrices, zero off the diagonal."""
+        n = self.d.shape[-1]
+        out = np.zeros(self.d.shape + (n,), dtype=self.d.dtype)
+        out[..., range(n), range(n)] = self.d
+        return out
+
+
+def _product(X, Y):
     """X @ Y over momentum rows, None when either factor is zero.
 
     The factor with fewer axes gains the index l after its momentum axis.
-    Two stacks, or two single matrices, meet in a batched product.  A
-    single matrix and a stack share no axis longer than 1, so X's matrices
-    stacked as rows meet Y's set side by side in one product, arranged back
-    to the broadcast shape.
+    A diagonal stack (_Diagonal) meets any factor elementwise.  Two stacks,
+    or two single matrices, meet in a batched product.  A single matrix and
+    a stack share no axis longer than 1, so X's matrices stacked as rows
+    meet Y's set side by side in one product, arranged back to the
+    broadcast shape.
     """
     if X is None or Y is None:
         return None
     X, Y = (Z[:, None] if Z.ndim < max(X.ndim, Y.ndim) else Z for Z in (X, Y))
-    if len(X) == len(Y):
+    if isinstance(X, _Diagonal) or isinstance(Y, _Diagonal) or len(X) == len(Y):
         return X @ Y
     rows = X.reshape(-1, X.shape[-1])
     cols = np.moveaxis(Y, -2, 0).reshape(Y.shape[-2], -1)
@@ -546,6 +626,8 @@ def _at_momenta(x: Optional[np.ndarray], shape: tuple) -> np.ndarray:
     """Momentum rows x (None for zero) at the full shape (*momenta, ...)."""
     if x is None:
         return np.broadcast_to(np.zeros((), dtype=complex), shape)
+    if isinstance(x, _Diagonal):
+        x = x.full()
     return np.broadcast_to(x[0], shape) if len(x) == 1 else x.reshape(shape)
 
 

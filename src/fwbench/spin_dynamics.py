@@ -45,7 +45,7 @@ class FieldConfig:
 
     def __post_init__(self):
         for name in ("e_field", "b_field", "frame_accel", "frame_omega"):
-            v = check_vec3(getattr(self, name), name)
+            v = np.array(check_vec3(getattr(self, name), name))    # a copy, not the caller's
             object.__setattr__(self, name, v)
             v.setflags(write=False)
         for name in ("charge", "a_mm", "eta"):

@@ -263,12 +263,20 @@ def _second_order(s1, s2):
 
 def _block(kind: str, core: tuple, momenta: tuple, rand) -> np.ndarray:
     """A coefficient block of one kind at momenta, as snapshot leaves it: a
-    read-only broadcast of zeros or of one random matrix, or a random stack."""
+    read-only broadcast of zeros or of one random matrix, a random stack, a
+    random stack of diagonal matrices, or one whose last momentum row has a
+    single nonzero entry off the diagonal ("diagonal_but_last")."""
     if kind == "zero":
         return np.broadcast_to(np.zeros(core, dtype=complex), momenta + core)
     if kind == "single":
         return np.broadcast_to(rand(*core), momenta + core)
-    return rand(*momenta, *core)
+    x = rand(*momenta, *core)
+    if kind == "stack":
+        return x
+    x = x * np.eye(core[-1])
+    if kind == "diagonal_but_last":
+        x.reshape(-1, *core[-2:])[-1, 0, 1] = rand()
+    return x
 
 
 def test_commutator_snapshot_matches_loop_reference():
@@ -325,24 +333,32 @@ def _assert_layout_sweep(bracket, loop_reference, rand, n, d, zero_positions=())
     momentum: each block kind at each of the eight positions A B dA dB |
     C D dC dD against each kind in the rest, so that every product meets
     every pair of kinds, and, on the stack, every pattern of zero blocks,
-    so that each sum starts at each of its terms.  The blocks at
-    zero_positions are always zero.  It runs at one momentum, a stack of n
-    and a (2, n) stack."""
-    kinds = ("zero", "single", "stack")
+    so that each sum starts at each of its terms.  On the stacks, a block
+    diagonal in every momentum row but the last meets diagonal blocks at
+    each position; it must take the full route, so a diagonal test that
+    reads only the first row fails.  The blocks at zero_positions are always
+    zero.  It runs at one momentum, a stack of n and a (2, n) stack."""
+    kinds = ("zero", "single", "stack", "diagonal")
     cores = ((d, d), (3, d, d), (3, d, d), (3, 3, d, d)) * 2
     layouts = {tuple(kind if k == pos else rest for k in range(8))
                for pos in range(8) for kind in kinds for rest in kinds}
-    assert len(layouts) == 8 * 3 * 2 + 3
+    assert len(layouts) == 8 * 4 * 3 + 4
     zeros = set(itertools.product(("zero", "stack"), repeat=8))
+    mutants = {tuple("diagonal_but_last" if k == pos else "diagonal" for k in range(8))
+               for pos in range(8)}
 
     def fixed(cases):
         return {tuple("zero" if k in zero_positions else kind for k, kind in enumerate(c))
                 for c in cases}
 
-    for momenta, cases in (((), layouts), ((n,), layouts | zeros), ((2, n), layouts)):
+    for momenta, cases in (((), layouts), ((n,), layouts | zeros | mutants),
+                           ((2, n), layouts | mutants)):
         for layout in sorted(fixed(cases)):
             blocks = [_block(kind, core, momenta, rand) for kind, core in zip(layout, cores)]
             a, b = OpSnapshot(*blocks[:4]), OpSnapshot(*blocks[4:])
+            flags = a.diagonal_stacks + b.diagonal_stacks
+            assert [f is not None for f in flags] == [
+                bool(momenta) and layout[k] == "diagonal" for k in (0, 1, 4, 5)], layout
             val = bracket(a, b)
             assert val.A.shape == momenta + (d, d), layout
             assert val.B.shape == momenta + (3, d, d), layout
@@ -351,6 +367,30 @@ def _assert_layout_sweep(bracket, loop_reference, rand, n, d, zero_positions=())
                 zero, first = loop_reference(*at)
                 for got, ref in ((val.A[i], zero), (val.B[i], first)):
                     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), layout
+
+
+@pytest.mark.parametrize("set_name", ["conventional", "center_of_mass", "projected"])
+def test_catalogue_diagonal_stacks_take_the_elementwise_route(set_name):
+    # on a 10-sample stack, the FW sets' H, v and p, and the derivative
+    # parts of their OAM and boost (BOOST_FW), are stacks of diagonal
+    # matrices that the kernel multiplies elementwise; the spins, the
+    # position shifts and the Dirac Hamiltonian are not.  A catalogue edit
+    # that drops a row off that route fails here
+    ops = build_quantum_set(set_name, 1.0)
+    momenta = sample_momenta(10, seed=11)
+
+    def flagged(op):
+        return [x is not None for x in snapshot(op, momenta).diagonal_stacks]
+
+    assert flagged(ops["H"]) == [True, False]
+    for c in range(3):
+        for role in ("v", "p"):
+            assert flagged(ops[role][c]) == [True, False], (role, c)
+        for role in ("l", "K"):
+            assert flagged(ops[role][c])[1], (role, c)
+        for role in ("s", "q"):
+            assert not flagged(ops[role][c])[0], (role, c)
+    assert flagged(build_operator(F.DIRAC_HAMILTONIAN, 1.0)) == [False, False]
 
 
 def test_symmetrized_product_is_product_plus_half_commutator():

@@ -167,6 +167,19 @@ def test_field_config_validation():
         FieldConfig(b_field=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("name", ["e_field", "b_field", "frame_accel", "frame_omega"])
+def test_field_config_copies_the_callers_vector(name):
+    # the config keeps a read-only copy; the caller's float array stays
+    # writeable, and writing to it does not reach the config
+    v = np.array([0.0, 0.0, 1.0])
+    cfg = FieldConfig(**{name: v})
+    kept = getattr(cfg, name)
+    assert v.flags.writeable
+    assert not kept.flags.writeable
+    v[2] = 5.0
+    assert kept.tolist() == [0.0, 0.0, 1.0]
+
+
 @pytest.mark.parametrize("name", ["charge", "a_mm", "eta"])
 def test_field_config_rejects_non_finite_scalars(name):
     for value in (np.nan, np.inf, -np.inf):
