@@ -13,8 +13,11 @@ commutator by four quantum operator sets,
 and as a Poisson bracket by the classical ten generators of a free
 spinning particle; each row names the sets that carry it.  A quantum set is
 one row of _SET_FAMILIES, a catalogue family per role, and its j is its own
-l + s, so the j rows check that the two assemble the conserved total
-angular momentum even where neither obeys su(2).  Each identity yields an
+l + s.  The center-of-mass and projected sets take q, s and l from one
+position shift (phase_ops._shifted_set), so their l + s is the conserved
+total angular momentum by construction, even where neither obeys su(2),
+and their j rows check it only to rounding; the tests tie l to q x p and
+[q_i, q_j] to the projected spin instead.  Each identity yields an
 AlgebraReport whose verdict encodes whether the identity held (or failed)
 as expected, so the suites assert negative results as first-class outcomes.
 

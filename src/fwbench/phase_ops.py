@@ -24,7 +24,11 @@ FW-representation position, spin, OAM and boost of each set, the Dirac and
 FW Hamiltonians and their velocities, the momentum and the naive boost; a
 set's total angular momentum is the sum of its OAM and spin operators),
 and the 2 x 2 Hamiltonian FV_HAMILTONIAN of the two-component scalar
-(Feshbach-Villars) sector.  zitter reads each particle's Hamiltonian row
+(Feshbach-Villars) sector.  The center-of-mass and projected sets'
+position, spin and OAM rows come from one construction, _shifted_set, out
+of the denominator d of the set's position shift q = r + (Sigma x p)/d:
+their OAM is q x p, and their OAM plus spin is the conventional one by
+construction, to rounding.  zitter reads each particle's Hamiltonian row
 and takes the velocity as its exact gradient d H / d p_k, which for the
 Dirac and FW rows is the velocity row bit for bit; wavepacket evolves
 under the Hamiltonian row of each picture.  The Dirac-representation forms
@@ -333,9 +337,26 @@ def _naive_boost(p, P, e, m, c):
     return 0.5j * ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
 
 
-def _pxpxsigma(P, c):
-    """(p x (p x Sigma))_c = p_c (p.Sigma) - |p|^2 Sigma_c."""
-    return P[c] * p_dot(SIGMA, P) - p_dot(P, P) * SIGMA[c]
+def _shifted_set(names: tuple, d: Callable, **domain) -> tuple:
+    """The (position, spin, OAM) rows of the set whose position is shifted by
+    (Sigma x p)/d, for the denominator d(eps, m):
+
+        q_c = i d/dp_c + (Sigma x p)_c / d
+        s_c = Sigma_c/2 - ((Sigma x p) x p)_c / d
+        l_c = i (p x d/dp)_c + ((Sigma x p) x p)_c / d
+
+    so l = q x p, and j = l + s is the conventional OAM plus spin.  The
+    conventional rows are its d -> infinity case, written with the constant
+    A = 0 that the kernel reads as a zero block.
+    """
+    def turn(p, P, e, m, c):    # ((Sigma x p) x p)_c / d = (p_c (p.Sigma) - |p|^2 Sigma_c) / d
+        return (P[c] * p_dot(SIGMA, P) - p_dot(P, P) * SIGMA[c]) / d(e, m)
+
+    return (Family(names[0], lambda p, P, e, m, c: cross_c(SIGMA, P, c) / d(e, m),
+                   radius_part, **domain),
+            Family(names[1], lambda p, P, e, m, c: 0.5 * SIGMA[c] - turn(p, P, e, m, c),
+                   **domain),
+            Family(names[2], turn, orbital_part, **domain))
 
 
 class OperatorFamily(Enum):
@@ -366,20 +387,12 @@ class OperatorFamily(Enum):
     # (2 beta m + alpha.p)^-1 is alpha.p/|p|^2 at m = 0, 0/0 at p = 0
     NAIVE_BOOST = Family("naive_boost", _naive_boost, dirac_boost_part,
                          singular_at_rest=True)
-    COM_POSITION_FW = Family("com_position_fw", lambda p, P, e, m, c: (
-        cross_c(SIGMA, P, c) / (2 * m * (e + m))), radius_part, massive_only=True)
-    LAB_SPIN_FW = Family("lab_spin_fw", lambda p, P, e, m, c: (
-        0.5 * SIGMA[c] - _pxpxsigma(P, c) / (2 * m * (e + m))), massive_only=True)
-    # (X_com x p)_c: shift part ((Sigma x p) x p)_c / (2m(eps+m))
-    COM_OAM = Family("com_oam", lambda p, P, e, m, c: _pxpxsigma(P, c) / (2 * m * (e + m)),
-                     orbital_part, massive_only=True)
-    PROJECTED_POSITION_FW = Family("projected_position_fw", lambda p, P, e, m, c: (
-        -cross_c(SIGMA, P, c) / (2 * e * (e + m))), radius_part, singular_at_rest=True)
-    PROJECTED_SPIN_FW = Family("projected_spin_fw", lambda p, P, e, m, c: (
-        m * SIGMA[c] / (2 * e) + P[c] * p_dot(SIGMA, P) / (2 * e * (e + m))),
-        singular_at_rest=True)
-    PROJECTED_OAM = Family("projected_oam", lambda p, P, e, m, c: (
-        -_pxpxsigma(P, c) / (2 * e * (e + m))), orbital_part, singular_at_rest=True)
+    COM_POSITION_FW, LAB_SPIN_FW, COM_OAM = _shifted_set(
+        ("com_position_fw", "lab_spin_fw", "com_oam"),
+        lambda e, m: 2 * m * (e + m), massive_only=True)
+    PROJECTED_POSITION_FW, PROJECTED_SPIN_FW, PROJECTED_OAM = _shifted_set(
+        ("projected_position_fw", "projected_spin_fw", "projected_oam"),
+        lambda e, m: -2 * e * (e + m), singular_at_rest=True)
 
 
 def build_operator(family: OperatorFamily, m: float,

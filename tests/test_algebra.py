@@ -168,6 +168,7 @@ SHIFTED_FAMILIES = {
     "COM_OAM": ("center_of_mass", lambda c: 0.0),
     "LAB_SPIN_FW": ("center_of_mass", lambda c: 0.5 * SIGMA[c]),
     "PROJECTED_OAM": ("projected", lambda c: 0.0),
+    "PROJECTED_SPIN_FW": ("projected", lambda c: 0.5 * SIGMA[c]),
 }
 
 

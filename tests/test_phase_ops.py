@@ -41,6 +41,12 @@ from oracles import (
 I4 = np.eye(4, dtype=complex)
 RNG = np.random.default_rng(42)
 MOMENTA = [RNG.uniform(-5, 5, 3) for _ in range(12)]
+# 200 momenta in random directions with |p| log-uniform over four decades,
+# [0.1, 1e3), read at masses from 1e-3 to 1e3
+_DIRECTIONS = RNG.normal(size=(200, 3))
+WIDE_MOMENTA = (_DIRECTIONS / np.linalg.norm(_DIRECTIONS, axis=1, keepdims=True)
+                * 10 ** RNG.uniform(-1, 3, (200, 1)))
+WIDE_MASSES = [1e-3, 1.0, 1e3]
 
 F = OperatorFamily
 
@@ -60,6 +66,13 @@ def test_fw_spin_momentum_independent():
         op = build_operator(F.FW_SPIN, 1.0, c)
         for p in MOMENTA[:4]:
             assert np.array_equal(evaluate(op, p).A, SIGMA[c - 1] / 2)
+
+
+def test_catalogue_rows_are_labelled_by_their_member_names():
+    # a row's name labels its operators and its DomainErrors, so a swapped
+    # name in a construction that makes several rows at once fails here
+    for member in OperatorFamily:
+        assert member.value.name == member.name.lower(), member
 
 
 def test_mean_spin_at_rest_is_half_sigma():
@@ -655,16 +668,72 @@ def test_four_spin_orthogonal_to_momentum():
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
-def test_lab_spin_two_closed_forms_agree():
-    # p x (p x s) route vs (eps/m) s - p (p.s)/(m(eps+m)) route
-    m = 1.0
-    for c in (1, 2, 3):
-        zeta = build_operator(F.LAB_SPIN_FW, m, c)
-        for p in MOMENTA[:8]:
-            e = energy(p, m)
-            other = ((e / m) * SIGMA[c - 1] / 2
-                     - p[c - 1] * p_dot(SIGMA, p) / (2 * m * (e + m)))
-            assert np.linalg.norm(evaluate(zeta, p).A - other) <= 1e-12
+WIDE_P = WIDE_MOMENTA.T[..., None, None]    # the components p_k, each (200, 1, 1)
+
+# each spin row and a closed form of it written another way, at component
+# index c over WIDE_MOMENTA
+SPIN_CLOSED_FORMS = {
+    # p x (p x Sigma) route vs (eps/m) Sigma/2 - p (p.Sigma)/(2m(eps+m))
+    "LAB_SPIN_FW": lambda e, m, c: (
+        (e / m) * SIGMA[c] / 2 - WIDE_P[c] * p_dot(SIGMA, WIDE_P) / (2 * m * (e + m))),
+    # the Pauli-Lubanski vector over the energy, W / eps
+    "PROJECTED_SPIN_FW": lambda e, m, c: (
+        evaluate(build_family("pauli_lubanski_space", m, c + 1), WIDE_MOMENTA).A / e),
+}
+
+
+def _vector_error(got: list, expected: list) -> np.ndarray:
+    """Per momentum, the error of a list of component blocks relative to
+    the whole list's norm, not each component's: a component nearly
+    orthogonal to p is small, and its rounding is set by the others."""
+    def norm(blocks):
+        return np.sqrt(sum(np.linalg.norm(x, axis=(-2, -1)) ** 2 for x in blocks))
+    return norm([g - x for g, x in zip(got, expected)]) / norm(expected)
+
+
+@pytest.mark.parametrize("m", WIDE_MASSES)
+@pytest.mark.parametrize("name", sorted(SPIN_CLOSED_FORMS))
+def test_spin_row_matches_its_closed_form(name, m):
+    e = energy(WIDE_MOMENTA, m)[:, None, None]
+    got = [evaluate(build_operator(F[name], m, c + 1), WIDE_MOMENTA).A for c in range(3)]
+    err = _vector_error(got, [SPIN_CLOSED_FORMS[name](e, m, c) for c in range(3)])
+    assert err.max() <= 1e-12, err.max()
+
+
+@pytest.mark.parametrize("m", WIDE_MASSES)
+@pytest.mark.parametrize("set_name", ["conventional", "center_of_mass", "projected"])
+def test_each_fw_set_oam_is_its_position_cross_momentum(set_name, m):
+    # l = q x p: l_c's multiplicative part is A(q_a) p_b - A(q_b) p_a and
+    # its derivative part is the OAM's, i (p x d/dp)_c.  An error that moves
+    # a set's l and s together keeps l + s = J, which the j rows read, so
+    # this is the check that ties l to q
+    ops = build_quantum_set(set_name, m)
+    q = [evaluate(op, WIDE_MOMENTA).A for op in ops["q"]]
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        l = evaluate(ops["l"][c], WIDE_MOMENTA)
+        expected = q[a] * WIDE_P[b] - q[b] * WIDE_P[a]
+        err = np.linalg.norm(l.A - expected, axis=(-2, -1))
+        assert (err <= 1e-14 * np.linalg.norm(expected, axis=(-2, -1))).all(), (c, err.max())
+        assert np.array_equal(l.B, evaluate(build_operator(F.OAM_FW, m, c + 1), WIDE_MOMENTA).B)
+
+
+@pytest.mark.parametrize("m", WIDE_MASSES)
+@pytest.mark.parametrize("set_name", ["center_of_mass", "projected"])
+def test_shifted_position_components_close_on_the_projected_spin(set_name, m):
+    # [q_i, q_j] = i e_ijk s'_k / m^2 for center_of_mass and
+    # -i e_ijk s'_k / eps^2 for projected, with s' = PROJECTED_SPIN_FW,
+    # and no derivative part
+    q = [snapshot(op, WIDE_MOMENTA) for op in build_quantum_set(set_name, m)["q"]]
+    e = energy(WIDE_MOMENTA, m)[:, None, None]
+    scale = 1 / m ** 2 if set_name == "center_of_mass" else -1 / e ** 2
+    s = [evaluate(build_operator(F.PROJECTED_SPIN_FW, m, k + 1), WIDE_MOMENTA).A
+         for k in range(3)]
+    pairs = list(itertools.permutations(range(3), 2))
+    brackets = [commutator_snapshot(q[i], q[j]) for i, j in pairs]
+    assert not any(val.B.any() for val in brackets)
+    err = _vector_error([val.A for val in brackets],
+                        [1j * levi(i, j, 3 - i - j) * scale * s[3 - i - j] for i, j in pairs])
+    assert err.max() <= 1e-12, err.max()
 
 
 def test_four_spin_space_closed_form():
