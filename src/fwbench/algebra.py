@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dirac import check_positive
+from .dirac import check_count, check_positive
 from .phase_ops import (
     Jet,
     OperatorFamily,
@@ -338,6 +338,7 @@ def _draw_momentum(rng) -> np.ndarray:
 
 def sample_momenta(n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform momenta in [-5, 5]^3, rejecting the ball |p| < 1e-3 around p = 0."""
+    check_count(n, 1, "samples")
     rng = np.random.default_rng(seed)
     return np.array([_draw_momentum(rng) for _ in range(n)]).reshape(n, 3)
 
@@ -420,6 +421,7 @@ def classical_identities() -> list:
 def sample_states(n: int, m: float = 1.0, seed: int = DEFAULT_SEED) -> ClassicalState:
     """n seeded states, stacked: Q and P uniform in [-5, 5]^3 (|P| >= 1e-3),
     S along a random direction with length uniform in [0.5, 2]."""
+    check_count(n, 1, "samples")
     rng = np.random.default_rng(seed)
     Q, P, S = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
     for k in range(n):

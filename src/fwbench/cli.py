@@ -41,7 +41,7 @@ from . import eriksen as erk
 from . import spin_dynamics as sd
 from . import wavepacket as wp
 from . import zitter as zt
-from .dirac import check_finite, check_positive, check_vec3, energy
+from .dirac import check_count, check_finite, check_positive, check_vec3, energy
 from .grids import Grid1D, check_size
 
 _FLOAT = "%.17g"   # every float written in full: 17 digits round-trip float64
@@ -106,11 +106,7 @@ _positive_mass = _checked(float, lambda m: check_positive(m, "mass"))
 
 def _int_at_least(lowest: int):
     """An argparse type: an integer of at least lowest."""
-    def check(n: int) -> int:
-        if n < lowest:
-            raise ValueError(f"expected an integer of at least {lowest}, got {n}")
-        return n
-    return _checked(int, check)
+    return _checked(int, lambda n: check_count(n, lowest, "value"))
 
 
 def _csv_value(column: str, value) -> str:
@@ -365,17 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     zi.add_argument("--particle", default="dirac", choices=tuple(zt.HAMILTONIANS))
 
     pa = sub.add_parser("packet", formatter_class=fmt, help="packet densities in both pictures")
-    pa.add_argument("--p0", type=_finite, default=2.0)
-    pa.add_argument("--sigma", type=_positive, default=0.5)
-    pa.add_argument("--mass", type=_positive_mass, default=1.0)
-    pa.add_argument("--n", type=_grid_size, default=256)
-    pa.add_argument("--t", type=_finite, default=0.0)
-
     pc = sub.add_parser("pce", formatter_class=fmt, help="picture-change-error report")
-    pc.add_argument("--p0", type=_finite, default=2.0)
-    pc.add_argument("--sigma", type=_positive, default=0.5)
-    pc.add_argument("--mass", type=_positive_mass, default=1.0)
-    pc.add_argument("--n", type=_grid_size, default=256)
+    for command in (pa, pc):    # the packet options the two commands share
+        command.add_argument("--p0", type=_finite, default=2.0)
+        command.add_argument("--sigma", type=_positive, default=0.5)
+        command.add_argument("--mass", type=_positive_mass, default=1.0)
+        command.add_argument("--n", type=_grid_size, default=256)
+    pa.add_argument("--t", type=_finite, default=0.0)
     pc.add_argument("--format", default="pretty-table", choices=("json", "pretty-table"))
 
     for command in sub.choices.values():

@@ -25,8 +25,9 @@ scalar sector and FW_HAMILTONIAN, beta eps, for the block-diagonal
 
 The input rules live here once each, and both the library's constructors
 and the CLI's argument types call them: check_finite, check_positive
-(positive and finite), check_mass (finite and non-negative) and check_vec3
-(3 finite numbers).  A rule's name argument only labels its message.
+(positive and finite), check_mass (finite and non-negative), check_count
+(an integer of at least a lowest value) and check_vec3 (3 finite numbers).
+A rule's name argument only labels its message.
 """
 
 from __future__ import annotations
@@ -63,6 +64,13 @@ def check_mass(m: float) -> float:
     if not 0 <= m < np.inf:
         raise ValueError(f"mass must be finite and non-negative, got {m}")
     return m
+
+
+def check_count(n: int, lowest: int, name: str) -> int:
+    """n, or ValueError unless it is an integer of at least lowest."""
+    if not isinstance(n, (int, np.integer)) or n < lowest:
+        raise ValueError(f"{name} must be an integer of at least {lowest}, got {n}")
+    return n
 
 
 def check_vec3(v, name: str) -> np.ndarray:

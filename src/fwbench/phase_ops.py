@@ -18,22 +18,25 @@ tests/test_phase_ops.py checks that the dropped part vanishes.
 
 The catalogue is one table: each OperatorFamily member is one Family row
 (multiplicative part, derivative part, vector, massive_only,
-singular_at_rest, dim), and Family.build holds the domain rules.  It holds
-the families the program reads: those of the quantum sets (the
-FW-representation position, spin, OAM and boost of each set, the Dirac and
-FW Hamiltonians and their velocities, the momentum and the naive boost; a
-set's total angular momentum is the sum of its OAM and spin operators),
-and the 2 x 2 Hamiltonian FV_HAMILTONIAN of the two-component scalar
-(Feshbach-Villars) sector.  The center-of-mass and projected sets'
-position, spin and OAM rows come from one construction, _shifted_set, out
-of the denominator d of the set's position shift q = r + (Sigma x p)/d:
-their OAM is q x p, and their OAM plus spin is the conventional one by
-construction, to rounding.  zitter reads each particle's Hamiltonian row
-and takes the velocity as its exact gradient d H / d p_k, which for the
-Dirac and FW rows is the velocity row bit for bit; wavepacket evolves
-under the Hamiltonian row of each picture.  The Dirac-representation forms
-U^-1 (FW family) U are covariance oracles, rows of tests/oracles.py built
-through the same Family.build.
+singular_at_rest, dim), and Family.build holds the domain rules.  A row
+holds its formula and its domain, and build_operator gives it its name, the
+member's name in lower case, which labels its operators (fw_position_1) and
+its DomainErrors.  The catalogue holds the families the program reads: those
+of the quantum sets (the FW-representation position, spin, OAM and boost of
+each set, the Dirac and FW Hamiltonians and their velocities, the momentum
+and the naive boost; a set's total angular momentum is the sum of its OAM
+and spin operators), and the 2 x 2 Hamiltonian FV_HAMILTONIAN of the
+two-component scalar (Feshbach-Villars) sector.  The center-of-mass and
+projected sets' position, spin and OAM rows come from one construction,
+_shifted_set, out of the denominator d of the set's position shift
+q = r + (Sigma x p)/d: their OAM is q x p, and their OAM plus spin is the
+conventional one by construction, to rounding.  zitter reads each
+particle's Hamiltonian row and takes the velocity as its exact gradient
+d H / d p_k, which for the Dirac and FW rows is the velocity row bit for
+bit; wavepacket evolves under the Hamiltonian row of each picture.  The
+Dirac-representation forms U^-1 (FW family) U are covariance oracles, rows
+of tests/oracles.py, keyed by name there and built through the same
+Family.build.
 
 Coefficients are evaluated on a whole stack of momenta, shape (..., 3), in
 one call, and their momentum gradients are exact.  Each catalogue
@@ -258,7 +261,9 @@ _RHO_PLUS = PAULI[2] + 1j * PAULI[1]    # rho_3 + i rho_2
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """One operator family, A + sum_k B_k d/dp_k, as one catalogue row.
+    """One operator family, A + sum_k B_k d/dp_k, as one catalogue row: its
+    formula and its domain.  The row has no name of its own; build takes
+    one, and build_operator passes the OperatorFamily member's.
 
     A(p, P, e, m, c) is the multiplicative part over the momenta p, their
     components P as Jets and the energy e as a Jet, at mass m and component
@@ -270,7 +275,6 @@ class Family:
     matrix size: 4, or 2 for the two-component scalar sector.
     """
 
-    name: str
     A: Callable
     B: Optional[Callable] = None
     vector: bool = True
@@ -278,16 +282,18 @@ class Family:
     singular_at_rest: bool = False
     dim: int = 4
 
-    def build(self, m: float, component: Optional[int] = None) -> PhaseSpaceOperator:
-        """The member at mass m: component 1..3 of a vector family, None for a scalar."""
+    def build(self, name: str, m: float, component: Optional[int] = None) -> PhaseSpaceOperator:
+        """The member named name at mass m: component 1..3 of a vector
+        family, None for a scalar.  name labels the operator and every
+        DomainError."""
         check_mass(m)
         if m == 0 and self.massive_only:
-            raise DomainError(f"{self.name} carries a 1/m rest-frame factor and "
+            raise DomainError(f"{name} carries a 1/m rest-frame factor and "
                               "requires strictly positive mass")
         if not self.vector and component is not None:
-            raise DomainError(f"{self.name} is not a vector family")
+            raise DomainError(f"{name} is not a vector family")
         if self.vector and component not in (1, 2, 3):
-            raise DomainError(f"{self.name} needs a component in 1..3, got {component}")
+            raise DomainError(f"{name} needs a component in 1..3, got {component}")
         c = component - 1 if self.vector else 0
 
         def coeffs(p):
@@ -295,7 +301,7 @@ class Family:
             B = self.B(p, P, e, m, c) if self.B else (0.0, 0.0, 0.0)
             return (self.A(p, P, e, m, c), *B)
 
-        label = self.name + (f"_{c + 1}" if self.vector else "")
+        label = name + (f"_{c + 1}" if self.vector else "")
         min_p = MASSLESS_MIN_P if m == 0 and self.singular_at_rest else 0.0
         return PhaseSpaceOperator(self.dim, coeffs, label, min_p)
 
@@ -337,7 +343,7 @@ def _naive_boost(p, P, e, m, c):
     return 0.5j * ALPHA[c] - 0.25 * (sxp @ dinv + dinv @ sxp)
 
 
-def _shifted_set(names: tuple, d: Callable, **domain) -> tuple:
+def _shifted_set(d: Callable, **domain) -> tuple:
     """The (position, spin, OAM) rows of the set whose position is shifted by
     (Sigma x p)/d, for the denominator d(eps, m):
 
@@ -352,56 +358,56 @@ def _shifted_set(names: tuple, d: Callable, **domain) -> tuple:
     def turn(p, P, e, m, c):    # ((Sigma x p) x p)_c / d = (p_c (p.Sigma) - |p|^2 Sigma_c) / d
         return (P[c] * p_dot(SIGMA, P) - p_dot(P, P) * SIGMA[c]) / d(e, m)
 
-    return (Family(names[0], lambda p, P, e, m, c: cross_c(SIGMA, P, c) / d(e, m),
+    return (Family(lambda p, P, e, m, c: cross_c(SIGMA, P, c) / d(e, m),
                    radius_part, **domain),
-            Family(names[1], lambda p, P, e, m, c: 0.5 * SIGMA[c] - turn(p, P, e, m, c),
+            Family(lambda p, P, e, m, c: 0.5 * SIGMA[c] - turn(p, P, e, m, c),
                    **domain),
-            Family(names[2], turn, orbital_part, **domain))
+            Family(turn, orbital_part, **domain))
 
 
 class OperatorFamily(Enum):
-    """The product catalogue: each family a quantum set reads, one row each."""
+    """The product catalogue: each family a quantum set reads, one row each,
+    named by its member alone."""
 
-    DIRAC_HAMILTONIAN = Family("dirac_hamiltonian", lambda p, P, e, m, c: _dirac_jet(p, m),
+    DIRAC_HAMILTONIAN = Family(lambda p, P, e, m, c: _dirac_jet(p, m),
                                vector=False)
-    FW_HAMILTONIAN = Family("fw_hamiltonian", lambda p, P, e, m, c: e * BETA,
+    FW_HAMILTONIAN = Family(lambda p, P, e, m, c: e * BETA,
                             vector=False, singular_at_rest=True)
     # the two-component scalar sector: rho_3 m + (rho_3 + i rho_2) p^2/(2m)
-    FV_HAMILTONIAN = Family("fv_hamiltonian", lambda p, P, e, m, c: (
+    FV_HAMILTONIAN = Family(lambda p, P, e, m, c: (
         m * PAULI[2] + _RHO_PLUS * p_dot(P, P) / (2 * m)),
         vector=False, massive_only=True, dim=2)
     # the velocities -i [q_c, H] = d H / d p_c under each Hamiltonian; p_c / eps
     # is divided first, as in the gradient of beta eps, so the row is that
     # gradient bit for bit
-    FW_VELOCITY = Family("fw_velocity", lambda p, P, e, m, c: BETA * (P[c] / e),
+    FW_VELOCITY = Family(lambda p, P, e, m, c: BETA * (P[c] / e),
                          singular_at_rest=True)
-    DIRAC_VELOCITY = Family("dirac_velocity", lambda p, P, e, m, c: ALPHA[c])
-    MOMENTUM = Family("momentum", lambda p, P, e, m, c: P[c] * I4)
-    FW_POSITION = Family("fw_position", lambda p, P, e, m, c: 0.0, radius_part)
-    FW_SPIN = Family("fw_spin", lambda p, P, e, m, c: 0.5 * SIGMA[c])
-    OAM_FW = Family("oam_fw", lambda p, P, e, m, c: 0.0, orbital_part)
+    DIRAC_VELOCITY = Family(lambda p, P, e, m, c: ALPHA[c])
+    MOMENTUM = Family(lambda p, P, e, m, c: P[c] * I4)
+    FW_POSITION = Family(lambda p, P, e, m, c: 0.0, radius_part)
+    FW_SPIN = Family(lambda p, P, e, m, c: 0.5 * SIGMA[c])
+    OAM_FW = Family(lambda p, P, e, m, c: 0.0, orbital_part)
     # (1/2){x_c, beta eps} - beta (Sigma x p)_c / (2(eps+m)),  t = 0
-    BOOST_FW = Family("boost_fw", lambda p, P, e, m, c: (
+    BOOST_FW = Family(lambda p, P, e, m, c: (
         (0.5j * P[c] / e) * BETA - BETA @ cross_c(SIGMA, P, c) / (2 * (e + m))),
         lambda p, P, e, m, c: _along(c, 1j * e * BETA), singular_at_rest=True)
     # (2 beta m + alpha.p)^-1 is alpha.p/|p|^2 at m = 0, 0/0 at p = 0
-    NAIVE_BOOST = Family("naive_boost", _naive_boost, dirac_boost_part,
+    NAIVE_BOOST = Family(_naive_boost, dirac_boost_part,
                          singular_at_rest=True)
     COM_POSITION_FW, LAB_SPIN_FW, COM_OAM = _shifted_set(
-        ("com_position_fw", "lab_spin_fw", "com_oam"),
         lambda e, m: 2 * m * (e + m), massive_only=True)
     PROJECTED_POSITION_FW, PROJECTED_SPIN_FW, PROJECTED_OAM = _shifted_set(
-        ("projected_position_fw", "projected_spin_fw", "projected_oam"),
         lambda e, m: -2 * e * (e + m), singular_at_rest=True)
 
 
 def build_operator(family: OperatorFamily, m: float,
                    component: Optional[int] = None) -> PhaseSpaceOperator:
-    """Construct one member of a named operator family at mass m.
+    """Construct one member of a named operator family at mass m, labelled
+    with the member's name in lower case (fw_position_1, fw_hamiltonian).
 
     Vector families take component 1..3; scalar families take None.
     """
-    return family.value.build(m, component)
+    return family.value.build(family.name.lower(), m, component)
 
 # --- evaluation and commutation ----------------------------------------------
 

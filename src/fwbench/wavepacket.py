@@ -123,6 +123,7 @@ def to_picture(packet: WavePacket1D, picture: str) -> WavePacket1D:
 
 def evolve_free(packet: WavePacket1D, t: float) -> WavePacket1D:
     """Nodewise propagator exp(-i H(p) t) in the packet's own picture."""
+    check_finite(t, "t")
     p = _z_momenta(packet.grid)
     H = snapshot(build_operator(HAMILTONIANS[packet.picture], packet.m), p).A
     mats = free_propagator(H, energy(p, packet.m)[..., None, None], t)

@@ -98,12 +98,14 @@ class EvolutionRecord:
 def record_evolution(p, m: float, times, component: int,
                      particle: str = "dirac") -> EvolutionRecord:
     """Closed-form velocity/position record for one momentum and component
-    of the free Dirac ("dirac"), two-component scalar ("fv") or
-    Foldy-Wouthuysen ("fw") particle over the 1-D array of times; the
-    position excludes r(0).  H is the particle's catalogue row at p and
+    index (0, 1 or 2) of the free Dirac ("dirac"), two-component scalar
+    ("fv") or Foldy-Wouthuysen ("fw") particle over the 1-D array of times;
+    the position excludes r(0).  H is the particle's catalogue row at p and
     v(0) = d H / d p_component its exact gradient."""
     if particle not in HAMILTONIANS:
         raise ValueError(f"unknown particle kind {particle!r}")
+    if component not in (0, 1, 2):
+        raise ValueError(f"component must be 0, 1 or 2, got {component}")
     times = np.asarray(times, dtype=float)
     p = np.asarray(p, dtype=float)
     snap = snapshot(build_operator(HAMILTONIANS[particle], m), p)

@@ -153,8 +153,8 @@ def conjugate(op: PhaseSpaceOperator, U: PhaseSpaceOperator,
 # --- catalogue families that no verdict reads -----------------------------------
 #
 # Rows of the product's Family table, each coefficient written once in Jets
-# over the momentum components P and the energy e, and built through the
-# same Family.build, which holds the mass and component rules.
+# over the momentum components P and the energy e, keyed by name, and built
+# through the same Family.build, which holds the mass and component rules.
 
 _RHO_PLUS = PAULI[2] + 1j * PAULI[1]    # rho_3 + i rho_2
 
@@ -202,43 +202,44 @@ def _projected_spin_dirac(p, P, e, m, c):
             - 1j * m * cross_c(GAMMA, P, c)) / (2 * e * e)
 
 
-FAMILIES = {row.name: row for row in (
-    Family("four_spin_space", _four_spin_space, massive_only=True),
-    Family("four_spin_time", lambda p, P, e, m, c: p_dot(SIGMA, P) / (2 * m),
-           vector=False, massive_only=True),
-    Family("pauli_lubanski_space", _pauli_lubanski_space, singular_at_rest=True),
-    Family("pauli_lubanski_time", lambda p, P, e, m, c: p_dot(SIGMA, P) / 2, vector=False),
-    Family("spin_prime", _spin_prime, massive_only=True),
-    Family("projector_plus", _projector(1.0), vector=False, singular_at_rest=True),
-    Family("projector_minus", _projector(-1.0), vector=False, singular_at_rest=True),
+FAMILIES = {
+    "four_spin_space": Family(_four_spin_space, massive_only=True),
+    "four_spin_time": Family(lambda p, P, e, m, c: p_dot(SIGMA, P) / (2 * m),
+                             vector=False, massive_only=True),
+    "pauli_lubanski_space": Family(_pauli_lubanski_space, singular_at_rest=True),
+    "pauli_lubanski_time": Family(lambda p, P, e, m, c: p_dot(SIGMA, P) / 2, vector=False),
+    "spin_prime": Family(_spin_prime, massive_only=True),
+    "projector_plus": Family(_projector(1.0), vector=False, singular_at_rest=True),
+    "projector_minus": Family(_projector(-1.0), vector=False, singular_at_rest=True),
     # the velocity (rho_3 + i rho_2) p_k / m of the product's FV_HAMILTONIAN
-    Family("fv_velocity", lambda p, P, e, m, c: _RHO_PLUS * P[c] / m,
-           massive_only=True, dim=2),
-    Family("nw_position_dirac", _nw_position, radius_part, singular_at_rest=True),
-    Family("mean_spin_dirac", _mean_spin, singular_at_rest=True),
+    "fv_velocity": Family(lambda p, P, e, m, c: _RHO_PLUS * P[c] / m,
+                          massive_only=True, dim=2),
+    "nw_position_dirac": Family(_nw_position, radius_part, singular_at_rest=True),
+    "mean_spin_dirac": Family(_mean_spin, singular_at_rest=True),
     # (1/2){x_c, H_D} = (i/2) alpha_c + i H_D d/dp_c,  t = 0
-    Family("boost_dirac", lambda p, P, e, m, c: 0.5j * ALPHA[c], dirac_boost_part),
-    Family("com_position_dirac", _com_position_dirac, radius_part, massive_only=True),
-    Family("lab_spin_dirac", lambda p, P, e, m, c: (
+    "boost_dirac": Family(lambda p, P, e, m, c: 0.5j * ALPHA[c], dirac_boost_part),
+    "com_position_dirac": Family(_com_position_dirac, radius_part, massive_only=True),
+    "lab_spin_dirac": Family(lambda p, P, e, m, c: (
         SIGMA[c] / 2 - 1j * cross_c(GAMMA, P, c) / (2 * m)), massive_only=True),
-    Family("projected_position_dirac", lambda p, P, e, m, c: (
+    "projected_position_dirac": Family(lambda p, P, e, m, c: (
         -cross_c(SIGMA, P, c) / (2 * e * e) + 1j * m * GAMMA[c] / (2 * e * e)),
         radius_part, singular_at_rest=True),
-    Family("projected_spin_dirac", _projected_spin_dirac, singular_at_rest=True),
-)}
+    "projected_spin_dirac": Family(_projected_spin_dirac, singular_at_rest=True),
+}
 
-# every catalogue row: the product's 17 and the 15 above
-ALL_ROWS = (*(family.value for family in OperatorFamily), *FAMILIES.values())
+# every catalogue row by name: the product's 17, each named as build_operator
+# names it, and the 15 above
+ALL_ROWS = {**{member.name.lower(): member.value for member in OperatorFamily}, **FAMILIES}
 
 
 def build_family(name: str, m: float, component=None) -> PhaseSpaceOperator:
     """One member of the family of FAMILIES named name, at mass m."""
-    return FAMILIES[name].build(m, component)
+    return FAMILIES[name].build(name, m, component)
 
 
 def family_operators(m: float) -> list:
     """Every component of every row of ALL_ROWS that admits mass m."""
-    return [row.build(m, c) for row in ALL_ROWS
+    return [row.build(name, m, c) for name, row in ALL_ROWS.items()
             for c in ((1, 2, 3) if row.vector else (None,))
             if m > 0 or not row.massive_only]
 

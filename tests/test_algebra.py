@@ -90,8 +90,8 @@ def _dirac_boost(drop_alpha: bool = False) -> Family:
     """K_c = (1/2){r_c, H_D} = (i/2) alpha_c + i H_D d/dp_c at t = 0, the Dirac
     boost that naive_dirac's boost subtracts a spin term from; drop_alpha
     leaves out the (i/2) alpha_c part."""
-    return Family("dirac_boost", lambda p, P, e, m, c: 0.0 if drop_alpha
-                  else 0.5j * ALPHA[c], dirac_boost_part)
+    return Family(lambda p, P, e, m, c: 0.0 if drop_alpha else 0.5j * ALPHA[c],
+                  dirac_boost_part)
 
 
 def _dirac_boost_residuals(m: float, boost: Family) -> dict:
@@ -105,7 +105,7 @@ def _dirac_boost_residuals(m: float, boost: Family) -> dict:
         return [snapshot(build(c), momenta) for c in (1, 2, 3)]
     q, v, p = (vector(lambda c, f=f: build_operator(f, m, c))
                for f in (F.FW_POSITION, F.DIRAC_VELOCITY, F.MOMENTUM))
-    K = vector(lambda c: boost.build(m, c))
+    K = vector(lambda c: boost.build("dirac_boost", m, c))
     j = vector(lambda c: build_operator(F.OAM_FW, m, c) + build_operator(F.FW_SPIN, m, c))
     H = snapshot(build_operator(F.DIRAC_HAMILTONIAN, m), momenta)
     pairs = [(a, b) for a in range(3) for b in range(3)]

@@ -17,12 +17,13 @@ from fwbench.dirac import (
     free_propagator,
     fw_unitary_matrix,
 )
-from fwbench.algebra import ClassicalState
+from fwbench.algebra import ClassicalState, run_classical_suite, run_quantum_suite
 from fwbench.eriksen import BlockedHamiltonian
 from fwbench.grids import Grid1D
 from fwbench.phase_ops import OperatorFamily, build_operator, snapshot
 from fwbench.spin_dynamics import FieldConfig, angular_velocity
-from fwbench.wavepacket import make_gaussian_packet
+from fwbench.wavepacket import evolve_free, make_gaussian_packet
+from fwbench.zitter import record_evolution
 
 I4 = np.eye(4)
 
@@ -158,6 +159,7 @@ def test_gamma_set_immutable():
 NON_FINITE = (np.nan, np.inf, -np.inf)
 NOT_POSITIVE = (*NON_FINITE, 0.0, -1.0)
 NEGATIVE_MASS = (*NON_FINITE, -1.0)
+NOT_A_COUNT = (0, -1, 1.5)
 ZERO3 = np.zeros(3)
 VECTORS = ("e_field", "b_field", "frame_accel", "frame_omega")
 
@@ -186,6 +188,14 @@ ENTRY_POINTS = {
                                  "mass must be finite and non-negative", NEGATIVE_MASS),
     "build_operator_mass": (lambda x: build_operator(OperatorFamily.FW_HAMILTONIAN, x),
                             "mass must be finite and non-negative", NEGATIVE_MASS),
+    "quantum_suite_samples": (lambda x: run_quantum_suite("conventional", 1.0, x),
+                              "samples must be an integer of at least 1", NOT_A_COUNT),
+    "classical_suite_samples": (run_classical_suite, "samples must be an integer of at least 1",
+                                NOT_A_COUNT),
+    "record_evolution_component": (lambda x: record_evolution(np.ones(3), 1.0, [0.0, 1.0], x),
+                                   "component must be 0, 1 or 2", (-1, 3)),
+    "evolve_free_t": (lambda x: evolve_free(make_gaussian_packet(2.0, 0.5, 1.0), x),
+                      "t must be finite", NON_FINITE),
 }
 
 
@@ -206,7 +216,8 @@ def test_each_input_rule_message_is_spelled_once():
     sources = {path.name: path.read_text()
                for path in (Path(__file__).resolve().parents[1] / "src" / "fwbench").glob("*.py")}
     for message in ("must be finite,", "must be positive and finite",
-                    "must be finite and non-negative", "must be 3 finite numbers"):
+                    "must be finite and non-negative", "must be 3 finite numbers",
+                    "must be an integer of at least"):
         spelled = {name: text.count(message)
                    for name, text in sources.items() if message in text}
         assert spelled == {"dirac.py": 1}, (message, spelled)

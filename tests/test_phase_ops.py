@@ -69,10 +69,12 @@ def test_fw_spin_momentum_independent():
 
 
 def test_catalogue_rows_are_labelled_by_their_member_names():
-    # a row's name labels its operators and its DomainErrors, so a swapped
-    # name in a construction that makes several rows at once fails here
+    # build_operator names each row by its member: the label is the name in
+    # lower case, with _c for component c of a vector member
     for member in OperatorFamily:
-        assert member.value.name == member.name.lower(), member
+        for c in ((1, 2, 3) if member.value.vector else (None,)):
+            label = member.name.lower() + (f"_{c}" if c else "")
+            assert build_operator(member, 1.0, c).label == label, member
 
 
 def test_mean_spin_at_rest_is_half_sigma():
@@ -193,10 +195,10 @@ def test_massless_guards_match_the_coefficients():
     assert len(ALL_ROWS) == 32
     generic, rest = np.array([0.3, -0.7, 1.1]), np.zeros(3)
     wrong = []
-    for row in ALL_ROWS:
+    for name, row in ALL_ROWS.items():
         bare = dataclasses.replace(row, massive_only=False, singular_at_rest=False)
         for c in ((1, 2, 3) if row.vector else (None,)):
-            op = bare.build(0.0, c)
+            op = bare.build(name, 0.0, c)
             if row.massive_only:
                 ok = not _finite_at(op, generic)
             else:
